@@ -7,7 +7,6 @@ of the contact point and center of mass.
 
 from .model import (
     DimensionalBody,
-    IntegralConstants,
     Params,
     Scales,
     nondimensionalize,
@@ -18,7 +17,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DimensionalBody",
-    "IntegralConstants",
     "Params",
     "Scales",
     "nondimensionalize",

@@ -24,7 +24,15 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .dynamics import FullState, component_intervals, effective_potential, g0, g0_prime
+from .dynamics import (
+    FullState,
+    component_intervals,
+    effective_potential,
+    g0,
+    g0_prime,
+    potential_grid,
+    sign_cells,
+)
 from .geometry import profile
 from .model import Params
 
@@ -304,16 +312,18 @@ def cusp(p: Params) -> CuspPoint | None:
 
     lo, hi = 1e-6, ts - 1e-12
     grid = np.linspace(lo, hi, 4001)
-    vals = [fold_fn(t) for t in grid]
-    th_c = None
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            th_c = float(grid[i]); break
-        if vals[i] * vals[i + 1] < 0.0:
-            th_c = brentq(fold_fn, float(grid[i]), float(grid[i + 1]), xtol=1e-12, rtol=8.9e-16)
-            break
-    if th_c is None:
+    # the fold function on the whole grid, from G0 and G0' at kappa = 0; it
+    # rounds differently from fold_fn, so it only picks the cell
+    _, a0, da0 = potential_grid(grid, 0.0, p)
+    s = np.sin(grid); c = np.cos(grid)
+    cells = sign_cells(da0 + a0 * (1.0 + 2.0 * c * c) / (c * s))
+    if not cells:
         return None
+    i = cells[0]
+    if fold_fn(float(grid[i])) == 0.0:
+        th_c = float(grid[i])
+    else:
+        th_c = brentq(fold_fn, float(grid[i]), float(grid[i + 1]), xtol=1e-12, rtol=8.9e-16)
     k2 = sigma_theta_kappa_sq(th_c, p)
     if k2 < 0.0:
         return None
@@ -464,18 +474,18 @@ def rpm_floor(kappa: float, p: Params) -> float:
     else:
         barrier = max(1e-6, abs(kappa) * 1e-3)
         grid = np.linspace(barrier, math.pi - barrier, n)
-    vals = [effective_potential(float(t), kappa, p) for t in grid]
-    i = int(np.argmin(vals))
+    i = int(np.argmin(potential_grid(grid, kappa, p)[0]))
+    v_i = effective_potential(float(grid[i]), kappa, p)
     lo = grid[max(0, i - 1)]
     hi = grid[min(n - 1, i + 1)]
     if hi - lo < 1e-15:
-        return float(vals[i])
+        return float(v_i)
     res = minimize_scalar(
         lambda t: effective_potential(float(t), kappa, p),
         bounds=(float(lo), float(hi)), method="bounded",
         options={"xatol": 1e-13},
     )
-    return float(min(res.fun, vals[i]))
+    return float(min(res.fun, v_i))
 
 
 def rpm_boundary(p: Params, kappa_max: float, n_samples: int = 241) -> BifurcationCurve:

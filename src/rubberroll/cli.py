@@ -715,7 +715,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("verify", help="self-check suite; exit 3 on failure")
     _add_common(sp)
-    sp.add_argument("--quick", action="store_true", help="sub-second subset")
+    sp.add_argument("--quick", action="store_true", help="quick subset of the checks")
     sp.add_argument("--seed", type=int, help="random-state seed (default 0)")
     sp.set_defaults(func=cmd_verify)
 

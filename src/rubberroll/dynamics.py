@@ -25,6 +25,13 @@ On the sphere F0 = 1 with F1 = 0 the nutation angle decouples:
 with energy eps = B p^2/2 + kappa^2/(2 sin^2) + U(theta).  G0 doubles as the
 negative derivative of the effective potential, so its roots are the relative
 equilibria and the turning-point machinery below is built on it.
+
+The level-set scans (here and in :mod:`.bifurcation`) evaluate whole theta
+grids at once through the array kernel :func:`potential_grid`.  The rule is
+"the array selects, the scalar decides": the array only picks grid cells or
+nodes, and every number a scan returns comes from the scalar functions
+(:func:`effective_potential`, :func:`g0`), through brentq, minimize_scalar,
+midpoint membership tests or a plain re-evaluation at the selected node.
 """
 
 from __future__ import annotations
@@ -51,20 +58,21 @@ __all__ = [
     "ReducedCoords",
     "Integrals",
     "full_field",
-    "full_rhs",
     "kinematic_field",
     "kinematic_init",
     "reduced_field",
     "augmented_field",
-    "reduced_rhs",
     "integrals",
     "reduced_energy",
     "effective_potential",
     "g0",
     "g0_prime",
+    "potential_grid",
+    "check_turning_point",
     "measure_density",
     "reduce_state",
     "lift",
+    "sign_cells",
     "critical_thetas",
     "component_intervals",
     "turning_points",
@@ -213,12 +221,6 @@ def full_field(p: Params) -> Callable[[float, np.ndarray], np.ndarray]:
         return out
 
     return rhs
-
-
-def full_rhs(s: FullState, p: Params) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivatives (dw/dt, dgamma/dt) of a full state."""
-    dy = full_field(p)(0.0, s.as_array())
-    return dy[:3], dy[3:6]
 
 
 def kinematic_init(
@@ -378,13 +380,6 @@ def augmented_field(
     return rhs
 
 
-def reduced_rhs(
-    s: ReducedState, kappa: float, p: Params, b_sign: str = B_SIGN_DERIVED
-) -> tuple[float, float]:
-    dy = reduced_field(kappa, p, b_sign)(0.0, np.array([s.theta, s.p_theta]))
-    return float(dy[0]), float(dy[1])
-
-
 def reduced_energy(
     theta: float, p_theta: float, kappa: float, p: Params, b_sign: str = B_SIGN_DERIVED
 ) -> float:
@@ -426,6 +421,49 @@ def g0_prime(theta: float, kappa: float, p: Params) -> float:
     if kappa != 0.0:
         val -= kappa * kappa * (1.0 + 2.0 * c2) / (s2 * s2)
     return val
+
+
+def potential_grid(
+    theta: np.ndarray, kappa: float, p: Params
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V, G0, G0') on an array of theta: the array form of
+    :func:`effective_potential`, :func:`g0` and :func:`g0_prime`.
+
+    Each expression repeats its scalar twin's operation order (hence the
+    two differently rounded copies of Z, and no ``**``), so the values agree
+    with the scalar functions to the last bit wherever np.sin/np.cos agree
+    with math.sin/math.cos.
+    """
+    th = np.asarray(theta, dtype=float)
+    a = p.alpha
+    b2 = p.beta * p.beta
+    s = np.sin(th); c = np.cos(th)
+    s2 = s * s; c2 = c * c
+    Z = np.sqrt(b2 * s2 + c2)
+    V = a * c + Z
+    G = a * s + (1.0 - b2) * s * c / np.sqrt(b2 * s * s + c * c)
+    Z3 = Z * Z * Z
+    dG = a * c + (1.0 - b2) * ((c2 - s2) / Z - (b2 - 1.0) * s2 * c2 / Z3)
+    if kappa != 0.0:
+        V = V + 0.5 * kappa * kappa / (s * s)
+        G = G + kappa * kappa * c / (s * s * s)
+        dG = dG - kappa * kappa * (1.0 + 2.0 * c2) / (s2 * s2)
+    return V, G, dG
+
+
+def check_turning_point(theta: float, kappa: float, eps: float, p: Params) -> None:
+    """Raise ValueError unless theta is a turning point of the level eps.
+
+    A turning point solves V(theta) = eps; the allowance covers the 1e-14
+    resolution of the root solve, which the slope V' = -G0 magnifies next to
+    a pole.
+    """
+    gap = effective_potential(theta, kappa, p) - eps
+    if abs(gap) > 1e-9 * max(1.0, abs(eps)) + 1e-13 * abs(g0(theta, kappa, p)):
+        raise ValueError(
+            f"theta={theta} is no turning point of the level (kappa={kappa}, eps={eps}): "
+            f"V - eps = {gap}"
+        )
 
 
 # --- Integrals and measure ---
@@ -510,6 +548,14 @@ def lift(r: ReducedState, kappa: float, phi: float, p: Params) -> FullState:
 
 # --- Effective-potential structure ---
 
+FP_WIDTH = 1e-9   # components narrower than this are relative equilibria
+
+
+def sign_cells(vals: np.ndarray) -> list[int]:
+    """Grid cells [i, i + 1] that bracket a root: vals[i] == 0 or a sign change."""
+    head, tail = vals[:-1], vals[1:]
+    return np.flatnonzero((head == 0.0) | (head * tail < 0.0)).tolist()
+
 
 def critical_thetas(kappa: float, p: Params, n_grid: int = 800) -> list[float]:
     """Interior roots of G0 on (0, pi): relative equilibria of the reduced flow.
@@ -545,13 +591,12 @@ def critical_thetas(kappa: float, p: Params, n_grid: int = 800) -> list[float]:
     f = lambda th: g0(th, kappa, p)
     eps_edge = 1e-6
     grid = np.linspace(eps_edge, math.pi - eps_edge, n_grid)
-    vals = np.array([f(t) for t in grid])
+    vals = potential_grid(grid, kappa, p)[1]
     roots = []
-    for i in range(n_grid - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
+    for i in sign_cells(vals):
+        if vals[i] == 0.0:
             roots.append(float(grid[i]))
-        elif a * b < 0.0:
+        else:
             roots.append(brentq(f, float(grid[i]), float(grid[i + 1]), xtol=1e-14, rtol=8.9e-16))
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
@@ -581,7 +626,9 @@ def component_intervals(
     (relative equilibria, eps exactly at a well bottom) come back with
     theta_lo == theta_hi.  For kappa = 0 the admissible set lives on the
     meridian circle; intervals touching a pole include the pole point and
-    stand for the pole-crossing component.
+    stand for the pole-crossing component.  For kappa != 0 an interval reaching
+    toward a pole ends at the turning point on its centrifugal wall, however
+    close to the pole; a wall angle below 1e-30 raises ValueError.
     """
     from scipy.optimize import brentq
 
@@ -591,11 +638,26 @@ def component_intervals(
     if kappa == 0.0:
         lo_edge, hi_edge = 0.0, math.pi
     else:
-        # clip the scan where the centrifugal wall exceeds eps by a margin
         lo_edge, hi_edge = 1e-6, math.pi - 1e-6
 
     grid = sorted(set(np.linspace(lo_edge, hi_edge, n_grid).tolist() + crit))
-    vals = [V(t) - eps for t in grid]
+    vals = potential_grid(np.array(grid), kappa, p)[0] - eps
+    if kappa != 0.0 and min(vals[0], vals[-1]) < 0.0:
+        # an admissible clip edge is no turning point: the centrifugal wall
+        # lies between it and the pole.  V > eps wherever
+        # sin(theta) < |kappa| / sqrt(2 (eps - min U)), and
+        # min U >= min(1, beta) - alpha, so half the angle of that bound is
+        # a node beyond the wall.
+        th_w = 0.5 * math.asin(abs(kappa) / math.sqrt(2.0 * (eps - min(1.0, p.beta) + p.alpha)))
+        if th_w < 1e-30:   # brentq stops converging on wider wall brackets
+            raise ValueError(
+                f"|kappa|={abs(kappa)} too small to resolve the centrifugal wall; use kappa = 0"
+            )
+        if vals[0] < 0.0:
+            grid.insert(0, th_w)
+        if vals[-1] < 0.0:
+            grid.append(math.pi - th_w)
+        vals = potential_grid(np.array(grid), kappa, p)[0] - eps
 
     scale = max(1.0, abs(eps))
     intervals: list[tuple[float, float]] = []
@@ -611,13 +673,15 @@ def component_intervals(
     # membership is decided at midpoints, so a node that merely touches the
     # level cannot flip the interval parity
     breaks = [grid[0], grid[-1]]
-    for i in range(len(grid) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
+    for i in sign_cells(vals):
+        if vals[i] == 0.0:
             breaks.append(grid[i])
-        elif va * vb < 0.0:
+        else:
+            # a cell below the clip edge holds a wall turning point next to the
+            # pole, which only a tolerance relative to theta resolves
+            xtol = 1e-14 * grid[i] if grid[i] < lo_edge else 1e-14
             breaks.append(
-                brentq(lambda th: V(th) - eps, grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16)
+                brentq(lambda th: V(th) - eps, grid[i], grid[i + 1], xtol=xtol, rtol=8.9e-16)
             )
     breaks = sorted(set(breaks))
 

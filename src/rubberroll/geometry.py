@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -39,7 +38,6 @@ __all__ = [
     "B_SIGN_DERIVED",
     "B_SIGN_PAPER",
     "SurfaceEval",
-    "ProfileProvider",
     "EllipsoidProfile",
     "profile",
     "contact_vector",
@@ -66,17 +64,10 @@ class SurfaceEval:
     dJ: float
 
 
-class ProfileProvider(Protocol):
-    """Seam for surfaces of revolution: anything evaluating SurfaceEval."""
-
-    def eval(self, theta: float) -> SurfaceEval: ...
-
-
 class EllipsoidProfile:
     """Closed-form profile of the ellipsoid of revolution.
 
-    The only provider that ships.  ``b_sign`` selects the B cross-term
-    variant, see the module docstring.
+    ``b_sign`` selects the B cross-term variant, see the module docstring.
     """
 
     def __init__(self, p: Params, b_sign: str = B_SIGN_DERIVED):

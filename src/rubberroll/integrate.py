@@ -24,13 +24,14 @@ from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 from .dynamics import (
+    FP_WIDTH,
     augmented_field,
+    check_turning_point,
     component_intervals,
     effective_potential,
     full_field,
     kinematic_field,
     reduced_field,
-    ReducedState,
 )
 from .geometry import B_SIGN_DERIVED, profile
 from .model import Params
@@ -46,7 +47,6 @@ __all__ = [
     "integrate",
     "SectionPeriod",
     "section_period",
-    "pole_glue",
 ]
 
 DEFAULT_TOL_ABS = 1e-12
@@ -249,7 +249,11 @@ def integrate_raw(
     return traj
 
 
-def _pole_guard_factory(kappa: float, margin: float = 1e-6):
+def _pole_guard_factory(kappa: float):
+    # a level eps keeps sin(theta) >= |kappa| / sqrt(2 (eps - min U)), so the
+    # margin shrinks with |kappa| to admit the small-|kappa| turning points
+    margin = min(1e-6, 1e-3 * abs(kappa))
+
     def guard(t: float, y: np.ndarray) -> None:
         th = y[0]
         if th <= margin or th >= math.pi - margin:
@@ -334,9 +338,6 @@ class SectionPeriod:
     pole_crossing: bool = False
 
 
-_FP_WIDTH = 1e-9
-
-
 def section_period(
     kappa: float,
     eps: float,
@@ -361,7 +362,7 @@ def section_period(
         raise ValueError(f"branch {branch} out of range, {len(ivs)} component(s)")
     lo, hi = ivs[branch]
 
-    if hi - lo <= _FP_WIDTH:
+    if hi - lo <= FP_WIDTH:
         return SectionPeriod(T_theta=None, theta_min=lo, theta_max=hi, fixed_point=True)
 
     touches_0 = kappa == 0.0 and lo <= 1e-12
@@ -393,6 +394,7 @@ def section_period(
         theta_min, theta_max = lo, hi
         start = lo
 
+    check_turning_point(start, kappa, eps, p)
     ev = EventSpec("section", lambda t, y: y[1], direction=0, terminal=True)
     traj = integrate(
         "reduced", (start, 0.0), (0.0, 1e7), p, kappa=kappa,
@@ -407,24 +409,3 @@ def section_period(
         theta_max=theta_max,
         pole_crossing=touches_0 or touches_pi,
     )
-
-
-def pole_glue(
-    state: ReducedState, phi: float, psi: float, kappa: float, tol: float = 1e-8
-) -> tuple[ReducedState, float, float]:
-    """Chart bookkeeping for a kappa = 0 pole transit.
-
-    Continues the reduced trajectory through theta = 0 or theta = pi by
-    flipping the nutation momentum and advancing phi by pi; the accumulated
-    precession quadrature psi is continuous.  Evaluating the Euler rotation
-    across the fold also needs psi shifted by pi together with phi, which is
-    the chart identity Q(-theta, psi + pi, phi + pi) = Q(theta, psi, phi);
-    the reconstruction module works in the extended chart and never folds.
-    """
-    if abs(kappa) > tol:
-        raise ValueError(f"pole transit requires kappa = 0, got {kappa}")
-    th = state.theta
-    near = min(abs(th), abs(th - math.pi))
-    if near > tol:
-        raise ValueError(f"theta={th} is not at a pole (within {tol})")
-    return ReducedState(theta=th, p_theta=-state.p_theta), phi + math.pi, psi

@@ -25,7 +25,6 @@ __all__ = [
     "DimensionalBody",
     "Params",
     "Scales",
-    "IntegralConstants",
     "nondimensionalize",
     "validate",
 ]
@@ -84,18 +83,6 @@ class Scales:
     length: float
     mass: float
     time: float
-
-
-@dataclass(frozen=True)
-class IntegralConstants:
-    """Level-set constants of the reduced system.
-
-    ``kappa`` is the conserved axial momentum combination J(theta) * omega_3 and
-    ``eps`` the total energy, both in dimensionless units.
-    """
-
-    kappa: float
-    eps: float
 
 
 def validate(p: Params) -> list[str]:

@@ -42,7 +42,9 @@ from scipy.optimize import brentq, minimize_scalar
 from .model import Params
 from .geometry import B_SIGN_DERIVED, profile
 from .dynamics import (
+    FP_WIDTH,
     FullState,
+    check_turning_point,
     component_intervals,
     critical_thetas,
     effective_potential,
@@ -89,7 +91,6 @@ CLASS_KINDS = (
 )
 
 _POLE_TOL = 1e-12
-_FP_WIDTH = 1e-9
 _SEP_TOL = 1e-9
 _WARN_TOL = 1e-6
 _Q_MAX = 64
@@ -351,9 +352,9 @@ def rotation_number(
 
     if kappa == 0.0:
         return RotationNumber(N=0.0, err=0.0, period=None,
-                              fixed_point=hi - lo <= _FP_WIDTH)
+                              fixed_point=hi - lo <= FP_WIDTH)
 
-    if hi - lo <= _FP_WIDTH:
+    if hi - lo <= FP_WIDTH:
         thc = 0.5 * (lo + hi)
         lam2 = g0_prime(thc, kappa, p) / profile(thc, p, b_sign=b_sign).B
         if lam2 >= 0.0:
@@ -365,6 +366,7 @@ def rotation_number(
         return RotationNumber(N=-psi_dot / math.sqrt(-lam2), err=0.0,
                               period=None, fixed_point=True)
 
+    check_turning_point(lo, kappa, eps, p)
     turn = EventSpec("turn", lambda t, y: y[1], direction=-1, terminal=True)
     y0 = np.array([lo, 0.0, 0.0, 0.0, 0.0, 0.0])
     horizon = 1e6
@@ -434,7 +436,7 @@ def classify(
     lo, hi, _ = _branch_interval(kappa, eps, p, branch)
     alpha0 = p.alpha == 0.0
 
-    if hi - lo <= _FP_WIDTH:
+    if hi - lo <= FP_WIDTH:
         thc = 0.5 * (lo + hi)
         if kappa == 0.0:
             return TrajectoryClass(kind="Point", targets=(thc,))

@@ -1,0 +1,182 @@
+"""The array kernel and the grid scans built on it, against the scalar path.
+
+The ``_scalar_*`` functions are the point-by-point scans the array kernel
+replaced, kept verbatim as oracles.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq, minimize_scalar
+
+from rubberroll.bifurcation import rpm_floor
+from rubberroll.dynamics import (
+    component_intervals,
+    critical_thetas,
+    effective_potential,
+    g0,
+    g0_prime,
+    potential_grid,
+)
+from rubberroll.model import Params
+
+# one body per diagram region a-e
+REGION_BODIES = {
+    "a": Params(0.5, 0.5, 1.0, 1.0),
+    "b": Params(0.5, 1.0, 0.7, 2.0),
+    "c": Params(0.5, 3.0, 0.5, 0.5),
+    "d": Params(0.0, 0.7, 1.5, 0.8),
+    "e": Params(0.0, 1.5, 1.0, 1.0),
+}
+
+
+def _scalar_critical_thetas(kappa, p, n_grid=800):
+    if kappa == 0.0:
+        b2 = p.beta * p.beta
+
+        def fac(th):
+            c = math.cos(th)
+            Z = math.sqrt(b2 * (1.0 - c * c) + c * c)
+            return p.alpha + (1.0 - b2) * c / Z
+
+        lo, hi = 1e-9, math.pi - 1e-9
+        flo, fhi = fac(lo), fac(hi)
+        if flo == 0.0:
+            return [lo]
+        if fhi == 0.0:
+            return [hi]
+        if flo * fhi > 0.0:
+            return []
+        return [brentq(fac, lo, hi, xtol=1e-14, rtol=8.9e-16)]
+
+    f = lambda th: g0(th, kappa, p)
+    eps_edge = 1e-6
+    grid = np.linspace(eps_edge, math.pi - eps_edge, n_grid)
+    vals = np.array([f(t) for t in grid])
+    roots = []
+    for i in range(n_grid - 1):
+        a, b = vals[i], vals[i + 1]
+        if a == 0.0:
+            roots.append(float(grid[i]))
+        elif a * b < 0.0:
+            roots.append(brentq(f, float(grid[i]), float(grid[i + 1]), xtol=1e-14, rtol=8.9e-16))
+    if vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    return sorted(roots)
+
+
+def _scalar_component_intervals(kappa, eps, p, n_grid=2000, tol_fp=1e-10):
+    V = lambda th: effective_potential(th, kappa, p)
+    crit = _scalar_critical_thetas(kappa, p)
+    if kappa == 0.0:
+        lo_edge, hi_edge = 0.0, math.pi
+    else:
+        lo_edge, hi_edge = 1e-6, math.pi - 1e-6
+    grid = sorted(set(np.linspace(lo_edge, hi_edge, n_grid).tolist() + crit))
+    vals = [V(t) - eps for t in grid]
+    scale = max(1.0, abs(eps))
+    intervals = []
+    degen = [tc for tc in crit if abs(V(tc) - eps) <= tol_fp * scale]
+    if kappa == 0.0:
+        for pole in (0.0, math.pi):
+            if abs(V(pole) - eps) <= tol_fp * scale:
+                degen.append(pole)
+    breaks = [grid[0], grid[-1]]
+    for i in range(len(grid) - 1):
+        va, vb = vals[i], vals[i + 1]
+        if va == 0.0:
+            breaks.append(grid[i])
+        elif va * vb < 0.0:
+            breaks.append(
+                brentq(lambda th: V(th) - eps, grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16)
+            )
+    breaks = sorted(set(breaks))
+    for u, v in zip(breaks[:-1], breaks[1:]):
+        if V(0.5 * (u + v)) - eps < 0.0:
+            if intervals and intervals[-1][1] == u:
+                intervals[-1] = (intervals[-1][0], v)
+            else:
+                intervals.append((u, v))
+    for tc in degen:
+        if not any(lo - 1e-9 <= tc <= hi + 1e-9 for lo, hi in intervals):
+            intervals.append((tc, tc))
+    intervals.sort()
+    return intervals
+
+
+def _scalar_rpm_floor(kappa, p):
+    n = 721
+    if kappa == 0.0:
+        grid = np.linspace(0.0, math.pi, n)
+    else:
+        barrier = max(1e-6, abs(kappa) * 1e-3)
+        grid = np.linspace(barrier, math.pi - barrier, n)
+    vals = [effective_potential(float(t), kappa, p) for t in grid]
+    i = int(np.argmin(vals))
+    lo = grid[max(0, i - 1)]
+    hi = grid[min(n - 1, i + 1)]
+    if hi - lo < 1e-15:
+        return float(vals[i])
+    res = minimize_scalar(
+        lambda t: effective_potential(float(t), kappa, p),
+        bounds=(float(lo), float(hi)), method="bounded",
+        options={"xatol": 1e-13},
+    )
+    return float(min(res.fun, vals[i]))
+
+
+@st.composite
+def bodies(draw):
+    """Bodies with weight on the documented limits: alpha in {0, 1},
+    beta = 1, nu = 2 and the region boundaries beta^2 = 1 +/- alpha."""
+    alpha = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    beta_choices = [1.0, math.sqrt(1.0 + alpha)]
+    if alpha < 1.0:
+        beta_choices.append(math.sqrt(1.0 - alpha))
+    beta = draw(st.sampled_from(beta_choices) | st.floats(0.2, 4.0))
+    nu = draw(st.just(2.0) | st.floats(0.1, 2.0))
+    eta = draw(st.floats(0.1, 5.0))
+    return Params(alpha, beta, nu, eta)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    p=bodies(),
+    kappa=st.just(0.0) | st.floats(-3.0, 3.0),
+    thetas=st.lists(st.floats(1e-6, math.pi - 1e-6), min_size=1, max_size=40),
+)
+def test_kernel_matches_scalar_to_2ulp(p, kappa, thetas):
+    if kappa == 0.0:
+        # the meridian chart: the poles themselves are valid points
+        thetas = thetas + [0.0, math.pi]
+    th = np.array(thetas)
+    V, G, dG = potential_grid(th, kappa, p)
+    np.testing.assert_array_max_ulp(V, [effective_potential(t, kappa, p) for t in thetas], maxulp=2)
+    np.testing.assert_array_max_ulp(G, [g0(t, kappa, p) for t in thetas], maxulp=2)
+    np.testing.assert_array_max_ulp(dG, [g0_prime(t, kappa, p) for t in thetas], maxulp=2)
+
+
+def _close(a, b, tol=1e-12):
+    return abs(a - b) <= tol * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("region", sorted(REGION_BODIES))
+def test_scans_match_scalar_oracles(region):
+    p = REGION_BODIES[region]
+    for kappa in (0.0, 0.05, -0.3, 0.8, 1.7):
+        floor = rpm_floor(kappa, p)
+        assert _close(floor, _scalar_rpm_floor(kappa, p))
+        crit = critical_thetas(kappa, p)
+        ref = _scalar_critical_thetas(kappa, p)
+        assert len(crit) == len(ref)
+        assert all(_close(a, b) for a, b in zip(crit, ref))
+        levels = [effective_potential(t, kappa, p) for t in crit]
+        for eps in [floor + 0.01, floor + 0.4, floor + 2.5] + [lv + 1e-3 for lv in levels]:
+            ivs = component_intervals(kappa, eps, p)
+            ref_ivs = _scalar_component_intervals(kappa, eps, p)
+            assert len(ivs) == len(ref_ivs), (kappa, eps)
+            for (lo, hi), (rlo, rhi) in zip(ivs, ref_ivs):
+                assert _close(lo, rlo) and _close(hi, rhi), (kappa, eps)

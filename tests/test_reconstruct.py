@@ -193,6 +193,40 @@ def test_rotation_number_odd_in_kappa_and_mirror():
     assert np.abs(pm.y_c + pq.y_c).max() < 1e-8
 
 
+def test_small_kappa_starts_at_the_centrifugal_wall():
+    # N is linear in kappa as kappa -> 0 (N / kappa = -0.2891 at 1e-3 and
+    # 1e-5).  Below |kappa| ~ 1e-6 the turning point lies inside the 1e-6
+    # scan clip, which used to be returned as lo and gave N = 0.5000001.
+    for kap in (1e-6, 1e-7):
+        lo, _ = component_intervals(kap, 3.5, P_XY)[0]
+        assert lo < 1e-6
+        assert abs(effective_potential(lo, kap, P_XY) - 3.5) < 1e-12
+    assert rotation_number(1e-6, 3.5, P_XY).N == pytest.approx(-2.891e-7, rel=2e-3)
+    # the orbit passes theta = pi at 4e-8, where the float spacing of theta
+    # (4e-16) limits psi, and so N, to an absolute error of order 1e-8
+    assert abs(rotation_number(1e-7, 3.5, P_XY).N + 2.891e-8) < 1e-8
+
+
+def test_start_off_the_level_is_rejected(monkeypatch):
+    # a clipped interval edge is no turning point: refuse it instead of
+    # integrating a different level
+    import rubberroll.integrate
+    import rubberroll.reconstruct
+
+    clipped = lambda kappa, eps, p: [(1e-6, 3.0)]
+    monkeypatch.setattr(rubberroll.reconstruct, "component_intervals", clipped)
+    monkeypatch.setattr(rubberroll.integrate, "component_intervals", clipped)
+    with pytest.raises(ValueError, match="turning point"):
+        rotation_number(1e-7, 3.5, P_XY)
+    with pytest.raises(ValueError, match="turning point"):
+        section_period(1e-7, 3.5, P_XY)
+
+
+def test_kappa_too_small_for_the_wall_is_an_error():
+    with pytest.raises(ValueError, match="too small"):
+        component_intervals(1e-40, 3.5, P_XY)
+
+
 def test_steady_rotation_circles_via_quadratures():
     pr = permanent_rotation(math.pi / 3.0, P_C)
     t_circ = 2.0 * math.pi * math.tan(math.pi / 3.0) / pr.omega0
