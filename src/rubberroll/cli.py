@@ -18,7 +18,8 @@ classify
     Trajectory class of one (kappa, eps, branch) point; JSON output.
 verify
     Self-check suite (conservation, reduction oracle, measure invariance,
-    steady-rotation identities, formula arbitration); exit 3 on failure.
+    steady-rotation identities, formula arbitration, quadrature against the
+    stepper); exit 3 on failure.
 
 Config files given with --config hold ``key = value`` lines whose keys
 mirror the long flag names; explicit flags win.  All numeric output uses 17
@@ -45,6 +46,7 @@ from .geometry import B_SIGN_DERIVED, B_SIGN_PAPER, profile
 from .dynamics import (
     FullState,
     component_intervals,
+    critical_thetas,
     effective_potential,
     integrals,
     lift,
@@ -54,7 +56,7 @@ from .dynamics import (
     reduced_energy,
     ReducedState,
 )
-from .integrate import IntegrationError, PoleError, integrate
+from .integrate import IntegrationError, PoleError, _ode_half_period, integrate
 from .bifurcation import (
     diagram,
     inclined_equilibrium,
@@ -109,25 +111,41 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
+_CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
+
+
+def _config_cast(action: argparse.Action, text: str):
+    """Convert a config value the way the option's flag would."""
+    if isinstance(action, argparse._StoreTrueAction):
+        if text.lower() not in _CONFIG_BOOLS:
+            raise ValueError(text)
+        return _CONFIG_BOOLS[text.lower()]
+    value = (action.type or str)(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(text)
+    return value
+
+
 def _merge_config(args: argparse.Namespace, parser: _Parser) -> None:
-    """Fill unset (None) options from the --config file, flags winning."""
+    """Fill options left at their defaults from the --config file, flags
+    winning; each value is cast by its option's own parser action."""
     if not getattr(args, "config", None):
         return
     try:
         cfg = _read_config(args.config)
     except (OSError, ValueError) as ex:
         parser.error(str(ex))
-    casts = {"n_kappa": int, "n_energy": int, "samples": int, "branch": int,
-             "jobs": int, "seed": int, "max_steps": int, "n": str,
-             "omega": str, "gamma": str, "out": str, "b_sign": str}
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.command]._actions}
     for key, val in cfg.items():
-        if not hasattr(args, key):
+        action = actions.get(key)
+        if action is None or not hasattr(args, key):
             continue
-        if getattr(args, key) is not None:
+        if getattr(args, key) != action.default:   # given as a flag
             continue
-        cast = casts.get(key, float)
         try:
-            setattr(args, key, cast(val))
+            setattr(args, key, _config_cast(action, val))
         except ValueError:
             parser.error(f"config key {key}: cannot parse {val!r}")
 
@@ -605,6 +623,25 @@ def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
         ok = abs(epsilon_min(p) - (1.0 + a)) <= 1e-12
         detail = f"pole regime, eps_min={epsilon_min(p):.9f}"
     _check("threshold-form", ok, detail, failures)
+
+    # half-period quadrature against the tight stepper: a generic and a
+    # near-separatrix level per kappa
+    worst_dn, worst_bound, n_lv = 0.0, 0.0, 0
+    for kap in (0.5, -0.3) if quick else (0.5, -0.3, 0.8, -1.2):
+        lv = [effective_potential(t, kap, p) for t in critical_thetas(kap, p)]
+        for eps in [min(lv) + 0.3] + ([lv[1] + 1e-3] if len(lv) == 3 else []):
+            rn = rotation_number(kap, eps, p, b_sign=b_sign)
+            lo, hi = component_intervals(kap, eps, p)[0]
+            _, psi = _ode_half_period(kap, eps, p, lo, hi, False, b_sign,
+                                      1e-15, 2.3e-14, 10 ** 7)
+            dn, bound = abs(rn.N + psi / math.pi), rn.err + 1e-10
+            if n_lv == 0 or dn - bound > worst_dn - worst_bound:
+                worst_dn, worst_bound = dn, bound
+            n_lv += 1
+    _check("quadrature", worst_dn <= worst_bound,
+           f"worst |N_quad - N_ode| = {worst_dn:.2e} against its bound "
+           f"err + 1e-10 = {worst_bound:.2e} on {n_lv} levels",
+           failures)
 
     if not quick:
         # absolute-space reconstruction against direct kinematics

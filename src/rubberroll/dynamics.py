@@ -68,6 +68,7 @@ __all__ = [
     "g0",
     "g0_prime",
     "potential_grid",
+    "inertia_grid",
     "check_turning_point",
     "measure_density",
     "reduce_state",
@@ -451,6 +452,27 @@ def potential_grid(
     return V, G, dG
 
 
+def inertia_grid(
+    theta: np.ndarray, p: Params, b_sign: str = B_SIGN_DERIVED
+) -> tuple[np.ndarray, np.ndarray]:
+    """(B, J) on an array of theta: the array form of ``profile(theta).B``
+    and ``.J``, in the same operation order, with the ``b_sign`` cross term.
+    Like :func:`potential_grid` it accepts any real theta (the meridian
+    extension).
+    """
+    th = np.asarray(theta, dtype=float)
+    a = p.alpha
+    b2 = p.beta * p.beta
+    s = np.sin(th); c = np.cos(th)
+    s2 = s * s; c2 = c * c
+    Z = np.sqrt(b2 * s2 + c2)
+    cross = a * Z - c if b_sign == B_SIGN_PAPER else c + a * Z
+    B = 1.0 / p.eta + (b2 * b2 * s2 + cross * cross) / (Z * Z)
+    w = Z + a * c
+    J = np.sqrt((c2 + p.nu * s2) / p.eta + w * w)
+    return B, J
+
+
 def check_turning_point(theta: float, kappa: float, eps: float, p: Params) -> None:
     """Raise ValueError unless theta is a turning point of the level eps.
 
@@ -561,7 +583,8 @@ def critical_thetas(kappa: float, p: Params, n_grid: int = 800) -> list[float]:
     """Interior roots of G0 on (0, pi): relative equilibria of the reduced flow.
 
     For kappa != 0 the centrifugal term dominates both pole limits, so every
-    root is interior and a sign scan on a uniform grid brackets all of them.
+    root is interior and a sign scan on a uniform grid brackets all of them;
+    roots between a pole and the grid's 1e-6 edge get a node beyond them.
     For kappa = 0 the only interior root is the inclined equilibrium, when it
     exists; the poles themselves are always equilibria of the meridian chart
     and are not reported here.
@@ -592,12 +615,26 @@ def critical_thetas(kappa: float, p: Params, n_grid: int = 800) -> list[float]:
     eps_edge = 1e-6
     grid = np.linspace(eps_edge, math.pi - eps_edge, n_grid)
     vals = potential_grid(grid, kappa, p)[1]
+    if vals[0] < 0.0 or vals[-1] > 0.0:
+        # G0 -> +inf at the pole 0 and -inf at pi, so the wrong sign at a
+        # clip edge means a root between it and the pole: the near-pole
+        # relative equilibria at sin(theta) ~ sqrt(|kappa|).  The non-
+        # centrifugal part of G0 is at most C sin(theta) in size, so G0
+        # keeps the pole's sign wherever sin^4 < kappa^2 cos / C, and the
+        # node th_e below lies beyond the root.
+        C = p.alpha + abs(1.0 - p.beta * p.beta) / min(1.0, p.beta)
+        th_e = 0.5 * math.sqrt(abs(kappa) / math.sqrt(C))
+        grid = np.concatenate(([th_e] if vals[0] < 0.0 else [], grid,
+                               [math.pi - th_e] if vals[-1] > 0.0 else []))
+        vals = potential_grid(grid, kappa, p)[1]
     roots = []
     for i in sign_cells(vals):
         if vals[i] == 0.0:
             roots.append(float(grid[i]))
         else:
-            roots.append(brentq(f, float(grid[i]), float(grid[i + 1]), xtol=1e-14, rtol=8.9e-16))
+            # a cell below the clip edge needs a tolerance relative to theta
+            xtol = 1e-14 * grid[i] if grid[i] < eps_edge else 1e-14
+            roots.append(brentq(f, float(grid[i]), float(grid[i + 1]), xtol=xtol, rtol=8.9e-16))
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     return sorted(roots)

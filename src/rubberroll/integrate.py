@@ -11,6 +11,17 @@ step at a time so that
   * the reduced chart can be guarded against pole contact when kappa != 0.
 
 Default tolerances are 1e-12 absolute and 1e-10 relative.
+
+The per-level observables (:func:`section_period` here, the rotation number
+in :mod:`.reconstruct`) need no stepping: the time and the precession from
+one turning point to the other are the quadratures
+
+    T/2 = int sqrt(B / 2(eps - V)) dtheta,
+    psi/2 = int psi_dot sqrt(B / 2(eps - V)) dtheta,
+    psi_dot = -kappa cos(theta) / (J sin^2(theta)),
+
+which :func:`half_period` evaluates by a node-doubling midpoint rule.  The
+stepper stays as its fallback past the node cap.
 """
 
 from __future__ import annotations
@@ -30,7 +41,10 @@ from .dynamics import (
     component_intervals,
     effective_potential,
     full_field,
+    g0,
+    inertia_grid,
     kinematic_field,
+    potential_grid,
     reduced_field,
 )
 from .geometry import B_SIGN_DERIVED, profile
@@ -45,6 +59,8 @@ __all__ = [
     "Trajectory",
     "integrate_raw",
     "integrate",
+    "HalfPeriod",
+    "half_period",
     "SectionPeriod",
     "section_period",
 ]
@@ -318,6 +334,179 @@ def integrate(
     )
 
 
+_N_START = 16         # first midpoint rule compared against its doubling
+_N_CAP = 2 ** 14      # past this node count the stepper takes over
+_EPS_MACH = 2.0 ** -52
+
+
+@dataclass(frozen=True)
+class HalfPeriod:
+    """Time t and precession psi over half an oscillation, with estimates
+    of their absolute errors and the method that ran ("quadrature" or
+    "ode")."""
+
+    t: float
+    psi: float
+    t_err: float
+    psi_err: float
+    method: str
+
+
+def _polish_turning_point(theta: float, kappa: float, eps: float, p: Params) -> float:
+    """One Newton step on V(theta) = eps, with V' = -G0.
+
+    The scans resolve a turning point to about 1e-14 in theta, which leaves
+    |V - eps| ~ 1e-14 |V'| there; next to the ends the gap eps - V the
+    quadrature divides by is not much larger.  The step brings the residual
+    down to the rounding of V.
+    """
+    g = g0(theta, kappa, p)
+    if g == 0.0:
+        return theta
+    return theta + (effective_potential(theta, kappa, p) - eps) / g
+
+
+def _midpoint_sums(
+    kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
+    b_sign: str, n: int,
+) -> tuple[float, float, float, float] | None:
+    """n-node midpoint sums of the half-period time and precession, and the
+    size of their rounding errors; None if a node falls off the level."""
+    du = math.pi / n
+    u = (np.arange(n) + 0.5) * du
+    if circuit:
+        jac = (hi - lo) / math.pi
+        th = lo + jac * u
+    else:
+        h = 0.5 * (hi - lo)
+        th = (lo + h) - h * np.cos(u)
+        jac = h * np.sin(u)
+    V, G, _ = potential_grid(th, kappa, p)
+    gap = eps - V
+    if not np.all(gap > 0.0):
+        return None
+    B, J = inertia_grid(th, p, b_sign)
+    dt = jac * np.sqrt(B / (2.0 * gap))
+    # eps - V carries the rounding of V and that of theta times the slope
+    # V' = -G, both magnified where the gap is small; the sums carry their
+    # own rounding
+    rel = (_EPS_MACH * (4.0 * max(1.0, abs(eps)) + np.abs(th * G)) / gap
+           + 32.0 * _EPS_MACH)
+    t = float(dt.sum()) * du
+    t_floor = float((dt * rel).sum()) * du
+    if kappa == 0.0:
+        return t, 0.0, t_floor, 0.0
+    s = np.sin(th)
+    dpsi = (-kappa) * np.cos(th) / (J * s * s) * dt
+    return t, float(dpsi.sum()) * du, t_floor, float((np.abs(dpsi) * rel).sum()) * du
+
+
+def _quadrature(
+    kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
+    b_sign: str, tol_abs: float, tol_rel: float,
+) -> HalfPeriod | None:
+    """Node-doubling midpoint rule; None past the node cap or when a node
+    falls off the level.
+
+    On a libration theta = m - h cos(u) over u in [0, pi] cancels the
+    (theta - lo)(hi - theta) factor of eps - V; on half a meridian circuit
+    theta runs linearly from lo to hi, where the integrand is even.  Either
+    way the integrand is a smooth, even, 2 pi-periodic function of u, so the
+    midpoint rule converges geometrically.  The error estimate is the
+    difference between the n- and 2n-node sums, or the rounding error of
+    the sums where that is larger; the doubling stops once the difference
+    meets tol_abs + tol_rel |value| or falls below the rounding error.  The
+    rounding error stays below 1e-12 relative on generic levels and grows
+    as eps - V shrinks: closer than about 1e-6 to a critical level it
+    limits err.
+    """
+    if not circuit:
+        lo = _polish_turning_point(lo, kappa, eps, p)
+        hi = _polish_turning_point(hi, kappa, eps, p)
+    prev = _midpoint_sums(kappa, eps, p, lo, hi, circuit, b_sign, _N_START)
+    n = 2 * _N_START
+    while prev is not None and n <= _N_CAP:
+        cur = _midpoint_sums(kappa, eps, p, lo, hi, circuit, b_sign, n)
+        if cur is None:
+            return None
+        t, psi, t_floor, psi_floor = cur
+        t_err = max(abs(t - prev[0]), t_floor)
+        psi_err = max(abs(psi - prev[1]), psi_floor)
+        if (t_err <= max(tol_abs + tol_rel * abs(t), t_floor)
+                and psi_err <= max(tol_abs + tol_rel * abs(psi), psi_floor)):
+            return HalfPeriod(t=t, psi=psi, t_err=t_err, psi_err=psi_err,
+                              method="quadrature")
+        prev = cur
+        n *= 2
+    return None
+
+
+def _ode_half_period(
+    kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
+    b_sign: str, tol_abs: float, tol_rel: float, max_steps: int,
+) -> tuple[float, float]:
+    """(t, psi) of the half oscillation by DOP853 on the augmented system:
+    from the turning point lo to the next p_theta = 0 crossing, or on a
+    circulating level from lo to hi.  The fallback of :func:`half_period`
+    and the oracle its tests check it against."""
+    if circuit:
+        pt0 = math.sqrt(2.0 * (eps - effective_potential(lo, kappa, p))
+                        / profile(lo, p, b_sign=b_sign, pole_mode=True).B)
+        ev = EventSpec("half", lambda t, y: y[0] - hi, direction=+1, terminal=True)
+    else:
+        pt0 = 0.0
+        ev = EventSpec("turn", lambda t, y: y[1], direction=0, terminal=True)
+    traj = integrate(
+        "augmented", (lo, pt0, 0.0, 0.0, 0.0, 0.0), (0.0, 1e7), p, kappa=kappa,
+        b_sign=b_sign, tol_abs=tol_abs, tol_rel=tol_rel, max_steps=max_steps,
+        events=(ev,),
+    )
+    if not traj.events:
+        raise IntegrationError(
+            f"no half-period return found before the time cap at kappa={kappa}, eps={eps}; "
+            "level too close to a critical value"
+        )
+    hit = traj.events[-1]
+    return hit.t, float(hit.y[2])
+
+
+def half_period(
+    kappa: float,
+    eps: float,
+    p: Params,
+    lo: float,
+    hi: float,
+    *,
+    circuit: bool = False,
+    b_sign: str = B_SIGN_DERIVED,
+    tol_abs: float = DEFAULT_TOL_ABS,
+    tol_rel: float = DEFAULT_TOL_REL,
+    max_steps: int = DEFAULT_MAX_STEPS,
+) -> HalfPeriod:
+    """Time and precession from the turning point lo to the turning point hi.
+
+    For a kappa = 0 component crossing a pole, lo and hi are the turning
+    points in the extended meridian chart.  With ``circuit`` set, the level
+    circulates (kappa = 0) and lo and hi are instead two points the
+    potential is even about, such as the poles 0 and pi: the half period is
+    then the time from lo to hi, half the meridian circuit.
+
+    The quadrature runs first (see :func:`_quadrature`).  Past its node cap
+    the stepper integrates the half period at the given tolerances, and a
+    second run 10 times tighter gives the error estimate.
+    """
+    q = _quadrature(kappa, eps, p, lo, hi, circuit, b_sign, tol_abs, tol_rel)
+    if q is not None:
+        return q
+    loose = _ode_half_period(kappa, eps, p, lo, hi, circuit, b_sign,
+                             tol_abs, tol_rel, max_steps)
+    # 2.2e-14 is the smallest relative tolerance DOP853 accepts
+    tight = _ode_half_period(kappa, eps, p, lo, hi, circuit, b_sign, 0.1 * tol_abs,
+                             max(0.1 * tol_rel, 2.3e-14), max_steps)
+    return HalfPeriod(t=loose[0], psi=loose[1], t_err=abs(tight[0] - loose[0]),
+                      psi_err=abs(tight[1] - loose[1]), method="ode")
+
+
 @dataclass(frozen=True)
 class SectionPeriod:
     """Nutation period data of one admissible component.
@@ -327,7 +516,9 @@ class SectionPeriod:
     meridian chart (theta_min < 0 or theta_max > pi) with pole_crossing set.
     Circulating kappa = 0 motions report the full meridian circuit time.
     Degenerate components (relative equilibria) carry fixed_point=True and no
-    period.
+    period.  err estimates the absolute error of T_theta and method names
+    the route that computed it ("quadrature", or "ode" past the quadrature's
+    node cap; None for fixed points).
     """
 
     T_theta: float | None
@@ -336,6 +527,8 @@ class SectionPeriod:
     fixed_point: bool = False
     circulating: bool = False
     pole_crossing: bool = False
+    err: float | None = None
+    method: str | None = None
 
 
 def section_period(
@@ -350,10 +543,12 @@ def section_period(
 ) -> SectionPeriod:
     """Period of the nutation oscillation on the level set (kappa, eps).
 
-    The orbit starts at a turning point and runs to the next p_theta = 0
-    section crossing; the full period is twice that half period, by the
-    reflection symmetry of the reduced system.  ``branch`` selects the
-    connected component of the admissible region, ordered by theta.
+    The full period is twice the time between the turning points (by the
+    reflection symmetry of the reduced system), computed by
+    :func:`half_period`; the meridian circuit takes twice the time from
+    theta = 0 to pi.  ``branch`` selects the connected component of the
+    admissible region, ordered by theta.  tol_abs and tol_rel are the
+    quadrature's stop target (and the stepper's tolerances on its fallback).
     """
     ivs = component_intervals(kappa, eps, p)
     if not ivs:
@@ -367,45 +562,32 @@ def section_period(
 
     touches_0 = kappa == 0.0 and lo <= 1e-12
     touches_pi = kappa == 0.0 and hi >= math.pi - 1e-12
+    tols = dict(tol_abs=tol_abs, tol_rel=tol_rel, max_steps=max_steps)
 
     if touches_0 and touches_pi:
         # full meridian circuit: no turning points, theta advances by 2 pi
-        th0 = math.pi / 2.0
-        V0 = effective_potential(th0, 0.0, p)
-        pt0 = math.sqrt(2.0 * (eps - V0) / profile(th0, p).B)
-        ev = EventSpec("circuit", lambda t, y: y[0] - (th0 + 2.0 * math.pi), direction=+1, terminal=True)
-        traj = integrate(
-            "reduced", (th0, pt0), (0.0, 1e7), p, kappa=0.0,
-            tol_abs=tol_abs, tol_rel=tol_rel, max_steps=max_steps, events=(ev,),
-        )
-        if not traj.events:
-            raise IntegrationError("meridian circuit event not reached")
+        hp = half_period(0.0, eps, p, 0.0, math.pi, circuit=True, **tols)
         return SectionPeriod(
-            T_theta=traj.events[-1].t, theta_min=None, theta_max=None, circulating=True,
+            T_theta=2.0 * hp.t, theta_min=None, theta_max=None, circulating=True,
+            err=2.0 * hp.t_err, method=hp.method,
         )
 
     if touches_0:
         theta_min, theta_max = -hi, hi
-        start = hi
     elif touches_pi:
         theta_min, theta_max = lo, 2.0 * math.pi - lo
-        start = lo
     else:
         theta_min, theta_max = lo, hi
-        start = lo
 
-    check_turning_point(start, kappa, eps, p)
-    ev = EventSpec("section", lambda t, y: y[1], direction=0, terminal=True)
-    traj = integrate(
-        "reduced", (start, 0.0), (0.0, 1e7), p, kappa=kappa,
-        tol_abs=tol_abs, tol_rel=tol_rel, max_steps=max_steps, events=(ev,),
-    )
-    if not traj.events:
-        raise IntegrationError("section return not reached before the time cap")
-    half = traj.events[-1].t
+    for end, at_pole in ((lo, touches_0), (hi, touches_pi)):
+        if not at_pole:
+            check_turning_point(end, kappa, eps, p)
+    hp = half_period(kappa, eps, p, theta_min, theta_max, **tols)
     return SectionPeriod(
-        T_theta=2.0 * half,
+        T_theta=2.0 * hp.t,
         theta_min=theta_min,
         theta_max=theta_max,
         pole_crossing=touches_0 or touches_pi,
+        err=2.0 * hp.t_err,
+        method=hp.method,
     )

@@ -55,7 +55,7 @@ from .integrate import (
     DEFAULT_MAX_STEPS,
     DEFAULT_TOL_ABS,
     DEFAULT_TOL_REL,
-    EventSpec,
+    half_period,
     integrate,
 )
 from .bifurcation import cusp, inclined_equilibrium
@@ -120,16 +120,22 @@ class AbsolutePath:
 class RotationNumber:
     """Precession per nutation period, N = -(1/2 pi) int psi_dot dt.
 
-    err is an a-posteriori estimate from the integration tolerances.  For a
+    err estimates the absolute error of N: with method "quadrature" the
+    difference between the two finest midpoint rules of the half-period
+    quadrature, or their rounding error where that is larger; with method
+    "ode" (past the quadrature's node cap) the difference between stepper
+    runs at the requested and at 10 times tighter tolerances.  For a
     degenerate level (relative equilibrium) N is the linearization value
-    -psi_dot(theta_0)/omega_lin and fixed_point is set; period is None there
-    and for kappa = 0, where N = 0 exactly.
+    -psi_dot(theta_0)/omega_lin, fixed_point is set, err is 0 and method is
+    "linearization"; period is None there and for kappa = 0, where N = 0
+    exactly, err is 0 and method is None.
     """
 
     N: float
     err: float
     period: float | None = None
     fixed_point: bool = False
+    method: str | None = None
 
 
 @dataclass(frozen=True)
@@ -343,10 +349,11 @@ def rotation_number(
 ) -> RotationNumber:
     """Rotation number of the level (kappa, eps) on one admissible component.
 
-    Runs the augmented system from the lower turning point to the opposite
-    one and uses the time symmetry of the nutation: the full-period
-    precession is twice the half-period value, so N = -psi_half/pi.  The
-    nutation period comes out of the same event time.
+    By the time symmetry of the nutation, the full-period precession is
+    twice the precession psi_half between the turning points, so
+    N = -psi_half/pi; :func:`.integrate.half_period` gives psi_half and the
+    half period by quadrature.  tol_abs and tol_rel are the quadrature's
+    stop target (and the stepper's tolerances on its fallback).
     """
     lo, hi, _ = _branch_interval(kappa, eps, p, branch)
 
@@ -364,26 +371,14 @@ def rotation_number(
             )
         psi_dot, _, _ = quadrature_rates(thc, kappa, p)
         return RotationNumber(N=-psi_dot / math.sqrt(-lam2), err=0.0,
-                              period=None, fixed_point=True)
+                              period=None, fixed_point=True, method="linearization")
 
     check_turning_point(lo, kappa, eps, p)
-    turn = EventSpec("turn", lambda t, y: y[1], direction=-1, terminal=True)
-    y0 = np.array([lo, 0.0, 0.0, 0.0, 0.0, 0.0])
-    horizon = 1e6
-    traj = integrate(
-        "augmented", y0, (0.0, horizon), p, kappa=kappa, b_sign=b_sign,
-        tol_abs=tol_abs, tol_rel=tol_rel, max_steps=max_steps, events=[turn],
-    )
-    if not traj.events:
-        raise ValueError(
-            f"no nutation turning point found within t={horizon} at "
-            f"kappa={kappa}, eps={eps}; level too close to a critical value"
-        )
-    hit = traj.events[-1]
-    psi_half = float(hit.y[2])
-    N = -psi_half / math.pi
-    err = 10.0 * (tol_rel * (abs(psi_half) + 1.0) + tol_abs) / math.pi
-    return RotationNumber(N=N, err=err, period=2.0 * hit.t, fixed_point=False)
+    check_turning_point(hi, kappa, eps, p)
+    hp = half_period(kappa, eps, p, lo, hi, b_sign=b_sign, tol_abs=tol_abs,
+                     tol_rel=tol_rel, max_steps=max_steps)
+    return RotationNumber(N=-hp.psi / math.pi, err=hp.psi_err / math.pi,
+                          period=2.0 * hp.t, fixed_point=False, method=hp.method)
 
 
 def _kappa0_saddles(p: Params) -> list[tuple[float, float]]:

@@ -118,6 +118,25 @@ def test_config_file_merge_and_flag_precedence(tmp_path, capsys):
     assert rows_a[5][5] != rows_b[5][5]
 
 
+def test_config_values_are_cast_like_their_flags(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("alpha = 0.5\nbeta = 3\nnu = 0.5\neta = 0.5\n"
+                   "kappa-range = 0.5:0.8\nn-kappa = 2\nenergy = 3.5\n")
+    out = tmp_path / "rn.csv"
+    code, _, err = run(["rotation-number", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 0, err
+    _, rows = read_csv(out)
+    assert [float(r[0]) for r in rows] == [0.5, 0.8]
+    # a store_true option takes a boolean
+    quick = tmp_path / "quick.cfg"
+    quick.write_text("quick = true\n")
+    code, out_text, _ = run(["verify", "--config", str(quick)], capsys)
+    assert code == 0 and "reconstruction" not in out_text
+    quick.write_text("quick = maybe\n")
+    code, _, err = run(["verify", "--config", str(quick)], capsys)
+    assert code == 1 and "cannot parse" in err
+
+
 def test_config_rejects_malformed_line(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("alpha 0.5\n")
@@ -263,3 +282,21 @@ def test_verify_seed_changes_draws_not_verdict(capsys):
     code1, out1, _ = run(["verify", "--quick", "--seed", "2"], capsys)
     assert code0 == code1 == 0
     assert out0 != out1
+
+
+def test_verify_quadrature_check_catches_a_wrong_rotation_number(capsys, monkeypatch):
+    import dataclasses
+
+    import rubberroll.cli
+
+    rotation_number = rubberroll.cli.rotation_number
+
+    def off(*args, **kwargs):
+        rn = rotation_number(*args, **kwargs)
+        return dataclasses.replace(rn, N=rn.N + 1e-8)
+
+    monkeypatch.setattr(rubberroll.cli, "rotation_number", off)
+    code, out, _ = run(["verify", "--quick"], capsys)
+    assert code == 3
+    failed = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL quadrature")

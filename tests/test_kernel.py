@@ -180,3 +180,18 @@ def test_scans_match_scalar_oracles(region):
             assert len(ivs) == len(ref_ivs), (kappa, eps)
             for (lo, hi), (rlo, rhi) in zip(ivs, ref_ivs):
                 assert _close(lo, rlo) and _close(hi, rhi), (kappa, eps)
+
+
+@pytest.mark.parametrize("kappa", [1e-13, -1e-13])
+def test_tiny_kappa_keeps_the_near_pole_equilibria(kappa):
+    # region c: both poles are height minima, so each holds a stable
+    # relative equilibrium where kappa^2 / sin^4 balances the height
+    # curvature, here about 1.9e-7 from the pole, inside the 1e-6 scan clip
+    p = REGION_BODIES["c"]
+    b2 = p.beta * p.beta
+    crit = critical_thetas(kappa, p)
+    assert len(crit) == 3
+    np.testing.assert_allclose(crit[0], (kappa ** 2 / (b2 - 1.0 - p.alpha)) ** 0.25, rtol=1e-6)
+    np.testing.assert_allclose(math.pi - crit[-1],
+                               (kappa ** 2 / (b2 - 1.0 + p.alpha)) ** 0.25, rtol=1e-6)
+    assert g0_prime(crit[0], kappa, p) < 0.0 and g0_prime(crit[-1], kappa, p) < 0.0
