@@ -31,7 +31,6 @@ verification.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
@@ -49,6 +48,7 @@ from .dynamics import (
     critical_thetas,
     effective_potential,
     integrals,
+    kinematic_init,
     lift,
     measure_density,
     full_field,
@@ -67,6 +67,7 @@ from .bifurcation import (
 from .reconstruct import (
     classify,
     epsilon_min,
+    path_from_kinematic,
     reconstruct_from_full,
     reconstruct_trajectory,
     resonance_curve,
@@ -195,11 +196,11 @@ def _span(text: str, parser: _Parser, flag: str) -> tuple[float, float]:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
+    """Header, then one line per row with every value as in :func:`_g`."""
+    fmt = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_g(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(fmt % tuple(row) for row in rows)
 
 
 def _json_clean(obj):
@@ -225,6 +226,14 @@ def _emit_json(payload, out: str | None) -> None:
 # --- simulate / trajectory ---
 
 
+def _tmax(args: argparse.Namespace, parser: _Parser) -> float:
+    _require(args, parser, "tmax")
+    tmax = float(args.tmax)
+    if not tmax >= 0.0:
+        parser.error(f"--tmax must be non-negative, got {args.tmax}")
+    return tmax
+
+
 def _path_rows(path, kappa: float, p: Params, b_sign: str):
     """CSV rows from an AbsolutePath; E_drift from the reduced energy."""
     e0 = reduced_energy(float(path.theta[0]), float(path.p_theta[0]),
@@ -239,13 +248,13 @@ def _path_rows(path, kappa: float, p: Params, b_sign: str):
 
 def cmd_simulate(args: argparse.Namespace, parser: _Parser) -> int:
     p = _params(args, parser)
-    _require(args, parser, "tmax")
+    tmax = _tmax(args, parser)
     reduced_style = args.theta0 is not None or args.kappa is not None
     full_style = args.omega is not None or args.gamma is not None
     if reduced_style == full_style:
         parser.error("give either --kappa/--theta0 or --omega/--gamma")
     n = int(args.samples or 2001)
-    t_eval = np.linspace(0.0, float(args.tmax), n)
+    t_eval = np.linspace(0.0, tmax, n)
     tols = dict(tol_abs=float(args.tol_abs or 1e-12),
                 tol_rel=float(args.tol_rel or 1e-10))
     out = args.out or "simulate.csv"
@@ -266,7 +275,7 @@ def cmd_simulate(args: argparse.Namespace, parser: _Parser) -> int:
             else:
                 p0 = float(args.ptheta0 or 0.0)
             path = reconstruct_trajectory((theta0, p0), kappa,
-                                          (0.0, float(args.tmax)), p,
+                                          (0.0, tmax), p,
                                           b_sign=args.b_sign, t_eval=t_eval, **tols)
             rows = list(_path_rows(path, kappa, p, args.b_sign))
             drifts = (max(abs(r[10]) for r in rows), 0.0)
@@ -279,10 +288,11 @@ def cmd_simulate(args: argparse.Namespace, parser: _Parser) -> int:
             if abs(float(w @ g)) > 1e-6:
                 parser.error(f"--omega must have no vertical spin, omega.gamma = {w @ g:.6g}")
             state = FullState(omega=w, gamma=g)
-            path = reconstruct_from_full(state, (0.0, float(args.tmax)), p,
-                                         t_eval=t_eval, **tols)
-            traj = integrate("full", state.as_array(), (0.0, float(args.tmax)),
+            # one kinematic run gives the path and, in its (omega, gamma)
+            # part, the drifts of the integrals along it
+            traj = integrate("kinematic", kinematic_init(state), (0.0, tmax),
                              p, t_eval=t_eval, **tols)
+            path = path_from_kinematic(traj.t_eval, traj.y_eval, p)
             c0 = integrals(state, p)
             rows = []
             for i in range(len(path.t)):
@@ -305,13 +315,14 @@ def cmd_simulate(args: argparse.Namespace, parser: _Parser) -> int:
 
 def cmd_trajectory(args: argparse.Namespace, parser: _Parser) -> int:
     p = _params(args, parser)
-    _require(args, parser, "tmax", "kappa", "theta0")
+    tmax = _tmax(args, parser)
+    _require(args, parser, "kappa", "theta0")
     n = int(args.samples or 2001)
-    t_eval = np.linspace(0.0, float(args.tmax), n)
+    t_eval = np.linspace(0.0, tmax, n)
     try:
         path = reconstruct_trajectory(
             (float(args.theta0), float(args.ptheta0 or 0.0)), float(args.kappa),
-            (0.0, float(args.tmax)), p,
+            (0.0, tmax), p,
             psi0=float(args.psi0 or 0.0), phi0=float(args.phi0 or 0.0),
             x0=float(args.x0 or 0.0), y0=float(args.y0 or 0.0),
             b_sign=args.b_sign,

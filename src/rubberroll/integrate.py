@@ -1,8 +1,15 @@
 """Adaptive integration driver, event detection, and reduced-period machinery.
 
-The stepper is an eighth-order embedded Runge-Kutta pair with adaptive error
-control and a local dense interpolant (scipy's DOP853), driven one accepted
-step at a time so that
+The stepper is DOP853, the eighth-order embedded Runge-Kutta pair of
+Hairer, Norsett and Wanner (Solving ODEs I, II) with adaptive error control
+and a local dense interpolant.  :func:`integrate_raw` runs it as an
+in-package loop on scipy's tableau that repeats scipy's ``DOP853`` solver
+operation by operation (stage sums, error norm, step controller, initial
+step, interpolant), so its results match scipy's bit for bit; the tests keep
+scipy's solver as the oracle.  The loop calls the right-hand side directly,
+builds the three extra interpolant stages only on steps that need them, and
+evaluates all sample times of a step in one array call.  It goes one
+accepted step at a time so that
 
   * the vertical unit vector can be renormalized after every accepted step
     (magnitude logged, delivered in the run statistics),
@@ -10,7 +17,10 @@ step at a time so that
     root tolerance well below 1e-12 in t,
   * the reduced chart can be guarded against pole contact when kappa != 0.
 
-Default tolerances are 1e-12 absolute and 1e-10 relative.
+Default tolerances are 1e-12 absolute and 1e-10 relative.  Each run reports
+an :class:`IntegrationStats`: accepted steps ``n_steps``, rejected step
+attempts ``n_rejected``, right-hand-side evaluations ``n_rhs`` and the
+largest renormalization ``max_renorm``.
 
 The per-level observables (:func:`section_period` here, the rotation number
 in :mod:`.reconstruct`) need no stepping: the time and the precession from
@@ -27,11 +37,12 @@ stepper stays as its fallback past the node cap.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853
+from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.optimize import brentq
 
 from .dynamics import (
@@ -97,7 +108,11 @@ class EventHit:
 
 @dataclass
 class IntegrationStats:
+    """Cost of one run: accepted steps, rejected step attempts, right-hand
+    side evaluations and the largest |norm - 1| renormalized away."""
+
     n_steps: int = 0
+    n_rejected: int = 0
     n_rhs: int = 0
     max_renorm: float = 0.0
 
@@ -124,6 +139,134 @@ class Trajectory:
 
 _N_EVENT_NODES = 5    # dense-output subdivisions per step scanned for events
 
+# DOP853 tableau: 12 stages plus the step's end derivative, 3 more stages
+# for the dense interpolant
+_N_STAGES = _dop.N_STAGES
+_STAGES = [(s, _dop.A[s, :s], float(_dop.C[s])) for s in range(1, _N_STAGES)]
+_EXTRA = [(s, _dop.A[s, :s], float(_dop.C[s]))
+          for s in range(_N_STAGES + 1, _dop.N_STAGES_EXTENDED)]
+_B = _dop.B
+_E3 = _dop.E3
+_E5 = _dop.E5
+_D = _dop.D
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2     # largest decrease of the step in one attempt
+_MAX_FACTOR = 10      # largest increase of the step
+_ERROR_EXPONENT = -1 / 8   # -1 / (order of the error estimator + 1)
+_MIN_RTOL = 100 * np.finfo(float).eps
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, t1, f0, direction, rtol, atol) -> float:
+    """First step size, Hairer, Norsett and Wanner, Solving ODEs I, II.4."""
+    interval_length = abs(t1 - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    y1 = y0 + h0 * direction * f0
+    f1 = fun(t0 + h0 * direction, y1)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, interval_length)
+
+
+def _step(fun, t, y, f, h_abs, t1, direction, rtol, atol, K, stages):
+    """One accepted step from (t, y) with slope f, trying h_abs first.
+
+    Returns t, y and the slope at the step's end, the step h, the size to
+    try next and the number of rejected attempts; K holds the stages of the
+    accepted attempt.  As scipy's RungeKutta._step_impl and rk_step with
+    DOP853's error norm.
+    """
+    min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+    if h_abs < min_step:
+        h_abs = min_step
+    rejected = 0
+    while True:
+        if h_abs < min_step:
+            raise IntegrationError(f"stepper failed at t={t}: {_TOO_SMALL_STEP}")
+        h = h_abs * direction
+        t_new = t + h
+        if direction * (t_new - t1) > 0:
+            t_new = t1
+        h = t_new - t
+        h_abs = abs(h)
+
+        K[0] = f
+        for KsT, a, c, row in stages:
+            row[:] = fun(t + c * h, y + np.dot(KsT, a) * h)
+        y_new = y + h * np.dot(K[:-1].T, _B)
+        f_new = fun(t + h, y_new)
+        K[-1] = f_new
+
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        err5 = np.dot(K.T, _E5) / scale
+        err3 = np.dot(K.T, _E3) / scale
+        # np.linalg.norm(err) ** 2, spelt out
+        err5_norm_2 = np.sqrt(err5.dot(err5)) ** 2
+        err3_norm_2 = np.sqrt(err3.dot(err3)) ** 2
+        if err5_norm_2 == 0 and err3_norm_2 == 0:
+            error_norm = 0.0
+        else:
+            denom = err5_norm_2 + 0.01 * err3_norm_2
+            error_norm = abs(h) * err5_norm_2 / np.sqrt(denom * len(y))
+        if error_norm < 1:
+            if error_norm == 0:
+                factor = _MAX_FACTOR
+            else:
+                factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            if rejected:
+                factor = min(1, factor)
+            return t_new, y_new, f_new, h, h_abs * factor, rejected
+        h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+        rejected += 1
+
+
+def _dense_coefficients(fun, t_old, h, y_old, y_new, f_new, K_ext, extra):
+    """The 3 extra stages of the step from (t_old, y_old) to y_new and the
+    coefficients of its interpolant, as scipy's DOP853._dense_output_impl."""
+    for KsT, a, c, row in extra:
+        row[:] = fun(t_old + c * h, y_old + np.dot(KsT, a) * h)
+    F = np.empty((_dop.INTERPOLATOR_POWER, len(y_old)))
+    f_old = K_ext[0]
+    delta_y = y_new - y_old
+    F[0] = delta_y
+    F[1] = h * f_old - delta_y
+    F[2] = 2 * delta_y - h * (f_new + f_old)
+    F[3:] = h * np.dot(_D, K_ext)
+    return F
+
+
+def _interpolate(F, t_old, h, y_old, t):
+    """DOP853 dense output over one step at a time t or an array of times
+    (one row per time); F None stands for a step of length zero."""
+    if F is None:
+        return y_old.copy() if np.ndim(t) == 0 else np.tile(y_old, (len(t), 1))
+    x = (t - t_old) / h
+    if np.ndim(t) == 0:
+        y = np.zeros_like(y_old)
+    else:
+        x = x[:, None]
+        y = np.zeros((len(x), len(y_old)))
+    xm = 1 - x
+    for i in range(len(F) - 1, -1, -1):
+        y += F[i]
+        y *= x if i % 2 == 0 else xm
+    y += y_old
+    return y
+
 
 def integrate_raw(
     fun: Callable[[float, np.ndarray], np.ndarray],
@@ -140,6 +283,8 @@ def integrate_raw(
 ) -> Trajectory:
     """Drive the adaptive stepper from t_span[0] to t_span[1].
 
+    fun(t, y) returns dy/dt as a float array shaped like y.
+
     Parameters
     ----------
     renorm_slice : slice, optional
@@ -152,8 +297,9 @@ def integrate_raw(
     guard : callable, optional
         Called after every accepted step; may raise to abort.
     t_eval : array, optional
-        Extra sample times, evaluated on the dense interpolant while
-        stepping (memory stays O(len(t_eval)) instead of O(steps)).
+        Extra sample times (forward integration only), evaluated on the
+        dense interpolant while stepping (memory stays O(len(t_eval))
+        instead of O(steps)).
 
     Raises
     ------
@@ -161,49 +307,79 @@ def integrate_raw(
         On stepper failure or step-budget exhaustion.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    y0 = np.asarray(y0, dtype=float)
+    y = np.array(y0, dtype=float)
+    if y.ndim != 1 or not np.isfinite(y).all():
+        raise ValueError("the initial state must be a finite 1-D vector")
     if events and t1 < t0:
         raise ValueError("event detection supports forward integration only")
+    if t_eval is not None and t1 < t0:
+        raise ValueError("t_eval sampling supports forward integration only")
+    if tol_abs < 0.0:
+        raise ValueError("tol_abs must be non-negative")
+    if tol_rel < _MIN_RTOL:
+        warnings.warn(f"tol_rel below {_MIN_RTOL}, raised to it", stacklevel=2)
+        tol_rel = _MIN_RTOL
 
-    solver = DOP853(fun, t0, y0, t1, rtol=tol_rel, atol=tol_abs)
+    dim = len(y)
+    direction = 1.0 if t1 >= t0 else -1.0
+    K_ext = np.empty((_dop.N_STAGES_EXTENDED, dim))
+    K = K_ext[: _N_STAGES + 1]
+    stages = [(K_ext[:s].T, a, c, K_ext[s]) for s, a, c in _STAGES]
+    extra = [(K_ext[:s].T, a, c, K_ext[s]) for s, a, c in _EXTRA]
+
     stats = IntegrationStats()
     ts = [t0]
-    ys = [y0.copy()]
+    ys = [y.copy()]
     hits: list[EventHit] = []
 
     eval_times = None
-    eval_states: list[np.ndarray] = []
+    eval_list: list[float] = []
+    eval_chunks: list[np.ndarray] = []
     eval_idx = 0
     if t_eval is not None:
         eval_times = np.asarray(t_eval, dtype=float)
+        eval_list = eval_times.tolist()
+    n_eval = len(eval_list)
 
-    prev_ev = [spec.fn(t0, y0) for spec in events]
-    finished = False
+    prev_ev = [spec.fn(t0, y) for spec in events]
 
-    while not finished:
-        if solver.status == "finished":
-            break
+    t = t0
+    f = fun(t, y)
+    n_rhs = 1
+    if t0 != t1:
+        h_abs = _initial_step(fun, t0, y, t1, f, direction, tol_rel, tol_abs)
+        n_rhs += 1
+
+    while True:
         if stats.n_steps >= max_steps:
-            raise IntegrationError(f"step budget exhausted after {max_steps} steps at t={solver.t}")
-        msg = solver.step()
-        if solver.status == "failed":
-            raise IntegrationError(f"stepper failed at t={solver.t}: {msg}")
+            raise IntegrationError(f"step budget exhausted after {max_steps} steps at t={t}")
+        t_old = t
+        y_old = y
+        zero_length = t == t1
+        if zero_length:
+            # a run of length zero: one step that changes nothing
+            h = 0.0
+            t_new, y_new, f_new = t, y, f
+        else:
+            t_new, y_new, f_new, h, h_abs, rejected = _step(
+                fun, t, y, f, h_abs, t1, direction, tol_rel, tol_abs, K, stages)
+            n_rhs += _N_STAGES * (1 + rejected)
+            stats.n_rejected += rejected
+        t = t_new
         stats.n_steps += 1
 
-        need_dense = bool(events) or (
-            eval_times is not None
-            and eval_idx < len(eval_times)
-            and eval_times[eval_idx] <= solver.t
-        )
-        dense = solver.dense_output() if need_dense else None
+        F = None
+        if not zero_length and (events or (eval_idx < n_eval and eval_list[eval_idx] <= t)):
+            F = _dense_coefficients(fun, t_old, h, y_old, y_new, f_new, K_ext, extra)
+            n_rhs += len(extra)
 
         t_stop = None
         if events:
-            nodes = np.linspace(solver.t_old, solver.t, _N_EVENT_NODES)
-            node_states = dense(nodes)
+            nodes = np.linspace(t_old, t, _N_EVENT_NODES)
+            node_states = _interpolate(F, t_old, h, y_old, nodes)
             for k, spec in enumerate(events):
                 g_prev = prev_ev[k]
-                node_vals = [spec.fn(float(tn), node_states[:, i]) for i, tn in enumerate(nodes)]
+                node_vals = [spec.fn(float(tn), node_states[i]) for i, tn in enumerate(nodes)]
                 g_left = g_prev
                 for i in range(1, _N_EVENT_NODES):
                     g_right = node_vals[i]
@@ -215,53 +391,58 @@ def integrate_raw(
                     if trig:
                         a, b = float(nodes[i - 1]), float(nodes[i])
                         t_hit = brentq(
-                            lambda tt: spec.fn(tt, dense(tt)), a, b, xtol=1e-14, rtol=8.9e-16
+                            lambda tt: spec.fn(tt, _interpolate(F, t_old, h, y_old, tt)),
+                            a, b, xtol=1e-14, rtol=8.9e-16,
                         )
-                        y_hit = dense(t_hit)
-                        hits.append(EventHit(label=spec.label, t=float(t_hit), y=np.array(y_hit)))
+                        y_hit = _interpolate(F, t_old, h, y_old, t_hit)
+                        hits.append(EventHit(label=spec.label, t=float(t_hit), y=y_hit))
                         if spec.terminal and (t_stop is None or t_hit < t_stop):
                             t_stop = float(t_hit)
                     g_left = g_right
                 prev_ev[k] = node_vals[-1]
 
-        seg_end = solver.t if t_stop is None else t_stop
-        if eval_times is not None:
-            while eval_idx < len(eval_times) and eval_times[eval_idx] <= seg_end:
-                tt = float(eval_times[eval_idx])
-                if tt < solver.t_old:   # requested before start: clamp to start state
-                    eval_states.append(ys[0].copy())
-                else:
-                    eval_states.append(np.array(dense(tt)) if dense is not None else solver.y.copy())
-                eval_idx += 1
+        seg_end = t if t_stop is None else t_stop
+        if eval_idx < n_eval and eval_list[eval_idx] <= seg_end:
+            j = eval_idx + 1
+            while j < n_eval and eval_list[j] <= seg_end:
+                j += 1
+            chunk = eval_times[eval_idx:j]
+            vals = _interpolate(F, t_old, h, y_old, chunk)
+            # requested before the start: clamp to the start state
+            vals[chunk < t_old] = ys[0]
+            eval_chunks.append(vals)
+            eval_idx = j
 
         if t_stop is not None:
             ts.append(t_stop)
-            ys.append(np.array(dense(t_stop)))
-            finished = True
+            ys.append(_interpolate(F, t_old, h, y_old, t_stop))
             break
 
-        y_now = solver.y
         if renorm_slice is not None:
-            g = y_now[renorm_slice]
+            g = y_new[renorm_slice]
             n = math.sqrt(float(g @ g))
             delta = abs(n - 1.0)
             if delta > stats.max_renorm:
                 stats.max_renorm = delta
             if delta > 0.0:
-                y_now[renorm_slice] = g / n
-                solver.f = solver.fun(solver.t, y_now)
+                y_new[renorm_slice] = g / n
+                f_new = fun(t, y_new)
+                n_rhs += 1
 
         if guard is not None:
-            guard(solver.t, y_now)
+            guard(t, y_new)
 
-        ts.append(float(solver.t))
-        ys.append(y_now.copy())
+        ts.append(float(t))
+        ys.append(y_new.copy())
+        y, f = y_new, f_new
+        if t == t1:
+            break
 
-    stats.n_rhs = int(solver.nfev)
+    stats.n_rhs = n_rhs
     traj = Trajectory(t=np.array(ts), y=np.array(ys), events=hits, stats=stats)
     if eval_times is not None:
-        traj.t_eval = eval_times[: len(eval_states)]
-        traj.y_eval = np.array(eval_states) if eval_states else np.empty((0, len(y0)))
+        traj.t_eval = eval_times[:eval_idx]
+        traj.y_eval = np.concatenate(eval_chunks) if eval_chunks else np.empty((0, dim))
     return traj
 
 

@@ -71,6 +71,7 @@ __all__ = [
     "contact_shift",
     "reconstruct_trajectory",
     "reconstruct_from_full",
+    "path_from_kinematic",
     "rotation_number",
     "classify",
     "resonance_curve",
@@ -298,7 +299,12 @@ def reconstruct_from_full(
         tol_abs=tol_abs, tol_rel=tol_rel, max_steps=max_steps, t_eval=t_eval,
     )
     t, y = (traj.t_eval, traj.y_eval) if t_eval is not None else (traj.t, traj.y)
+    return path_from_kinematic(t, y, p)
 
+
+def path_from_kinematic(t: np.ndarray, y: np.ndarray, p: Params) -> AbsolutePath:
+    """Fixed-frame path read off samples y (one row per time in t) of the
+    kinematic system (see :func:`.dynamics.kinematic_field`)."""
     w = y[:, 0:3]
     g = y[:, 3:6]
     ax = y[:, 6:9]

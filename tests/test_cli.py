@@ -93,6 +93,71 @@ def test_simulate_full_style_runs(tmp_path, capsys):
     assert max(f1) < 1e-9
 
 
+@pytest.mark.parametrize("style", [
+    ["simulate", "--kappa", "0.8", "--theta0", "0.4678"],
+    ["simulate", "--omega", "0.3,-0.18616978176397397,0.2346033803494251",
+     "--gamma", "0,0.78332690962748341,0.62160996827066439"],
+    ["trajectory", "--kappa", "0.8", "--theta0", "0.4678"],
+])
+def test_negative_tmax_exits_one(style, tmp_path, capsys):
+    code, _, err = run([*style, *ARGS_XY, "--tmax", "-5",
+                        "--out", str(tmp_path / "neg.csv")], capsys)
+    assert code == 1
+    assert "--tmax must be non-negative" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "neg.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "trajectory"])
+def test_zero_tmax_repeats_the_start_state(command, tmp_path, capsys):
+    out = tmp_path / "zero.csv"
+    code, _, _ = run([command, *ARGS_XY, "--kappa", "0.8", "--theta0", "0.4678",
+                      "--ptheta0", "0.1", "--tmax", "0", "--samples", "5",
+                      "--out", str(out)], capsys)
+    assert code == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 5
+    assert all(r == rows[0] for r in rows)
+    assert [float(v) for v in rows[0][:3]] == [0.0, 0.4678, 0.1]
+
+
+def test_full_style_simulate_integrates_once(tmp_path, capsys, monkeypatch):
+    # the path and the drift columns come from one kinematic run
+    import rubberroll.cli as cli
+
+    systems = []
+    real = cli.integrate
+
+    def counting(system, *args, **kwargs):
+        systems.append(system)
+        return real(system, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", counting)
+    code, _, _ = run(["simulate", *ARGS_XY,
+                      "--omega", "0.3,-0.18616978176397397,0.2346033803494251",
+                      "--gamma", "0,0.78332690962748341,0.62160996827066439",
+                      "--tmax", "5", "--samples", "11",
+                      "--out", str(tmp_path / "full.csv")], capsys)
+    assert code == 0
+    assert systems == ["kinematic"]
+
+
+def test_csv_values_print_as_17_significant_digits(tmp_path):
+    from rubberroll.cli import _write_csv
+
+    rows = [(1.0 / 3.0, -0.0, float("nan"), float("inf"), -float("inf"), 5),
+            (1e-300, 2.5e17, 0.1, 123456789012345678.0, -1.5, 0)]
+    out = tmp_path / "v.csv"
+    _write_csv(str(out), list("abcdef"), rows)
+    # the csv module writing format(float(v), ".17g") per value
+    with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(list("abcdef"))
+        for row in rows:
+            w.writerow([format(float(v), ".17g") for v in row])
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_simulate_deterministic_reruns(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["simulate", *ARGS_XY, "--kappa", "0.8", "--theta0", "0.4678",

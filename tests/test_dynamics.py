@@ -9,6 +9,7 @@ from scipy.integrate import solve_ivp
 from rubberroll.dynamics import (
     FullState,
     ReducedState,
+    augmented_field,
     component_intervals,
     critical_thetas,
     effective_potential,
@@ -23,7 +24,7 @@ from rubberroll.dynamics import (
     reduced_field,
     turning_points,
 )
-from rubberroll.geometry import B_SIGN_PAPER, profile
+from rubberroll.geometry import B_SIGN_DERIVED, B_SIGN_PAPER, profile
 from rubberroll.model import Params
 
 from conftest import random_valid_state
@@ -77,6 +78,27 @@ def test_reduced_energy_matches_full():
         e_pap = reduced_energy(th0, pt0, kap, P, b_sign=B_SIGN_PAPER)
         if abs(pt0) > 0.05:
             assert abs(e_pap - c.eps) > 1e-4
+
+
+@pytest.mark.parametrize("b_sign", [B_SIGN_DERIVED, B_SIGN_PAPER])
+@pytest.mark.parametrize("kappa", [0.0, 0.8, -0.3])
+def test_augmented_field_extends_reduced_field(kappa, b_sign):
+    rng = np.random.default_rng(5)
+    red = reduced_field(kappa, P, b_sign)
+    aug = augmented_field(kappa, P, b_sign)
+    for _ in range(50):
+        th = rng.uniform(0.05, math.pi - 0.05)
+        y = np.array([th, rng.normal(), rng.uniform(-7.0, 7.0), 0.0, 0.0, 0.0])
+        out = aug(0.0, y)
+        # the (theta, p_theta) part is the reduced field to the last bit
+        assert np.array_equal(out[:2], red(0.0, y[:2]))
+        pr = profile(th, P, b_sign=b_sign)
+        s2 = math.sin(th) ** 2
+        assert out[2] == pytest.approx(-kappa * math.cos(th) / (pr.J * s2), rel=1e-12, abs=1e-300)
+        assert out[3] == pytest.approx(kappa / (pr.J * s2), rel=1e-12, abs=1e-300)
+        speed = math.hypot(out[4], out[5])
+        assert speed == pytest.approx(pr.U * math.hypot(kappa / (pr.J * math.sin(th)), y[1]),
+                                      rel=1e-12)
 
 
 def test_reduce_lift_round_trip():

@@ -1,25 +1,38 @@
-"""Stepper wrapper: periods against quadrature, events, streaming, pole chart."""
+"""Stepper wrapper: periods against quadrature, events, streaming, pole
+chart, and the DOP853 loop against scipy's stepper."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import DOP853, quad
+from scipy.optimize import brentq, minimize_scalar
 
 from rubberroll.dynamics import (
     FullState,
+    augmented_field,
     component_intervals,
     effective_potential,
+    full_field,
     integrals,
+    kinematic_field,
+    kinematic_init,
     reduced_energy,
+    reduced_field,
 )
 from rubberroll.geometry import profile
 from rubberroll.integrate import (
+    EventHit,
     EventSpec,
     IntegrationError,
+    IntegrationStats,
     PoleError,
+    Trajectory,
+    _pole_guard_factory,
     integrate,
+    integrate_raw,
     section_period,
 )
 from rubberroll.model import Params
@@ -152,6 +165,188 @@ def test_unknown_system_rejected():
         integrate("nope", (1.0, 0.0), (0.0, 1.0), P, kappa=0.5)
 
 
+def test_t_eval_rejects_backward_runs():
+    with pytest.raises(ValueError, match="forward"):
+        integrate("reduced", (1.0, 0.3), (0.0, -5.0), P, kappa=0.5,
+                  t_eval=np.linspace(0.0, -5.0, 11))
+
+
+LEAF_BODIES = [Params(0.5, 3.0, 0.5, 0.5), Params(0.0, 1.5, 1.0, 1.0),
+               Params(0.3, 0.5, 2.0, 2.0), Params(1.0, 1.0, 0.2, 3.0)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    body=st.sampled_from(LEAF_BODIES),
+    theta=st.floats(0.0, math.pi),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    u=st.floats(-1.5, 1.5),
+    v=st.floats(-1.5, 1.5),
+)
+def test_full_system_conserves_the_four_integrals(body, theta, phi, u, v):
+    # a leaf state: |gamma| = 1 and omega = u e_theta + v e_phi normal to it
+    sth, cth, sph, cph = math.sin(theta), math.cos(theta), math.sin(phi), math.cos(phi)
+    gamma = np.array([sth * cph, sth * sph, cth])
+    omega = u * np.array([cth * cph, cth * sph, -sth]) + v * np.array([-sph, cph, 0.0])
+    s0 = FullState(omega=omega, gamma=gamma)
+    c0 = integrals(s0, body)
+    tr = integrate("full", s0.as_array(), (0.0, 20.0), body)
+    drift = np.zeros(4)
+    for y in tr.y:
+        c = integrals(FullState.from_array(y), body)
+        drift = np.maximum(drift, [
+            abs(c.F0 - c0.F0), abs(c.F1 - c0.F1),
+            abs(c.kappa - c0.kappa) / max(1.0, abs(c0.kappa)),
+            abs(c.eps - c0.eps) / max(1.0, abs(c0.eps))])
+    # over 1 200 random draws of this kind (t = 20, default tolerances) the
+    # worst drifts were 8.9e-16 (F0), 5.5e-10 (F1), 2.9e-10 (kappa) and
+    # 1.5e-9 (eps, both relative to max(1, |value|)); the bounds are about
+    # ten times these
+    assert drift[0] <= 1e-14
+    assert drift[1] <= 5e-9
+    assert drift[2] <= 5e-9
+    assert drift[3] <= 1.5e-8
+
+
 def test_max_steps_cap():
     with pytest.raises(IntegrationError, match="step"):
         integrate("reduced", (1.0, 0.3), (0.0, 1e6), P, kappa=0.5, max_steps=50)
+
+
+def scipy_integrate_raw(fun, y0, t_span, *, tol_abs=1e-12, tol_rel=1e-10,
+                        renorm_slice=None, events=(), guard=None, t_eval=None):
+    """Reference: the same loop around scipy's DOP853 solver object, one
+    solver.step() and one dense_output() object per accepted step."""
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    y0 = np.asarray(y0, dtype=float)
+    solver = DOP853(fun, t0, y0, t1, rtol=tol_rel, atol=tol_abs)
+    stats = IntegrationStats()
+    ts = [t0]
+    ys = [y0.copy()]
+    hits = []
+    eval_times = None if t_eval is None else np.asarray(t_eval, dtype=float)
+    eval_states = []
+    eval_idx = 0
+    prev_ev = [spec.fn(t0, y0) for spec in events]
+    while solver.status != "finished":
+        msg = solver.step()
+        assert solver.status != "failed", msg
+        stats.n_steps += 1
+        need_dense = bool(events) or (
+            eval_times is not None and eval_idx < len(eval_times)
+            and eval_times[eval_idx] <= solver.t)
+        dense = solver.dense_output() if need_dense else None
+        t_stop = None
+        if events:
+            nodes = np.linspace(solver.t_old, solver.t, 5)
+            node_states = dense(nodes)
+            for k, spec in enumerate(events):
+                node_vals = [spec.fn(float(tn), node_states[:, i]) for i, tn in enumerate(nodes)]
+                g_left = prev_ev[k]
+                for i in range(1, 5):
+                    g_right = node_vals[i]
+                    trig = g_left * g_right < 0.0
+                    if trig and spec.direction > 0:
+                        trig = g_left < g_right
+                    if trig and spec.direction < 0:
+                        trig = g_left > g_right
+                    if trig:
+                        t_hit = brentq(lambda tt: spec.fn(tt, dense(tt)),
+                                       float(nodes[i - 1]), float(nodes[i]),
+                                       xtol=1e-14, rtol=8.9e-16)
+                        hits.append(EventHit(spec.label, float(t_hit), np.array(dense(t_hit))))
+                        if spec.terminal and (t_stop is None or t_hit < t_stop):
+                            t_stop = float(t_hit)
+                    g_left = g_right
+                prev_ev[k] = node_vals[-1]
+        seg_end = solver.t if t_stop is None else t_stop
+        if eval_times is not None:
+            while eval_idx < len(eval_times) and eval_times[eval_idx] <= seg_end:
+                tt = float(eval_times[eval_idx])
+                if tt < solver.t_old:
+                    eval_states.append(ys[0].copy())
+                else:
+                    eval_states.append(np.array(dense(tt)))
+                eval_idx += 1
+        if t_stop is not None:
+            ts.append(t_stop)
+            ys.append(np.array(dense(t_stop)))
+            break
+        y_now = solver.y
+        if renorm_slice is not None:
+            g = y_now[renorm_slice]
+            n = math.sqrt(float(g @ g))
+            stats.max_renorm = max(stats.max_renorm, abs(n - 1.0))
+            if n != 1.0:
+                y_now[renorm_slice] = g / n
+                solver.f = solver.fun(solver.t, y_now)
+        if guard is not None:
+            guard(solver.t, y_now)
+        ts.append(float(solver.t))
+        ys.append(y_now.copy())
+    stats.n_rhs = int(solver.nfev)
+    traj = Trajectory(t=np.array(ts), y=np.array(ys), events=hits, stats=stats)
+    if eval_times is not None:
+        traj.t_eval = eval_times[: len(eval_states)]
+        traj.y_eval = np.array(eval_states) if eval_states else np.empty((0, len(y0)))
+    return traj
+
+
+def _oracle_cases():
+    lo, hi = component_intervals(KAPPA, EPS, P)[0]
+    th0 = 0.5 * (lo + hi)
+    pt0 = math.sqrt(2.0 * (EPS - effective_potential(th0, KAPPA, P))
+                    / profile(th0, P).B)
+    turn = EventSpec("turn", lambda t, y: y[1], terminal=True)
+    cross = EventSpec("cross", lambda t, y: y[0] - th0, direction=-1)
+    s0 = random_valid_state(np.random.default_rng(3))
+    samples = np.linspace(0.0, 20.0, 301)
+    return {
+        "reduced, pole guard, events": dict(
+            fun=reduced_field(KAPPA, P), y0=(lo, 0.0), t_span=(0.0, 30.0),
+            guard=_pole_guard_factory(KAPPA), events=(cross,)),
+        "augmented, terminal turn, t_eval": dict(
+            fun=augmented_field(KAPPA, P), y0=(th0, pt0, 0.0, 0.0, 0.0, 0.0),
+            t_span=(0.0, 50.0), events=(turn,), t_eval=np.linspace(0.0, 50.0, 401)),
+        "full, renormalized, t_eval": dict(
+            fun=full_field(P), y0=s0.as_array(), t_span=(0.0, 20.0),
+            renorm_slice=slice(3, 6), t_eval=samples),
+        "kinematic, renormalized, t_eval": dict(
+            fun=kinematic_field(P), y0=kinematic_init(s0), t_span=(0.0, 20.0),
+            renorm_slice=slice(3, 6), t_eval=samples, tol_rel=1e-12),
+        "kinematic, span of length zero": dict(
+            fun=kinematic_field(P), y0=kinematic_init(s0) * (1.0 + 1e-9), t_span=(2.0, 2.0),
+            renorm_slice=slice(3, 6), t_eval=np.array([1.0, 2.0, 2.0, 3.0])),
+        "reduced, backward": dict(
+            fun=reduced_field(KAPPA, P), y0=(th0, pt0), t_span=(0.0, -10.0)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_oracle_cases()))
+def test_stepper_matches_scipy_dop853_bit_for_bit(case):
+    # fresh inputs each: scipy's solver renormalizes a zero-length run's
+    # start state in place, in the caller's array
+    ref = scipy_integrate_raw(**_oracle_cases()[case])
+    got = integrate_raw(**_oracle_cases()[case])
+    assert np.array_equal(got.t, ref.t)
+    assert np.array_equal(got.y, ref.y)
+    assert [(h.label, h.t) for h in got.events] == [(h.label, h.t) for h in ref.events]
+    for a, b in zip(got.events, ref.events):
+        assert np.array_equal(a.y, b.y)
+    assert (got.t_eval is None) == (ref.t_eval is None)
+    if ref.t_eval is not None:
+        assert np.array_equal(got.t_eval, ref.t_eval)
+        assert np.array_equal(got.y_eval, ref.y_eval)
+    assert got.stats.n_steps == ref.stats.n_steps
+    assert got.stats.n_rhs == ref.stats.n_rhs
+    assert got.stats.max_renorm == ref.stats.max_renorm
+
+
+def test_rejected_attempts_are_counted():
+    # without events, samples or renormalization every attempt costs 12 RHS
+    # calls, plus one for the initial slope and one for the first step size
+    lo, _ = component_intervals(KAPPA, EPS, P)[0]
+    tr = integrate("reduced", (lo, 0.0), (0.0, 30.0), P, kappa=KAPPA)
+    st = tr.stats
+    assert st.n_rejected > 0
+    assert st.n_rhs == 2 + 12 * (st.n_steps + st.n_rejected)
