@@ -22,10 +22,10 @@ verify
     stepper); exit 3 on failure.
 
 Config files given with --config hold ``key = value`` lines whose keys
-mirror the long flag names; explicit flags win.  All numeric output uses 17
-significant digits.  RUBBERROLL_LOG selects the log level.  Exit codes:
-0 success, 1 invalid parameters or usage, 2 numerical failure, 3 failed
-verification.
+mirror the long flag names; they replace the option defaults, and explicit
+flags win.  All numeric output uses 17 significant digits.  RUBBERROLL_LOG
+selects the log level.  Exit codes: 0 success, 1 invalid parameters or
+usage, 2 numerical failure, 3 failed verification.
 """
 
 from __future__ import annotations
@@ -54,9 +54,19 @@ from .dynamics import (
     full_field,
     reduce_state,
     reduced_energy,
+    reduced_field,
     ReducedState,
 )
-from .integrate import IntegrationError, PoleError, _ode_half_period, integrate
+from .integrate import (
+    DEFAULT_TOL_ABS,
+    DEFAULT_TOL_REL,
+    IntegrationError,
+    PoleError,
+    _ode_half_period,
+    _pole_guard_factory,
+    integrate,
+    integrate_raw,
+)
 from .bifurcation import (
     diagram,
     inclined_equilibrium,
@@ -128,40 +138,36 @@ def _config_cast(action: argparse.Action, text: str):
     return value
 
 
-def _merge_config(args: argparse.Namespace, parser: _Parser) -> None:
-    """Fill options left at their defaults from the --config file, flags
-    winning; each value is cast by its option's own parser action."""
-    if not getattr(args, "config", None):
-        return
+def _config_defaults(args: argparse.Namespace, parser: _Parser) -> None:
+    """Make the --config file's values the defaults of the subcommand's
+    options, so that parsing the command line again lets every given flag
+    win; each value is cast by its option's own parser action."""
     try:
         cfg = _read_config(args.config)
     except (OSError, ValueError) as ex:
         parser.error(str(ex))
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices[args.command]._actions}
+    subparser = sub.choices[args.command]
+    actions = {a.dest: a for a in subparser._actions}
+    defaults = {}
     for key, val in cfg.items():
         action = actions.get(key)
         if action is None or not hasattr(args, key):
             continue
-        if getattr(args, key) != action.default:   # given as a flag
-            continue
         try:
-            setattr(args, key, _config_cast(action, val))
-        except ValueError:
+            defaults[key] = _config_cast(action, val)
+        except (ValueError, argparse.ArgumentTypeError):
             parser.error(f"config key {key}: cannot parse {val!r}")
+    subparser.set_defaults(**defaults)
 
 
-def _params(args: argparse.Namespace, parser: _Parser,
-            default_nu_eta: float | None = None) -> Params:
+def _params(args: argparse.Namespace, parser: _Parser) -> Params:
     vals = {}
     for name in ("alpha", "beta", "nu", "eta"):
-        v = getattr(args, name, None)
+        v = getattr(args, name)
         if v is None:
-            if name in ("nu", "eta") and default_nu_eta is not None:
-                v = default_nu_eta
-            else:
-                parser.error(f"--{name} is required")
-        vals[name] = float(v)
+            parser.error(f"--{name} is required")
+        vals[name] = v
     p = Params(**vals)
     bad = validate(p)
     if bad:
@@ -234,13 +240,11 @@ def _tmax(args: argparse.Namespace, parser: _Parser) -> float:
     return tmax
 
 
-def _path_rows(path, kappa: float, p: Params, b_sign: str):
+def _path_rows(path, kappa: float, p: Params):
     """CSV rows from an AbsolutePath; E_drift from the reduced energy."""
-    e0 = reduced_energy(float(path.theta[0]), float(path.p_theta[0]),
-                        kappa, p, b_sign=b_sign)
+    e0 = reduced_energy(float(path.theta[0]), float(path.p_theta[0]), kappa, p)
     for i in range(len(path.t)):
-        e = reduced_energy(float(path.theta[i]), float(path.p_theta[i]),
-                           kappa, p, b_sign=b_sign)
+        e = reduced_energy(float(path.theta[i]), float(path.p_theta[i]), kappa, p)
         yield (path.t[i], path.theta[i], path.p_theta[i], path.psi[i],
                path.phi[i], path.x_c[i], path.y_c[i], path.z_c[i],
                path.x_p[i], path.y_p[i], e - e0, 0.0)
@@ -253,11 +257,8 @@ def cmd_simulate(args: argparse.Namespace, parser: _Parser) -> int:
     full_style = args.omega is not None or args.gamma is not None
     if reduced_style == full_style:
         parser.error("give either --kappa/--theta0 or --omega/--gamma")
-    n = int(args.samples or 2001)
-    t_eval = np.linspace(0.0, tmax, n)
-    tols = dict(tol_abs=float(args.tol_abs or 1e-12),
-                tol_rel=float(args.tol_rel or 1e-10))
-    out = args.out or "simulate.csv"
+    t_eval = np.linspace(0.0, tmax, args.samples)
+    tols = dict(tol_abs=args.tol_abs, tol_rel=args.tol_rel)
 
     try:
         if reduced_style:
@@ -266,18 +267,17 @@ def cmd_simulate(args: argparse.Namespace, parser: _Parser) -> int:
             theta0 = float(args.theta0)
             if args.energy is not None:
                 # p_theta0 from the energy level, upward branch
-                se = profile(theta0, p, b_sign=args.b_sign, pole_mode=True)
+                se = profile(theta0, p, pole_mode=True)
                 v = effective_potential(theta0, kappa, p)
                 gap = float(args.energy) - v
                 if gap < 0.0:
                     parser.error(f"--energy {args.energy} below the potential {v:.6g}")
                 p0 = math.sqrt(2.0 * gap / se.B)
             else:
-                p0 = float(args.ptheta0 or 0.0)
-            path = reconstruct_trajectory((theta0, p0), kappa,
-                                          (0.0, tmax), p,
-                                          b_sign=args.b_sign, t_eval=t_eval, **tols)
-            rows = list(_path_rows(path, kappa, p, args.b_sign))
+                p0 = args.ptheta0
+            path = reconstruct_trajectory((theta0, p0), kappa, (0.0, tmax), p,
+                                          t_eval=t_eval, **tols)
+            rows = list(_path_rows(path, kappa, p))
             drifts = (max(abs(r[10]) for r in rows), 0.0)
         else:
             _require(args, parser, "omega", "gamma")
@@ -306,10 +306,10 @@ def cmd_simulate(args: argparse.Namespace, parser: _Parser) -> int:
         print(f"numerical failure: {ex}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    _write_csv(out, _CSV_HEADER, rows)
+    _write_csv(args.out, _CSV_HEADER, rows)
     print(f"max |E drift| = {_g(drifts[0])}, max |F1 drift| = {_g(drifts[1])}",
           file=sys.stderr)
-    log.info("wrote %s (%d rows)", out, len(rows))
+    log.info("wrote %s (%d rows)", args.out, len(rows))
     return EXIT_OK
 
 
@@ -317,24 +317,17 @@ def cmd_trajectory(args: argparse.Namespace, parser: _Parser) -> int:
     p = _params(args, parser)
     tmax = _tmax(args, parser)
     _require(args, parser, "kappa", "theta0")
-    n = int(args.samples or 2001)
-    t_eval = np.linspace(0.0, tmax, n)
+    t_eval = np.linspace(0.0, tmax, args.samples)
     try:
         path = reconstruct_trajectory(
-            (float(args.theta0), float(args.ptheta0 or 0.0)), float(args.kappa),
-            (0.0, tmax), p,
-            psi0=float(args.psi0 or 0.0), phi0=float(args.phi0 or 0.0),
-            x0=float(args.x0 or 0.0), y0=float(args.y0 or 0.0),
-            b_sign=args.b_sign,
-            tol_abs=float(args.tol_abs or 1e-12),
-            tol_rel=float(args.tol_rel or 1e-10),
-            t_eval=t_eval)
+            (args.theta0, args.ptheta0), args.kappa, (0.0, tmax), p,
+            psi0=args.psi0, phi0=args.phi0, x0=args.x0, y0=args.y0,
+            tol_abs=args.tol_abs, tol_rel=args.tol_rel, t_eval=t_eval)
     except (PoleError, IntegrationError, ValueError) as ex:
         print(f"numerical failure: {ex}", file=sys.stderr)
         return EXIT_NUMERIC
-    out = args.out or "trajectory.csv"
-    _write_csv(out, _CSV_HEADER, _path_rows(path, float(args.kappa), p, args.b_sign))
-    log.info("wrote %s", out)
+    _write_csv(args.out, _CSV_HEADER, _path_rows(path, args.kappa, p))
+    log.info("wrote %s", args.out)
     return EXIT_OK
 
 
@@ -342,7 +335,7 @@ def cmd_trajectory(args: argparse.Namespace, parser: _Parser) -> int:
 
 
 def cmd_bifurcation(args: argparse.Namespace, parser: _Parser) -> int:
-    p = _params(args, parser, default_nu_eta=1.0)
+    p = _params(args, parser)
     try:
         d = diagram(p)
     except (ValueError, IntegrationError) as ex:
@@ -380,15 +373,14 @@ def cmd_bifurcation(args: argparse.Namespace, parser: _Parser) -> int:
 
 def _rn_point(task):
     """Grid worker: one (kappa, eps) rotation number or None."""
-    kappa, eps, branch, p, b_sign, tol_abs, tol_rel = task
+    kappa, eps, branch, p, tol_abs, tol_rel = task
     if kappa == 0.0:
         n_comp = len(component_intervals(kappa, eps, p))
         if branch >= n_comp:
             return None
         return (kappa, eps, 0.0, 0.0)
     try:
-        rn = rotation_number(kappa, eps, p, branch, b_sign=b_sign,
-                             tol_abs=tol_abs, tol_rel=tol_rel)
+        rn = rotation_number(kappa, eps, p, branch, tol_abs=tol_abs, tol_rel=tol_rel)
     except (ValueError, RuntimeError):
         return None
     return (kappa, eps, rn.N, rn.err)
@@ -404,59 +396,52 @@ def cmd_rotation_number(args: argparse.Namespace, parser: _Parser) -> int:
         kappas = [float(args.kappa)]
     else:
         lo, hi = _span(args.kappa_range, parser, "--kappa-range")
-        kappas = [float(v) for v in np.linspace(lo, hi, int(args.n_kappa or 11))]
+        kappas = [float(v) for v in np.linspace(lo, hi, args.n_kappa)]
     if args.energy is not None:
         energies = [float(args.energy)]
     else:
         lo, hi = _span(args.energy_range, parser, "--energy-range")
-        energies = [float(v) for v in np.linspace(lo, hi, int(args.n_energy or 11))]
-    branch = int(args.branch or 0)
-    tasks = [(k, e, branch, p, args.b_sign,
-              float(args.tol_abs or 1e-12), float(args.tol_rel or 1e-10))
+        energies = [float(v) for v in np.linspace(lo, hi, args.n_energy)]
+    tasks = [(k, e, args.branch, p, args.tol_abs, args.tol_rel)
              for k in kappas for e in energies]
-    jobs = int(args.jobs or 1)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_rn_point, tasks))
     else:
         results = [_rn_point(t) for t in tasks]
     rows = [r for r in results if r is not None]
-    out = args.out or "rotation_number.csv"
-    _write_csv(out, ["kappa", "eps", "N", "N_err"], rows)
-    log.info("wrote %s (%d of %d grid points admissible)", out, len(rows), len(tasks))
+    _write_csv(args.out, ["kappa", "eps", "N", "N_err"], rows)
+    log.info("wrote %s (%d of %d grid points admissible)", args.out, len(rows), len(tasks))
     return EXIT_OK
 
 
 def _res_slice(task):
     """Grid worker: resonance points of one kappa slice."""
-    n, kappa, p, eps_max, b_sign, tol_abs, tol_rel = task
+    n, kappa, p, eps_max, tol_abs, tol_rel = task
     pts = resonance_curve(n, p, (kappa, kappa), n_kappa=1, eps_max=eps_max,
-                          b_sign=b_sign, tol_abs=tol_abs, tol_rel=tol_rel)
+                          tol_abs=tol_abs, tol_rel=tol_rel)
     return [(q.kappa, q.eps, q.N, q.N_err, q.branch) for q in pts]
 
 
 def cmd_resonance(args: argparse.Namespace, parser: _Parser) -> int:
     p = _params(args, parser)
     _require(args, parser, "kappa_range")
-    orders = [int(v) for v in str(args.n or "0").split(",")]
+    orders = [int(v) for v in args.n.split(",")]
     lo, hi = _span(args.kappa_range, parser, "--kappa-range")
-    kappas = [float(v) for v in np.linspace(lo, hi, int(args.n_kappa or 25))]
-    jobs = int(args.jobs or 1)
-    base = args.out or "resonance.csv"
+    kappas = [float(v) for v in np.linspace(lo, hi, args.n_kappa)]
     for order in orders:
-        tasks = [(order, k, p, args.eps_max, args.b_sign,
-                  float(args.tol_abs or 1e-12), float(args.tol_rel or 1e-10))
+        tasks = [(order, k, p, args.eps_max, args.tol_abs, args.tol_rel)
                  for k in kappas if abs(k) >= 1e-9]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        if args.jobs > 1:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 chunks = list(pool.map(_res_slice, tasks))
         else:
             chunks = [_res_slice(t) for t in tasks]
         rows = [r for ch in chunks for r in ch]
         if len(orders) == 1:
-            out = base
+            out = args.out
         else:
-            stem, ext = os.path.splitext(base)
+            stem, ext = os.path.splitext(args.out)
             out = f"{stem}_n{order}{ext or '.csv'}"
         _write_csv(out, ["kappa", "eps", "N", "N_err", "branch"], rows)
         log.info("wrote %s (%d resonance points)", out, len(rows))
@@ -467,16 +452,16 @@ def cmd_classify(args: argparse.Namespace, parser: _Parser) -> int:
     p = _params(args, parser)
     _require(args, parser, "kappa", "energy")
     try:
-        tc = classify(float(args.kappa), float(args.energy), p,
-                      int(args.branch or 0), b_sign=args.b_sign)
+        tc = classify(args.kappa, args.energy, p, args.branch,
+                      tol_abs=args.tol_abs, tol_rel=args.tol_rel)
     except (ValueError, RuntimeError) as ex:
         print(f"numerical failure: {ex}", file=sys.stderr)
         return EXIT_NUMERIC
     payload = {
         "params": {"alpha": p.alpha, "beta": p.beta, "nu": p.nu, "eta": p.eta},
-        "kappa": float(args.kappa),
-        "eps": float(args.energy),
-        "branch": int(args.branch or 0),
+        "kappa": args.kappa,
+        "eps": args.energy,
+        "branch": args.branch,
         "kind": tc.kind,
         "N": tc.N,
         "N_err": tc.N_err,
@@ -508,13 +493,11 @@ def _random_valid_state(rng: np.random.Generator, p: Params) -> FullState:
 
 def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
     if args.alpha is None and args.beta is None:
-        p = Params(alpha=0.5, beta=3.0,
-                   nu=float(args.nu or 0.5), eta=float(args.eta or 0.5))
-    else:
-        p = _params(args, parser, default_nu_eta=0.5)
-    quick = bool(args.quick)
+        args.alpha, args.beta = 0.5, 3.0
+    p = _params(args, parser)
+    quick = args.quick
     b_sign = args.b_sign
-    rng = np.random.default_rng(int(args.seed or 0))
+    rng = np.random.default_rng(args.seed)
     failures: list[str] = []
     tols = dict(tol_abs=1e-12, tol_rel=1e-12)
 
@@ -534,7 +517,8 @@ def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
            f"max |dF0|={worst[0]:.2e} |dF1|={worst[1]:.2e} "
            f"rel |dkappa|={worst[2]:.2e} rel |deps|={worst[3]:.2e}", failures)
 
-    # reduced chart reproduces the full-system theta(t)
+    # reduced chart reproduces the full-system theta(t); the reduced field
+    # takes the selected B cross term
     n_orb, t_red = (2, 10.0) if quick else (5, 50.0)
     worst_th = 0.0
     tries = 0
@@ -550,8 +534,9 @@ def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
         full = integrate("full", s.as_array(), (0.0, t_red), p,
                          t_eval=t_eval, **tols)
         th_full = np.arccos(np.clip(full.y_eval[:, 5], -1.0, 1.0))
-        red = integrate("reduced", (rc.theta, rc.p_theta), (0.0, t_red), p,
-                        kappa=rc.kappa, b_sign=b_sign, t_eval=t_eval, **tols)
+        red = integrate_raw(reduced_field(rc.kappa, p, b_sign), (rc.theta, rc.p_theta),
+                            (0.0, t_red), guard=_pole_guard_factory(rc.kappa),
+                            t_eval=t_eval, **tols)
         worst_th = max(worst_th, float(np.max(np.abs(red.y_eval[:, 0] - th_full))))
         done += 1
     _check("reduction", worst_th <= 1e-6,
@@ -590,7 +575,7 @@ def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
             pr = permanent_rotation(th0, p)
         except ValueError:
             continue
-        se = profile(th0, p, b_sign=b_sign)
+        se = profile(th0, p)
         s, c = math.sin(th0), math.cos(th0)
         res = (pr.kappa ** 2 * c / s ** 3 + p.alpha * s
                + (1.0 - p.beta ** 2) * s * c / se.Z)
@@ -641,10 +626,9 @@ def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
     for kap in (0.5, -0.3) if quick else (0.5, -0.3, 0.8, -1.2):
         lv = [effective_potential(t, kap, p) for t in critical_thetas(kap, p)]
         for eps in [min(lv) + 0.3] + ([lv[1] + 1e-3] if len(lv) == 3 else []):
-            rn = rotation_number(kap, eps, p, b_sign=b_sign)
+            rn = rotation_number(kap, eps, p)
             lo, hi = component_intervals(kap, eps, p)[0]
-            _, psi = _ode_half_period(kap, eps, p, lo, hi, False, b_sign,
-                                      1e-15, 2.3e-14, 10 ** 7)
+            _, psi = _ode_half_period(kap, eps, p, lo, hi, False, 1e-15, 2.3e-14, 10 ** 7)
             dn, bound = abs(rn.N + psi / math.pi), rn.err + 1e-10
             if n_lv == 0 or dn - bound > worst_dn - worst_bound:
                 worst_dn, worst_bound = dn, bound
@@ -659,8 +643,7 @@ def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
         th0, pt0, kap = 0.9, 0.3, 0.7
         state = lift(ReducedState(theta=th0, p_theta=pt0), kap, 0.0, p)
         t_eval = np.linspace(0.0, 30.0, 601)
-        pa = reconstruct_trajectory((th0, pt0), kap, (0.0, 30.0), p,
-                                    b_sign=b_sign, t_eval=t_eval, **tols)
+        pa = reconstruct_trajectory((th0, pt0), kap, (0.0, 30.0), p, t_eval=t_eval, **tols)
         pb = reconstruct_from_full(state, (0.0, 30.0), p, t_eval=t_eval, **tols)
         worst_p = max(float(np.max(np.abs(pa.x_c - pb.x_c))),
                       float(np.max(np.abs(pa.y_c - pb.y_c))),
@@ -682,19 +665,37 @@ def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
 # --- parser wiring ---
 
 
-def _add_common(sp: _Parser, *, params: bool = True) -> None:
-    if params:
-        sp.add_argument("--alpha", type=float, help="axis offset ratio a/b3 in [0, 1]")
-        sp.add_argument("--beta", type=float, help="equatorial axis ratio b1/b3 > 0")
-        sp.add_argument("--nu", type=float, help="inertia ratio i3/i1 in (0, 2]")
-        sp.add_argument("--eta", type=float, help="mass ratio m b3^2/i1 > 0")
-    sp.add_argument("--b-sign", choices=[B_SIGN_DERIVED, B_SIGN_PAPER],
-                    default=None, help="kinetic cross-term sign variant")
-    sp.add_argument("--tol-abs", type=float, default=None)
-    sp.add_argument("--tol-rel", type=float, default=None)
-    sp.add_argument("--out", type=str, default=None, help="output file path")
+def _positive_int(text: str) -> int:
+    """Option type of the sizes and worker counts: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _add_common(sp: _Parser, *, nu_eta: float | None = None) -> None:
+    """Body ratios and --config; nu_eta is the default of --nu and --eta."""
+    sp.add_argument("--alpha", type=float, help="axis offset ratio a/b3 in [0, 1]")
+    sp.add_argument("--beta", type=float, help="equatorial axis ratio b1/b3 > 0")
+    sp.add_argument("--nu", type=float, default=nu_eta, help="inertia ratio i3/i1 in (0, 2]")
+    sp.add_argument("--eta", type=float, default=nu_eta, help="mass ratio m b3^2/i1 > 0")
     sp.add_argument("--config", type=str, default=None,
-                    help="key = value file; flags win over file values")
+                    help="key = value file of option defaults; flags win over file values")
+
+
+def _add_tols(sp: _Parser) -> None:
+    sp.add_argument("--tol-abs", type=float, default=DEFAULT_TOL_ABS,
+                    help="absolute tolerance (default %(default)g)")
+    sp.add_argument("--tol-rel", type=float, default=DEFAULT_TOL_REL,
+                    help="relative tolerance (default %(default)g)")
+
+
+def _add_out(sp: _Parser, default: str | None) -> None:
+    sp.add_argument("--out", type=str, default=default,
+                    help=f"output file path (default {default or 'stdout'})")
 
 
 def build_parser() -> _Parser:
@@ -705,66 +706,81 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("simulate", help="integrate and write a trajectory CSV")
     _add_common(sp)
+    _add_tols(sp)
+    _add_out(sp, "simulate.csv")
     sp.add_argument("--kappa", type=float, help="area-integral constant (reduced style)")
     sp.add_argument("--theta0", type=float, help="initial inclination (reduced style)")
-    sp.add_argument("--ptheta0", type=float, help="initial theta rate (default 0)")
+    sp.add_argument("--ptheta0", type=float, default=0.0, help="initial theta rate (default 0)")
     sp.add_argument("--energy", type=float,
                     help="energy level fixing |ptheta0| (alternative to --ptheta0)")
     sp.add_argument("--omega", type=str, help="w1,w2,w3 (full style)")
     sp.add_argument("--gamma", type=str, help="g1,g2,g3 (full style)")
     sp.add_argument("--tmax", type=float, help="integration horizon")
-    sp.add_argument("--samples", type=int, help="output rows (default 2001)")
+    sp.add_argument("--samples", type=_positive_int, default=2001,
+                    help="output rows (default 2001)")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("trajectory", help="absolute-space reconstruction CSV")
     _add_common(sp)
+    _add_tols(sp)
+    _add_out(sp, "trajectory.csv")
     sp.add_argument("--kappa", type=float)
     sp.add_argument("--theta0", type=float)
-    sp.add_argument("--ptheta0", type=float)
-    sp.add_argument("--psi0", type=float, help="initial proper-rotation angle")
-    sp.add_argument("--phi0", type=float, help="initial precession angle")
-    sp.add_argument("--x0", type=float, help="initial center-of-mass x")
-    sp.add_argument("--y0", type=float, help="initial center-of-mass y")
+    sp.add_argument("--ptheta0", type=float, default=0.0)
+    sp.add_argument("--psi0", type=float, default=0.0, help="initial proper-rotation angle")
+    sp.add_argument("--phi0", type=float, default=0.0, help="initial precession angle")
+    sp.add_argument("--x0", type=float, default=0.0, help="initial center-of-mass x")
+    sp.add_argument("--y0", type=float, default=0.0, help="initial center-of-mass y")
     sp.add_argument("--tmax", type=float)
-    sp.add_argument("--samples", type=int)
+    sp.add_argument("--samples", type=_positive_int, default=2001)
     sp.set_defaults(func=cmd_trajectory)
 
     sp = sub.add_parser("bifurcation", help="labeled (kappa, eps) diagram JSON")
-    _add_common(sp)
+    _add_common(sp, nu_eta=1.0)
+    _add_out(sp, None)
     sp.set_defaults(func=cmd_bifurcation)
 
     sp = sub.add_parser("rotation-number", help="N over a (kappa, eps) point or grid")
     _add_common(sp)
+    _add_tols(sp)
+    _add_out(sp, "rotation_number.csv")
     sp.add_argument("--kappa", type=float)
     sp.add_argument("--kappa-range", type=str, help="lo:hi")
-    sp.add_argument("--n-kappa", type=int, help="grid size (default 11)")
+    sp.add_argument("--n-kappa", type=_positive_int, default=11, help="grid size (default 11)")
     sp.add_argument("--energy", type=float)
     sp.add_argument("--energy-range", type=str, help="lo:hi")
-    sp.add_argument("--n-energy", type=int, help="grid size (default 11)")
-    sp.add_argument("--branch", type=int, help="component index (default 0)")
-    sp.add_argument("--jobs", type=int, help="parallel workers (default 1)")
+    sp.add_argument("--n-energy", type=_positive_int, default=11, help="grid size (default 11)")
+    sp.add_argument("--branch", type=int, default=0, help="component index (default 0)")
+    sp.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers (default 1)")
     sp.set_defaults(func=cmd_rotation_number)
 
     sp = sub.add_parser("resonance", help="N = -n loci over a kappa range")
     _add_common(sp)
-    sp.add_argument("--n", type=str, help="resonance orders, comma-separated (default 0)")
+    _add_tols(sp)
+    _add_out(sp, "resonance.csv")
+    sp.add_argument("--n", type=str, default="0",
+                    help="resonance orders, comma-separated (default 0)")
     sp.add_argument("--kappa-range", type=str, help="lo:hi")
-    sp.add_argument("--n-kappa", type=int, help="grid size (default 25)")
+    sp.add_argument("--n-kappa", type=_positive_int, default=25, help="grid size (default 25)")
     sp.add_argument("--eps-max", type=float, help="upper energy cut per slice")
-    sp.add_argument("--jobs", type=int)
+    sp.add_argument("--jobs", type=_positive_int, default=1)
     sp.set_defaults(func=cmd_resonance)
 
     sp = sub.add_parser("classify", help="trajectory class of one (kappa, eps) point")
     _add_common(sp)
+    _add_tols(sp)
+    _add_out(sp, None)
     sp.add_argument("--kappa", type=float)
     sp.add_argument("--energy", type=float)
-    sp.add_argument("--branch", type=int)
+    sp.add_argument("--branch", type=int, default=0)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("verify", help="self-check suite; exit 3 on failure")
-    _add_common(sp)
+    _add_common(sp, nu_eta=0.5)
+    sp.add_argument("--b-sign", choices=[B_SIGN_DERIVED, B_SIGN_PAPER],
+                    default=B_SIGN_DERIVED, help="kinetic cross-term variant under test")
     sp.add_argument("--quick", action="store_true", help="quick subset of the checks")
-    sp.add_argument("--seed", type=int, help="random-state seed (default 0)")
+    sp.add_argument("--seed", type=int, default=0, help="random-state seed (default 0)")
     sp.set_defaults(func=cmd_verify)
 
     return parser
@@ -778,11 +794,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        sub = parser
-        _merge_config(args, sub)
-        if getattr(args, "b_sign", None) is None:
-            args.b_sign = B_SIGN_DERIVED
-        return args.func(args, sub)
+        if args.config:
+            _config_defaults(args, parser)
+            args = parser.parse_args(argv)
+        return args.func(args, parser)
     except SystemExit as ex:
         return int(ex.code or 0)
 

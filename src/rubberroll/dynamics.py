@@ -296,7 +296,8 @@ def reduced_field(
     """Right-hand side of the reduced system as f(t, y), y = (theta, p_theta).
 
     Valid for any real theta when kappa = 0 (smooth meridian extension); the
-    integrator guards the poles when kappa != 0.
+    integrator guards the poles when kappa != 0.  ``b_sign`` selects the B
+    cross term, see :mod:`.geometry`.
     """
     a = p.alpha
     b2 = p.beta * p.beta
@@ -328,9 +329,7 @@ def reduced_field(
     return rhs
 
 
-def augmented_field(
-    kappa: float, p: Params, b_sign: str = B_SIGN_DERIVED
-) -> Callable[[float, np.ndarray], np.ndarray]:
+def augmented_field(kappa: float, p: Params) -> Callable[[float, np.ndarray], np.ndarray]:
     """Reduced system extended by the precession quadratures and the planar path.
 
     State layout: (theta, p_theta, psi, phi, xc, yc).  psi and phi are the
@@ -350,7 +349,6 @@ def augmented_field(
     inv_eta = 1.0 / p.eta
     nu = p.nu
     k2 = kappa * kappa
-    paper = b_sign == B_SIGN_PAPER
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         th, pt, psi, _, _, _ = y.tolist()
@@ -359,12 +357,8 @@ def augmented_field(
         Z = math.sqrt(b2 * s2 + c2)
         Z2 = Z * Z
         # the reduced field, as in reduced_field
-        if paper:
-            cross = a * Z - c
-            dB = 2.0 * b2 * s * ((b2 - 1.0) * c + a * Z) / (Z2 * Z2)
-        else:
-            cross = c + a * Z
-            dB = 2.0 * b2 * s * ((b2 - 1.0) * c - a * Z) / (Z2 * Z2)
+        cross = c + a * Z
+        dB = 2.0 * b2 * s * ((b2 - 1.0) * c - a * Z) / (Z2 * Z2)
         B = inv_eta + (b2 * b2 * s2 + cross * cross) / Z2
         G = a * s + (1.0 - b2) * s * c / Z
         if k2 != 0.0:
@@ -463,13 +457,10 @@ def potential_grid(
     return V, G, dG
 
 
-def inertia_grid(
-    theta: np.ndarray, p: Params, b_sign: str = B_SIGN_DERIVED
-) -> tuple[np.ndarray, np.ndarray]:
+def inertia_grid(theta: np.ndarray, p: Params) -> tuple[np.ndarray, np.ndarray]:
     """(B, J) on an array of theta: the array form of ``profile(theta).B``
-    and ``.J``, in the same operation order, with the ``b_sign`` cross term.
-    Like :func:`potential_grid` it accepts any real theta (the meridian
-    extension).
+    and ``.J``, in the same operation order.  Like :func:`potential_grid` it
+    accepts any real theta (the meridian extension).
     """
     th = np.asarray(theta, dtype=float)
     a = p.alpha
@@ -477,7 +468,7 @@ def inertia_grid(
     s = np.sin(th); c = np.cos(th)
     s2 = s * s; c2 = c * c
     Z = np.sqrt(b2 * s2 + c2)
-    cross = a * Z - c if b_sign == B_SIGN_PAPER else c + a * Z
+    cross = c + a * Z
     B = 1.0 / p.eta + (b2 * b2 * s2 + cross * cross) / (Z * Z)
     w = Z + a * c
     J = np.sqrt((c2 + p.nu * s2) / p.eta + w * w)

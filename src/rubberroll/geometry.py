@@ -18,11 +18,14 @@ All formulas are smooth on the whole real theta line and even around the
 poles theta = 0, pi, which is what makes the kappa = 0 meridian chart
 extension possible.
 
-The cross term inside B carries a sign switch.  The value derived from
-|r|^2 is (cos + alpha Z)^2; ``b_sign="paper"`` selects the published variant
-(alpha Z - cos)^2 instead.  The two differ whenever alpha > 0, and only the
-derived one is consistent with energy conservation of the full equations of
-motion; the switch exists so the check can be demonstrated.
+The cross term inside B carries a sign switch, ``b_sign`` of :func:`profile`
+(and of :func:`.dynamics.reduced_field` and :func:`.dynamics.reduced_energy`).
+The value derived from |r|^2 is (cos + alpha Z)^2; ``b_sign="paper"`` selects
+the published variant (alpha Z - cos)^2 instead.  The two differ whenever
+alpha > 0, and only the derived one is consistent with energy conservation of
+the full equations of motion.  The rest of the package uses the derived form
+only; the switch exists so that ``rubberroll verify --b-sign paper`` can show
+the mismatch.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ __all__ = [
     "B_SIGN_DERIVED",
     "B_SIGN_PAPER",
     "SurfaceEval",
-    "EllipsoidProfile",
     "profile",
     "contact_vector",
     "meridian_profile",
@@ -62,48 +64,6 @@ class SurfaceEval:
     dU: float
     dB: float
     dJ: float
-
-
-class EllipsoidProfile:
-    """Closed-form profile of the ellipsoid of revolution.
-
-    ``b_sign`` selects the B cross-term variant, see the module docstring.
-    """
-
-    def __init__(self, p: Params, b_sign: str = B_SIGN_DERIVED):
-        if b_sign not in (B_SIGN_DERIVED, B_SIGN_PAPER):
-            raise ValueError(f"unknown b_sign {b_sign!r}")
-        self.params = p
-        self.b_sign = b_sign
-
-    def eval(self, theta: float) -> SurfaceEval:
-        p = self.params
-        a = p.alpha
-        b2 = p.beta * p.beta
-        s = math.sin(theta)
-        c = math.cos(theta)
-        s2 = s * s
-        c2 = c * c
-        Z = math.sqrt(b2 * s2 + c2)
-        dZ = (b2 - 1.0) * s * c / Z
-        U = a * c + Z
-        dU = -a * s + dZ
-        Z2 = Z * Z
-        Z4 = Z2 * Z2
-        if self.b_sign == B_SIGN_DERIVED:
-            cross = c + a * Z
-            B = 1.0 / p.eta + (b2 * b2 * s2 + cross * cross) / Z2
-            dB = 2.0 * b2 * s * ((b2 - 1.0) * c - a * Z) / Z4
-        else:
-            cross = a * Z - c
-            B = 1.0 / p.eta + (b2 * b2 * s2 + cross * cross) / Z2
-            dB = 2.0 * b2 * s * ((b2 - 1.0) * c + a * Z) / Z4
-        w = Z + a * c
-        J2 = (c2 + p.nu * s2) / p.eta + w * w
-        J = math.sqrt(J2)
-        dJ2 = 2.0 * s * c * (p.nu - 1.0) / p.eta + 2.0 * w * (dZ - a * s)
-        dJ = 0.5 * dJ2 / J
-        return SurfaceEval(theta=theta, Z=Z, U=U, B=B, J=J, dZ=dZ, dU=dU, dB=dB, dJ=dJ)
 
 
 def profile(
@@ -136,7 +96,33 @@ def profile(
         raise ValueError(
             f"theta={theta} outside (0, pi); pass pole_mode=True for the meridian extension"
         )
-    return EllipsoidProfile(p, b_sign).eval(theta)
+    if b_sign not in (B_SIGN_DERIVED, B_SIGN_PAPER):
+        raise ValueError(f"unknown b_sign {b_sign!r}")
+    a = p.alpha
+    b2 = p.beta * p.beta
+    s = math.sin(theta)
+    c = math.cos(theta)
+    s2 = s * s
+    c2 = c * c
+    Z = math.sqrt(b2 * s2 + c2)
+    dZ = (b2 - 1.0) * s * c / Z
+    U = a * c + Z
+    dU = -a * s + dZ
+    Z2 = Z * Z
+    Z4 = Z2 * Z2
+    if b_sign == B_SIGN_DERIVED:
+        cross = c + a * Z
+        dB = 2.0 * b2 * s * ((b2 - 1.0) * c - a * Z) / Z4
+    else:
+        cross = a * Z - c
+        dB = 2.0 * b2 * s * ((b2 - 1.0) * c + a * Z) / Z4
+    B = 1.0 / p.eta + (b2 * b2 * s2 + cross * cross) / Z2
+    w = Z + a * c
+    J2 = (c2 + p.nu * s2) / p.eta + w * w
+    J = math.sqrt(J2)
+    dJ2 = 2.0 * s * c * (p.nu - 1.0) / p.eta + 2.0 * w * (dZ - a * s)
+    dJ = 0.5 * dJ2 / J
+    return SurfaceEval(theta=theta, Z=Z, U=U, B=B, J=J, dZ=dZ, dU=dU, dB=dB, dJ=dJ)
 
 
 def contact_vector(gamma: np.ndarray, p: Params) -> np.ndarray:

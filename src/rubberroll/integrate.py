@@ -49,7 +49,6 @@ from .dynamics import (
     FP_WIDTH,
     augmented_field,
     check_turning_point,
-    component_intervals,
     effective_potential,
     full_field,
     g0,
@@ -57,8 +56,9 @@ from .dynamics import (
     kinematic_field,
     potential_grid,
     reduced_field,
+    turning_points,
 )
-from .geometry import B_SIGN_DERIVED, profile
+from .geometry import profile
 from .model import Params
 
 __all__ = [
@@ -303,6 +303,9 @@ def integrate_raw(
 
     Raises
     ------
+    ValueError
+        On a non-finite start state, t_eval or events on a backward run, a
+        negative tol_abs, or tol_abs = 0 with a zero start component.
     IntegrationError
         On stepper failure or step-budget exhaustion.
     """
@@ -316,6 +319,10 @@ def integrate_raw(
         raise ValueError("t_eval sampling supports forward integration only")
     if tol_abs < 0.0:
         raise ValueError("tol_abs must be non-negative")
+    if tol_abs == 0.0 and not y.all():
+        # a zero component would get a zero error scale, 0/0 in the first
+        # step size, and a stepper that never advances
+        raise ValueError("tol_abs = 0 needs a start state with no zero component")
     if tol_rel < _MIN_RTOL:
         warnings.warn(f"tol_rel below {_MIN_RTOL}, raised to it", stacklevel=2)
         tol_rel = _MIN_RTOL
@@ -447,6 +454,10 @@ def integrate_raw(
 
 
 def _pole_guard_factory(kappa: float):
+    """Guard of the reduced chart at kappa != 0; None at kappa = 0, where the
+    meridian extension lets theta cross the poles."""
+    if kappa == 0.0:
+        return None
     # a level eps keeps sin(theta) >= |kappa| / sqrt(2 (eps - min U)), so the
     # margin shrinks with |kappa| to admit the small-|kappa| turning points
     margin = min(1e-6, 1e-3 * abs(kappa))
@@ -471,7 +482,6 @@ def integrate(
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
     max_steps: int = DEFAULT_MAX_STEPS,
-    b_sign: str = B_SIGN_DERIVED,
     events: Sequence[EventSpec] = (),
     t_eval: np.ndarray | None = None,
 ) -> Trajectory:
@@ -496,9 +506,9 @@ def integrate(
     elif system in ("reduced", "augmented"):
         if kappa is None:
             raise ValueError(f"system={system!r} requires kappa")
-        fun = (reduced_field if system == "reduced" else augmented_field)(kappa, p, b_sign)
+        fun = (reduced_field if system == "reduced" else augmented_field)(kappa, p)
         renorm = None
-        guard = _pole_guard_factory(kappa) if kappa != 0.0 else None
+        guard = _pole_guard_factory(kappa)
     else:
         raise ValueError(f"unknown system {system!r}")
     return integrate_raw(
@@ -548,8 +558,7 @@ def _polish_turning_point(theta: float, kappa: float, eps: float, p: Params) -> 
 
 
 def _midpoint_sums(
-    kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
-    b_sign: str, n: int,
+    kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool, n: int,
 ) -> tuple[float, float, float, float] | None:
     """n-node midpoint sums of the half-period time and precession, and the
     size of their rounding errors; None if a node falls off the level."""
@@ -566,7 +575,7 @@ def _midpoint_sums(
     gap = eps - V
     if not np.all(gap > 0.0):
         return None
-    B, J = inertia_grid(th, p, b_sign)
+    B, J = inertia_grid(th, p)
     dt = jac * np.sqrt(B / (2.0 * gap))
     # eps - V carries the rounding of V and that of theta times the slope
     # V' = -G, both magnified where the gap is small; the sums carry their
@@ -584,7 +593,7 @@ def _midpoint_sums(
 
 def _quadrature(
     kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
-    b_sign: str, tol_abs: float, tol_rel: float,
+    tol_abs: float, tol_rel: float,
 ) -> HalfPeriod | None:
     """Node-doubling midpoint rule; None past the node cap or when a node
     falls off the level.
@@ -604,10 +613,10 @@ def _quadrature(
     if not circuit:
         lo = _polish_turning_point(lo, kappa, eps, p)
         hi = _polish_turning_point(hi, kappa, eps, p)
-    prev = _midpoint_sums(kappa, eps, p, lo, hi, circuit, b_sign, _N_START)
+    prev = _midpoint_sums(kappa, eps, p, lo, hi, circuit, _N_START)
     n = 2 * _N_START
     while prev is not None and n <= _N_CAP:
-        cur = _midpoint_sums(kappa, eps, p, lo, hi, circuit, b_sign, n)
+        cur = _midpoint_sums(kappa, eps, p, lo, hi, circuit, n)
         if cur is None:
             return None
         t, psi, t_floor, psi_floor = cur
@@ -624,7 +633,7 @@ def _quadrature(
 
 def _ode_half_period(
     kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
-    b_sign: str, tol_abs: float, tol_rel: float, max_steps: int,
+    tol_abs: float, tol_rel: float, max_steps: int,
 ) -> tuple[float, float]:
     """(t, psi) of the half oscillation by DOP853 on the augmented system:
     from the turning point lo to the next p_theta = 0 crossing, or on a
@@ -632,15 +641,14 @@ def _ode_half_period(
     and the oracle its tests check it against."""
     if circuit:
         pt0 = math.sqrt(2.0 * (eps - effective_potential(lo, kappa, p))
-                        / profile(lo, p, b_sign=b_sign, pole_mode=True).B)
+                        / profile(lo, p, pole_mode=True).B)
         ev = EventSpec("half", lambda t, y: y[0] - hi, direction=+1, terminal=True)
     else:
         pt0 = 0.0
         ev = EventSpec("turn", lambda t, y: y[1], direction=0, terminal=True)
     traj = integrate(
         "augmented", (lo, pt0, 0.0, 0.0, 0.0, 0.0), (0.0, 1e7), p, kappa=kappa,
-        b_sign=b_sign, tol_abs=tol_abs, tol_rel=tol_rel, max_steps=max_steps,
-        events=(ev,),
+        tol_abs=tol_abs, tol_rel=tol_rel, max_steps=max_steps, events=(ev,),
     )
     if not traj.events:
         raise IntegrationError(
@@ -659,7 +667,6 @@ def half_period(
     hi: float,
     *,
     circuit: bool = False,
-    b_sign: str = B_SIGN_DERIVED,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
     max_steps: int = DEFAULT_MAX_STEPS,
@@ -676,13 +683,12 @@ def half_period(
     the stepper integrates the half period at the given tolerances, and a
     second run 10 times tighter gives the error estimate.
     """
-    q = _quadrature(kappa, eps, p, lo, hi, circuit, b_sign, tol_abs, tol_rel)
+    q = _quadrature(kappa, eps, p, lo, hi, circuit, tol_abs, tol_rel)
     if q is not None:
         return q
-    loose = _ode_half_period(kappa, eps, p, lo, hi, circuit, b_sign,
-                             tol_abs, tol_rel, max_steps)
+    loose = _ode_half_period(kappa, eps, p, lo, hi, circuit, tol_abs, tol_rel, max_steps)
     # 2.2e-14 is the smallest relative tolerance DOP853 accepts
-    tight = _ode_half_period(kappa, eps, p, lo, hi, circuit, b_sign, 0.1 * tol_abs,
+    tight = _ode_half_period(kappa, eps, p, lo, hi, circuit, 0.1 * tol_abs,
                              max(0.1 * tol_rel, 2.3e-14), max_steps)
     return HalfPeriod(t=loose[0], psi=loose[1], t_err=abs(tight[0] - loose[0]),
                       psi_err=abs(tight[1] - loose[1]), method="ode")
@@ -731,12 +737,7 @@ def section_period(
     admissible region, ordered by theta.  tol_abs and tol_rel are the
     quadrature's stop target (and the stepper's tolerances on its fallback).
     """
-    ivs = component_intervals(kappa, eps, p)
-    if not ivs:
-        raise ValueError(f"no admissible motion at kappa={kappa}, eps={eps}")
-    if not 0 <= branch < len(ivs):
-        raise ValueError(f"branch {branch} out of range, {len(ivs)} component(s)")
-    lo, hi = ivs[branch]
+    lo, hi = turning_points(kappa, eps, p, branch)
 
     if hi - lo <= FP_WIDTH:
         return SectionPeriod(T_theta=None, theta_min=lo, theta_max=hi, fixed_point=True)

@@ -40,7 +40,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .model import Params
-from .geometry import B_SIGN_DERIVED, profile
+from .geometry import profile
 from .dynamics import (
     FP_WIDTH,
     FullState,
@@ -50,6 +50,7 @@ from .dynamics import (
     effective_potential,
     g0_prime,
     kinematic_init,
+    turning_points,
 )
 from .integrate import (
     DEFAULT_MAX_STEPS,
@@ -247,7 +248,6 @@ def reconstruct_trajectory(
     phi0: float = 0.0,
     x0: float = 0.0,
     y0: float = 0.0,
-    b_sign: str = B_SIGN_DERIVED,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
     max_steps: int = DEFAULT_MAX_STEPS,
@@ -264,7 +264,7 @@ def reconstruct_trajectory(
     theta0, p_theta0 = init
     y0v = np.array([theta0, p_theta0, psi0, phi0, x0, y0], dtype=float)
     traj = integrate(
-        "augmented", y0v, t_span, p, kappa=kappa, b_sign=b_sign,
+        "augmented", y0v, t_span, p, kappa=kappa,
         tol_abs=tol_abs, tol_rel=tol_rel, max_steps=max_steps, t_eval=t_eval,
     )
     if t_eval is not None:
@@ -332,23 +332,12 @@ def path_from_kinematic(t: np.ndarray, y: np.ndarray, p: Params) -> AbsolutePath
     )
 
 
-def _branch_interval(kappa: float, eps: float, p: Params, branch: int) -> tuple[float, float, int]:
-    ivs = component_intervals(kappa, eps, p)
-    if not ivs:
-        raise ValueError(f"no admissible motion at kappa={kappa}, eps={eps}")
-    if not 0 <= branch < len(ivs):
-        raise ValueError(f"branch {branch} out of range, {len(ivs)} component(s)")
-    lo, hi = ivs[branch]
-    return lo, hi, len(ivs)
-
-
 def rotation_number(
     kappa: float,
     eps: float,
     p: Params,
     branch: int = 0,
     *,
-    b_sign: str = B_SIGN_DERIVED,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
     max_steps: int = DEFAULT_MAX_STEPS,
@@ -361,7 +350,7 @@ def rotation_number(
     half period by quadrature.  tol_abs and tol_rel are the quadrature's
     stop target (and the stepper's tolerances on its fallback).
     """
-    lo, hi, _ = _branch_interval(kappa, eps, p, branch)
+    lo, hi = turning_points(kappa, eps, p, branch)
 
     if kappa == 0.0:
         return RotationNumber(N=0.0, err=0.0, period=None,
@@ -369,7 +358,7 @@ def rotation_number(
 
     if hi - lo <= FP_WIDTH:
         thc = 0.5 * (lo + hi)
-        lam2 = g0_prime(thc, kappa, p) / profile(thc, p, b_sign=b_sign).B
+        lam2 = g0_prime(thc, kappa, p) / profile(thc, p).B
         if lam2 >= 0.0:
             raise ValueError(
                 f"level ({kappa}, {eps}) sits on an unstable relative equilibrium; "
@@ -381,7 +370,7 @@ def rotation_number(
 
     check_turning_point(lo, kappa, eps, p)
     check_turning_point(hi, kappa, eps, p)
-    hp = half_period(kappa, eps, p, lo, hi, b_sign=b_sign, tol_abs=tol_abs,
+    hp = half_period(kappa, eps, p, lo, hi, tol_abs=tol_abs,
                      tol_rel=tol_rel, max_steps=max_steps)
     return RotationNumber(N=-hp.psi / math.pi, err=hp.psi_err / math.pi,
                           period=2.0 * hp.t, fixed_point=False, method=hp.method)
@@ -410,7 +399,6 @@ def classify(
     p: Params,
     branch: int = 0,
     *,
-    b_sign: str = B_SIGN_DERIVED,
     q_max: int = _Q_MAX,
     sep_tol: float = _SEP_TOL,
     warn_tol: float = _WARN_TOL,
@@ -434,7 +422,7 @@ def classify(
     tol_int and tol_rat default to 5 err + 1e-9 from the computed rotation
     number; pass wider values to match data of limited precision.
     """
-    lo, hi, _ = _branch_interval(kappa, eps, p, branch)
+    lo, hi = turning_points(kappa, eps, p, branch)
     alpha0 = p.alpha == 0.0
 
     if hi - lo <= FP_WIDTH:
@@ -471,15 +459,14 @@ def classify(
         if abs(eps - lv) <= warn_tol:
             near = True
 
-    rn = rotation_number(kappa, eps, p, branch, b_sign=b_sign,
-                         tol_abs=tol_abs, tol_rel=tol_rel)
+    rn = rotation_number(kappa, eps, p, branch, tol_abs=tol_abs, tol_rel=tol_rel)
     t_int = tol_int if tol_int is not None else 5.0 * rn.err + 1e-9
     t_rat = tol_rat if tol_rat is not None else 5.0 * rn.err + 1e-9
 
     n_near = round(rn.N)
     if abs(rn.N - n_near) <= t_int:
         path = reconstruct_trajectory(
-            (lo, 0.0), kappa, (0.0, rn.period), p, b_sign=b_sign,
+            (lo, 0.0), kappa, (0.0, rn.period), p,
             tol_abs=tol_abs, tol_rel=tol_rel,
             t_eval=np.linspace(0.0, rn.period, 257),
         )
@@ -521,7 +508,6 @@ def resonance_curve(
     branch: int | None = None,
     eps_max: float | None = None,
     n_scan: int = 9,
-    b_sign: str = B_SIGN_DERIVED,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
 ) -> list[ResonancePoint]:
@@ -557,7 +543,7 @@ def resonance_curve(
                     continue
 
                 def f(e: float) -> float:
-                    return rotation_number(kap, e, p, br, b_sign=b_sign,
+                    return rotation_number(kap, e, p, br,
                                            tol_abs=tol_abs, tol_rel=tol_rel).N + n
 
                 grid = np.linspace(a, b, n_scan)
@@ -567,7 +553,7 @@ def resonance_curve(
                         continue
                     root = brentq(f, float(grid[i]), float(grid[i + 1]),
                                   xtol=1e-12, rtol=8.9e-16)
-                    rn = rotation_number(kap, float(root), p, br, b_sign=b_sign,
+                    rn = rotation_number(kap, float(root), p, br,
                                          tol_abs=tol_abs, tol_rel=tol_rel)
                     if abs(rn.N + n) <= 1e-6:
                         out.append(ResonancePoint(kappa=kap, eps=float(root),
@@ -590,8 +576,7 @@ def epsilon_min(p: Params) -> float:
 
 def _bump_peak(
     kappa: float, p: Params, e_center: float, *, halfwidth: float = 0.35,
-    n_scan: int = 25, b_sign: str = B_SIGN_DERIVED,
-    tol_abs: float = DEFAULT_TOL_ABS, tol_rel: float = DEFAULT_TOL_REL,
+    n_scan: int = 25, tol_abs: float = DEFAULT_TOL_ABS, tol_rel: float = DEFAULT_TOL_REL,
 ) -> tuple[float, float]:
     """Local maximum of N over eps near e_center on the topmost branch.
 
@@ -606,8 +591,7 @@ def _bump_peak(
 
     def n_of(e: float) -> float:
         try:
-            return rotation_number(kappa, e, p, 0, b_sign=b_sign,
-                                   tol_abs=tol_abs, tol_rel=tol_rel).N
+            return rotation_number(kappa, e, p, 0, tol_abs=tol_abs, tol_rel=tol_rel).N
         except (ValueError, RuntimeError):
             return -math.inf
 
@@ -623,8 +607,7 @@ def _bump_peak(
 
 def _peak_eps(
     kappa: float, p: Params, e_seed: float, *, span: float = 0.02,
-    b_sign: str = B_SIGN_DERIVED, tol_abs: float = DEFAULT_TOL_ABS,
-    tol_rel: float = DEFAULT_TOL_REL,
+    tol_abs: float = DEFAULT_TOL_ABS, tol_rel: float = DEFAULT_TOL_REL,
 ) -> float:
     """Stationary eps of N near e_seed, as a root of the FD slope.
 
@@ -637,8 +620,7 @@ def _peak_eps(
     floor = max(levels) + 1e-3
 
     def n_of(e: float) -> float:
-        return rotation_number(kappa, e, p, 0, b_sign=b_sign,
-                               tol_abs=tol_abs, tol_rel=tol_rel).N
+        return rotation_number(kappa, e, p, 0, tol_abs=tol_abs, tol_rel=tol_rel).N
 
     def slope2(e: float, h: float = 1e-4) -> float:
         return (n_of(e + h) - n_of(e - h)) / (2.0 * h)
@@ -672,7 +654,6 @@ def kappa_max(
     p: Params,
     *,
     kappa_hi: float | None = None,
-    b_sign: str = B_SIGN_DERIVED,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
 ) -> float | None:
@@ -703,17 +684,14 @@ def kappa_max(
     def g(kk: float) -> float:
         # peak height of the slice; the inner slope root updates the seed
         nonlocal e_warm
-        e_warm = _peak_eps(kk, p, e_warm, b_sign=b_sign,
-                           tol_abs=tol_abs, tol_rel=tol_rel)
-        return rotation_number(kk, e_warm, p, 0, b_sign=b_sign,
-                               tol_abs=tol_abs, tol_rel=tol_rel).N
+        e_warm = _peak_eps(kk, p, e_warm, tol_abs=tol_abs, tol_rel=tol_rel)
+        return rotation_number(kk, e_warm, p, 0, tol_abs=tol_abs, tol_rel=tol_rel).N
 
     # walk kappa up from the merge until the bump peak sinks below zero;
     # the coarse scan can miss a narrow positive spike, so a non-positive
     # scan result is confirmed with the slope-rooted peak before stopping
     k_a = k0 + max(1e-4, 1e-4 * k0)
-    e_a, n_a = _bump_peak(k_a, p, e_c, b_sign=b_sign,
-                          tol_abs=tol_abs, tol_rel=tol_rel)
+    e_a, n_a = _bump_peak(k_a, p, e_c, tol_abs=tol_abs, tol_rel=tol_rel)
     if n_a > 0.0:
         e_warm = e_a
     step = max(0.002, 0.002 * k0)
@@ -722,8 +700,7 @@ def kappa_max(
     grows = 0
     while k < hi:
         k_n = min(k + step, hi)
-        e_n, n_n = _bump_peak(k_n, p, e_warm, b_sign=b_sign,
-                              tol_abs=tol_abs, tol_rel=tol_rel)
+        e_n, n_n = _bump_peak(k_n, p, e_warm, tol_abs=tol_abs, tol_rel=tol_rel)
         if n_n <= 0.0:
             e_keep = e_warm
             try:
@@ -745,12 +722,10 @@ def kappa_max(
 
     k_star = float(brentq(g, k, k_b, xtol=1e-8, rtol=8.9e-16))
 
-    e_star = _peak_eps(k_star, p, e_warm, b_sign=b_sign,
-                       tol_abs=1e-14, tol_rel=1e-12)
+    e_star = _peak_eps(k_star, p, e_warm, tol_abs=1e-14, tol_rel=1e-12)
 
     def n_tight(e: float) -> float:
-        return rotation_number(k_star, e, p, 0, b_sign=b_sign,
-                               tol_abs=1e-14, tol_rel=1e-12).N
+        return rotation_number(k_star, e, p, 0, tol_abs=1e-14, tol_rel=1e-12).N
 
     f1 = n_tight(e_star)
     h = 1e-5

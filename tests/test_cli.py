@@ -202,6 +202,92 @@ def test_config_values_are_cast_like_their_flags(tmp_path, capsys):
     assert code == 1 and "cannot parse" in err
 
 
+def test_flag_equal_to_its_default_beats_the_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kappa = 0.8\ntheta0 = 0.4678\ntmax = 1\nsamples = 11\n")
+    out = tmp_path / "run.csv"
+    code, _, err = run(["simulate", *ARGS_XY, "--config", str(cfg), "--samples", "2001",
+                        "--out", str(out)], capsys)
+    assert code == 0, err
+    _, rows = read_csv(out)
+    assert len(rows) == 2001
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", *ARGS_XY, "--kappa", "0.8", "--theta0", "0.4678", "--tmax", "1",
+     "--samples", "0"],
+    ["trajectory", *ARGS_XY, "--kappa", "0.8", "--theta0", "0.4678", "--tmax", "1",
+     "--samples", "0"],
+    ["rotation-number", *ARGS_XY, "--kappa", "0.8", "--energy", "3.4", "--jobs", "0"],
+    ["rotation-number", *ARGS_XY, "--kappa-range", "0.4:0.6", "--n-kappa", "0",
+     "--energy", "3.4"],
+    ["rotation-number", *ARGS_XY, "--kappa", "0.8", "--energy-range", "3.2:3.6",
+     "--n-energy", "0"],
+    ["resonance", *ARGS_XY, "--kappa-range", "0.5:0.5", "--n-kappa", "0"],
+    ["resonance", *ARGS_XY, "--kappa-range", "0.5:0.5", "--jobs", "0"],
+])
+def test_zero_sizes_exit_one(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code, _, err = run([*argv, "--out", str(out)], capsys)
+    assert code == 1
+    assert "expected a positive integer, got '0'" in err
+    assert not out.exists()
+
+
+def test_zero_tol_abs_is_honoured(tmp_path, capsys, monkeypatch):
+    import rubberroll.cli as cli
+
+    seen = []
+    real = cli.reconstruct_trajectory
+
+    def recording(*args, **kwargs):
+        seen.append((kwargs["tol_abs"], kwargs["tol_rel"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "reconstruct_trajectory", recording)
+    base = [*ARGS_XY, "--kappa", "0.8", "--theta0", "0.4678", "--ptheta0", "0.1",
+            "--tmax", "1", "--samples", "3", "--tol-abs", "0",
+            "--out", str(tmp_path / "z.csv")]
+    # a pure relative tolerance needs a start state with no zero component
+    code, _, err = run(["trajectory", *base, "--psi0", "0.1", "--phi0", "0.1",
+                        "--x0", "0.1", "--y0", "0.1"], capsys)
+    assert code == 0, err
+    code, _, err = run(["simulate", *base], capsys)
+    assert code == 2
+    assert "no zero component" in err
+    assert seen == [(0.0, 1e-10), (0.0, 1e-10)]
+
+
+def test_classify_passes_its_tolerances_on(capsys, monkeypatch):
+    import rubberroll.cli as cli
+
+    seen = []
+    real = cli.classify
+
+    def recording(*args, **kwargs):
+        seen.append((kwargs["tol_abs"], kwargs["tol_rel"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "classify", recording)
+    code, out, _ = run(["classify", *ARGS_XY, "--kappa", "1", "--energy", "3.056979338",
+                        "--tol-abs", "1e-13", "--tol-rel", "1e-11"], capsys)
+    assert code == 0
+    assert seen == [(1e-13, 1e-11)]
+    assert json.loads(out)["kind"] == "QuasiPeriodicBounded"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bifurcation", "--alpha", "0.5", "--beta", "3", "--tol-abs", "1e-9"],
+    ["bifurcation", "--alpha", "0.5", "--beta", "3", "--tol-rel", "1e-9"],
+    ["verify", "--quick", "--tol-abs", "1e-9"],
+    ["verify", "--quick", "--out", "verify.txt"],
+])
+def test_unread_flags_are_rejected(argv, capsys):
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert "unrecognized arguments" in err
+
+
 def test_config_rejects_malformed_line(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("alpha 0.5\n")
@@ -340,6 +426,15 @@ def test_verify_flipped_cross_term_fails(capsys):
     assert code == 3
     failed = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
     assert any("energy-form" in ln for ln in failed)
+    assert any(ln.startswith("FAIL reduction") for ln in failed)
+
+
+@pytest.mark.parametrize("command", ["simulate", "trajectory", "bifurcation",
+                                     "rotation-number", "resonance", "classify"])
+def test_b_sign_is_a_verify_only_flag(command, capsys):
+    code, _, err = run([command, *ARGS_XY, "--b-sign", "derived"], capsys)
+    assert code == 1
+    assert "unrecognized arguments: --b-sign" in err
 
 
 def test_verify_seed_changes_draws_not_verdict(capsys):

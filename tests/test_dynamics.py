@@ -24,7 +24,7 @@ from rubberroll.dynamics import (
     reduced_field,
     turning_points,
 )
-from rubberroll.geometry import B_SIGN_DERIVED, B_SIGN_PAPER, profile
+from rubberroll.geometry import B_SIGN_PAPER, profile
 from rubberroll.model import Params
 
 from conftest import random_valid_state
@@ -80,19 +80,20 @@ def test_reduced_energy_matches_full():
             assert abs(e_pap - c.eps) > 1e-4
 
 
-@pytest.mark.parametrize("b_sign", [B_SIGN_DERIVED, B_SIGN_PAPER])
-@pytest.mark.parametrize("kappa", [0.0, 0.8, -0.3])
-def test_augmented_field_extends_reduced_field(kappa, b_sign):
+# the ids name the B cross term of both fields, the derived one
+@pytest.mark.parametrize("kappa", [0.0, 0.8, -0.3],
+                         ids=["0.0-derived", "0.8-derived", "-0.3-derived"])
+def test_augmented_field_extends_reduced_field(kappa):
     rng = np.random.default_rng(5)
-    red = reduced_field(kappa, P, b_sign)
-    aug = augmented_field(kappa, P, b_sign)
+    red = reduced_field(kappa, P)
+    aug = augmented_field(kappa, P)
     for _ in range(50):
         th = rng.uniform(0.05, math.pi - 0.05)
         y = np.array([th, rng.normal(), rng.uniform(-7.0, 7.0), 0.0, 0.0, 0.0])
         out = aug(0.0, y)
         # the (theta, p_theta) part is the reduced field to the last bit
         assert np.array_equal(out[:2], red(0.0, y[:2]))
-        pr = profile(th, P, b_sign=b_sign)
+        pr = profile(th, P)
         s2 = math.sin(th) ** 2
         assert out[2] == pytest.approx(-kappa * math.cos(th) / (pr.J * s2), rel=1e-12, abs=1e-300)
         assert out[3] == pytest.approx(kappa / (pr.J * s2), rel=1e-12, abs=1e-300)

@@ -8,7 +8,6 @@ import pytest
 from rubberroll.geometry import (
     B_SIGN_DERIVED,
     B_SIGN_PAPER,
-    EllipsoidProfile,
     contact_vector,
     meridian_profile,
     profile,
@@ -91,7 +90,7 @@ def test_paper_variant_differs_only_in_cross_term():
     np.testing.assert_allclose(profile(th, p0, b_sign=B_SIGN_PAPER).B,
                                profile(th, p0).B, rtol=1e-15)
     with pytest.raises(ValueError, match="b_sign"):
-        EllipsoidProfile(P, b_sign="bogus")
+        profile(th, P, b_sign="bogus")
 
 
 def test_contact_vector_support_identity():

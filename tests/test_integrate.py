@@ -171,6 +171,14 @@ def test_t_eval_rejects_backward_runs():
                   t_eval=np.linspace(0.0, -5.0, 11))
 
 
+def test_zero_tol_abs_needs_nonzero_start_components():
+    # 0/0 in the error scale would leave every step size nan and loop for ever
+    with pytest.raises(ValueError, match="no zero component"):
+        integrate("reduced", (1.0, 0.0), (0.0, 1.0), P, kappa=0.5, tol_abs=0.0)
+    traj = integrate("reduced", (1.0, 0.3), (0.0, 1.0), P, kappa=0.5, tol_abs=0.0)
+    assert traj.t[-1] == 1.0
+
+
 LEAF_BODIES = [Params(0.5, 3.0, 0.5, 0.5), Params(0.0, 1.5, 1.0, 1.0),
                Params(0.3, 0.5, 2.0, 2.0), Params(1.0, 1.0, 0.2, 3.0)]
 

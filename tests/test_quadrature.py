@@ -15,8 +15,8 @@ from rubberroll.dynamics import (
     effective_potential,
     inertia_grid,
 )
-from rubberroll.geometry import B_SIGN_DERIVED, B_SIGN_PAPER, profile
-from rubberroll.integrate import _ode_half_period, half_period, section_period
+from rubberroll.geometry import profile
+from rubberroll.integrate import _ode_half_period, section_period
 from rubberroll.model import Params
 from rubberroll.reconstruct import rotation_number
 
@@ -30,7 +30,7 @@ TIGHT = dict(tol_abs=1e-15, tol_rel=2.3e-14, max_steps=10 ** 7)
 
 def _oracle(kappa, eps, p, lo, hi, circuit=False):
     """(T, N) of the level by the tight stepper."""
-    t, psi = _ode_half_period(kappa, eps, p, lo, hi, circuit, B_SIGN_DERIVED, **TIGHT)
+    t, psi = _ode_half_period(kappa, eps, p, lo, hi, circuit, **TIGHT)
     return 2.0 * t, -psi / math.pi
 
 
@@ -93,18 +93,6 @@ def test_known_near_separatrix_level_matches_the_tight_stepper():
     assert abs(rn.N - N_ode) <= 1e-9
 
 
-def test_paper_b_sign_runs_through_the_quadrature():
-    kappa = 0.8
-    eps = effective_potential(0.4678, kappa, P_XY)
-    lo, hi = component_intervals(kappa, eps, P_XY)[0]
-    for b_sign in (B_SIGN_DERIVED, B_SIGN_PAPER):
-        hp = half_period(kappa, eps, P_XY, lo, hi, b_sign=b_sign)
-        t, psi = _ode_half_period(kappa, eps, P_XY, lo, hi, False, b_sign, **TIGHT)
-        assert hp.method == "quadrature"
-        assert abs(hp.t - t) <= hp.t_err + 1e-10 * t
-        assert abs(hp.psi - psi) <= hp.psi_err + 1e-10
-
-
 def test_past_the_node_cap_the_stepper_takes_over():
     # 1e-9 above the saddle the integrand's peak at the saddle is too narrow
     # for 2^14 nodes
@@ -122,8 +110,7 @@ def test_past_the_node_cap_the_stepper_takes_over():
 def test_inertia_grid_matches_profile():
     for p in (P_XY, P_EQ, P_ALPHA1, P_BETA1):
         th = np.concatenate([np.linspace(-1.0, 2.0 * math.pi, 37), [0.0, math.pi]])
-        for b_sign in (B_SIGN_DERIVED, B_SIGN_PAPER):
-            B, J = inertia_grid(th, p, b_sign)
-            ref = [profile(float(t), p, b_sign=b_sign, pole_mode=True) for t in th]
-            np.testing.assert_array_max_ulp(B, [se.B for se in ref], maxulp=2)
-            np.testing.assert_array_max_ulp(J, [se.J for se in ref], maxulp=2)
+        B, J = inertia_grid(th, p)
+        ref = [profile(float(t), p, pole_mode=True) for t in th]
+        np.testing.assert_array_max_ulp(B, [se.B for se in ref], maxulp=2)
+        np.testing.assert_array_max_ulp(J, [se.J for se in ref], maxulp=2)

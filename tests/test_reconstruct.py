@@ -210,12 +210,11 @@ def test_small_kappa_starts_at_the_centrifugal_wall():
 def test_start_off_the_level_is_rejected(monkeypatch):
     # a clipped interval edge is no turning point: refuse it instead of
     # integrating a different level
-    import rubberroll.integrate
-    import rubberroll.reconstruct
+    import rubberroll.dynamics
 
+    # both select their component through dynamics.turning_points
     clipped = lambda kappa, eps, p: [(1e-6, 3.0)]
-    monkeypatch.setattr(rubberroll.reconstruct, "component_intervals", clipped)
-    monkeypatch.setattr(rubberroll.integrate, "component_intervals", clipped)
+    monkeypatch.setattr(rubberroll.dynamics, "component_intervals", clipped)
     with pytest.raises(ValueError, match="turning point"):
         rotation_number(1e-7, 3.5, P_XY)
     with pytest.raises(ValueError, match="turning point"):
