@@ -33,7 +33,7 @@ from .dynamics import (
     potential_grid,
     sign_cells,
 )
-from .geometry import profile
+from .geometry import profile, surface_g0, surface_g0_prime, surface_z
 from .model import Params
 
 __all__ = [
@@ -65,6 +65,7 @@ CENTER = "center"
 SADDLE = "saddle"
 
 _EDGE = 1e-9          # inset used when sampling up to open interval ends
+_BOUNDARY_TOL = 1e-12  # |beta^2 - (1 +/- alpha)| that puts a body on a region boundary
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,7 @@ def omega0_sq(theta: float, p: Params) -> float:
     if abs(s) < 1e-15 or abs(c) < 1e-15:
         raise ValueError(f"steady-rotation rate undefined at theta={theta}")
     b2 = p.beta * p.beta
+    # Z and J^2 rounded as (beta^2 s) s and (nu s) s, which verify's output rests on
     Z = math.sqrt(b2 * s * s + c * c)
     w = Z + p.alpha * c
     J2 = (c * c + p.nu * s * s) / p.eta + w * w
@@ -149,7 +151,7 @@ def sigma_theta_kappa_sq(theta0: float, p: Params) -> float:
     s = math.sin(theta0)
     c = math.cos(theta0)
     b2 = p.beta * p.beta
-    Z = math.sqrt(b2 * s * s + c * c)
+    Z = math.sqrt(b2 * s * s + c * c)   # (beta^2 s) s: the diagram JSON rests on it
     if p.alpha == 0.0:
         return s ** 4 * (b2 - 1.0) / Z
     if abs(c) < 1e-15:
@@ -161,7 +163,7 @@ def sigma_theta_eps(theta0: float, p: Params) -> float:
     """eps along the steady-rotation curve (closed form)."""
     s = math.sin(theta0)
     c = math.cos(theta0)
-    Z = math.sqrt(p.beta * p.beta * s * s + c * c)
+    Z = math.sqrt(p.beta * p.beta * s * s + c * c)   # (beta^2 s) s: the diagram JSON rests on it
     val = (3.0 * Z * Z - 1.0) / (2.0 * Z)
     if p.alpha != 0.0:
         if abs(c) < 1e-15:
@@ -240,7 +242,7 @@ def inclined_equilibrium(p: Params) -> float | None:
     def n(th: float) -> float:
         c = math.cos(th)
         s = math.sin(th)
-        return c * (1.0 - b2) + a * math.sqrt(b2 * s * s + c * c)
+        return c * (1.0 - b2) + a * surface_z(s * s, c, p)
 
     if a == 0.0:
         return None if b2 == 1.0 else math.pi / 2.0
@@ -301,22 +303,20 @@ def cusp(p: Params) -> CuspPoint | None:
 
     ts = inclined_equilibrium(p)
 
+    def fold(s, c):
+        # eliminate kappa^2 = -s^3 G0 / c from G0 = 0, substitute in G0'
+        # (G0 and G0' taken at kappa = 0); s and c are floats or arrays
+        s2 = s * s
+        Z = surface_z(s2, c, p)
+        return (surface_g0_prime(s2, c, Z, 0.0, p)
+                + surface_g0(s, s2, c, Z, 0.0, p) * (1.0 + 2.0 * c * c) / (c * s))
+
     def fold_fn(th: float) -> float:
-        # eliminate kappa^2 = -s^3 a0 / c from G0 = 0, substitute in G0'
-        s = math.sin(th)
-        c = math.cos(th)
-        Z = math.sqrt(b2 * s * s + c * c)
-        a0 = a * s + (1.0 - b2) * s * c / Z
-        da0 = a * c + (1.0 - b2) * ((c * c - s * s) / Z - (b2 - 1.0) * s * s * c * c / (Z ** 3))
-        return da0 + a0 * (1.0 + 2.0 * c * c) / (c * s)
+        return fold(math.sin(th), math.cos(th))
 
     lo, hi = 1e-6, ts - 1e-12
     grid = np.linspace(lo, hi, 4001)
-    # the fold function on the whole grid, from G0 and G0' at kappa = 0; it
-    # rounds differently from fold_fn, so it only picks the cell
-    _, a0, da0 = potential_grid(grid, 0.0, p)
-    s = np.sin(grid); c = np.cos(grid)
-    cells = sign_cells(da0 + a0 * (1.0 + 2.0 * c * c) / (c * s))
+    cells = sign_cells(fold(np.sin(grid), np.cos(grid)))
     if not cells:
         return None
     i = cells[0]
@@ -532,7 +532,6 @@ def diagram(
     ds_max: float = 1e-3,
     eps_max: float | None = None,
     kappa_max: float | None = None,
-    boundary_tol: float = 1e-12,
 ) -> BifurcationDiagram:
     """Assemble the labeled bifurcation diagram and classify its type.
 
@@ -545,14 +544,14 @@ def diagram(
     a, b2 = p.alpha, p.beta * p.beta
     boundary = False
     if a == 0.0:
-        if abs(b2 - 1.0) <= boundary_tol:
+        if abs(b2 - 1.0) <= _BOUNDARY_TOL:
             dtype, boundary = "e", True
         else:
             dtype = "d" if b2 < 1.0 else "e"
     else:
-        if abs(b2 - (1.0 - a)) <= boundary_tol:
+        if abs(b2 - (1.0 - a)) <= _BOUNDARY_TOL:
             dtype, boundary = "b", True
-        elif abs(b2 - (1.0 + a)) <= boundary_tol:
+        elif abs(b2 - (1.0 + a)) <= _BOUNDARY_TOL:
             dtype, boundary = "c", True
         elif b2 < 1.0 - a:
             dtype = "a"

@@ -47,6 +47,7 @@ from .dynamics import (
     component_intervals,
     critical_thetas,
     effective_potential,
+    g0,
     integrals,
     kinematic_init,
     lift,
@@ -426,7 +427,7 @@ def _res_slice(task):
 def cmd_resonance(args: argparse.Namespace, parser: _Parser) -> int:
     p = _params(args, parser)
     _require(args, parser, "kappa_range")
-    orders = [int(v) for v in args.n.split(",")]
+    orders = args.n
     lo, hi = _span(args.kappa_range, parser, "--kappa-range")
     kappas = [float(v) for v in np.linspace(lo, hi, args.n_kappa)]
     for order in orders:
@@ -575,11 +576,7 @@ def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
             pr = permanent_rotation(th0, p)
         except ValueError:
             continue
-        se = profile(th0, p)
-        s, c = math.sin(th0), math.cos(th0)
-        res = (pr.kappa ** 2 * c / s ** 3 + p.alpha * s
-               + (1.0 - p.beta ** 2) * s * c / se.Z)
-        worst_fp = max(worst_fp, abs(res))
+        worst_fp = max(worst_fp, abs(g0(th0, pr.kappa, p)))
     _check("steady-rotations", lim_ok and worst_fp <= 1e-8,
            f"endpoint limits ({e0:.6f}, {epi:.6f}); "
            f"max fixed-point residual = {worst_fp:.2e}", failures)
@@ -676,6 +673,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _int_list(text: str) -> list[int]:
+    """Option type of the resonance orders: comma-separated integers."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def _add_common(sp: _Parser, *, nu_eta: float | None = None) -> None:
     """Body ratios and --config; nu_eta is the default of --nu and --eta."""
     sp.add_argument("--alpha", type=float, help="axis offset ratio a/b3 in [0, 1]")
@@ -758,7 +764,7 @@ def build_parser() -> _Parser:
     _add_common(sp)
     _add_tols(sp)
     _add_out(sp, "resonance.csv")
-    sp.add_argument("--n", type=str, default="0",
+    sp.add_argument("--n", type=_int_list, default="0",
                     help="resonance orders, comma-separated (default 0)")
     sp.add_argument("--kappa-range", type=str, help="lo:hi")
     sp.add_argument("--n-kappa", type=_positive_int, default=25, help="grid size (default 25)")

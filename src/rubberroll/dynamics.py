@@ -44,11 +44,12 @@ import numpy as np
 
 from .geometry import (
     B_SIGN_DERIVED,
-    B_SIGN_PAPER,
-    contact_vector,
-    meridian_profile,
-    profile,
-    z_of_gamma3,
+    surface_b,
+    surface_g0,
+    surface_g0_prime,
+    surface_j,
+    surface_u,
+    surface_z,
 )
 from .model import Params
 
@@ -121,11 +122,10 @@ class Integrals:
     eps: float
 
 
-def _j2_gamma3(gamma3: float, p: Params) -> float:
-    """J^2 as a function of gamma_3 alone (on the unit sphere)."""
-    w = z_of_gamma3(gamma3, p) + p.alpha * gamma3
+def _j_gamma3(gamma3: float, p: Params) -> float:
+    """J as a function of gamma_3 alone (on the unit sphere)."""
     s2 = 1.0 - gamma3 * gamma3
-    return (gamma3 * gamma3 + p.nu * s2) / p.eta + w * w
+    return surface_j(s2, gamma3, surface_u(gamma3, surface_z(s2, gamma3, p), p), p)
 
 
 # --- Full system ---
@@ -299,31 +299,14 @@ def reduced_field(
     integrator guards the poles when kappa != 0.  ``b_sign`` selects the B
     cross term, see :mod:`.geometry`.
     """
-    a = p.alpha
-    b2 = p.beta * p.beta
-    inv_eta = 1.0 / p.eta
-    k2 = kappa * kappa
-    paper = b_sign == B_SIGN_PAPER
-
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         th, pt = y.tolist()
-        s = math.sin(th); c = math.cos(th)
-        s2 = s * s; c2 = c * c
-        Z = math.sqrt(b2 * s2 + c2)
-        Z2 = Z * Z
-        if paper:
-            cross = a * Z - c
-            dB = 2.0 * b2 * s * ((b2 - 1.0) * c + a * Z) / (Z2 * Z2)
-        else:
-            cross = c + a * Z
-            dB = 2.0 * b2 * s * ((b2 - 1.0) * c - a * Z) / (Z2 * Z2)
-        B = inv_eta + (b2 * b2 * s2 + cross * cross) / Z2
-        G = a * s + (1.0 - b2) * s * c / Z
-        if k2 != 0.0:
-            G += k2 * c / (s2 * s)
+        s = math.sin(th); c = math.cos(th); s2 = s * s
+        Z = surface_z(s2, c, p)
+        B, dB = surface_b(s, s2, c, Z, p, b_sign)
         out = np.empty(2)
         out[0] = pt
-        out[1] = (G - 0.5 * dB * pt * pt) / B
+        out[1] = (surface_g0(s, s2, c, Z, kappa, p) - 0.5 * dB * pt * pt) / B
         return out
 
     return rhs
@@ -344,33 +327,18 @@ def augmented_field(kappa: float, p: Params) -> Callable[[float, np.ndarray], np
     At kappa = 0 all precession terms vanish and the field stays regular
     through the poles in the extended meridian chart.
     """
-    a = p.alpha
-    b2 = p.beta * p.beta
-    inv_eta = 1.0 / p.eta
-    nu = p.nu
-    k2 = kappa * kappa
-
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         th, pt, psi, _, _, _ = y.tolist()
-        s = math.sin(th); c = math.cos(th)
-        s2 = s * s; c2 = c * c
-        Z = math.sqrt(b2 * s2 + c2)
-        Z2 = Z * Z
+        s = math.sin(th); c = math.cos(th); s2 = s * s
+        Z = surface_z(s2, c, p)
         # the reduced field, as in reduced_field
-        cross = c + a * Z
-        dB = 2.0 * b2 * s * ((b2 - 1.0) * c - a * Z) / (Z2 * Z2)
-        B = inv_eta + (b2 * b2 * s2 + cross * cross) / Z2
-        G = a * s + (1.0 - b2) * s * c / Z
-        if k2 != 0.0:
-            G += k2 * c / (s2 * s)
+        B, dB = surface_b(s, s2, c, Z, p)
         out = np.empty(6)
         out[0] = pt
-        out[1] = (G - 0.5 * dB * pt * pt) / B
-        U = a * c + Z
+        out[1] = (surface_g0(s, s2, c, Z, kappa, p) - 0.5 * dB * pt * pt) / B
+        U = surface_u(c, Z, p)
         if kappa != 0.0:
-            w = Z + a * c
-            J = math.sqrt((c2 + nu * s2) * inv_eta + w * w)
-            w3 = kappa / J
+            w3 = kappa / surface_j(s2, c, U, p)
             out[2] = -w3 * c / s2
             out[3] = w3 / s2
             A = w3 / s
@@ -386,47 +354,37 @@ def augmented_field(kappa: float, p: Params) -> Callable[[float, np.ndarray], np
     return rhs
 
 
+def _centrifugal(s2, kappa: float):
+    """kappa^2 / (2 sin^2), the spin part of the effective potential."""
+    return 0.5 * kappa * kappa / s2 if kappa != 0.0 else 0.0
+
+
 def reduced_energy(
     theta: float, p_theta: float, kappa: float, p: Params, b_sign: str = B_SIGN_DERIVED
 ) -> float:
     """eps = B p^2/2 + kappa^2/(2 sin^2) + U."""
-    se = profile(theta, p, b_sign=b_sign, pole_mode=True)
-    e = 0.5 * se.B * p_theta * p_theta + se.U
-    if kappa != 0.0:
-        s = math.sin(theta)
-        e += 0.5 * kappa * kappa / (s * s)
-    return e
+    s = math.sin(theta); c = math.cos(theta); s2 = s * s
+    Z = surface_z(s2, c, p)
+    B, _ = surface_b(s, s2, c, Z, p, b_sign)
+    return 0.5 * B * p_theta * p_theta + surface_u(c, Z, p) + _centrifugal(s2, kappa)
 
 
 def effective_potential(theta: float, kappa: float, p: Params) -> float:
     """V(theta) = kappa^2/(2 sin^2) + U(theta); the p_theta = 0 energy."""
-    return reduced_energy(theta, 0.0, kappa, p)
+    s = math.sin(theta); c = math.cos(theta); s2 = s * s
+    return surface_u(c, surface_z(s2, c, p), p) + _centrifugal(s2, kappa)
 
 
 def g0(theta: float, kappa: float, p: Params) -> float:
     """Fixed-point function of the reduced system (minus the potential slope)."""
-    a = p.alpha
-    b2 = p.beta * p.beta
-    s = math.sin(theta); c = math.cos(theta)
-    Z = math.sqrt(b2 * s * s + c * c)
-    val = a * s + (1.0 - b2) * s * c / Z
-    if kappa != 0.0:
-        val += kappa * kappa * c / (s * s * s)
-    return val
+    s = math.sin(theta); c = math.cos(theta); s2 = s * s
+    return surface_g0(s, s2, c, surface_z(s2, c, p), kappa, p)
 
 
 def g0_prime(theta: float, kappa: float, p: Params) -> float:
     """Analytic d G0 / d theta, used by the linear stability exponent."""
-    a = p.alpha
-    b2 = p.beta * p.beta
-    s = math.sin(theta); c = math.cos(theta)
-    s2 = s * s; c2 = c * c
-    Z = math.sqrt(b2 * s2 + c2)
-    Z3 = Z * Z * Z
-    val = a * c + (1.0 - b2) * ((c2 - s2) / Z - (b2 - 1.0) * s2 * c2 / Z3)
-    if kappa != 0.0:
-        val -= kappa * kappa * (1.0 + 2.0 * c2) / (s2 * s2)
-    return val
+    s = math.sin(theta); c = math.cos(theta); s2 = s * s
+    return surface_g0_prime(s2, c, surface_z(s2, c, p), kappa, p)
 
 
 def potential_grid(
@@ -435,44 +393,26 @@ def potential_grid(
     """(V, G0, G0') on an array of theta: the array form of
     :func:`effective_potential`, :func:`g0` and :func:`g0_prime`.
 
-    Each expression repeats its scalar twin's operation order (hence the
-    two differently rounded copies of Z, and no ``**``), so the values agree
-    with the scalar functions to the last bit wherever np.sin/np.cos agree
-    with math.sin/math.cos.
+    Both run the same surface formulas, so the values agree with the scalar
+    functions to the last bit wherever np.sin/np.cos agree with
+    math.sin/math.cos.
     """
     th = np.asarray(theta, dtype=float)
-    a = p.alpha
-    b2 = p.beta * p.beta
-    s = np.sin(th); c = np.cos(th)
-    s2 = s * s; c2 = c * c
-    Z = np.sqrt(b2 * s2 + c2)
-    V = a * c + Z
-    G = a * s + (1.0 - b2) * s * c / np.sqrt(b2 * s * s + c * c)
-    Z3 = Z * Z * Z
-    dG = a * c + (1.0 - b2) * ((c2 - s2) / Z - (b2 - 1.0) * s2 * c2 / Z3)
-    if kappa != 0.0:
-        V = V + 0.5 * kappa * kappa / (s * s)
-        G = G + kappa * kappa * c / (s * s * s)
-        dG = dG - kappa * kappa * (1.0 + 2.0 * c2) / (s2 * s2)
-    return V, G, dG
+    s = np.sin(th); c = np.cos(th); s2 = s * s
+    Z = surface_z(s2, c, p)
+    return (surface_u(c, Z, p) + _centrifugal(s2, kappa),
+            surface_g0(s, s2, c, Z, kappa, p), surface_g0_prime(s2, c, Z, kappa, p))
 
 
 def inertia_grid(theta: np.ndarray, p: Params) -> tuple[np.ndarray, np.ndarray]:
     """(B, J) on an array of theta: the array form of ``profile(theta).B``
-    and ``.J``, in the same operation order.  Like :func:`potential_grid` it
-    accepts any real theta (the meridian extension).
+    and ``.J``.  Like :func:`potential_grid` it accepts any real theta (the
+    meridian extension).
     """
     th = np.asarray(theta, dtype=float)
-    a = p.alpha
-    b2 = p.beta * p.beta
-    s = np.sin(th); c = np.cos(th)
-    s2 = s * s; c2 = c * c
-    Z = np.sqrt(b2 * s2 + c2)
-    cross = c + a * Z
-    B = 1.0 / p.eta + (b2 * b2 * s2 + cross * cross) / (Z * Z)
-    w = Z + a * c
-    J = np.sqrt((c2 + p.nu * s2) / p.eta + w * w)
-    return B, J
+    s = np.sin(th); c = np.cos(th); s2 = s * s
+    Z = surface_z(s2, c, p)
+    return surface_b(s, s2, c, Z, p)[0], surface_j(s2, c, surface_u(c, Z, p), p)
 
 
 def check_turning_point(theta: float, kappa: float, eps: float, p: Params) -> None:
@@ -519,11 +459,11 @@ def integrals(s: FullState, p: Params) -> Integrals:
 
 
 def measure_density(gamma3: float, p: Params) -> float:
-    """Density of the preserved phase-space measure, rho = (1/eta + |r|^2) J."""
-    chi1, chi2 = meridian_profile(gamma3, p)
+    """Density of the preserved phase-space measure, rho = B J = (1/eta + |r|^2) J."""
     s2 = 1.0 - gamma3 * gamma3
-    rr = chi1 * chi1 * s2 + chi2 * chi2
-    return (1.0 / p.eta + rr) * math.sqrt(_j2_gamma3(gamma3, p))
+    Z = surface_z(s2, gamma3, p)
+    B, _ = surface_b(math.sqrt(s2), s2, gamma3, Z, p)
+    return B * surface_j(s2, gamma3, surface_u(gamma3, Z, p), p)
 
 
 # --- Chart maps ---
@@ -548,7 +488,7 @@ def reduce_state(s: FullState, p: Params, tol: float = 1e-6) -> ReducedCoords:
     theta = math.acos(g3)
     phi = math.atan2(g[0], g[1])
     p_theta = w[0] * math.cos(phi) - w[1] * math.sin(phi)
-    kappa = math.sqrt(_j2_gamma3(g3, p)) * w[2]
+    kappa = _j_gamma3(g3, p) * w[2]
     s2 = 1.0 - g3 * g3
     psi_rate = -w[2] * g3 / s2 if s2 > 0.0 else 0.0
     return ReducedCoords(theta=theta, p_theta=p_theta, kappa=kappa, phi=phi, psi_rate=psi_rate)
@@ -560,8 +500,7 @@ def lift(r: ReducedState, kappa: float, phi: float, p: Params) -> FullState:
     s = math.sin(th); c = math.cos(th)
     if s == 0.0:
         raise ValueError("lift undefined at the poles")
-    J = math.sqrt(_j2_gamma3(c, p))
-    w3 = kappa / J
+    w3 = kappa / _j_gamma3(c, p)
     cot = c / s
     sp = math.sin(phi); cp = math.cos(phi)
     w1 = r.p_theta * cp - w3 * cot * sp
@@ -573,6 +512,9 @@ def lift(r: ReducedState, kappa: float, phi: float, p: Params) -> FullState:
 # --- Effective-potential structure ---
 
 FP_WIDTH = 1e-9   # components narrower than this are relative equilibria
+_CRIT_GRID = 800  # critical_thetas: sign-scan nodes over (0, pi)
+_LEVEL_GRID = 2000  # component_intervals: level-scan nodes over (0, pi)
+_LEVEL_TOL = 1e-10  # component_intervals: relative gap that puts a critical point on the level
 
 
 def sign_cells(vals: np.ndarray) -> list[int]:
@@ -581,7 +523,7 @@ def sign_cells(vals: np.ndarray) -> list[int]:
     return np.flatnonzero((head == 0.0) | (head * tail < 0.0)).tolist()
 
 
-def critical_thetas(kappa: float, p: Params, n_grid: int = 800) -> list[float]:
+def critical_thetas(kappa: float, p: Params) -> list[float]:
     """Interior roots of G0 on (0, pi): relative equilibria of the reduced flow.
 
     For kappa != 0 the centrifugal term dominates both pole limits, so every
@@ -593,29 +535,22 @@ def critical_thetas(kappa: float, p: Params, n_grid: int = 800) -> list[float]:
     """
     from scipy.optimize import brentq
 
+    f = lambda th: g0(th, kappa, p)
     if kappa == 0.0:
-        # G0 = sin * (alpha + (1 - beta^2) cos / Z); interior root where the
-        # bracketed factor vanishes.
-        b2 = p.beta * p.beta
-
-        def fac(th: float) -> float:
-            c = math.cos(th)
-            Z = math.sqrt(b2 * (1.0 - c * c) + c * c)
-            return p.alpha + (1.0 - b2) * c / Z
-
+        # G0 = sin * (alpha + (1 - beta^2) cos / Z) and the bracketed factor
+        # is monotone, so one sign change brackets the only interior root
         lo, hi = 1e-9, math.pi - 1e-9
-        flo, fhi = fac(lo), fac(hi)
+        flo, fhi = f(lo), f(hi)
         if flo == 0.0:
             return [lo]
         if fhi == 0.0:
             return [hi]
         if flo * fhi > 0.0:
             return []
-        return [brentq(fac, lo, hi, xtol=1e-14, rtol=8.9e-16)]
+        return [brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)]
 
-    f = lambda th: g0(th, kappa, p)
     eps_edge = 1e-6
-    grid = np.linspace(eps_edge, math.pi - eps_edge, n_grid)
+    grid = np.linspace(eps_edge, math.pi - eps_edge, _CRIT_GRID)
     vals = potential_grid(grid, kappa, p)[1]
     if vals[0] < 0.0 or vals[-1] > 0.0:
         # G0 -> +inf at the pole 0 and -inf at pi, so the wrong sign at a
@@ -656,9 +591,7 @@ def turning_points(kappa: float, eps: float, p: Params, branch: int = 0) -> tupl
     return ivs[branch]
 
 
-def component_intervals(
-    kappa: float, eps: float, p: Params, n_grid: int = 2000, tol_fp: float = 1e-10
-) -> list[tuple[float, float]]:
+def component_intervals(kappa: float, eps: float, p: Params) -> list[tuple[float, float]]:
     """Connected theta-intervals of the admissible region {V <= eps}.
 
     Returns a sorted list of (theta_lo, theta_hi).  Degenerate components
@@ -679,7 +612,7 @@ def component_intervals(
     else:
         lo_edge, hi_edge = 1e-6, math.pi - 1e-6
 
-    grid = sorted(set(np.linspace(lo_edge, hi_edge, n_grid).tolist() + crit))
+    grid = sorted(set(np.linspace(lo_edge, hi_edge, _LEVEL_GRID).tolist() + crit))
     vals = potential_grid(np.array(grid), kappa, p)[0] - eps
     if kappa != 0.0 and min(vals[0], vals[-1]) < 0.0:
         # an admissible clip edge is no turning point: the centrifugal wall
@@ -702,10 +635,10 @@ def component_intervals(
     intervals: list[tuple[float, float]] = []
 
     # degenerate components first: critical points sitting exactly on the level
-    degen = [tc for tc in crit if abs(V(tc) - eps) <= tol_fp * scale]
+    degen = [tc for tc in crit if abs(V(tc) - eps) <= _LEVEL_TOL * scale]
     if kappa == 0.0:
         for pole in (0.0, math.pi):
-            if abs(V(pole) - eps) <= tol_fp * scale:
+            if abs(V(pole) - eps) <= _LEVEL_TOL * scale:
                 degen.append(pole)
 
     # breakpoints: refined sign changes plus exact-level grid nodes; segment

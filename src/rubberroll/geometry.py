@@ -1,22 +1,29 @@
 """Contact geometry of the rolling ellipsoid of revolution.
 
 Let gamma be the unit vertical expressed in the body frame and theta the
-nutation angle, gamma_3 = cos(theta).  The scalar functions collected in
-:class:`SurfaceEval` are
+nutation angle, gamma_3 = cos(theta).  Once the motion is reduced to one
+degree of freedom, every object the package studies is built from a few
+surface functions of theta, written once here:
 
     Z(theta) = sqrt(beta^2 sin^2 + cos^2)      support function factor
     U(theta) = alpha cos + Z                   center-of-mass height
     B(theta) = 1/eta + |r(gamma)|^2            effective nutation inertia
-    J(theta) = sqrt((cos^2 + nu sin^2)/eta + (Z + alpha cos)^2)
+    J(theta) = sqrt((cos^2 + nu sin^2)/eta + U^2)
+    G0(theta) = kappa^2 cos/sin^3 + alpha sin + (1 - beta^2) sin cos / Z
 
-where r(gamma) is the vector from the center of mass to the contact point,
+together with B' = dB/dtheta and G0' = dG0/dtheta.  G0 is minus the slope
+of the effective potential kappa^2/(2 sin^2) + U.  r(gamma) is the vector
+from the center of mass to the contact point,
 
     r(gamma) = -Bq gamma / sqrt((gamma, Bq gamma)) - alpha e3,
     Bq = diag(beta^2, beta^2, 1).
 
-All formulas are smooth on the whole real theta line and even around the
-poles theta = 0, pi, which is what makes the kappa = 0 meridian chart
-extension possible.
+The ``surface_*`` functions are plain arithmetic on the terms s = sin,
+s2 = sin^2 and c = cos, so the same code serves Python floats and numpy
+arrays.  A chart that knows only gamma_3 passes s2 = 1 - gamma_3^2 and
+c = gamma_3.  All formulas are smooth on the whole real theta line and even
+around the poles theta = 0, pi (B' and G0 odd), which is what makes the
+kappa = 0 meridian chart extension possible.
 
 The cross term inside B carries a sign switch, ``b_sign`` of :func:`profile`
 (and of :func:`.dynamics.reduced_field` and :func:`.dynamics.reduced_energy`).
@@ -43,27 +50,89 @@ __all__ = [
     "SurfaceEval",
     "profile",
     "contact_vector",
-    "meridian_profile",
-    "z_of_gamma3",
+    "surface_z",
+    "surface_u",
+    "surface_b",
+    "surface_j",
+    "surface_g0",
+    "surface_g0_prime",
 ]
 
 B_SIGN_DERIVED = "derived"
 B_SIGN_PAPER = "paper"
 
 
+def surface_z(s2, c, p: Params):
+    """Z = sqrt(beta^2 sin^2 + cos^2)."""
+    Z2 = p.beta * p.beta * s2 + c * c
+    # math.sqrt and np.sqrt both round correctly: floats and arrays get the same bits
+    return math.sqrt(Z2) if isinstance(Z2, float) else np.sqrt(Z2)
+
+
+def surface_u(c, Z, p: Params):
+    """U = alpha cos + Z, the height of the center of mass."""
+    return p.alpha * c + Z
+
+
+def surface_b(s, s2, c, Z, p: Params, b_sign: str = B_SIGN_DERIVED):
+    """(B, B'): the nutation inertia and its theta-derivative.
+
+    ``b_sign`` selects the cross term, see the module docstring; an unknown
+    value raises ValueError.
+    """
+    a = p.alpha
+    b2 = p.beta * p.beta
+    Z2 = Z * Z
+    if b_sign == B_SIGN_DERIVED:
+        cross = c + a * Z
+        dB = 2.0 * b2 * s * ((b2 - 1.0) * c - a * Z) / (Z2 * Z2)
+    elif b_sign == B_SIGN_PAPER:
+        cross = a * Z - c
+        dB = 2.0 * b2 * s * ((b2 - 1.0) * c + a * Z) / (Z2 * Z2)
+    else:
+        raise ValueError(f"unknown b_sign {b_sign!r}")
+    return 1.0 / p.eta + (b2 * b2 * s2 + cross * cross) / Z2, dB
+
+
+def surface_j(s2, c, U, p: Params):
+    """J = sqrt((cos^2 + nu sin^2)/eta + U^2), the spin inertia factor."""
+    J2 = (c * c + p.nu * s2) / p.eta + U * U
+    return math.sqrt(J2) if isinstance(J2, float) else np.sqrt(J2)
+
+
+def surface_g0(s, s2, c, Z, kappa: float, p: Params):
+    """G0 = kappa^2 cos/sin^3 + alpha sin + (1 - beta^2) sin cos / Z.
+
+    Minus the slope of the effective potential: its roots are the relative
+    equilibria.  The kappa term is left out at kappa = 0, so the poles are
+    valid points of the meridian chart there.
+    """
+    val = p.alpha * s + (1.0 - p.beta * p.beta) * s * c / Z
+    if kappa != 0.0:
+        val = val + kappa * kappa * c / (s2 * s)
+    return val
+
+
+def surface_g0_prime(s2, c, Z, kappa: float, p: Params):
+    """G0' = dG0/dtheta; its sign at a root of G0 decides linear stability."""
+    b2 = p.beta * p.beta
+    c2 = c * c
+    val = p.alpha * c + (1.0 - b2) * ((c2 - s2) / Z - (b2 - 1.0) * s2 * c2 / (Z * Z * Z))
+    if kappa != 0.0:
+        val = val - kappa * kappa * (1.0 + 2.0 * c2) / (s2 * s2)
+    return val
+
+
 @dataclass(frozen=True)
 class SurfaceEval:
-    """Surface functions and their theta-derivatives at one nutation angle."""
+    """Surface functions at one nutation angle, and the derivative of B."""
 
     theta: float
     Z: float
     U: float
     B: float
     J: float
-    dZ: float
-    dU: float
     dB: float
-    dJ: float
 
 
 def profile(
@@ -96,33 +165,13 @@ def profile(
         raise ValueError(
             f"theta={theta} outside (0, pi); pass pole_mode=True for the meridian extension"
         )
-    if b_sign not in (B_SIGN_DERIVED, B_SIGN_PAPER):
-        raise ValueError(f"unknown b_sign {b_sign!r}")
-    a = p.alpha
-    b2 = p.beta * p.beta
     s = math.sin(theta)
     c = math.cos(theta)
     s2 = s * s
-    c2 = c * c
-    Z = math.sqrt(b2 * s2 + c2)
-    dZ = (b2 - 1.0) * s * c / Z
-    U = a * c + Z
-    dU = -a * s + dZ
-    Z2 = Z * Z
-    Z4 = Z2 * Z2
-    if b_sign == B_SIGN_DERIVED:
-        cross = c + a * Z
-        dB = 2.0 * b2 * s * ((b2 - 1.0) * c - a * Z) / Z4
-    else:
-        cross = a * Z - c
-        dB = 2.0 * b2 * s * ((b2 - 1.0) * c + a * Z) / Z4
-    B = 1.0 / p.eta + (b2 * b2 * s2 + cross * cross) / Z2
-    w = Z + a * c
-    J2 = (c2 + p.nu * s2) / p.eta + w * w
-    J = math.sqrt(J2)
-    dJ2 = 2.0 * s * c * (p.nu - 1.0) / p.eta + 2.0 * w * (dZ - a * s)
-    dJ = 0.5 * dJ2 / J
-    return SurfaceEval(theta=theta, Z=Z, U=U, B=B, J=J, dZ=dZ, dU=dU, dB=dB, dJ=dJ)
+    Z = surface_z(s2, c, p)
+    U = surface_u(c, Z, p)
+    B, dB = surface_b(s, s2, c, Z, p, b_sign)
+    return SurfaceEval(theta=theta, Z=Z, U=U, B=B, J=surface_j(s2, c, U, p), dB=dB)
 
 
 def contact_vector(gamma: np.ndarray, p: Params) -> np.ndarray:
@@ -144,25 +193,3 @@ def contact_vector(gamma: np.ndarray, p: Params) -> np.ndarray:
     r = -bg / s
     r[2] -= p.alpha
     return r
-
-
-def z_of_gamma3(gamma3: float, p: Params) -> float:
-    """Z as a function of gamma_3 = cos(theta)."""
-    b2 = p.beta * p.beta
-    return math.sqrt(b2 * (1.0 - gamma3 * gamma3) + gamma3 * gamma3)
-
-
-def meridian_profile(gamma3: float, p: Params) -> tuple[float, float]:
-    """Meridian decomposition of the contact vector.
-
-    Returns (chi1, chi2) such that r = (chi1 g1, chi1 g2, chi2) on the unit
-    sphere:
-
-        chi1 = -beta^2 / Z(gamma3),   chi2 = -gamma3 / Z(gamma3) - alpha.
-    """
-    if not -1.0 <= gamma3 <= 1.0:
-        raise ValueError(f"gamma3 must lie in [-1, 1], got {gamma3}")
-    Z = z_of_gamma3(gamma3, p)
-    chi1 = -p.beta * p.beta / Z
-    chi2 = -gamma3 / Z - p.alpha
-    return chi1, chi2

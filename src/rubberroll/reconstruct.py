@@ -40,7 +40,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .model import Params
-from .geometry import profile
+from .geometry import profile, surface_u
 from .dynamics import (
     FP_WIDTH,
     FullState,
@@ -93,9 +93,14 @@ CLASS_KINDS = (
 )
 
 _POLE_TOL = 1e-12
-_SEP_TOL = 1e-9
-_WARN_TOL = 1e-6
-_Q_MAX = 64
+_SEP_TOL = 1e-9       # classify: a level this close to a saddle level is a separatrix
+_WARN_TOL = 1e-6      # classify: ... and this close flags near_separatrix
+_Q_MAX = 64           # classify: largest denominator of a locked rational N
+_DRIFT_TOL = 1e-3     # classify: one-period drift over path diameter that counts as drift
+_RES_SCAN = 9         # resonance_curve: eps nodes scanned per segment and branch
+_BUMP_HALFWIDTH = 0.35  # _bump_peak: half width of the eps window scanned
+_BUMP_SCAN = 25       # _bump_peak: eps nodes in that window
+_KAPPA_HI = 1.5       # kappa_max: search stops at this multiple of the fold's kappa
 
 
 @dataclass(frozen=True)
@@ -202,6 +207,19 @@ def euler_rotation(theta: float, psi: float, phi: float) -> np.ndarray:
     return np.array([a, b, g]).T
 
 
+def _meridian_contact(st: np.ndarray, ct: np.ndarray, p: Params):
+    """(Z, chi1, chi2) on arrays of sin and cos of theta, where the contact
+    vector is r = (chi1 gamma_1, chi1 gamma_2, chi2) on the unit sphere.
+
+    Z is rounded as sqrt((beta^2 st) st + ct^2), one ulp apart from
+    :func:`.geometry.surface_z` in places, so that the z_c, x_p and y_p
+    trajectory columns keep their bits.
+    """
+    b2 = p.beta * p.beta
+    Z = np.sqrt(b2 * st * st + ct * ct)
+    return Z, -b2 / Z, -ct / Z - p.alpha
+
+
 def contact_shift(theta: np.ndarray, psi: np.ndarray, phi: np.ndarray, p: Params) -> tuple[np.ndarray, np.ndarray]:
     """Horizontal offset from center of mass to contact point, vectorized.
 
@@ -211,15 +229,12 @@ def contact_shift(theta: np.ndarray, psi: np.ndarray, phi: np.ndarray, p: Params
     th = np.asarray(theta, float)
     ps = np.asarray(psi, float)
     ph = np.asarray(phi, float)
-    b2 = p.beta * p.beta
     st = np.sin(th); ct = np.cos(th)
     sp = np.sin(ps); cp = np.cos(ps)
     sf = np.sin(ph); cf = np.cos(ph)
-    Z = np.sqrt(b2 * st * st + ct * ct)
-    chi1 = -b2 / Z
+    _, chi1, r3 = _meridian_contact(st, ct, p)
     r1 = chi1 * st * sf
     r2 = chi1 * st * cf
-    r3 = -ct / Z - p.alpha
     dx = (cp * cf - ct * sp * sf) * r1 + (-cp * sf - ct * sp * cf) * r2 + st * sp * r3
     dy = (sp * cf + ct * cp * sf) * r1 + (-sp * sf + ct * cp * cf) * r2 - st * cp * r3
     return dx, dy
@@ -227,9 +242,8 @@ def contact_shift(theta: np.ndarray, psi: np.ndarray, phi: np.ndarray, p: Params
 
 def _absolute_from_augmented(t: np.ndarray, y: np.ndarray, p: Params) -> AbsolutePath:
     th = y[:, 0]
-    st = np.sin(th); ct = np.cos(th)
-    Z = np.sqrt(p.beta * p.beta * st * st + ct * ct)
-    z_c = p.alpha * ct + Z
+    ct = np.cos(th)
+    z_c = surface_u(ct, _meridian_contact(np.sin(th), ct, p)[0], p)
     dx, dy = contact_shift(th, y[:, 2], y[:, 3], p)
     return AbsolutePath(
         t=t, theta=th, p_theta=y[:, 1], psi=y[:, 2], phi=y[:, 3],
@@ -318,15 +332,13 @@ def path_from_kinematic(t: np.ndarray, y: np.ndarray, p: Params) -> AbsolutePath
     psi = np.unwrap(np.arctan2(ax[:, 2], -bx[:, 2]))
 
     p_theta = (gn[:, 1] * w[:, 0] - gn[:, 0] * w[:, 1]) / np.maximum(st, 1e-300)
-    b2 = p.beta * p.beta
-    Z = np.sqrt(b2 * st * st + g3 * g3)
-    chi1 = -b2 / Z
-    r = np.column_stack([chi1 * gn[:, 0], chi1 * gn[:, 1], -g3 / Z - p.alpha])
+    Z, chi1, chi2 = _meridian_contact(st, g3, p)
+    r = np.column_stack([chi1 * gn[:, 0], chi1 * gn[:, 1], chi2])
     x_c = y[:, 12]
     y_c = y[:, 13]
     return AbsolutePath(
         t=t, theta=th, p_theta=p_theta, psi=psi, phi=phi,
-        x_c=x_c, y_c=y_c, z_c=p.alpha * g3 + Z,
+        x_c=x_c, y_c=y_c, z_c=surface_u(g3, Z, p),
         x_p=x_c + np.einsum("ij,ij->i", ax, r),
         y_p=y_c + np.einsum("ij,ij->i", bx, r),
     )
@@ -399,12 +411,8 @@ def classify(
     p: Params,
     branch: int = 0,
     *,
-    q_max: int = _Q_MAX,
-    sep_tol: float = _SEP_TOL,
-    warn_tol: float = _WARN_TOL,
     tol_int: float | None = None,
     tol_rat: float | None = None,
-    drift_tol: float = 1e-3,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
 ) -> TrajectoryClass:
@@ -412,15 +420,24 @@ def classify(
 
     Decision order: degenerate components (rest states and relative
     equilibria), the kappa = 0 meridian dichotomy against the circulation
-    threshold, separatrix levels within sep_tol of a critical value, then
+    threshold, separatrix levels within 1e-9 of a critical value, then
     the rotation number: integers give unbounded resonant drift unless the
     one-period displacement vanishes (symmetric orbits close instead),
-    rationals with denominator at most q_max close up, everything else fills
-    an annulus.  Levels within warn_tol of a critical value classify
+    rationals with denominator at most 64 close up, everything else fills
+    an annulus.  Levels within 1e-6 of a critical value classify
     generically but carry the near_separatrix flag.
 
     tol_int and tol_rat default to 5 err + 1e-9 from the computed rotation
     number; pass wider values to match data of limited precision.
+
+    Raises
+    ------
+    ValueError
+        If the level (kappa, eps) has no admissible motion or ``branch`` is
+        out of range.
+    IntegrationError
+        If, past the quadrature's node cap, the stepper finds no half-period
+        return (a level too close to a critical value).
     """
     lo, hi = turning_points(kappa, eps, p, branch)
     alpha0 = p.alpha == 0.0
@@ -436,11 +453,11 @@ def classify(
     if kappa == 0.0:
         e_circ = epsilon_min(p)
         hits = [(th, lv) for th, lv in _kappa0_saddles(p)
-                if abs(eps - lv) <= sep_tol and lo - 1e-6 <= th <= hi + 1e-6]
+                if abs(eps - lv) <= _SEP_TOL and lo - 1e-6 <= th <= hi + 1e-6]
         if hits:
             return TrajectoryClass(kind="Segment", N=0.0, N_err=0.0,
                                    targets=tuple(th for th, _ in hits))
-        near = any(abs(eps - lv) <= warn_tol for _, lv in _kappa0_saddles(p))
+        near = any(abs(eps - lv) <= _WARN_TOL for _, lv in _kappa0_saddles(p))
         if eps < e_circ:
             return TrajectoryClass(kind="Segment", N=0.0, N_err=0.0,
                                    near_separatrix=near)
@@ -452,11 +469,11 @@ def classify(
         if g0_prime(thc, kappa, p) <= 0.0:
             continue
         lv = effective_potential(thc, kappa, p)
-        if abs(eps - lv) <= sep_tol and lo - 1e-6 <= thc <= hi + 1e-6:
+        if abs(eps - lv) <= _SEP_TOL and lo - 1e-6 <= thc <= hi + 1e-6:
             if alpha0 and abs(thc - 0.5 * math.pi) <= 1e-9:
                 return TrajectoryClass(kind="AsymptoticToLines", targets=(thc,))
             return TrajectoryClass(kind="AsymptoticToCircles", targets=(thc,))
-        if abs(eps - lv) <= warn_tol:
+        if abs(eps - lv) <= _WARN_TOL:
             near = True
 
     rn = rotation_number(kappa, eps, p, branch, tol_abs=tol_abs, tol_rel=tol_rel)
@@ -473,13 +490,13 @@ def classify(
         drift = math.hypot(float(path.x_c[-1] - path.x_c[0]),
                            float(path.y_c[-1] - path.y_c[0]))
         diam = _path_diameter(path.x_c, path.y_c)
-        if drift > drift_tol * max(diam, 1e-300):
+        if drift > _DRIFT_TOL * max(diam, 1e-300):
             return TrajectoryClass(kind="UnboundedResonant", N=rn.N, N_err=rn.err,
                                    resonance=(n_near, 1), near_separatrix=near)
         return TrajectoryClass(kind="ClosedPeriodic", N=rn.N, N_err=rn.err,
                                resonance=(n_near, 1), near_separatrix=near)
 
-    fr = Fraction(rn.N).limit_denominator(q_max)
+    fr = Fraction(rn.N).limit_denominator(_Q_MAX)
     if abs(rn.N - float(fr)) <= t_rat:
         return TrajectoryClass(kind="ClosedPeriodic", N=rn.N, N_err=rn.err,
                                resonance=(fr.numerator, fr.denominator),
@@ -507,7 +524,6 @@ def resonance_curve(
     *,
     branch: int | None = None,
     eps_max: float | None = None,
-    n_scan: int = 9,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
 ) -> list[ResonancePoint]:
@@ -546,9 +562,9 @@ def resonance_curve(
                     return rotation_number(kap, e, p, br,
                                            tol_abs=tol_abs, tol_rel=tol_rel).N + n
 
-                grid = np.linspace(a, b, n_scan)
+                grid = np.linspace(a, b, _RES_SCAN)
                 vals = [f(float(e)) for e in grid]
-                for i in range(n_scan - 1):
+                for i in range(_RES_SCAN - 1):
                     if vals[i] == 0.0 or vals[i] * vals[i + 1] >= 0.0:
                         continue
                     root = brentq(f, float(grid[i]), float(grid[i + 1]),
@@ -575,8 +591,8 @@ def epsilon_min(p: Params) -> float:
 
 
 def _bump_peak(
-    kappa: float, p: Params, e_center: float, *, halfwidth: float = 0.35,
-    n_scan: int = 25, tol_abs: float = DEFAULT_TOL_ABS, tol_rel: float = DEFAULT_TOL_REL,
+    kappa: float, p: Params, e_center: float, *,
+    tol_abs: float = DEFAULT_TOL_ABS, tol_rel: float = DEFAULT_TOL_REL,
 ) -> tuple[float, float]:
     """Local maximum of N over eps near e_center on the topmost branch.
 
@@ -586,8 +602,8 @@ def _bump_peak(
     """
     levels = [effective_potential(th, kappa, p) for th in critical_thetas(kappa, p)]
     base = max(levels)
-    lo = max(base + max(1e-7, 1e-7 * abs(base)), e_center - halfwidth)
-    hi = e_center + halfwidth
+    lo = max(base + max(1e-7, 1e-7 * abs(base)), e_center - _BUMP_HALFWIDTH)
+    hi = e_center + _BUMP_HALFWIDTH
 
     def n_of(e: float) -> float:
         try:
@@ -595,10 +611,10 @@ def _bump_peak(
         except (ValueError, RuntimeError):
             return -math.inf
 
-    grid = np.linspace(lo, hi, n_scan)
+    grid = np.linspace(lo, hi, _BUMP_SCAN)
     vals = [n_of(float(e)) for e in grid]
     i = int(np.argmax(vals))
-    if i == 0 or i == n_scan - 1:
+    if i == 0 or i == _BUMP_SCAN - 1:
         return float(grid[i]), vals[i]
     res = minimize_scalar(lambda e: -n_of(e), bounds=(float(grid[i - 1]), float(grid[i + 1])),
                           method="bounded", options={"xatol": 1e-6})
@@ -653,7 +669,6 @@ def _peak_eps(
 def kappa_max(
     p: Params,
     *,
-    kappa_hi: float | None = None,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
 ) -> float | None:
@@ -677,7 +692,7 @@ def kappa_max(
         return None
     e_c = float(cp.eps)
     k0 = float(cp.kappa)
-    hi = kappa_hi if kappa_hi is not None else k0 * 1.5
+    hi = _KAPPA_HI * k0
 
     e_warm = e_c
 

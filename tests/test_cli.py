@@ -234,6 +234,16 @@ def test_zero_sizes_exit_one(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("orders", ["a", "", "1,,2", "0.5"])
+def test_bad_resonance_orders_exit_one(orders, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code, _, err = run(["resonance", *ARGS_XY, "--kappa-range", "0.5:0.5",
+                        "--n", orders, "--out", str(out)], capsys)
+    assert code == 1
+    assert f"expected comma-separated integers, got {orders!r}" in err
+    assert not out.exists()
+
+
 def test_zero_tol_abs_is_honoured(tmp_path, capsys, monkeypatch):
     import rubberroll.cli as cli
 
@@ -380,6 +390,20 @@ def test_rotation_number_jobs_deterministic(tmp_path, capsys):
     assert main([*argv, "--out", str(a)]) == 0
     assert main([*argv, "--jobs", "3", "--out", str(b)]) == 0
     capsys.readouterr()
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["rotation-number", *ARGS_XY, "--kappa-range", "0.4:0.8", "--n-kappa", "3",
+     "--energy-range", "3.3:3.6", "--n-energy", "2"],
+    ["resonance", *ARGS_XY, "--n", "0", "--kappa-range", "0.5:0.6", "--n-kappa", "2"],
+], ids=["rotation-number", "resonance"])
+def test_grid_csv_same_under_one_and_two_jobs(argv, tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main([*argv, "--jobs", "1", "--out", str(a)]) == 0
+    assert main([*argv, "--jobs", "2", "--out", str(b)]) == 0
+    capsys.readouterr()
+    assert len(read_csv(a)[1]) > 1
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -1,4 +1,5 @@
-"""Surface functions: closed forms, derivatives, pole behavior, B variants."""
+"""Surface functions: closed forms, derivatives, pole behavior, B variants,
+and the kernel on floats, arrays and the gamma_3 chart."""
 
 import math
 
@@ -9,9 +10,11 @@ from rubberroll.geometry import (
     B_SIGN_DERIVED,
     B_SIGN_PAPER,
     contact_vector,
-    meridian_profile,
     profile,
-    z_of_gamma3,
+    surface_b,
+    surface_j,
+    surface_u,
+    surface_z,
 )
 from rubberroll.model import Params
 
@@ -25,7 +28,8 @@ def test_sphere_values():
         se = profile(th, p)
         np.testing.assert_allclose(se.Z, 1.0, rtol=1e-15)
         np.testing.assert_allclose(se.U, 0.3 * math.cos(th) + 1.0, rtol=1e-15)
-        np.testing.assert_allclose(se.dZ, 0.0, atol=1e-15)
+        # Z = 1 leaves B = 1/eta + sin^2 + (cos + alpha)^2, so B' = -2 alpha sin
+        np.testing.assert_allclose(se.dB, -0.6 * math.sin(th), rtol=1e-14)
 
 
 def test_equator_and_pole_values():
@@ -41,14 +45,13 @@ def test_equator_and_pole_values():
 
 def test_derivatives_match_finite_differences():
     h = 1e-6
-    for th in np.linspace(0.2, math.pi - 0.2, 9):
-        lo = profile(float(th) - h, P)
-        hi = profile(float(th) + h, P)
-        se = profile(float(th), P)
-        for name in ("Z", "U", "B", "J"):
-            fd = (getattr(hi, name) - getattr(lo, name)) / (2.0 * h)
-            np.testing.assert_allclose(getattr(se, "d" + name), fd,
-                                       rtol=2e-9, atol=2e-9, err_msg=name)
+    for b_sign in (B_SIGN_DERIVED, B_SIGN_PAPER):
+        for th in np.linspace(0.2, math.pi - 0.2, 9):
+            lo = profile(float(th) - h, P, b_sign)
+            hi = profile(float(th) + h, P, b_sign)
+            fd = (hi.B - lo.B) / (2.0 * h)
+            np.testing.assert_allclose(profile(float(th), P, b_sign).dB, fd,
+                                       rtol=2e-9, atol=2e-9, err_msg=b_sign)
 
 
 def test_pole_mode_even_extension():
@@ -58,7 +61,7 @@ def test_pole_mode_even_extension():
         b = profile(-th, P, pole_mode=True)
         np.testing.assert_allclose([a.Z, a.U, a.B, a.J], [b.Z, b.U, b.B, b.J],
                                    rtol=1e-15)
-        np.testing.assert_allclose([a.dZ, a.dU], [-b.dZ, -b.dU], rtol=1e-13)
+        np.testing.assert_allclose(a.dB, -b.dB, rtol=1e-13)
     with pytest.raises(ValueError, match="pole_mode"):
         profile(-0.1, P)
     with pytest.raises(ValueError, match="pole_mode"):
@@ -114,14 +117,30 @@ def test_contact_vector_rejects_bad_input():
 
 
 def test_meridian_profile_matches_contact_vector():
+    # on the gamma_3 chart (s2 = 1 - gamma_3^2, c = gamma_3) the contact
+    # vector is (-beta^2/Z gamma_1, -beta^2/Z gamma_2, -gamma_3/Z - alpha)
     for g3 in (-0.9, -0.2, 0.0, 0.4, 0.99):
-        chi1, chi2 = meridian_profile(g3, P)
+        Z = surface_z(1.0 - g3 * g3, g3, P)
         s = math.sqrt(1.0 - g3 * g3)
         g = np.array([0.6 * s, 0.8 * s, g3])
         r = contact_vector(g, P)
-        np.testing.assert_allclose(r, [chi1 * g[0], chi1 * g[1], chi2],
+        chi1 = -P.beta * P.beta / Z
+        np.testing.assert_allclose(r, [chi1 * g[0], chi1 * g[1], -g3 / Z - P.alpha],
                                    rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(z_of_gamma3(0.3, P),
+    np.testing.assert_allclose(surface_z(1.0 - 0.3 * 0.3, 0.3, P),
                                profile(math.acos(0.3), P).Z, rtol=1e-15)
-    with pytest.raises(ValueError):
-        meridian_profile(1.2, P)
+
+
+def test_kernel_serves_floats_and_arrays_alike():
+    th = np.concatenate([np.linspace(-1.0, 2.0 * math.pi, 23), [0.0, math.pi]])
+    s = np.sin(th); c = np.cos(th); s2 = s * s
+    Z = surface_z(s2, c, P)
+    U = surface_u(c, Z, P)
+    B, dB = surface_b(s, s2, c, Z, P)
+    J = surface_j(s2, c, U, P)
+    same = [i for i, t in enumerate(th) if (math.sin(t), math.cos(t)) == (s[i], c[i])]
+    assert len(same) > len(th) // 2
+    # bit for bit wherever np.sin/np.cos agree with math.sin/math.cos
+    for i in same:
+        se = profile(float(th[i]), P, pole_mode=True)
+        assert (se.Z, se.U, se.B, se.dB, se.J) == (Z[i], U[i], B[i], dB[i], J[i])
