@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
+from .brent import brentq, minimize_bounded
 from .dynamics import (
     FullState,
     component_intervals,
@@ -480,12 +480,9 @@ def rpm_floor(kappa: float, p: Params) -> float:
     hi = grid[min(n - 1, i + 1)]
     if hi - lo < 1e-15:
         return float(v_i)
-    res = minimize_scalar(
-        lambda t: effective_potential(float(t), kappa, p),
-        bounds=(float(lo), float(hi)), method="bounded",
-        options={"xatol": 1e-13},
-    )
-    return float(min(res.fun, v_i))
+    _, v_min = minimize_bounded(lambda t: effective_potential(t, kappa, p),
+                                float(lo), float(hi), xatol=1e-13)
+    return min(v_min, v_i)
 
 
 def rpm_boundary(p: Params, kappa_max: float, n_samples: int = 241) -> BifurcationCurve:

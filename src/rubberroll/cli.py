@@ -36,7 +36,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -372,6 +371,18 @@ def cmd_bifurcation(args: argparse.Namespace, parser: _Parser) -> int:
 # --- rotation number / resonance / classify ---
 
 
+def _map(fn, tasks: list, jobs: int) -> list:
+    """fn over tasks in order, on a pool of jobs processes when jobs > 1."""
+    if jobs <= 1:
+        return [fn(t) for t in tasks]
+    # imported here, so that the other commands do not pay for loading
+    # multiprocessing at start-up
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def _rn_point(task):
     """Grid worker: one (kappa, eps) rotation number or None."""
     kappa, eps, branch, p, tol_abs, tol_rel = task
@@ -405,11 +416,7 @@ def cmd_rotation_number(args: argparse.Namespace, parser: _Parser) -> int:
         energies = [float(v) for v in np.linspace(lo, hi, args.n_energy)]
     tasks = [(k, e, args.branch, p, args.tol_abs, args.tol_rel)
              for k in kappas for e in energies]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_rn_point, tasks))
-    else:
-        results = [_rn_point(t) for t in tasks]
+    results = _map(_rn_point, tasks, args.jobs)
     rows = [r for r in results if r is not None]
     _write_csv(args.out, ["kappa", "eps", "N", "N_err"], rows)
     log.info("wrote %s (%d of %d grid points admissible)", args.out, len(rows), len(tasks))
@@ -433,11 +440,7 @@ def cmd_resonance(args: argparse.Namespace, parser: _Parser) -> int:
     for order in orders:
         tasks = [(order, k, p, args.eps_max, args.tol_abs, args.tol_rel)
                  for k in kappas if abs(k) >= 1e-9]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                chunks = list(pool.map(_res_slice, tasks))
-        else:
-            chunks = [_res_slice(t) for t in tasks]
+        chunks = _map(_res_slice, tasks, args.jobs)
         rows = [r for ch in chunks for r in ch]
         if len(orders) == 1:
             out = args.out

@@ -30,7 +30,7 @@ The level-set scans (here and in :mod:`.bifurcation`) evaluate whole theta
 grids at once through the array kernel :func:`potential_grid`.  The rule is
 "the array selects, the scalar decides": the array only picks grid cells or
 nodes, and every number a scan returns comes from the scalar functions
-(:func:`effective_potential`, :func:`g0`), through brentq, minimize_scalar,
+(:func:`effective_potential`, :func:`g0`), through brentq, minimize_bounded,
 midpoint membership tests or a plain re-evaluation at the selected node.
 """
 
@@ -42,6 +42,7 @@ from typing import Callable
 
 import numpy as np
 
+from .brent import brentq
 from .geometry import (
     B_SIGN_DERIVED,
     surface_b,
@@ -515,6 +516,7 @@ FP_WIDTH = 1e-9   # components narrower than this are relative equilibria
 _CRIT_GRID = 800  # critical_thetas: sign-scan nodes over (0, pi)
 _LEVEL_GRID = 2000  # component_intervals: level-scan nodes over (0, pi)
 _LEVEL_TOL = 1e-10  # component_intervals: relative gap that puts a critical point on the level
+_LEVEL_FLOOR = 4 * math.ulp(1.0)  # component_intervals: relative rounding floor of V - eps
 
 
 def sign_cells(vals: np.ndarray) -> list[int]:
@@ -533,8 +535,6 @@ def critical_thetas(kappa: float, p: Params) -> list[float]:
     exists; the poles themselves are always equilibria of the meridian chart
     and are not reported here.
     """
-    from scipy.optimize import brentq
-
     f = lambda th: g0(th, kappa, p)
     if kappa == 0.0:
         # G0 = sin * (alpha + (1 - beta^2) cos / Z) and the bracketed factor
@@ -600,10 +600,11 @@ def component_intervals(kappa: float, eps: float, p: Params) -> list[tuple[float
     meridian circle; intervals touching a pole include the pole point and
     stand for the pole-crossing component.  For kappa != 0 an interval reaching
     toward a pole ends at the turning point on its centrifugal wall, however
-    close to the pole; a wall angle below 1e-30 raises ValueError.
+    close to the pole; a wall angle below 1e-30 raises ValueError.  V
+    within four ulps (relative to max(1, |eps|)) of eps counts as on the
+    level, so a flat potential, the centered sphere's at kappa = 0, gives
+    the single component (0, pi) at its rest level.
     """
-    from scipy.optimize import brentq
-
     V = lambda th: effective_potential(th, kappa, p)
     crit = critical_thetas(kappa, p)
 
@@ -632,6 +633,10 @@ def component_intervals(kappa: float, eps: float, p: Params) -> list[tuple[float
         vals = potential_grid(np.array(grid), kappa, p)[0] - eps
 
     scale = max(1.0, abs(eps))
+    floor = _LEVEL_FLOOR * scale
+    # values within rounding of the level are on it: the noise of a flat
+    # potential (the centered sphere at rest) makes no turning points
+    vals[np.abs(vals) <= floor] = 0.0
     intervals: list[tuple[float, float]] = []
 
     # degenerate components first: critical points sitting exactly on the level
@@ -658,7 +663,7 @@ def component_intervals(kappa: float, eps: float, p: Params) -> list[tuple[float
     breaks = sorted(set(breaks))
 
     for u, v in zip(breaks[:-1], breaks[1:]):
-        if V(0.5 * (u + v)) - eps < 0.0:
+        if V(0.5 * (u + v)) - eps <= floor:
             if intervals and intervals[-1][1] == u:
                 intervals[-1] = (intervals[-1][0], v)
             else:

@@ -3,13 +3,13 @@
 The stepper is DOP853, the eighth-order embedded Runge-Kutta pair of
 Hairer, Norsett and Wanner (Solving ODEs I, II) with adaptive error control
 and a local dense interpolant.  :func:`integrate_raw` runs it as an
-in-package loop on scipy's tableau that repeats scipy's ``DOP853`` solver
-operation by operation (stage sums, error norm, step controller, initial
-step, interpolant), so its results match scipy's bit for bit; the tests keep
-scipy's solver as the oracle.  The loop calls the right-hand side directly,
-builds the three extra interpolant stages only on steps that need them, and
-evaluates all sample times of a step in one array call.  It goes one
-accepted step at a time so that
+in-package loop on the DOP853 tableau, written out below, that repeats
+scipy's ``DOP853`` solver operation by operation (stage sums, error norm,
+step controller, initial step, interpolant), so its results match scipy's
+bit for bit; the tests keep scipy's solver as the oracle.  The loop calls
+the right-hand side directly, builds the three extra interpolant stages only
+on steps that need them, and evaluates all sample times of a step in one
+array call.  It goes one accepted step at a time so that
 
   * the vertical unit vector can be renormalized after every accepted step
     (magnitude logged, delivered in the run statistics),
@@ -42,9 +42,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.optimize import brentq
 
+from .brent import brentq
 from .dynamics import (
     FP_WIDTH,
     augmented_field,
@@ -139,16 +138,91 @@ class Trajectory:
 
 _N_EVENT_NODES = 5    # dense-output subdivisions per step scanned for events
 
-# DOP853 tableau: 12 stages plus the step's end derivative, 3 more stages
-# for the dense interpolant
-_N_STAGES = _dop.N_STAGES
-_STAGES = [(s, _dop.A[s, :s], float(_dop.C[s])) for s in range(1, _N_STAGES)]
-_EXTRA = [(s, _dop.A[s, :s], float(_dop.C[s]))
-          for s in range(_N_STAGES + 1, _dop.N_STAGES_EXTENDED)]
-_B = _dop.B
-_E3 = _dop.E3
-_E5 = _dop.E5
-_D = _dop.D
+# DOP853 tableau, the coefficients of scipy's dop853_coefficients to the
+# last bit: 12 stages plus the step's end derivative, 3 more stages for the
+# dense interpolant.  Row s of _A_LOWER is A[s, :s]; A is strictly lower
+# triangular.
+_N_STAGES = 12
+_N_STAGES_EXTENDED = 16
+_INTERPOLATOR_POWER = 7
+_C = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+    0.7777777777777778,
+])
+_A_LOWER = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+     1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+     -0.1521609496625161, 0.20136540080403034, 0.04471061572777259),
+    (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+     0.00820105229563469, 0.007567897660545699, -0.008298),
+    (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+     0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
+     -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
+     0.1413124436746325),
+    (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
+     7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
+     -0.0013990241651590145, 2.9475147891527724, -9.15095847217987),
+)
+_A = np.array([row + (0.0,) * (_N_STAGES_EXTENDED - len(row)) for row in _A_LOWER])
+_B = _A[_N_STAGES, :_N_STAGES]
+_E3 = np.array([
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0,
+])
+_E5 = np.array([
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+    0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0,
+])
+_D = np.array([
+    [-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
+     -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+     -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894],
+    [10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
+     165.20045171727028, -374.5467547226902, -22.113666853125306,
+     7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408],
+    [19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518,
+     -189.17813819516758, 527.8081592054236, -11.57390253995963,
+     6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279],
+    [-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643,
+     -231.5293791760455, 357.6391179106141, 93.40532418362432,
+     -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564],
+])
+_STAGES = [(s, _A[s, :s], float(_C[s])) for s in range(1, _N_STAGES)]
+_EXTRA = [(s, _A[s, :s], float(_C[s])) for s in range(_N_STAGES + 1, _N_STAGES_EXTENDED)]
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2     # largest decrease of the step in one attempt
 _MAX_FACTOR = 10      # largest increase of the step
@@ -239,7 +313,7 @@ def _dense_coefficients(fun, t_old, h, y_old, y_new, f_new, K_ext, extra):
     coefficients of its interpolant, as scipy's DOP853._dense_output_impl."""
     for KsT, a, c, row in extra:
         row[:] = fun(t_old + c * h, y_old + np.dot(KsT, a) * h)
-    F = np.empty((_dop.INTERPOLATOR_POWER, len(y_old)))
+    F = np.empty((_INTERPOLATOR_POWER, len(y_old)))
     f_old = K_ext[0]
     delta_y = y_new - y_old
     F[0] = delta_y
@@ -329,7 +403,7 @@ def integrate_raw(
 
     dim = len(y)
     direction = 1.0 if t1 >= t0 else -1.0
-    K_ext = np.empty((_dop.N_STAGES_EXTENDED, dim))
+    K_ext = np.empty((_N_STAGES_EXTENDED, dim))
     K = K_ext[: _N_STAGES + 1]
     stages = [(K_ext[:s].T, a, c, K_ext[s]) for s, a, c in _STAGES]
     extra = [(K_ext[:s].T, a, c, K_ext[s]) for s, a, c in _EXTRA]

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
+from .brent import brentq, minimize_bounded
 from .model import Params
 from .geometry import profile, surface_u
 from .dynamics import (
@@ -616,9 +616,9 @@ def _bump_peak(
     i = int(np.argmax(vals))
     if i == 0 or i == _BUMP_SCAN - 1:
         return float(grid[i]), vals[i]
-    res = minimize_scalar(lambda e: -n_of(e), bounds=(float(grid[i - 1]), float(grid[i + 1])),
-                          method="bounded", options={"xatol": 1e-6})
-    return float(res.x), -float(res.fun)
+    e_peak, neg_n = minimize_bounded(lambda e: -n_of(e), float(grid[i - 1]),
+                                     float(grid[i + 1]), xatol=1e-6)
+    return e_peak, -neg_n
 
 
 def _peak_eps(

@@ -107,3 +107,34 @@ def test_edge_body_diagram_and_classes(p, dtype, boundary):
                 except IntegrationError:
                     continue
                 assert tc.kind in CLASS_KINDS
+
+
+def test_centered_sphere_rest_level_is_one_component():
+    # V is 1 at every angle, up to one ulp of rounding noise, which must not
+    # split the level into components
+    p = Params(0.0, 1.0, 2.0, 1.0)
+    assert component_intervals(0.0, 1.0, p) == [(0.0, math.pi)]
+    with pytest.raises(ValueError, match="branch 1 out of range, 1 component"):
+        classify(0.0, 1.0, p, 1)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    body=st.sampled_from(REGION_BODIES),
+    height=st.floats(0.05, 1.0),
+    log_kappa=st.floats(-4.0, -3.0),
+)
+def test_n_is_continuous_as_kappa_tends_to_zero_above_both_poles(body, height, log_kappa):
+    # above both poles and every kappa = 0 critical level the kappa = 0
+    # motion circulates through both poles with N = 0.  N is odd in kappa,
+    # N = a kappa + O(kappa^3), so halving kappa halves N; small kappa stays
+    # on the quadrature route
+    levels = [effective_potential(0.0, 0.0, body), effective_potential(math.pi, 0.0, body)]
+    levels += [effective_potential(t, 0.0, body) for t in critical_thetas(0.0, body)]
+    eps = max(levels) + height
+    assert rotation_number(0.0, eps, body).N == 0.0
+    kappa = 10.0 ** log_kappa
+    a = rotation_number(kappa, eps, body)
+    b = rotation_number(0.5 * kappa, eps, body)
+    assert a.method == b.method == "quadrature"
+    assert abs(a.N - 2.0 * b.N) <= 1e-3 * abs(a.N) + 5.0 * (a.err + 2.0 * b.err) + 1e-12
