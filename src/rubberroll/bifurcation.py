@@ -254,7 +254,7 @@ def inclined_equilibrium(p: Params) -> float | None:
         return math.pi
     if n0 * npi > 0.0:
         return None
-    return brentq(n, 1e-15, math.pi - 1e-15, xtol=1e-12, rtol=8.9e-16)
+    return brentq(n, 1e-15, math.pi - 1e-15, xtol=1e-12)
 
 
 def branch_ranges(p: Params) -> list[tuple[float, float, bool, bool]]:
@@ -323,7 +323,7 @@ def cusp(p: Params) -> CuspPoint | None:
     if fold_fn(float(grid[i])) == 0.0:
         th_c = float(grid[i])
     else:
-        th_c = brentq(fold_fn, float(grid[i]), float(grid[i + 1]), xtol=1e-12, rtol=8.9e-16)
+        th_c = brentq(fold_fn, float(grid[i]), float(grid[i + 1]), xtol=1e-12)
     k2 = sigma_theta_kappa_sq(th_c, p)
     if k2 < 0.0:
         return None

@@ -17,7 +17,7 @@ from typing import Callable
 
 __all__ = ["brentq", "minimize_bounded"]
 
-_RTOL = 4 * 2.220446049250313e-16   # four float epsilons, the smallest rtol
+_RTOL = 8.9e-16         # relative tolerance of brentq, just above four float epsilons
 _MAXITER = 100          # brentq iterations before RuntimeError
 _MAXFUN = 500           # minimize_bounded function calls before it stops
 _SQRT_EPS = math.sqrt(2.2e-16)
@@ -31,19 +31,16 @@ def _value(f: Callable[[float], float], x: float) -> float:
     return fx
 
 
-def brentq(f: Callable[[float], float], a: float, b: float, *,
-           xtol: float = 2e-12, rtol: float = _RTOL) -> float:
-    """A root of f in [a, b], to within xtol + rtol |root|.
+def brentq(f: Callable[[float], float], a: float, b: float, *, xtol: float) -> float:
+    """A root of f in [a, b], to within xtol + 8.9e-16 |root|.
 
     Raises ValueError when f(a) and f(b) have the same sign, when f returns
-    NaN or when a tolerance is too small, and RuntimeError when 100
-    iterations do not converge.
+    NaN or when xtol is not positive, and RuntimeError when 100 iterations
+    do not converge.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
-    xtol, rtol = float(xtol), float(rtol)
+    xtol = float(xtol)
     xpre, xcur = float(a), float(b)
     fpre = _value(f, xpre)
     fcur = _value(f, xcur)
@@ -62,7 +59,7 @@ def brentq(f: Callable[[float], float], a: float, b: float, *,
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -98,7 +95,7 @@ def brentq(f: Callable[[float], float], a: float, b: float, *,
 
 
 def minimize_bounded(func: Callable[[float], float], lo: float, hi: float, *,
-                     xatol: float = 1e-5) -> tuple[float, float]:
+                     xatol: float) -> tuple[float, float]:
     """(x, func(x)) at a local minimum of func on [lo, hi], x to within
     about xatol; stops after 500 function calls."""
     if not (math.isfinite(lo) and math.isfinite(hi)):

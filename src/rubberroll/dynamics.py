@@ -547,7 +547,7 @@ def critical_thetas(kappa: float, p: Params) -> list[float]:
             return [hi]
         if flo * fhi > 0.0:
             return []
-        return [brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)]
+        return [brentq(f, lo, hi, xtol=1e-14)]
 
     eps_edge = 1e-6
     grid = np.linspace(eps_edge, math.pi - eps_edge, _CRIT_GRID)
@@ -571,7 +571,7 @@ def critical_thetas(kappa: float, p: Params) -> list[float]:
         else:
             # a cell below the clip edge needs a tolerance relative to theta
             xtol = 1e-14 * grid[i] if grid[i] < eps_edge else 1e-14
-            roots.append(brentq(f, float(grid[i]), float(grid[i + 1]), xtol=xtol, rtol=8.9e-16))
+            roots.append(brentq(f, float(grid[i]), float(grid[i + 1]), xtol=xtol))
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     return sorted(roots)
@@ -658,7 +658,7 @@ def component_intervals(kappa: float, eps: float, p: Params) -> list[tuple[float
             # pole, which only a tolerance relative to theta resolves
             xtol = 1e-14 * grid[i] if grid[i] < lo_edge else 1e-14
             breaks.append(
-                brentq(lambda th: V(th) - eps, grid[i], grid[i + 1], xtol=xtol, rtol=8.9e-16)
+                brentq(lambda th: V(th) - eps, grid[i], grid[i + 1], xtol=xtol)
             )
     breaks = sorted(set(breaks))
 

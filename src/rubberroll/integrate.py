@@ -473,7 +473,7 @@ def integrate_raw(
                         a, b = float(nodes[i - 1]), float(nodes[i])
                         t_hit = brentq(
                             lambda tt: spec.fn(tt, _interpolate(F, t_old, h, y_old, tt)),
-                            a, b, xtol=1e-14, rtol=8.9e-16,
+                            a, b, xtol=1e-14,
                         )
                         y_hit = _interpolate(F, t_old, h, y_old, t_hit)
                         hits.append(EventHit(label=spec.label, t=float(t_hit), y=y_hit))

@@ -567,8 +567,7 @@ def resonance_curve(
                 for i in range(_RES_SCAN - 1):
                     if vals[i] == 0.0 or vals[i] * vals[i + 1] >= 0.0:
                         continue
-                    root = brentq(f, float(grid[i]), float(grid[i + 1]),
-                                  xtol=1e-12, rtol=8.9e-16)
+                    root = brentq(f, float(grid[i]), float(grid[i + 1]), xtol=1e-12)
                     rn = rotation_number(kap, float(root), p, br,
                                          tol_abs=tol_abs, tol_rel=tol_rel)
                     if abs(rn.N + n) <= 1e-6:
@@ -653,7 +652,7 @@ def _peak_eps(
             e1 = lo
             break
         if s_lo * s_hi < 0.0:
-            e1 = float(brentq(slope2, lo, hi, xtol=1e-9, rtol=8.9e-16))
+            e1 = float(brentq(slope2, lo, hi, xtol=1e-9))
             break
         w *= 2.0
     else:
@@ -662,7 +661,7 @@ def _peak_eps(
     d = 2e-4
     s_lo, s_hi = slope4(e1 - d), slope4(e1 + d)
     if s_lo * s_hi < 0.0:
-        return float(brentq(slope4, e1 - d, e1 + d, xtol=1e-12, rtol=8.9e-16))
+        return float(brentq(slope4, e1 - d, e1 + d, xtol=1e-12))
     return e1
 
 
@@ -735,7 +734,7 @@ def kappa_max(
     if k_b is None:
         return None
 
-    k_star = float(brentq(g, k, k_b, xtol=1e-8, rtol=8.9e-16))
+    k_star = float(brentq(g, k, k_b, xtol=1e-8))
 
     e_star = _peak_eps(k_star, p, e_warm, tol_abs=1e-14, tol_rel=1e-12)
 

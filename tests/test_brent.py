@@ -17,7 +17,7 @@ from scipy.optimize import brentq as scipy_brentq
 from scipy.optimize import minimize_scalar
 
 import rubberroll
-from rubberroll import integrate
+from rubberroll import brent, integrate
 from rubberroll.brent import brentq, minimize_bounded
 
 # f(x; r, c) families: smooth monotone, flat root, oscillating (several or no
@@ -69,32 +69,30 @@ def _outcome(solver, fn, *args, **kwargs):
     a=st.floats(-5.0, 5.0),
     b=st.floats(-5.0, 5.0),
     log_xtol=st.floats(-300.0, -1.0),
-    rtol_factor=st.one_of(st.just(1.0), st.floats(1.0, 1e12)),
 )
-def test_brentq_matches_scipy(family, r, c, a, b, log_xtol, rtol_factor):
+def test_brentq_matches_scipy(family, r, c, a, b, log_xtol):
     f = lambda x: ROOT_FAMILIES[family](x, r, c)
-    kw = dict(xtol=10.0 ** log_xtol, rtol=4 * np.finfo(float).eps * rtol_factor)
-    got = _outcome(brentq, f, a, b, **kw)
-    ref = _outcome(scipy_brentq, f, a, b, **kw)
+    xtol = 10.0 ** log_xtol
+    got = _outcome(brentq, f, a, b, xtol=xtol)
+    ref = _outcome(scipy_brentq, f, a, b, xtol=xtol, rtol=brent._RTOL)
     assert got == ref
 
 
 def test_brentq_error_contract():
     # no sign change, a NaN value, 100 bisections that do not reach the
-    # tolerance, and tolerances below the limits: the same errors as scipy
+    # tolerance, and a zero xtol: the same errors as scipy
     cases = [
-        (lambda x: x * x + 1.0, -1.0, 1.0, {}),
-        (lambda x: math.nan, -1.0, 1.0, {}),
-        (lambda x: -1.0 if x < 0.0 else 1.0, -1.0, 1.0, {"xtol": 1e-300}),
-        (lambda x: x, -1.0, 1.0, {"xtol": 0.0}),
-        (lambda x: x, -1.0, 1.0, {"rtol": 1e-16}),
+        (lambda x: x * x + 1.0, -1.0, 1.0, 2e-12),
+        (lambda x: math.nan, -1.0, 1.0, 2e-12),
+        (lambda x: -1.0 if x < 0.0 else 1.0, -1.0, 1.0, 1e-300),
+        (lambda x: x, -1.0, 1.0, 0.0),
     ]
     kinds = []
-    for f, a, b, kw in cases:
-        got = _outcome(brentq, f, a, b, **kw)
-        assert got == _outcome(scipy_brentq, f, a, b, **kw)
+    for f, a, b, xtol in cases:
+        got = _outcome(brentq, f, a, b, xtol=xtol)
+        assert got == _outcome(scipy_brentq, f, a, b, xtol=xtol, rtol=brent._RTOL)
         kinds.append(got[1][0])
-    assert kinds == [ValueError, ValueError, RuntimeError, ValueError, ValueError]
+    assert kinds == [ValueError, ValueError, RuntimeError, ValueError]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -123,9 +121,9 @@ def test_minimize_bounded_matches_scipy(family, m, c, lo, width, log_xatol):
 
 def test_minimize_bounded_rejects_bad_bounds():
     with pytest.raises(ValueError, match="exceeds"):
-        minimize_bounded(abs, 1.0, 0.0)
+        minimize_bounded(abs, 1.0, 0.0, xatol=1e-5)
     with pytest.raises(ValueError, match="finite"):
-        minimize_bounded(abs, 0.0, math.inf)
+        minimize_bounded(abs, 0.0, math.inf, xatol=1e-5)
 
 
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "E3", "E5"])
