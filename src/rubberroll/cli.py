@@ -18,8 +18,8 @@ classify
     Trajectory class of one (kappa, eps, branch) point; JSON output.
 verify
     Self-check suite (conservation, reduction oracle, measure invariance,
-    steady-rotation identities, formula arbitration, quadrature against the
-    stepper); exit 3 on failure.
+    steady-rotation identities, formula arbitration, quadrature and period
+    map against the stepper); exit 3 on failure.
 
 Config files given with --config hold ``key = value`` lines whose keys
 mirror the long flag names; they replace the option defaults, and explicit
@@ -66,6 +66,7 @@ from .integrate import (
     _pole_guard_factory,
     integrate,
     integrate_raw,
+    period_map,
 )
 from .bifurcation import (
     diagram,
@@ -639,6 +640,26 @@ def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
            failures)
 
     if not quick:
+        # one-period drift by quadrature against the tight stepper's path:
+        # a generic level and, where the slice has one, an N = 0 level
+        kap = 0.5
+        lv = [effective_potential(t, kap, p) for t in critical_thetas(kap, p)]
+        levels = [min(lv) + 0.3] + [pt.eps for pt in resonance_curve(0, p, (kap, kap), 1)[:1]]
+        worst_dd, worst_bound = 0.0, 0.0
+        for i, eps in enumerate(levels):
+            pm = period_map(kap, eps, p)
+            lo = component_intervals(kap, eps, p)[0][0]
+            path = reconstruct_trajectory((lo, 0.0), kap, (0.0, pm.T), p, tol_abs=1e-15,
+                                          tol_rel=2.3e-14, max_steps=10 ** 7,
+                                          t_eval=np.array([0.0, pm.T]))
+            dd = abs(pm.D - complex(path.x_c[-1], path.y_c[-1]))
+            bound = pm.err + 1e-10
+            if i == 0 or dd - bound > worst_dd - worst_bound:
+                worst_dd, worst_bound = dd, bound
+        _check("period-map", worst_dd <= worst_bound,
+               f"worst |D_quad - D_ode| = {worst_dd:.2e} against its bound "
+               f"err + 1e-10 = {worst_bound:.2e} on {len(levels)} levels", failures)
+
         # absolute-space reconstruction against direct kinematics
         th0, pt0, kap = 0.9, 0.3, 0.7
         state = lift(ReducedState(theta=th0, p_theta=pt0), kap, 0.0, p)

@@ -405,15 +405,19 @@ def potential_grid(
             surface_g0(s, s2, c, Z, kappa, p), surface_g0_prime(s2, c, Z, kappa, p))
 
 
-def inertia_grid(theta: np.ndarray, p: Params) -> tuple[np.ndarray, np.ndarray]:
-    """(B, J) on an array of theta: the array form of ``profile(theta).B``
-    and ``.J``.  Like :func:`potential_grid` it accepts any real theta (the
-    meridian extension).
+def inertia_grid(
+    theta: np.ndarray, p: Params
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B, J, U) on an array of theta: the array form of ``profile(theta).B``,
+    ``.J`` and of the height ``.U`` that J is built on.  Like
+    :func:`potential_grid` it accepts any real theta (the meridian
+    extension).
     """
     th = np.asarray(theta, dtype=float)
     s = np.sin(th); c = np.cos(th); s2 = s * s
     Z = surface_z(s2, c, p)
-    return surface_b(s, s2, c, Z, p)[0], surface_j(s2, c, surface_u(c, Z, p), p)
+    U = surface_u(c, Z, p)
+    return surface_b(s, s2, c, Z, p)[0], surface_j(s2, c, U, p), U
 
 
 def check_turning_point(theta: float, kappa: float, eps: float, p: Params) -> None:

@@ -31,15 +31,20 @@ one turning point to the other are the quadratures
     psi_dot = -kappa cos(theta) / (J sin^2(theta)),
 
 which :func:`half_period` evaluates by a node-doubling midpoint rule.  The
-stepper stays as its fallback past the node cap.
+planar path over one period follows on the same nodes:
+:func:`period_map` integrates d(x_c + i y_c)/dt over the whole period by a
+spectral cumulative sum and a Filon-type FFT rule, which gives the drift D
+the center of mass makes per period.  The stepper stays as the fallback of
+both past the node cap.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,6 +76,8 @@ __all__ = [
     "integrate",
     "HalfPeriod",
     "half_period",
+    "PeriodMap",
+    "period_map",
     "SectionPeriod",
     "section_period",
 ]
@@ -602,6 +609,8 @@ def integrate(
 _N_START = 16         # first midpoint rule compared against its doubling
 _N_CAP = 2 ** 14      # past this node count the stepper takes over
 _EPS_MACH = 2.0 ** -52
+_RTOL_FLOOR = 2.3e-14  # about the smallest relative tolerance DOP853 accepts
+_N_ODE_SAMPLES = 257  # period_map: samples of one period on the stepper route
 
 
 @dataclass(frozen=True)
@@ -614,6 +623,31 @@ class HalfPeriod:
     psi: float
     t_err: float
     psi_err: float
+    method: str
+
+
+@dataclass(frozen=True)
+class PeriodMap:
+    """One nutation period of the planar path, which fixes all of it.
+
+    z = x_c + i y_c starts at 0, with psi = 0, at the lower turning point
+    (or at the pole 0 on a meridian circuit).  After each period the path
+    repeats the same planar rigid motion, a rotation by dpsi = -2 pi N and
+    the translation D: z(s + T) = D + e^{i dpsi} z(s).  T and dpsi are
+    twice the time and precession of :func:`half_period`, bit for bit; err
+    estimates the absolute error of D.  z holds the path over one period
+    at the times t: the quadrature nodes with method "quadrature", 257
+    equally spaced times with method "ode" (past the quadrature's node
+    cap).  For non-integer N the path turns about c = D / (1 - e^{i dpsi})
+    and fills the annulus min |z - c| <= r <= max |z - c|.
+    """
+
+    T: float
+    dpsi: float
+    D: complex
+    err: float
+    z: np.ndarray
+    t: np.ndarray
     method: str
 
 
@@ -631,11 +665,25 @@ def _polish_turning_point(theta: float, kappa: float, eps: float, p: Params) -> 
     return theta + (effective_potential(theta, kappa, p) - eps) / g
 
 
-def _midpoint_sums(
+@dataclass(frozen=True)
+class _Nodes:
+    """The integrands of half an oscillation at the n midpoint nodes
+    u_j = (j + 1/2) du of u in (0, pi), du = pi / n."""
+
+    du: float
+    dth: np.ndarray | float      # dtheta/du
+    dt: np.ndarray               # dt/du
+    dpsi: np.ndarray | None      # dpsi/du; None at kappa = 0
+    spin: np.ndarray | None      # kappa / (J sin(theta)) dt/du; None at kappa = 0
+    U: np.ndarray                # height of the center of mass
+    rel: np.ndarray              # relative rounding error of eps - V
+
+
+def _half_nodes(
     kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool, n: int,
-) -> tuple[float, float, float, float] | None:
-    """n-node midpoint sums of the half-period time and precession, and the
-    size of their rounding errors; None if a node falls off the level."""
+) -> _Nodes | None:
+    """The n-node integrands between lo and hi; None if a node falls off
+    the level."""
     du = math.pi / n
     u = (np.arange(n) + 0.5) * du
     if circuit:
@@ -649,20 +697,76 @@ def _midpoint_sums(
     gap = eps - V
     if not np.all(gap > 0.0):
         return None
-    B, J = inertia_grid(th, p)
+    B, J, U = inertia_grid(th, p)
     dt = jac * np.sqrt(B / (2.0 * gap))
     # eps - V carries the rounding of V and that of theta times the slope
     # V' = -G, both magnified where the gap is small; the sums carry their
     # own rounding
     rel = (_EPS_MACH * (4.0 * max(1.0, abs(eps)) + np.abs(th * G)) / gap
            + 32.0 * _EPS_MACH)
+    dpsi = spin = None
+    if kappa != 0.0:
+        s = np.sin(th)
+        js = J * s
+        dpsi = (-kappa) * np.cos(th) / (js * s) * dt
+        spin = kappa / js * dt
+    return _Nodes(du=du, dth=jac, dt=dt, dpsi=dpsi, spin=spin, U=U, rel=rel)
+
+
+def _midpoint_sums(nodes: _Nodes) -> tuple[float, float, float, float]:
+    """Midpoint sums of the half-period time and precession, and the size
+    of their rounding errors."""
+    du, dt, rel = nodes.du, nodes.dt, nodes.rel
     t = float(dt.sum()) * du
     t_floor = float((dt * rel).sum()) * du
-    if kappa == 0.0:
+    if nodes.dpsi is None:
         return t, 0.0, t_floor, 0.0
-    s = np.sin(th)
-    dpsi = (-kappa) * np.cos(th) / (J * s * s) * dt
+    dpsi = nodes.dpsi
     return t, float(dpsi.sum()) * du, t_floor, float((np.abs(dpsi) * rel).sum()) * du
+
+
+def _doublings(
+    kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
+) -> Iterator[tuple[_Nodes, tuple[float, float, float, float]]]:
+    """(nodes, midpoint sums) for n = 16, 32, ... up to the node cap; stops
+    early when a node falls off the level.
+
+    On a libration theta = m - h cos(u) over u in [0, pi] cancels the
+    (theta - lo)(hi - theta) factor of eps - V; on half a meridian circuit
+    theta runs linearly from lo to hi, where the integrand is even.  Either
+    way the integrands are smooth, even, 2 pi-periodic functions of u, so
+    midpoint rules converge geometrically.
+    """
+    if not circuit:
+        lo = _polish_turning_point(lo, kappa, eps, p)
+        hi = _polish_turning_point(hi, kappa, eps, p)
+    n = _N_START
+    while n <= _N_CAP:
+        nodes = _half_nodes(kappa, eps, p, lo, hi, circuit, n)
+        if nodes is None:
+            return
+        yield nodes, _midpoint_sums(nodes)
+        n *= 2
+
+
+def _converged(prev: tuple, cur: tuple, tol_abs: float, tol_rel: float) -> HalfPeriod | None:
+    """The half period of the sums cur once they agree with the sums prev
+    of half the nodes, else None.
+
+    The error estimate is the difference between the two, or the rounding
+    error of the sums where that is larger; they agree once the difference
+    meets tol_abs + tol_rel |value| or falls below the rounding error.  The
+    rounding error stays below 1e-12 relative on generic levels and grows
+    as eps - V shrinks: closer than about 1e-6 to a critical level it
+    limits err.
+    """
+    t, psi, t_floor, psi_floor = cur
+    t_err = max(abs(t - prev[0]), t_floor)
+    psi_err = max(abs(psi - prev[1]), psi_floor)
+    if (t_err <= max(tol_abs + tol_rel * abs(t), t_floor)
+            and psi_err <= max(tol_abs + tol_rel * abs(psi), psi_floor)):
+        return HalfPeriod(t=t, psi=psi, t_err=t_err, psi_err=psi_err, method="quadrature")
+    return None
 
 
 def _quadrature(
@@ -670,39 +774,24 @@ def _quadrature(
     tol_abs: float, tol_rel: float,
 ) -> HalfPeriod | None:
     """Node-doubling midpoint rule; None past the node cap or when a node
-    falls off the level.
-
-    On a libration theta = m - h cos(u) over u in [0, pi] cancels the
-    (theta - lo)(hi - theta) factor of eps - V; on half a meridian circuit
-    theta runs linearly from lo to hi, where the integrand is even.  Either
-    way the integrand is a smooth, even, 2 pi-periodic function of u, so the
-    midpoint rule converges geometrically.  The error estimate is the
-    difference between the n- and 2n-node sums, or the rounding error of
-    the sums where that is larger; the doubling stops once the difference
-    meets tol_abs + tol_rel |value| or falls below the rounding error.  The
-    rounding error stays below 1e-12 relative on generic levels and grows
-    as eps - V shrinks: closer than about 1e-6 to a critical level it
-    limits err.
-    """
-    if not circuit:
-        lo = _polish_turning_point(lo, kappa, eps, p)
-        hi = _polish_turning_point(hi, kappa, eps, p)
-    prev = _midpoint_sums(kappa, eps, p, lo, hi, circuit, _N_START)
-    n = 2 * _N_START
-    while prev is not None and n <= _N_CAP:
-        cur = _midpoint_sums(kappa, eps, p, lo, hi, circuit, n)
-        if cur is None:
-            return None
-        t, psi, t_floor, psi_floor = cur
-        t_err = max(abs(t - prev[0]), t_floor)
-        psi_err = max(abs(psi - prev[1]), psi_floor)
-        if (t_err <= max(tol_abs + tol_rel * abs(t), t_floor)
-                and psi_err <= max(tol_abs + tol_rel * abs(psi), psi_floor)):
-            return HalfPeriod(t=t, psi=psi, t_err=t_err, psi_err=psi_err,
-                              method="quadrature")
+    falls off the level."""
+    prev = None
+    for _, cur in _doublings(kappa, eps, p, lo, hi, circuit):
+        if prev is not None:
+            hp = _converged(prev, cur, tol_abs, tol_rel)
+            if hp is not None:
+                return hp
         prev = cur
-        n *= 2
     return None
+
+
+def _start_rate(kappa: float, eps: float, p: Params, lo: float, circuit: bool) -> float:
+    """p_theta at the start lo of the stepper route: 0 at a turning point,
+    the circulation speed at the pole a meridian circuit starts from."""
+    if not circuit:
+        return 0.0
+    return math.sqrt(2.0 * (eps - effective_potential(lo, kappa, p))
+                     / profile(lo, p, pole_mode=True).B)
 
 
 def _ode_half_period(
@@ -714,15 +803,13 @@ def _ode_half_period(
     circulating level from lo to hi.  The fallback of :func:`half_period`
     and the oracle its tests check it against."""
     if circuit:
-        pt0 = math.sqrt(2.0 * (eps - effective_potential(lo, kappa, p))
-                        / profile(lo, p, pole_mode=True).B)
         ev = EventSpec("half", lambda t, y: y[0] - hi, direction=+1, terminal=True)
     else:
-        pt0 = 0.0
         ev = EventSpec("turn", lambda t, y: y[1], direction=0, terminal=True)
     traj = integrate(
-        "augmented", (lo, pt0, 0.0, 0.0, 0.0, 0.0), (0.0, 1e7), p, kappa=kappa,
-        tol_abs=tol_abs, tol_rel=tol_rel, max_steps=max_steps, events=(ev,),
+        "augmented", (lo, _start_rate(kappa, eps, p, lo, circuit), 0.0, 0.0, 0.0, 0.0),
+        (0.0, 1e7), p, kappa=kappa, tol_abs=tol_abs, tol_rel=tol_rel,
+        max_steps=max_steps, events=(ev,),
     )
     if not traj.events:
         raise IntegrationError(
@@ -753,19 +840,227 @@ def half_period(
     potential is even about, such as the poles 0 and pi: the half period is
     then the time from lo to hi, half the meridian circuit.
 
-    The quadrature runs first (see :func:`_quadrature`).  Past its node cap
-    the stepper integrates the half period at the given tolerances, and a
-    second run 10 times tighter gives the error estimate.
+    The quadrature runs first (see :func:`_doublings` and
+    :func:`_converged`).  Past its node cap the stepper integrates the half
+    period at the given tolerances, and a second run 10 times tighter gives
+    the error estimate.
     """
     q = _quadrature(kappa, eps, p, lo, hi, circuit, tol_abs, tol_rel)
     if q is not None:
         return q
     loose = _ode_half_period(kappa, eps, p, lo, hi, circuit, tol_abs, tol_rel, max_steps)
-    # 2.2e-14 is the smallest relative tolerance DOP853 accepts
     tight = _ode_half_period(kappa, eps, p, lo, hi, circuit, 0.1 * tol_abs,
-                             max(0.1 * tol_rel, 2.3e-14), max_steps)
+                             max(0.1 * tol_rel, _RTOL_FLOOR), max_steps)
     return HalfPeriod(t=loose[0], psi=loose[1], t_err=abs(tight[0] - loose[0]),
                       psi_err=abs(tight[1] - loose[1]), method="ode")
+
+
+def _cumulative(f: np.ndarray) -> tuple[float, np.ndarray]:
+    """int_0^u f at the M midpoint nodes u_j = (j + 1/2) 2 pi / M of a full
+    period, for f periodic and even, sampled there.
+
+    Returns (a, r): the integral is a u_j + r_j, with a the mean of f and r
+    the integral of the trigonometric interpolant of f - a (coefficients
+    divided by i k), periodic and odd, so that it starts from 0 at u = 0.
+    """
+    M = len(f)
+    k = np.fft.fftfreq(M, 1.0 / M)
+    X = np.fft.fft(f)
+    a = float(X[0].real) / M
+    X[0] = 0.0
+    k[0] = 1.0
+    return a, np.fft.ifft(X / (1j * k)).real
+
+
+def _phase_integral(w, u):
+    """int_0^u e^{i w s} ds = (e^{i w u} - 1) / (i w), in a form that stays
+    exact as w tends to 0."""
+    return u * np.exp(0.5j * w * u) * np.sinc(0.5 * w * u / math.pi)
+
+
+def _one_period(
+    nodes: _Nodes, circuit: bool, psi_floor: float,
+) -> tuple[complex, float, float, Callable[[], tuple[np.ndarray, np.ndarray]]]:
+    """(D, length, floor, path) on the 2n full-circle nodes: the drift
+    D = z(2 pi), the path length, the rounding error of D, and a function
+    that returns the path z and the time t at the nodes.
+
+    The second half of the period retraces the first in theta, so each
+    integrand there is the mirror image of the first half's, with dtheta/du
+    odd on a libration.  psi = a u + r(u) with r periodic (the spectral
+    cumulative sum), and dz/du = e^{i a u} h(u) with h periodic.  With the
+    Fourier coefficients q_k of h, z(u) = sum_k q_k (e^{i w_k u} - 1)/(i w_k),
+    w_k = a + k, exactly for the interpolant of h and for any a: one FFT
+    gives the q_k, one inverse FFT z at the nodes (a Filon-type rule).  The
+    term with the smallest |w_k| is summed on its own, by
+    :func:`_phase_integral`.
+    """
+    du = nodes.du
+    M = 2 * len(nodes.dt)
+
+    def mirror(a: np.ndarray, sign: float = 1.0) -> np.ndarray:
+        return np.concatenate((a, sign * a[::-1]))
+
+    dth = np.full(M, nodes.dth) if circuit else mirror(nodes.dth, -1.0)
+    U = mirror(nodes.U)
+    if nodes.dpsi is None:
+        a, r = 0.0, np.zeros(M)
+        v = -1j * U * dth
+        spin_floor = 0.0
+    else:
+        a, r = _cumulative(mirror(nodes.dpsi))
+        spin = mirror(nodes.spin)
+        v = -U * (spin + 1j * dth)
+        spin_floor = float(np.abs(U * spin * mirror(nodes.rel)).sum()) * du
+    length = float(np.abs(v).sum()) * du
+    # the phase carries the rounding of psi, twice that of its half period
+    floor = spin_floor + (2.0 * psi_floor + 32.0 * _EPS_MACH) * length
+
+    k = np.fft.fftfreq(M, 1.0 / M)
+    shift = np.exp(-0.5j * du * k)
+    X = np.fft.fft(v * np.exp(1j * r))         # q_k = X_k shift_k / M
+    X[M // 2] = 0.0                           # the Nyquist term
+    w = a + k
+    near = int(np.argmin(np.abs(w)))
+    w_near, q_near = float(w[near]), complex(X[near] * shift[near]) / M
+    X[near] = 0.0
+    w[near] = 1.0
+    R = X / (1j * w)
+    C = complex(np.sum(R * shift)) / M        # sum of q_k / (i w_k) but the near one
+    D = ((cmath.exp(2j * math.pi * a) - 1.0) * C
+         + q_near * complex(_phase_integral(w_near, 2.0 * math.pi)))
+
+    def path() -> tuple[np.ndarray, np.ndarray]:
+        u = (np.arange(M) + 0.5) * du
+        z = np.exp(1j * a * u) * np.fft.ifft(R) - C + q_near * _phase_integral(w_near, u)
+        a_t, r_t = _cumulative(mirror(nodes.dt))
+        return z, a_t * u + r_t
+
+    return D, length, floor, path
+
+
+def _period_quadrature(
+    kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
+    tol_abs: float, tol_rel: float,
+) -> PeriodMap | None:
+    """The period map on the half period's nodes, doubled until the half
+    period converges (as in :func:`_quadrature`) and D agrees with the D of
+    half the nodes to tol_abs + tol_rel times the path length, or to its
+    rounding error; None past the node cap or when a node falls off the
+    level."""
+    hp = prev = prev_D = None
+    for nodes, cur in _doublings(kappa, eps, p, lo, hi, circuit):
+        if hp is None and prev is not None:
+            hp = _converged(prev, cur, tol_abs, tol_rel)
+        D, length, floor, path = _one_period(nodes, circuit, cur[3])
+        if hp is not None:
+            err = max(abs(D - prev_D), floor)
+            if err <= max(tol_abs + tol_rel * length, floor):
+                z, t = path()
+                return PeriodMap(T=2.0 * hp.t, dpsi=2.0 * hp.psi, D=D, err=err,
+                                 z=z, t=t, method="quadrature")
+        prev, prev_D = cur, D
+    return None
+
+
+def _ode_period_map(
+    kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
+    tol_abs: float, tol_rel: float, max_steps: int,
+) -> PeriodMap:
+    """The period map by DOP853 on the augmented system over one period of
+    :func:`half_period`, at the given tolerances and 10 times tighter; err
+    is their gap in D plus the drift the error of T makes."""
+    hp = half_period(kappa, eps, p, lo, hi, circuit=circuit, tol_abs=tol_abs,
+                     tol_rel=tol_rel, max_steps=max_steps)
+    T = 2.0 * hp.t
+    t = np.linspace(0.0, T, _N_ODE_SAMPLES)
+    y0 = (lo, _start_rate(kappa, eps, p, lo, circuit), 0.0, 0.0, 0.0, 0.0)
+
+    def path(tol_a: float, tol_r: float) -> np.ndarray:
+        return integrate("augmented", y0, (0.0, T), p, kappa=kappa, tol_abs=tol_a,
+                         tol_rel=tol_r, max_steps=max_steps, t_eval=t).y_eval
+
+    y = path(tol_abs, tol_rel)
+    y_tight = path(0.1 * tol_abs, max(0.1 * tol_rel, _RTOL_FLOOR))
+    z = y[:, 4] + 1j * y[:, 5]
+    speed = math.hypot(*augmented_field(kappa, p)(T, y[-1])[4:])
+    err = abs(complex(*y_tight[-1, 4:]) - z[-1]) + speed * 2.0 * hp.t_err
+    return PeriodMap(T=T, dpsi=2.0 * hp.psi, D=complex(z[-1]), err=err, z=z, t=t,
+                     method="ode")
+
+
+def _period_map(
+    kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
+    tol_abs: float, tol_rel: float, max_steps: int,
+) -> PeriodMap:
+    """:func:`period_map` between the ends :func:`half_period` takes."""
+    pm = _period_quadrature(kappa, eps, p, lo, hi, circuit, tol_abs, tol_rel)
+    if pm is not None:
+        return pm
+    return _ode_period_map(kappa, eps, p, lo, hi, circuit, tol_abs, tol_rel, max_steps)
+
+
+def _half_period_ends(
+    kappa: float, eps: float, p: Params, lo: float, hi: float,
+) -> tuple[float, float, bool]:
+    """(theta_min, theta_max, circuit): the ends :func:`half_period` takes
+    for the non-degenerate component [lo, hi].
+
+    A kappa = 0 component reaching both poles circulates: half its circuit
+    runs from 0 to pi.  One reaching a single pole crosses it, and its
+    turning points lie in the extended meridian chart, mirrored through
+    that pole.  Every end that is not a pole is checked to be a turning
+    point.
+    """
+    touches_0 = kappa == 0.0 and lo <= 1e-12
+    touches_pi = kappa == 0.0 and hi >= math.pi - 1e-12
+    if touches_0 and touches_pi:
+        return 0.0, math.pi, True
+    for end, at_pole in ((lo, touches_0), (hi, touches_pi)):
+        if not at_pole:
+            check_turning_point(end, kappa, eps, p)
+    if touches_0:
+        return -hi, hi, False
+    if touches_pi:
+        return lo, 2.0 * math.pi - lo, False
+    return lo, hi, False
+
+
+def period_map(
+    kappa: float,
+    eps: float,
+    p: Params,
+    branch: int = 0,
+    *,
+    tol_abs: float = DEFAULT_TOL_ABS,
+    tol_rel: float = DEFAULT_TOL_REL,
+    max_steps: int = DEFAULT_MAX_STEPS,
+) -> PeriodMap:
+    """The planar path over one nutation period of the level (kappa, eps).
+
+    Runs on the nodes of :func:`half_period`'s quadrature over the full
+    circle (see :func:`_one_period`), doubled until D converges as well;
+    past the node cap, about 1e-6 from a saddle level, the stepper
+    integrates one period instead.  ``branch`` selects the component as in
+    :func:`section_period`; the path starts at the lower turning point, or
+    at the pole 0 on a meridian circuit.
+
+    Raises
+    ------
+    ValueError
+        If the level has no admissible motion, ``branch`` is out of range
+        or the component is a relative equilibrium (no nutation period).
+    IntegrationError
+        If, past the node cap, the stepper finds no half-period return.
+    """
+    lo, hi = turning_points(kappa, eps, p, branch)
+    if hi - lo <= FP_WIDTH:
+        raise ValueError(
+            f"branch {branch} of the level ({kappa}, {eps}) is a relative equilibrium; "
+            "no nutation period"
+        )
+    th0, th1, circuit = _half_period_ends(kappa, eps, p, lo, hi)
+    return _period_map(kappa, eps, p, th0, th1, circuit, tol_abs, tol_rel, max_steps)
 
 
 @dataclass(frozen=True)
@@ -816,34 +1111,21 @@ def section_period(
     if hi - lo <= FP_WIDTH:
         return SectionPeriod(T_theta=None, theta_min=lo, theta_max=hi, fixed_point=True)
 
-    touches_0 = kappa == 0.0 and lo <= 1e-12
-    touches_pi = kappa == 0.0 and hi >= math.pi - 1e-12
-    tols = dict(tol_abs=tol_abs, tol_rel=tol_rel, max_steps=max_steps)
-
-    if touches_0 and touches_pi:
+    th0, th1, circuit = _half_period_ends(kappa, eps, p, lo, hi)
+    hp = half_period(kappa, eps, p, th0, th1, circuit=circuit, tol_abs=tol_abs,
+                     tol_rel=tol_rel, max_steps=max_steps)
+    if circuit:
         # full meridian circuit: no turning points, theta advances by 2 pi
-        hp = half_period(0.0, eps, p, 0.0, math.pi, circuit=True, **tols)
         return SectionPeriod(
             T_theta=2.0 * hp.t, theta_min=None, theta_max=None, circulating=True,
             err=2.0 * hp.t_err, method=hp.method,
         )
-
-    if touches_0:
-        theta_min, theta_max = -hi, hi
-    elif touches_pi:
-        theta_min, theta_max = lo, 2.0 * math.pi - lo
-    else:
-        theta_min, theta_max = lo, hi
-
-    for end, at_pole in ((lo, touches_0), (hi, touches_pi)):
-        if not at_pole:
-            check_turning_point(end, kappa, eps, p)
-    hp = half_period(kappa, eps, p, theta_min, theta_max, **tols)
     return SectionPeriod(
         T_theta=2.0 * hp.t,
-        theta_min=theta_min,
-        theta_max=theta_max,
-        pole_crossing=touches_0 or touches_pi,
+        theta_min=th0,
+        theta_max=th1,
+        # mirrored through a pole into the extended chart
+        pole_crossing=(th0, th1) != (lo, hi),
         err=2.0 * hp.t_err,
         method=hp.method,
     )

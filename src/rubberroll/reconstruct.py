@@ -20,11 +20,15 @@ to the fixed frame, and sits on the plane by construction.
 
 Averaging the precession over one exact nutation period gives the rotation
 number N, which drives the qualitative classification of the planar paths
-into nine kinds: resting states and relative equilibria (Point, Circle,
-UnboundedLine), the kappa = 0 meridian motions (Segment, UnboundedLine),
-separatrix orbits (AsymptoticToCircles, AsymptoticToLines), and the generic
-levels, split by the arithmetic of N (UnboundedResonant at integer N,
-ClosedPeriodic at rational N, QuasiPeriodicBounded otherwise).
+into ten kinds: resting states and relative equilibria (Point, Circle,
+UnboundedLine), the kappa = 0 meridian motions (Segment, UnboundedLine, and
+NeutralRest on a flat potential, where every angle is at rest), separatrix
+orbits (AsymptoticToCircles, AsymptoticToLines), and the generic levels,
+split by the arithmetic of N (UnboundedResonant at integer N with a
+one-period drift, ClosedPeriodic at rational N, QuasiPeriodicBounded
+otherwise).  The drift comes from :func:`.integrate.period_map`, a
+quadrature on the half period's nodes, so no level needs the stepper short
+of its node cap.
 
 kappa -> -kappa mirrors every path across the x axis and flips the sign of
 N; all classifications are even in kappa.
@@ -42,6 +46,7 @@ from .brent import brentq, minimize_bounded
 from .model import Params
 from .geometry import profile, surface_u
 from .dynamics import (
+    _LEVEL_FLOOR,
     FP_WIDTH,
     FullState,
     check_turning_point,
@@ -50,12 +55,14 @@ from .dynamics import (
     effective_potential,
     g0_prime,
     kinematic_init,
+    potential_grid,
     turning_points,
 )
 from .integrate import (
     DEFAULT_MAX_STEPS,
     DEFAULT_TOL_ABS,
     DEFAULT_TOL_REL,
+    _period_map,
     half_period,
     integrate,
 )
@@ -90,6 +97,7 @@ CLASS_KINDS = (
     "QuasiPeriodicBounded",
     "AsymptoticToCircles",
     "AsymptoticToLines",
+    "NeutralRest",
 )
 
 _POLE_TOL = 1e-12
@@ -97,6 +105,7 @@ _SEP_TOL = 1e-9       # classify: a level this close to a saddle level is a sepa
 _WARN_TOL = 1e-6      # classify: ... and this close flags near_separatrix
 _Q_MAX = 64           # classify: largest denominator of a locked rational N
 _DRIFT_TOL = 1e-3     # classify: one-period drift over path diameter that counts as drift
+_FLAT_GRID = 65       # classify: nodes on which a kappa = 0 component is tested for flatness
 _RES_SCAN = 9         # resonance_curve: eps nodes scanned per segment and branch
 _BUMP_HALFWIDTH = 0.35  # _bump_peak: half width of the eps window scanned
 _BUMP_SCAN = 25       # _bump_peak: eps nodes in that window
@@ -153,6 +162,9 @@ class TrajectoryClass:
     rational N when kind is ClosedPeriodic or UnboundedResonant.  targets
     lists the nutation angles of the limiting motions for asymptotic kinds
     (and the equilibrium angle for Point / Circle / UnboundedLine).
+    NeutralRest is a kappa = 0 level on which V stays within rounding of
+    eps over the whole component (the centered sphere at its rest level):
+    every angle is an equilibrium, N = 0 and targets is empty.
     near_separatrix flags a level closer to a critical value than the
     classification can reliably resolve.
     """
@@ -363,7 +375,14 @@ def rotation_number(
     stop target (and the stepper's tolerances on its fallback).
     """
     lo, hi = turning_points(kappa, eps, p, branch)
+    return _rotation_number(kappa, eps, p, lo, hi, tol_abs, tol_rel, max_steps)
 
+
+def _rotation_number(
+    kappa: float, eps: float, p: Params, lo: float, hi: float,
+    tol_abs: float, tol_rel: float, max_steps: int,
+) -> RotationNumber:
+    """:func:`rotation_number` of the component [lo, hi]."""
     if kappa == 0.0:
         return RotationNumber(N=0.0, err=0.0, period=None,
                               fixed_point=hi - lo <= FP_WIDTH)
@@ -401,8 +420,9 @@ def _kappa0_saddles(p: Params) -> list[tuple[float, float]]:
     return out
 
 
-def _path_diameter(x: np.ndarray, y: np.ndarray) -> float:
-    return math.hypot(float(x.max() - x.min()), float(y.max() - y.min()))
+def _path_diameter(z: np.ndarray) -> float:
+    """Diagonal of the bounding box of the planar path z = x + i y."""
+    return math.hypot(float(np.ptp(z.real)), float(np.ptp(z.imag)))
 
 
 def classify(
@@ -419,13 +439,15 @@ def classify(
     """Qualitative type of the center-of-mass path at one level set.
 
     Decision order: degenerate components (rest states and relative
-    equilibria), the kappa = 0 meridian dichotomy against the circulation
-    threshold, separatrix levels within 1e-9 of a critical value, then
-    the rotation number: integers give unbounded resonant drift unless the
-    one-period displacement vanishes (symmetric orbits close instead),
-    rationals with denominator at most 64 close up, everything else fills
-    an annulus.  Levels within 1e-6 of a critical value classify
-    generically but carry the near_separatrix flag.
+    equilibria), at kappa = 0 a flat potential (NeutralRest) and then the
+    meridian dichotomy against the circulation threshold, separatrix levels
+    within 1e-9 of a critical value, then the rotation number: integers
+    give unbounded resonant drift unless the one-period drift D of
+    :func:`.integrate.period_map` is at most 1e-3 of the path's diameter
+    (symmetric orbits close instead), rationals with denominator at most
+    64 close up, everything else fills an annulus.  Levels within 1e-6 of
+    a critical value classify generically but carry the near_separatrix
+    flag.  The level's components are scanned once.
 
     tol_int and tol_rat default to 5 err + 1e-9 from the computed rotation
     number; pass wider values to match data of limited precision.
@@ -451,6 +473,12 @@ def classify(
         return TrajectoryClass(kind="Circle", targets=(thc,))
 
     if kappa == 0.0:
+        # a flat potential, V = eps within rounding over the whole component:
+        # every angle of it is an equilibrium
+        nodes = np.linspace(lo, hi, _FLAT_GRID)
+        if np.all(np.abs(potential_grid(nodes, 0.0, p)[0] - eps)
+                  <= _LEVEL_FLOOR * max(1.0, abs(eps))):
+            return TrajectoryClass(kind="NeutralRest", N=0.0, N_err=0.0)
         e_circ = epsilon_min(p)
         hits = [(th, lv) for th, lv in _kappa0_saddles(p)
                 if abs(eps - lv) <= _SEP_TOL and lo - 1e-6 <= th <= hi + 1e-6]
@@ -476,21 +504,15 @@ def classify(
         if abs(eps - lv) <= _WARN_TOL:
             near = True
 
-    rn = rotation_number(kappa, eps, p, branch, tol_abs=tol_abs, tol_rel=tol_rel)
+    rn = _rotation_number(kappa, eps, p, lo, hi, tol_abs, tol_rel, DEFAULT_MAX_STEPS)
     t_int = tol_int if tol_int is not None else 5.0 * rn.err + 1e-9
     t_rat = tol_rat if tol_rat is not None else 5.0 * rn.err + 1e-9
 
     n_near = round(rn.N)
     if abs(rn.N - n_near) <= t_int:
-        path = reconstruct_trajectory(
-            (lo, 0.0), kappa, (0.0, rn.period), p,
-            tol_abs=tol_abs, tol_rel=tol_rel,
-            t_eval=np.linspace(0.0, rn.period, 257),
-        )
-        drift = math.hypot(float(path.x_c[-1] - path.x_c[0]),
-                           float(path.y_c[-1] - path.y_c[0]))
-        diam = _path_diameter(path.x_c, path.y_c)
-        if drift > _DRIFT_TOL * max(diam, 1e-300):
+        pm = _period_map(kappa, eps, p, lo, hi, False, tol_abs, tol_rel, DEFAULT_MAX_STEPS)
+        diam = _path_diameter(np.concatenate(([0.0], pm.z, [pm.D])))
+        if abs(pm.D) > _DRIFT_TOL * max(diam, 1e-300):
             return TrajectoryClass(kind="UnboundedResonant", N=rn.N, N_err=rn.err,
                                    resonance=(n_near, 1), near_separatrix=near)
         return TrajectoryClass(kind="ClosedPeriodic", N=rn.N, N_err=rn.err,

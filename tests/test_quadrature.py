@@ -110,7 +110,8 @@ def test_past_the_node_cap_the_stepper_takes_over():
 def test_inertia_grid_matches_profile():
     for p in (P_XY, P_EQ, P_ALPHA1, P_BETA1):
         th = np.concatenate([np.linspace(-1.0, 2.0 * math.pi, 37), [0.0, math.pi]])
-        B, J = inertia_grid(th, p)
+        B, J, U = inertia_grid(th, p)
         ref = [profile(float(t), p, pole_mode=True) for t in th]
         np.testing.assert_array_max_ulp(B, [se.B for se in ref], maxulp=2)
         np.testing.assert_array_max_ulp(J, [se.J for se in ref], maxulp=2)
+        np.testing.assert_array_max_ulp(U, [se.U for se in ref], maxulp=2)

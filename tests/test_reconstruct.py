@@ -126,7 +126,8 @@ def test_proper_rotation_secular_split():
 
 
 def test_classify_kinds_cover_the_diagram():
-    assert len(CLASS_KINDS) == 9
+    # NeutralRest, the flat potential's kind, is pinned in test_symmetry.py
+    assert len(CLASS_KINDS) == 10
     # kappa = 0 ladder: point at a stable bottom, bounded arc, full meridian line
     assert classify(0.0, 1.5, P_C).kind == "Point"
     assert classify(0.0, 2.0, P_C).kind == "Segment"

@@ -116,6 +116,14 @@ def test_centered_sphere_rest_level_is_one_component():
     assert component_intervals(0.0, 1.0, p) == [(0.0, math.pi)]
     with pytest.raises(ValueError, match="branch 1 out of range, 1 component"):
         classify(0.0, 1.0, p, 1)
+    # every angle is at rest there: a kind of its own, with N = 0
+    tc = classify(0.0, 1.0, p, 0)
+    assert tc.kind == "NeutralRest" and tc.kind in CLASS_KINDS
+    assert (tc.N, tc.N_err, tc.resonance, tc.targets) == (0.0, 0.0, None, ())
+    # just above the rest level the sphere rolls over both poles
+    assert classify(0.0, 1.0 + 1e-12, p, 0).kind == "UnboundedLine"
+    # a level of the flat potential within rounding of it is still at rest
+    assert classify(0.0, 1.0 + 2.0 * math.ulp(1.0), p, 0).kind == "NeutralRest"
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
