@@ -40,7 +40,6 @@ both past the node cap.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -635,11 +634,11 @@ class PeriodMap:
     repeats the same planar rigid motion, a rotation by dpsi = -2 pi N and
     the translation D: z(s + T) = D + e^{i dpsi} z(s).  T and dpsi are
     twice the time and precession of :func:`half_period`, bit for bit; err
-    estimates the absolute error of D.  z holds the path over one period
-    at the times t: the quadrature nodes with method "quadrature", 257
-    equally spaced times with method "ode" (past the quadrature's node
-    cap).  For non-integer N the path turns about c = D / (1 - e^{i dpsi})
-    and fills the annulus min |z - c| <= r <= max |z - c|.
+    estimates the absolute error of D.  z holds the path over one period:
+    at the quadrature nodes, or past the quadrature's node cap at 257
+    equally spaced times from 0 to T.  For non-integer N the path turns
+    about c = D / (1 - e^{i dpsi}) and fills the annulus
+    min |z - c| <= r <= max |z - c|.
     """
 
     T: float
@@ -647,8 +646,6 @@ class PeriodMap:
     D: complex
     err: float
     z: np.ndarray
-    t: np.ndarray
-    method: str
 
 
 def _polish_turning_point(theta: float, kappa: float, eps: float, p: Params) -> float:
@@ -880,10 +877,10 @@ def _phase_integral(w, u):
 
 def _one_period(
     nodes: _Nodes, circuit: bool, psi_floor: float,
-) -> tuple[complex, float, float, Callable[[], tuple[np.ndarray, np.ndarray]]]:
+) -> tuple[complex, float, float, Callable[[], np.ndarray]]:
     """(D, length, floor, path) on the 2n full-circle nodes: the drift
     D = z(2 pi), the path length, the rounding error of D, and a function
-    that returns the path z and the time t at the nodes.
+    that returns the path z at the nodes.
 
     The second half of the period retraces the first in theta, so each
     integrand there is the mirror image of the first half's, with dtheta/du
@@ -927,14 +924,13 @@ def _one_period(
     w[near] = 1.0
     R = X / (1j * w)
     C = complex(np.sum(R * shift)) / M        # sum of q_k / (i w_k) but the near one
-    D = ((cmath.exp(2j * math.pi * a) - 1.0) * C
+    turn = 2.0 * math.pi * a
+    D = ((complex(math.cos(turn), math.sin(turn)) - 1.0) * C
          + q_near * complex(_phase_integral(w_near, 2.0 * math.pi)))
 
-    def path() -> tuple[np.ndarray, np.ndarray]:
+    def path() -> np.ndarray:
         u = (np.arange(M) + 0.5) * du
-        z = np.exp(1j * a * u) * np.fft.ifft(R) - C + q_near * _phase_integral(w_near, u)
-        a_t, r_t = _cumulative(mirror(nodes.dt))
-        return z, a_t * u + r_t
+        return np.exp(1j * a * u) * np.fft.ifft(R) - C + q_near * _phase_integral(w_near, u)
 
     return D, length, floor, path
 
@@ -956,48 +952,49 @@ def _period_quadrature(
         if hp is not None:
             err = max(abs(D - prev_D), floor)
             if err <= max(tol_abs + tol_rel * length, floor):
-                z, t = path()
-                return PeriodMap(T=2.0 * hp.t, dpsi=2.0 * hp.psi, D=D, err=err,
-                                 z=z, t=t, method="quadrature")
+                return PeriodMap(T=2.0 * hp.t, dpsi=2.0 * hp.psi, D=D, err=err, z=path())
         prev, prev_D = cur, D
     return None
 
 
 def _ode_period_map(
     kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
-    tol_abs: float, tol_rel: float, max_steps: int,
+    hp: HalfPeriod, tol_abs: float, tol_rel: float, max_steps: int, with_err: bool,
 ) -> PeriodMap:
-    """The period map by DOP853 on the augmented system over one period of
-    :func:`half_period`, at the given tolerances and 10 times tighter; err
-    is their gap in D plus the drift the error of T makes."""
-    hp = half_period(kappa, eps, p, lo, hi, circuit=circuit, tol_abs=tol_abs,
-                     tol_rel=tol_rel, max_steps=max_steps)
+    """The period map by DOP853 on the augmented system over the period
+    2 hp.t.  With ``with_err`` a second run 10 times tighter gives err, their
+    gap in D plus the drift the error of T makes; without it err is nan."""
     T = 2.0 * hp.t
-    t = np.linspace(0.0, T, _N_ODE_SAMPLES)
     y0 = (lo, _start_rate(kappa, eps, p, lo, circuit), 0.0, 0.0, 0.0, 0.0)
 
-    def path(tol_a: float, tol_r: float) -> np.ndarray:
+    def path(tol_a: float, tol_r: float, t: np.ndarray) -> np.ndarray:
         return integrate("augmented", y0, (0.0, T), p, kappa=kappa, tol_abs=tol_a,
                          tol_rel=tol_r, max_steps=max_steps, t_eval=t).y_eval
 
-    y = path(tol_abs, tol_rel)
-    y_tight = path(0.1 * tol_abs, max(0.1 * tol_rel, _RTOL_FLOOR))
+    y = path(tol_abs, tol_rel, np.linspace(0.0, T, _N_ODE_SAMPLES))
     z = y[:, 4] + 1j * y[:, 5]
-    speed = math.hypot(*augmented_field(kappa, p)(T, y[-1])[4:])
-    err = abs(complex(*y_tight[-1, 4:]) - z[-1]) + speed * 2.0 * hp.t_err
-    return PeriodMap(T=T, dpsi=2.0 * hp.psi, D=complex(z[-1]), err=err, z=z, t=t,
-                     method="ode")
+    err = math.nan
+    if with_err:
+        y_end = path(0.1 * tol_abs, max(0.1 * tol_rel, _RTOL_FLOOR), np.array([T]))[-1]
+        speed = math.hypot(*augmented_field(kappa, p)(T, y[-1])[4:])
+        err = abs(complex(*y_end[4:]) - z[-1]) + speed * 2.0 * hp.t_err
+    return PeriodMap(T=T, dpsi=2.0 * hp.psi, D=complex(z[-1]), err=err, z=z)
 
 
 def _period_map(
     kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
-    tol_abs: float, tol_rel: float, max_steps: int,
+    hp: HalfPeriod, tol_abs: float, tol_rel: float, max_steps: int, with_err: bool,
 ) -> PeriodMap:
-    """:func:`period_map` between the ends :func:`half_period` takes."""
-    pm = _period_quadrature(kappa, eps, p, lo, hi, circuit, tol_abs, tol_rel)
-    if pm is not None:
-        return pm
-    return _ode_period_map(kappa, eps, p, lo, hi, circuit, tol_abs, tol_rel, max_steps)
+    """:func:`period_map` between the ends :func:`half_period` takes, given
+    the half period hp it returned there.  The quadrature runs only if hp
+    came from it; else, or past its node cap, the stepper route runs (see
+    :func:`_ode_period_map`)."""
+    if hp.method == "quadrature":
+        pm = _period_quadrature(kappa, eps, p, lo, hi, circuit, tol_abs, tol_rel)
+        if pm is not None:
+            return pm
+    return _ode_period_map(kappa, eps, p, lo, hi, circuit, hp, tol_abs, tol_rel,
+                           max_steps, with_err)
 
 
 def _half_period_ends(
@@ -1026,16 +1023,7 @@ def _half_period_ends(
     return lo, hi, False
 
 
-def period_map(
-    kappa: float,
-    eps: float,
-    p: Params,
-    branch: int = 0,
-    *,
-    tol_abs: float = DEFAULT_TOL_ABS,
-    tol_rel: float = DEFAULT_TOL_REL,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> PeriodMap:
+def period_map(kappa: float, eps: float, p: Params, branch: int = 0) -> PeriodMap:
     """The planar path over one nutation period of the level (kappa, eps).
 
     Runs on the nodes of :func:`half_period`'s quadrature over the full
@@ -1060,7 +1048,9 @@ def period_map(
             "no nutation period"
         )
     th0, th1, circuit = _half_period_ends(kappa, eps, p, lo, hi)
-    return _period_map(kappa, eps, p, th0, th1, circuit, tol_abs, tol_rel, max_steps)
+    hp = half_period(kappa, eps, p, th0, th1, circuit=circuit)
+    return _period_map(kappa, eps, p, th0, th1, circuit, hp, DEFAULT_TOL_ABS,
+                       DEFAULT_TOL_REL, DEFAULT_MAX_STEPS, with_err=True)
 
 
 @dataclass(frozen=True)

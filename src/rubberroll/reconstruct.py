@@ -62,6 +62,7 @@ from .integrate import (
     DEFAULT_MAX_STEPS,
     DEFAULT_TOL_ABS,
     DEFAULT_TOL_REL,
+    HalfPeriod,
     _period_map,
     half_period,
     integrate,
@@ -375,17 +376,18 @@ def rotation_number(
     stop target (and the stepper's tolerances on its fallback).
     """
     lo, hi = turning_points(kappa, eps, p, branch)
-    return _rotation_number(kappa, eps, p, lo, hi, tol_abs, tol_rel, max_steps)
+    return _rotation_number(kappa, eps, p, lo, hi, tol_abs, tol_rel, max_steps)[0]
 
 
 def _rotation_number(
     kappa: float, eps: float, p: Params, lo: float, hi: float,
     tol_abs: float, tol_rel: float, max_steps: int,
-) -> RotationNumber:
-    """:func:`rotation_number` of the component [lo, hi]."""
+) -> tuple[RotationNumber, HalfPeriod | None]:
+    """:func:`rotation_number` of the component [lo, hi], and the half
+    period it comes from (None where there is none)."""
     if kappa == 0.0:
         return RotationNumber(N=0.0, err=0.0, period=None,
-                              fixed_point=hi - lo <= FP_WIDTH)
+                              fixed_point=hi - lo <= FP_WIDTH), None
 
     if hi - lo <= FP_WIDTH:
         thc = 0.5 * (lo + hi)
@@ -396,15 +398,15 @@ def _rotation_number(
                 "no oscillation frequency"
             )
         psi_dot, _, _ = quadrature_rates(thc, kappa, p)
-        return RotationNumber(N=-psi_dot / math.sqrt(-lam2), err=0.0,
-                              period=None, fixed_point=True, method="linearization")
+        return RotationNumber(N=-psi_dot / math.sqrt(-lam2), err=0.0, period=None,
+                              fixed_point=True, method="linearization"), None
 
     check_turning_point(lo, kappa, eps, p)
     check_turning_point(hi, kappa, eps, p)
     hp = half_period(kappa, eps, p, lo, hi, tol_abs=tol_abs,
                      tol_rel=tol_rel, max_steps=max_steps)
     return RotationNumber(N=-hp.psi / math.pi, err=hp.psi_err / math.pi,
-                          period=2.0 * hp.t, fixed_point=False, method=hp.method)
+                          period=2.0 * hp.t, fixed_point=False, method=hp.method), hp
 
 
 def _kappa0_saddles(p: Params) -> list[tuple[float, float]]:
@@ -504,13 +506,14 @@ def classify(
         if abs(eps - lv) <= _WARN_TOL:
             near = True
 
-    rn = _rotation_number(kappa, eps, p, lo, hi, tol_abs, tol_rel, DEFAULT_MAX_STEPS)
+    rn, hp = _rotation_number(kappa, eps, p, lo, hi, tol_abs, tol_rel, DEFAULT_MAX_STEPS)
     t_int = tol_int if tol_int is not None else 5.0 * rn.err + 1e-9
     t_rat = tol_rat if tol_rat is not None else 5.0 * rn.err + 1e-9
 
     n_near = round(rn.N)
     if abs(rn.N - n_near) <= t_int:
-        pm = _period_map(kappa, eps, p, lo, hi, False, tol_abs, tol_rel, DEFAULT_MAX_STEPS)
+        pm = _period_map(kappa, eps, p, lo, hi, False, hp, tol_abs, tol_rel,
+                         DEFAULT_MAX_STEPS, with_err=False)
         diam = _path_diameter(np.concatenate(([0.0], pm.z, [pm.D])))
         if abs(pm.D) > _DRIFT_TOL * max(diam, 1e-300):
             return TrajectoryClass(kind="UnboundedResonant", N=rn.N, N_err=rn.err,

@@ -16,7 +16,13 @@ import pytest
 import rubberroll.dynamics
 import rubberroll.integrate
 from rubberroll.brent import brentq
-from rubberroll.dynamics import component_intervals, critical_thetas, effective_potential
+from rubberroll.dynamics import (
+    component_intervals,
+    critical_thetas,
+    effective_potential,
+    inertia_grid,
+    potential_grid,
+)
 from rubberroll.geometry import profile
 from rubberroll.integrate import half_period, period_map
 from rubberroll.model import Params
@@ -83,6 +89,29 @@ def _stepper_path(kappa, p, start, t, **tols):
     return path.x_c + 1j * path.y_c
 
 
+def _node_times(kappa, eps, p, lo, hi, circuit, M):
+    """The times of the period map's M nodes u_j = (j + 1/2) 2 pi / M, with
+    theta = m - h cos(u) between the turning points lo and hi, or
+    theta = lo + (hi - lo) u / pi on a meridian circuit: the cumulative sum
+    of the trigonometric interpolant of dt/du, which is even in u."""
+    u = (np.arange(M) + 0.5) * (2.0 * math.pi / M)
+    if circuit:
+        th, jac = lo + (hi - lo) / math.pi * u, (hi - lo) / math.pi
+    else:
+        h = 0.5 * (hi - lo)
+        th, jac = lo + h - h * np.cos(u), h * np.abs(np.sin(u))
+    dt = jac * np.sqrt(inertia_grid(th, p)[0] / (2.0 * (eps - potential_grid(th, kappa, p)[0])))
+    X = np.fft.fft(dt)
+    k = np.fft.fftfreq(M, 1.0 / M)
+    k[0] = 1.0
+    mean, X[0] = X[0].real / M, 0.0
+    return mean * u + np.fft.ifft(X / (1j * k)).real
+
+
+def _no_stepper(*args, **kwargs):
+    raise AssertionError("the stepper ran")
+
+
 def test_grid_holds_every_kind_of_level():
     kinds = {(kind, body) for kind, body, *_ in grid()}
     assert kinds == {(k, b) for k in ("generic", "near_separatrix", "rational", "integer")
@@ -96,26 +125,28 @@ def test_grid_holds_every_kind_of_level():
 
 
 @pytest.mark.parametrize("level", range(len(grid())), ids=_ids())
-def test_period_map_matches_the_tight_stepper(level):
+def test_period_map_matches_the_tight_stepper(level, monkeypatch):
     kind, body, kappa, eps, branch = grid()[level]
     p = BODIES[body]
-    pm = period_map(kappa, eps, p, branch)
-    assert pm.method == "quadrature"
-    lo = component_intervals(kappa, eps, p)[branch][0]
-    z = _stepper_path(kappa, p, (lo, 0.0), np.append(pm.t, pm.T), **TIGHT)
+    with monkeypatch.context() as m:
+        m.setattr(rubberroll.integrate, "integrate_raw", _no_stepper)
+        pm = period_map(kappa, eps, p, branch)
+    lo, hi = component_intervals(kappa, eps, p)[branch]
+    t = _node_times(kappa, eps, p, lo, hi, False, len(pm.z))
+    assert np.all(np.diff(t) > 0.0) and 0.0 < t[0] and t[-1] < pm.T
+    z = _stepper_path(kappa, p, (lo, 0.0), np.append(t, pm.T), **TIGHT)
     assert abs(pm.D - z[-1]) <= pm.err + 1e-10, (kind, abs(pm.D - z[-1]), pm.err)
     # err meets the default stop target, relative to the path length
     length = np.sum(np.abs(np.diff(np.concatenate(([0.0], pm.z, [pm.D])))))
     assert pm.err <= 1e-12 + 1e-10 * length
     # the path at the nodes, and T and dpsi twice the half period's
     assert np.max(np.abs(pm.z - z[:-1])) <= pm.err + 1e-10
-    assert np.all(np.diff(pm.t) > 0.0) and 0.0 < pm.t[0] and pm.t[-1] < pm.T
-    hp = half_period(kappa, eps, p, *component_intervals(kappa, eps, p)[branch])
+    hp = half_period(kappa, eps, p, lo, hi)
     assert (pm.T, pm.dpsi) == (2.0 * hp.t, 2.0 * hp.psi)
 
 
 @pytest.mark.parametrize("kind", ["kappa0_crossing", "kappa0_circulating"])
-def test_kappa_zero_period_map_matches_the_stepper(kind):
+def test_kappa_zero_period_map_matches_the_stepper(kind, monkeypatch):
     p = BODIES["main"]
     poles = sorted([effective_potential(0.0, 0.0, p), effective_potential(math.pi, 0.0, p)])
     top = max([poles[1]] + [effective_potential(t, 0.0, p) for t in critical_thetas(0.0, p)])
@@ -124,14 +155,19 @@ def test_kappa_zero_period_map_matches_the_stepper(kind):
         lo, hi = component_intervals(0.0, eps, p)[0]
         # the component reaches one pole; the path starts at the turning
         # point mirrored through it
-        start = (-hi, 0.0) if lo == 0.0 else (lo, 0.0)
+        ends = (-hi, hi) if lo == 0.0 else (lo, 2.0 * math.pi - lo)
+        start, circuit = (ends[0], 0.0), False
     else:
         eps = top + 0.5
         B0 = profile(0.0, p, pole_mode=True).B
         start = (0.0, math.sqrt(2.0 * (eps - effective_potential(0.0, 0.0, p)) / B0))
-    pm = period_map(0.0, eps, p)
-    assert pm.method == "quadrature" and pm.dpsi == 0.0
-    z = _stepper_path(0.0, p, start, np.append(pm.t, pm.T), **TIGHT)
+        ends, circuit = (0.0, math.pi), True
+    with monkeypatch.context() as m:
+        m.setattr(rubberroll.integrate, "integrate_raw", _no_stepper)
+        pm = period_map(0.0, eps, p)
+    assert pm.dpsi == 0.0
+    t = _node_times(0.0, eps, p, *ends, circuit, len(pm.z))
+    z = _stepper_path(0.0, p, start, np.append(t, pm.T), **TIGHT)
     assert abs(pm.D - z[-1]) <= pm.err + 1e-10
     assert np.max(np.abs(pm.z - z[:-1])) <= pm.err + 1e-10
     # back and forth on a segment, or a line advanced once per circuit
@@ -183,10 +219,7 @@ def test_classify_kinds_match_the_stepper_rule():
 
 
 def test_classify_runs_no_stepper_on_integer_levels(monkeypatch):
-    def no_stepper(*args, **kwargs):
-        raise AssertionError("the stepper ran")
-
-    monkeypatch.setattr(rubberroll.integrate, "integrate_raw", no_stepper)
+    monkeypatch.setattr(rubberroll.integrate, "integrate_raw", _no_stepper)
     levels = [lv for lv in grid() if lv[0] == "integer"]
     assert levels
     for _, body, kappa, eps, branch in levels:
@@ -218,11 +251,34 @@ def test_past_the_node_cap_the_stepper_takes_over():
     sad = critical_thetas(kappa, p)[1]
     eps = effective_potential(sad, kappa, p) + 1e-9
     pm = period_map(kappa, eps, p)
-    assert pm.method == "ode" and pm.err > 0.0 and len(pm.z) == len(pm.t) == 257
-    assert pm.z[-1] == pm.D and pm.t[-1] == pm.T
+    assert pm.err > 0.0 and len(pm.z) == 257 and pm.z[0] == 0.0 and pm.z[-1] == pm.D
     lo = component_intervals(kappa, eps, p)[0][0]
     z = _stepper_path(kappa, p, (lo, 0.0), np.array([0.0, pm.T]), **TIGHT)
     assert abs(pm.D - z[-1]) <= pm.err + 1e-10
+
+
+def test_classify_past_the_node_cap_climbs_the_ladder_once(monkeypatch):
+    # N = 0 above the balanced body's saddle; 1e-8 above it the half period
+    # needs the stepper, and classify reuses it: one ladder of quadrature
+    # nodes, two stepper half periods and one stepper period
+    p = BODIES["balanced"]
+    kappa = 0.5
+    eps = effective_potential(critical_thetas(kappa, p)[1], kappa, p) + 1e-8
+    counts = {}
+    for name in ("integrate_raw", "_half_nodes"):
+        real = getattr(rubberroll.integrate, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(rubberroll.integrate, name, counting)
+    assert rotation_number(kappa, eps, p).method == "ode"
+    ladder = counts["_half_nodes"]
+    counts.clear()
+    tc = classify(kappa, eps, p)
+    assert tc.kind == "UnboundedResonant" and tc.resonance == (0, 1)
+    assert counts == {"_half_nodes": ladder, "integrate_raw": 3}
 
 
 def test_relative_equilibrium_has_no_period_map():
