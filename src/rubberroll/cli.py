@@ -387,11 +387,6 @@ def _map(fn, tasks: list, jobs: int) -> list:
 def _rn_point(task):
     """Grid worker: one (kappa, eps) rotation number or None."""
     kappa, eps, branch, p, tol_abs, tol_rel = task
-    if kappa == 0.0:
-        n_comp = len(component_intervals(kappa, eps, p))
-        if branch >= n_comp:
-            return None
-        return (kappa, eps, 0.0, 0.0)
     try:
         rn = rotation_number(kappa, eps, p, branch, tol_abs=tol_abs, tol_rel=tol_rel)
     except (ValueError, RuntimeError):
@@ -439,8 +434,7 @@ def cmd_resonance(args: argparse.Namespace, parser: _Parser) -> int:
     lo, hi = _span(args.kappa_range, parser, "--kappa-range")
     kappas = [float(v) for v in np.linspace(lo, hi, args.n_kappa)]
     for order in orders:
-        tasks = [(order, k, p, args.eps_max, args.tol_abs, args.tol_rel)
-                 for k in kappas if abs(k) >= 1e-9]
+        tasks = [(order, k, p, args.eps_max, args.tol_abs, args.tol_rel) for k in kappas]
         chunks = _map(_res_slice, tasks, args.jobs)
         rows = [r for ch in chunks for r in ch]
         if len(orders) == 1:
@@ -629,7 +623,7 @@ def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
         for eps in [min(lv) + 0.3] + ([lv[1] + 1e-3] if len(lv) == 3 else []):
             rn = rotation_number(kap, eps, p)
             lo, hi = component_intervals(kap, eps, p)[0]
-            _, psi = _ode_half_period(kap, eps, p, lo, hi, False, 1e-15, 2.3e-14, 10 ** 7)
+            _, psi, _ = _ode_half_period(kap, eps, p, lo, hi, False, 1e-15, 2.3e-14, 10 ** 7)
             dn, bound = abs(rn.N + psi / math.pi), rn.err + 1e-10
             if n_lv == 0 or dn - bound > worst_dn - worst_bound:
                 worst_dn, worst_bound = dn, bound

@@ -31,11 +31,12 @@ one turning point to the other are the quadratures
     psi_dot = -kappa cos(theta) / (J sin^2(theta)),
 
 which :func:`half_period` evaluates by a node-doubling midpoint rule.  The
-planar path over one period follows on the same nodes:
+planar path over one period continues the same node ladder:
 :func:`period_map` integrates d(x_c + i y_c)/dt over the whole period by a
 spectral cumulative sum and a Filon-type FFT rule, which gives the drift D
-the center of mass makes per period.  The stepper stays as the fallback of
-both past the node cap.
+the center of mass makes per period.  Past the node cap the stepper
+integrates the half period instead, and the reflection symmetry of the
+reduced flow gives the second half of the period from the first.
 """
 
 from __future__ import annotations
@@ -609,20 +610,6 @@ _N_START = 16         # first midpoint rule compared against its doubling
 _N_CAP = 2 ** 14      # past this node count the stepper takes over
 _EPS_MACH = 2.0 ** -52
 _RTOL_FLOOR = 2.3e-14  # about the smallest relative tolerance DOP853 accepts
-_N_ODE_SAMPLES = 257  # period_map: samples of one period on the stepper route
-
-
-@dataclass(frozen=True)
-class HalfPeriod:
-    """Time t and precession psi over half an oscillation, with estimates
-    of their absolute errors and the method that ran ("quadrature" or
-    "ode")."""
-
-    t: float
-    psi: float
-    t_err: float
-    psi_err: float
-    method: str
 
 
 @dataclass(frozen=True)
@@ -635,9 +622,10 @@ class PeriodMap:
     the translation D: z(s + T) = D + e^{i dpsi} z(s).  T and dpsi are
     twice the time and precession of :func:`half_period`, bit for bit; err
     estimates the absolute error of D.  z holds the path over one period:
-    at the quadrature nodes, or past the quadrature's node cap at 257
-    equally spaced times from 0 to T.  For non-integer N the path turns
-    about c = D / (1 - e^{i dpsi}) and fills the annulus
+    at the quadrature nodes, or past the quadrature's node cap at the
+    stepper's steps over the first half and their mirror images over the
+    second, from z = 0 to z = D.  For non-integer N the path turns about
+    c = D / (1 - e^{i dpsi}) and fills the annulus
     min |z - c| <= r <= max |z - c|.
     """
 
@@ -646,6 +634,24 @@ class PeriodMap:
     D: complex
     err: float
     z: np.ndarray
+
+
+@dataclass(frozen=True)
+class HalfPeriod:
+    """Time t and precession psi over half an oscillation, with estimates
+    of their absolute errors and the method that ran ("quadrature" or
+    "ode").  n is the node count at which the quadrature converged (0 on
+    the stepper route); period is the period map the stepper route gives
+    (None on the quadrature route, where :func:`_period_map` goes on up the
+    node ladder)."""
+
+    t: float
+    psi: float
+    t_err: float
+    psi_err: float
+    method: str
+    n: int = 0
+    period: PeriodMap | None = None
 
 
 def _polish_turning_point(theta: float, kappa: float, eps: float, p: Params) -> float:
@@ -724,8 +730,9 @@ def _midpoint_sums(nodes: _Nodes) -> tuple[float, float, float, float]:
 
 def _doublings(
     kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
+    n: int = _N_START,
 ) -> Iterator[tuple[_Nodes, tuple[float, float, float, float]]]:
-    """(nodes, midpoint sums) for n = 16, 32, ... up to the node cap; stops
+    """(nodes, midpoint sums) for n, 2n, ... up to the node cap; stops
     early when a node falls off the level.
 
     On a libration theta = m - h cos(u) over u in [0, pi] cancels the
@@ -737,7 +744,6 @@ def _doublings(
     if not circuit:
         lo = _polish_turning_point(lo, kappa, eps, p)
         hi = _polish_turning_point(hi, kappa, eps, p)
-    n = _N_START
     while n <= _N_CAP:
         nodes = _half_nodes(kappa, eps, p, lo, hi, circuit, n)
         if nodes is None:
@@ -746,65 +752,51 @@ def _doublings(
         n *= 2
 
 
-def _converged(prev: tuple, cur: tuple, tol_abs: float, tol_rel: float) -> HalfPeriod | None:
-    """The half period of the sums cur once they agree with the sums prev
-    of half the nodes, else None.
-
-    The error estimate is the difference between the two, or the rounding
-    error of the sums where that is larger; they agree once the difference
-    meets tol_abs + tol_rel |value| or falls below the rounding error.  The
-    rounding error stays below 1e-12 relative on generic levels and grows
-    as eps - V shrinks: closer than about 1e-6 to a critical level it
-    limits err.
-    """
-    t, psi, t_floor, psi_floor = cur
-    t_err = max(abs(t - prev[0]), t_floor)
-    psi_err = max(abs(psi - prev[1]), psi_floor)
-    if (t_err <= max(tol_abs + tol_rel * abs(t), t_floor)
-            and psi_err <= max(tol_abs + tol_rel * abs(psi), psi_floor)):
-        return HalfPeriod(t=t, psi=psi, t_err=t_err, psi_err=psi_err, method="quadrature")
-    return None
-
-
 def _quadrature(
     kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
     tol_abs: float, tol_rel: float,
 ) -> HalfPeriod | None:
     """Node-doubling midpoint rule; None past the node cap or when a node
-    falls off the level."""
+    falls off the level.
+
+    The error estimate is the difference between the sums of n and of n/2
+    nodes, or the rounding error of the sums where that is larger; the
+    doubling stops once the difference meets tol_abs + tol_rel |value| or
+    falls below the rounding error.  The rounding error stays below 1e-12
+    relative on generic levels and grows as eps - V shrinks: closer than
+    about 1e-6 to a critical level it limits err.
+    """
     prev = None
-    for _, cur in _doublings(kappa, eps, p, lo, hi, circuit):
+    for nodes, (t, psi, t_floor, psi_floor) in _doublings(kappa, eps, p, lo, hi, circuit):
         if prev is not None:
-            hp = _converged(prev, cur, tol_abs, tol_rel)
-            if hp is not None:
-                return hp
-        prev = cur
+            t_err = max(abs(t - prev[0]), t_floor)
+            psi_err = max(abs(psi - prev[1]), psi_floor)
+            if (t_err <= max(tol_abs + tol_rel * abs(t), t_floor)
+                    and psi_err <= max(tol_abs + tol_rel * abs(psi), psi_floor)):
+                return HalfPeriod(t=t, psi=psi, t_err=t_err, psi_err=psi_err,
+                                  method="quadrature", n=len(nodes.dt))
+        prev = t, psi
     return None
-
-
-def _start_rate(kappa: float, eps: float, p: Params, lo: float, circuit: bool) -> float:
-    """p_theta at the start lo of the stepper route: 0 at a turning point,
-    the circulation speed at the pole a meridian circuit starts from."""
-    if not circuit:
-        return 0.0
-    return math.sqrt(2.0 * (eps - effective_potential(lo, kappa, p))
-                     / profile(lo, p, pole_mode=True).B)
 
 
 def _ode_half_period(
     kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
     tol_abs: float, tol_rel: float, max_steps: int,
-) -> tuple[float, float]:
-    """(t, psi) of the half oscillation by DOP853 on the augmented system:
-    from the turning point lo to the next p_theta = 0 crossing, or on a
-    circulating level from lo to hi.  The fallback of :func:`half_period`
-    and the oracle its tests check it against."""
+) -> tuple[float, float, np.ndarray]:
+    """(t, psi, z) of the half oscillation by DOP853 on the augmented
+    system: from the turning point lo to the next p_theta = 0 crossing, or
+    on a circulating level from lo, a pole, at the circulation speed to hi.
+    z = x_c + i y_c at the accepted steps, from 0 to the end.  The fallback
+    of :func:`half_period` and the oracle its tests check it against."""
     if circuit:
+        rate = math.sqrt(2.0 * (eps - effective_potential(lo, kappa, p))
+                         / profile(lo, p, pole_mode=True).B)
         ev = EventSpec("half", lambda t, y: y[0] - hi, direction=+1, terminal=True)
     else:
+        rate = 0.0
         ev = EventSpec("turn", lambda t, y: y[1], direction=0, terminal=True)
     traj = integrate(
-        "augmented", (lo, _start_rate(kappa, eps, p, lo, circuit), 0.0, 0.0, 0.0, 0.0),
+        "augmented", (lo, rate, 0.0, 0.0, 0.0, 0.0),
         (0.0, 1e7), p, kappa=kappa, tol_abs=tol_abs, tol_rel=tol_rel,
         max_steps=max_steps, events=(ev,),
     )
@@ -814,7 +806,21 @@ def _ode_half_period(
             "level too close to a critical value"
         )
     hit = traj.events[-1]
-    return hit.t, float(hit.y[2])
+    return hit.t, float(hit.y[2]), traj.y[:, 4] + 1j * traj.y[:, 5]
+
+
+def _reflect(z, dpsi: float, circuit: bool):
+    """The term of z(s) in z(T - s) = D - reflect(z(s)).
+
+    The second half of a period retraces the first in theta, backwards.  On
+    a libration psi(T - s) = dpsi - psi(s) and dtheta/dt is odd, so the
+    velocity at T - s is e^{i dpsi} times the conjugate of that at s; on a
+    meridian circuit (kappa = 0, psi = 0) dtheta/dt is even and the velocity
+    repeats.  At s = T/2 this gives D = z_h + reflect(z_h).
+    """
+    if circuit:
+        return z
+    return complex(math.cos(dpsi), math.sin(dpsi)) * z.conjugate()
 
 
 def half_period(
@@ -827,7 +833,6 @@ def half_period(
     circuit: bool = False,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
-    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> HalfPeriod:
     """Time and precession from the turning point lo to the turning point hi.
 
@@ -838,18 +843,28 @@ def half_period(
     then the time from lo to hi, half the meridian circuit.
 
     The quadrature runs first (see :func:`_doublings` and
-    :func:`_converged`).  Past its node cap the stepper integrates the half
-    period at the given tolerances, and a second run 10 times tighter gives
-    the error estimate.
+    :func:`_quadrature`) and records the node count it converged at.  Past
+    its node cap the stepper integrates the half period at the given
+    tolerances, and a second run 10 times tighter gives the error estimate.
+    The two runs also give the period map: the drift D of each from its end
+    point (see :func:`_reflect`), err their gap, and the path the loose
+    run's steps followed by their mirror images.
     """
     q = _quadrature(kappa, eps, p, lo, hi, circuit, tol_abs, tol_rel)
     if q is not None:
         return q
-    loose = _ode_half_period(kappa, eps, p, lo, hi, circuit, tol_abs, tol_rel, max_steps)
-    tight = _ode_half_period(kappa, eps, p, lo, hi, circuit, 0.1 * tol_abs,
-                             max(0.1 * tol_rel, _RTOL_FLOOR), max_steps)
-    return HalfPeriod(t=loose[0], psi=loose[1], t_err=abs(tight[0] - loose[0]),
-                      psi_err=abs(tight[1] - loose[1]), method="ode")
+    t, psi, z = _ode_half_period(kappa, eps, p, lo, hi, circuit, tol_abs, tol_rel,
+                                 DEFAULT_MAX_STEPS)
+    t_tight, psi_tight, z_tight = _ode_half_period(
+        kappa, eps, p, lo, hi, circuit, 0.1 * tol_abs, max(0.1 * tol_rel, _RTOL_FLOOR),
+        DEFAULT_MAX_STEPS)
+    dpsi = 2.0 * psi
+    D = complex(z[-1] + _reflect(z[-1], dpsi, circuit))
+    D_tight = complex(z_tight[-1] + _reflect(z_tight[-1], 2.0 * psi_tight, circuit))
+    path = np.concatenate((z, (D - _reflect(z[:-1], dpsi, circuit))[::-1]))
+    pm = PeriodMap(T=2.0 * t, dpsi=dpsi, D=D, err=abs(D - D_tight), z=path)
+    return HalfPeriod(t=t, psi=psi, t_err=abs(t_tight - t), psi_err=abs(psi_tight - psi),
+                      method="ode", period=pm)
 
 
 def _cumulative(f: np.ndarray) -> tuple[float, np.ndarray]:
@@ -935,66 +950,32 @@ def _one_period(
     return D, length, floor, path
 
 
-def _period_quadrature(
-    kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
-    tol_abs: float, tol_rel: float,
-) -> PeriodMap | None:
-    """The period map on the half period's nodes, doubled until the half
-    period converges (as in :func:`_quadrature`) and D agrees with the D of
-    half the nodes to tol_abs + tol_rel times the path length, or to its
-    rounding error; None past the node cap or when a node falls off the
-    level."""
-    hp = prev = prev_D = None
-    for nodes, cur in _doublings(kappa, eps, p, lo, hi, circuit):
-        if hp is None and prev is not None:
-            hp = _converged(prev, cur, tol_abs, tol_rel)
-        D, length, floor, path = _one_period(nodes, circuit, cur[3])
-        if hp is not None:
-            err = max(abs(D - prev_D), floor)
-            if err <= max(tol_abs + tol_rel * length, floor):
-                return PeriodMap(T=2.0 * hp.t, dpsi=2.0 * hp.psi, D=D, err=err, z=path())
-        prev, prev_D = cur, D
-    return None
-
-
-def _ode_period_map(
-    kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
-    hp: HalfPeriod, tol_abs: float, tol_rel: float, max_steps: int, with_err: bool,
-) -> PeriodMap:
-    """The period map by DOP853 on the augmented system over the period
-    2 hp.t.  With ``with_err`` a second run 10 times tighter gives err, their
-    gap in D plus the drift the error of T makes; without it err is nan."""
-    T = 2.0 * hp.t
-    y0 = (lo, _start_rate(kappa, eps, p, lo, circuit), 0.0, 0.0, 0.0, 0.0)
-
-    def path(tol_a: float, tol_r: float, t: np.ndarray) -> np.ndarray:
-        return integrate("augmented", y0, (0.0, T), p, kappa=kappa, tol_abs=tol_a,
-                         tol_rel=tol_r, max_steps=max_steps, t_eval=t).y_eval
-
-    y = path(tol_abs, tol_rel, np.linspace(0.0, T, _N_ODE_SAMPLES))
-    z = y[:, 4] + 1j * y[:, 5]
-    err = math.nan
-    if with_err:
-        y_end = path(0.1 * tol_abs, max(0.1 * tol_rel, _RTOL_FLOOR), np.array([T]))[-1]
-        speed = math.hypot(*augmented_field(kappa, p)(T, y[-1])[4:])
-        err = abs(complex(*y_end[4:]) - z[-1]) + speed * 2.0 * hp.t_err
-    return PeriodMap(T=T, dpsi=2.0 * hp.psi, D=complex(z[-1]), err=err, z=z)
-
-
 def _period_map(
     kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
-    hp: HalfPeriod, tol_abs: float, tol_rel: float, max_steps: int, with_err: bool,
+    hp: HalfPeriod, tol_abs: float, tol_rel: float,
 ) -> PeriodMap:
     """:func:`period_map` between the ends :func:`half_period` takes, given
-    the half period hp it returned there.  The quadrature runs only if hp
-    came from it; else, or past its node cap, the stepper route runs (see
-    :func:`_ode_period_map`)."""
-    if hp.method == "quadrature":
-        pm = _period_quadrature(kappa, eps, p, lo, hi, circuit, tol_abs, tol_rel)
-        if pm is not None:
-            return pm
-    return _ode_period_map(kappa, eps, p, lo, hi, circuit, hp, tol_abs, tol_rel,
-                           max_steps, with_err)
+    the half period hp it returned there with the same tolerances.
+
+    On the quadrature route the node doubling goes on from the n/2 nodes
+    below the rung hp converged at, until D agrees with the D of half the
+    nodes to tol_abs + tol_rel times the path length, or to its rounding
+    error.  Where D does not by the node cap, or a node of the next rung
+    falls off the level, the last rung is returned with its larger err;
+    this is seen at |kappa| below about 1e-6, where the precession peaks
+    narrowly at a near-pole end.
+    """
+    if hp.period is not None:
+        return hp.period
+    prev_D = None
+    for nodes, cur in _doublings(kappa, eps, p, lo, hi, circuit, hp.n // 2):
+        D, length, floor, path = _one_period(nodes, circuit, cur[3])
+        if prev_D is not None:
+            err = max(abs(D - prev_D), floor)
+            if err <= max(tol_abs + tol_rel * length, floor):
+                break
+        prev_D = D
+    return PeriodMap(T=2.0 * hp.t, dpsi=2.0 * hp.psi, D=D, err=err, z=path())
 
 
 def _half_period_ends(
@@ -1027,11 +1008,12 @@ def period_map(kappa: float, eps: float, p: Params, branch: int = 0) -> PeriodMa
     """The planar path over one nutation period of the level (kappa, eps).
 
     Runs on the nodes of :func:`half_period`'s quadrature over the full
-    circle (see :func:`_one_period`), doubled until D converges as well;
-    past the node cap, about 1e-6 from a saddle level, the stepper
-    integrates one period instead.  ``branch`` selects the component as in
-    :func:`section_period`; the path starts at the lower turning point, or
-    at the pole 0 on a meridian circuit.
+    circle (see :func:`_one_period`), doubled on from the half period's
+    rung until D converges as well (see :func:`_period_map`).  Past the
+    node cap, about 1e-6 from a saddle level, the two stepper runs of the
+    half period give it (see :func:`half_period`).  ``branch`` selects the
+    component as in :func:`section_period`; the path starts at the lower
+    turning point, or at the pole 0 on a meridian circuit.
 
     Raises
     ------
@@ -1050,7 +1032,7 @@ def period_map(kappa: float, eps: float, p: Params, branch: int = 0) -> PeriodMa
     th0, th1, circuit = _half_period_ends(kappa, eps, p, lo, hi)
     hp = half_period(kappa, eps, p, th0, th1, circuit=circuit)
     return _period_map(kappa, eps, p, th0, th1, circuit, hp, DEFAULT_TOL_ABS,
-                       DEFAULT_TOL_REL, DEFAULT_MAX_STEPS, with_err=True)
+                       DEFAULT_TOL_REL)
 
 
 @dataclass(frozen=True)
@@ -1085,7 +1067,6 @@ def section_period(
     *,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
-    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> SectionPeriod:
     """Period of the nutation oscillation on the level set (kappa, eps).
 
@@ -1103,7 +1084,7 @@ def section_period(
 
     th0, th1, circuit = _half_period_ends(kappa, eps, p, lo, hi)
     hp = half_period(kappa, eps, p, th0, th1, circuit=circuit, tol_abs=tol_abs,
-                     tol_rel=tol_rel, max_steps=max_steps)
+                     tol_rel=tol_rel)
     if circuit:
         # full meridian circuit: no turning points, theta advances by 2 pi
         return SectionPeriod(

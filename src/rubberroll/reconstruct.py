@@ -49,7 +49,6 @@ from .dynamics import (
     _LEVEL_FLOOR,
     FP_WIDTH,
     FullState,
-    check_turning_point,
     component_intervals,
     critical_thetas,
     effective_potential,
@@ -63,6 +62,7 @@ from .integrate import (
     DEFAULT_TOL_ABS,
     DEFAULT_TOL_REL,
     HalfPeriod,
+    _half_period_ends,
     _period_map,
     half_period,
     integrate,
@@ -365,7 +365,6 @@ def rotation_number(
     *,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
-    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> RotationNumber:
     """Rotation number of the level (kappa, eps) on one admissible component.
 
@@ -376,12 +375,12 @@ def rotation_number(
     stop target (and the stepper's tolerances on its fallback).
     """
     lo, hi = turning_points(kappa, eps, p, branch)
-    return _rotation_number(kappa, eps, p, lo, hi, tol_abs, tol_rel, max_steps)[0]
+    return _rotation_number(kappa, eps, p, lo, hi, tol_abs, tol_rel)[0]
 
 
 def _rotation_number(
     kappa: float, eps: float, p: Params, lo: float, hi: float,
-    tol_abs: float, tol_rel: float, max_steps: int,
+    tol_abs: float, tol_rel: float,
 ) -> tuple[RotationNumber, HalfPeriod | None]:
     """:func:`rotation_number` of the component [lo, hi], and the half
     period it comes from (None where there is none)."""
@@ -401,10 +400,8 @@ def _rotation_number(
         return RotationNumber(N=-psi_dot / math.sqrt(-lam2), err=0.0, period=None,
                               fixed_point=True, method="linearization"), None
 
-    check_turning_point(lo, kappa, eps, p)
-    check_turning_point(hi, kappa, eps, p)
-    hp = half_period(kappa, eps, p, lo, hi, tol_abs=tol_abs,
-                     tol_rel=tol_rel, max_steps=max_steps)
+    lo, hi, _ = _half_period_ends(kappa, eps, p, lo, hi)
+    hp = half_period(kappa, eps, p, lo, hi, tol_abs=tol_abs, tol_rel=tol_rel)
     return RotationNumber(N=-hp.psi / math.pi, err=hp.psi_err / math.pi,
                           period=2.0 * hp.t, fixed_point=False, method=hp.method), hp
 
@@ -506,14 +503,13 @@ def classify(
         if abs(eps - lv) <= _WARN_TOL:
             near = True
 
-    rn, hp = _rotation_number(kappa, eps, p, lo, hi, tol_abs, tol_rel, DEFAULT_MAX_STEPS)
+    rn, hp = _rotation_number(kappa, eps, p, lo, hi, tol_abs, tol_rel)
     t_int = tol_int if tol_int is not None else 5.0 * rn.err + 1e-9
     t_rat = tol_rat if tol_rat is not None else 5.0 * rn.err + 1e-9
 
     n_near = round(rn.N)
     if abs(rn.N - n_near) <= t_int:
-        pm = _period_map(kappa, eps, p, lo, hi, False, hp, tol_abs, tol_rel,
-                         DEFAULT_MAX_STEPS, with_err=False)
+        pm = _period_map(kappa, eps, p, lo, hi, False, hp, tol_abs, tol_rel)
         diam = _path_diameter(np.concatenate(([0.0], pm.z, [pm.D])))
         if abs(pm.D) > _DRIFT_TOL * max(diam, 1e-300):
             return TrajectoryClass(kind="UnboundedResonant", N=rn.N, N_err=rn.err,

@@ -24,7 +24,7 @@ from rubberroll.dynamics import (
     potential_grid,
 )
 from rubberroll.geometry import profile
-from rubberroll.integrate import half_period, period_map
+from rubberroll.integrate import EventSpec, half_period, integrate, period_map, section_period
 from rubberroll.model import Params
 from rubberroll.reconstruct import classify, reconstruct_trajectory, rotation_number
 
@@ -243,24 +243,93 @@ def test_classify_reads_its_level_once(monkeypatch):
             assert len(calls) == 1, kind
 
 
-def test_past_the_node_cap_the_stepper_takes_over():
+def _stepper_drift(kappa, eps, p, start, circuit, tols=TIGHT):
+    """D by the tight stepper over one whole period, ended where the period
+    ends: at the next upward p_theta = 0 crossing of a libration started at
+    its lower turning point, or at theta = 2 pi on a meridian circuit.  Near
+    a saddle the period is known only to the stepper's error, which the
+    path at a given time would multiply by the speed there."""
+    if circuit:
+        ev = EventSpec("circuit", lambda t, y: y[0] - 2.0 * math.pi, direction=+1, terminal=True)
+    else:
+        # the start, p_theta = 0 exactly, is no sign change
+        ev = EventSpec("period", lambda t, y: y[1], direction=+1, terminal=True)
+    traj = integrate("augmented", (*start, 0.0, 0.0, 0.0, 0.0), (0.0, 1e7), p, kappa=kappa,
+                     events=(ev,), **tols)
+    (hit,) = traj.events
+    return complex(hit.y[4], hit.y[5])
+
+
+def _count_stepper_runs(monkeypatch, counts):
+    real = rubberroll.integrate.integrate_raw
+
+    def counting(*args, **kwargs):
+        counts.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rubberroll.integrate, "integrate_raw", counting)
+
+
+def test_past_the_node_cap_the_stepper_takes_over(monkeypatch):
     # 1e-9 above the saddle the quadrature's integrand peaks too narrowly
-    # for 2^14 nodes; the stepper route integrates one period instead
+    # for 2^14 nodes; the two stepper runs of the half period give the
+    # period map, the second half mirrored from the first
     p = BODIES["main"]
     kappa = 0.5
     sad = critical_thetas(kappa, p)[1]
     eps = effective_potential(sad, kappa, p) + 1e-9
-    pm = period_map(kappa, eps, p)
-    assert pm.err > 0.0 and len(pm.z) == 257 and pm.z[0] == 0.0 and pm.z[-1] == pm.D
+    runs = []
+    with monkeypatch.context() as m:
+        _count_stepper_runs(m, runs)
+        pm = period_map(kappa, eps, p)
+    assert len(runs) == 2
+    assert pm.err > 0.0 and pm.z[0] == 0.0 and pm.z[-1] == pm.D
     lo = component_intervals(kappa, eps, p)[0][0]
-    z = _stepper_path(kappa, p, (lo, 0.0), np.array([0.0, pm.T]), **TIGHT)
-    assert abs(pm.D - z[-1]) <= pm.err + 1e-10
+    assert abs(pm.D - _stepper_drift(kappa, eps, p, (lo, 0.0), False)) <= pm.err + 1e-10
+
+
+def test_past_the_node_cap_a_meridian_circuit_repeats_its_first_half(monkeypatch):
+    # kappa = 0, 1e-9 above the inclined saddle: the level circulates over
+    # both poles, dtheta/dt is even about the half period, and D = 2 z(T/2)
+    p = BODIES["main"]
+    (sad,) = critical_thetas(0.0, p)
+    eps = effective_potential(sad, 0.0, p) + 1e-9
+    assert component_intervals(0.0, eps, p) == [(0.0, math.pi)]
+    sp = section_period(0.0, eps, p)
+    assert sp.circulating and sp.method == "ode"
+    runs = []
+    with monkeypatch.context() as m:
+        _count_stepper_runs(m, runs)
+        pm = period_map(0.0, eps, p)
+    assert len(runs) == 2
+    assert pm.T == sp.T_theta and pm.dpsi == 0.0
+    assert pm.err > 0.0 and pm.z[0] == 0.0 and pm.z[-1] == pm.D
+    B0 = profile(0.0, p, pole_mode=True).B
+    start = (0.0, math.sqrt(2.0 * (eps - effective_potential(0.0, 0.0, p)) / B0))
+    assert abs(pm.D - _stepper_drift(0.0, eps, p, start, True)) <= pm.err + 1e-10
+
+
+def test_a_drift_short_of_its_target_at_the_node_cap_keeps_the_last_rung(monkeypatch):
+    # at |kappa| = 3e-7 the half period converges just at the cap, but the
+    # precession peaks too narrowly at the near-pole end for D to: the last
+    # rung comes back, with the larger err of its doubling
+    p = BODIES["balanced"]
+    kappa, eps = 3e-7, 3.0
+    with monkeypatch.context() as m:
+        m.setattr(rubberroll.integrate, "integrate_raw", _no_stepper)
+        pm = period_map(kappa, eps, p)
+    length = np.sum(np.abs(np.diff(np.concatenate(([0.0], pm.z, [pm.D])))))
+    assert len(pm.z) == 2 ** 15 and pm.err > 1e-12 + 1e-10 * length
+    # near the pole the stepper needs minutes at 1e-15 / 2.3e-14
+    lo = component_intervals(kappa, eps, p)[0][0]
+    D = _stepper_drift(kappa, eps, p, (lo, 0.0), False, dict(tol_abs=1e-13, tol_rel=1e-11))
+    assert abs(pm.D - D) <= pm.err
 
 
 def test_classify_past_the_node_cap_climbs_the_ladder_once(monkeypatch):
     # N = 0 above the balanced body's saddle; 1e-8 above it the half period
-    # needs the stepper, and classify reuses it: one ladder of quadrature
-    # nodes, two stepper half periods and one stepper period
+    # needs the stepper, and classify reads the period map off it: one
+    # ladder of quadrature nodes and the two stepper half periods
     p = BODIES["balanced"]
     kappa = 0.5
     eps = effective_potential(critical_thetas(kappa, p)[1], kappa, p) + 1e-8
@@ -278,7 +347,34 @@ def test_classify_past_the_node_cap_climbs_the_ladder_once(monkeypatch):
     counts.clear()
     tc = classify(kappa, eps, p)
     assert tc.kind == "UnboundedResonant" and tc.resonance == (0, 1)
-    assert counts == {"_half_nodes": ladder, "integrate_raw": 3}
+    assert counts == {"_half_nodes": ladder, "integrate_raw": 2}
+
+
+def test_the_period_map_goes_on_from_the_half_periods_rung(monkeypatch):
+    # the half period climbs 16, 32, ..., n nodes; the period map restarts
+    # at n/2, the rung its first comparison of D needs, and evaluates no
+    # rung below that twice
+    rungs = []
+    real = rubberroll.integrate._half_nodes
+
+    def recording(*args):
+        rungs.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(rubberroll.integrate, "_half_nodes", recording)
+    levels = [lv for lv in grid() if lv[0] == "integer"]
+    assert levels
+    for _, body, kappa, eps, branch in levels:
+        p = BODIES[body]
+        lo, hi = component_intervals(kappa, eps, p)[branch]
+        n = half_period(kappa, eps, p, lo, hi).n
+        assert n >= 32
+        for run in (lambda: period_map(kappa, eps, p, branch),
+                    lambda: classify(kappa, eps, p, branch)):
+            rungs.clear()
+            run()
+            assert rungs.count(n // 2) == 2 and rungs.count(n) >= 2, rungs
+            assert all(rungs.count(m) == 1 for m in rungs if m < n // 2), rungs
 
 
 def test_relative_equilibrium_has_no_period_map():

@@ -30,7 +30,7 @@ TIGHT = dict(tol_abs=1e-15, tol_rel=2.3e-14, max_steps=10 ** 7)
 
 def _oracle(kappa, eps, p, lo, hi, circuit=False):
     """(T, N) of the level by the tight stepper."""
-    t, psi = _ode_half_period(kappa, eps, p, lo, hi, circuit, **TIGHT)
+    t, psi, _ = _ode_half_period(kappa, eps, p, lo, hi, circuit, **TIGHT)
     return 2.0 * t, -psi / math.pi
 
 
