@@ -17,9 +17,10 @@ magnitudes are the geometric radii.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -31,9 +32,10 @@ from .dynamics import (
     g0,
     g0_prime,
     potential_grid,
+    potential_rows,
     sign_cells,
 )
-from .geometry import profile, surface_g0, surface_g0_prime, surface_z
+from .geometry import profile, surface_b, surface_g0, surface_g0_prime, surface_z
 from .model import Params
 
 __all__ = [
@@ -66,6 +68,11 @@ SADDLE = "saddle"
 
 _EDGE = 1e-9          # inset used when sampling up to open interval ends
 _BOUNDARY_TOL = 1e-12  # |beta^2 - (1 +/- alpha)| that puts a body on a region boundary
+_SPLIT_BUDGET = 20000  # interval halvings per sampled arc
+_RPM_NODES = 721       # grid angles per kappa slice of the RPM floor
+_RPM_BLOCK = 32        # kappa slices per array of the RPM floor scan
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -146,30 +153,44 @@ def omega0_sq(theta: float, p: Params) -> float:
     return -s * s * (c * (1.0 - b2) + p.alpha * Z) / (c * Z * J2)
 
 
+def _pow4(s):
+    # np.float_power calls the C pow per element, as Python's ** does on a
+    # float; s ** 4 on an array rounds differently in the last bit
+    return s ** 4 if isinstance(s, float) else np.float_power(s, 4)
+
+
+def _sigma_theta(s, c, p: Params):
+    """(kappa^2, eps) along the steady-rotation curve at the inclination with
+    sine s and cosine c, floats or arrays alike.
+
+    Z is rounded as (beta^2 s) s, which the diagram JSON and verify's output
+    rest on.  For alpha != 0 both diverge at the equator, c = 0.
+    """
+    b2 = p.beta * p.beta
+    Z2 = b2 * s * s + c * c
+    Z = math.sqrt(Z2) if isinstance(Z2, float) else np.sqrt(Z2)
+    eps = (3.0 * Z * Z - 1.0) / (2.0 * Z)
+    if p.alpha == 0.0:
+        return _pow4(s) * (b2 - 1.0) / Z, eps
+    return (_pow4(s) * ((b2 - 1.0) / Z - p.alpha / c),
+            eps + p.alpha * (3.0 * c * c - 1.0) / (2.0 * c))
+
+
+def _sigma_theta_at(theta0: float, p: Params) -> tuple[float, float]:
+    c = math.cos(theta0)
+    if p.alpha != 0.0 and abs(c) < 1e-15:
+        raise ValueError("sigma_theta diverges at the equator for alpha != 0")
+    return _sigma_theta(math.sin(theta0), c, p)
+
+
 def sigma_theta_kappa_sq(theta0: float, p: Params) -> float:
     """kappa^2 along the steady-rotation curve; negative means no rotation."""
-    s = math.sin(theta0)
-    c = math.cos(theta0)
-    b2 = p.beta * p.beta
-    Z = math.sqrt(b2 * s * s + c * c)   # (beta^2 s) s: the diagram JSON rests on it
-    if p.alpha == 0.0:
-        return s ** 4 * (b2 - 1.0) / Z
-    if abs(c) < 1e-15:
-        raise ValueError("sigma_theta diverges at the equator for alpha != 0")
-    return s ** 4 * ((b2 - 1.0) / Z - p.alpha / c)
+    return _sigma_theta_at(theta0, p)[0]
 
 
 def sigma_theta_eps(theta0: float, p: Params) -> float:
     """eps along the steady-rotation curve (closed form)."""
-    s = math.sin(theta0)
-    c = math.cos(theta0)
-    Z = math.sqrt(p.beta * p.beta * s * s + c * c)   # (beta^2 s) s: the diagram JSON rests on it
-    val = (3.0 * Z * Z - 1.0) / (2.0 * Z)
-    if p.alpha != 0.0:
-        if abs(c) < 1e-15:
-            raise ValueError("sigma_theta diverges at the equator for alpha != 0")
-        val += p.alpha * (3.0 * c * c - 1.0) / (2.0 * c)
-    return val
+    return _sigma_theta_at(theta0, p)[1]
 
 
 def linear_stability(theta0: float, kappa: float, p: Params, tol: float = 1e-8) -> tuple[float, str]:
@@ -353,21 +374,30 @@ def equator_parabola(
     if p.alpha != 0.0:
         raise ValueError("the equatorial rolling curve exists only for alpha = 0")
     kc = equator_kappa_c(p)
-    samples = []
-    for k in np.linspace(0.0, kappa_max, n_samples):
-        eps = k * k / 2.0 + p.beta
-        lam2 = g0_prime(math.pi / 2.0, float(k), p) / profile(math.pi / 2.0, p).B
-        stab = CENTER if k > kc else (SADDLE if kc > 0.0 else CENTER)
-        samples.append(CurveSample(theta0=math.pi / 2.0, kappa=float(k), eps=eps,
-                                   stability=stab, lambda_sq=lam2))
-    return BifurcationCurve(label="sigma_pi2", samples=samples)
+    k = np.linspace(0.0, kappa_max, n_samples)
+    s, c = math.sin(math.pi / 2.0), math.cos(math.pi / 2.0)
+    s2 = s * s
+    Z = surface_z(s2, c, p)
+    lam2 = surface_g0_prime(s2, c, Z, k, p) / surface_b(s, s2, c, Z, p)[0]
+    return BifurcationCurve(label="sigma_pi2", samples=[
+        CurveSample(theta0=math.pi / 2.0, kappa=kk, eps=ee, lambda_sq=ll,
+                    stability=CENTER if kk > kc else (SADDLE if kc > 0.0 else CENTER))
+        for kk, ee, ll in zip(k.tolist(), (k * k / 2.0 + p.beta).tolist(), lam2.tolist())])
 
 
-def _curve_point(theta0: float, p: Params) -> tuple[float, float] | None:
-    k2 = sigma_theta_kappa_sq(theta0, p)
-    if k2 < 0.0:
-        return None
-    return math.sqrt(k2), sigma_theta_eps(theta0, p)
+def _curve_points(th: np.ndarray, p: Params):
+    """(s, c, kappa, eps, on) of the steady-rotation curve at the inclinations
+    th; ``on`` marks where kappa^2 >= 0, and kappa is 0 elsewhere.
+
+    sin and cos come from math per element, so that the bits do not depend
+    on numpy's SIMD dispatch.
+    """
+    ths = th.tolist()
+    s = np.fromiter(map(math.sin, ths), float, len(ths))
+    c = np.fromiter(map(math.cos, ths), float, len(ths))
+    k2, eps = _sigma_theta(s, c, p)
+    on = k2 >= 0.0
+    return s, c, np.sqrt(np.where(on, k2, 0.0)), eps, on
 
 
 def _sample_arc(
@@ -385,44 +415,92 @@ def _sample_arc(
 
     Refinement applies inside the plotting window |kappa| <= kappa_max,
     eps <= eps_max; one sample beyond each window exit is kept so the curve
-    visibly leaves the frame.
+    visibly leaves the frame.  An interval is halved while both its ends lie
+    on the curve, one of them in the window, their distance exceeds ds_max
+    and its width 1e-12.  All intervals of one depth are halved at once.  Of
+    the halvings, the first _SPLIT_BUDGET in depth-first order (an interval
+    before its halves, the left half before the right) are kept.
     """
     a = lo + (_EDGE if not lo_closed else 0.0)
     b = hi - (_EDGE if not hi_closed else 0.0)
-    thetas = list(np.linspace(a, b, n_init))
-    pts: dict[float, tuple[float, float] | None] = {}
 
-    def pt(th: float):
-        if th not in pts:
-            pts[th] = _curve_point(th, p)
-        return pts[th]
+    def points(th):
+        s, c, k, e, on = _curve_points(th, p)
+        return th, s, c, k, e, on, on & (k <= kappa_max) & (e <= eps_max)
 
-    def in_window(q) -> bool:
-        return q is not None and q[0] <= kappa_max and q[1] <= eps_max
+    pts = points(np.linspace(a, b, n_init))   # theta, s, c, kappa, eps, on, in window
+    t, _, _, k, e, on, win = pts
+    i0 = np.arange(n_init - 1)
+    i1 = i0 + 1
+    split_t0, split_depth, split_mid = [], [], []
+    earlier = np.empty(0)    # sorted left ends of the intervals halved at lower depths
+    depth = 0
+    while len(i0):
+        cand = np.flatnonzero(on[i0] & on[i1] & (win[i0] | win[i1]) & (t[i1] - t[i0] > 1e-12))
+        ds = np.fromiter(map(math.hypot, (k[i1[cand]] - k[i0[cand]]).tolist(),
+                             (e[i1[cand]] - e[i0[cand]]).tolist()), float, len(cand))
+        cut = cand[ds > ds_max]
+        # an interval's depth-first rank is at least the number of halvings
+        # known to come before it: those of lower depth that start at or left
+        # of it, and those of its own depth to its left
+        t0 = t[i0[cut]]
+        rank = np.searchsorted(earlier, t0, side="right") + np.arange(len(cut))
+        keep = rank < _SPLIT_BUDGET
+        cut, t0 = cut[keep], t0[keep]
+        if not len(cut):
+            break
+        new = points(0.5 * (t0 + t[i1[cut]]))
+        mid = np.arange(len(t), len(t) + len(cut))
+        pts = tuple(np.concatenate(pair) for pair in zip(pts, new))
+        t, _, _, k, e, on, win = pts
+        split_t0.append(t0)
+        split_depth.append(np.full(len(cut), depth))
+        split_mid.append(mid)
+        earlier = np.sort(np.concatenate([earlier, t0]))
+        i0, i1 = (np.column_stack([i0[cut], mid]).ravel(),
+                  np.column_stack([mid, i1[cut]]).ravel())
+        depth += 1
 
-    i = 0
-    budget = 20000
-    while i < len(thetas) - 1 and budget > 0:
-        t0, t1 = thetas[i], thetas[i + 1]
-        q0, q1 = pt(t0), pt(t1)
-        if (in_window(q0) or in_window(q1)) and q0 is not None and q1 is not None:
-            ds = math.hypot(q1[0] - q0[0], q1[1] - q0[1])
-            if ds > ds_max and t1 - t0 > 1e-12:
-                thetas.insert(i + 1, 0.5 * (t0 + t1))
-                budget -= 1
-                continue
-        i += 1
+    mids = np.concatenate(split_mid) if split_mid else np.empty(0, int)
+    if len(mids) > _SPLIT_BUDGET:
+        # depth-first order is by left end, an interval before its left half
+        order = np.lexsort((np.concatenate(split_depth), np.concatenate(split_t0)))
+        mids = mids[order[:_SPLIT_BUDGET]]
+    sel = np.concatenate([np.arange(n_init), mids])
+    sel = sel[np.argsort(t[sel])]
+    t, s, c, k, e, on, _ = (x[sel] for x in pts)
+    t, s, c, k, e = t[on], s[on], c[on], k[on], e[on]
+    s2 = s * s
+    Z = surface_z(s2, c, p)
+    lam2 = surface_g0_prime(s2, c, Z, k, p) / surface_b(s, s2, c, Z, p)[0]
+    return [CurveSample(theta0=tt, kappa=kk, eps=ee, lambda_sq=ll,
+                        stability=CENTER if ll < 0.0 else SADDLE)
+            for tt, kk, ee, ll in zip(t.tolist(), k.tolist(), e.tolist(), lam2.tolist())]
 
-    out: list[CurveSample] = []
-    for th in thetas:
-        q = pt(th)
-        if q is None:
-            continue
-        k, e = q
-        lam2 = g0_prime(th, k, p) / profile(th, p, pole_mode=True).B
-        out.append(CurveSample(theta0=float(th), kappa=k, eps=e,
-                               stability=CENTER if lam2 < 0.0 else SADDLE, lambda_sq=lam2))
-    return out
+
+def _curves(
+    p: Params,
+    cp: CuspPoint | None,
+    n_samples: int,
+    ds_max: float,
+    eps_max: float,
+    kappa_max: float,
+) -> list[BifurcationCurve]:
+    """:func:`sigma_theta_curve` with the cusp and the window given."""
+    curves: list[BifurcationCurve] = []
+    for (lo, hi, lc, hc) in branch_ranges(p):
+        if lo >= math.pi / 2.0:
+            samples = _sample_arc(p, lo, hi, lc, hc, n_samples, ds_max, eps_max, kappa_max)
+            curves.append(BifurcationCurve(label="sigma_spi", samples=samples))
+        elif cp is not None and cp.kind == "cusp" and lo < cp.theta < hi:
+            s1 = _sample_arc(p, lo, cp.theta, lc, True, n_samples, ds_max, eps_max, kappa_max)
+            s2 = _sample_arc(p, cp.theta, hi, True, hc, n_samples, ds_max, eps_max, kappa_max)
+            curves.append(BifurcationCurve(label="sigma_s0", samples=s1))
+            curves.append(BifurcationCurve(label="sigma_u", samples=s2))
+        else:
+            samples = _sample_arc(p, lo, hi, lc, hc, n_samples, ds_max, eps_max, kappa_max)
+            curves.append(BifurcationCurve(label="sigma_s0", samples=samples))
+    return curves
 
 
 def sigma_theta_curve(
@@ -440,25 +518,49 @@ def sigma_theta_curve(
     branch split at the fold, and "sigma_s0" for the whole small-angle
     branch in the balanced case.
     """
+    cp = cusp(p)
     if eps_max is None:
-        eps_max = _default_eps_max(p)
+        eps_max = _default_eps_max(p, cp)
     if kappa_max is None:
         kappa_max = _default_kappa_max(p, eps_max)
-    cp = cusp(p)
-    curves: list[BifurcationCurve] = []
-    for (lo, hi, lc, hc) in branch_ranges(p):
-        if lo >= math.pi / 2.0:
-            samples = _sample_arc(p, lo, hi, lc, hc, n_samples, ds_max, eps_max, kappa_max)
-            curves.append(BifurcationCurve(label="sigma_spi", samples=samples))
-        elif cp is not None and cp.kind == "cusp" and lo < cp.theta < hi:
-            s1 = _sample_arc(p, lo, cp.theta, lc, True, n_samples, ds_max, eps_max, kappa_max)
-            s2 = _sample_arc(p, cp.theta, hi, True, hc, n_samples, ds_max, eps_max, kappa_max)
-            curves.append(BifurcationCurve(label="sigma_s0", samples=s1))
-            curves.append(BifurcationCurve(label="sigma_u", samples=s2))
+    return _curves(p, cp, n_samples, ds_max, eps_max, kappa_max)
+
+
+def _rpm_floors(kappas: list[float], p: Params) -> list[float]:
+    """Global minimum of the effective potential on each kappa slice.
+
+    The argmin of V on a grid of _RPM_NODES angles, polished by a bounded
+    minimization between its neighbours.  The grids of all nonzero kappas
+    stop short of the poles and are evaluated as arrays of _RPM_BLOCK rows,
+    which stay in cache; at kappa = 0 the grid runs over [0, pi], the poles
+    included.
+    """
+    n = _RPM_NODES
+    nonzero = np.array([k for k in kappas if k != 0.0])
+    if len(nonzero):
+        barrier = np.maximum(1e-6, np.abs(nonzero) * 1e-3)
+        grids = np.linspace(barrier, math.pi - barrier, n, axis=1)
+        best = np.concatenate([
+            np.argmin(potential_rows(grids[r:r + _RPM_BLOCK], nonzero[r:r + _RPM_BLOCK], p), axis=1)
+            for r in range(0, len(nonzero), _RPM_BLOCK)])
+        rows = zip(grids, best.tolist())
+    out = []
+    for kappa in kappas:
+        if kappa == 0.0:
+            grid = np.linspace(0.0, math.pi, n)
+            i = int(np.argmin(potential_grid(grid, kappa, p)[0]))
         else:
-            samples = _sample_arc(p, lo, hi, lc, hc, n_samples, ds_max, eps_max, kappa_max)
-            curves.append(BifurcationCurve(label="sigma_s0", samples=samples))
-    return curves
+            grid, i = next(rows)
+        v_i = effective_potential(float(grid[i]), kappa, p)
+        lo = grid[max(0, i - 1)]
+        hi = grid[min(n - 1, i + 1)]
+        if hi - lo < 1e-15:
+            out.append(float(v_i))
+            continue
+        _, v_min = minimize_bounded(lambda t: effective_potential(t, kappa, p),
+                                    float(lo), float(hi), xatol=1e-13)
+        out.append(min(v_min, v_i))
+    return out
 
 
 def rpm_floor(kappa: float, p: Params) -> float:
@@ -468,39 +570,22 @@ def rpm_floor(kappa: float, p: Params) -> float:
     plane.  At kappa = 0 the potential continues smoothly through the poles,
     so the candidates include both pole values.
     """
-    n = 721
-    if kappa == 0.0:
-        grid = np.linspace(0.0, math.pi, n)
-    else:
-        barrier = max(1e-6, abs(kappa) * 1e-3)
-        grid = np.linspace(barrier, math.pi - barrier, n)
-    i = int(np.argmin(potential_grid(grid, kappa, p)[0]))
-    v_i = effective_potential(float(grid[i]), kappa, p)
-    lo = grid[max(0, i - 1)]
-    hi = grid[min(n - 1, i + 1)]
-    if hi - lo < 1e-15:
-        return float(v_i)
-    _, v_min = minimize_bounded(lambda t: effective_potential(t, kappa, p),
-                                float(lo), float(hi), xatol=1e-13)
-    return min(v_min, v_i)
+    return _rpm_floors([kappa], p)[0]
 
 
 def rpm_boundary(p: Params, kappa_max: float, n_samples: int = 241) -> BifurcationCurve:
     """Lower envelope eps_min(kappa) of the region of possible motions."""
-    samples = []
-    for k in np.linspace(0.0, kappa_max, n_samples):
-        e = rpm_floor(float(k), p)
-        samples.append(CurveSample(theta0=float("nan"), kappa=float(k), eps=e,
-                                   stability=CENTER, lambda_sq=float("nan")))
-    return BifurcationCurve(label="rpm_boundary", samples=samples)
+    kappas = np.linspace(0.0, kappa_max, n_samples).tolist()
+    return BifurcationCurve(label="rpm_boundary", samples=[
+        CurveSample(theta0=float("nan"), kappa=k, eps=e, stability=CENTER, lambda_sq=float("nan"))
+        for k, e in zip(kappas, _rpm_floors(kappas, p))])
 
 
-def _default_eps_max(p: Params) -> float:
+def _default_eps_max(p: Params, cp: CuspPoint | None) -> float:
     cands = [1.0 + p.alpha, 1.0 - p.alpha]
     ts = inclined_equilibrium(p)
     if ts is not None and 0.0 < ts < math.pi:
         cands.append(profile(ts, p).U)
-    cp = cusp(p)
     if cp is not None:
         cands.append(cp.eps)
     return max(cands) + 1.0
@@ -512,10 +597,10 @@ def _default_kappa_max(p: Params, eps_max: float) -> float:
     for (lo, hi, lc, hc) in branch_ranges(p):
         a = lo + (0.0 if lc else _EDGE)
         b = hi - (0.0 if hc else _EDGE)
-        for th in np.linspace(a, b, 2001):
-            q = _curve_point(float(th), p)
-            if q is not None and q[1] <= eps_max and q[0] > k_best:
-                k_best = q[0]
+        _, _, k, e, on = _curve_points(np.linspace(a, b, 2001), p)
+        k = k[on & (e <= eps_max)]
+        if len(k):
+            k_best = max(k_best, float(k.max()))
     if p.alpha == 0.0 and p.beta > 1.0:
         k_best = max(k_best, equator_kappa_c(p) + 1.0)
     k_best = max(k_best, math.sqrt(max(2.0 * (eps_max - p.beta), 0.0)) if p.alpha == 0.0 else k_best)
@@ -536,7 +621,8 @@ def diagram(
     "b" alpha>0, 1-alpha < beta^2 < 1+alpha; "c" alpha>0, beta^2 > 1+alpha;
     "d" alpha=0, beta^2 < 1; "e" alpha=0, beta^2 > 1.  Parameters on a
     region boundary resolve to the higher-beta^2 type with the boundary
-    flag set.
+    flag set.  The seconds and sample counts of the curves and of the RPM
+    boundary are logged at INFO.
     """
     a, b2 = p.alpha, p.beta * p.beta
     boundary = False
@@ -557,14 +643,21 @@ def diagram(
         else:
             dtype = "c"
 
+    cp = cusp(p)
     if eps_max is None:
-        eps_max = _default_eps_max(p)
+        eps_max = _default_eps_max(p, cp)
     if kappa_max is None:
         kappa_max = _default_kappa_max(p, eps_max)
 
-    curves = sigma_theta_curve(p, n_samples, ds_max=ds_max, eps_max=eps_max, kappa_max=kappa_max)
+    t0 = time.perf_counter()
+    curves = _curves(p, cp, n_samples, ds_max, eps_max, kappa_max)
     if a == 0.0:
         curves.append(equator_parabola(p, kappa_max=kappa_max))
+    t1 = time.perf_counter()
+    rpm = rpm_boundary(p, kappa_max)
+    t2 = time.perf_counter()
+    log.info("diagram curves: %d samples in %.3f s; rpm boundary: %d samples in %.3f s",
+             sum(len(c.samples) for c in curves), t1 - t0, len(rpm.samples), t2 - t1)
 
     points = [
         FixedPointImage(label="sigma_0", kappa=0.0, eps=1.0 + a,
@@ -572,7 +665,6 @@ def diagram(
         FixedPointImage(label="sigma_pi", kappa=0.0, eps=1.0 - a,
                         isolated=b2 < 1.0 - a, stable=b2 > 1.0 - a),
     ]
-    cp = cusp(p)
     return BifurcationDiagram(
         params=p,
         diagram_type=dtype,
@@ -581,7 +673,7 @@ def diagram(
         points=points,
         cusp=cp,
         two_torus_region=(cp is not None and cp.kind == "cusp"),
-        rpm_boundary=rpm_boundary(p, kappa_max),
+        rpm_boundary=rpm,
     )
 
 

@@ -31,11 +31,13 @@ usage, 2 numerical failure, 3 failed verification.
 from __future__ import annotations
 
 import argparse
-import json
+from json.encoder import encode_basestring_ascii
 import logging
 import math
 import os
 import sys
+import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -210,24 +212,91 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         fh.writelines(fmt % tuple(row) for row in rows)
 
 
-def _json_clean(obj):
-    """Recursively replace non-finite floats with None for JSON output."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _json_clean(v) for k, v in obj.items()}
+def _json_atom(v) -> str | None:
+    """v as JSON if it is a number, a string, a bool or None; a non-finite
+    float becomes null."""
+    if isinstance(v, float):
+        return float.__repr__(v) if math.isfinite(v) else "null"
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    return None
+
+
+def _json_column(values: tuple) -> list[str] | None:
+    """One field of a record list as JSON atoms, or None if any value is
+    not an atom; all-finite float and all-string fields take a C-level map."""
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    out = list(map(_json_atom, values))
+    return None if None in out else out
+
+
+def _json_records(items: list, indent: str) -> list[str] | None:
+    """The items as JSON if they are dicts with the same keys in the same
+    order and atoms for values, formatted with one template; None otherwise."""
+    if set(map(type, items)) != {dict} or len(set(map(tuple, items))) != 1 or not items[0]:
+        return None
+    columns = []
+    for values in zip(*map(dict.values, items)):
+        col = _json_column(values)
+        if col is None:
+            return None
+        columns.append(col)
+    inner = indent + "  "
+    template = ("{\n" + inner + (",\n" + inner).join(
+        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in items[0])
+        + "\n" + indent + "}")
+    return [template % row for row in zip(*columns)]
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """obj as ``json.dumps(obj, indent=2)`` writes it, at the given indent,
+    with every non-finite float written as null; dict keys must be strings.
+
+    A list of flat records with the same keys, such as the diagram's curve
+    samples, is formatted with one template for the whole list.
+    """
+    atom = _json_atom(obj)
+    if atom is not None:
+        return atom
+    inner = indent + "  "
     if isinstance(obj, (list, tuple)):
-        return [_json_clean(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        items = _json_records(obj, inner)
+        if items is None:
+            items = [_json_text(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return ("{\n" + inner + (",\n" + inner).join(
+            encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in obj.items())
+            + "\n" + indent + "}")
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit_json(payload, out: str | None) -> None:
-    text = json.dumps(_json_clean(payload), indent=2) + "\n"
+def _emit_json(payload, out: str | None) -> int:
+    """Write payload as JSON with a final newline, to out or stdout; returns
+    the bytes written."""
+    text = _json_text(payload) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return len(text)
 
 
 # --- simulate / trajectory ---
@@ -335,14 +404,16 @@ def cmd_trajectory(args: argparse.Namespace, parser: _Parser) -> int:
 # --- bifurcation ---
 
 
-def cmd_bifurcation(args: argparse.Namespace, parser: _Parser) -> int:
-    p = _params(args, parser)
-    try:
-        d = diagram(p)
-    except (ValueError, IntegrationError) as ex:
-        print(f"numerical failure: {ex}", file=sys.stderr)
-        return EXIT_NUMERIC
-    payload = {
+def _diagram_payload(d) -> dict:
+    """The ``bifurcation`` JSON document of a diagram."""
+    p = d.params
+
+    def curve(c):
+        # a sample's fields, in order, are its JSON keys: theta0, kappa, eps,
+        # stability, lambda_sq
+        return {"label": c.label, "samples": [vars(s) for s in c.samples]}
+
+    return {
         "params": {"alpha": p.alpha, "beta": p.beta, "nu": p.nu, "eta": p.eta},
         "diagram_type": d.diagram_type,
         "boundary": d.boundary,
@@ -351,21 +422,24 @@ def cmd_bifurcation(args: argparse.Namespace, parser: _Parser) -> int:
         "cusp": None if d.cusp is None else {
             "theta": d.cusp.theta, "kappa": d.cusp.kappa,
             "eps": d.cusp.eps, "kind": d.cusp.kind},
-        "curves": [{
-            "label": c.label,
-            "samples": [{"theta0": s.theta0, "kappa": s.kappa, "eps": s.eps,
-                         "stability": s.stability, "lambda_sq": s.lambda_sq}
-                        for s in c.samples]} for c in d.curves],
+        "curves": [curve(c) for c in d.curves],
         "points": [{"label": q.label, "kappa": q.kappa, "eps": q.eps,
                     "isolated": q.isolated, "stable": q.stable}
                    for q in d.points],
-        "rpm_boundary": {
-            "label": d.rpm_boundary.label,
-            "samples": [{"theta0": s.theta0, "kappa": s.kappa, "eps": s.eps,
-                         "stability": s.stability, "lambda_sq": s.lambda_sq}
-                        for s in d.rpm_boundary.samples]},
+        "rpm_boundary": curve(d.rpm_boundary),
     }
-    _emit_json(payload, args.out)
+
+
+def cmd_bifurcation(args: argparse.Namespace, parser: _Parser) -> int:
+    p = _params(args, parser)
+    try:
+        d = diagram(p)
+    except (ValueError, IntegrationError) as ex:
+        print(f"numerical failure: {ex}", file=sys.stderr)
+        return EXIT_NUMERIC
+    t0 = time.perf_counter()
+    size = _emit_json(_diagram_payload(d), args.out)
+    log.info("wrote %s (%d bytes in %.3f s)", args.out or "stdout", size, time.perf_counter() - t0)
     return EXIT_OK
 
 
@@ -384,14 +458,30 @@ def _map(fn, tasks: list, jobs: int) -> list:
         return list(pool.map(fn, tasks))
 
 
+class _Dropped(NamedTuple):
+    """Why a grid point has no row: the exception's type name and message."""
+
+    kind: str
+    message: str
+
+
 def _rn_point(task):
-    """Grid worker: one (kappa, eps) rotation number or None."""
+    """Grid worker: one (kappa, eps, N, N_err) row, or why there is none."""
     kappa, eps, branch, p, tol_abs, tol_rel = task
     try:
         rn = rotation_number(kappa, eps, p, branch, tol_abs=tol_abs, tol_rel=tol_rel)
-    except (ValueError, RuntimeError):
-        return None
+    except (ValueError, RuntimeError) as ex:
+        return _Dropped(type(ex).__name__, str(ex))
     return (kappa, eps, rn.N, rn.err)
+
+
+def _drop_report(dropped: list[_Dropped]) -> str:
+    """'; dropped: 3 ValueError (first: ...)' per exception type, in the
+    order of first appearance; empty when nothing was dropped."""
+    kinds: dict[str, list] = {}
+    for d in dropped:
+        kinds.setdefault(d.kind, [0, d.message])[0] += 1
+    return "".join(f"; dropped: {n} {kind} (first: {msg})" for kind, (n, msg) in kinds.items())
 
 
 def cmd_rotation_number(args: argparse.Namespace, parser: _Parser) -> int:
@@ -413,9 +503,10 @@ def cmd_rotation_number(args: argparse.Namespace, parser: _Parser) -> int:
     tasks = [(k, e, args.branch, p, args.tol_abs, args.tol_rel)
              for k in kappas for e in energies]
     results = _map(_rn_point, tasks, args.jobs)
-    rows = [r for r in results if r is not None]
+    rows = [r for r in results if not isinstance(r, _Dropped)]
     _write_csv(args.out, ["kappa", "eps", "N", "N_err"], rows)
-    log.info("wrote %s (%d of %d grid points admissible)", args.out, len(rows), len(tasks))
+    log.info("wrote %s (%d of %d grid points admissible%s)", args.out, len(rows), len(tasks),
+             _drop_report([r for r in results if isinstance(r, _Dropped)]))
     return EXIT_OK
 
 

@@ -70,6 +70,7 @@ __all__ = [
     "g0",
     "g0_prime",
     "potential_grid",
+    "potential_rows",
     "inertia_grid",
     "check_turning_point",
     "measure_density",
@@ -355,9 +356,10 @@ def augmented_field(kappa: float, p: Params) -> Callable[[float, np.ndarray], np
     return rhs
 
 
-def _centrifugal(s2, kappa: float):
-    """kappa^2 / (2 sin^2), the spin part of the effective potential."""
-    return 0.5 * kappa * kappa / s2 if kappa != 0.0 else 0.0
+def _centrifugal(s2, kappa):
+    """kappa^2 / (2 sin^2), the spin part of the effective potential; an
+    array kappa always carries its term, so its angles stay off the poles."""
+    return 0.5 * kappa * kappa / s2 if isinstance(kappa, np.ndarray) or kappa != 0.0 else 0.0
 
 
 def reduced_energy(
@@ -403,6 +405,13 @@ def potential_grid(
     Z = surface_z(s2, c, p)
     return (surface_u(c, Z, p) + _centrifugal(s2, kappa),
             surface_g0(s, s2, c, Z, kappa, p), surface_g0_prime(s2, c, Z, kappa, p))
+
+
+def potential_rows(theta: np.ndarray, kappa: np.ndarray, p: Params) -> np.ndarray:
+    """V on a 2-D theta array, row i at the nonzero kappa[i]: the array form
+    of :func:`effective_potential` over many kappa slices at once."""
+    s = np.sin(theta); c = np.cos(theta); s2 = s * s
+    return surface_u(c, surface_z(s2, c, p), p) + _centrifugal(s2, kappa[:, None])
 
 
 def inertia_grid(

@@ -113,12 +113,16 @@ def surface_g0(s, s2, c, Z, kappa: float, p: Params):
     return val
 
 
-def surface_g0_prime(s2, c, Z, kappa: float, p: Params):
-    """G0' = dG0/dtheta; its sign at a root of G0 decides linear stability."""
+def surface_g0_prime(s2, c, Z, kappa, p: Params):
+    """G0' = dG0/dtheta; its sign at a root of G0 decides linear stability.
+
+    kappa may be an array, one value per angle; its term is then always
+    taken, so the angles must stay off the poles.
+    """
     b2 = p.beta * p.beta
     c2 = c * c
     val = p.alpha * c + (1.0 - b2) * ((c2 - s2) / Z - (b2 - 1.0) * s2 * c2 / (Z * Z * Z))
-    if kappa != 0.0:
+    if isinstance(kappa, np.ndarray) or kappa != 0.0:
         val = val - kappa * kappa * (1.0 + 2.0 * c2) / (s2 * s2)
     return val
 

@@ -2,11 +2,23 @@
 
 import csv
 import json
+import logging
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rubberroll
+from rubberroll import cli
+from rubberroll.bifurcation import diagram
 from rubberroll.cli import main
+from rubberroll.model import Params
+from rubberroll.reconstruct import rotation_number
 
 ARGS_XY = ["--alpha", "0.5", "--beta", "3", "--nu", "0.5", "--eta", "0.5"]
 
@@ -359,6 +371,74 @@ def test_bifurcation_json_round_trip(tmp_path, capsys):
                                                   "sigma_u"}
     for c in doc["curves"]:
         assert all(s["stability"] in ("center", "saddle") for s in c["samples"])
+
+
+def _stdlib_json(payload):
+    def clean(obj):
+        if isinstance(obj, float):
+            return obj if math.isfinite(obj) else None
+        if isinstance(obj, dict):
+            return {k: clean(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [clean(v) for v in obj]
+        return obj
+
+    return json.dumps(clean(payload), indent=2) + "\n"
+
+
+def test_bifurcation_readme_file_is_the_stdlib_encoding(tmp_path, capsys):
+    out = tmp_path / "diagram.json"
+    assert main(["bifurcation", "--alpha", "0.5", "--beta", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    # nu and eta default to 1
+    want = _stdlib_json(cli._diagram_payload(diagram(Params(0.5, 3.0, 1.0, 1.0))))
+    assert out.read_bytes() == want.encode("ascii")
+
+
+def test_bifurcation_stage_report_leaves_the_file_alone(tmp_path):
+    # a logging setup is per process, so each log level gets its own
+    src = str(Path(rubberroll.__file__).resolve().parent.parent)
+    files, errs = [], []
+    for level in ("WARNING", "INFO"):
+        out = tmp_path / f"{level}.json"
+        env = dict(os.environ, RUBBERROLL_LOG=level, PYTHONPATH=os.pathsep.join(
+            [src] + [q for q in os.environ.get("PYTHONPATH", "").split(os.pathsep) if q]))
+        proc = subprocess.run([sys.executable, "-m", "rubberroll.cli", "bifurcation",
+                               "--alpha", "0", "--beta", "0.5", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        files.append(out.read_bytes())
+        errs.append(proc.stderr)
+    assert files[0] == files[1]
+    assert errs[0] == ""
+    assert re.search(r"diagram curves: \d+ samples in [\d.]+ s; "
+                     r"rpm boundary: 241 samples in [\d.]+ s", errs[1])
+    assert f"({len(files[1])} bytes in " in errs[1]
+
+
+def test_rotation_number_grid_reports_why_points_drop(tmp_path, caplog):
+    # the grid crosses the RPM floor: the levels below it have no motion
+    out = tmp_path / "rn.csv"
+    caplog.set_level(logging.INFO, logger="rubberroll")
+    assert main(["rotation-number", *ARGS_XY, "--kappa-range", "0.25:0.75", "--n-kappa", "3",
+                 "--energy-range", "1.0:3.4", "--n-energy", "4", "--out", str(out)]) == 0
+    p = Params(0.5, 3.0, 0.5, 0.5)
+    rows, first = [], {}
+    for k in (0.25, 0.5, 0.75):
+        for e in np.linspace(1.0, 3.4, 4).tolist():
+            try:
+                rn = rotation_number(k, e, p, 0)
+            except (ValueError, RuntimeError) as ex:
+                first.setdefault(type(ex).__name__, [0, str(ex)])[0] += 1
+                continue
+            rows.append([k, e, rn.N, rn.err])
+    assert list(first) == ["ValueError"] and 0 < first["ValueError"][0] < 12
+    header, got = read_csv(out)
+    assert [[float(v) for v in r] for r in got] == rows
+    n, msg = first["ValueError"]
+    assert (f"({len(rows)} of 12 grid points admissible; dropped: {n} ValueError "
+            f"(first: {msg}))") in caplog.text
+    assert "no admissible motion at kappa=0.25, eps=1.0" in msg
 
 
 def test_rotation_number_grid_zero_kappa(tmp_path, capsys):
