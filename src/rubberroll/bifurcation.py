@@ -40,7 +40,6 @@ from .model import Params
 
 __all__ = [
     "PermanentRotation",
-    "CurveSample",
     "BifurcationCurve",
     "FixedPointImage",
     "CuspPoint",
@@ -90,19 +89,16 @@ class PermanentRotation:
     z_c: float
 
 
-@dataclass(frozen=True)
-class CurveSample:
-    theta0: float
-    kappa: float
-    eps: float
-    stability: str
-    lambda_sq: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BifurcationCurve:
+    """A labeled curve of the diagram as one column per sample field."""
+
     label: str
-    samples: list[CurveSample]
+    theta0: np.ndarray
+    kappa: np.ndarray
+    eps: np.ndarray
+    stability: list[str]    # "center" or "saddle" per sample
+    lambda_sq: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -379,10 +375,9 @@ def equator_parabola(
     s2 = s * s
     Z = surface_z(s2, c, p)
     lam2 = surface_g0_prime(s2, c, Z, k, p) / surface_b(s, s2, c, Z, p)[0]
-    return BifurcationCurve(label="sigma_pi2", samples=[
-        CurveSample(theta0=math.pi / 2.0, kappa=kk, eps=ee, lambda_sq=ll,
-                    stability=CENTER if kk > kc else (SADDLE if kc > 0.0 else CENTER))
-        for kk, ee, ll in zip(k.tolist(), (k * k / 2.0 + p.beta).tolist(), lam2.tolist())])
+    stability = np.where((k > kc) | (kc <= 0.0), CENTER, SADDLE).tolist()
+    return BifurcationCurve("sigma_pi2", np.full(n_samples, math.pi / 2.0), k,
+                            k * k / 2.0 + p.beta, stability, lam2)
 
 
 def _curve_points(th: np.ndarray, p: Params):
@@ -410,8 +405,10 @@ def _sample_arc(
     ds_max: float,
     eps_max: float,
     kappa_max: float,
-) -> list[CurveSample]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], np.ndarray]:
     """Adaptively sample one theta0 arc to arc length <= ds_max in (kappa, eps).
+
+    Returns the columns of a :class:`BifurcationCurve` after its label.
 
     Refinement applies inside the plotting window |kappa| <= kappa_max,
     eps <= eps_max; one sample beyond each window exit is kept so the curve
@@ -473,9 +470,7 @@ def _sample_arc(
     s2 = s * s
     Z = surface_z(s2, c, p)
     lam2 = surface_g0_prime(s2, c, Z, k, p) / surface_b(s, s2, c, Z, p)[0]
-    return [CurveSample(theta0=tt, kappa=kk, eps=ee, lambda_sq=ll,
-                        stability=CENTER if ll < 0.0 else SADDLE)
-            for tt, kk, ee, ll in zip(t.tolist(), k.tolist(), e.tolist(), lam2.tolist())]
+    return t, k, e, np.where(lam2 < 0.0, CENTER, SADDLE).tolist(), lam2
 
 
 def _curves(
@@ -487,20 +482,16 @@ def _curves(
     kappa_max: float,
 ) -> list[BifurcationCurve]:
     """:func:`sigma_theta_curve` with the cusp and the window given."""
-    curves: list[BifurcationCurve] = []
+    arcs = []
     for (lo, hi, lc, hc) in branch_ranges(p):
         if lo >= math.pi / 2.0:
-            samples = _sample_arc(p, lo, hi, lc, hc, n_samples, ds_max, eps_max, kappa_max)
-            curves.append(BifurcationCurve(label="sigma_spi", samples=samples))
+            arcs.append(("sigma_spi", lo, hi, lc, hc))
         elif cp is not None and cp.kind == "cusp" and lo < cp.theta < hi:
-            s1 = _sample_arc(p, lo, cp.theta, lc, True, n_samples, ds_max, eps_max, kappa_max)
-            s2 = _sample_arc(p, cp.theta, hi, True, hc, n_samples, ds_max, eps_max, kappa_max)
-            curves.append(BifurcationCurve(label="sigma_s0", samples=s1))
-            curves.append(BifurcationCurve(label="sigma_u", samples=s2))
+            arcs += [("sigma_s0", lo, cp.theta, lc, True), ("sigma_u", cp.theta, hi, True, hc)]
         else:
-            samples = _sample_arc(p, lo, hi, lc, hc, n_samples, ds_max, eps_max, kappa_max)
-            curves.append(BifurcationCurve(label="sigma_s0", samples=samples))
-    return curves
+            arcs.append(("sigma_s0", lo, hi, lc, hc))
+    return [BifurcationCurve(label, *_sample_arc(p, *arc, n_samples, ds_max, eps_max, kappa_max))
+            for label, *arc in arcs]
 
 
 def sigma_theta_curve(
@@ -575,10 +566,10 @@ def rpm_floor(kappa: float, p: Params) -> float:
 
 def rpm_boundary(p: Params, kappa_max: float, n_samples: int = 241) -> BifurcationCurve:
     """Lower envelope eps_min(kappa) of the region of possible motions."""
-    kappas = np.linspace(0.0, kappa_max, n_samples).tolist()
-    return BifurcationCurve(label="rpm_boundary", samples=[
-        CurveSample(theta0=float("nan"), kappa=k, eps=e, stability=CENTER, lambda_sq=float("nan"))
-        for k, e in zip(kappas, _rpm_floors(kappas, p))])
+    kappas = np.linspace(0.0, kappa_max, n_samples)
+    nan = np.full(n_samples, math.nan)
+    return BifurcationCurve("rpm_boundary", nan, kappas, np.array(_rpm_floors(kappas.tolist(), p)),
+                            [CENTER] * n_samples, nan)
 
 
 def _default_eps_max(p: Params, cp: CuspPoint | None) -> float:
@@ -657,7 +648,7 @@ def diagram(
     rpm = rpm_boundary(p, kappa_max)
     t2 = time.perf_counter()
     log.info("diagram curves: %d samples in %.3f s; rpm boundary: %d samples in %.3f s",
-             sum(len(c.samples) for c in curves), t1 - t0, len(rpm.samples), t2 - t1)
+             sum(len(c.kappa) for c in curves), t1 - t0, len(rpm.kappa), t2 - t1)
 
     points = [
         FixedPointImage(label="sigma_0", kappa=0.0, eps=1.0 + a,

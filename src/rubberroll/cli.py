@@ -230,61 +230,59 @@ def _json_atom(v) -> str | None:
     return None
 
 
-def _json_column(values: tuple) -> list[str] | None:
-    """One field of a record list as JSON atoms, or None if any value is
-    not an atom; all-finite float and all-string fields take a C-level map."""
+class _Columns(NamedTuple):
+    """A list of flat records held as one column per key: record i is
+    ``{names[j]: columns[j][i]}``.  Every value must be a JSON atom."""
+
+    names: tuple[str, ...]
+    columns: tuple
+
+
+def _json_column(values) -> list[str]:
+    """One column as JSON atoms; all-finite float and all-string columns
+    take a C-level map."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
     kinds = set(map(type, values))
     if kinds == {float} and all(map(math.isfinite, values)):
         return list(map(float.__repr__, values))
     if kinds == {str}:
         return list(map(encode_basestring_ascii, values))
     out = list(map(_json_atom, values))
-    return None if None in out else out
-
-
-def _json_records(items: list, indent: str) -> list[str] | None:
-    """The items as JSON if they are dicts with the same keys in the same
-    order and atoms for values, formatted with one template; None otherwise."""
-    if set(map(type, items)) != {dict} or len(set(map(tuple, items))) != 1 or not items[0]:
-        return None
-    columns = []
-    for values in zip(*map(dict.values, items)):
-        col = _json_column(values)
-        if col is None:
-            return None
-        columns.append(col)
-    inner = indent + "  "
-    template = ("{\n" + inner + (",\n" + inner).join(
-        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in items[0])
-        + "\n" + indent + "}")
-    return [template % row for row in zip(*columns)]
+    if None in out:
+        raise TypeError("a column holds a value that is not a JSON atom")
+    return out
 
 
 def _json_text(obj, indent: str = "") -> str:
     """obj as ``json.dumps(obj, indent=2)`` writes it, at the given indent,
-    with every non-finite float written as null; dict keys must be strings.
+    with every non-finite float written as null and every :class:`_Columns`
+    as its list of records; dict keys must be strings.
 
-    A list of flat records with the same keys, such as the diagram's curve
-    samples, is formatted with one template for the whole list.
+    The records of a _Columns are formatted with one template.
     """
     atom = _json_atom(obj)
     if atom is not None:
         return atom
     inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = _json_records(obj, inner)
-        if items is None:
-            items = [_json_text(v, inner) for v in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    if isinstance(obj, dict):
+    if isinstance(obj, _Columns):
+        template = ("{\n" + inner + "  " + (",\n" + inner + "  ").join(
+            encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in obj.names)
+            + "\n" + inner + "}")
+        items = [template % row for row in zip(*map(_json_column, obj.columns), strict=True)]
+    elif isinstance(obj, (list, tuple)):
+        items = [_json_text(v, inner) for v in obj]
+    elif isinstance(obj, dict):
         if not obj:
             return "{}"
         return ("{\n" + inner + (",\n" + inner).join(
             encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in obj.items())
             + "\n" + indent + "}")
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return "[]"
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
 def _emit_json(payload, out: str | None) -> int:
@@ -404,14 +402,16 @@ def cmd_trajectory(args: argparse.Namespace, parser: _Parser) -> int:
 # --- bifurcation ---
 
 
+_SAMPLE_KEYS = ("theta0", "kappa", "eps", "stability", "lambda_sq")
+
+
 def _diagram_payload(d) -> dict:
     """The ``bifurcation`` JSON document of a diagram."""
     p = d.params
 
     def curve(c):
-        # a sample's fields, in order, are its JSON keys: theta0, kappa, eps,
-        # stability, lambda_sq
-        return {"label": c.label, "samples": [vars(s) for s in c.samples]}
+        return {"label": c.label, "samples": _Columns(_SAMPLE_KEYS, tuple(
+            getattr(c, k) for k in _SAMPLE_KEYS))}
 
     return {
         "params": {"alpha": p.alpha, "beta": p.beta, "nu": p.nu, "eta": p.eta},

@@ -134,14 +134,6 @@ class Trajectory:
     t_eval: np.ndarray | None = None
     y_eval: np.ndarray | None = None     # shape (len(t_eval), dim)
 
-    @property
-    def t_final(self) -> float:
-        return float(self.t[-1])
-
-    @property
-    def y_final(self) -> np.ndarray:
-        return self.y[-1]
-
 
 _N_EVENT_NODES = 5    # dense-output subdivisions per step scanned for events
 

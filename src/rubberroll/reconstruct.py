@@ -36,6 +36,7 @@ N; all classifications are even in kappa.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,9 +109,12 @@ _Q_MAX = 64           # classify: largest denominator of a locked rational N
 _DRIFT_TOL = 1e-3     # classify: one-period drift over path diameter that counts as drift
 _FLAT_GRID = 65       # classify: nodes on which a kappa = 0 component is tested for flatness
 _RES_SCAN = 9         # resonance_curve: eps nodes scanned per segment and branch
+_RES_TOL = 1e-6       # resonance_curve: largest |N + n| of a kept root
 _BUMP_HALFWIDTH = 0.35  # _bump_peak: half width of the eps window scanned
 _BUMP_SCAN = 25       # _bump_peak: eps nodes in that window
 _KAPPA_HI = 1.5       # kappa_max: search stops at this multiple of the fold's kappa
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -554,8 +558,9 @@ def resonance_curve(
     structure changes and N may jump or diverge; within a segment N is
     continuous per component, so sign changes of N + n on a coarse scan
     bracket every crossing, refined by brentq and kept only when the
-    polished residual is at most 1e-6.  Slices contribute nothing where no
-    crossing exists; the result may be empty.  kappa = 0 grid nodes are
+    polished residual is at most 1e-6; each slice that drops roots logs at
+    INFO how many and the largest residual.  Slices contribute nothing where
+    no crossing exists; the result may be empty.  kappa = 0 grid nodes are
     skipped (N vanishes identically there).
     """
     out: list[ResonancePoint] = []
@@ -569,6 +574,7 @@ def resonance_curve(
             if not levels:
                 continue
             top = max(levels) + 2.0
+        dropped, worst = 0, 0.0
         for seg_lo, seg_hi in _slice_segments(kap, p, top):
             pad = max(1e-9, 1e-6 * (seg_hi - seg_lo))
             a, b = seg_lo + pad, seg_hi - pad
@@ -591,9 +597,15 @@ def resonance_curve(
                     root = brentq(f, float(grid[i]), float(grid[i + 1]), xtol=1e-12)
                     rn = rotation_number(kap, float(root), p, br,
                                          tol_abs=tol_abs, tol_rel=tol_rel)
-                    if abs(rn.N + n) <= 1e-6:
+                    resid = abs(rn.N + n)
+                    if resid <= _RES_TOL:
                         out.append(ResonancePoint(kappa=kap, eps=float(root),
                                                   N=rn.N, N_err=rn.err, branch=br))
+                    else:
+                        dropped, worst = dropped + 1, max(worst, resid)
+        if dropped:
+            log.info("resonance N = %d at kappa = %.17g: dropped %d roots with |N + n| above "
+                     "%g, the largest %.3g", -n, kap, dropped, _RES_TOL, worst)
     return out
 
 

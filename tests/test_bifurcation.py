@@ -87,12 +87,12 @@ def test_curve_samples_are_fixed_points():
     curves = sigma_theta_curve(P, 100, ds_max=5e-3)
     n_tot = 0
     for c in curves:
-        for smp in c.samples:
+        for theta0, kappa, eps in zip(c.theta0.tolist(), c.kappa.tolist(), c.eps.tolist()):
             n_tot += 1
-            assert abs(g0(smp.theta0, smp.kappa, P)) < 1e-10
-            s = math.sin(smp.theta0)
-            v_min = smp.kappa ** 2 / (2.0 * s * s) + profile(smp.theta0, P).U
-            assert abs(smp.eps - v_min) < 1e-12
+            assert abs(g0(theta0, kappa, P)) < 1e-10
+            s = math.sin(theta0)
+            v_min = kappa ** 2 / (2.0 * s * s) + profile(theta0, P).U
+            assert abs(eps - v_min) < 1e-12
     assert n_tot > 100
 
 
@@ -108,8 +108,8 @@ def test_equator_family():
     kc = equator_kappa_c(P_EQ)
     np.testing.assert_allclose(kc, math.sqrt((1.5 ** 2 - 1.0) / 1.5), rtol=1e-15)
     ep = equator_parabola(P_EQ, kappa_max=2.0)
-    row = min(ep.samples, key=lambda s: abs(s.kappa - 1.0))
-    np.testing.assert_allclose(row.eps, 2.0, atol=1e-9)
+    row = np.argmin(np.abs(ep.kappa - 1.0))
+    np.testing.assert_allclose(ep.eps[row], 2.0, atol=1e-9)
     # slow equator spins are saddles, fast ones centers
     lam2, stab = linear_stability(math.pi / 2.0, 0.5, P_EQ)
     assert stab == "saddle" and lam2 > 0.0

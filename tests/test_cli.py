@@ -386,12 +386,42 @@ def _stdlib_json(payload):
     return json.dumps(clean(payload), indent=2) + "\n"
 
 
-def test_bifurcation_readme_file_is_the_stdlib_encoding(tmp_path, capsys):
+def _diagram_records(d) -> dict:
+    """The bifurcation document of d, each curve's samples a list of dicts."""
+    keys = ("theta0", "kappa", "eps", "stability", "lambda_sq")
+
+    def curve(c):
+        cols = [list(getattr(c, k)) for k in keys]
+        assert len({len(col) for col in cols}) == 1
+        return {"label": c.label, "samples": [dict(zip(keys, row)) for row in zip(*cols)]}
+
+    p = d.params
+    return {
+        "params": {"alpha": p.alpha, "beta": p.beta, "nu": p.nu, "eta": p.eta},
+        "diagram_type": d.diagram_type,
+        "boundary": d.boundary,
+        "two_torus_region": d.two_torus_region,
+        "kappa_symmetric": d.kappa_symmetric,
+        "cusp": None if d.cusp is None else {
+            "theta": d.cusp.theta, "kappa": d.cusp.kappa, "eps": d.cusp.eps, "kind": d.cusp.kind},
+        "curves": [curve(c) for c in d.curves],
+        "points": [{"label": q.label, "kappa": q.kappa, "eps": q.eps,
+                    "isolated": q.isolated, "stable": q.stable} for q in d.points],
+        "rpm_boundary": curve(d.rpm_boundary),
+    }
+
+
+# the README body; the balanced sigma_pi2 parabola with its saddle/center
+# switch; the sphere, where the parabola is all centers
+@pytest.mark.parametrize("alpha, beta", [(0.5, 3.0), (0.0, 1.5), (0.0, 1.0)],
+                         ids=["readme", "sigma_pi2", "sphere"])
+def test_bifurcation_readme_file_is_the_stdlib_encoding(alpha, beta, tmp_path, capsys):
     out = tmp_path / "diagram.json"
-    assert main(["bifurcation", "--alpha", "0.5", "--beta", "3", "--out", str(out)]) == 0
+    assert main(["bifurcation", "--alpha", str(alpha), "--beta", str(beta),
+                 "--out", str(out)]) == 0
     capsys.readouterr()
     # nu and eta default to 1
-    want = _stdlib_json(cli._diagram_payload(diagram(Params(0.5, 3.0, 1.0, 1.0))))
+    want = _stdlib_json(_diagram_records(diagram(Params(alpha, beta, 1.0, 1.0))))
     assert out.read_bytes() == want.encode("ascii")
 
 

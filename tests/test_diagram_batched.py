@@ -137,17 +137,15 @@ BODIES.update({
 })
 
 
-def _as_arrays(samples):
-    cols = list(zip(*samples)) if samples else [()] * 5
-    return [np.array(c, dtype=float) for c in cols[:4]], list(cols[4])
-
-
 def _same_samples(got, want):
-    got = [(s.theta0, s.kappa, s.eps, s.lambda_sq, s.stability) for s in got]
-    (ga, gs), (wa, ws) = _as_arrays(got), _as_arrays(want)
-    assert len(got) == len(want)
-    assert all(np.array_equal(g, w) for g, w in zip(ga, wa))
-    assert gs == ws
+    """got: the columns theta0, kappa, eps, stability, lambda_sq; want: the
+    scalar loop's (theta0, kappa, eps, lambda_sq, stability) rows."""
+    theta0, kappa, eps, stability, lambda_sq = got
+    cols = list(zip(*want)) if want else [()] * 5
+    assert len(theta0) == len(want)
+    assert all(np.array_equal(g, np.array(w, dtype=float))
+               for g, w in zip((theta0, kappa, eps, lambda_sq), cols[:4]))
+    assert stability == list(cols[4])
 
 
 @pytest.mark.parametrize("name", sorted(BODIES))
@@ -164,7 +162,7 @@ def test_batched_diagram_matches_the_scalar_loops(name):
                       _scalar_sample_arc(p, lo, hi, lc, hc, 200, 1e-3, eps_max, kappa_max))
     rpm = bif.rpm_boundary(p, kappa_max)
     want = [_scalar_rpm_floor(float(k), p) for k in np.linspace(0.0, kappa_max, 241)]
-    assert np.array_equal([s.eps for s in rpm.samples], want)
+    assert np.array_equal(rpm.eps, want)
     for kappa in (0.0, -0.4, 1e-9, 2.5):
         assert bif.rpm_floor(kappa, p) == _scalar_rpm_floor(kappa, p)
 

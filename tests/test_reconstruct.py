@@ -1,5 +1,7 @@
 """Quadratures, rotation numbers, classification, and the resonance fold."""
 
+import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -258,6 +260,27 @@ def test_resonance_curve_zero_order_point():
     q = pts[0]
     np.testing.assert_allclose(q.eps, 3.1790302156, atol=1e-6)
     assert abs(q.N) < 1e-6
+
+
+def test_resonance_curve_logs_the_roots_it_drops(monkeypatch, caplog):
+    import rubberroll.reconstruct as rec
+
+    caplog.set_level(logging.INFO, logger="rubberroll.reconstruct")
+    assert len(resonance_curve(0, P_XY, (0.5, 0.5), n_kappa=1)) == 1
+    assert not caplog.records
+    # N pushed 1e-3 away from zero on either side keeps the sign change
+    # that brackets the root, but brentq's root then has a residual of 1e-3
+    real = rec.rotation_number
+
+    def jumpy(*args, **kwargs):
+        rn = real(*args, **kwargs)
+        return dataclasses.replace(rn, N=rn.N + math.copysign(1e-3, rn.N))
+
+    monkeypatch.setattr(rec, "rotation_number", jumpy)
+    assert resonance_curve(0, P_XY, (0.5, 0.5), n_kappa=1) == []
+    assert [r.getMessage() for r in caplog.records] == [
+        "resonance N = 0 at kappa = 0.5: dropped 1 roots with |N + n| above 1e-06, "
+        "the largest 0.001"]
 
 
 def test_epsilon_min_closed_forms():

@@ -90,7 +90,7 @@ def test_edge_body_kernel_matches_contact_vector(p):
 def test_edge_body_diagram_and_classes(p, dtype, boundary):
     d = diagram(p)
     assert (d.diagram_type, d.boundary) == (dtype, boundary)
-    assert all(c.samples for c in d.curves)
+    assert all(len(c.kappa) for c in d.curves)
     for kappa in (0.0, 0.3, -1.0):
         floor = rpm_floor(kappa, p)
         levels = [effective_potential(t, kappa, p) for t in critical_thetas(kappa, p)]
