@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brent import brentq, minimize_bounded
+from .brent import brentq
 from .dynamics import (
     FullState,
     component_intervals,
@@ -141,12 +141,11 @@ def omega0_sq(theta: float, p: Params) -> float:
     c = math.cos(theta)
     if abs(s) < 1e-15 or abs(c) < 1e-15:
         raise ValueError(f"steady-rotation rate undefined at theta={theta}")
-    b2 = p.beta * p.beta
-    # Z and J^2 rounded as (beta^2 s) s and (nu s) s, which verify's output rests on
-    Z = math.sqrt(b2 * s * s + c * c)
+    s2 = s * s
+    Z = surface_z(s2, c, p)
     w = Z + p.alpha * c
-    J2 = (c * c + p.nu * s * s) / p.eta + w * w
-    return -s * s * (c * (1.0 - b2) + p.alpha * Z) / (c * Z * J2)
+    J2 = (c * c + p.nu * s2) / p.eta + w * w
+    return -s2 * (c * (1.0 - p.beta * p.beta) + p.alpha * Z) / (c * Z * J2)
 
 
 def _pow4(s):
@@ -159,12 +158,10 @@ def _sigma_theta(s, c, p: Params):
     """(kappa^2, eps) along the steady-rotation curve at the inclination with
     sine s and cosine c, floats or arrays alike.
 
-    Z is rounded as (beta^2 s) s, which the diagram JSON and verify's output
-    rest on.  For alpha != 0 both diverge at the equator, c = 0.
+    For alpha != 0 both diverge at the equator, c = 0.
     """
     b2 = p.beta * p.beta
-    Z2 = b2 * s * s + c * c
-    Z = math.sqrt(Z2) if isinstance(Z2, float) else np.sqrt(Z2)
+    Z = surface_z(s * s, c, p)
     eps = (3.0 * Z * Z - 1.0) / (2.0 * Z)
     if p.alpha == 0.0:
         return _pow4(s) * (b2 - 1.0) / Z, eps
@@ -371,13 +368,18 @@ def equator_parabola(
         raise ValueError("the equatorial rolling curve exists only for alpha = 0")
     kc = equator_kappa_c(p)
     k = np.linspace(0.0, kappa_max, n_samples)
-    s, c = math.sin(math.pi / 2.0), math.cos(math.pi / 2.0)
-    s2 = s * s
-    Z = surface_z(s2, c, p)
-    lam2 = surface_g0_prime(s2, c, Z, k, p) / surface_b(s, s2, c, Z, p)[0]
+    lam2 = _lambda_sq(math.sin(math.pi / 2.0), math.cos(math.pi / 2.0), k, p)
     stability = np.where((k > kc) | (kc <= 0.0), CENTER, SADDLE).tolist()
     return BifurcationCurve("sigma_pi2", np.full(n_samples, math.pi / 2.0), k,
                             k * k / 2.0 + p.beta, stability, lam2)
+
+
+def _lambda_sq(s, c, kappa, p: Params):
+    """G0'/B, the eigenvalue square of the fixed point at the angle with sine
+    s and cosine c, floats or arrays alike; an array kappa keeps off the poles."""
+    s2 = s * s
+    Z = surface_z(s2, c, p)
+    return surface_g0_prime(s2, c, Z, kappa, p) / surface_b(s, s2, c, Z, p)[0]
 
 
 def _curve_points(th: np.ndarray, p: Params):
@@ -467,9 +469,7 @@ def _sample_arc(
     sel = sel[np.argsort(t[sel])]
     t, s, c, k, e, on, _ = (x[sel] for x in pts)
     t, s, c, k, e = t[on], s[on], c[on], k[on], e[on]
-    s2 = s * s
-    Z = surface_z(s2, c, p)
-    lam2 = surface_g0_prime(s2, c, Z, k, p) / surface_b(s, s2, c, Z, p)[0]
+    lam2 = _lambda_sq(s, c, k, p)
     return t, k, e, np.where(lam2 < 0.0, CENTER, SADDLE).tolist(), lam2
 
 
@@ -517,14 +517,16 @@ def sigma_theta_curve(
     return _curves(p, cp, n_samples, ds_max, eps_max, kappa_max)
 
 
-def _rpm_floors(kappas: list[float], p: Params) -> list[float]:
-    """Global minimum of the effective potential on each kappa slice.
+def _rpm_floors(kappas: list[float], p: Params) -> list[tuple[float, float]]:
+    """(theta, V) at the global minimum of the effective potential on each
+    kappa slice.
 
-    The argmin of V on a grid of _RPM_NODES angles, polished by a bounded
-    minimization between its neighbours.  The grids of all nonzero kappas
-    stop short of the poles and are evaluated as arrays of _RPM_BLOCK rows,
-    which stay in cache; at kappa = 0 the grid runs over [0, pi], the poles
-    included.
+    The array selects the argmin of V on a grid of _RPM_NODES angles.  The
+    grids of all nonzero kappas stop short of the poles and are evaluated as
+    arrays of _RPM_BLOCK rows, which stay in cache; at kappa = 0 the grid
+    runs over [0, pi], the poles included.  The scalar decides: theta is the
+    brentq root of G0 = -V' between the argmin's two neighbours, or the
+    argmin itself where G0 keeps its sign there (a pole minimum at kappa = 0).
     """
     n = _RPM_NODES
     nonzero = np.array([k for k in kappas if k != 0.0])
@@ -542,15 +544,12 @@ def _rpm_floors(kappas: list[float], p: Params) -> list[float]:
             i = int(np.argmin(potential_grid(grid, kappa, p)[0]))
         else:
             grid, i = next(rows)
-        v_i = effective_potential(float(grid[i]), kappa, p)
-        lo = grid[max(0, i - 1)]
-        hi = grid[min(n - 1, i + 1)]
-        if hi - lo < 1e-15:
-            out.append(float(v_i))
-            continue
-        _, v_min = minimize_bounded(lambda t: effective_potential(t, kappa, p),
-                                    float(lo), float(hi), xatol=1e-13)
-        out.append(min(v_min, v_i))
+        try:
+            theta = brentq(lambda t: g0(t, kappa, p), float(grid[max(0, i - 1)]),
+                           float(grid[min(n - 1, i + 1)]), xtol=1e-14)
+        except ValueError:
+            theta = float(grid[i])
+        out.append((theta, effective_potential(theta, kappa, p)))
     return out
 
 
@@ -561,15 +560,18 @@ def rpm_floor(kappa: float, p: Params) -> float:
     plane.  At kappa = 0 the potential continues smoothly through the poles,
     so the candidates include both pole values.
     """
-    return _rpm_floors([kappa], p)[0]
+    return _rpm_floors([kappa], p)[0][1]
 
 
 def rpm_boundary(p: Params, kappa_max: float, n_samples: int = 241) -> BifurcationCurve:
-    """Lower envelope eps_min(kappa) of the region of possible motions."""
+    """Lower envelope eps_min(kappa) of the region of possible motions, with
+    the angle theta0 each floor is taken at and G0'/B there."""
     kappas = np.linspace(0.0, kappa_max, n_samples)
-    nan = np.full(n_samples, math.nan)
-    return BifurcationCurve("rpm_boundary", nan, kappas, np.array(_rpm_floors(kappas.tolist(), p)),
-                            [CENTER] * n_samples, nan)
+    theta0, eps = np.array(_rpm_floors(kappas.tolist(), p)).T
+    lam2 = [_lambda_sq(math.sin(t), math.cos(t), k, p)
+            for t, k in zip(theta0.tolist(), kappas.tolist())]
+    return BifurcationCurve("rpm_boundary", theta0, kappas, eps, [CENTER] * n_samples,
+                            np.array(lam2))
 
 
 def _default_eps_max(p: Params, cp: CuspPoint | None) -> float:

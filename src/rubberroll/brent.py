@@ -1,13 +1,12 @@
-"""Brent's scalar root finder and bounded minimizer.
+"""Brent's scalar root finder.
 
-Brent, Algorithms for Minimization without Derivatives (1973), ch. 4 and 5:
+Brent, Algorithms for Minimization without Derivatives (1973), ch. 4:
 :func:`brentq` brackets a root with inverse quadratic interpolation and
-bisection, :func:`minimize_bounded` finds a minimum on an interval with
-parabolic steps and golden sections.  Both repeat scipy's implementations
-(the C ``brentq`` of ``scipy.optimize`` and the ``bounded`` method of
-``minimize_scalar``) operation by operation on Python floats, so they return
-the same floats after the same function calls; the tests keep scipy as the
-oracle.  They live here so that the package runs on numpy alone.
+bisection.  It repeats the C ``brentq`` of ``scipy.optimize`` operation by
+operation on Python floats, so it returns the same floats after the same
+function calls; the tests keep scipy as the oracle.  It lives here so that
+the package runs on numpy alone.  The package finds its extrema with it too,
+as roots of their slopes.
 """
 
 from __future__ import annotations
@@ -15,13 +14,10 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-__all__ = ["brentq", "minimize_bounded"]
+__all__ = ["brentq"]
 
 _RTOL = 8.9e-16         # relative tolerance of brentq, just above four float epsilons
 _MAXITER = 100          # brentq iterations before RuntimeError
-_MAXFUN = 500           # minimize_bounded function calls before it stops
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 def _value(f: Callable[[float], float], x: float) -> float:
@@ -92,78 +88,3 @@ def brentq(f: Callable[[float], float], a: float, b: float, *, xtol: float) -> f
             xcur += delta if sbis > 0 else -delta
         fcur = _value(f, xcur)
     raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
-
-
-def minimize_bounded(func: Callable[[float], float], lo: float, hi: float, *,
-                     xatol: float) -> tuple[float, float]:
-    """(x, func(x)) at a local minimum of func on [lo, hi], x to within
-    about xatol; stops after 500 function calls."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("Optimization bounds must be finite scalars.")
-    if lo > hi:
-        raise ValueError("The lower bound exceeds the upper bound.")
-    a, b = lo, hi
-    fulc = a + _GOLDEN * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:
-            # parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = _GOLDEN * e
-
-        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _MAXFUN:
-            break
-    return xf, fx

@@ -30,8 +30,9 @@ The level-set scans (here and in :mod:`.bifurcation`) evaluate whole theta
 grids at once through the array kernel :func:`potential_grid`.  The rule is
 "the array selects, the scalar decides": the array only picks grid cells or
 nodes, and every number a scan returns comes from the scalar functions
-(:func:`effective_potential`, :func:`g0`), through brentq, minimize_bounded,
-midpoint membership tests or a plain re-evaluation at the selected node.
+(:func:`effective_potential`, :func:`g0`), through brentq, midpoint
+membership tests or a plain re-evaluation at the selected node.  A minimum
+is a root of its slope, so brentq finds the extrema too.
 """
 
 from __future__ import annotations

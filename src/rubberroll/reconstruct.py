@@ -40,12 +40,13 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
-from .brent import brentq, minimize_bounded
+from .brent import brentq
 from .model import Params
-from .geometry import profile, surface_u
+from .geometry import profile, surface_u, surface_z
 from .dynamics import (
     _LEVEL_FLOOR,
     FP_WIDTH,
@@ -226,15 +227,9 @@ def euler_rotation(theta: float, psi: float, phi: float) -> np.ndarray:
 
 def _meridian_contact(st: np.ndarray, ct: np.ndarray, p: Params):
     """(Z, chi1, chi2) on arrays of sin and cos of theta, where the contact
-    vector is r = (chi1 gamma_1, chi1 gamma_2, chi2) on the unit sphere.
-
-    Z is rounded as sqrt((beta^2 st) st + ct^2), one ulp apart from
-    :func:`.geometry.surface_z` in places, so that the z_c, x_p and y_p
-    trajectory columns keep their bits.
-    """
-    b2 = p.beta * p.beta
-    Z = np.sqrt(b2 * st * st + ct * ct)
-    return Z, -b2 / Z, -ct / Z - p.alpha
+    vector is r = (chi1 gamma_1, chi1 gamma_2, chi2) on the unit sphere."""
+    Z = surface_z(st * st, ct, p)
+    return Z, -p.beta * p.beta / Z, -ct / Z - p.alpha
 
 
 def contact_shift(theta: np.ndarray, psi: np.ndarray, phi: np.ndarray, p: Params) -> tuple[np.ndarray, np.ndarray]:
@@ -629,8 +624,10 @@ def _bump_peak(
     """Local maximum of N over eps near e_center on the topmost branch.
 
     Past the fold merge the slice keeps a narrow bump of elevated N around
-    the old merge level; a uniform scan brackets it and a bounded search
-    refines the peak.  Returns (eps_peak, N_peak).
+    the old merge level; a uniform scan brackets it, and the root of N's
+    centred-difference slope between the best node's neighbours refines the
+    peak (the node itself stands where that slope keeps its sign).  Returns
+    (eps_peak, N_peak).
     """
     levels = [effective_potential(th, kappa, p) for th in critical_thetas(kappa, p)]
     base = max(levels)
@@ -648,9 +645,16 @@ def _bump_peak(
     i = int(np.argmax(vals))
     if i == 0 or i == _BUMP_SCAN - 1:
         return float(grid[i]), vals[i]
-    e_peak, neg_n = minimize_bounded(lambda e: -n_of(e), float(grid[i - 1]),
-                                     float(grid[i + 1]), xatol=1e-6)
-    return e_peak, -neg_n
+    try:
+        e_peak = brentq(_slope(n_of, 1e-4), float(grid[i - 1]), float(grid[i + 1]), xtol=1e-6)
+    except ValueError:
+        return float(grid[i]), vals[i]
+    return e_peak, n_of(e_peak)
+
+
+def _slope(n_of: Callable[[float], float], h: float) -> Callable[[float], float]:
+    """The centred difference (N(e + h) - N(e - h)) / 2h of n_of, as a function of e."""
+    return lambda e: (n_of(e + h) - n_of(e - h)) / (2.0 * h)
 
 
 def _peak_eps(
@@ -670,13 +674,11 @@ def _peak_eps(
     def n_of(e: float) -> float:
         return rotation_number(kappa, e, p, 0, tol_abs=tol_abs, tol_rel=tol_rel).N
 
-    def slope2(e: float, h: float = 1e-4) -> float:
-        return (n_of(e + h) - n_of(e - h)) / (2.0 * h)
-
     def slope4(e: float, h: float = 1e-5) -> float:
         return (-n_of(e + h) + 8.0 * n_of(e + 0.5 * h)
                 - 8.0 * n_of(e - 0.5 * h) + n_of(e - h)) / (6.0 * h)
 
+    slope2 = _slope(n_of, 1e-4)
     w = span
     for _ in range(5):
         lo, hi = max(e_seed - w, floor), e_seed + w

@@ -1,5 +1,5 @@
-"""The scipy-free runtime: Brent's root finder and bounded minimizer and the
-DOP853 tableau against scipy, their oracle, and a run that loads no scipy."""
+"""The scipy-free runtime: Brent's root finder and the DOP853 tableau
+against scipy, their oracle, and a run that loads no scipy."""
 
 import math
 import os
@@ -10,15 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate._ivp import dop853_coefficients as dop
 from scipy.optimize import brentq as scipy_brentq
-from scipy.optimize import minimize_scalar
 
 import rubberroll
 from rubberroll import brent, integrate
-from rubberroll.brent import brentq, minimize_bounded
+from rubberroll.brent import brentq
 
 # f(x; r, c) families: smooth monotone, flat root, oscillating (several or no
 # roots in a bracket), a sign step (bisection only), NaN past a point, and
@@ -32,18 +31,6 @@ ROOT_FAMILIES = {
     "step": lambda x, r, c: -1.0 if x < r else 1.0,
     "nan": lambda x, r, c: x - r if x < r + c else math.nan,
 }
-
-# g(x; m, c) families: one smooth minimum, several, a kink, a narrow dip,
-# terraces (ties between trial values) and a constant
-MIN_FAMILIES = {
-    "quadratic": lambda x, m, c: (x - m) ** 2,
-    "terraces": lambda x, m, c: math.floor(10.0 * c * math.cos(3.0 * x + m)),
-    "wavy": lambda x, m, c: (x - m) ** 2 + c * math.cos(8.0 * x),
-    "kink": lambda x, m, c: abs(x - m) + c * x,
-    "dip": lambda x, m, c: -math.exp(-(((x - m) / (0.01 + c)) ** 2)),
-    "flat": lambda x, m, c: 1.0,
-}
-
 
 def _counted(fn, calls):
     def f(x):
@@ -93,37 +80,6 @@ def test_brentq_error_contract():
         assert got == _outcome(scipy_brentq, f, a, b, xtol=xtol, rtol=brent._RTOL)
         kinds.append(got[1][0])
     assert kinds == [ValueError, ValueError, RuntimeError, ValueError]
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(
-    family=st.sampled_from(sorted(MIN_FAMILIES)),
-    m=st.floats(-3.0, 3.0),
-    c=st.floats(0.0, 1.0),
-    lo=st.floats(-3.0, 3.0),
-    width=st.one_of(st.just(0.0), st.floats(1e-9, 6.0)),
-    log_xatol=st.floats(-13.0, -2.0),
-)
-# ties between a trial value and the kept points
-@example(family="terraces", m=-1.07, c=0.54, lo=0.69, width=3.91, log_xatol=-3.0)
-@example(family="terraces", m=-1.05, c=0.14, lo=0.06, width=5.99, log_xatol=-6.0)
-def test_minimize_bounded_matches_scipy(family, m, c, lo, width, log_xatol):
-    g = lambda x: MIN_FAMILIES[family](float(x), m, c)
-    hi, xatol = lo + width, 10.0 ** log_xatol
-    calls = []
-    x, fun = minimize_bounded(_counted(g, calls), lo, hi, xatol=xatol)
-    ref_calls = []
-    res = minimize_scalar(_counted(g, ref_calls), bounds=(lo, hi), method="bounded",
-                          options={"xatol": xatol})
-    assert (x, fun) == (float(res.x), float(res.fun))
-    assert calls == ref_calls
-
-
-def test_minimize_bounded_rejects_bad_bounds():
-    with pytest.raises(ValueError, match="exceeds"):
-        minimize_bounded(abs, 1.0, 0.0, xatol=1e-5)
-    with pytest.raises(ValueError, match="finite"):
-        minimize_bounded(abs, 0.0, math.inf, xatol=1e-5)
 
 
 @pytest.mark.parametrize("name", ["A", "B", "C", "D", "E3", "E5"])

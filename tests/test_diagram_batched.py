@@ -4,17 +4,18 @@ The oracles below are the pointwise loops the diagram ran before its curve
 sampling, window search and RPM floor were batched: one closed-form
 evaluation per angle, a depth-first ``thetas.insert`` refinement and one
 potential grid per kappa.  The batched code does the same arithmetic, so the
-results must agree bit for bit.
+results must agree bit for bit.  The RPM floor is also held to the critical
+angles, which a separate scan finds.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from rubberroll import bifurcation as bif
-from rubberroll.brent import minimize_bounded
-from rubberroll.dynamics import effective_potential, g0_prime, potential_grid
+from rubberroll.dynamics import critical_thetas, effective_potential, g0, g0_prime, potential_grid
 from rubberroll.geometry import profile
 from rubberroll.model import Params
 
@@ -23,7 +24,7 @@ def _scalar_curve_point(theta0, p):
     s = math.sin(theta0)
     c = math.cos(theta0)
     b2 = p.beta * p.beta
-    Z = math.sqrt(b2 * s * s + c * c)
+    Z = math.sqrt(b2 * (s * s) + c * c)
     eps = (3.0 * Z * Z - 1.0) / (2.0 * Z)
     if p.alpha == 0.0:
         k2 = s ** 4 * (b2 - 1.0) / Z
@@ -95,14 +96,12 @@ def _scalar_rpm_floor(kappa, p):
         barrier = max(1e-6, abs(kappa) * 1e-3)
         grid = np.linspace(barrier, math.pi - barrier, n)
     i = int(np.argmin(potential_grid(grid, kappa, p)[0]))
-    v_i = effective_potential(float(grid[i]), kappa, p)
-    lo = grid[max(0, i - 1)]
-    hi = grid[min(n - 1, i + 1)]
-    if hi - lo < 1e-15:
-        return float(v_i)
-    _, v_min = minimize_bounded(lambda t: effective_potential(t, kappa, p),
-                                float(lo), float(hi), xatol=1e-13)
-    return min(v_min, v_i)
+    try:
+        theta = brentq(lambda t: g0(t, kappa, p), float(grid[max(0, i - 1)]),
+                       float(grid[min(n - 1, i + 1)]), xtol=1e-14, rtol=8.9e-16)
+    except ValueError:
+        theta = float(grid[i])
+    return theta, effective_potential(theta, kappa, p)
 
 
 def _arcs(p):
@@ -162,9 +161,30 @@ def test_batched_diagram_matches_the_scalar_loops(name):
                       _scalar_sample_arc(p, lo, hi, lc, hc, 200, 1e-3, eps_max, kappa_max))
     rpm = bif.rpm_boundary(p, kappa_max)
     want = [_scalar_rpm_floor(float(k), p) for k in np.linspace(0.0, kappa_max, 241)]
-    assert np.array_equal(rpm.eps, want)
+    assert np.array_equal(rpm.theta0, [t for t, _ in want])
+    assert np.array_equal(rpm.eps, [v for _, v in want])
+    assert np.array_equal(rpm.lambda_sq, [g0_prime(t, k, p) / profile(t, p, pole_mode=True).B
+                                          for (t, _), k in zip(want, rpm.kappa)])
     for kappa in (0.0, -0.4, 1e-9, 2.5):
-        assert bif.rpm_floor(kappa, p) == _scalar_rpm_floor(kappa, p)
+        assert bif.rpm_floor(kappa, p) == _scalar_rpm_floor(kappa, p)[1]
+
+
+@pytest.mark.parametrize("name", sorted(BODIES))
+def test_the_floor_is_the_lowest_critical_level(name):
+    p = BODIES[name]
+    kappa_max = bif._default_kappa_max(p, bif._default_eps_max(p, bif.cusp(p)))
+    rpm = bif.rpm_boundary(p, kappa_max)
+    extra = [0.0, -0.4, 1e-9, 0.05, 2.5]
+    floors = zip(extra + rpm.kappa.tolist(), [bif.rpm_floor(k, p) for k in extra] + rpm.eps.tolist(),
+                 [None] * len(extra) + rpm.theta0.tolist())
+    for kappa, floor, theta0 in floors:
+        crit = critical_thetas(kappa, p)
+        poles = [0.0, math.pi] if kappa == 0.0 else []
+        low = min(effective_potential(t, kappa, p) for t in crit + poles)
+        assert abs(floor - low) <= 1e-13 * max(1.0, abs(low)), (kappa, floor, low)
+        # V has no isolated minimum on the flat sphere at kappa = 0
+        if theta0 is not None and not (name == "sphere" and kappa == 0.0):
+            assert theta0 in poles or min(abs(theta0 - t) for t in crit) <= 1e-9, (kappa, theta0)
 
 
 @pytest.mark.parametrize("ds_max", [2e-6, 1e-9])

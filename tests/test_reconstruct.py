@@ -19,6 +19,7 @@ from rubberroll.dynamics import (
     critical_thetas,
     effective_potential,
     g0_prime,
+    inertia_grid,
     kinematic_init,
     lift,
 )
@@ -76,6 +77,15 @@ def test_quadrature_reconstruction_vs_kinematic():
                 + np.sqrt(P_XY.beta ** 2 * np.sin(quad.theta) ** 2
                           + np.cos(quad.theta) ** 2))
     np.testing.assert_allclose(quad.z_c, z_expect, atol=1e-9)
+
+
+def test_height_is_the_profile_height_bit_for_bit():
+    # z_c and inertia_grid's U both take Z from geometry.surface_z
+    rng = np.random.default_rng(20261018)
+    for p in (P_XY, P_EQ, Params(0.3, 0.6, 1.0, 1.0)):
+        th0, pth0, kap = rng.uniform(0.4, 2.6), rng.uniform(-0.3, 0.3), rng.uniform(0.2, 1.0)
+        path = reconstruct_trajectory((th0, pth0), kap, (0.0, 20.0), p)
+        assert np.array_equal(path.z_c, inertia_grid(path.theta, p)[2])
 
 
 def test_rotation_number_locked_fraction():
