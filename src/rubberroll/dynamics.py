@@ -32,7 +32,10 @@ grids at once through the array kernel :func:`potential_grid`.  The rule is
 nodes, and every number a scan returns comes from the scalar functions
 (:func:`effective_potential`, :func:`g0`), through brentq, midpoint
 membership tests or a plain re-evaluation at the selected node.  A minimum
-is a root of its slope, so brentq finds the extrema too.
+is a root of its slope, so brentq finds the extrema too.  Here only
+:func:`critical_thetas` scans a fine grid, of G0 and G0'.  V is monotone
+between consecutive critical thetas, so :func:`component_intervals` brackets
+every turning point of a level with those thetas and the chart edges alone.
 """
 
 from __future__ import annotations
@@ -528,7 +531,6 @@ def lift(r: ReducedState, kappa: float, phi: float, p: Params) -> FullState:
 
 FP_WIDTH = 1e-9   # components narrower than this are relative equilibria
 _CRIT_GRID = 800  # critical_thetas: sign-scan nodes over (0, pi)
-_LEVEL_GRID = 2000  # component_intervals: level-scan nodes over (0, pi)
 _LEVEL_TOL = 1e-10  # component_intervals: relative gap that puts a critical point on the level
 _LEVEL_FLOOR = 4 * math.ulp(1.0)  # component_intervals: relative rounding floor of V - eps
 
@@ -544,7 +546,9 @@ def critical_thetas(kappa: float, p: Params) -> list[float]:
 
     For kappa != 0 the centrifugal term dominates both pole limits, so every
     root is interior and a sign scan on a uniform grid brackets all of them;
-    roots between a pole and the grid's 1e-6 edge get a node beyond them.
+    roots between a pole and the grid's 1e-6 edge get a node beyond them, and
+    a pair closer than the grid spacing is found from the G0 extremum between
+    them.  :func:`component_intervals` relies on getting every root.
     For kappa = 0 the only interior root is the inclined equilibrium, when it
     exists; the poles themselves are always equilibria of the meridian chart
     and are not reported here.
@@ -565,7 +569,7 @@ def critical_thetas(kappa: float, p: Params) -> list[float]:
 
     eps_edge = 1e-6
     grid = np.linspace(eps_edge, math.pi - eps_edge, _CRIT_GRID)
-    vals = potential_grid(grid, kappa, p)[1]
+    _, vals, slope = potential_grid(grid, kappa, p)
     if vals[0] < 0.0 or vals[-1] > 0.0:
         # G0 -> +inf at the pole 0 and -inf at pi, so the wrong sign at a
         # clip edge means a root between it and the pole: the near-pole
@@ -577,7 +581,7 @@ def critical_thetas(kappa: float, p: Params) -> list[float]:
         th_e = 0.5 * math.sqrt(abs(kappa) / math.sqrt(C))
         grid = np.concatenate(([th_e] if vals[0] < 0.0 else [], grid,
                                [math.pi - th_e] if vals[-1] > 0.0 else []))
-        vals = potential_grid(grid, kappa, p)[1]
+        _, vals, slope = potential_grid(grid, kappa, p)
     roots = []
     for i in sign_cells(vals):
         if vals[i] == 0.0:
@@ -588,6 +592,21 @@ def critical_thetas(kappa: float, p: Params) -> list[float]:
             roots.append(brentq(f, float(grid[i]), float(grid[i + 1]), xtol=xtol))
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
+    # next to a fold a center/saddle pair can share one cell of one sign.
+    # The pair straddles an extremum of G0, which G0' brackets.  While G0'
+    # is monotone across the cell, G0 at the extremum lies within |G0'| x
+    # width of either node, so a node farther from zero than twice that
+    # rules the pair out without a solve.
+    for i in sign_cells(slope):
+        a, b = float(grid[i]), float(grid[i + 1])
+        ga, gb = vals[i], vals[i + 1]
+        if (ga * gb <= 0.0 or abs(ga) > 2.0 * (b - a) * abs(slope[i])
+                or abs(gb) > 2.0 * (b - a) * abs(slope[i + 1])):
+            continue
+        xtol = 1e-14 * a if a < eps_edge else 1e-14
+        m = brentq(lambda th: g0_prime(th, kappa, p), a, b, xtol=xtol)
+        if f(m) * ga < 0.0:
+            roots += [brentq(f, a, m, xtol=xtol), brentq(f, m, b, xtol=xtol)]
     return sorted(roots)
 
 
@@ -608,6 +627,9 @@ def turning_points(kappa: float, eps: float, p: Params, branch: int = 0) -> tupl
 def component_intervals(kappa: float, eps: float, p: Params) -> list[tuple[float, float]]:
     """Connected theta-intervals of the admissible region {V <= eps}.
 
+    V is monotone between consecutive critical thetas, so a sign scan of
+    V - eps on the chart edges and the critical thetas brackets every
+    turning point, and one brentq per sign change finds it.
     Returns a sorted list of (theta_lo, theta_hi).  Degenerate components
     (relative equilibria, eps exactly at a well bottom) come back with
     theta_lo == theta_hi.  For kappa = 0 the admissible set lives on the
@@ -627,7 +649,7 @@ def component_intervals(kappa: float, eps: float, p: Params) -> list[tuple[float
     else:
         lo_edge, hi_edge = 1e-6, math.pi - 1e-6
 
-    grid = sorted(set(np.linspace(lo_edge, hi_edge, _LEVEL_GRID).tolist() + crit))
+    grid = sorted({lo_edge, hi_edge, *crit})
     vals = potential_grid(np.array(grid), kappa, p)[0] - eps
     if kappa != 0.0 and min(vals[0], vals[-1]) < 0.0:
         # an admissible clip edge is no turning point: the centrifugal wall
@@ -642,9 +664,10 @@ def component_intervals(kappa: float, eps: float, p: Params) -> list[tuple[float
             )
         if vals[0] < 0.0:
             grid.insert(0, th_w)
+            vals = np.insert(vals, 0, V(th_w) - eps)
         if vals[-1] < 0.0:
             grid.append(math.pi - th_w)
-        vals = potential_grid(np.array(grid), kappa, p)[0] - eps
+            vals = np.append(vals, V(math.pi - th_w) - eps)
 
     scale = max(1.0, abs(eps))
     floor = _LEVEL_FLOOR * scale

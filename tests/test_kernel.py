@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
-from rubberroll.bifurcation import rpm_floor
+import rubberroll.dynamics
+from rubberroll.bifurcation import cusp, rpm_floor
 from rubberroll.dynamics import (
+    check_turning_point,
     component_intervals,
     critical_thetas,
     effective_potential,
@@ -195,3 +197,93 @@ def test_tiny_kappa_keeps_the_near_pole_equilibria(kappa):
     np.testing.assert_allclose(math.pi - crit[-1],
                                (kappa ** 2 / (b2 - 1.0 + p.alpha)) ** 0.25, rtol=1e-6)
     assert g0_prime(crit[0], kappa, p) < 0.0 and g0_prime(crit[-1], kappa, p) < 0.0
+
+
+# a body with a fold of its steady-rotation curve
+FOLD_BODY = Params(0.3, 1.5, 1.0, 1.0)
+# the oracle test's bodies: regions a-e, the off-center sphere and the fold body
+ORACLE_BODIES = list(REGION_BODIES.values()) + [Params(0.3, 1.0, 2.0, 1.0), FOLD_BODY]
+CLIP = 1e-6  # the oracle's level scan stops this far from each pole at kappa != 0
+
+
+def test_level_sets_match_the_scalar_oracle_next_to_critical_levels():
+    # levels within 1e-12 .. 1e-6 of a critical level, where the turning
+    # points are worst conditioned, plus seeded levels above the floor.
+    # An endpoint may move by the root solve's resolution plus what 16 ulps
+    # of V - eps move a root by, 16 ulp / |V'| = 16 ulp / |G0|.
+    rng = np.random.default_rng(13)
+    n_levels = 0
+    for p in ORACLE_BODIES:
+        for kappa in [0.0, 1e-7, -1e-5] + rng.uniform(-2.0, 2.0, 2).tolist():
+            levels = [effective_potential(t, kappa, p) for t in critical_thetas(kappa, p)]
+            if kappa == 0.0:
+                levels += [effective_potential(0.0, 0.0, p), effective_potential(math.pi, 0.0, p)]
+            epss = (rpm_floor(kappa, p) + rng.uniform(0.0, 3.0, 3)).tolist()
+            epss += [lv + s * d for lv in levels for d in (1e-12, 1e-9, 1e-6) for s in (-1.0, 1.0)]
+            for eps in epss:
+                n_levels += 1
+                ivs = component_intervals(kappa, eps, p)
+                ref_ivs = _scalar_component_intervals(kappa, eps, p)
+                assert len(ivs) == len(ref_ivs), (p, kappa, eps)
+                ulps = 16.0 * math.ulp(max(1.0, abs(eps)))
+                for got, ref in zip(ivs, ref_ivs):
+                    for th, rth in zip(got, ref):
+                        if kappa != 0.0 and rth in (CLIP, math.pi - CLIP):
+                            # the oracle has no centrifugal wall and ends at
+                            # its clip edge; the turning point lies beyond it
+                            assert abs(th - math.pi / 2) > abs(rth - math.pi / 2)
+                            check_turning_point(th, kappa, eps, p)
+                            continue
+                        slope = abs(g0(rth, kappa, p))
+                        tol = 1e-13 + ulps / slope if slope > 0.0 else math.inf
+                        assert abs(th - rth) <= tol, (p, kappa, eps, th, rth)
+    assert n_levels > 400
+
+
+def test_level_scan_evaluates_only_the_critical_nodes(monkeypatch):
+    # V is monotone between critical points, so the level scan needs the two
+    # chart edges, the critical thetas and at most two centrifugal-wall nodes
+    real = rubberroll.dynamics.potential_grid
+    for p in REGION_BODIES.values():
+        for kappa in (0.0, 1e-7, -0.3, 1.7):
+            crit = critical_thetas(kappa, p)
+            floor = rpm_floor(kappa, p)
+            for eps in (floor + 0.01, floor + 0.4, floor + 2.5):
+                sizes = []
+
+                def recording(theta, k, q):
+                    sizes.append(np.size(theta))
+                    return real(theta, k, q)
+
+                with monkeypatch.context() as m:
+                    m.setattr(rubberroll.dynamics, "critical_thetas", lambda k, q: crit)
+                    m.setattr(rubberroll.dynamics, "potential_grid", recording)
+                    ivs = component_intervals(kappa, eps, p)
+                assert ivs == component_intervals(kappa, eps, p)
+                assert 0 < sum(sizes) <= len(crit) + 4, (p, kappa, eps, sizes)
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_fold_pair_inside_one_scan_cell(k):
+    # just short of the fold the center/saddle pair near theta = 0.97 is
+    # closer than the 800-node scan's spacing (3.9e-3), so G0 keeps its sign
+    # across the cell that holds both roots
+    kappa = cusp(FOLD_BODY).kappa * (1.0 - 10.0 ** -k)
+    grid = np.linspace(1e-6, math.pi - 1e-6, 200_001)
+    vals = potential_grid(grid, kappa, FOLD_BODY)[1]
+    ref = [brentq(g0, grid[i], grid[i + 1], args=(kappa, FOLD_BODY), xtol=1e-15, rtol=8.9e-16)
+           for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)]
+    crit = critical_thetas(kappa, FOLD_BODY)
+    assert len(ref) == len(crit) == 3
+    np.testing.assert_allclose(crit, ref, rtol=0.0, atol=1e-12)
+
+    # the level between the pair's two levels holds the two-component wedge:
+    # the center's own well and the main well beyond the saddle.  For k >= 6
+    # the saddle is within the 1e-10 level tolerance of this level, so it also
+    # comes back as a degenerate component, which is left out here.
+    centre, saddle = crit[0], crit[1]
+    eps = 0.5 * (effective_potential(centre, kappa, FOLD_BODY)
+                 + effective_potential(saddle, kappa, FOLD_BODY))
+    wells = [iv for iv in component_intervals(kappa, eps, FOLD_BODY) if iv[0] < iv[1]]
+    assert len(wells) == 2
+    assert wells[0][0] < centre < wells[0][1] < saddle < wells[1][0] < crit[2] < wells[1][1]
