@@ -46,7 +46,7 @@ from .geometry import B_SIGN_DERIVED, B_SIGN_PAPER, profile
 from .dynamics import (
     FullState,
     component_intervals,
-    critical_thetas,
+    critical_points,
     effective_potential,
     g0,
     integrals,
@@ -710,7 +710,7 @@ def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
     # near-separatrix level per kappa
     worst_dn, worst_bound, n_lv = 0.0, 0.0, 0
     for kap in (0.5, -0.3) if quick else (0.5, -0.3, 0.8, -1.2):
-        lv = [effective_potential(t, kap, p) for t in critical_thetas(kap, p)]
+        lv = critical_points(kap, p).levels
         for eps in [min(lv) + 0.3] + ([lv[1] + 1e-3] if len(lv) == 3 else []):
             rn = rotation_number(kap, eps, p)
             lo, hi = component_intervals(kap, eps, p)[0]
@@ -728,7 +728,7 @@ def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
         # one-period drift by quadrature against the tight stepper's path:
         # a generic level and, where the slice has one, an N = 0 level
         kap = 0.5
-        lv = [effective_potential(t, kap, p) for t in critical_thetas(kap, p)]
+        lv = critical_points(kap, p).levels
         levels = [min(lv) + 0.3] + [pt.eps for pt in resonance_curve(0, p, (kap, kap), 1)[:1]]
         worst_dd, worst_bound = 0.0, 0.0
         for i, eps in enumerate(levels):

@@ -36,10 +36,16 @@ is a root of its slope, so brentq finds the extrema too.  Here only
 :func:`critical_thetas` scans a fine grid, of G0 and G0'.  V is monotone
 between consecutive critical thetas, so :func:`component_intervals` brackets
 every turning point of a level with those thetas and the chart edges alone.
+Each kappa slice is scanned once: :func:`critical_points` keeps the critical
+thetas of the last slices with their levels and saddle flags, and
+:func:`component_intervals` keeps the components of the last levels, in
+bounded per-process caches.  The caches key on the arguments as floats, so a
+kept result does not depend on which caller computed it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -81,6 +87,8 @@ __all__ = [
     "reduce_state",
     "lift",
     "sign_cells",
+    "CriticalPoints",
+    "critical_points",
     "critical_thetas",
     "component_intervals",
     "turning_points",
@@ -533,12 +541,38 @@ FP_WIDTH = 1e-9   # components narrower than this are relative equilibria
 _CRIT_GRID = 800  # critical_thetas: sign-scan nodes over (0, pi)
 _LEVEL_TOL = 1e-10  # component_intervals: relative gap that puts a critical point on the level
 _LEVEL_FLOOR = 4 * math.ulp(1.0)  # component_intervals: relative rounding floor of V - eps
+_SLICE_CACHE = 64  # critical_points: kappa slices kept per process
+_LEVEL_CACHE = 64  # component_intervals: levels kept per process
 
 
 def sign_cells(vals: np.ndarray) -> list[int]:
     """Grid cells [i, i + 1] that bracket a root: vals[i] == 0 or a sign change."""
     head, tail = vals[:-1], vals[1:]
     return np.flatnonzero((head == 0.0) | (head * tail < 0.0)).tolist()
+
+
+@dataclass(frozen=True)
+class CriticalPoints:
+    """The relative equilibria of one kappa slice, sorted by theta: the
+    roots of G0 that :func:`critical_thetas` returns, the level V at each,
+    and whether each is a saddle, a maximum of V (G0' > 0)."""
+
+    thetas: tuple[float, ...]
+    levels: tuple[float, ...]
+    saddle: tuple[bool, ...]
+
+    def saddles(self) -> list[tuple[float, float]]:
+        """(theta, level) of each saddle."""
+        return [(th, lv) for th, lv, sad in zip(self.thetas, self.levels, self.saddle) if sad]
+
+
+def critical_points(kappa: float, p: Params) -> CriticalPoints:
+    """The critical points of the kappa slice, found once per slice.
+
+    Every observable of a level reads them, and the sweeps hold kappa fixed
+    while eps varies, so the process keeps the last _SLICE_CACHE slices.
+    """
+    return _critical_points(float(kappa), p)
 
 
 def critical_thetas(kappa: float, p: Params) -> list[float]:
@@ -551,8 +585,23 @@ def critical_thetas(kappa: float, p: Params) -> list[float]:
     them.  :func:`component_intervals` relies on getting every root.
     For kappa = 0 the only interior root is the inclined equilibrium, when it
     exists; the poles themselves are always equilibria of the meridian chart
-    and are not reported here.
+    and are not reported here.  Read from :func:`critical_points`.
     """
+    return list(critical_points(kappa, p).thetas)
+
+
+@functools.lru_cache(maxsize=_SLICE_CACHE)
+def _critical_points(kappa: float, p: Params) -> CriticalPoints:
+    thetas = _g0_roots(kappa, p)
+    return CriticalPoints(
+        thetas=tuple(thetas),
+        levels=tuple(effective_potential(th, kappa, p) for th in thetas),
+        saddle=tuple(g0_prime(th, kappa, p) > 0.0 for th in thetas),
+    )
+
+
+def _g0_roots(kappa: float, p: Params) -> list[float]:
+    """The scan of :func:`critical_thetas`."""
     f = lambda th: g0(th, kappa, p)
     if kappa == 0.0:
         # G0 = sin * (alpha + (1 - beta^2) cos / Z) and the bracketed factor
@@ -629,28 +678,38 @@ def component_intervals(kappa: float, eps: float, p: Params) -> list[tuple[float
 
     V is monotone between consecutive critical thetas, so a sign scan of
     V - eps on the chart edges and the critical thetas brackets every
-    turning point, and one brentq per sign change finds it.
+    turning point, and one brentq per sign change finds it; V at the
+    critical thetas comes from :func:`critical_points`.
     Returns a sorted list of (theta_lo, theta_hi).  Degenerate components
-    (relative equilibria, eps exactly at a well bottom) come back with
-    theta_lo == theta_hi.  For kappa = 0 the admissible set lives on the
-    meridian circle; intervals touching a pole include the pole point and
-    stand for the pole-crossing component.  For kappa != 0 an interval reaching
-    toward a pole ends at the turning point on its centrifugal wall, however
-    close to the pole; a wall angle below 1e-30 raises ValueError.  V
-    within four ulps (relative to max(1, |eps|)) of eps counts as on the
-    level, so a flat potential, the centered sphere's at kappa = 0, gives
-    the single component (0, pi) at its rest level.
+    (stable relative equilibria: a minimum of V within 1e-10 relative of
+    eps, a pole minimum included at kappa = 0) come back with
+    theta_lo == theta_hi; a saddle never does.  For kappa = 0 the
+    admissible set lives on the meridian circle; intervals touching a pole
+    include the pole point and stand for the pole-crossing component.  For
+    kappa != 0 an interval reaching toward a pole ends at the turning point
+    on its centrifugal wall, however close to the pole; a wall angle below
+    1e-30 raises ValueError.  V within four ulps (relative to
+    max(1, |eps|)) of eps counts as on the level, so a flat potential, the
+    centered sphere's at kappa = 0, gives the single component (0, pi) at
+    its rest level.  The observables of a level each read its components,
+    so the process keeps the last _LEVEL_CACHE levels.
     """
+    return list(_component_intervals(float(kappa), float(eps), p))
+
+
+@functools.lru_cache(maxsize=_LEVEL_CACHE)
+def _component_intervals(kappa: float, eps: float, p: Params) -> tuple[tuple[float, float], ...]:
     V = lambda th: effective_potential(th, kappa, p)
-    crit = critical_thetas(kappa, p)
+    cp = _critical_points(kappa, p)
 
     if kappa == 0.0:
         lo_edge, hi_edge = 0.0, math.pi
     else:
         lo_edge, hi_edge = 1e-6, math.pi - 1e-6
 
-    grid = sorted({lo_edge, hi_edge, *crit})
-    vals = potential_grid(np.array(grid), kappa, p)[0] - eps
+    node_v = {lo_edge: V(lo_edge), hi_edge: V(hi_edge), **dict(zip(cp.thetas, cp.levels))}
+    grid = sorted(node_v)
+    vals = np.array([node_v[th] for th in grid]) - eps
     if kappa != 0.0 and min(vals[0], vals[-1]) < 0.0:
         # an admissible clip edge is no turning point: the centrifugal wall
         # lies between it and the pole.  V > eps wherever
@@ -676,11 +735,14 @@ def component_intervals(kappa: float, eps: float, p: Params) -> list[tuple[float
     vals[np.abs(vals) <= floor] = 0.0
     intervals: list[tuple[float, float]] = []
 
-    # degenerate components first: critical points sitting exactly on the level
-    degen = [tc for tc in crit if abs(V(tc) - eps) <= _LEVEL_TOL * scale]
+    # degenerate components first: minima of V sitting on the level.  A
+    # saddle within the tolerance above the level is no motion: the wells
+    # on either side end short of it
+    degen = [th for th, lv, sad in zip(cp.thetas, cp.levels, cp.saddle)
+             if not sad and abs(lv - eps) <= _LEVEL_TOL * scale]
     if kappa == 0.0:
         for pole in (0.0, math.pi):
-            if abs(V(pole) - eps) <= _LEVEL_TOL * scale:
+            if g0_prime(pole, 0.0, p) <= 0.0 and abs(V(pole) - eps) <= _LEVEL_TOL * scale:
                 degen.append(pole)
 
     # breakpoints: refined sign changes plus exact-level grid nodes; segment
@@ -711,4 +773,4 @@ def component_intervals(kappa: float, eps: float, p: Params) -> list[tuple[float
             intervals.append((tc, tc))
 
     intervals.sort()
-    return intervals
+    return tuple(intervals)

@@ -41,6 +41,7 @@ reduced flow gives the second half of the period from the first.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -602,6 +603,7 @@ _N_START = 16         # first midpoint rule compared against its doubling
 _N_CAP = 2 ** 14      # past this node count the stepper takes over
 _EPS_MACH = 2.0 ** -52
 _RTOL_FLOOR = 2.3e-14  # about the smallest relative tolerance DOP853 accepts
+_HALF_PERIOD_CACHE = 64  # half_period: results kept per process
 
 
 @dataclass(frozen=True)
@@ -616,7 +618,8 @@ class PeriodMap:
     estimates the absolute error of D.  z holds the path over one period:
     at the quadrature nodes, or past the quadrature's node cap at the
     stepper's steps over the first half and their mirror images over the
-    second, from z = 0 to z = D.  For non-integer N the path turns about
+    second, from z = 0 to z = D; that z is shared with the kept half period
+    and read-only.  For non-integer N the path turns about
     c = D / (1 - e^{i dpsi}) and fills the annulus
     min |z - c| <= r <= max |z - c|.
     """
@@ -841,7 +844,20 @@ def half_period(
     The two runs also give the period map: the drift D of each from its end
     point (see :func:`_reflect`), err their gap, and the path the loose
     run's steps followed by their mirror images.
+
+    The observables of a level share its half period, so the process keeps
+    the last _HALF_PERIOD_CACHE results; the stepper route's path is
+    read-only.
     """
+    return _half_period(float(kappa), float(eps), p, float(lo), float(hi), bool(circuit),
+                        float(tol_abs), float(tol_rel))
+
+
+@functools.lru_cache(maxsize=_HALF_PERIOD_CACHE)
+def _half_period(
+    kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
+    tol_abs: float, tol_rel: float,
+) -> HalfPeriod:
     q = _quadrature(kappa, eps, p, lo, hi, circuit, tol_abs, tol_rel)
     if q is not None:
         return q
@@ -854,6 +870,7 @@ def half_period(
     D = complex(z[-1] + _reflect(z[-1], dpsi, circuit))
     D_tight = complex(z_tight[-1] + _reflect(z_tight[-1], 2.0 * psi_tight, circuit))
     path = np.concatenate((z, (D - _reflect(z[:-1], dpsi, circuit))[::-1]))
+    path.flags.writeable = False
     pm = PeriodMap(T=2.0 * t, dpsi=dpsi, D=D, err=abs(D - D_tight), z=path)
     return HalfPeriod(t=t, psi=psi, t_err=abs(t_tight - t), psi_err=abs(psi_tight - psi),
                       method="ode", period=pm)

@@ -52,8 +52,7 @@ from .dynamics import (
     FP_WIDTH,
     FullState,
     component_intervals,
-    critical_thetas,
-    effective_potential,
+    critical_points,
     g0_prime,
     kinematic_init,
     potential_grid,
@@ -412,10 +411,7 @@ def _kappa0_saddles(p: Params) -> list[tuple[float, float]]:
         out.append((0.0, 1.0 + p.alpha))
     if g0_prime(math.pi, 0.0, p) > 0.0:
         out.append((math.pi, 1.0 - p.alpha))
-    for thc in critical_thetas(0.0, p):
-        if g0_prime(thc, 0.0, p) > 0.0:
-            out.append((thc, effective_potential(thc, 0.0, p)))
-    return out
+    return out + critical_points(0.0, p).saddles()
 
 
 def _path_diameter(z: np.ndarray) -> float:
@@ -448,7 +444,11 @@ def classify(
     flag.  The level's components are scanned once.
 
     tol_int and tol_rat default to 5 err + 1e-9 from the computed rotation
-    number; pass wider values to match data of limited precision.
+    number; pass wider values to match data of limited precision.  A
+    resonance, integer or rational, is claimed only where the window
+    N +/- tol holds exactly one fraction with denominator at most 64; a
+    window that holds several (any window wider than 1/64 does) cannot tell
+    them apart, and the level is QuasiPeriodicBounded.
 
     Raises
     ------
@@ -491,10 +491,7 @@ def classify(
                                near_separatrix=near)
 
     near = False
-    for thc in critical_thetas(kappa, p):
-        if g0_prime(thc, kappa, p) <= 0.0:
-            continue
-        lv = effective_potential(thc, kappa, p)
+    for thc, lv in critical_points(kappa, p).saddles():
         if abs(eps - lv) <= _SEP_TOL and lo - 1e-6 <= thc <= hi + 1e-6:
             if alpha0 and abs(thc - 0.5 * math.pi) <= 1e-9:
                 return TrajectoryClass(kind="AsymptoticToLines", targets=(thc,))
@@ -508,28 +505,45 @@ def classify(
 
     n_near = round(rn.N)
     if abs(rn.N - n_near) <= t_int:
-        pm = _period_map(kappa, eps, p, lo, hi, False, hp, tol_abs, tol_rel)
-        diam = _path_diameter(np.concatenate(([0.0], pm.z, [pm.D])))
-        if abs(pm.D) > _DRIFT_TOL * max(diam, 1e-300):
-            return TrajectoryClass(kind="UnboundedResonant", N=rn.N, N_err=rn.err,
+        if _lone_fraction(rn.N, t_int) == n_near:
+            pm = _period_map(kappa, eps, p, lo, hi, False, hp, tol_abs, tol_rel)
+            diam = _path_diameter(np.concatenate(([0.0], pm.z, [pm.D])))
+            kind = ("UnboundedResonant" if abs(pm.D) > _DRIFT_TOL * max(diam, 1e-300)
+                    else "ClosedPeriodic")
+            return TrajectoryClass(kind=kind, N=rn.N, N_err=rn.err,
                                    resonance=(n_near, 1), near_separatrix=near)
-        return TrajectoryClass(kind="ClosedPeriodic", N=rn.N, N_err=rn.err,
-                               resonance=(n_near, 1), near_separatrix=near)
-
-    fr = Fraction(rn.N).limit_denominator(_Q_MAX)
-    if abs(rn.N - float(fr)) <= t_rat:
-        return TrajectoryClass(kind="ClosedPeriodic", N=rn.N, N_err=rn.err,
-                               resonance=(fr.numerator, fr.denominator),
-                               near_separatrix=near)
+    else:
+        fr = _lone_fraction(rn.N, t_rat)
+        if fr is not None:
+            return TrajectoryClass(kind="ClosedPeriodic", N=rn.N, N_err=rn.err,
+                                   resonance=(fr.numerator, fr.denominator),
+                                   near_separatrix=near)
     return TrajectoryClass(kind="QuasiPeriodicBounded", N=rn.N, N_err=rn.err,
                            near_separatrix=near)
 
 
+def _lone_fraction(N: float, tol: float) -> Fraction | None:
+    """The fraction with denominator at most _Q_MAX within tol of N, where
+    there is exactly one; None where there is none or there are several."""
+    if 2.0 * tol * _Q_MAX * _Q_MAX < 1.0:
+        # two such fractions lie at least 1 / _Q_MAX^2 apart: at most one
+        # fits, and it is the nearest
+        fr = Fraction(N).limit_denominator(_Q_MAX)
+        return fr if abs(N - float(fr)) <= tol else None
+    found = None
+    for q in range(1, _Q_MAX + 1):
+        for n in range(math.floor((N - tol) * q), math.ceil((N + tol) * q) + 1):
+            if abs(N - n / q) > tol or (found is not None and n * found[1] == found[0] * q):
+                continue
+            if found is not None:
+                return None
+            found = n, q
+    return None if found is None else Fraction(*found)
+
+
 def _slice_segments(kappa: float, p: Params, eps_max: float) -> list[tuple[float, float]]:
     """Open eps-intervals of constant component structure on a kappa slice."""
-    levels = sorted({effective_potential(th, kappa, p)
-                     for th in critical_thetas(kappa, p)})
-    levels = [lv for lv in levels if lv < eps_max]
+    levels = [lv for lv in sorted(set(critical_points(kappa, p).levels)) if lv < eps_max]
     if not levels:
         return []
     cuts = levels + [eps_max]
@@ -565,7 +579,7 @@ def resonance_curve(
             continue
         top = eps_max
         if top is None:
-            levels = [effective_potential(th, kap, p) for th in critical_thetas(kap, p)]
+            levels = critical_points(kap, p).levels
             if not levels:
                 continue
             top = max(levels) + 2.0
@@ -629,8 +643,7 @@ def _bump_peak(
     peak (the node itself stands where that slope keeps its sign).  Returns
     (eps_peak, N_peak).
     """
-    levels = [effective_potential(th, kappa, p) for th in critical_thetas(kappa, p)]
-    base = max(levels)
+    base = max(critical_points(kappa, p).levels)
     lo = max(base + max(1e-7, 1e-7 * abs(base)), e_center - _BUMP_HALFWIDTH)
     hi = e_center + _BUMP_HALFWIDTH
 
@@ -668,8 +681,7 @@ def _peak_eps(
     which matters because the peak can be extremely sharp (third
     derivatives of order 1e7 occur near the fold).
     """
-    levels = [effective_potential(th, kappa, p) for th in critical_thetas(kappa, p)]
-    floor = max(levels) + 1e-3
+    floor = max(critical_points(kappa, p).levels) + 1e-3
 
     def n_of(e: float) -> float:
         return rotation_number(kappa, e, p, 0, tol_abs=tol_abs, tol_rel=tol_rel).N

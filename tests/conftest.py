@@ -1,12 +1,30 @@
 """Shared fixtures and small numeric helpers for the test suite."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from rubberroll.dynamics import FullState
 from rubberroll.model import Params
+
+
+def clear_caches() -> None:
+    """Empty every per-process cache of the package, so that the next call
+    computes from scratch."""
+    for name, mod in list(sys.modules.items()):
+        if name == "rubberroll" or name.startswith("rubberroll."):
+            for obj in vars(mod).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _cold_caches():
+    """Each test starts from empty caches: no test reads results another
+    test left, or results computed under another test's monkeypatch."""
+    clear_caches()
 
 
 @pytest.fixture

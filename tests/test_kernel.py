@@ -25,6 +25,8 @@ from rubberroll.dynamics import (
 )
 from rubberroll.model import Params
 
+from conftest import clear_caches
+
 # one body per diagram region a-e
 REGION_BODIES = {
     "a": Params(0.5, 0.5, 1.0, 1.0),
@@ -81,11 +83,9 @@ def _scalar_component_intervals(kappa, eps, p, n_grid=2000, tol_fp=1e-10):
     vals = [V(t) - eps for t in grid]
     scale = max(1.0, abs(eps))
     intervals = []
-    degen = [tc for tc in crit if abs(V(tc) - eps) <= tol_fp * scale]
-    if kappa == 0.0:
-        for pole in (0.0, math.pi):
-            if abs(V(pole) - eps) <= tol_fp * scale:
-                degen.append(pole)
+    # only a minimum of V (G0' <= 0) on the level is a rest state
+    degen = [tc for tc in crit + ([0.0, math.pi] if kappa == 0.0 else [])
+             if g0_prime(tc, kappa, p) <= 0.0 and abs(V(tc) - eps) <= tol_fp * scale]
     breaks = [grid[0], grid[-1]]
     for i in range(len(grid) - 1):
         va, vb = vals[i], vals[i + 1]
@@ -242,25 +242,40 @@ def test_level_sets_match_the_scalar_oracle_next_to_critical_levels():
 
 def test_level_scan_evaluates_only_the_critical_nodes(monkeypatch):
     # V is monotone between critical points, so the level scan needs the two
-    # chart edges, the critical thetas and at most two centrifugal-wall nodes
-    real = rubberroll.dynamics.potential_grid
+    # chart edges, the critical thetas and at most two centrifugal-wall
+    # nodes, and brackets each turning point between two neighbouring ones.
+    # It evaluates no array: V at the critical thetas is the slice's
+    real_v = rubberroll.dynamics.effective_potential
+    real_brentq = rubberroll.dynamics.brentq
     for p in REGION_BODIES.values():
         for kappa in (0.0, 1e-7, -0.3, 1.7):
             crit = critical_thetas(kappa, p)
             floor = rpm_floor(kappa, p)
+            edges = {0.0, math.pi} if kappa == 0.0 else {CLIP, math.pi - CLIP}
             for eps in (floor + 0.01, floor + 0.4, floor + 2.5):
-                sizes = []
+                thetas, brackets = [], []
 
-                def recording(theta, k, q):
-                    sizes.append(np.size(theta))
-                    return real(theta, k, q)
+                def recording_v(theta, k, q):
+                    thetas.append(theta)
+                    return real_v(theta, k, q)
+
+                def recording_brentq(f, a, b, **kwargs):
+                    brackets.append((a, b))
+                    return real_brentq(f, a, b, **kwargs)
 
                 with monkeypatch.context() as m:
-                    m.setattr(rubberroll.dynamics, "critical_thetas", lambda k, q: crit)
-                    m.setattr(rubberroll.dynamics, "potential_grid", recording)
+                    m.setattr(rubberroll.dynamics, "effective_potential", recording_v)
+                    m.setattr(rubberroll.dynamics, "brentq", recording_brentq)
+                    m.setattr(rubberroll.dynamics, "potential_grid", None)
                     ivs = component_intervals(kappa, eps, p)
+                assert edges <= set(thetas)
+                walls = {x for ab in brackets for x in ab} - edges - set(crit)
+                assert len(walls) <= 2 and all(min(edges) > w or w > max(edges) for w in walls)
+                nodes = np.array(sorted(edges | set(crit) | walls))
+                for a, b in brackets:
+                    assert np.count_nonzero((nodes > a) & (nodes < b)) == 0, (p, kappa, eps)
+                clear_caches()
                 assert ivs == component_intervals(kappa, eps, p)
-                assert 0 < sum(sizes) <= len(crit) + 4, (p, kappa, eps, sizes)
 
 
 @pytest.mark.parametrize("k", [5, 6, 7])
@@ -279,11 +294,21 @@ def test_fold_pair_inside_one_scan_cell(k):
 
     # the level between the pair's two levels holds the two-component wedge:
     # the center's own well and the main well beyond the saddle.  For k >= 6
-    # the saddle is within the 1e-10 level tolerance of this level, so it also
-    # comes back as a degenerate component, which is left out here.
+    # the saddle is within the 1e-10 level tolerance of this level, but above
+    # it, so it is no component of its own
     centre, saddle = crit[0], crit[1]
     eps = 0.5 * (effective_potential(centre, kappa, FOLD_BODY)
                  + effective_potential(saddle, kappa, FOLD_BODY))
-    wells = [iv for iv in component_intervals(kappa, eps, FOLD_BODY) if iv[0] < iv[1]]
+    wells = component_intervals(kappa, eps, FOLD_BODY)
     assert len(wells) == 2
     assert wells[0][0] < centre < wells[0][1] < saddle < wells[1][0] < crit[2] < wells[1][1]
+
+
+def test_a_pole_maximum_just_above_the_level_is_no_component():
+    # the kappa = 0 twin of the fold test's k = 6 level: 1e-12 below the
+    # level of the pole 0, a maximum of V, the pole is no rest state and the
+    # one component ends at a turning point next to it
+    p = REGION_BODIES["a"]
+    assert g0_prime(0.0, 0.0, p) > 0.0
+    (iv,) = component_intervals(0.0, effective_potential(0.0, 0.0, p) - 1e-12, p)
+    assert 0.0 < iv[0] < iv[1] == math.pi

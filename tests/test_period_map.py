@@ -28,6 +28,8 @@ from rubberroll.integrate import EventSpec, half_period, integrate, period_map, 
 from rubberroll.model import Params
 from rubberroll.reconstruct import classify, reconstruct_trajectory, rotation_number
 
+from conftest import clear_caches
+
 BODIES = {"main": Params(0.5, 3.0, 0.5, 0.5), "balanced": Params(0.0, 1.5, 1.0, 1.0)}
 KAPPA_RANGES = {"main": (0.15, 0.85), "balanced": (0.15, 0.6)}
 TIGHT = dict(tol_abs=1e-15, tol_rel=2.3e-14, max_steps=10 ** 7)
@@ -298,6 +300,7 @@ def test_past_the_node_cap_a_meridian_circuit_repeats_its_first_half(monkeypatch
     sp = section_period(0.0, eps, p)
     assert sp.circulating and sp.method == "ode"
     runs = []
+    clear_caches()
     with monkeypatch.context() as m:
         _count_stepper_runs(m, runs)
         pm = period_map(0.0, eps, p)
@@ -345,9 +348,14 @@ def test_classify_past_the_node_cap_climbs_the_ladder_once(monkeypatch):
     assert rotation_number(kappa, eps, p).method == "ode"
     ladder = counts["_half_nodes"]
     counts.clear()
+    clear_caches()
     tc = classify(kappa, eps, p)
     assert tc.kind == "UnboundedResonant" and tc.resonance == (0, 1)
     assert counts == {"_half_nodes": ladder, "integrate_raw": 2}
+    # a warm repeat reads the kept half period and its period map
+    counts.clear()
+    assert classify(kappa, eps, p) == tc
+    assert counts == {}
 
 
 def test_the_period_map_goes_on_from_the_half_periods_rung(monkeypatch):
@@ -362,6 +370,7 @@ def test_the_period_map_goes_on_from_the_half_periods_rung(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(rubberroll.integrate, "_half_nodes", recording)
+    monkeypatch.setattr(rubberroll.integrate, "integrate_raw", _no_stepper)
     levels = [lv for lv in grid() if lv[0] == "integer"]
     assert levels
     for _, body, kappa, eps, branch in levels:
@@ -371,10 +380,17 @@ def test_the_period_map_goes_on_from_the_half_periods_rung(monkeypatch):
         assert n >= 32
         for run in (lambda: period_map(kappa, eps, p, branch),
                     lambda: classify(kappa, eps, p, branch)):
+            clear_caches()
             rungs.clear()
             run()
             assert rungs.count(n // 2) == 2 and rungs.count(n) >= 2, rungs
             assert all(rungs.count(m) == 1 for m in rungs if m < n // 2), rungs
+            # a warm repeat climbs no rung of the kept half period again
+            rungs.clear()
+            half_period(kappa, eps, p, lo, hi)
+            assert rungs == []
+            run()
+            assert min(rungs) == n // 2 and rungs.count(n // 2) == 1, rungs
 
 
 def test_relative_equilibrium_has_no_period_map():

@@ -171,8 +171,24 @@ def test_classify_kinds_cover_the_diagram():
 
 def test_classify_widened_rational_tolerance():
     eps = effective_potential(TH0, KAP, P_XY)
-    tc = classify(KAP, eps, P_XY, tol_int=1e-9, tol_rat=2e-3)
+    # N + 1/7 = 3.8e-4 here, and -9/64 lies 1.85e-3 on the other side
+    tc = classify(KAP, eps, P_XY, tol_int=1e-9, tol_rat=1e-3)
     assert tc.kind == "ClosedPeriodic" and tc.resonance == (-1, 7)
+    # a window that holds both fractions tells them apart no more
+    tc = classify(KAP, eps, P_XY, tol_int=1e-9, tol_rat=2e-3)
+    assert tc.kind == "QuasiPeriodicBounded" and tc.resonance is None
+
+
+def test_classify_claims_no_resonance_from_a_wide_window():
+    # 1.1e-10 below a saddle level next to a fold the half period needs the
+    # stepper, and N = 9.755 comes with N_err = 5.2e-3: the window of
+    # 5 N_err holds many fractions with denominator at most 64
+    p = Params(0.3, 1.5, 1.0, 1.0)
+    kappa = cusp(p).kappa * (1.0 - 1e-6)
+    tc = classify(kappa, 1.6620067284569213, p)
+    assert 5.0 * tc.N_err > 1.0 / 64
+    assert tc.kind == "QuasiPeriodicBounded" and tc.resonance is None
+    assert tc.near_separatrix
 
 
 def test_centered_body_even_rotation_number_and_drift():
