@@ -78,6 +78,7 @@ from .bifurcation import (
     sigma_theta_kappa_sq,
 )
 from .reconstruct import (
+    _rotation_slope,
     classify,
     epsilon_min,
     path_from_kinematic,
@@ -744,6 +745,20 @@ def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
         _check("period-map", worst_dd <= worst_bound,
                f"worst |D_quad - D_ode| = {worst_dd:.2e} against its bound "
                f"err + 1e-10 = {worst_bound:.2e} on {len(levels)} levels", failures)
+
+        # the exact eps-derivative of N against a fourth-order centred
+        # difference, on one libration above every critical level; 1e-9
+        # covers the difference's rounding where symmetry makes N = 0
+        kap, h = 0.8, 1e-3
+        eps = max(3.5, max(critical_points(kap, p).levels) + 0.1)
+        slope = _rotation_slope(kap, eps, p)[1]
+        n = [rotation_number(kap, eps + d * h, p, **tols).N for d in (1.0, 0.5, -0.5, -1.0)]
+        gap = abs(slope - (8.0 * (n[1] - n[2]) - n[0] + n[3]) / (6.0 * h))
+        bound = 1e-8 * abs(slope) + 1e-9
+        _check("slope", gap <= bound,
+               f"|dN/deps - fourth-order difference| = {gap:.2e} "
+               f"({gap / max(abs(slope), 1e-300):.2e} relative) against its bound "
+               f"1e-8 |dN/deps| + 1e-9 = {bound:.2e} at (kappa, eps) = ({kap}, {eps})", failures)
 
         # absolute-space reconstruction against direct kinematics
         th0, pt0, kap = 0.9, 0.3, 0.7

@@ -11,9 +11,9 @@ surface functions of theta, written once here:
     J(theta) = sqrt((cos^2 + nu sin^2)/eta + U^2)
     G0(theta) = kappa^2 cos/sin^3 + alpha sin + (1 - beta^2) sin cos / Z
 
-together with B' = dB/dtheta and G0' = dG0/dtheta.  G0 is minus the slope
-of the effective potential kappa^2/(2 sin^2) + U.  r(gamma) is the vector
-from the center of mass to the contact point,
+together with B' = dB/dtheta, J' = dJ/dtheta and G0' = dG0/dtheta.  G0 is
+minus the slope of the effective potential kappa^2/(2 sin^2) + U.  r(gamma)
+is the vector from the center of mass to the contact point,
 
     r(gamma) = -Bq gamma / sqrt((gamma, Bq gamma)) - alpha e3,
     Bq = diag(beta^2, beta^2, 1).
@@ -54,6 +54,7 @@ __all__ = [
     "surface_u",
     "surface_b",
     "surface_j",
+    "surface_j_prime",
     "surface_g0",
     "surface_g0_prime",
 ]
@@ -98,6 +99,13 @@ def surface_j(s2, c, U, p: Params):
     """J = sqrt((cos^2 + nu sin^2)/eta + U^2), the spin inertia factor."""
     J2 = (c * c + p.nu * s2) / p.eta + U * U
     return math.sqrt(J2) if isinstance(J2, float) else np.sqrt(J2)
+
+
+def surface_j_prime(s, s2, c, Z, U, J, p: Params):
+    """J' = dJ/dtheta = ((nu - 1) sin cos / eta + U U') / J, where
+    U' = -alpha sin - (1 - beta^2) sin cos / Z is minus G0 at kappa = 0."""
+    dU = -surface_g0(s, s2, c, Z, 0.0, p)
+    return ((p.nu - 1.0) * s * c / p.eta + U * dU) / J
 
 
 def surface_g0(s, s2, c, Z, kappa: float, p: Params):

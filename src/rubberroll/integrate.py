@@ -63,7 +63,7 @@ from .dynamics import (
     reduced_field,
     turning_points,
 )
-from .geometry import profile
+from .geometry import profile, surface_b, surface_j, surface_j_prime, surface_u, surface_z
 from .model import Params
 
 __all__ = [
@@ -782,18 +782,19 @@ def _ode_half_period(
     system: from the turning point lo to the next p_theta = 0 crossing, or
     on a circulating level from lo, a pole, at the circulation speed to hi.
     z = x_c + i y_c at the accepted steps, from 0 to the end.  The fallback
-    of :func:`half_period` and the oracle its tests check it against."""
+    of :func:`half_period` and the oracle its tests check it against.
+    Within about 1e-12 of a pole-maximum level a circuit run can turn back
+    short of hi, and the half event would never fire: a p_theta = 0
+    crossing ends it with an IntegrationError."""
+    rate, events = 0.0, (EventSpec("turn", lambda t, y: y[1], direction=0, terminal=True),)
     if circuit:
         rate = math.sqrt(2.0 * (eps - effective_potential(lo, kappa, p))
                          / profile(lo, p, pole_mode=True).B)
-        ev = EventSpec("half", lambda t, y: y[0] - hi, direction=+1, terminal=True)
-    else:
-        rate = 0.0
-        ev = EventSpec("turn", lambda t, y: y[1], direction=0, terminal=True)
+        events = (EventSpec("half", lambda t, y: y[0] - hi, direction=+1, terminal=True),) + events
     traj = integrate(
         "augmented", (lo, rate, 0.0, 0.0, 0.0, 0.0),
         (0.0, 1e7), p, kappa=kappa, tol_abs=tol_abs, tol_rel=tol_rel,
-        max_steps=max_steps, events=(ev,),
+        max_steps=max_steps, events=events,
     )
     if not traj.events:
         raise IntegrationError(
@@ -801,6 +802,11 @@ def _ode_half_period(
             "level too close to a critical value"
         )
     hit = traj.events[-1]
+    if circuit and hit.label == "turn":
+        raise IntegrationError(
+            f"the meridian circuit of the level (kappa={kappa}, eps={eps}) turned back at "
+            f"theta={hit.y[0]}, short of {hi}; level too close to a pole-maximum level"
+        )
     return hit.t, float(hit.y[2]), traj.y[:, 4] + 1j * traj.y[:, 5]
 
 
@@ -851,6 +857,47 @@ def half_period(
     """
     return _half_period(float(kappa), float(eps), p, float(lo), float(hi), bool(circuit),
                         float(tol_abs), float(tol_rel))
+
+
+def _psi_slope(
+    kappa: float, eps: float, p: Params, lo: float, hi: float, hp: HalfPeriod,
+) -> tuple[float, float]:
+    """d psi / d eps of the half period hp of the libration [lo, hi] at
+    kappa != 0, and an estimate of its absolute error.
+
+    The sums of :func:`_quadrature` differentiated at fixed u: the turning
+    points move as d lo / d eps = -1 / G0(lo) (and so hi), and
+    d(eps - V)/d eps = 1 + G0 d theta/d eps vanishes with eps - V at both
+    ends, so the summand stays smooth.  Summed on hp's rung and the n/2
+    nodes below it, whose difference (or the rounding, where larger) is the
+    error; past the node cap hp has no sums, and IntegrationError is raised.
+    """
+    if hp.n == 0:
+        raise IntegrationError(f"no eps-derivative past the node cap at kappa={kappa}, eps={eps}")
+    lo = _polish_turning_point(lo, kappa, eps, p)
+    hi = _polish_turning_point(hi, kappa, eps, p)
+    lo_e, hi_e = -1.0 / g0(lo, kappa, p), -1.0 / g0(hi, kappa, p)
+    h, h_e = 0.5 * (hi - lo), 0.5 * (hi_e - lo_e)
+    sums = []
+    for n in (hp.n // 2, hp.n):
+        nodes = _half_nodes(kappa, eps, p, lo, hi, False, n)
+        u = (np.arange(n) + 0.5) * nodes.du
+        th = (lo + h) - h * np.cos(u)
+        th_e = 0.5 * (lo_e + hi_e) - h_e * np.cos(u)
+        V, G, _ = potential_grid(th, kappa, p)
+        s = np.sin(th); c = np.cos(th); s2 = s * s
+        Z = surface_z(s2, c, p); U = surface_u(c, Z, p); J = surface_j(s2, c, U, p)
+        B, dB = surface_b(s, s2, c, Z, p)
+        # d(dpsi/dt)/dtheta, with dpsi/dt = dpsi/du / (dt/du)
+        w_th = kappa / (J * s) - nodes.dpsi / nodes.dt * (
+            surface_j_prime(s, s2, c, Z, U, J, p) / J + 2.0 * c / s)
+        f = (nodes.dpsi * (h_e / h + 0.5 * dB / B * th_e - 0.5 * (1.0 + G * th_e) / (eps - V))
+             + nodes.dt * w_th * th_e)
+        # f divides by eps - V once and a half; 1 + G0 theta_e has its own rounding
+        floor = (2.0 * np.abs(f) * nodes.rel
+                 + np.abs(nodes.dpsi) * (1.0 + np.abs(G * th_e)) * _EPS_MACH / (eps - V))
+        sums.append((float(f.sum()) * nodes.du, float(floor.sum()) * nodes.du))
+    return sums[1][0], max(abs(sums[1][0] - sums[0][0]), sums[1][1])
 
 
 @functools.lru_cache(maxsize=_HALF_PERIOD_CACHE)
@@ -1030,7 +1077,10 @@ def period_map(kappa: float, eps: float, p: Params, branch: int = 0) -> PeriodMa
         If the level has no admissible motion, ``branch`` is out of range
         or the component is a relative equilibrium (no nutation period).
     IntegrationError
-        If, past the node cap, the stepper finds no half-period return.
+        If, past the node cap, the stepper finds no half-period return, or
+        on a meridian circuit turns back short of the far pole (a level
+        within about 1e-12 of a pole-maximum level, see
+        :func:`_ode_half_period`).
     """
     lo, hi = turning_points(kappa, eps, p, branch)
     if hi - lo <= FP_WIDTH:
@@ -1085,6 +1135,16 @@ def section_period(
     theta = 0 to pi.  ``branch`` selects the connected component of the
     admissible region, ordered by theta.  tol_abs and tol_rel are the
     quadrature's stop target (and the stepper's tolerances on its fallback).
+
+    Raises
+    ------
+    ValueError
+        If the level has no admissible motion or ``branch`` is out of range.
+    IntegrationError
+        If, past the node cap, the stepper finds no half-period return, or
+        on a meridian circuit turns back short of the far pole (a level
+        within about 1e-12 of a pole-maximum level, see
+        :func:`_ode_half_period`).
     """
     lo, hi = turning_points(kappa, eps, p, branch)
 

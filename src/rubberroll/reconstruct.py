@@ -40,7 +40,6 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -65,6 +64,7 @@ from .integrate import (
     HalfPeriod,
     _half_period_ends,
     _period_map,
+    _psi_slope,
     half_period,
     integrate,
 )
@@ -76,7 +76,6 @@ __all__ = [
     "RotationNumber",
     "TrajectoryClass",
     "ResonancePoint",
-    "quadrature_rates",
     "euler_rotation",
     "contact_shift",
     "reconstruct_trajectory",
@@ -102,7 +101,6 @@ CLASS_KINDS = (
     "NeutralRest",
 )
 
-_POLE_TOL = 1e-12
 _SEP_TOL = 1e-9       # classify: a level this close to a saddle level is a separatrix
 _WARN_TOL = 1e-6      # classify: ... and this close flags near_separatrix
 _Q_MAX = 64           # classify: largest denominator of a locked rational N
@@ -110,9 +108,9 @@ _DRIFT_TOL = 1e-3     # classify: one-period drift over path diameter that count
 _FLAT_GRID = 65       # classify: nodes on which a kappa = 0 component is tested for flatness
 _RES_SCAN = 9         # resonance_curve: eps nodes scanned per segment and branch
 _RES_TOL = 1e-6       # resonance_curve: largest |N + n| of a kept root
-_BUMP_HALFWIDTH = 0.35  # _bump_peak: half width of the eps window scanned
-_BUMP_SCAN = 25       # _bump_peak: eps nodes in that window
-_KAPPA_HI = 1.5       # kappa_max: search stops at this multiple of the fold's kappa
+_PEAK_STEP = 1e-4     # kappa_max: first eps step out from the last peak
+_PEAK_DOUBLINGS = 16  # kappa_max: steps, each twice the last, before giving up
+_KAPPA_HI = 1.5       # kappa_max: search stops at this multiple of the cusp's kappa
 
 log = logging.getLogger(__name__)
 
@@ -191,23 +189,6 @@ class ResonancePoint:
     N: float
     N_err: float
     branch: int
-
-
-def quadrature_rates(theta: float, kappa: float, p: Params) -> tuple[float, float, float]:
-    """Precession rate, proper-rotation rate and spin at a nutation angle.
-
-    Returns (psi_dot, phi_dot, omega3) with omega3 = kappa/J(theta),
-    phi_dot = omega3/sin^2, psi_dot = -omega3 cos/sin^2.
-    """
-    s = math.sin(theta)
-    if abs(s) < _POLE_TOL:
-        raise ValueError(f"quadrature rates undefined at the pole theta={theta}")
-    if kappa == 0.0:
-        return 0.0, 0.0, 0.0
-    se = profile(theta, p, pole_mode=True)
-    w3 = kappa / se.J
-    s2 = s * s
-    return -w3 * math.cos(theta) / s2, w3 / s2, w3
 
 
 def euler_rotation(theta: float, psi: float, phi: float) -> np.ndarray:
@@ -388,13 +369,15 @@ def _rotation_number(
 
     if hi - lo <= FP_WIDTH:
         thc = 0.5 * (lo + hi)
-        lam2 = g0_prime(thc, kappa, p) / profile(thc, p).B
+        se = profile(thc, p)
+        lam2 = g0_prime(thc, kappa, p) / se.B
         if lam2 >= 0.0:
             raise ValueError(
                 f"level ({kappa}, {eps}) sits on an unstable relative equilibrium; "
                 "no oscillation frequency"
             )
-        psi_dot, _, _ = quadrature_rates(thc, kappa, p)
+        s = math.sin(thc)
+        psi_dot = -(kappa / se.J) * math.cos(thc) / (s * s)
         return RotationNumber(N=-psi_dot / math.sqrt(-lam2), err=0.0, period=None,
                               fixed_point=True, method="linearization"), None
 
@@ -412,11 +395,6 @@ def _kappa0_saddles(p: Params) -> list[tuple[float, float]]:
     if g0_prime(math.pi, 0.0, p) > 0.0:
         out.append((math.pi, 1.0 - p.alpha))
     return out + critical_points(0.0, p).saddles()
-
-
-def _path_diameter(z: np.ndarray) -> float:
-    """Diagonal of the bounding box of the planar path z = x + i y."""
-    return math.hypot(float(np.ptp(z.real)), float(np.ptp(z.imag)))
 
 
 def classify(
@@ -457,7 +435,10 @@ def classify(
         out of range.
     IntegrationError
         If, past the quadrature's node cap, the stepper finds no half-period
-        return (a level too close to a critical value).
+        return (a level too close to a critical value).  A kappa = 0 level
+        is classified without a half period, so the meridian circuit's
+        turn-back error of :func:`.integrate.section_period` never arises
+        here.
     """
     lo, hi = turning_points(kappa, eps, p, branch)
     alpha0 = p.alpha == 0.0
@@ -507,7 +488,8 @@ def classify(
     if abs(rn.N - n_near) <= t_int:
         if _lone_fraction(rn.N, t_int) == n_near:
             pm = _period_map(kappa, eps, p, lo, hi, False, hp, tol_abs, tol_rel)
-            diam = _path_diameter(np.concatenate(([0.0], pm.z, [pm.D])))
+            z = np.concatenate(([0.0], pm.z, [pm.D]))   # diam: of its bounding box
+            diam = math.hypot(float(np.ptp(z.real)), float(np.ptp(z.imag)))
             kind = ("UnboundedResonant" if abs(pm.D) > _DRIFT_TOL * max(diam, 1e-300)
                     else "ClosedPeriodic")
             return TrajectoryClass(kind=kind, N=rn.N, N_err=rn.err,
@@ -539,15 +521,6 @@ def _lone_fraction(N: float, tol: float) -> Fraction | None:
                 return None
             found = n, q
     return None if found is None else Fraction(*found)
-
-
-def _slice_segments(kappa: float, p: Params, eps_max: float) -> list[tuple[float, float]]:
-    """Open eps-intervals of constant component structure on a kappa slice."""
-    levels = [lv for lv in sorted(set(critical_points(kappa, p).levels)) if lv < eps_max]
-    if not levels:
-        return []
-    cuts = levels + [eps_max]
-    return [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
 
 
 def resonance_curve(
@@ -584,7 +557,9 @@ def resonance_curve(
                 continue
             top = max(levels) + 2.0
         dropped, worst = 0, 0.0
-        for seg_lo, seg_hi in _slice_segments(kap, p, top):
+        # the open eps-intervals of constant component structure
+        cuts = [lv for lv in sorted(set(critical_points(kap, p).levels)) if lv < top]
+        for seg_lo, seg_hi in zip(cuts, cuts[1:] + [top]):
             pad = max(1e-9, 1e-6 * (seg_hi - seg_lo))
             a, b = seg_lo + pad, seg_hi - pad
             if not a < b:
@@ -631,168 +606,69 @@ def epsilon_min(p: Params) -> float:
     return profile(th, p, pole_mode=True).U
 
 
-def _bump_peak(
-    kappa: float, p: Params, e_center: float, *,
-    tol_abs: float = DEFAULT_TOL_ABS, tol_rel: float = DEFAULT_TOL_REL,
-) -> tuple[float, float]:
-    """Local maximum of N over eps near e_center on the topmost branch.
-
-    Past the fold merge the slice keeps a narrow bump of elevated N around
-    the old merge level; a uniform scan brackets it, and the root of N's
-    centred-difference slope between the best node's neighbours refines the
-    peak (the node itself stands where that slope keeps its sign).  Returns
-    (eps_peak, N_peak).
-    """
-    base = max(critical_points(kappa, p).levels)
-    lo = max(base + max(1e-7, 1e-7 * abs(base)), e_center - _BUMP_HALFWIDTH)
-    hi = e_center + _BUMP_HALFWIDTH
-
-    def n_of(e: float) -> float:
-        try:
-            return rotation_number(kappa, e, p, 0, tol_abs=tol_abs, tol_rel=tol_rel).N
-        except (ValueError, RuntimeError):
-            return -math.inf
-
-    grid = np.linspace(lo, hi, _BUMP_SCAN)
-    vals = [n_of(float(e)) for e in grid]
-    i = int(np.argmax(vals))
-    if i == 0 or i == _BUMP_SCAN - 1:
-        return float(grid[i]), vals[i]
-    try:
-        e_peak = brentq(_slope(n_of, 1e-4), float(grid[i - 1]), float(grid[i + 1]), xtol=1e-6)
-    except ValueError:
-        return float(grid[i]), vals[i]
-    return e_peak, n_of(e_peak)
+def _rotation_slope(kappa: float, eps: float, p: Params,
+                    branch: int = 0) -> tuple[float, float, float]:
+    """(N, dN/deps, err of dN/deps) of a libration at kappa != 0, from the
+    half period :func:`rotation_number` keeps (see :func:`.integrate._psi_slope`)."""
+    lo, hi = turning_points(kappa, eps, p, branch)
+    rn, hp = _rotation_number(kappa, eps, p, lo, hi, DEFAULT_TOL_ABS, DEFAULT_TOL_REL)
+    if hp is None:
+        raise ValueError(f"level ({kappa}, {eps}) has no half period to differentiate")
+    d_psi, err = _psi_slope(kappa, eps, p, lo, hi, hp)
+    return rn.N, -d_psi / math.pi, err / math.pi
 
 
-def _slope(n_of: Callable[[float], float], h: float) -> Callable[[float], float]:
-    """The centred difference (N(e + h) - N(e - h)) / 2h of n_of, as a function of e."""
-    return lambda e: (n_of(e + h) - n_of(e - h)) / (2.0 * h)
-
-
-def _peak_eps(
-    kappa: float, p: Params, e_seed: float, *, span: float = 0.02,
-    tol_abs: float = DEFAULT_TOL_ABS, tol_rel: float = DEFAULT_TOL_REL,
-) -> float:
-    """Stationary eps of N near e_seed, as a root of the FD slope.
-
-    A second-order slope locates the peak coarsely; a fourth-order
-    stencil at a tenth of the step then removes the truncation bias,
-    which matters because the peak can be extremely sharp (third
-    derivatives of order 1e7 occur near the fold).
-    """
-    floor = max(critical_points(kappa, p).levels) + 1e-3
-
-    def n_of(e: float) -> float:
-        return rotation_number(kappa, e, p, 0, tol_abs=tol_abs, tol_rel=tol_rel).N
-
-    def slope4(e: float, h: float = 1e-5) -> float:
-        return (-n_of(e + h) + 8.0 * n_of(e + 0.5 * h)
-                - 8.0 * n_of(e - 0.5 * h) + n_of(e - h)) / (6.0 * h)
-
-    slope2 = _slope(n_of, 1e-4)
-    w = span
-    for _ in range(5):
-        lo, hi = max(e_seed - w, floor), e_seed + w
-        s_lo, s_hi = slope2(lo), slope2(hi)
-        if s_lo == 0.0:
-            e1 = lo
-            break
-        if s_lo * s_hi < 0.0:
-            e1 = float(brentq(slope2, lo, hi, xtol=1e-9))
-            break
-        w *= 2.0
-    else:
-        raise RuntimeError(f"no N-slope sign change near eps={e_seed} at kappa={kappa}")
-
-    d = 2e-4
-    s_lo, s_hi = slope4(e1 - d), slope4(e1 + d)
-    if s_lo * s_hi < 0.0:
-        return float(brentq(slope4, e1 - d, e1 + d, xtol=1e-12))
-    return e1
-
-
-def kappa_max(
-    p: Params,
-    *,
-    tol_abs: float = DEFAULT_TOL_ABS,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> float | None:
+def kappa_max(p: Params) -> float | None:
     """Largest kappa reached by the N = 0 resonance locus, or None.
 
     Only diagrams with an interior height maximum and alpha > 0 carry a
-    bounded N = 0 curve.  Below the fold merge the curve's upper branch
-    hugs the saddle level, where N diverges to +infinity, so a crossing
-    exists on every slice; past the merge only a finite bump of elevated
-    N survives near the old merge level, and it sinks below zero at the
-    fold of the locus.  The fold solves N = 0 and dN/deps = 0 by nested
-    1-D root-finding: the inner root locates the slice's peak eps, the
-    outer root drives the peak height to zero over kappa.  Both residuals
-    are checked below 1e-6 on return.
+    bounded N = 0 curve.  Past the cusp a narrow bump of N survives on
+    branch 0 near the old saddle level, and the locus folds where its peak
+    sinks to N = 0.  Each kappa slice's peak is the brentq root of the
+    exact dN/deps (:func:`_rotation_slope`), bracketed by doubling steps out
+    from the previous slice's peak (the cusp level on the first slice).
+    Slices walk up from the cusp in kappa steps of 1 % until the peak
+    height is no longer positive, and the fold is the brentq root in kappa
+    of that height; None where the walk reaches 1.5 times the cusp's kappa.
+
+    Raises RuntimeError if no slope sign change brackets a slice's peak, or
+    if |N| or |dN/deps| exceeds 1e-6 at the fold, and the errors of
+    :func:`rotation_number` where a level on the way has none.
     """
     if p.alpha == 0.0 or p.beta * p.beta <= 1.0 + p.alpha:
         return None
-
     cp = cusp(p)
     if cp is None:
         return None
-    e_c = float(cp.eps)
-    k0 = float(cp.kappa)
-    hi = _KAPPA_HI * k0
+    k0, e_peak = float(cp.kappa), float(cp.eps)
 
-    e_warm = e_c
-
-    def g(kk: float) -> float:
-        # peak height of the slice; the inner slope root updates the seed
-        nonlocal e_warm
-        e_warm = _peak_eps(kk, p, e_warm, tol_abs=tol_abs, tol_rel=tol_rel)
-        return rotation_number(kk, e_warm, p, 0, tol_abs=tol_abs, tol_rel=tol_rel).N
-
-    # walk kappa up from the merge until the bump peak sinks below zero;
-    # the coarse scan can miss a narrow positive spike, so a non-positive
-    # scan result is confirmed with the slope-rooted peak before stopping
-    k_a = k0 + max(1e-4, 1e-4 * k0)
-    e_a, n_a = _bump_peak(k_a, p, e_c, tol_abs=tol_abs, tol_rel=tol_rel)
-    if n_a > 0.0:
-        e_warm = e_a
-    step = max(0.002, 0.002 * k0)
-    k_b = None
-    k = k_a
-    grows = 0
-    while k < hi:
-        k_n = min(k + step, hi)
-        e_n, n_n = _bump_peak(k_n, p, e_warm, tol_abs=tol_abs, tol_rel=tol_rel)
-        if n_n <= 0.0:
-            e_keep = e_warm
-            try:
-                n_n = g(k_n)
-            except (ValueError, RuntimeError):
-                n_n = -1.0
-            if n_n <= 0.0:
-                e_warm = e_keep
-                k_b = k_n
+    def peak_height(kappa: float) -> float:
+        # N at the slice's peak; the peak seeds the next slice
+        nonlocal e_peak
+        slope = lambda e: _rotation_slope(kappa, e, p)[1]
+        a, s_a = e_peak, slope(e_peak)
+        step = math.copysign(_PEAK_STEP, s_a)
+        for _ in range(_PEAK_DOUBLINGS):
+            b, s_b = a + step, slope(a + step)
+            if s_a * s_b <= 0.0:
                 break
+            a, s_a, step = b, s_b, 2.0 * step
         else:
-            e_warm = e_n
-        k = k_n
-        grows += 1
-        if grows % 8 == 0:
-            step *= 2.0
-    if k_b is None:
-        return None
+            raise RuntimeError(f"no peak of N near eps={e_peak} at kappa={kappa}")
+        e_peak = brentq(slope, min(a, b), max(a, b), xtol=1e-12)
+        return rotation_number(kappa, e_peak, p).N
 
-    k_star = float(brentq(g, k, k_b, xtol=1e-8))
+    k_top = _KAPPA_HI * k0
+    k_lo = k = k0 + max(1e-4, 1e-4 * k0)
+    while peak_height(k) > 0.0:
+        if k >= k_top:
+            return None
+        k_lo, k = k, min(k + 0.01 * k0, k_top)
+    k_star = brentq(peak_height, k_lo, k, xtol=1e-10)
 
-    e_star = _peak_eps(k_star, p, e_warm, tol_abs=1e-14, tol_rel=1e-12)
-
-    def n_tight(e: float) -> float:
-        return rotation_number(k_star, e, p, 0, tol_abs=1e-14, tol_rel=1e-12).N
-
-    f1 = n_tight(e_star)
-    h = 1e-5
-    f2 = (-n_tight(e_star + h) + 8.0 * n_tight(e_star + 0.5 * h)
-          - 8.0 * n_tight(e_star - 0.5 * h) + n_tight(e_star - h)) / (6.0 * h)
-    if abs(f1) > 1e-6 or abs(f2) > 1e-6:
+    peak_height(k_star)
+    n_star, slope_star, _ = _rotation_slope(k_star, e_peak, p)
+    if abs(n_star) > 1e-6 or abs(slope_star) > 1e-6:
         raise RuntimeError(
-            f"kappa_max polish stalled at residuals N={f1:.3e}, dN/deps={f2:.3e}")
+            f"kappa_max residuals at the fold: N={n_star:.3e}, dN/deps={slope_star:.3e}")
     return k_star

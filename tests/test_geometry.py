@@ -13,6 +13,7 @@ from rubberroll.geometry import (
     profile,
     surface_b,
     surface_j,
+    surface_j_prime,
     surface_u,
     surface_z,
 )
@@ -52,6 +53,23 @@ def test_derivatives_match_finite_differences():
             fd = (hi.B - lo.B) / (2.0 * h)
             np.testing.assert_allclose(profile(float(th), P, b_sign).dB, fd,
                                        rtol=2e-9, atol=2e-9, err_msg=b_sign)
+
+
+def test_j_prime_matches_a_finite_difference():
+    # on floats and arrays alike, and for nu above, at and below 1
+    h = 1e-6
+    for p in (P, Params(0.2, 0.7, 1.0, 2.0), Params(1.0, 1.5, 1.8, 0.3)):
+        th = np.linspace(0.2, math.pi - 0.2, 9)
+        s = np.sin(th); c = np.cos(th); s2 = s * s
+        Z = surface_z(s2, c, p); U = surface_u(c, Z, p)
+        dJ = surface_j_prime(s, s2, c, Z, U, surface_j(s2, c, U, p), p)
+        fd = [(profile(float(t) + h, p).J - profile(float(t) - h, p).J) / (2.0 * h) for t in th]
+        np.testing.assert_allclose(dJ, fd, rtol=2e-9, atol=2e-9)
+        for i, t in enumerate(th.tolist()):
+            se = profile(t, p)
+            sn, cn = math.sin(t), math.cos(t)
+            np.testing.assert_allclose(surface_j_prime(sn, sn * sn, cn, se.Z, se.U, se.J, p),
+                                       dJ[i], rtol=1e-14)
 
 
 def test_pole_mode_even_extension():

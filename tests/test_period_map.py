@@ -312,6 +312,19 @@ def test_past_the_node_cap_a_meridian_circuit_repeats_its_first_half(monkeypatch
     assert abs(pm.D - _stepper_drift(0.0, eps, p, start, True)) <= pm.err + 1e-10
 
 
+def test_a_meridian_circuit_that_turns_back_raises():
+    # 1e-12 above the level of the two pole maxima the half period passes
+    # the node cap, and the stepper's circuit turns back 2.7e-5 short of
+    # pi; it used to rock there until its 2 000 000-step budget ran out
+    p = Params(0.0, 0.6, 1.0, 1.0)
+    eps = 1.0 + 1e-12
+    assert component_intervals(0.0, eps, p) == [(0.0, math.pi)]
+    for run in (section_period, period_map):
+        with pytest.raises(rubberroll.integrate.IntegrationError, match="turned back") as info:
+            run(0.0, eps, p)
+        assert "step budget" not in str(info.value) and f"eps={eps}" in str(info.value)
+
+
 def test_a_drift_short_of_its_target_at_the_node_cap_keeps_the_last_rung(monkeypatch):
     # at |kappa| = 3e-7 the half period converges just at the cap, but the
     # precession peaks too narrowly at the near-pole end for D to: the last

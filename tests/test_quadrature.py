@@ -4,11 +4,13 @@ The oracle is the DOP853 run of the augmented system from a turning point
 to the next p_theta = 0 crossing, at tolerances near the stepper's floor.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import rubberroll.integrate
 from rubberroll.dynamics import (
     component_intervals,
     critical_thetas,
@@ -16,9 +18,15 @@ from rubberroll.dynamics import (
     inertia_grid,
 )
 from rubberroll.geometry import profile
-from rubberroll.integrate import _ode_half_period, section_period
+from rubberroll.integrate import (
+    IntegrationError,
+    _ode_half_period,
+    _psi_slope,
+    half_period,
+    section_period,
+)
 from rubberroll.model import Params
-from rubberroll.reconstruct import rotation_number
+from rubberroll.reconstruct import _rotation_slope, rotation_number
 
 P_XY = Params(0.5, 3.0, 0.5, 0.5)
 P_EQ = Params(0.0, 1.5, 1.0, 1.0)
@@ -115,3 +123,95 @@ def test_inertia_grid_matches_profile():
         np.testing.assert_array_max_ulp(B, [se.B for se in ref], maxulp=2)
         np.testing.assert_array_max_ulp(J, [se.J for se in ref], maxulp=2)
         np.testing.assert_array_max_ulp(U, [se.U for se in ref], maxulp=2)
+
+
+# --- the exact eps-derivative of N ---
+
+
+def _slope_levels():
+    """(name, p, kappa, eps, branch, h) levels of both benchmark bodies:
+    generic, branch-1 and near-separatrix levels, and on the main body the
+    narrow bump of N past the cusp and its peak near the N = 0 fold; h is
+    the step of the difference each is checked against."""
+    out = []
+    for name, p in (("main", P_XY), ("balanced", P_EQ)):
+        kappa = 0.5
+        well_0, v_s, well_1 = [effective_potential(th, kappa, p) for th in critical_thetas(kappa, p)]
+        out += [(f"{name}-generic", p, kappa, v_s + 0.4, 0, 1e-3),
+                (f"{name}-branch1", p, kappa, 0.5 * (max(well_0, well_1) + v_s), 1, 1e-3),
+                # V is even in kappa, N odd
+                (f"{name}-below-saddle", p, -kappa, v_s - 1e-3, 0, 3e-5),
+                (f"{name}-above-saddle", p, kappa, v_s + 1e-3, 0, 3e-5)]
+    return out + [("main-bump", P_XY, 1.1, 3.70, 0, 3e-5), ("main-fold", P_XY, 1.1078, 3.7137, 0, 3e-5)]
+
+
+@pytest.mark.parametrize("level", _slope_levels(), ids=lambda lv: lv[0])
+def test_the_eps_slope_matches_a_fourth_order_difference(level):
+    # the difference's truncation error falls as h^4; its rounding, the
+    # stencil over the err of each N, grows as 1/h
+    _, p, kappa, eps, branch, h = level
+    N, slope, err = _rotation_slope(kappa, eps, p, branch)
+    assert N == rotation_number(kappa, eps, p, branch).N
+    # err covers the gap to the sums on the rung below
+    lo, hi = component_intervals(kappa, eps, p)[branch]
+    hp = half_period(kappa, eps, p, lo, hi)
+    d_psi, err_psi = _psi_slope(kappa, eps, p, lo, hi, hp)
+    d_half = _psi_slope(kappa, eps, p, lo, hi, dataclasses.replace(hp, n=hp.n // 2))[0]
+    assert (slope, err) == (-d_psi / math.pi, err_psi / math.pi)
+    assert abs(d_psi - d_half) <= err_psi
+    rns = [rotation_number(kappa, eps + d * h, p, branch, tol_abs=1e-14, tol_rel=1e-12)
+           for d in (1.0, 0.5, -0.5, -1.0)]
+    n = [rn.N for rn in rns]
+    fd = (8.0 * (n[1] - n[2]) - n[0] + n[3]) / (6.0 * h)
+    fd_err = (8.0 * (rns[1].err + rns[2].err) + rns[0].err + rns[3].err) / (6.0 * h)
+    assert abs(slope - fd) <= 1e-7 * abs(slope) + fd_err + err
+
+
+def test_the_eps_slope_is_stable_across_rungs():
+    # at the narrow bump past the cusp, where dN/deps = 125.5; the finer
+    # rungs' sums agree with the kept rung's to its err and to 1e-10
+    kappa, eps = 1.1, 3.70
+    lo, hi = component_intervals(kappa, eps, P_XY)[0]
+    hp = half_period(kappa, eps, P_XY, lo, hi)
+    d_psi, err = _psi_slope(kappa, eps, P_XY, lo, hi, hp)
+    assert err <= 1e-10 * abs(d_psi)
+    for m in (2, 4):
+        d_fine, err_fine = _psi_slope(kappa, eps, P_XY, lo, hi, dataclasses.replace(hp, n=m * hp.n))
+        assert abs(d_fine - d_psi) <= err + err_fine
+        assert abs(d_fine - d_psi) <= 1e-10 * abs(d_psi)
+
+
+def test_the_eps_slope_reads_the_kept_rung_and_climbs_no_ladder(monkeypatch):
+    kappa, eps = 1.1, 3.70
+    rungs = []
+    real = rubberroll.integrate._half_nodes
+
+    def recording(*args):
+        rungs.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(rubberroll.integrate, "_half_nodes", recording)
+    # cold: the half period's own ladder, then its rung and the one below
+    _rotation_slope(kappa, eps, P_XY)
+    lo, hi = component_intervals(kappa, eps, P_XY)[0]
+    n = half_period(kappa, eps, P_XY, lo, hi).n
+    assert n >= 32 and rungs == [16 * 2 ** i for i in range(rungs.index(n) + 1)] + [n // 2, n]
+    # warm: the two rungs alone
+    rungs.clear()
+    _rotation_slope(kappa, eps, P_XY)
+    assert rungs == [n // 2, n]
+
+
+def test_past_the_node_cap_the_eps_slope_raises(monkeypatch):
+    # 1e-9 above the saddle the half period comes from the stepper, which
+    # has no sums to differentiate; the slope runs no stepper of its own
+    kappa = 0.5
+    eps = effective_potential(critical_thetas(kappa, P_XY)[1], kappa, P_XY) + 1e-9
+    assert rotation_number(kappa, eps, P_XY).method == "ode"
+
+    def no_stepper(*args, **kwargs):
+        raise AssertionError("the stepper ran")
+
+    monkeypatch.setattr(rubberroll.integrate, "integrate_raw", no_stepper)
+    with pytest.raises(IntegrationError, match="past the node cap"):
+        _rotation_slope(kappa, eps, P_XY)

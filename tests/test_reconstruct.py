@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
+import rubberroll.reconstruct
 from rubberroll.bifurcation import (
     cusp,
     equator_kappa_c,
@@ -373,6 +374,20 @@ def test_kappa_max_depends_on_inertia():
     k_round = kappa_max(P_C)
     np.testing.assert_allclose(k_round, 1.10326503, atol=1e-6)
     assert k_round > cusp(P_C).kappa
+
+
+def test_kappa_max_checks_its_residual_at_the_fold(monkeypatch):
+    # the walk roots a peak height shifted by 1e-3; the residual check reads
+    # N afresh with the exact slope, and refuses the shifted fold
+    real = rubberroll.reconstruct.rotation_number
+
+    def shifted(*args, **kwargs):
+        rn = real(*args, **kwargs)
+        return dataclasses.replace(rn, N=rn.N - 1e-3)
+
+    monkeypatch.setattr(rubberroll.reconstruct, "rotation_number", shifted)
+    with pytest.raises(RuntimeError, match="residuals at the fold"):
+        kappa_max(P_XY)
 
 
 def test_kappa_max_absent_cases():
