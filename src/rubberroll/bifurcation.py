@@ -24,18 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brent import brentq
-from .dynamics import (
-    FullState,
-    component_intervals,
-    effective_potential,
-    g0,
-    g0_prime,
-    potential_grid,
-    potential_rows,
-    sign_cells,
-)
-from .geometry import profile, surface_b, surface_g0, surface_g0_prime, surface_z
+from .brent import _RTOL, brentq
+from .dynamics import FullState, _centrifugal, component_intervals, g0, g0_prime, sign_cells
+from .geometry import profile, surface_b, surface_g0, surface_g0_prime, surface_u, surface_z
 from .model import Params
 
 __all__ = [
@@ -68,8 +59,7 @@ SADDLE = "saddle"
 _EDGE = 1e-9          # inset used when sampling up to open interval ends
 _BOUNDARY_TOL = 1e-12  # |beta^2 - (1 +/- alpha)| that puts a body on a region boundary
 _SPLIT_BUDGET = 20000  # interval halvings per sampled arc
-_RPM_NODES = 721       # grid angles per kappa slice of the RPM floor
-_RPM_BLOCK = 32        # kappa slices per array of the RPM floor scan
+_RPM_NODES = 721       # grid angles of the RPM floor, shared by every kappa slice
 
 log = logging.getLogger(__name__)
 
@@ -382,16 +372,18 @@ def _lambda_sq(s, c, kappa, p: Params):
     return surface_g0_prime(s2, c, Z, kappa, p) / surface_b(s, s2, c, Z, p)[0]
 
 
+def _sincos(th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sin and cos of the angles th from math per element, so that the bits
+    do not depend on numpy's SIMD dispatch."""
+    ths = th.tolist()
+    return (np.fromiter(map(math.sin, ths), float, len(ths)),
+            np.fromiter(map(math.cos, ths), float, len(ths)))
+
+
 def _curve_points(th: np.ndarray, p: Params):
     """(s, c, kappa, eps, on) of the steady-rotation curve at the inclinations
-    th; ``on`` marks where kappa^2 >= 0, and kappa is 0 elsewhere.
-
-    sin and cos come from math per element, so that the bits do not depend
-    on numpy's SIMD dispatch.
-    """
-    ths = th.tolist()
-    s = np.fromiter(map(math.sin, ths), float, len(ths))
-    c = np.fromiter(map(math.cos, ths), float, len(ths))
+    th; ``on`` marks where kappa^2 >= 0, and kappa is 0 elsewhere."""
+    s, c = _sincos(th)
     k2, eps = _sigma_theta(s, c, p)
     on = k2 >= 0.0
     return s, c, np.sqrt(np.where(on, k2, 0.0)), eps, on
@@ -517,40 +509,71 @@ def sigma_theta_curve(
     return _curves(p, cp, n_samples, ds_max, eps_max, kappa_max)
 
 
-def _rpm_floors(kappas: list[float], p: Params) -> list[tuple[float, float]]:
-    """(theta, V) at the global minimum of the effective potential on each
-    kappa slice.
+def _rpm_terms(th: np.ndarray, k: np.ndarray, p: Params):
+    """(s, s2, c, Z, V, G0, G0') at the angles th, one per kappa in k; the
+    kappa terms are left out where k^2 = 0, so that the poles are valid there."""
+    s, c = _sincos(th)
+    s2 = s * s
+    Z = surface_z(s2, c, p)
+    U = surface_u(c, Z, p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = (U + _centrifugal(s2, k), surface_g0(s, s2, c, Z, k, p),
+                 surface_g0_prime(s2, c, Z, k, p))
+    zero = k * k == 0.0
+    if zero.any():
+        z = (s[zero], s2[zero], c[zero], Z[zero])
+        terms[0][zero], terms[1][zero], terms[2][zero] = (
+            U[zero], surface_g0(*z, 0.0, p), surface_g0_prime(*z[1:], 0.0, p))
+    return (s, s2, c, Z) + terms
 
-    The array selects the argmin of V on a grid of _RPM_NODES angles.  The
-    grids of all nonzero kappas stop short of the poles and are evaluated as
-    arrays of _RPM_BLOCK rows, which stay in cache; at kappa = 0 the grid
-    runs over [0, pi], the poles included.  The scalar decides: theta is the
-    brentq root of G0 = -V' between the argmin's two neighbours, or the
-    argmin itself where G0 keeps its sign there (a pole minimum at kappa = 0).
+
+def _rpm_floors(kappas, p: Params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(theta, V, G0'/B) at the global minimum of the effective potential
+    V = U + kappa^2/(2 sin^2) on each kappa slice.
+
+    One grid of _RPM_NODES angles serves every slice: [0, pi], or [0, pi/2]
+    at alpha = 0, where V is even about the equator, so that theta <= pi/2
+    there.  U and 1/(2 sin^2) are taken once; the rows of V are their outer
+    sum with kappa^2, and a kappa^2 != 0 makes V = +inf and G0 = -V' = +-inf
+    at the poles.  The argmin of each row (the first on a tie) is polished
+    between its two neighbours, all slices at once, with brentq's end rules:
+    an end where G0 = 0 is the root, and where G0 keeps its sign (a pole
+    minimum at kappa = 0, a minimum on the equator at alpha = 0) the argmin
+    stays.  Otherwise Newton steps with the exact G0' shrink the bracket, a
+    step that would leave it is a bisection, until |step| <= 1e-14 + _RTOL
+    |theta|, brentq's tolerance.  V and G0'/B come from the same arrays.
     """
-    n = _RPM_NODES
-    nonzero = np.array([k for k in kappas if k != 0.0])
-    if len(nonzero):
-        barrier = np.maximum(1e-6, np.abs(nonzero) * 1e-3)
-        grids = np.linspace(barrier, math.pi - barrier, n, axis=1)
-        best = np.concatenate([
-            np.argmin(potential_rows(grids[r:r + _RPM_BLOCK], nonzero[r:r + _RPM_BLOCK], p), axis=1)
-            for r in range(0, len(nonzero), _RPM_BLOCK)])
-        rows = zip(grids, best.tolist())
-    out = []
-    for kappa in kappas:
-        if kappa == 0.0:
-            grid = np.linspace(0.0, math.pi, n)
-            i = int(np.argmin(potential_grid(grid, kappa, p)[0]))
-        else:
-            grid, i = next(rows)
-        try:
-            theta = brentq(lambda t: g0(t, kappa, p), float(grid[max(0, i - 1)]),
-                           float(grid[min(n - 1, i + 1)]), xtol=1e-14)
-        except ValueError:
-            theta = float(grid[i])
-        out.append((theta, effective_potential(theta, kappa, p)))
-    return out
+    k = np.asarray(kappas, dtype=float)
+    grid = np.linspace(0.0, math.pi if p.alpha != 0.0 else 0.5 * math.pi, _RPM_NODES)
+    s, c = _sincos(grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = 0.5 / (s * s)
+        w[-1] = math.inf if p.alpha != 0.0 else w[-1]    # sin(pi) is 1.2e-16, not 0
+        V = np.multiply.outer(k * k, w)
+    V[k * k == 0.0] = 0.0                                # not 0 * inf at the poles
+    V += surface_u(c, surface_z(s * s, c, p), p)
+    j = V.argmin(axis=1)
+    lo, hi = grid[np.maximum(j - 1, 0)], grid[np.minimum(j + 1, _RPM_NODES - 1)]
+    g_lo, g_hi = _rpm_terms(np.concatenate((lo, hi)), np.tile(k, 2), p)[5].reshape(2, -1)
+    g_hi[(hi == math.pi) & (k * k != 0.0)] = -math.inf  # the barrier at pi, as in V
+    x = np.where(g_lo == 0.0, lo, np.where(g_hi == 0.0, hi, grid[j]))
+    live = np.flatnonzero(np.sign(g_lo) * np.sign(g_hi) < 0.0)
+    for _ in range(100):
+        if not len(live):
+            break
+        t = x[live]
+        G, dG = _rpm_terms(t, k[live], p)[5:]
+        left = (G > 0.0) == (g_lo[live] > 0.0)        # t lies on lo's side of the root
+        a = lo[live] = np.where(left, t, lo[live])
+        b = hi[live] = np.where(left, hi[live], t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = t - G / dG
+        x[live] = new = np.where((new >= a) & (new <= b), new, 0.5 * (a + b))
+        live = live[np.abs(new - t) > 1e-14 + _RTOL * np.abs(t)]
+    if len(live):
+        raise RuntimeError(f"RPM floor polish failed to converge at kappa={k[live].tolist()}")
+    s, s2, c, Z, V, _, dG = _rpm_terms(x, k, p)
+    return x, V, dG / surface_b(s, s2, c, Z, p)[0]
 
 
 def rpm_floor(kappa: float, p: Params) -> float:
@@ -560,18 +583,16 @@ def rpm_floor(kappa: float, p: Params) -> float:
     plane.  At kappa = 0 the potential continues smoothly through the poles,
     so the candidates include both pole values.
     """
-    return _rpm_floors([kappa], p)[0][1]
+    return float(_rpm_floors([kappa], p)[1][0])
 
 
 def rpm_boundary(p: Params, kappa_max: float, n_samples: int = 241) -> BifurcationCurve:
     """Lower envelope eps_min(kappa) of the region of possible motions, with
-    the angle theta0 each floor is taken at and G0'/B there."""
+    the angle theta0 each floor is taken at and G0'/B there: one
+    :func:`_rpm_floors` pass over n_samples kappas from 0 to kappa_max."""
     kappas = np.linspace(0.0, kappa_max, n_samples)
-    theta0, eps = np.array(_rpm_floors(kappas.tolist(), p)).T
-    lam2 = [_lambda_sq(math.sin(t), math.cos(t), k, p)
-            for t, k in zip(theta0.tolist(), kappas.tolist())]
-    return BifurcationCurve("rpm_boundary", theta0, kappas, eps, [CENTER] * n_samples,
-                            np.array(lam2))
+    theta0, eps, lam2 = _rpm_floors(kappas, p)
+    return BifurcationCurve("rpm_boundary", theta0, kappas, eps, [CENTER] * n_samples, lam2)
 
 
 def _default_eps_max(p: Params, cp: CuspPoint | None) -> float:
@@ -618,23 +639,15 @@ def diagram(
     boundary are logged at INFO.
     """
     a, b2 = p.alpha, p.beta * p.beta
-    boundary = False
-    if a == 0.0:
-        if abs(b2 - 1.0) <= _BOUNDARY_TOL:
-            dtype, boundary = "e", True
-        else:
-            dtype = "d" if b2 < 1.0 else "e"
-    else:
-        if abs(b2 - (1.0 - a)) <= _BOUNDARY_TOL:
-            dtype, boundary = "b", True
-        elif abs(b2 - (1.0 + a)) <= _BOUNDARY_TOL:
-            dtype, boundary = "c", True
-        elif b2 < 1.0 - a:
-            dtype = "a"
-        elif b2 < 1.0 + a:
-            dtype = "b"
-        else:
-            dtype = "c"
+    # the region boundaries in beta^2, each with the type above it
+    edges = [(1.0, "e")] if a == 0.0 else [(1.0 - a, "b"), (1.0 + a, "c")]
+    dtype, boundary = "d" if a == 0.0 else "a", False
+    for edge, above in edges:
+        if abs(b2 - edge) <= _BOUNDARY_TOL:
+            dtype, boundary = above, True
+            break
+        if b2 > edge:
+            dtype = above
 
     cp = cusp(p)
     if eps_max is None:

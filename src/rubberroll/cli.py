@@ -582,6 +582,14 @@ def _random_valid_state(rng: np.random.Generator, p: Params) -> FullState:
     return FullState(omega=w, gamma=g)
 
 
+def _threshold_forms(a: float, b: float) -> tuple[float, float]:
+    """U(theta*) for beta^2 > 1 + alpha by the adopted +alpha^2 closed form
+    and by its sign-flipped variant, inf where that has no real value."""
+    arg = (1.0 + a * a - b * b) / (1.0 - b * b)
+    return (b * math.sqrt((b * b - 1.0 + a * a) / (b * b - 1.0)),
+            b * math.sqrt(arg) if arg >= 0.0 else math.inf)
+
+
 def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
     if args.alpha is None and args.beta is None:
         args.alpha, args.beta = 0.5, 3.0
@@ -686,22 +694,18 @@ def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
            f"(b_sign={b_sign})", failures)
 
     # circulation threshold: root-found height maximum against the two
-    # closed forms (adopted +alpha^2 form; sign-flipped variant rejected)
+    # closed forms (adopted +alpha^2 form; sign-flipped variant rejected
+    # where it differs, it coincides with the adopted one at alpha = 0)
     a, b = p.alpha, p.beta
     if b * b > 1.0 + a:
-        th_star = inclined_equilibrium(p)
-        u_star = profile(th_star, p, pole_mode=True).U
-        adopted = b * math.sqrt((b * b - 1.0 + a * a) / (b * b - 1.0))
-        d_adopted = abs(u_star - adopted)
-        variant = None
-        d_variant = math.inf
-        arg = (1.0 + a * a - b * b) / (1.0 - b * b)
-        if arg >= 0.0:
-            variant = b * math.sqrt(arg)
-            d_variant = abs(u_star - variant)
-        ok = d_adopted <= 1e-9 and d_variant > 1e-3
+        u_star = profile(inclined_equilibrium(p), p, pole_mode=True).U
+        adopted, variant = _threshold_forms(a, b)
+        d_adopted, d_variant = abs(u_star - adopted), abs(u_star - variant)
+        distinct = abs(adopted - variant) > 2e-3
+        ok = d_adopted <= 1e-9 and (d_variant > 1e-3 or not distinct)
         detail = (f"U(theta*)={u_star:.9f}; adopted form off by {d_adopted:.2e}; "
-                  f"sign-flipped variant off by {d_variant:.2e}")
+                  + (f"sign-flipped variant off by {d_variant:.2e}" if distinct
+                     else "sign-flipped variant coincides with it"))
     else:
         ok = abs(epsilon_min(p) - (1.0 + a)) <= 1e-12
         detail = f"pole regime, eps_min={epsilon_min(p):.9f}"
@@ -828,90 +832,95 @@ def _add_out(sp: _Parser, default: str | None) -> None:
                     help=f"output file path (default {default or 'stdout'})")
 
 
-def build_parser() -> _Parser:
+_COMMANDS = {"simulate": cmd_simulate, "trajectory": cmd_trajectory,
+             "bifurcation": cmd_bifurcation, "rotation-number": cmd_rotation_number,
+             "resonance": cmd_resonance, "classify": cmd_classify, "verify": cmd_verify}
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The command-line parser.  With one of _COMMANDS named, only that
+    subcommand's parser is built; the usage line still names them all."""
+    lone = command in _COMMANDS
     parser = _Parser(prog="rubberroll",
                      description="Rolling ellipsoid of revolution: reduced dynamics, "
                                  "bifurcation diagrams, and absolute trajectories.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if lone else None)
 
-    sp = sub.add_parser("simulate", help="integrate and write a trajectory CSV")
-    _add_common(sp)
-    _add_tols(sp)
-    _add_out(sp, "simulate.csv")
-    sp.add_argument("--kappa", type=float, help="area-integral constant (reduced style)")
-    sp.add_argument("--theta0", type=float, help="initial inclination (reduced style)")
-    sp.add_argument("--ptheta0", type=float, default=0.0, help="initial theta rate (default 0)")
-    sp.add_argument("--energy", type=float,
-                    help="energy level fixing |ptheta0| (alternative to --ptheta0)")
-    sp.add_argument("--omega", type=str, help="w1,w2,w3 (full style)")
-    sp.add_argument("--gamma", type=str, help="g1,g2,g3 (full style)")
-    sp.add_argument("--tmax", type=float, help="integration horizon")
-    sp.add_argument("--samples", type=_positive_int, default=2001,
-                    help="output rows (default 2001)")
-    sp.set_defaults(func=cmd_simulate)
+    def add(name: str, text: str) -> _Parser | None:
+        return sub.add_parser(name, help=text) if not lone or name == command else None
 
-    sp = sub.add_parser("trajectory", help="absolute-space reconstruction CSV")
-    _add_common(sp)
-    _add_tols(sp)
-    _add_out(sp, "trajectory.csv")
-    sp.add_argument("--kappa", type=float)
-    sp.add_argument("--theta0", type=float)
-    sp.add_argument("--ptheta0", type=float, default=0.0)
-    sp.add_argument("--psi0", type=float, default=0.0, help="initial proper-rotation angle")
-    sp.add_argument("--phi0", type=float, default=0.0, help="initial precession angle")
-    sp.add_argument("--x0", type=float, default=0.0, help="initial center-of-mass x")
-    sp.add_argument("--y0", type=float, default=0.0, help="initial center-of-mass y")
-    sp.add_argument("--tmax", type=float)
-    sp.add_argument("--samples", type=_positive_int, default=2001)
-    sp.set_defaults(func=cmd_trajectory)
+    if sp := add("simulate", "integrate and write a trajectory CSV"):
+        _add_common(sp)
+        _add_tols(sp)
+        _add_out(sp, "simulate.csv")
+        sp.add_argument("--kappa", type=float, help="area-integral constant (reduced style)")
+        sp.add_argument("--theta0", type=float, help="initial inclination (reduced style)")
+        sp.add_argument("--ptheta0", type=float, default=0.0, help="initial theta rate (default 0)")
+        sp.add_argument("--energy", type=float,
+                        help="energy level fixing |ptheta0| (alternative to --ptheta0)")
+        sp.add_argument("--omega", type=str, help="w1,w2,w3 (full style)")
+        sp.add_argument("--gamma", type=str, help="g1,g2,g3 (full style)")
+        sp.add_argument("--tmax", type=float, help="integration horizon")
+        sp.add_argument("--samples", type=_positive_int, default=2001,
+                        help="output rows (default 2001)")
 
-    sp = sub.add_parser("bifurcation", help="labeled (kappa, eps) diagram JSON")
-    _add_common(sp, nu_eta=1.0)
-    _add_out(sp, None)
-    sp.set_defaults(func=cmd_bifurcation)
+    if sp := add("trajectory", "absolute-space reconstruction CSV"):
+        _add_common(sp)
+        _add_tols(sp)
+        _add_out(sp, "trajectory.csv")
+        sp.add_argument("--kappa", type=float)
+        sp.add_argument("--theta0", type=float)
+        sp.add_argument("--ptheta0", type=float, default=0.0)
+        sp.add_argument("--psi0", type=float, default=0.0, help="initial proper-rotation angle")
+        sp.add_argument("--phi0", type=float, default=0.0, help="initial precession angle")
+        sp.add_argument("--x0", type=float, default=0.0, help="initial center-of-mass x")
+        sp.add_argument("--y0", type=float, default=0.0, help="initial center-of-mass y")
+        sp.add_argument("--tmax", type=float)
+        sp.add_argument("--samples", type=_positive_int, default=2001)
 
-    sp = sub.add_parser("rotation-number", help="N over a (kappa, eps) point or grid")
-    _add_common(sp)
-    _add_tols(sp)
-    _add_out(sp, "rotation_number.csv")
-    sp.add_argument("--kappa", type=float)
-    sp.add_argument("--kappa-range", type=str, help="lo:hi")
-    sp.add_argument("--n-kappa", type=_positive_int, default=11, help="grid size (default 11)")
-    sp.add_argument("--energy", type=float)
-    sp.add_argument("--energy-range", type=str, help="lo:hi")
-    sp.add_argument("--n-energy", type=_positive_int, default=11, help="grid size (default 11)")
-    sp.add_argument("--branch", type=int, default=0, help="component index (default 0)")
-    sp.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers (default 1)")
-    sp.set_defaults(func=cmd_rotation_number)
+    if sp := add("bifurcation", "labeled (kappa, eps) diagram JSON"):
+        _add_common(sp, nu_eta=1.0)
+        _add_out(sp, None)
 
-    sp = sub.add_parser("resonance", help="N = -n loci over a kappa range")
-    _add_common(sp)
-    _add_tols(sp)
-    _add_out(sp, "resonance.csv")
-    sp.add_argument("--n", type=_int_list, default="0",
-                    help="resonance orders, comma-separated (default 0)")
-    sp.add_argument("--kappa-range", type=str, help="lo:hi")
-    sp.add_argument("--n-kappa", type=_positive_int, default=25, help="grid size (default 25)")
-    sp.add_argument("--eps-max", type=float, help="upper energy cut per slice")
-    sp.add_argument("--jobs", type=_positive_int, default=1)
-    sp.set_defaults(func=cmd_resonance)
+    if sp := add("rotation-number", "N over a (kappa, eps) point or grid"):
+        _add_common(sp)
+        _add_tols(sp)
+        _add_out(sp, "rotation_number.csv")
+        sp.add_argument("--kappa", type=float)
+        sp.add_argument("--kappa-range", type=str, help="lo:hi")
+        sp.add_argument("--n-kappa", type=_positive_int, default=11, help="grid size (default 11)")
+        sp.add_argument("--energy", type=float)
+        sp.add_argument("--energy-range", type=str, help="lo:hi")
+        sp.add_argument("--n-energy", type=_positive_int, default=11, help="grid size (default 11)")
+        sp.add_argument("--branch", type=int, default=0, help="component index (default 0)")
+        sp.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers (default 1)")
 
-    sp = sub.add_parser("classify", help="trajectory class of one (kappa, eps) point")
-    _add_common(sp)
-    _add_tols(sp)
-    _add_out(sp, None)
-    sp.add_argument("--kappa", type=float)
-    sp.add_argument("--energy", type=float)
-    sp.add_argument("--branch", type=int, default=0)
-    sp.set_defaults(func=cmd_classify)
+    if sp := add("resonance", "N = -n loci over a kappa range"):
+        _add_common(sp)
+        _add_tols(sp)
+        _add_out(sp, "resonance.csv")
+        sp.add_argument("--n", type=_int_list, default="0",
+                        help="resonance orders, comma-separated (default 0)")
+        sp.add_argument("--kappa-range", type=str, help="lo:hi")
+        sp.add_argument("--n-kappa", type=_positive_int, default=25, help="grid size (default 25)")
+        sp.add_argument("--eps-max", type=float, help="upper energy cut per slice")
+        sp.add_argument("--jobs", type=_positive_int, default=1)
 
-    sp = sub.add_parser("verify", help="self-check suite; exit 3 on failure")
-    _add_common(sp, nu_eta=0.5)
-    sp.add_argument("--b-sign", choices=[B_SIGN_DERIVED, B_SIGN_PAPER],
-                    default=B_SIGN_DERIVED, help="kinetic cross-term variant under test")
-    sp.add_argument("--quick", action="store_true", help="quick subset of the checks")
-    sp.add_argument("--seed", type=int, default=0, help="random-state seed (default 0)")
-    sp.set_defaults(func=cmd_verify)
+    if sp := add("classify", "trajectory class of one (kappa, eps) point"):
+        _add_common(sp)
+        _add_tols(sp)
+        _add_out(sp, None)
+        sp.add_argument("--kappa", type=float)
+        sp.add_argument("--energy", type=float)
+        sp.add_argument("--branch", type=int, default=0)
+
+    if sp := add("verify", "self-check suite; exit 3 on failure"):
+        _add_common(sp, nu_eta=0.5)
+        sp.add_argument("--b-sign", choices=[B_SIGN_DERIVED, B_SIGN_PAPER],
+                        default=B_SIGN_DERIVED, help="kinetic cross-term variant under test")
+        sp.add_argument("--quick", action="store_true", help="quick subset of the checks")
+        sp.add_argument("--seed", type=int, default=0, help="random-state seed (default 0)")
 
     return parser
 
@@ -921,13 +930,14 @@ def main(argv: list[str] | None = None) -> int:
         level=getattr(logging, os.environ.get("RUBBERROLL_LOG", "WARNING").upper(),
                       logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if args.config:
             _config_defaults(args, parser)
             args = parser.parse_args(argv)
-        return args.func(args, parser)
+        return _COMMANDS[args.command](args, parser)
     except SystemExit as ex:
         return int(ex.code or 0)
 

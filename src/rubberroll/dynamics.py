@@ -26,8 +26,8 @@ with energy eps = B p^2/2 + kappa^2/(2 sin^2) + U(theta).  G0 doubles as the
 negative derivative of the effective potential, so its roots are the relative
 equilibria and the turning-point machinery below is built on it.
 
-The level-set scans (here and in :mod:`.bifurcation`) evaluate whole theta
-grids at once through the array kernel :func:`potential_grid`.  The rule is
+The level-set scans here evaluate whole theta grids at once through the
+array kernel :func:`potential_grid`.  The rule is
 "the array selects, the scalar decides": the array only picks grid cells or
 nodes, and every number a scan returns comes from the scalar functions
 (:func:`effective_potential`, :func:`g0`), through brentq, midpoint
@@ -80,8 +80,6 @@ __all__ = [
     "g0",
     "g0_prime",
     "potential_grid",
-    "potential_rows",
-    "inertia_grid",
     "check_turning_point",
     "measure_density",
     "reduce_state",
@@ -417,28 +415,6 @@ def potential_grid(
     Z = surface_z(s2, c, p)
     return (surface_u(c, Z, p) + _centrifugal(s2, kappa),
             surface_g0(s, s2, c, Z, kappa, p), surface_g0_prime(s2, c, Z, kappa, p))
-
-
-def potential_rows(theta: np.ndarray, kappa: np.ndarray, p: Params) -> np.ndarray:
-    """V on a 2-D theta array, row i at the nonzero kappa[i]: the array form
-    of :func:`effective_potential` over many kappa slices at once."""
-    s = np.sin(theta); c = np.cos(theta); s2 = s * s
-    return surface_u(c, surface_z(s2, c, p), p) + _centrifugal(s2, kappa[:, None])
-
-
-def inertia_grid(
-    theta: np.ndarray, p: Params
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(B, J, U) on an array of theta: the array form of ``profile(theta).B``,
-    ``.J`` and of the height ``.U`` that J is built on.  Like
-    :func:`potential_grid` it accepts any real theta (the meridian
-    extension).
-    """
-    th = np.asarray(theta, dtype=float)
-    s = np.sin(th); c = np.cos(th); s2 = s * s
-    Z = surface_z(s2, c, p)
-    U = surface_u(c, Z, p)
-    return surface_b(s, s2, c, Z, p)[0], surface_j(s2, c, U, p), U
 
 
 def check_turning_point(theta: float, kappa: float, eps: float, p: Params) -> None:

@@ -113,10 +113,11 @@ def surface_g0(s, s2, c, Z, kappa: float, p: Params):
 
     Minus the slope of the effective potential: its roots are the relative
     equilibria.  The kappa term is left out at kappa = 0, so the poles are
-    valid points of the meridian chart there.
+    valid points of the meridian chart there; an array kappa is as in
+    :func:`surface_g0_prime`.
     """
     val = p.alpha * s + (1.0 - p.beta * p.beta) * s * c / Z
-    if kappa != 0.0:
+    if isinstance(kappa, np.ndarray) or kappa != 0.0:
         val = val + kappa * kappa * c / (s2 * s)
     return val
 

@@ -52,18 +52,18 @@ import numpy as np
 from .brent import brentq
 from .dynamics import (
     FP_WIDTH,
+    _centrifugal,
     augmented_field,
     check_turning_point,
     effective_potential,
     full_field,
     g0,
-    inertia_grid,
     kinematic_field,
-    potential_grid,
     reduced_field,
     turning_points,
 )
-from .geometry import profile, surface_b, surface_j, surface_j_prime, surface_u, surface_z
+from .geometry import (profile, surface_b, surface_g0, surface_j, surface_j_prime, surface_u,
+                       surface_z)
 from .model import Params
 
 __all__ = [
@@ -675,6 +675,7 @@ class _Nodes:
     spin: np.ndarray | None      # kappa / (J sin(theta)) dt/du; None at kappa = 0
     U: np.ndarray                # height of the center of mass
     rel: np.ndarray              # relative rounding error of eps - V
+    terms: tuple                 # (s, s2, c, Z, J, B, B', G0, eps - V), for _psi_slope
 
 
 def _half_nodes(
@@ -691,11 +692,15 @@ def _half_nodes(
         h = 0.5 * (hi - lo)
         th = (lo + h) - h * np.cos(u)
         jac = h * np.sin(u)
-    V, G, _ = potential_grid(th, kappa, p)
-    gap = eps - V
+    s = np.sin(th); c = np.cos(th); s2 = s * s
+    Z = surface_z(s2, c, p)
+    U = surface_u(c, Z, p)
+    gap = eps - (U + _centrifugal(s2, kappa))
     if not np.all(gap > 0.0):
         return None
-    B, J, U = inertia_grid(th, p)
+    G = surface_g0(s, s2, c, Z, kappa, p)
+    B, dB = surface_b(s, s2, c, Z, p)
+    J = surface_j(s2, c, U, p)
     dt = jac * np.sqrt(B / (2.0 * gap))
     # eps - V carries the rounding of V and that of theta times the slope
     # V' = -G, both magnified where the gap is small; the sums carry their
@@ -704,11 +709,11 @@ def _half_nodes(
            + 32.0 * _EPS_MACH)
     dpsi = spin = None
     if kappa != 0.0:
-        s = np.sin(th)
         js = J * s
-        dpsi = (-kappa) * np.cos(th) / (js * s) * dt
+        dpsi = (-kappa) * c / (js * s) * dt
         spin = kappa / js * dt
-    return _Nodes(du=du, dth=jac, dt=dt, dpsi=dpsi, spin=spin, U=U, rel=rel)
+    return _Nodes(du=du, dth=jac, dt=dt, dpsi=dpsi, spin=spin, U=U, rel=rel,
+                  terms=(s, s2, c, Z, J, B, dB, G, gap))
 
 
 def _midpoint_sums(nodes: _Nodes) -> tuple[float, float, float, float]:
@@ -881,21 +886,16 @@ def _psi_slope(
     sums = []
     for n in (hp.n // 2, hp.n):
         nodes = _half_nodes(kappa, eps, p, lo, hi, False, n)
-        u = (np.arange(n) + 0.5) * nodes.du
-        th = (lo + h) - h * np.cos(u)
-        th_e = 0.5 * (lo_e + hi_e) - h_e * np.cos(u)
-        V, G, _ = potential_grid(th, kappa, p)
-        s = np.sin(th); c = np.cos(th); s2 = s * s
-        Z = surface_z(s2, c, p); U = surface_u(c, Z, p); J = surface_j(s2, c, U, p)
-        B, dB = surface_b(s, s2, c, Z, p)
+        th_e = 0.5 * (lo_e + hi_e) - h_e * np.cos((np.arange(n) + 0.5) * nodes.du)
+        s, s2, c, Z, J, B, dB, G, gap = nodes.terms
         # d(dpsi/dt)/dtheta, with dpsi/dt = dpsi/du / (dt/du)
         w_th = kappa / (J * s) - nodes.dpsi / nodes.dt * (
-            surface_j_prime(s, s2, c, Z, U, J, p) / J + 2.0 * c / s)
-        f = (nodes.dpsi * (h_e / h + 0.5 * dB / B * th_e - 0.5 * (1.0 + G * th_e) / (eps - V))
+            surface_j_prime(s, s2, c, Z, nodes.U, J, p) / J + 2.0 * c / s)
+        f = (nodes.dpsi * (h_e / h + 0.5 * dB / B * th_e - 0.5 * (1.0 + G * th_e) / gap)
              + nodes.dt * w_th * th_e)
         # f divides by eps - V once and a half; 1 + G0 theta_e has its own rounding
         floor = (2.0 * np.abs(f) * nodes.rel
-                 + np.abs(nodes.dpsi) * (1.0 + np.abs(G * th_e)) * _EPS_MACH / (eps - V))
+                 + np.abs(nodes.dpsi) * (1.0 + np.abs(G * th_e)) * _EPS_MACH / gap)
         sums.append((float(f.sum()) * nodes.du, float(floor.sum()) * nodes.du))
     return sums[1][0], max(abs(sums[1][0] - sums[0][0]), sums[1][1])
 

@@ -571,6 +571,64 @@ def test_b_sign_is_a_verify_only_flag(command, capsys):
     assert "unrecognized arguments: --b-sign" in err
 
 
+def _parse_error(parser, argv, capsys):
+    with pytest.raises(SystemExit) as ex:
+        parser.parse_args(argv)
+    return ex.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_lone_subcommand_parser_reads_as_the_full_one(command, capsys):
+    lone, full = cli._build_parser(command), cli._build_parser()
+
+    def sub(parser):
+        return next(a for a in parser._actions if a.dest == "command").choices[command]
+
+    assert sub(lone).format_help() == sub(full).format_help()
+    bad = _parse_error(lone, [command, "--alpha", "x"], capsys)
+    assert bad == _parse_error(full, [command, "--alpha", "x"], capsys)
+    assert bad[0] == 1 and "invalid float value: 'x'" in bad[1]
+    # the subcommands report their own usage errors through the top-level parser
+    for parser in (lone, full):
+        with pytest.raises(SystemExit):
+            parser.error("--alpha is required")
+    lone_err, full_err = capsys.readouterr().err.split("rubberroll: error: --alpha is required\n")[:2]
+    assert lone_err == full_err and all(c in full_err for c in cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [[], ["nope"]])
+def test_no_or_an_unknown_command_lists_every_command(argv, capsys):
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert all(c in err for c in cli._COMMANDS)
+
+
+@pytest.mark.parametrize("body, detail", [
+    ([], "sign-flipped variant off by 9.38e-02"),
+    # at alpha = 0 both closed forms of the circulation threshold equal beta
+    (["--alpha", "0", "--beta", "1.5"], "sign-flipped variant coincides with it"),
+    (["--alpha", "0", "--beta", "3"], "sign-flipped variant coincides with it"),
+])
+def test_verify_threshold_form_compares_the_variant_where_it_differs(body, detail, capsys):
+    code, out, _ = run(["verify", "--quick", *body], capsys)
+    assert code == 0
+    line = next(ln for ln in out.splitlines() if "threshold-form" in ln)
+    assert line.startswith("PASS") and line.endswith(detail)
+
+
+def test_verify_threshold_form_catches_a_flipped_alpha_term(capsys, monkeypatch):
+    forms = cli._threshold_forms
+
+    def flipped(a, b):
+        return b * math.sqrt((b * b - 1.0 - a * a) / (b * b - 1.0)), forms(a, b)[1]
+
+    monkeypatch.setattr(cli, "_threshold_forms", flipped)
+    code, out, _ = run(["verify", "--quick"], capsys)
+    assert code == 3
+    failed = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL threshold-form")
+
+
 def test_verify_seed_changes_draws_not_verdict(capsys):
     code0, out0, _ = run(["verify", "--quick", "--seed", "1"], capsys)
     code1, out1, _ = run(["verify", "--quick", "--seed", "2"], capsys)

@@ -2,10 +2,11 @@
 
 The oracles below are the pointwise loops the diagram ran before its curve
 sampling, window search and RPM floor were batched: one closed-form
-evaluation per angle, a depth-first ``thetas.insert`` refinement and one
-potential grid per kappa.  The batched code does the same arithmetic, so the
-results must agree bit for bit.  The RPM floor is also held to the critical
-angles, which a separate scan finds.
+evaluation per angle, a depth-first ``thetas.insert`` refinement, and the
+RPM floor's argmin and Newton polish one kappa slice at a time.  The batched
+code does the same arithmetic, so the results must agree bit for bit.  The
+RPM floor is also held to an independent route, a grid of its own per kappa
+slice and brentq, and to the critical angles, which a separate scan finds.
 """
 
 import math
@@ -89,6 +90,55 @@ def _scalar_default_kappa_max(p, eps_max):
 
 
 def _scalar_rpm_floor(kappa, p):
+    """(theta, eps, lambda_sq) of the RPM floor one slice at a time, in
+    scalars: the argmin of V on the shared grid, then Newton on G0 between
+    the argmin's neighbours, with brentq's end rules."""
+    n = 721
+    grid = np.linspace(0.0, math.pi if p.alpha != 0.0 else math.pi / 2.0, n).tolist()
+    kappa = kappa if kappa * kappa != 0.0 else 0.0
+
+    def V(i):
+        t = grid[i]
+        if kappa == 0.0:
+            return effective_potential(t, 0.0, p)
+        if i == 0 or (i == n - 1 and p.alpha != 0.0):
+            return math.inf
+        return effective_potential(t, 0.0, p) + kappa * kappa * (0.5 / (math.sin(t) ** 2))
+
+    def G(t):
+        return math.inf if t == 0.0 and kappa != 0.0 else g0(t, kappa, p)
+
+    def dG(t):
+        return -math.inf if t == 0.0 and kappa != 0.0 else g0_prime(t, kappa, p)
+
+    i = min(range(n), key=V)
+    lo, hi, x = grid[max(i - 1, 0)], grid[min(i + 1, n - 1)], grid[i]
+    g_lo, g_hi = G(lo), G(hi)
+    if hi == math.pi and kappa != 0.0:
+        g_hi = -math.inf    # the barrier of a nonzero kappa, though sin(pi) is not 0
+    if g_lo == 0.0 or g_hi == 0.0:
+        x = lo if g_lo == 0.0 else hi
+    elif (g_lo > 0.0) != (g_hi > 0.0):
+        for _ in range(100):
+            g, dg = G(x), dG(x)
+            if (g > 0.0) == (g_lo > 0.0):
+                lo = x
+            else:
+                hi = x
+            new = x - g / dg if dg != 0.0 else math.nan
+            if not lo <= new <= hi:
+                new = 0.5 * (lo + hi)
+            done = abs(new - x) <= 1e-14 + 8.9e-16 * abs(x)
+            x = new
+            if done:
+                break
+    return x, effective_potential(x, kappa, p), g0_prime(x, kappa, p) / profile(x, p, pole_mode=True).B
+
+
+def _brentq_rpm_floor(kappa, p):
+    """(theta, eps) of the RPM floor by an independent route: a grid of its
+    own per kappa slice, short of the poles unless kappa = 0, and scipy's
+    brentq on G0 between the argmin's neighbours."""
     n = 721
     if kappa == 0.0:
         grid = np.linspace(0.0, math.pi, n)
@@ -160,12 +210,42 @@ def test_batched_diagram_matches_the_scalar_loops(name):
         _same_samples(bif._sample_arc(p, lo, hi, lc, hc, 200, 1e-3, eps_max, kappa_max),
                       _scalar_sample_arc(p, lo, hi, lc, hc, 200, 1e-3, eps_max, kappa_max))
     rpm = bif.rpm_boundary(p, kappa_max)
-    want = [_scalar_rpm_floor(float(k), p) for k in np.linspace(0.0, kappa_max, 241)]
-    assert np.array_equal(rpm.theta0, [t for t, _ in want])
-    assert np.array_equal(rpm.eps, [v for _, v in want])
-    assert np.array_equal(rpm.lambda_sq, [g0_prime(t, k, p) / profile(t, p, pole_mode=True).B
-                                          for (t, _), k in zip(want, rpm.kappa)])
+    want = list(zip(*[_scalar_rpm_floor(k, p) for k in np.linspace(0.0, kappa_max, 241).tolist()]))
+    assert all(np.array_equal(g, w) for g, w in zip((rpm.theta0, rpm.eps, rpm.lambda_sq), want))
     for kappa in (0.0, -0.4, 1e-9, 2.5):
+        assert bif.rpm_floor(kappa, p) == _scalar_rpm_floor(kappa, p)[1]
+
+
+@pytest.mark.parametrize("name", sorted(BODIES))
+def test_the_floor_matches_a_per_slice_brentq_oracle(name):
+    p = BODIES[name]
+    kappa_max = bif._default_kappa_max(p, bif._default_eps_max(p, bif.cusp(p)))
+    kappas = np.linspace(0.0, kappa_max, 241).tolist() + [-0.4, 1e-9, 2.5]
+    theta0, eps, _ = bif._rpm_floors(kappas, p)
+    for kappa, t, e in zip(kappas, theta0.tolist(), eps.tolist()):
+        t_ref, e_ref = _brentq_rpm_floor(kappa, p)
+        assert abs(e - e_ref) <= 1e-15 * max(1.0, abs(e_ref)), (kappa, e, e_ref)
+        if p.alpha == 0.0:
+            # V is even about the equator: of two mirror wells the floor takes theta <= pi/2
+            assert t <= math.pi / 2.0
+            t_ref = min(t_ref, math.pi - t_ref, key=lambda r: abs(t - r))
+        # on the sphere V = 1 + kappa^2/(2 sin^2) rounds to 1 at most angles
+        # for kappa^2 below the rounding of V: no isolated minimum in floats
+        if not (name == "sphere" and kappa * kappa < 1e-15):
+            assert abs(t - t_ref) <= 1e-13, (kappa, t, t_ref)
+    if name == "cusp":
+        # the kappa = 1e-9 well lies inside the grid's end cell at the pole pi
+        assert math.pi - math.pi / 720 < theta0[-2] < math.pi
+
+
+@pytest.mark.parametrize("name", sorted(BODIES))
+def test_the_floor_is_continuous_as_kappa_goes_to_zero(name):
+    # at 1e-40 a well next to a pole lies far inside sin(pi) = 1.2e-16, and
+    # kappa^2 underflows to 0 at 1e-170
+    p = BODIES[name]
+    floor0 = bif.rpm_floor(0.0, p)
+    for kappa in (1e-40, -1e-170):
+        assert abs(bif.rpm_floor(kappa, p) - floor0) <= 1e-15 * max(1.0, abs(floor0)), kappa
         assert bif.rpm_floor(kappa, p) == _scalar_rpm_floor(kappa, p)[1]
 
 

@@ -20,10 +20,9 @@ from rubberroll.dynamics import (
     component_intervals,
     critical_thetas,
     effective_potential,
-    inertia_grid,
     potential_grid,
 )
-from rubberroll.geometry import profile
+from rubberroll.geometry import profile, surface_b, surface_z
 from rubberroll.integrate import EventSpec, half_period, integrate, period_map, section_period
 from rubberroll.model import Params
 from rubberroll.reconstruct import classify, reconstruct_trajectory, rotation_number
@@ -102,7 +101,9 @@ def _node_times(kappa, eps, p, lo, hi, circuit, M):
     else:
         h = 0.5 * (hi - lo)
         th, jac = lo + h - h * np.cos(u), h * np.abs(np.sin(u))
-    dt = jac * np.sqrt(inertia_grid(th, p)[0] / (2.0 * (eps - potential_grid(th, kappa, p)[0])))
+    s, c = np.sin(th), np.cos(th)
+    B = surface_b(s, s * s, c, surface_z(s * s, c, p), p)[0]
+    dt = jac * np.sqrt(B / (2.0 * (eps - potential_grid(th, kappa, p)[0])))
     X = np.fft.fft(dt)
     k = np.fft.fftfreq(M, 1.0 / M)
     k[0] = 1.0

@@ -15,9 +15,7 @@ from rubberroll.dynamics import (
     component_intervals,
     critical_thetas,
     effective_potential,
-    inertia_grid,
 )
-from rubberroll.geometry import profile
 from rubberroll.integrate import (
     IntegrationError,
     _ode_half_period,
@@ -113,16 +111,6 @@ def test_past_the_node_cap_the_stepper_takes_over():
     T_ode, N_ode = _oracle(kappa, eps, P_XY, *component_intervals(kappa, eps, P_XY)[0])
     assert abs(rn.N - N_ode) <= rn.err + 1e-10
     assert abs(sp.T_theta - T_ode) <= sp.err + 1e-10 * T_ode
-
-
-def test_inertia_grid_matches_profile():
-    for p in (P_XY, P_EQ, P_ALPHA1, P_BETA1):
-        th = np.concatenate([np.linspace(-1.0, 2.0 * math.pi, 37), [0.0, math.pi]])
-        B, J, U = inertia_grid(th, p)
-        ref = [profile(float(t), p, pole_mode=True) for t in th]
-        np.testing.assert_array_max_ulp(B, [se.B for se in ref], maxulp=2)
-        np.testing.assert_array_max_ulp(J, [se.J for se in ref], maxulp=2)
-        np.testing.assert_array_max_ulp(U, [se.U for se in ref], maxulp=2)
 
 
 # --- the exact eps-derivative of N ---

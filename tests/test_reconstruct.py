@@ -20,10 +20,10 @@ from rubberroll.dynamics import (
     critical_thetas,
     effective_potential,
     g0_prime,
-    inertia_grid,
     kinematic_init,
     lift,
 )
+from rubberroll.geometry import surface_u, surface_z
 from rubberroll.integrate import integrate, section_period
 from rubberroll.model import Params
 from rubberroll.reconstruct import (
@@ -81,12 +81,13 @@ def test_quadrature_reconstruction_vs_kinematic():
 
 
 def test_height_is_the_profile_height_bit_for_bit():
-    # z_c and inertia_grid's U both take Z from geometry.surface_z
+    # z_c and the surface height U both take Z from geometry.surface_z
     rng = np.random.default_rng(20261018)
     for p in (P_XY, P_EQ, Params(0.3, 0.6, 1.0, 1.0)):
         th0, pth0, kap = rng.uniform(0.4, 2.6), rng.uniform(-0.3, 0.3), rng.uniform(0.2, 1.0)
         path = reconstruct_trajectory((th0, pth0), kap, (0.0, 20.0), p)
-        assert np.array_equal(path.z_c, inertia_grid(path.theta, p)[2])
+        s, c = np.sin(path.theta), np.cos(path.theta)
+        assert np.array_equal(path.z_c, surface_u(c, surface_z(s * s, c, p), p))
 
 
 def test_rotation_number_locked_fraction():
