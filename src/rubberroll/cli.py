@@ -309,14 +309,17 @@ def _tmax(args: argparse.Namespace, parser: _Parser) -> float:
     return tmax
 
 
-def _path_rows(path, kappa: float, p: Params):
+def _path_rows(path, e_drift, f1_drift) -> list[tuple]:
+    """CSV rows from an AbsolutePath and the two drift columns."""
+    columns = [getattr(path, name).tolist() for name in _CSV_HEADER[:10]]
+    return list(zip(*columns, e_drift, f1_drift))
+
+
+def _reduced_rows(path, kappa: float, p: Params) -> list[tuple]:
     """CSV rows from an AbsolutePath; E_drift from the reduced energy."""
-    e0 = reduced_energy(float(path.theta[0]), float(path.p_theta[0]), kappa, p)
-    for i in range(len(path.t)):
-        e = reduced_energy(float(path.theta[i]), float(path.p_theta[i]), kappa, p)
-        yield (path.t[i], path.theta[i], path.p_theta[i], path.psi[i],
-               path.phi[i], path.x_c[i], path.y_c[i], path.z_c[i],
-               path.x_p[i], path.y_p[i], e - e0, 0.0)
+    e = [reduced_energy(th, pt, kappa, p)
+         for th, pt in zip(path.theta.tolist(), path.p_theta.tolist())]
+    return _path_rows(path, [ei - e[0] for ei in e], [0.0] * len(e))
 
 
 def cmd_simulate(args: argparse.Namespace, parser: _Parser) -> int:
@@ -346,7 +349,7 @@ def cmd_simulate(args: argparse.Namespace, parser: _Parser) -> int:
                 p0 = args.ptheta0
             path = reconstruct_trajectory((theta0, p0), kappa, (0.0, tmax), p,
                                           t_eval=t_eval, **tols)
-            rows = list(_path_rows(path, kappa, p))
+            rows = _reduced_rows(path, kappa, p)
             drifts = (max(abs(r[10]) for r in rows), 0.0)
         else:
             _require(args, parser, "omega", "gamma")
@@ -363,13 +366,8 @@ def cmd_simulate(args: argparse.Namespace, parser: _Parser) -> int:
                              p, t_eval=t_eval, **tols)
             path = path_from_kinematic(traj.t_eval, traj.y_eval, p)
             c0 = integrals(state, p)
-            rows = []
-            for i in range(len(path.t)):
-                ci = integrals(FullState.from_array(traj.y_eval[i]), p)
-                rows.append((path.t[i], path.theta[i], path.p_theta[i],
-                             path.psi[i], path.phi[i], path.x_c[i], path.y_c[i],
-                             path.z_c[i], path.x_p[i], path.y_p[i],
-                             ci.eps - c0.eps, ci.F1 - c0.F1))
+            ci = integrals(FullState(omega=traj.y_eval[:, :3], gamma=traj.y_eval[:, 3:6]), p)
+            rows = _path_rows(path, (ci.eps - c0.eps).tolist(), (ci.F1 - c0.F1).tolist())
             drifts = (max(abs(r[10]) for r in rows), max(abs(r[11]) for r in rows))
     except (PoleError, IntegrationError, ValueError) as ex:
         print(f"numerical failure: {ex}", file=sys.stderr)
@@ -395,7 +393,7 @@ def cmd_trajectory(args: argparse.Namespace, parser: _Parser) -> int:
     except (PoleError, IntegrationError, ValueError) as ex:
         print(f"numerical failure: {ex}", file=sys.stderr)
         return EXIT_NUMERIC
-    _write_csv(args.out, _CSV_HEADER, _path_rows(path, args.kappa, p))
+    _write_csv(args.out, _CSV_HEADER, _reduced_rows(path, args.kappa, p))
     log.info("wrote %s", args.out)
     return EXIT_OK
 

@@ -435,29 +435,34 @@ def check_turning_point(theta: float, kappa: float, eps: float, p: Params) -> No
 # --- Integrals and measure ---
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b row by row, by the dot kernel of a single row pair."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def integrals(s: FullState, p: Params) -> Integrals:
-    """All four conserved quantities of a full state."""
+    """All four conserved quantities of a full state, or, with (n, 3) rows
+    of omega and gamma, arrays of them equal bit for bit to those per row."""
     w = np.asarray(s.omega, float)
     g = np.asarray(s.gamma, float)
-    F0 = float(g @ g)
-    F1 = float(w @ g)
+    F0 = _dot(g, g)
+    F1 = _dot(w, g)
 
     a = p.alpha
     b2 = p.beta * p.beta
-    bg = np.array([b2 * g[0], b2 * g[1], g[2]])
-    sn = math.sqrt(float(g @ bg))
-    r = -bg / sn
-    r[2] -= a
+    bg = g * np.array([b2, b2, 1.0])
+    r = -bg / np.sqrt(_dot(g, bg))[..., None]
+    r[..., 2] -= a
 
-    rg = float(r @ g)
-    J2 = (g[2] * g[2] + p.nu * (g[0] * g[0] + g[1] * g[1])) / p.eta + rg * rg
-    kappa = math.sqrt(J2) * w[2]
+    rg = _dot(r, g)
+    g1, g2, g3 = g.T
+    J2 = (g3 * g3 + p.nu * (g1 * g1 + g2 * g2)) / p.eta + rg * rg
+    kappa = np.sqrt(J2) * w[..., 2]
 
-    rr = float(r @ r)
     I = np.array([1.0 / p.eta, 1.0 / p.eta, p.nu / p.eta])
-    Jw = I * w + rr * w - r * float(r @ w)
-    eps = 0.5 * float(Jw @ w) - rg
-    return Integrals(F0=F0, F1=F1, kappa=kappa, eps=eps)
+    Jw = I * w + _dot(r, r)[..., None] * w - r * _dot(r, w)[..., None]
+    out = (F0, F1, kappa, 0.5 * _dot(Jw, w) - rg)
+    return Integrals(*(map(float, out) if w.ndim == 1 else out))
 
 
 def measure_density(gamma3: float, p: Params) -> float:

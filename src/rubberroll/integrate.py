@@ -8,8 +8,8 @@ scipy's ``DOP853`` solver operation by operation (stage sums, error norm,
 step controller, initial step, interpolant), so its results match scipy's
 bit for bit; the tests keep scipy's solver as the oracle.  The loop calls
 the right-hand side directly, builds the three extra interpolant stages only
-on steps that need them, and evaluates all sample times of a step in one
-array call.  It goes one accepted step at a time so that
+on steps that need them, and evaluates the sample times of all steps in one
+array pass after the last step.  It goes one accepted step at a time so that
 
   * the vertical unit vector can be renormalized after every accepted step
     (magnitude logged, delivered in the run statistics),
@@ -18,9 +18,9 @@ array call.  It goes one accepted step at a time so that
   * the reduced chart can be guarded against pole contact when kappa != 0.
 
 Default tolerances are 1e-12 absolute and 1e-10 relative.  Each run reports
-an :class:`IntegrationStats`: accepted steps ``n_steps``, rejected step
-attempts ``n_rejected``, right-hand-side evaluations ``n_rhs`` and the
-largest renormalization ``max_renorm``.
+an :class:`IntegrationStats` (accepted steps ``n_steps``, rejected step
+attempts ``n_rejected``, right-hand-side evaluations ``n_rhs``, the largest
+renormalization ``max_renorm``) and logs it and the sample count at DEBUG.
 
 The per-level observables (:func:`section_period` here, the rotation number
 in :mod:`.reconstruct`) need no stepping: the time and the precession from
@@ -42,6 +42,7 @@ reduced flow gives the second half of the period from the first.
 from __future__ import annotations
 
 import functools
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -82,6 +83,8 @@ __all__ = [
     "SectionPeriod",
     "section_period",
 ]
+
+log = logging.getLogger(__name__)
 
 DEFAULT_TOL_ABS = 1e-12
 DEFAULT_TOL_REL = 1e-10
@@ -289,13 +292,13 @@ def _step(fun, t, y, f, h_abs, t1, direction, rtol, atol, K, stages):
         err5 = np.dot(K.T, _E5) / scale
         err3 = np.dot(K.T, _E3) / scale
         # np.linalg.norm(err) ** 2, spelt out
-        err5_norm_2 = np.sqrt(err5.dot(err5)) ** 2
-        err3_norm_2 = np.sqrt(err3.dot(err3)) ** 2
+        err5_norm_2 = math.sqrt(float(err5.dot(err5))) ** 2
+        err3_norm_2 = math.sqrt(float(err3.dot(err3))) ** 2
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             error_norm = 0.0
         else:
             denom = err5_norm_2 + 0.01 * err3_norm_2
-            error_norm = abs(h) * err5_norm_2 / np.sqrt(denom * len(y))
+            error_norm = abs(h) * err5_norm_2 / math.sqrt(denom * len(y))
         if error_norm < 1:
             if error_norm == 0:
                 factor = _MAX_FACTOR
@@ -342,6 +345,24 @@ def _interpolate(F, t_old, h, y_old, t):
     return y
 
 
+def _dense_samples(steps, t, dim):
+    """:func:`_interpolate` at the sorted times t, element for element, in
+    one pass over all steps; each entry (count, F, t_old, h, y_old) of steps
+    covers the next count times; without steps every row is zero."""
+    y = np.zeros((len(t), dim))
+    if steps:
+        counts, F, t_old, h, y_old = zip(*steps)
+        k = np.repeat(np.arange(len(steps)), counts)
+        F = np.array(F)
+        x = ((t - np.array(t_old)[k]) / np.array(h)[k])[:, None]
+        xm = 1 - x
+        for i in range(_INTERPOLATOR_POWER - 1, -1, -1):
+            y += F[k, i]
+            y *= x if i % 2 == 0 else xm
+        y += np.array(y_old)[k]
+    return y
+
+
 def integrate_raw(
     fun: Callable[[float, np.ndarray], np.ndarray],
     y0: Sequence[float],
@@ -371,15 +392,19 @@ def integrate_raw(
     guard : callable, optional
         Called after every accepted step; may raise to abort.
     t_eval : array, optional
-        Extra sample times (forward integration only), evaluated on the
-        dense interpolant while stepping (memory stays O(len(t_eval))
-        instead of O(steps)).
+        Extra sample times (forward integration only, finite and
+        non-decreasing) on the dense interpolant.  The loop keeps 7 rows
+        of coefficients per sampled step and evaluates all samples after
+        it, at a peak of about 2.5 times the bytes of y_eval.  Times before
+        t_span[0] give the start state; those past t_span[1] or past a
+        terminal event are left out of Trajectory.t_eval.
 
     Raises
     ------
     ValueError
         On a non-finite start state, t_eval or events on a backward run, a
-        negative tol_abs, or tol_abs = 0 with a zero start component.
+        t_eval that is not finite and non-decreasing, a negative tol_abs,
+        or tol_abs = 0 with a zero start component.
     IntegrationError
         On stepper failure or step-budget exhaustion.
     """
@@ -414,13 +439,15 @@ def integrate_raw(
     hits: list[EventHit] = []
 
     eval_times = None
-    eval_list: list[float] = []
-    eval_chunks: list[np.ndarray] = []
-    eval_idx = 0
+    sampled: list[tuple] = []   # (count, F, t_old, h, y_old) per step holding samples
+    eval_idx = n_eval = 0
     if t_eval is not None:
         eval_times = np.asarray(t_eval, dtype=float)
-        eval_list = eval_times.tolist()
-    n_eval = len(eval_list)
+        if (eval_times.ndim != 1 or not np.isfinite(eval_times).all()
+                or (eval_times[1:] < eval_times[:-1]).any()):
+            raise ValueError("t_eval must be a finite, non-decreasing 1-D array")
+        n_eval = len(eval_times)
+    next_eval = float(eval_times[0]) if n_eval else math.inf
 
     prev_ev = [spec.fn(t0, y) for spec in events]
 
@@ -450,7 +477,7 @@ def integrate_raw(
         stats.n_steps += 1
 
         F = None
-        if not zero_length and (events or (eval_idx < n_eval and eval_list[eval_idx] <= t)):
+        if not zero_length and (events or next_eval <= t):
             F = _dense_coefficients(fun, t_old, h, y_old, y_new, f_new, K_ext, extra)
             n_rhs += len(extra)
 
@@ -483,16 +510,12 @@ def integrate_raw(
                 prev_ev[k] = node_vals[-1]
 
         seg_end = t if t_stop is None else t_stop
-        if eval_idx < n_eval and eval_list[eval_idx] <= seg_end:
-            j = eval_idx + 1
-            while j < n_eval and eval_list[j] <= seg_end:
-                j += 1
-            chunk = eval_times[eval_idx:j]
-            vals = _interpolate(F, t_old, h, y_old, chunk)
-            # requested before the start: clamp to the start state
-            vals[chunk < t_old] = ys[0]
-            eval_chunks.append(vals)
+        if next_eval <= seg_end:
+            j = int(eval_times.searchsorted(seg_end, "right"))
+            if F is not None:   # else a run of length zero, sampled below
+                sampled.append((j - eval_idx, F, t_old, h, y_old))
             eval_idx = j
+            next_eval = float(eval_times[j]) if j < n_eval else math.inf
 
         if t_stop is not None:
             ts.append(t_stop)
@@ -520,10 +543,14 @@ def integrate_raw(
             break
 
     stats.n_rhs = n_rhs
+    log.debug("integrate_raw: %d steps, %d rejected attempts, %d RHS calls, %d samples, max "
+              "renorm %.3g", stats.n_steps, stats.n_rejected, n_rhs, eval_idx, stats.max_renorm)
     traj = Trajectory(t=np.array(ts), y=np.array(ys), events=hits, stats=stats)
     if eval_times is not None:
         traj.t_eval = eval_times[:eval_idx]
-        traj.y_eval = np.concatenate(eval_chunks) if eval_chunks else np.empty((0, dim))
+        traj.y_eval = _dense_samples(sampled, traj.t_eval, dim)
+        # requested before the start, or on a run of length zero: the start state
+        traj.y_eval[: eval_times.searchsorted(t0, "right" if t0 == t1 else "left")] = ys[0]
     return traj
 
 

@@ -154,6 +154,76 @@ def test_full_style_simulate_integrates_once(tmp_path, capsys, monkeypatch):
     assert systems == ["kinematic"]
 
 
+def test_simulate_rows_equal_rows_built_one_at_a_time(tmp_path, capsys):
+    # reference: each row read from the path as numpy scalars, with its own
+    # reduced_energy or integrals call
+    from rubberroll.dynamics import FullState, integrals, kinematic_init, reduced_energy
+    from rubberroll.integrate import integrate
+    from rubberroll.reconstruct import path_from_kinematic, reconstruct_trajectory
+
+    p = Params(0.5, 3.0, 0.5, 0.5)
+    tev = np.linspace(0.0, 30.0, 301)
+    sim = [*ARGS_XY, "--tmax", "30", "--samples", "301"]
+
+    def reference(path, drift):
+        rows = []
+        for i in range(len(path.t)):
+            rows.append((path.t[i], path.theta[i], path.p_theta[i], path.psi[i],
+                         path.phi[i], path.x_c[i], path.y_c[i], path.z_c[i],
+                         path.x_p[i], path.y_p[i], *drift(i)))
+        out = tmp_path / "ref.csv"
+        cli._write_csv(str(out), cli._CSV_HEADER, rows)
+        return out.read_bytes()
+
+    out = tmp_path / "reduced.csv"
+    assert main(["simulate", *sim, "--kappa", "-0.6", "--theta0", "1.1", "--ptheta0", "0.4",
+                 "--out", str(out)]) == 0
+    path = reconstruct_trajectory((1.1, 0.4), -0.6, (0.0, 30.0), p, t_eval=tev)
+
+    def energy(i):
+        return reduced_energy(float(path.theta[i]), float(path.p_theta[i]), -0.6, p)
+
+    assert out.read_bytes() == reference(path, lambda i: (energy(i) - energy(0), 0.0))
+
+    w = "0.3,-0.18616978176397397,0.2346033803494251"
+    g = "0,0.78332690962748341,0.62160996827066439"
+    out = tmp_path / "full.csv"
+    assert main(["simulate", *sim, "--omega", w, "--gamma", g, "--out", str(out)]) == 0
+    state = FullState(omega=np.array([float(v) for v in w.split(",")]),
+                      gamma=np.array([float(v) for v in g.split(",")]))
+    traj = integrate("kinematic", kinematic_init(state), (0.0, 30.0), p, t_eval=tev)
+    path = path_from_kinematic(traj.t_eval, traj.y_eval, p)
+    c0 = integrals(state, p)
+
+    def drifts(i):
+        ci = integrals(FullState.from_array(traj.y_eval[i]), p)
+        return ci.eps - c0.eps, ci.F1 - c0.F1
+
+    assert out.read_bytes() == reference(path, drifts)
+    capsys.readouterr()
+
+
+def test_simulate_debug_log_leaves_the_file_alone(tmp_path):
+    # a logging setup is per process, so each log level gets its own
+    src = str(Path(rubberroll.__file__).resolve().parent.parent)
+    files, errs = [], []
+    for level in ("WARNING", "DEBUG"):
+        out = tmp_path / f"{level}.csv"
+        env = dict(os.environ, RUBBERROLL_LOG=level, PYTHONPATH=os.pathsep.join(
+            [src] + [q for q in os.environ.get("PYTHONPATH", "").split(os.pathsep) if q]))
+        proc = subprocess.run([sys.executable, "-m", "rubberroll.cli", "simulate", *ARGS_XY,
+                               "--kappa", "0.6", "--theta0", "1.2", "--ptheta0", "0.3",
+                               "--tmax", "20", "--samples", "201", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        files.append(out.read_bytes())
+        errs.append(proc.stderr)
+    assert files[0] == files[1]
+    assert "integrate_raw" not in errs[0]
+    assert re.search(r"DEBUG rubberroll\.integrate: integrate_raw: \d+ steps, \d+ rejected "
+                     r"attempts, \d+ RHS calls, 201 samples, max renorm 0\n", errs[1])
+
+
 def test_csv_values_print_as_17_significant_digits(tmp_path):
     from rubberroll.cli import _write_csv
 

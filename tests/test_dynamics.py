@@ -48,6 +48,26 @@ def test_first_integrals_conserved():
         assert abs(c1.eps - c0.eps) < 1e-8 * max(1.0, abs(c0.eps))
 
 
+@pytest.mark.parametrize("p", [P, Params(alpha=0.0, beta=1.5, nu=1.0, eta=1.0)])
+def test_integrals_of_rows_equal_those_per_row(p):
+    rng = np.random.default_rng(12)
+    states = [random_valid_state(rng) for _ in range(300)]
+    # gamma within 1e-6 of the pole, omega normal to it
+    th, ph = 1e-6, 2.0
+    g = np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)])
+    w = np.array([0.4, -0.7, 0.0])
+    w[2] = -(w[0] * g[0] + w[1] * g[1]) / g[2]
+    states.append(FullState(omega=w, gamma=g))
+    # as strided columns of a kinematic state array, as simulate passes them
+    y = np.zeros((len(states), 14))
+    y[:, :6] = [s.as_array() for s in states]
+    rows = integrals(FullState(omega=y[:, :3], gamma=y[:, 3:6]), p)
+    one = [integrals(s, p) for s in states]
+    for name in ("F0", "F1", "kappa", "eps"):
+        assert getattr(rows, name).tolist() == [getattr(c, name) for c in one], name
+    assert all(type(v) is float for c in one for v in (c.F0, c.F1, c.kappa, c.eps))
+
+
 def test_field_tangency():
     # d/dt of F0 and F1 vanishes pointwise along the field
     rng = np.random.default_rng(1)

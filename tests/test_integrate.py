@@ -2,6 +2,7 @@
 chart, and the DOP853 loop against scipy's stepper."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,48 @@ def test_reduced_requires_kappa():
 def test_unknown_system_rejected():
     with pytest.raises(ValueError):
         integrate("nope", (1.0, 0.0), (0.0, 1.0), P, kappa=0.5)
+
+
+def test_t_eval_must_be_finite_and_non_decreasing():
+    # unsorted, t = 1 after t = 5 once read the start state; a NaN dropped
+    # every later sample
+    for bad in ([5.0, 1.0, 9.0], [1.0, math.nan, 9.0], [1.0, math.inf], [-math.inf, 1.0]):
+        with pytest.raises(ValueError, match="finite, non-decreasing"):
+            integrate("augmented", (1.0, 0.2, 0.0, 0.0, 0.0, 0.0), (0.0, 10.0), P,
+                      kappa=0.6, t_eval=bad)
+
+
+def test_t_eval_leaves_out_times_past_the_end_or_a_terminal_event():
+    lo, hi = component_intervals(KAPPA, EPS, P)[0]
+    tev = np.linspace(0.0, 20.0, 201)
+    tr = integrate("reduced", (lo, 0.0), (0.0, 10.0), P, kappa=KAPPA, t_eval=tev)
+    assert np.array_equal(tr.t_eval, tev[tev <= 10.0])
+    assert tr.y_eval.shape == (101, 2)
+    turn = EventSpec("turn", lambda t, y: y[1], terminal=True)
+    th0 = 0.5 * (lo + hi)
+    tr = integrate("reduced", (th0, 0.1), (0.0, 10.0), P, kappa=KAPPA, events=(turn,),
+                   t_eval=tev)
+    t_turn = tr.events[0].t
+    assert tr.t[-1] == t_turn < 10.0
+    assert np.array_equal(tr.t_eval, tev[tev <= t_turn])
+    assert len(tr.y_eval) == len(tr.t_eval) > 0
+
+
+def test_t_eval_sampling_peak_memory():
+    # the loop keeps the interpolant of each sampled step, not the samples:
+    # only the pass after the last step holds arrays of len(t_eval) rows
+    lo, hi = component_intervals(KAPPA, EPS, P)[0]
+    fun = augmented_field(KAPPA, P)
+    tev = np.linspace(0.0, 20.0, 200_001)
+    tracemalloc.start()
+    try:
+        tr = integrate_raw(fun, (0.5 * (lo + hi), 0.1, 0.0, 0.0, 0.0, 0.0), (0.0, 20.0),
+                           t_eval=tev)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.y_eval.shape == (200_001, 6)
+    assert peak < 3 * tr.y_eval.nbytes
 
 
 def test_t_eval_rejects_backward_runs():
@@ -327,6 +370,15 @@ def _oracle_cases():
             renorm_slice=slice(3, 6), t_eval=np.array([1.0, 2.0, 2.0, 3.0])),
         "reduced, backward": dict(
             fun=reduced_field(KAPPA, P), y0=(th0, pt0), t_span=(0.0, -10.0)),
+        "augmented, many samples per step": dict(
+            fun=augmented_field(KAPPA, P), y0=(th0, pt0, 0.0, 0.0, 0.0, 0.0),
+            t_span=(0.0, 20.0), t_eval=np.linspace(0.0, 20.0, 20_001)),
+        "reduced, samples from before the start": dict(
+            fun=reduced_field(KAPPA, P), y0=(th0, pt0), t_span=(2.0, 12.0),
+            t_eval=np.linspace(0.0, 14.0, 141)),
+        "reduced, samples on the step ends": dict(
+            fun=reduced_field(KAPPA, P), y0=(th0, pt0), t_span=(0.0, 10.0),
+            t_eval=scipy_integrate_raw(reduced_field(KAPPA, P), (th0, pt0), (0.0, 10.0)).t),
     }
 
 
