@@ -26,17 +26,18 @@ with energy eps = B p^2/2 + kappa^2/(2 sin^2) + U(theta).  G0 doubles as the
 negative derivative of the effective potential, so its roots are the relative
 equilibria and the turning-point machinery below is built on it.
 
-The level-set scans here evaluate whole theta grids at once through the
-array kernel :func:`potential_grid`.  The rule is
+The level-set scans here evaluate whole theta grids at once.  The rule is
 "the array selects, the scalar decides": the array only picks grid cells or
 nodes, and every number a scan returns comes from the scalar functions
 (:func:`effective_potential`, :func:`g0`), through brentq, midpoint
 membership tests or a plain re-evaluation at the selected node.  A minimum
 is a root of its slope, so brentq finds the extrema too.  Here only
-:func:`critical_thetas` scans a fine grid, of G0 and G0'.  V is monotone
-between consecutive critical thetas, so :func:`component_intervals` brackets
-every turning point of a level with those thetas and the chart edges alone.
-Each kappa slice is scanned once: :func:`critical_points` keeps the critical
+:func:`critical_thetas` scans a fine grid, of G0 and G0', each a kappa-free
+part plus kappa^2 times a factor of theta: one 45 KB table per body keeps
+these, and a slice takes six array operations.  V is monotone between
+consecutive critical thetas, so :func:`component_intervals` brackets every
+turning point of a level with those thetas and the chart edges alone.  Each
+kappa slice is scanned once: :func:`critical_points` keeps the critical
 thetas of the last slices with their levels and saddle flags, and
 :func:`component_intervals` keeps the components of the last levels, in
 bounded per-process caches.  The caches key on the arguments as floats, so a
@@ -55,6 +56,8 @@ import numpy as np
 from .brent import brentq
 from .geometry import (
     B_SIGN_DERIVED,
+    g0_prime_spin,
+    g0_spin,
     surface_b,
     surface_g0,
     surface_g0_prime,
@@ -520,9 +523,11 @@ def lift(r: ReducedState, kappa: float, phi: float, p: Params) -> FullState:
 
 FP_WIDTH = 1e-9   # components narrower than this are relative equilibria
 _CRIT_GRID = 800  # critical_thetas: sign-scan nodes over (0, pi)
+_CRIT_EDGE = 1e-6  # critical_thetas: the scan grid stops this far from each pole
 _LEVEL_TOL = 1e-10  # component_intervals: relative gap that puts a critical point on the level
 _LEVEL_FLOOR = 4 * math.ulp(1.0)  # component_intervals: relative rounding floor of V - eps
 _SLICE_CACHE = 64  # critical_points: kappa slices kept per process
+_BODY_CACHE = 16  # critical_points: bodies whose scan tables are kept per process
 _LEVEL_CACHE = 64  # component_intervals: levels kept per process
 
 
@@ -547,13 +552,20 @@ class CriticalPoints:
         return [(th, lv) for th, lv, sad in zip(self.thetas, self.levels, self.saddle) if sad]
 
 
+def _finite(name: str, x: float) -> float:
+    if not math.isfinite(x):
+        raise ValueError(f"{name}={x} is not finite")
+    return float(x)
+
+
 def critical_points(kappa: float, p: Params) -> CriticalPoints:
     """The critical points of the kappa slice, found once per slice.
 
     Every observable of a level reads them, and the sweeps hold kappa fixed
     while eps varies, so the process keeps the last _SLICE_CACHE slices.
+    A non-finite kappa raises ValueError.
     """
-    return _critical_points(float(kappa), p)
+    return _critical_points(_finite("kappa", kappa), p)
 
 
 def critical_thetas(kappa: float, p: Params) -> list[float]:
@@ -561,12 +573,13 @@ def critical_thetas(kappa: float, p: Params) -> list[float]:
 
     For kappa != 0 the centrifugal term dominates both pole limits, so every
     root is interior and a sign scan on a uniform grid brackets all of them;
-    roots between a pole and the grid's 1e-6 edge get a node beyond them, and
-    a pair closer than the grid spacing is found from the G0 extremum between
-    them.  :func:`component_intervals` relies on getting every root.
-    For kappa = 0 the only interior root is the inclined equilibrium, when it
-    exists; the poles themselves are always equilibria of the meridian chart
-    and are not reported here.  Read from :func:`critical_points`.
+    roots between a pole and the grid's 1e-6 edge get a node beyond them (one
+    whose sin^4 underflows raises ValueError), and a pair closer than the
+    grid spacing is found from the G0 extremum between them.
+    :func:`component_intervals` relies on getting every root.  For kappa = 0
+    the only interior root is the inclined equilibrium, when it exists; the
+    poles themselves are always equilibria of the meridian chart and are not
+    reported here.  Read from :func:`critical_points`.
     """
     return list(critical_points(kappa, p).thetas)
 
@@ -581,6 +594,20 @@ def _critical_points(kappa: float, p: Params) -> CriticalPoints:
     )
 
 
+@functools.lru_cache(maxsize=_BODY_CACHE)
+def _scan_table(p: Params) -> tuple[np.ndarray, ...]:
+    """The scan grid of :func:`critical_thetas`, and on it G0 and G0' at zero
+    kappa and the factors of their kappa^2 terms, all read-only."""
+    grid = np.linspace(_CRIT_EDGE, math.pi - _CRIT_EDGE, _CRIT_GRID)
+    s = np.sin(grid); c = np.cos(grid); s2 = s * s
+    Z = surface_z(s2, c, p)
+    table = (grid, surface_g0(s, s2, c, Z, 0.0, p), surface_g0_prime(s2, c, Z, 0.0, p),
+             *g0_spin(s, s2, c), *g0_prime_spin(s2, c))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
 def _g0_roots(kappa: float, p: Params) -> list[float]:
     """The scan of :func:`critical_thetas`."""
     f = lambda th: g0(th, kappa, p)
@@ -588,18 +615,11 @@ def _g0_roots(kappa: float, p: Params) -> list[float]:
         # G0 = sin * (alpha + (1 - beta^2) cos / Z) and the bracketed factor
         # is monotone, so one sign change brackets the only interior root
         lo, hi = 1e-9, math.pi - 1e-9
-        flo, fhi = f(lo), f(hi)
-        if flo == 0.0:
-            return [lo]
-        if fhi == 0.0:
-            return [hi]
-        if flo * fhi > 0.0:
-            return []
-        return [brentq(f, lo, hi, xtol=1e-14)]
+        return [] if f(lo) * f(hi) > 0.0 else [brentq(f, lo, hi, xtol=1e-14)]
 
-    eps_edge = 1e-6
-    grid = np.linspace(eps_edge, math.pi - eps_edge, _CRIT_GRID)
-    _, vals, slope = potential_grid(grid, kappa, p)
+    grid, g, dg, gn, gd, dn, dd = _scan_table(p)
+    vals = g + kappa * kappa * gn / gd
+    slope = dg - kappa * kappa * dn / dd
     if vals[0] < 0.0 or vals[-1] > 0.0:
         # G0 -> +inf at the pole 0 and -inf at pi, so the wrong sign at a
         # clip edge means a root between it and the pole: the near-pole
@@ -609,16 +629,20 @@ def _g0_roots(kappa: float, p: Params) -> list[float]:
         # node th_e below lies beyond the root.
         C = p.alpha + abs(1.0 - p.beta * p.beta) / min(1.0, p.beta)
         th_e = 0.5 * math.sqrt(abs(kappa) / math.sqrt(C))
-        grid = np.concatenate(([th_e] if vals[0] < 0.0 else [], grid,
-                               [math.pi - th_e] if vals[-1] > 0.0 else []))
-        _, vals, slope = potential_grid(grid, kappa, p)
+        if th_e ** 4 == 0.0:   # sin^4 underflows there, and G0' with it
+            raise ValueError(f"|kappa|={abs(kappa)} too small to resolve the poles; use kappa = 0")
+        n = int(vals[0] < 0.0)   # extra nodes below the grid
+        extra = np.array([th_e] * n + [math.pi - th_e] * int(vals[-1] > 0.0))
+        _, x_vals, x_slope = potential_grid(extra, kappa, p)
+        grid, vals, slope = (np.concatenate((x[:n], a, x[n:])) for x, a in
+                             ((extra, grid), (x_vals, vals), (x_slope, slope)))
     roots = []
     for i in sign_cells(vals):
         if vals[i] == 0.0:
             roots.append(float(grid[i]))
         else:
             # a cell below the clip edge needs a tolerance relative to theta
-            xtol = 1e-14 * grid[i] if grid[i] < eps_edge else 1e-14
+            xtol = 1e-14 * grid[i] if grid[i] < _CRIT_EDGE else 1e-14
             roots.append(brentq(f, float(grid[i]), float(grid[i + 1]), xtol=xtol))
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
@@ -633,7 +657,7 @@ def _g0_roots(kappa: float, p: Params) -> list[float]:
         if (ga * gb <= 0.0 or abs(ga) > 2.0 * (b - a) * abs(slope[i])
                 or abs(gb) > 2.0 * (b - a) * abs(slope[i + 1])):
             continue
-        xtol = 1e-14 * a if a < eps_edge else 1e-14
+        xtol = 1e-14 * a if a < _CRIT_EDGE else 1e-14
         m = brentq(lambda th: g0_prime(th, kappa, p), a, b, xtol=xtol)
         if f(m) * ga < 0.0:
             roots += [brentq(f, a, m, xtol=xtol), brentq(f, m, b, xtol=xtol)]
@@ -675,7 +699,7 @@ def component_intervals(kappa: float, eps: float, p: Params) -> list[tuple[float
     its rest level.  The observables of a level each read its components,
     so the process keeps the last _LEVEL_CACHE levels.
     """
-    return list(_component_intervals(float(kappa), float(eps), p))
+    return list(_component_intervals(_finite("kappa", kappa), _finite("eps", eps), p))
 
 
 @functools.lru_cache(maxsize=_LEVEL_CACHE)
@@ -683,10 +707,8 @@ def _component_intervals(kappa: float, eps: float, p: Params) -> tuple[tuple[flo
     V = lambda th: effective_potential(th, kappa, p)
     cp = _critical_points(kappa, p)
 
-    if kappa == 0.0:
-        lo_edge, hi_edge = 0.0, math.pi
-    else:
-        lo_edge, hi_edge = 1e-6, math.pi - 1e-6
+    lo_edge = 0.0 if kappa == 0.0 else _CRIT_EDGE
+    hi_edge = math.pi - lo_edge
 
     node_v = {lo_edge: V(lo_edge), hi_edge: V(hi_edge), **dict(zip(cp.thetas, cp.levels))}
     grid = sorted(node_v)

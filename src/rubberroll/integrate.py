@@ -34,7 +34,8 @@ which :func:`half_period` evaluates by a node-doubling midpoint rule.  The
 planar path over one period continues the same node ladder:
 :func:`period_map` integrates d(x_c + i y_c)/dt over the whole period by a
 spectral cumulative sum and a Filon-type FFT rule, which gives the drift D
-the center of mass makes per period.  Past the node cap the stepper
+the center of mass makes per period.  Each rung size keeps its level-free
+arrays, read-only (88 bytes a node).  Past the node cap the stepper
 integrates the half period instead, and the reflection symmetry of the
 reduced flow gives the second half of the period from the first.
 """
@@ -631,6 +632,7 @@ _N_CAP = 2 ** 14      # past this node count the stepper takes over
 _EPS_MACH = 2.0 ** -52
 _RTOL_FLOOR = 2.3e-14  # about the smallest relative tolerance DOP853 accepts
 _HALF_PERIOD_CACHE = 64  # half_period: results kept per process
+_NODE_TABLES = 16  # _node_table: rung sizes kept per process (the ladder has 11)
 
 
 @dataclass(frozen=True)
@@ -690,6 +692,20 @@ def _polish_turning_point(theta: float, kappa: float, eps: float, p: Params) -> 
     return theta + (effective_potential(theta, kappa, p) - eps) / g
 
 
+@functools.lru_cache(maxsize=_NODE_TABLES)
+def _node_table(n: int) -> tuple:
+    """(du, u, cos u, sin u, k, k_div, shift) of n nodes, read-only: the n
+    midpoints u of (0, pi), and on the 2n of the circle the FFT frequencies,
+    with k_div[0] = 1 for :func:`_cumulative`, and shifts exp(-i du k / 2)."""
+    du = math.pi / n
+    u = (np.arange(n) + 0.5) * du
+    k = np.fft.fftfreq(2 * n, 1.0 / (2 * n))
+    arrays = (u, np.cos(u), np.sin(u), k, np.concatenate(([1.0], k[1:])), np.exp(-0.5j * du * k))
+    for a in arrays:
+        a.flags.writeable = False
+    return (du,) + arrays
+
+
 @dataclass(frozen=True)
 class _Nodes:
     """The integrands of half an oscillation at the n midpoint nodes
@@ -710,15 +726,14 @@ def _half_nodes(
 ) -> _Nodes | None:
     """The n-node integrands between lo and hi; None if a node falls off
     the level."""
-    du = math.pi / n
-    u = (np.arange(n) + 0.5) * du
+    du, u, cos_u, sin_u, *_ = _node_table(n)
     if circuit:
         jac = (hi - lo) / math.pi
         th = lo + jac * u
     else:
         h = 0.5 * (hi - lo)
-        th = (lo + h) - h * np.cos(u)
-        jac = h * np.sin(u)
+        th = (lo + h) - h * cos_u
+        jac = h * sin_u
     s = np.sin(th); c = np.cos(th); s2 = s * s
     Z = surface_z(s2, c, p)
     U = surface_u(c, Z, p)
@@ -913,7 +928,7 @@ def _psi_slope(
     sums = []
     for n in (hp.n // 2, hp.n):
         nodes = _half_nodes(kappa, eps, p, lo, hi, False, n)
-        th_e = 0.5 * (lo_e + hi_e) - h_e * np.cos((np.arange(n) + 0.5) * nodes.du)
+        th_e = 0.5 * (lo_e + hi_e) - h_e * _node_table(n)[2]
         s, s2, c, Z, J, B, dB, G, gap = nodes.terms
         # d(dpsi/dt)/dtheta, with dpsi/dt = dpsi/du / (dt/du)
         w_th = kappa / (J * s) - nodes.dpsi / nodes.dt * (
@@ -950,21 +965,18 @@ def _half_period(
                       method="ode", period=pm)
 
 
-def _cumulative(f: np.ndarray) -> tuple[float, np.ndarray]:
+def _cumulative(f: np.ndarray, k_div: np.ndarray) -> tuple[float, np.ndarray]:
     """int_0^u f at the M midpoint nodes u_j = (j + 1/2) 2 pi / M of a full
-    period, for f periodic and even, sampled there.
+    period, for f periodic and even, sampled there; k_div from :func:`_node_table`.
 
     Returns (a, r): the integral is a u_j + r_j, with a the mean of f and r
     the integral of the trigonometric interpolant of f - a (coefficients
     divided by i k), periodic and odd, so that it starts from 0 at u = 0.
     """
-    M = len(f)
-    k = np.fft.fftfreq(M, 1.0 / M)
     X = np.fft.fft(f)
-    a = float(X[0].real) / M
+    a = float(X[0].real) / len(f)
     X[0] = 0.0
-    k[0] = 1.0
-    return a, np.fft.ifft(X / (1j * k)).real
+    return a, np.fft.ifft(X / (1j * k_div)).real
 
 
 def _phase_integral(w, u):
@@ -990,7 +1002,7 @@ def _one_period(
     term with the smallest |w_k| is summed on its own, by
     :func:`_phase_integral`.
     """
-    du = nodes.du
+    du, _, _, _, k, k_div, shift = _node_table(len(nodes.dt))
     M = 2 * len(nodes.dt)
 
     def mirror(a: np.ndarray, sign: float = 1.0) -> np.ndarray:
@@ -1003,7 +1015,7 @@ def _one_period(
         v = -1j * U * dth
         spin_floor = 0.0
     else:
-        a, r = _cumulative(mirror(nodes.dpsi))
+        a, r = _cumulative(mirror(nodes.dpsi), k_div)
         spin = mirror(nodes.spin)
         v = -U * (spin + 1j * dth)
         spin_floor = float(np.abs(U * spin * mirror(nodes.rel)).sum()) * du
@@ -1011,8 +1023,6 @@ def _one_period(
     # the phase carries the rounding of psi, twice that of its half period
     floor = spin_floor + (2.0 * psi_floor + 32.0 * _EPS_MACH) * length
 
-    k = np.fft.fftfreq(M, 1.0 / M)
-    shift = np.exp(-0.5j * du * k)
     X = np.fft.fft(v * np.exp(1j * r))         # q_k = X_k shift_k / M
     X[M // 2] = 0.0                           # the Nyquist term
     w = a + k
