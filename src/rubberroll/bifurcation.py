@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brent import _RTOL, brentq
-from .dynamics import FullState, _centrifugal, component_intervals, g0, g0_prime, sign_cells
+from .dynamics import FullState, _centrifugal, component_intervals, g0, g0_prime, scan_roots
 from .geometry import profile, surface_b, surface_g0, surface_g0_prime, surface_u, surface_z
 from .model import Params
 
@@ -315,19 +315,12 @@ def cusp(p: Params) -> CuspPoint | None:
         return (surface_g0_prime(s2, c, Z, 0.0, p)
                 + surface_g0(s, s2, c, Z, 0.0, p) * (1.0 + 2.0 * c * c) / (c * s))
 
-    def fold_fn(th: float) -> float:
-        return fold(math.sin(th), math.cos(th))
-
-    lo, hi = 1e-6, ts - 1e-12
-    grid = np.linspace(lo, hi, 4001)
-    cells = sign_cells(fold(np.sin(grid), np.cos(grid)))
-    if not cells:
+    grid = np.linspace(1e-6, ts - 1e-12, 4001)
+    roots = scan_roots(lambda th: fold(math.sin(th), math.cos(th)), grid,
+                       fold(np.sin(grid), np.cos(grid)), 1e-12)
+    if not roots:
         return None
-    i = cells[0]
-    if fold_fn(float(grid[i])) == 0.0:
-        th_c = float(grid[i])
-    else:
-        th_c = brentq(fold_fn, float(grid[i]), float(grid[i + 1]), xtol=1e-12)
+    th_c = roots[0]
     k2 = sigma_theta_kappa_sq(th_c, p)
     if k2 < 0.0:
         return None

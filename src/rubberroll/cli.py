@@ -598,13 +598,16 @@ def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
     failures: list[str] = []
     tols = dict(tol_abs=1e-12, tol_rel=1e-12)
 
-    # conservation of F0, F1, kappa, eps along the full flow
-    n_states, t_end = (3, 10.0) if quick else (12, 100.0)
+    # conservation of F0, F1, kappa, eps along the full flow.  Over the full
+    # check's t = 100, tolerances of 1e-12 let |dF1| reach the 1e-10 bound on
+    # some bodies (1.1e-10 at alpha 0.9, beta 5), so its runs step at 1e-13
+    n_states, t_end, cons_tol = (3, 10.0, 1e-12) if quick else (12, 100.0, 1e-13)
     worst = np.zeros(4)
     for _ in range(n_states):
         s = _random_valid_state(rng, p)
         c0 = integrals(s, p)
-        traj = integrate("full", s.as_array(), (0.0, t_end), p, **tols)
+        traj = integrate("full", s.as_array(), (0.0, t_end), p,
+                         tol_abs=cons_tol, tol_rel=cons_tol)
         c1 = integrals(FullState.from_array(traj.y[-1]), p)
         worst = np.maximum(worst, [
             abs(c1.F0 - c0.F0), abs(c1.F1 - c0.F1),

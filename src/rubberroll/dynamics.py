@@ -30,8 +30,9 @@ The level-set scans here evaluate whole theta grids at once.  The rule is
 "the array selects, the scalar decides": the array only picks grid cells or
 nodes, and every number a scan returns comes from the scalar functions
 (:func:`effective_potential`, :func:`g0`), through brentq, midpoint
-membership tests or a plain re-evaluation at the selected node.  A minimum
-is a root of its slope, so brentq finds the extrema too.  Here only
+membership tests or a plain re-evaluation at the selected node;
+:func:`scan_roots` turns each sign scan into its roots.  A minimum is a root
+of its slope, so brentq finds the extrema too.  Here only
 :func:`critical_thetas` scans a fine grid, of G0 and G0', each a kappa-free
 part plus kappa^2 times a factor of theta: one 45 KB table per body keeps
 these, and a slice takes six array operations.  V is monotone between
@@ -88,6 +89,7 @@ __all__ = [
     "reduce_state",
     "lift",
     "sign_cells",
+    "scan_roots",
     "CriticalPoints",
     "critical_points",
     "critical_thetas",
@@ -537,6 +539,24 @@ def sign_cells(vals: np.ndarray) -> list[int]:
     return np.flatnonzero((head == 0.0) | (head * tail < 0.0)).tolist()
 
 
+def scan_roots(f: Callable[[float], float], grid, vals: np.ndarray, xtol: float,
+               edge: float = 0.0) -> list[float]:
+    """The roots of f that its scan, vals on grid, brackets, in order: each
+    node where vals is exactly 0, the last node included, and one brentq root
+    per sign change, to xtol, or to xtol x theta in a cell left of ``edge``,
+    where a root next to the pole 0 needs a tolerance relative to theta."""
+    roots = []
+    for i in sign_cells(vals):
+        a = float(grid[i])
+        if vals[i] == 0.0:
+            roots.append(a)
+        else:
+            roots.append(brentq(f, a, float(grid[i + 1]), xtol=xtol * a if a < edge else xtol))
+    if vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    return roots
+
+
 @dataclass(frozen=True)
 class CriticalPoints:
     """The relative equilibria of one kappa slice, sorted by theta: the
@@ -575,7 +595,9 @@ def critical_thetas(kappa: float, p: Params) -> list[float]:
     root is interior and a sign scan on a uniform grid brackets all of them;
     roots between a pole and the grid's 1e-6 edge get a node beyond them (one
     whose sin^4 underflows raises ValueError), and a pair closer than the
-    grid spacing is found from the G0 extremum between them.
+    grid spacing is found from the G0 extremum between them.  A root nearer
+    pi than the float spacing there (|kappa| below about 1e-30 for bodies of
+    order one) is not resolved: it comes back as pi itself or is left out.
     :func:`component_intervals` relies on getting every root.  For kappa = 0
     the only interior root is the inclined equilibrium, when it exists; the
     poles themselves are always equilibria of the meridian chart and are not
@@ -636,16 +658,7 @@ def _g0_roots(kappa: float, p: Params) -> list[float]:
         _, x_vals, x_slope = potential_grid(extra, kappa, p)
         grid, vals, slope = (np.concatenate((x[:n], a, x[n:])) for x, a in
                              ((extra, grid), (x_vals, vals), (x_slope, slope)))
-    roots = []
-    for i in sign_cells(vals):
-        if vals[i] == 0.0:
-            roots.append(float(grid[i]))
-        else:
-            # a cell below the clip edge needs a tolerance relative to theta
-            xtol = 1e-14 * grid[i] if grid[i] < _CRIT_EDGE else 1e-14
-            roots.append(brentq(f, float(grid[i]), float(grid[i + 1]), xtol=xtol))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
+    roots = scan_roots(f, grid, vals, 1e-14, _CRIT_EDGE)
     # next to a fold a center/saddle pair can share one cell of one sign.
     # The pair straddles an extremum of G0, which G0' brackets.  While G0'
     # is monotone across the cell, G0 at the extremum lies within |G0'| x
@@ -693,11 +706,12 @@ def component_intervals(kappa: float, eps: float, p: Params) -> list[tuple[float
     include the pole point and stand for the pole-crossing component.  For
     kappa != 0 an interval reaching toward a pole ends at the turning point
     on its centrifugal wall, however close to the pole; a wall angle below
-    1e-30 raises ValueError.  V within four ulps (relative to
-    max(1, |eps|)) of eps counts as on the level, so a flat potential, the
-    centered sphere's at kappa = 0, gives the single component (0, pi) at
-    its rest level.  The observables of a level each read its components,
-    so the process keeps the last _LEVEL_CACHE levels.
+    1e-30, or a wall next to pi that would round onto it, raises ValueError.
+    V within four ulps (relative to max(1, |eps|)) of eps counts as on the
+    level, so a flat potential, the centered sphere's at kappa = 0, gives the
+    single component (0, pi) at its rest level.  The observables of a level
+    each read its components, so the process keeps the last _LEVEL_CACHE
+    levels.
     """
     return list(_component_intervals(_finite("kappa", kappa), _finite("eps", eps), p))
 
@@ -720,7 +734,9 @@ def _component_intervals(kappa: float, eps: float, p: Params) -> tuple[tuple[flo
         # min U >= min(1, beta) - alpha, so half the angle of that bound is
         # a node beyond the wall.
         th_w = 0.5 * math.asin(abs(kappa) / math.sqrt(2.0 * (eps - min(1.0, p.beta) + p.alpha)))
-        if th_w < 1e-30:   # brentq stops converging on wider wall brackets
+        # below 1e-30 brentq stops converging on the wider wall brackets, and
+        # a node nearer pi than half the float spacing there rounds to pi
+        if th_w < 1e-30 or (vals[-1] < 0.0 and math.pi - th_w == math.pi):
             raise ValueError(
                 f"|kappa|={abs(kappa)} too small to resolve the centrifugal wall; use kappa = 0"
             )
@@ -751,18 +767,8 @@ def _component_intervals(kappa: float, eps: float, p: Params) -> tuple[tuple[flo
     # breakpoints: refined sign changes plus exact-level grid nodes; segment
     # membership is decided at midpoints, so a node that merely touches the
     # level cannot flip the interval parity
-    breaks = [grid[0], grid[-1]]
-    for i in sign_cells(vals):
-        if vals[i] == 0.0:
-            breaks.append(grid[i])
-        else:
-            # a cell below the clip edge holds a wall turning point next to the
-            # pole, which only a tolerance relative to theta resolves
-            xtol = 1e-14 * grid[i] if grid[i] < lo_edge else 1e-14
-            breaks.append(
-                brentq(lambda th: V(th) - eps, grid[i], grid[i + 1], xtol=xtol)
-            )
-    breaks = sorted(set(breaks))
+    breaks = sorted({grid[0], grid[-1],
+                     *scan_roots(lambda th: V(th) - eps, grid, vals, 1e-14, lo_edge)})
 
     for u, v in zip(breaks[:-1], breaks[1:]):
         if V(0.5 * (u + v)) - eps <= floor:

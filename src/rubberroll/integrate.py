@@ -484,14 +484,13 @@ def integrate_raw(
 
         t_stop = None
         if events:
+            # the step's start node is the last node of the step before
             nodes = np.linspace(t_old, t, _N_EVENT_NODES)
-            node_states = _interpolate(F, t_old, h, y_old, nodes)
+            node_states = _interpolate(F, t_old, h, y_old, nodes[1:])
             for k, spec in enumerate(events):
-                g_prev = prev_ev[k]
-                node_vals = [spec.fn(float(tn), node_states[i]) for i, tn in enumerate(nodes)]
-                g_left = g_prev
+                g_left = prev_ev[k]
                 for i in range(1, _N_EVENT_NODES):
-                    g_right = node_vals[i]
+                    g_right = spec.fn(float(nodes[i]), node_states[i - 1])
                     trig = g_left * g_right < 0.0
                     if trig and spec.direction > 0:
                         trig = g_left < g_right
@@ -508,7 +507,7 @@ def integrate_raw(
                         if spec.terminal and (t_stop is None or t_hit < t_stop):
                             t_stop = float(t_hit)
                     g_left = g_right
-                prev_ev[k] = node_vals[-1]
+                prev_ev[k] = g_left
 
         seg_end = t if t_stop is None else t_stop
         if next_eval <= seg_end:

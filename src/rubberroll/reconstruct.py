@@ -55,6 +55,7 @@ from .dynamics import (
     g0_prime,
     kinematic_init,
     potential_grid,
+    scan_roots,
     turning_points,
 )
 from .integrate import (
@@ -538,8 +539,9 @@ def resonance_curve(
 
     Each kappa slice is cut at its critical levels, where the component
     structure changes and N may jump or diverge; within a segment N is
-    continuous per component, so sign changes of N + n on a coarse scan
-    bracket every crossing, refined by brentq and kept only when the
+    continuous per component, so a coarse scan of N + n finds its roots:
+    each node where it is 0, and each sign change, refined by brentq.  Two
+    roots in one cell of the scan are missed.  A root is kept only when its
     polished residual is at most 1e-6; each slice that drops roots logs at
     INFO how many and the largest residual.  Slices contribute nothing where
     no crossing exists; the result may be empty.  kappa = 0 grid nodes are
@@ -550,15 +552,15 @@ def resonance_curve(
         kap = float(kap)
         if abs(kap) < 1e-9:
             continue
+        levels = critical_points(kap, p).levels
         top = eps_max
         if top is None:
-            levels = critical_points(kap, p).levels
             if not levels:
                 continue
             top = max(levels) + 2.0
         dropped, worst = 0, 0.0
         # the open eps-intervals of constant component structure
-        cuts = [lv for lv in sorted(set(critical_points(kap, p).levels)) if lv < top]
+        cuts = [lv for lv in sorted(set(levels)) if lv < top]
         for seg_lo, seg_hi in zip(cuts, cuts[1:] + [top]):
             pad = max(1e-9, 1e-6 * (seg_hi - seg_lo))
             a, b = seg_lo + pad, seg_hi - pad
@@ -574,16 +576,11 @@ def resonance_curve(
                                            tol_abs=tol_abs, tol_rel=tol_rel).N + n
 
                 grid = np.linspace(a, b, _RES_SCAN)
-                vals = [f(float(e)) for e in grid]
-                for i in range(_RES_SCAN - 1):
-                    if vals[i] == 0.0 or vals[i] * vals[i + 1] >= 0.0:
-                        continue
-                    root = brentq(f, float(grid[i]), float(grid[i + 1]), xtol=1e-12)
-                    rn = rotation_number(kap, float(root), p, br,
-                                         tol_abs=tol_abs, tol_rel=tol_rel)
+                for root in scan_roots(f, grid, np.array([f(float(e)) for e in grid]), 1e-12):
+                    rn = rotation_number(kap, root, p, br, tol_abs=tol_abs, tol_rel=tol_rel)
                     resid = abs(rn.N + n)
                     if resid <= _RES_TOL:
-                        out.append(ResonancePoint(kappa=kap, eps=float(root),
+                        out.append(ResonancePoint(kappa=kap, eps=root,
                                                   N=rn.N, N_err=rn.err, branch=br))
                     else:
                         dropped, worst = dropped + 1, max(worst, resid)

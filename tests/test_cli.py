@@ -625,6 +625,28 @@ def test_verify_quick_passes(capsys):
     assert "all checks passed" in out
 
 
+# nu = eta = 1 bodies across regions a-e, alpha = 0 with the sphere, and
+# the region boundaries beta^2 = 1 -/+ alpha
+SWEEP = [(0.5, 0.5), (0.7, 0.5), (0.5, 1.0), (1.0, 1.2), (0.5, 3.0), (0.3, 1.5), (0.9, 5.0),
+         (0.05, 2.0), (1.0, 2.0), (0.0, 0.7), (0.0, 1.5), (0.0, 3.0), (0.0, 1.0),
+         (0.5, math.sqrt(0.5)), (0.5, math.sqrt(1.5))]
+
+
+@pytest.mark.parametrize("alpha, beta", SWEEP)
+def test_verify_quick_passes_across_the_regions(alpha, beta, capsys):
+    code, out, _ = run(["verify", "--quick", "--alpha", repr(alpha), "--beta", repr(beta),
+                        "--nu", "1", "--eta", "1"], capsys)
+    assert code == 0, [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+
+
+@pytest.mark.slow
+def test_full_verify_passes_where_f1_drift_reached_the_bound(capsys):
+    # at tolerances 1e-12 the conservation runs drifted |dF1| = 1.09e-10 here
+    code, out, _ = run(["verify", "--alpha", "0.9", "--beta", "5", "--nu", "1", "--eta", "1"],
+                       capsys)
+    assert code == 0, [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+
+
 def test_verify_flipped_cross_term_fails(capsys):
     code, out, _ = run(["verify", "--quick", "--b-sign", "paper"], capsys)
     assert code == 3

@@ -22,6 +22,7 @@ from rubberroll.dynamics import (
     reduce_state,
     reduced_energy,
     reduced_field,
+    scan_roots,
     turning_points,
 )
 from rubberroll.geometry import B_SIGN_PAPER, profile
@@ -208,6 +209,20 @@ def test_component_intervals_split_and_merge():
 
 def test_component_intervals_empty_below_floor():
     assert component_intervals(0.8, 1.2, P) == []
+
+
+def test_scan_roots_keeps_zero_nodes_and_refines_each_sign_change():
+    f = lambda x: (x - 0.25) * (x - 1.0) * (x - 2.0)
+    grid = np.linspace(0.0, 2.0, 5)
+    vals = np.array([f(x) for x in grid])
+    # a sign change in [0, 0.5]; zeros on the node 1 and on the last node
+    roots = scan_roots(f, grid, vals, 1e-14)
+    assert roots[0] == pytest.approx(0.25, abs=2e-14) and roots[1:] == [1.0, 2.0]
+    # left of the edge the tolerance is relative to the cell's left node
+    f = lambda x: x - 1e-20
+    grid = np.array([1e-25, 1e-6, 1.0])
+    (root,) = scan_roots(f, grid, f(grid), 1e-14, edge=1e-6)
+    assert root == pytest.approx(1e-20, rel=1e-12)
 
 
 def test_measure_density_positive_and_even_in_alpha_zero():

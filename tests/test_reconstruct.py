@@ -311,6 +311,33 @@ def test_resonance_curve_logs_the_roots_it_drops(monkeypatch, caplog):
         "the largest 0.001"]
 
 
+def test_resonance_curve_keeps_a_root_on_a_scan_node(monkeypatch):
+    import rubberroll.reconstruct as rec
+
+    # kappa = 1.1 has one critical level, so below eps_max = 3.5 the slice
+    # is one segment of one component, scanned first
+    real = rec.rotation_number
+    seen = []
+    monkeypatch.setattr(rec, "rotation_number",
+                        lambda k, e, *a, **kw: seen.append(e) or real(k, e, *a, **kw))
+    resonance_curve(0, P_XY, (1.1, 1.1), n_kappa=1, eps_max=3.5)
+    # N exactly 0 on the middle scan node and of either sign beside it: no
+    # cell changes sign, the node is the root
+    e0 = seen[rec._RES_SCAN // 2]
+    monkeypatch.setattr(rec, "rotation_number", lambda k, e, *a, **kw: dataclasses.replace(
+        real(k, e, *a, **kw), N=e - e0))
+    pts = resonance_curve(0, P_XY, (1.1, 1.1), n_kappa=1, eps_max=3.5)
+    assert [(q.eps, q.N) for q in pts] == [(e0, 0.0)]
+
+
+@pytest.mark.xfail(strict=True, reason="next to the fold of the N = 0 locus (kappa_max = "
+                   "1.10784) the pair of roots shares one cell of the 9-node eps scan")
+def test_resonance_curve_finds_the_pair_next_to_the_fold():
+    pts = resonance_curve(0, P_XY, (1.1, 1.1), n_kappa=1)
+    assert len(pts) == 2
+    np.testing.assert_allclose([q.eps for q in pts], [3.7000173, 3.7087006], atol=1e-6)
+
+
 def test_epsilon_min_closed_forms():
     a, b = P_C.alpha, P_C.beta
     expect = b * math.sqrt((b * b - 1.0 + a * a) / (b * b - 1.0))

@@ -19,6 +19,7 @@ from rubberroll.bifurcation import cusp
 from rubberroll.brent import brentq
 from rubberroll.dynamics import (
     _scan_table,
+    check_turning_point,
     component_intervals,
     critical_points,
     critical_thetas,
@@ -185,6 +186,20 @@ def test_a_near_pole_node_inside_the_float_range_keeps_its_root():
     b2 = P_MAIN.beta ** 2
     np.testing.assert_allclose(crit[0], (1e-155 ** 2 / (b2 - 1.0 - P_MAIN.alpha)) ** 0.25,
                                rtol=1e-6)
+
+
+def test_a_wall_node_that_rounds_to_pi_raises():
+    # the upper wall node pi - th_w lies about |kappa| / 5.3 from pi at
+    # eps = 3.5 and rounds to pi below |kappa| ~ 1e-15, where the wall
+    # would come back as the pole itself
+    ((lo, hi),) = component_intervals(1e-12, 3.5, P_MAIN)
+    assert hi < math.pi
+    check_turning_point(hi, 1e-12, 3.5, P_MAIN)
+    for kappa in (1e-16, -1e-16, 1e-20):
+        with pytest.raises(ValueError, match="too small.*use kappa = 0"):
+            component_intervals(kappa, 3.5, P_MAIN)
+        with pytest.raises(ValueError, match="too small.*use kappa = 0"):
+            rotation_number(kappa, 3.5, P_MAIN)
 
 
 def _tables():
