@@ -19,7 +19,8 @@ classify
 verify
     Self-check suite (conservation, reduction oracle, measure invariance,
     steady-rotation identities, formula arbitration, quadrature and period
-    map against the stepper); exit 3 on failure.
+    map against the stepper, the log slope of N above a saddle against its
+    closed form); exit 3 on failure.
 
 Config files given with --config hold ``key = value`` lines whose keys
 mirror the long flag names; they replace the option defaults, and explicit
@@ -58,6 +59,7 @@ from .dynamics import (
     reduced_energy,
     reduced_field,
     ReducedState,
+    saddles,
 )
 from .integrate import (
     DEFAULT_TOL_ABS,
@@ -720,7 +722,7 @@ def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
         for eps in [min(lv) + 0.3] + ([lv[1] + 1e-3] if len(lv) == 3 else []):
             rn = rotation_number(kap, eps, p)
             lo, hi = component_intervals(kap, eps, p)[0]
-            _, psi, _ = _ode_half_period(kap, eps, p, lo, hi, False, 1e-15, 2.3e-14, 10 ** 7)
+            _, psi = _ode_half_period(kap, eps, p, lo, hi, False, 1e-15, 2.3e-14, 10 ** 7)
             dn, bound = abs(rn.N + psi / math.pi), rn.err + 1e-10
             if n_lv == 0 or dn - bound > worst_dn - worst_bound:
                 worst_dn, worst_bound = dn, bound
@@ -764,6 +766,22 @@ def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
                f"|dN/deps - fourth-order difference| = {gap:.2e} "
                f"({gap / max(abs(slope), 1e-300):.2e} relative) against its bound "
                f"1e-8 |dN/deps| + 1e-9 = {bound:.2e} at (kappa, eps) = ({kap}, {eps})", failures)
+
+        # N 1e-8 and 1e-10 above a saddle against the closed form of its
+        # slope in ln delta, psi_dot_s / (pi lambda_s); 1e-9 covers the
+        # O(delta ln delta) remainder where the closed form vanishes
+        found = [(k, s) for k in (0.5, -0.3, 0.8, -1.2) for s in saddles(k, p)]
+        ok, detail = True, "no saddle on the slices kappa = 0.5, -0.3, 0.8, -1.2"
+        if found:
+            kap, (th, lv, g) = found[0]
+            se = profile(th, p)
+            want = -kap * math.cos(th) / (se.J * math.sin(th) ** 2 * math.pi * math.sqrt(g / se.B))
+            n = [rotation_number(kap, lv + d, p).N for d in (1e-8, 1e-10)]
+            gap, bound = abs((n[0] - n[1]) / math.log(100.0) - want), 1e-5 * abs(want) + 1e-9
+            ok, detail = gap <= bound, (
+                f"|dN/d ln delta - psi_dot_s/(pi lambda_s)| = {gap:.2e} against its bound "
+                f"1e-5 |{want:.8f}| + 1e-9 = {bound:.2e} above the saddle of kappa = {kap}")
+        _check("log-slope", ok, detail, failures)
 
         # absolute-space reconstruction against direct kinematics
         th0, pt0, kap = 0.9, 0.3, 0.7

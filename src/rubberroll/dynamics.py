@@ -93,6 +93,7 @@ __all__ = [
     "CriticalPoints",
     "critical_points",
     "critical_thetas",
+    "saddles",
     "component_intervals",
     "turning_points",
 ]
@@ -561,15 +562,16 @@ def scan_roots(f: Callable[[float], float], grid, vals: np.ndarray, xtol: float,
 class CriticalPoints:
     """The relative equilibria of one kappa slice, sorted by theta: the
     roots of G0 that :func:`critical_thetas` returns, the level V at each,
-    and whether each is a saddle, a maximum of V (G0' > 0)."""
+    and G0' at each; a saddle, a maximum of V, has G0' > 0."""
 
     thetas: tuple[float, ...]
     levels: tuple[float, ...]
-    saddle: tuple[bool, ...]
+    dg0: tuple[float, ...]
 
-    def saddles(self) -> list[tuple[float, float]]:
-        """(theta, level) of each saddle."""
-        return [(th, lv) for th, lv, sad in zip(self.thetas, self.levels, self.saddle) if sad]
+    @property
+    def saddle(self) -> tuple[bool, ...]:
+        """Whether each is a saddle."""
+        return tuple(g > 0.0 for g in self.dg0)
 
 
 def _finite(name: str, x: float) -> float:
@@ -607,12 +609,24 @@ def critical_thetas(kappa: float, p: Params) -> list[float]:
 
 
 @functools.lru_cache(maxsize=_SLICE_CACHE)
+def saddles(kappa: float, p: Params) -> tuple[tuple[float, float, float], ...]:
+    """(theta, level, G0') of each saddle of the kappa slice, a maximum of
+    V: at kappa = 0 first each pole where V peaks, at its height
+    1 +/- alpha, then the saddles of :func:`critical_points`; kept per
+    slice as those are."""
+    cp = critical_points(kappa, p)
+    poles = [(th, 1.0 + p.alpha * math.cos(th), g0_prime(th, 0.0, p))
+             for th in ((0.0, math.pi) if kappa == 0.0 else ())]
+    return tuple(s for s in poles + list(zip(cp.thetas, cp.levels, cp.dg0)) if s[2] > 0.0)
+
+
+@functools.lru_cache(maxsize=_SLICE_CACHE)
 def _critical_points(kappa: float, p: Params) -> CriticalPoints:
     thetas = _g0_roots(kappa, p)
     return CriticalPoints(
         thetas=tuple(thetas),
         levels=tuple(effective_potential(th, kappa, p) for th in thetas),
-        saddle=tuple(g0_prime(th, kappa, p) > 0.0 for th in thetas),
+        dg0=tuple(g0_prime(th, kappa, p) for th in thetas),
     )
 
 
@@ -635,9 +649,13 @@ def _g0_roots(kappa: float, p: Params) -> list[float]:
     f = lambda th: g0(th, kappa, p)
     if kappa == 0.0:
         # G0 = sin * (alpha + (1 - beta^2) cos / Z) and the bracketed factor
-        # is monotone, so one sign change brackets the only interior root
+        # is monotone, so one sign change brackets the only interior root;
+        # on the centered sphere G0 vanishes everywhere, and no angle is one
         lo, hi = 1e-9, math.pi - 1e-9
-        return [] if f(lo) * f(hi) > 0.0 else [brentq(f, lo, hi, xtol=1e-14)]
+        g_lo, g_hi = f(lo), f(hi)
+        if g_lo * g_hi > 0.0 or g_lo == g_hi == 0.0:
+            return []
+        return [brentq(f, lo, hi, xtol=1e-14)]
 
     grid, g, dg, gn, gd, dn, dd = _scan_table(p)
     vals = g + kappa * kappa * gn / gd
@@ -757,8 +775,8 @@ def _component_intervals(kappa: float, eps: float, p: Params) -> tuple[tuple[flo
     # degenerate components first: minima of V sitting on the level.  A
     # saddle within the tolerance above the level is no motion: the wells
     # on either side end short of it
-    degen = [th for th, lv, sad in zip(cp.thetas, cp.levels, cp.saddle)
-             if not sad and abs(lv - eps) <= _LEVEL_TOL * scale]
+    degen = [th for th, lv, g in zip(cp.thetas, cp.levels, cp.dg0)
+             if g <= 0.0 and abs(lv - eps) <= _LEVEL_TOL * scale]
     if kappa == 0.0:
         for pole in (0.0, math.pi):
             if g0_prime(pole, 0.0, p) <= 0.0 and abs(V(pole) - eps) <= _LEVEL_TOL * scale:

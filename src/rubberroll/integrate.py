@@ -30,14 +30,15 @@ one turning point to the other are the quadratures
     psi/2 = int psi_dot sqrt(B / 2(eps - V)) dtheta,
     psi_dot = -kappa cos(theta) / (J sin^2(theta)),
 
-which :func:`half_period` evaluates by a node-doubling midpoint rule.  The
+which :func:`half_period` evaluates by a node-doubling midpoint rule on a
+map of the nodes that the level picks: it clusters them at a saddle the
+level passes close to, or at an end next to a saddle or a pole.  The
 planar path over one period continues the same node ladder:
 :func:`period_map` integrates d(x_c + i y_c)/dt over the whole period by a
 spectral cumulative sum and a Filon-type FFT rule, which gives the drift D
 the center of mass makes per period.  Each rung size keeps its level-free
-arrays, read-only (88 bytes a node).  Past the node cap the stepper
-integrates the half period instead, and the reflection symmetry of the
-reduced flow gives the second half of the period from the first.
+arrays, read-only (88 bytes a node).  The stepper runs no level: it stays
+the oracle the tests and ``verify`` hold the quadrature to.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from .dynamics import (
     g0,
     kinematic_field,
     reduced_field,
+    saddles,
     turning_points,
 )
 from .geometry import (profile, surface_b, surface_g0, surface_j, surface_j_prime, surface_u,
@@ -93,7 +95,8 @@ DEFAULT_MAX_STEPS = 2_000_000
 
 
 class IntegrationError(RuntimeError):
-    """Numerical failure: step-size underflow or step budget exhausted."""
+    """Numerical failure: step-size underflow or step budget exhausted, or
+    a half-period quadrature that does not converge by its node cap."""
 
 
 class PoleError(IntegrationError):
@@ -588,6 +591,11 @@ def integrate(
 ) -> Trajectory:
     """Integrate one of the shipped vector fields.
 
+    The route of orbits over time (``simulate``, ``trajectory``,
+    :func:`.reconstruct.reconstruct_trajectory`) and of the oracles the
+    tests and ``verify`` hold the quadratures to; no per-level observable
+    steps.
+
     system:
       "full"      init = (w1, w2, w3, g1, g2, g3); gamma renormalized per step.
       "kinematic" init = 14-vector (w, gamma, ax, bx, xc, yc); same treatment.
@@ -627,9 +635,10 @@ def integrate(
 
 
 _N_START = 16         # first midpoint rule compared against its doubling
-_N_CAP = 2 ** 14      # past this node count the stepper takes over
+_N_CAP = 2 ** 14      # past this node count half_period raises IntegrationError
+_MAP_WIDTH = 1e-2     # a feature narrower than this in u gets a sinh map
 _EPS_MACH = 2.0 ** -52
-_RTOL_FLOOR = 2.3e-14  # about the smallest relative tolerance DOP853 accepts
+_PI_LO = 1.2246467991473532e-16  # pi - math.pi
 _HALF_PERIOD_CACHE = 64  # half_period: results kept per process
 _NODE_TABLES = 16  # _node_table: rung sizes kept per process (the ladder has 11)
 
@@ -643,11 +652,8 @@ class PeriodMap:
     repeats the same planar rigid motion, a rotation by dpsi = -2 pi N and
     the translation D: z(s + T) = D + e^{i dpsi} z(s).  T and dpsi are
     twice the time and precession of :func:`half_period`, bit for bit; err
-    estimates the absolute error of D.  z holds the path over one period:
-    at the quadrature nodes, or past the quadrature's node cap at the
-    stepper's steps over the first half and their mirror images over the
-    second, from z = 0 to z = D; that z is shared with the kept half period
-    and read-only.  For non-integer N the path turns about
+    estimates the absolute error of D.  z holds the path over one period at
+    the quadrature nodes.  For non-integer N the path turns about
     c = D / (1 - e^{i dpsi}) and fills the annulus
     min |z - c| <= r <= max |z - c|.
     """
@@ -662,19 +668,14 @@ class PeriodMap:
 @dataclass(frozen=True)
 class HalfPeriod:
     """Time t and precession psi over half an oscillation, with estimates
-    of their absolute errors and the method that ran ("quadrature" or
-    "ode").  n is the node count at which the quadrature converged (0 on
-    the stepper route); period is the period map the stepper route gives
-    (None on the quadrature route, where :func:`_period_map` goes on up the
-    node ladder)."""
+    of their absolute errors; n is the node count at which the quadrature
+    converged."""
 
     t: float
     psi: float
     t_err: float
     psi_err: float
-    method: str
-    n: int = 0
-    period: PeriodMap | None = None
+    n: int
 
 
 def _polish_turning_point(theta: float, kappa: float, eps: float, p: Params) -> float:
@@ -711,29 +712,148 @@ class _Nodes:
     u_j = (j + 1/2) du of u in (0, pi), du = pi / n."""
 
     du: float
-    dth: np.ndarray | float      # dtheta/du
+    dth: np.ndarray              # dtheta/du
     dt: np.ndarray               # dt/du
     dpsi: np.ndarray | None      # dpsi/du; None at kappa = 0
     spin: np.ndarray | None      # kappa / (J sin(theta)) dt/du; None at kappa = 0
     U: np.ndarray                # height of the center of mass
     rel: np.ndarray              # relative rounding error of eps - V
     terms: tuple                 # (s, s2, c, Z, J, B, B', G0, eps - V), for _psi_slope
+    ends: tuple | None           # (1 + x, 1 - x) on a sinh map, for _psi_slope
+
+
+def _node_map(
+    kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
+) -> tuple | None:
+    """The map x(y), y = -cos(u), of the level's nodes: theta = m + h x
+    between the turning points lo = m - h and hi = m + h, or
+    -cos(theta) = x on a meridian circuit from 0 to pi.
+
+    None is x = y, which spaces its nodes about e / sqrt(1 - x_s^2) in u
+    from a feature of width e in x at x_s inside, sqrt(e / 2) at an end.
+    Features narrower than _MAP_WIDTH in u get (x_s, e, b, q) instead (see
+    :func:`_mapped`): the sinh map from the narrowest feature, composed,
+    where both ends or an end and the inside have one, with the map that
+    clusters both ends at the wider end's scale (x_s then comes pulled back
+    through it, None if nothing is left narrow); q is pi - hi to full
+    precision (two Newton steps on V = eps), for the angles next to hi.
+
+    The features: a saddle inside [lo, hi], delta = eps - V_s below the
+    level, is a stretch of width w = sqrt(2 delta / G0'); on a circuit its
+    width in x is w sin(theta_s), or w^2 / 4 for a saddle at a pole, an
+    end.  At kappa != 0 an end is as narrow as it is near its pole.  The
+    end of a level just below a saddle is no feature: x = y resolves it
+    (down to 3e-13 below a saddle by 8 192 nodes) with its nodes farther
+    from the turning point, where eps - V has the fewest digits, than a
+    sinh map's.
+    """
+    if circuit:
+        if (lo, hi) != (0.0, math.pi):
+            return None
+        h, found = 1.0, []
+    else:
+        h = 0.5 * (hi - lo)
+        found = [] if kappa == 0.0 else [(-1.0, lo / h), (1.0, (math.pi - hi) / h)]
+    for th_s, v_s, g in saddles(kappa, p):
+        w = math.sqrt(2.0 * abs(eps - v_s) / g)
+        if circuit:
+            x_s = -math.cos(th_s)
+            found.append((x_s, 0.25 * w * w if abs(x_s) == 1.0 else w * math.sin(th_s)))
+            continue
+        if lo < th_s < hi:
+            found.append(((th_s - lo) / h - 1.0, w / h))
+    # narrower than _MAP_WIDTH in u
+    narrow = [(x, max(e, _EPS_MACH)) for x, e in found
+              if e < _MAP_WIDTH * math.sqrt(max(1.0 - x * x, 2.0 * e))]
+    if not narrow:
+        return None
+    width = lambda f: f[1] / math.sqrt(max(1.0 - f[0] * f[0], 2.0 * f[1]))   # in u
+    ends = [f for f in narrow if abs(f[0]) == 1.0]
+    sides = {x for x, _ in ends}
+    b = None
+    if ends and (len(narrow) > len(ends) or len(sides) == 2):
+        # both ends at the scale of the wider one; the features left, the
+        # narrower end among them, pulled back through that map
+        b = 0.5 * math.asinh(2.0 / max(min(e for x, e in ends if x == s) for s in sides))
+        t = math.tanh(b)
+        narrow = [(z, e * t * math.cosh(b * z) ** 2 / b) for z, e in
+                  ((x if abs(x) == 1.0 else math.atanh(x * t) / b, e) for x, e in narrow)]
+        narrow = [f for f in narrow if width(f) < _MAP_WIDTH]
+    x_s, e = min(narrow, key=width) if narrow else (None, 0.0)
+    # V as a function of q = pi - theta has the slope G0
+    q = math.pi - hi + _PI_LO
+    for _ in range(2):
+        s, c = math.sin(q), -math.cos(q)
+        Z = surface_z(s * s, c, p)
+        g = surface_g0(s, s * s, c, Z, kappa, p)
+        if g != 0.0:
+            q -= (surface_u(c, Z, p) + _centrifugal(s * s, kappa) - eps) / g
+    return x_s, e, b, q
+
+
+def _mapped(node_map: tuple, n: int) -> tuple[np.ndarray, ...]:
+    """(1 + x, 1 - x, dx/du) at the n nodes of a map of :func:`_node_map`,
+    free of cancellation from 1 + y = 2 sin^2(u/2) and 1 - y = 2 cos^2(u/2)
+    on: x = x_s + e sinh(a + c y), with x(-1) = -1 and x(1) = 1, and then
+    x = tanh(b z) / tanh(b), b = asinh(2/e) / 2, which puts its nodes as
+    densely at each end as the sinh map from that end."""
+    _, u, cos_u, sin_u, *_ = _node_table(n)
+    opx, omx, dx = 2.0 * np.sin(0.5 * u) ** 2, 2.0 * np.cos(0.5 * u) ** 2, sin_u
+    x_s, e, b, _ = node_map
+    if x_s is not None:
+        ap, am = math.asinh((1.0 - x_s) / e), math.asinh((1.0 + x_s) / e)
+        a, c = 0.5 * (ap - am), 0.5 * (ap + am)
+        opx, omx, dx = (2.0 * e * np.cosh(a - 0.5 * c * omx) * np.sinh(0.5 * c * opx),
+                        2.0 * e * np.cosh(a + 0.5 * c * opx) * np.sinh(0.5 * c * omx),
+                        e * c * np.cosh(a - c * cos_u) * dx)
+    if b is not None:
+        bz = 0.5 * b * (opx - omx)
+        scale = math.sinh(b) * np.cosh(bz)
+        opx, omx, dx = (np.sinh(b * opx) / scale, np.sinh(b * omx) / scale,
+                        b / math.tanh(b) / np.cosh(bz) ** 2 * dx)
+    return opx, omx, dx
 
 
 def _half_nodes(
-    kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool, n: int,
+    kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
+    node_map: tuple | None, n: int,
 ) -> _Nodes | None:
-    """The n-node integrands between lo and hi; None if a node falls off
-    the level."""
+    """The n-node integrands between lo and hi on the map node_map of
+    :func:`_node_map`; None if a node falls off the level."""
     du, u, cos_u, sin_u, *_ = _node_table(n)
-    if circuit:
-        jac = (hi - lo) / math.pi
+    ends = None
+    if node_map is not None:
+        opx, omx, dx = _mapped(node_map, n)
+        lower = opx <= omx
+        if circuit:
+            # -cos(theta) = x: 1 + x = 2 sin^2(theta/2), 1 - x = 2 cos^2(theta/2)
+            half = 2.0 * np.arcsin(np.sqrt(0.5 * np.minimum(opx, omx)))
+            th = np.where(lower, half, math.pi - half)
+            jac = dx / np.sqrt(opx * omx)
+        else:
+            # each angle from its nearer end: theta next to lo, q = pi - theta
+            # next to hi, sin and cos alike, so that an end next to a pole
+            # keeps its digits
+            h = 0.5 * (hi - lo)
+            q = node_map[3] + h * omx
+            th = np.where(lower, lo + h * opx, math.pi - q)
+            s = np.where(lower, np.sin(th), np.sin(q))
+            c = np.where(lower, np.cos(th), -np.cos(q))
+            jac = h * dx
+            ends = opx, omx
+    elif circuit:
+        jac = np.full(n, (hi - lo) / math.pi)
         th = lo + jac * u
     else:
         h = 0.5 * (hi - lo)
         th = (lo + h) - h * cos_u
         jac = h * sin_u
-    s = np.sin(th); c = np.cos(th); s2 = s * s
+    if ends is None:
+        s = np.sin(th); c = np.cos(th)
+        ang = th
+    else:
+        ang = np.where(lower, th, q)   # the angle whose rounding theta carries
+    s2 = s * s
     Z = surface_z(s2, c, p)
     U = surface_u(c, Z, p)
     gap = eps - (U + _centrifugal(s2, kappa))
@@ -746,7 +866,7 @@ def _half_nodes(
     # eps - V carries the rounding of V and that of theta times the slope
     # V' = -G, both magnified where the gap is small; the sums carry their
     # own rounding
-    rel = (_EPS_MACH * (4.0 * max(1.0, abs(eps)) + np.abs(th * G)) / gap
+    rel = (_EPS_MACH * (4.0 * max(1.0, abs(eps)) + np.abs(ang * G)) / gap
            + 32.0 * _EPS_MACH)
     dpsi = spin = None
     if kappa != 0.0:
@@ -754,7 +874,7 @@ def _half_nodes(
         dpsi = (-kappa) * c / (js * s) * dt
         spin = kappa / js * dt
     return _Nodes(du=du, dth=jac, dt=dt, dpsi=dpsi, spin=spin, U=U, rel=rel,
-                  terms=(s, s2, c, Z, J, B, dB, G, gap))
+                  terms=(s, s2, c, Z, J, B, dB, G, gap), ends=ends)
 
 
 def _midpoint_sums(nodes: _Nodes) -> tuple[float, float, float, float]:
@@ -773,65 +893,40 @@ def _doublings(
     kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
     n: int = _N_START,
 ) -> Iterator[tuple[_Nodes, tuple[float, float, float, float]]]:
-    """(nodes, midpoint sums) for n, 2n, ... up to the node cap; stops
-    early when a node falls off the level.
+    """(nodes, midpoint sums) for n, 2n, ... up to the node cap, on the
+    level's node map (:func:`_node_map`); stops early when a node falls off
+    the level.
 
-    On a libration theta = m - h cos(u) over u in [0, pi] cancels the
-    (theta - lo)(hi - theta) factor of eps - V; on half a meridian circuit
-    theta runs linearly from lo to hi, where the integrand is even.  Either
+    On a libration theta = m + h x(y), y = -cos(u), over u in [0, pi]
+    cancels the (theta - lo)(hi - theta) factor of eps - V; on half a
+    meridian circuit theta runs linearly from lo to hi, where the integrand
+    is even, or -cos(theta) = x(y) cancels the sin(theta) of dtheta.  Either
     way the integrands are smooth, even, 2 pi-periodic functions of u, so
     midpoint rules converge geometrically.
     """
     if not circuit:
         lo = _polish_turning_point(lo, kappa, eps, p)
         hi = _polish_turning_point(hi, kappa, eps, p)
+    node_map = _node_map(kappa, eps, p, lo, hi, circuit)
     while n <= _N_CAP:
-        nodes = _half_nodes(kappa, eps, p, lo, hi, circuit, n)
+        nodes = _half_nodes(kappa, eps, p, lo, hi, circuit, node_map, n)
         if nodes is None:
             return
         yield nodes, _midpoint_sums(nodes)
         n *= 2
 
 
-def _quadrature(
-    kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
-    tol_abs: float, tol_rel: float,
-) -> HalfPeriod | None:
-    """Node-doubling midpoint rule; None past the node cap or when a node
-    falls off the level.
-
-    The error estimate is the difference between the sums of n and of n/2
-    nodes, or the rounding error of the sums where that is larger; the
-    doubling stops once the difference meets tol_abs + tol_rel |value| or
-    falls below the rounding error.  The rounding error stays below 1e-12
-    relative on generic levels and grows as eps - V shrinks: closer than
-    about 1e-6 to a critical level it limits err.
-    """
-    prev = None
-    for nodes, (t, psi, t_floor, psi_floor) in _doublings(kappa, eps, p, lo, hi, circuit):
-        if prev is not None:
-            t_err = max(abs(t - prev[0]), t_floor)
-            psi_err = max(abs(psi - prev[1]), psi_floor)
-            if (t_err <= max(tol_abs + tol_rel * abs(t), t_floor)
-                    and psi_err <= max(tol_abs + tol_rel * abs(psi), psi_floor)):
-                return HalfPeriod(t=t, psi=psi, t_err=t_err, psi_err=psi_err,
-                                  method="quadrature", n=len(nodes.dt))
-        prev = t, psi
-    return None
-
-
 def _ode_half_period(
     kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
     tol_abs: float, tol_rel: float, max_steps: int,
-) -> tuple[float, float, np.ndarray]:
-    """(t, psi, z) of the half oscillation by DOP853 on the augmented
-    system: from the turning point lo to the next p_theta = 0 crossing, or
-    on a circulating level from lo, a pole, at the circulation speed to hi.
-    z = x_c + i y_c at the accepted steps, from 0 to the end.  The fallback
-    of :func:`half_period` and the oracle its tests check it against.
-    Within about 1e-12 of a pole-maximum level a circuit run can turn back
-    short of hi, and the half event would never fire: a p_theta = 0
-    crossing ends it with an IntegrationError."""
+) -> tuple[float, float]:
+    """(t, psi) of the half oscillation by DOP853 on the augmented system:
+    from the turning point lo to the next p_theta = 0 crossing, or on a
+    circulating level from lo, a pole, at the circulation speed to hi.  The
+    oracle ``verify`` and the tests hold :func:`half_period` to.  Within about
+    1e-12 of a pole-maximum level a circuit run can turn back short of hi,
+    and the half event would never fire: a p_theta = 0 crossing ends it
+    with an IntegrationError."""
     rate, events = 0.0, (EventSpec("turn", lambda t, y: y[1], direction=0, terminal=True),)
     if circuit:
         rate = math.sqrt(2.0 * (eps - effective_potential(lo, kappa, p))
@@ -853,21 +948,7 @@ def _ode_half_period(
             f"the meridian circuit of the level (kappa={kappa}, eps={eps}) turned back at "
             f"theta={hit.y[0]}, short of {hi}; level too close to a pole-maximum level"
         )
-    return hit.t, float(hit.y[2]), traj.y[:, 4] + 1j * traj.y[:, 5]
-
-
-def _reflect(z, dpsi: float, circuit: bool):
-    """The term of z(s) in z(T - s) = D - reflect(z(s)).
-
-    The second half of a period retraces the first in theta, backwards.  On
-    a libration psi(T - s) = dpsi - psi(s) and dtheta/dt is odd, so the
-    velocity at T - s is e^{i dpsi} times the conjugate of that at s; on a
-    meridian circuit (kappa = 0, psi = 0) dtheta/dt is even and the velocity
-    repeats.  At s = T/2 this gives D = z_h + reflect(z_h).
-    """
-    if circuit:
-        return z
-    return complex(math.cos(dpsi), math.sin(dpsi)) * z.conjugate()
+    return hit.t, float(hit.y[2])
 
 
 def half_period(
@@ -889,17 +970,15 @@ def half_period(
     potential is even about, such as the poles 0 and pi: the half period is
     then the time from lo to hi, half the meridian circuit.
 
-    The quadrature runs first (see :func:`_doublings` and
-    :func:`_quadrature`) and records the node count it converged at.  Past
-    its node cap the stepper integrates the half period at the given
-    tolerances, and a second run 10 times tighter gives the error estimate.
-    The two runs also give the period map: the drift D of each from its end
-    point (see :func:`_reflect`), err their gap, and the path the loose
-    run's steps followed by their mirror images.
+    A midpoint rule on the level's node map doubles its nodes until two
+    rungs agree (see :func:`_doublings` and :func:`_half_period`), and the
+    result records the node count it converged at.  The observables of a
+    level share its half period, so the process keeps the last
+    _HALF_PERIOD_CACHE results.
 
-    The observables of a level share its half period, so the process keeps
-    the last _HALF_PERIOD_CACHE results; the stepper route's path is
-    read-only.
+    Raises IntegrationError if the rungs do not agree by the node cap of
+    2^14 nodes, or a node falls off the level first: on a saddle level
+    itself, where the half period diverges.
     """
     return _half_period(float(kappa), float(eps), p, float(lo), float(hi), bool(circuit),
                         float(tol_abs), float(tol_rel))
@@ -911,23 +990,27 @@ def _psi_slope(
     """d psi / d eps of the half period hp of the libration [lo, hi] at
     kappa != 0, and an estimate of its absolute error.
 
-    The sums of :func:`_quadrature` differentiated at fixed u: the turning
+    The sums of :func:`_half_period` differentiated at fixed u: the turning
     points move as d lo / d eps = -1 / G0(lo) (and so hi), and
     d(eps - V)/d eps = 1 + G0 d theta/d eps vanishes with eps - V at both
     ends, so the summand stays smooth.  Summed on hp's rung and the n/2
     nodes below it, whose difference (or the rounding, where larger) is the
-    error; past the node cap hp has no sums, and IntegrationError is raised.
+    error.  The node map stays fixed as eps moves: at fixed x,
+    d theta/d eps = d lo/d eps + (1 + x) dh/d eps.
     """
-    if hp.n == 0:
-        raise IntegrationError(f"no eps-derivative past the node cap at kappa={kappa}, eps={eps}")
     lo = _polish_turning_point(lo, kappa, eps, p)
     hi = _polish_turning_point(hi, kappa, eps, p)
+    node_map = _node_map(kappa, eps, p, lo, hi, False)
     lo_e, hi_e = -1.0 / g0(lo, kappa, p), -1.0 / g0(hi, kappa, p)
     h, h_e = 0.5 * (hi - lo), 0.5 * (hi_e - lo_e)
     sums = []
     for n in (hp.n // 2, hp.n):
-        nodes = _half_nodes(kappa, eps, p, lo, hi, False, n)
-        th_e = 0.5 * (lo_e + hi_e) - h_e * _node_table(n)[2]
+        nodes = _half_nodes(kappa, eps, p, lo, hi, False, node_map, n)
+        if nodes.ends is None:
+            th_e = 0.5 * (lo_e + hi_e) - h_e * _node_table(n)[2]
+        else:
+            opx, omx = nodes.ends
+            th_e = np.where(opx <= omx, lo_e + h_e * opx, hi_e - h_e * omx)
         s, s2, c, Z, J, B, dB, G, gap = nodes.terms
         # d(dpsi/dt)/dtheta, with dpsi/dt = dpsi/du / (dt/du)
         w_th = kappa / (J * s) - nodes.dpsi / nodes.dt * (
@@ -946,22 +1029,28 @@ def _half_period(
     kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
     tol_abs: float, tol_rel: float,
 ) -> HalfPeriod:
-    q = _quadrature(kappa, eps, p, lo, hi, circuit, tol_abs, tol_rel)
-    if q is not None:
-        return q
-    t, psi, z = _ode_half_period(kappa, eps, p, lo, hi, circuit, tol_abs, tol_rel,
-                                 DEFAULT_MAX_STEPS)
-    t_tight, psi_tight, z_tight = _ode_half_period(
-        kappa, eps, p, lo, hi, circuit, 0.1 * tol_abs, max(0.1 * tol_rel, _RTOL_FLOOR),
-        DEFAULT_MAX_STEPS)
-    dpsi = 2.0 * psi
-    D = complex(z[-1] + _reflect(z[-1], dpsi, circuit))
-    D_tight = complex(z_tight[-1] + _reflect(z_tight[-1], 2.0 * psi_tight, circuit))
-    path = np.concatenate((z, (D - _reflect(z[:-1], dpsi, circuit))[::-1]))
-    path.flags.writeable = False
-    pm = PeriodMap(T=2.0 * t, dpsi=dpsi, D=D, err=abs(D - D_tight), z=path)
-    return HalfPeriod(t=t, psi=psi, t_err=abs(t_tight - t), psi_err=abs(psi_tight - psi),
-                      method="ode", period=pm)
+    """The node-doubling midpoint rule of :func:`half_period`.
+
+    The error estimate is the difference between the sums of n and of n/2
+    nodes, or the rounding error of the sums where that is larger; the
+    doubling stops once the difference meets tol_abs + tol_rel |value| or
+    falls below the rounding error.  The rounding error stays below 1e-12
+    relative on generic levels and grows as eps - V shrinks: close to a
+    critical level it limits err.
+    """
+    prev = None
+    for nodes, (t, psi, t_floor, psi_floor) in _doublings(kappa, eps, p, lo, hi, circuit):
+        if prev is not None:
+            t_err = max(abs(t - prev[0]), t_floor)
+            psi_err = max(abs(psi - prev[1]), psi_floor)
+            if (t_err <= max(tol_abs + tol_rel * abs(t), t_floor)
+                    and psi_err <= max(tol_abs + tol_rel * abs(psi), psi_floor)):
+                return HalfPeriod(t=t, psi=psi, t_err=t_err, psi_err=psi_err,
+                                  n=len(nodes.dt))
+        prev = t, psi
+    raise IntegrationError(
+        f"the half period of the level (kappa={kappa}, eps={eps}) did not converge by "
+        f"{_N_CAP} nodes; level too close to a critical value")
 
 
 def _cumulative(f: np.ndarray, k_div: np.ndarray) -> tuple[float, np.ndarray]:
@@ -1007,7 +1096,7 @@ def _one_period(
     def mirror(a: np.ndarray, sign: float = 1.0) -> np.ndarray:
         return np.concatenate((a, sign * a[::-1]))
 
-    dth = np.full(M, nodes.dth) if circuit else mirror(nodes.dth, -1.0)
+    dth = mirror(nodes.dth, 1.0 if circuit else -1.0)
     U = mirror(nodes.U)
     if nodes.dpsi is None:
         a, r = 0.0, np.zeros(M)
@@ -1049,16 +1138,12 @@ def _period_map(
     """:func:`period_map` between the ends :func:`half_period` takes, given
     the half period hp it returned there with the same tolerances.
 
-    On the quadrature route the node doubling goes on from the n/2 nodes
-    below the rung hp converged at, until D agrees with the D of half the
+    The node doubling goes on from the n/2 nodes below the rung hp
+    converged at, until D agrees with the D of half the
     nodes to tol_abs + tol_rel times the path length, or to its rounding
     error.  Where D does not by the node cap, or a node of the next rung
-    falls off the level, the last rung is returned with its larger err;
-    this is seen at |kappa| below about 1e-6, where the precession peaks
-    narrowly at a near-pole end.
+    falls off the level, the last rung is returned with its larger err.
     """
-    if hp.period is not None:
-        return hp.period
     prev_D = None
     for nodes, cur in _doublings(kappa, eps, p, lo, hi, circuit, hp.n // 2):
         D, length, floor, path = _one_period(nodes, circuit, cur[3])
@@ -1101,9 +1186,7 @@ def period_map(kappa: float, eps: float, p: Params, branch: int = 0) -> PeriodMa
 
     Runs on the nodes of :func:`half_period`'s quadrature over the full
     circle (see :func:`_one_period`), doubled on from the half period's
-    rung until D converges as well (see :func:`_period_map`).  Past the
-    node cap, about 1e-6 from a saddle level, the two stepper runs of the
-    half period give it (see :func:`half_period`).  ``branch`` selects the
+    rung until D converges as well (see :func:`_period_map`).  ``branch`` selects the
     component as in :func:`section_period`; the path starts at the lower
     turning point, or at the pole 0 on a meridian circuit.
 
@@ -1113,10 +1196,8 @@ def period_map(kappa: float, eps: float, p: Params, branch: int = 0) -> PeriodMa
         If the level has no admissible motion, ``branch`` is out of range
         or the component is a relative equilibrium (no nutation period).
     IntegrationError
-        If, past the node cap, the stepper finds no half-period return, or
-        on a meridian circuit turns back short of the far pole (a level
-        within about 1e-12 of a pole-maximum level, see
-        :func:`_ode_half_period`).
+        If the half period does not converge by the node cap (see
+        :func:`half_period`).
     """
     lo, hi = turning_points(kappa, eps, p, branch)
     if hi - lo <= FP_WIDTH:
@@ -1139,9 +1220,7 @@ class SectionPeriod:
     meridian chart (theta_min < 0 or theta_max > pi) with pole_crossing set.
     Circulating kappa = 0 motions report the full meridian circuit time.
     Degenerate components (relative equilibria) carry fixed_point=True and no
-    period.  err estimates the absolute error of T_theta and method names
-    the route that computed it ("quadrature", or "ode" past the quadrature's
-    node cap; None for fixed points).
+    period.  err estimates the absolute error of T_theta.
     """
 
     T_theta: float | None
@@ -1151,7 +1230,6 @@ class SectionPeriod:
     circulating: bool = False
     pole_crossing: bool = False
     err: float | None = None
-    method: str | None = None
 
 
 def section_period(
@@ -1170,17 +1248,15 @@ def section_period(
     :func:`half_period`; the meridian circuit takes twice the time from
     theta = 0 to pi.  ``branch`` selects the connected component of the
     admissible region, ordered by theta.  tol_abs and tol_rel are the
-    quadrature's stop target (and the stepper's tolerances on its fallback).
+    quadrature's stop target.
 
     Raises
     ------
     ValueError
         If the level has no admissible motion or ``branch`` is out of range.
     IntegrationError
-        If, past the node cap, the stepper finds no half-period return, or
-        on a meridian circuit turns back short of the far pole (a level
-        within about 1e-12 of a pole-maximum level, see
-        :func:`_ode_half_period`).
+        If the half period does not converge by the node cap (see
+        :func:`half_period`).
     """
     lo, hi = turning_points(kappa, eps, p, branch)
 
@@ -1190,18 +1266,9 @@ def section_period(
     th0, th1, circuit = _half_period_ends(kappa, eps, p, lo, hi)
     hp = half_period(kappa, eps, p, th0, th1, circuit=circuit, tol_abs=tol_abs,
                      tol_rel=tol_rel)
-    if circuit:
-        # full meridian circuit: no turning points, theta advances by 2 pi
-        return SectionPeriod(
-            T_theta=2.0 * hp.t, theta_min=None, theta_max=None, circulating=True,
-            err=2.0 * hp.t_err, method=hp.method,
-        )
+    # a full meridian circuit has no turning points; ends mirrored through a
+    # pole lie in the extended chart
     return SectionPeriod(
-        T_theta=2.0 * hp.t,
-        theta_min=th0,
-        theta_max=th1,
-        # mirrored through a pole into the extended chart
-        pole_crossing=(th0, th1) != (lo, hi),
-        err=2.0 * hp.t_err,
-        method=hp.method,
-    )
+        T_theta=2.0 * hp.t, theta_min=None if circuit else th0,
+        theta_max=None if circuit else th1, circulating=circuit,
+        pole_crossing=not circuit and (th0, th1) != (lo, hi), err=2.0 * hp.t_err)

@@ -27,8 +27,7 @@ orbits (AsymptoticToCircles, AsymptoticToLines), and the generic levels,
 split by the arithmetic of N (UnboundedResonant at integer N with a
 one-period drift, ClosedPeriodic at rational N, QuasiPeriodicBounded
 otherwise).  The drift comes from :func:`.integrate.period_map`, a
-quadrature on the half period's nodes, so no level needs the stepper short
-of its node cap.
+quadrature on the half period's nodes, so no level needs the stepper.
 
 kappa -> -kappa mirrors every path across the x axis and flips the sign of
 N; all classifications are even in kappa.
@@ -55,6 +54,7 @@ from .dynamics import (
     g0_prime,
     kinematic_init,
     potential_grid,
+    saddles,
     scan_roots,
     turning_points,
 )
@@ -140,22 +140,18 @@ class AbsolutePath:
 class RotationNumber:
     """Precession per nutation period, N = -(1/2 pi) int psi_dot dt.
 
-    err estimates the absolute error of N: with method "quadrature" the
-    difference between the two finest midpoint rules of the half-period
-    quadrature, or their rounding error where that is larger; with method
-    "ode" (past the quadrature's node cap) the difference between stepper
-    runs at the requested and at 10 times tighter tolerances.  For a
-    degenerate level (relative equilibrium) N is the linearization value
-    -psi_dot(theta_0)/omega_lin, fixed_point is set, err is 0 and method is
-    "linearization"; period is None there and for kappa = 0, where N = 0
-    exactly, err is 0 and method is None.
+    err estimates the absolute error of N: the difference between the two
+    finest midpoint rules of the half-period quadrature, or their rounding
+    error where that is larger.  For a degenerate level (relative
+    equilibrium) N is the linearization value -psi_dot(theta_0)/omega_lin,
+    fixed_point is set and err is 0; period is None there and for
+    kappa = 0, where N = 0 exactly and err is 0.
     """
 
     N: float
     err: float
     period: float | None = None
     fixed_point: bool = False
-    method: str | None = None
 
 
 @dataclass(frozen=True)
@@ -351,8 +347,12 @@ def rotation_number(
     By the time symmetry of the nutation, the full-period precession is
     twice the precession psi_half between the turning points, so
     N = -psi_half/pi; :func:`.integrate.half_period` gives psi_half and the
-    half period by quadrature.  tol_abs and tol_rel are the quadrature's
-    stop target (and the stepper's tolerances on its fallback).
+    half period by quadrature on the level's node map, which clusters the
+    nodes at a saddle the level passes close to and at an end next to a
+    saddle or a pole.  tol_abs and tol_rel are the quadrature's stop
+    target.  Raises ValueError where the level has no admissible motion or
+    ``branch`` is out of range, and IntegrationError where the half period
+    does not converge by the node cap (see :func:`.integrate.half_period`).
     """
     lo, hi = turning_points(kappa, eps, p, branch)
     return _rotation_number(kappa, eps, p, lo, hi, tol_abs, tol_rel)[0]
@@ -380,22 +380,12 @@ def _rotation_number(
         s = math.sin(thc)
         psi_dot = -(kappa / se.J) * math.cos(thc) / (s * s)
         return RotationNumber(N=-psi_dot / math.sqrt(-lam2), err=0.0, period=None,
-                              fixed_point=True, method="linearization"), None
+                              fixed_point=True), None
 
     lo, hi, _ = _half_period_ends(kappa, eps, p, lo, hi)
     hp = half_period(kappa, eps, p, lo, hi, tol_abs=tol_abs, tol_rel=tol_rel)
     return RotationNumber(N=-hp.psi / math.pi, err=hp.psi_err / math.pi,
-                          period=2.0 * hp.t, fixed_point=False, method=hp.method), hp
-
-
-def _kappa0_saddles(p: Params) -> list[tuple[float, float]]:
-    """Unstable equilibria of the kappa = 0 meridian system, (theta, level)."""
-    out = []
-    if g0_prime(0.0, 0.0, p) > 0.0:
-        out.append((0.0, 1.0 + p.alpha))
-    if g0_prime(math.pi, 0.0, p) > 0.0:
-        out.append((math.pi, 1.0 - p.alpha))
-    return out + critical_points(0.0, p).saddles()
+                          period=2.0 * hp.t, fixed_point=False), hp
 
 
 def classify(
@@ -435,11 +425,9 @@ def classify(
         If the level (kappa, eps) has no admissible motion or ``branch`` is
         out of range.
     IntegrationError
-        If, past the quadrature's node cap, the stepper finds no half-period
-        return (a level too close to a critical value).  A kappa = 0 level
-        is classified without a half period, so the meridian circuit's
-        turn-back error of :func:`.integrate.section_period` never arises
-        here.
+        If the half period does not converge by the quadrature's node cap
+        (see :func:`.integrate.half_period`).  A kappa = 0 level is
+        classified without a half period.
     """
     lo, hi = turning_points(kappa, eps, p, branch)
     alpha0 = p.alpha == 0.0
@@ -459,27 +447,20 @@ def classify(
         if np.all(np.abs(potential_grid(nodes, 0.0, p)[0] - eps)
                   <= _LEVEL_FLOOR * max(1.0, abs(eps))):
             return TrajectoryClass(kind="NeutralRest", N=0.0, N_err=0.0)
-        e_circ = epsilon_min(p)
-        hits = [(th, lv) for th, lv in _kappa0_saddles(p)
-                if abs(eps - lv) <= _SEP_TOL and lo - 1e-6 <= th <= hi + 1e-6]
-        if hits:
-            return TrajectoryClass(kind="Segment", N=0.0, N_err=0.0,
-                                   targets=tuple(th for th, _ in hits))
-        near = any(abs(eps - lv) <= _WARN_TOL for _, lv in _kappa0_saddles(p))
-        if eps < e_circ:
-            return TrajectoryClass(kind="Segment", N=0.0, N_err=0.0,
-                                   near_separatrix=near)
-        return TrajectoryClass(kind="UnboundedLine", N=0.0, N_err=0.0,
-                               near_separatrix=near)
 
-    near = False
-    for thc, lv in critical_points(kappa, p).saddles():
-        if abs(eps - lv) <= _SEP_TOL and lo - 1e-6 <= thc <= hi + 1e-6:
-            if alpha0 and abs(thc - 0.5 * math.pi) <= 1e-9:
-                return TrajectoryClass(kind="AsymptoticToLines", targets=(thc,))
-            return TrajectoryClass(kind="AsymptoticToCircles", targets=(thc,))
-        if abs(eps - lv) <= _WARN_TOL:
-            near = True
+    # separatrix levels: a saddle of the component within _SEP_TOL of eps
+    sads = saddles(kappa, p)
+    hits = [th for th, lv, _ in sads if abs(eps - lv) <= _SEP_TOL and lo - 1e-6 <= th <= hi + 1e-6]
+    near = any(abs(eps - lv) <= _WARN_TOL for _, lv, _ in sads)
+    if kappa == 0.0:
+        if hits:
+            return TrajectoryClass(kind="Segment", N=0.0, N_err=0.0, targets=tuple(hits))
+        return TrajectoryClass(kind="Segment" if eps < epsilon_min(p) else "UnboundedLine",
+                               N=0.0, N_err=0.0, near_separatrix=near)
+    if hits:
+        lines = alpha0 and abs(hits[0] - 0.5 * math.pi) <= 1e-9
+        return TrajectoryClass(kind="AsymptoticToLines" if lines else "AsymptoticToCircles",
+                               targets=(hits[0],))
 
     rn, hp = _rotation_number(kappa, eps, p, lo, hi, tol_abs, tol_rel)
     t_int = tol_int if tol_int is not None else 5.0 * rn.err + 1e-9

@@ -22,6 +22,7 @@ from rubberroll.dynamics import (
     reduce_state,
     reduced_energy,
     reduced_field,
+    saddles,
     scan_roots,
     turning_points,
 )
@@ -267,3 +268,12 @@ def test_measure_divergence_nonzero_without_density():
             div += (f(0.0, y0 + e)[i] - f(0.0, y0 - e)[i]) / (2.0 * h)
         worst = max(worst, abs(div) / np.linalg.norm(f(0.0, y0)))
     assert worst > 1e-3
+
+
+def test_the_centered_sphere_has_no_kappa_zero_critical_angle():
+    # G0 vanishes at every angle of the centered sphere; a flat potential
+    # has no isolated relative equilibrium for the scan to return
+    for nu, eta in ((1.0, 1.0), (2.0, 1.0), (0.5, 3.0)):
+        p = Params(0.0, 1.0, nu, eta)
+        assert critical_thetas(0.0, p) == []
+        assert saddles(0.0, p) == ()

@@ -23,7 +23,15 @@ from rubberroll.dynamics import (
     potential_grid,
 )
 from rubberroll.geometry import profile, surface_b, surface_z
-from rubberroll.integrate import EventSpec, half_period, integrate, period_map, section_period
+from rubberroll.integrate import (
+    EventSpec,
+    _ode_half_period,
+    _period_map,
+    half_period,
+    integrate,
+    period_map,
+    section_period,
+)
 from rubberroll.model import Params
 from rubberroll.reconstruct import classify, reconstruct_trajectory, rotation_number
 
@@ -263,90 +271,90 @@ def _stepper_drift(kappa, eps, p, start, circuit, tols=TIGHT):
     return complex(hit.y[4], hit.y[5])
 
 
-def _count_stepper_runs(monkeypatch, counts):
-    real = rubberroll.integrate.integrate_raw
-
-    def counting(*args, **kwargs):
-        counts.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(rubberroll.integrate, "integrate_raw", counting)
+def _stepper_drift_bar(kappa, eps, p, start, circuit):
+    """D by the stepper at the last step of a tolerance ladder, and the
+    change over that step as its error bar."""
+    D = [_stepper_drift(kappa, eps, p, start, circuit, dict(tol_abs=0.05 * r, tol_rel=r))
+         for r in (1e-13, 2.3e-14)]
+    return D[1], abs(D[1] - D[0])
 
 
-def test_past_the_node_cap_the_stepper_takes_over(monkeypatch):
-    # 1e-9 above the saddle the quadrature's integrand peaks too narrowly
-    # for 2^14 nodes; the two stepper runs of the half period give the
-    # period map, the second half mirrored from the first
+def test_next_to_a_saddle_the_period_map_matches_the_stepper(monkeypatch):
+    # 1e-9 above the saddle the cosine map would need more than 2^14 nodes;
+    # the sinh map clusters them at the saddle, and the period map goes on
+    # up the same ladder with no stepper run
     p = BODIES["main"]
     kappa = 0.5
     sad = critical_thetas(kappa, p)[1]
     eps = effective_potential(sad, kappa, p) + 1e-9
-    runs = []
     with monkeypatch.context() as m:
-        _count_stepper_runs(m, runs)
+        m.setattr(rubberroll.integrate, "integrate_raw", _no_stepper)
         pm = period_map(kappa, eps, p)
-    assert len(runs) == 2
-    assert pm.err > 0.0 and pm.z[0] == 0.0 and pm.z[-1] == pm.D
     lo = component_intervals(kappa, eps, p)[0][0]
-    assert abs(pm.D - _stepper_drift(kappa, eps, p, (lo, 0.0), False)) <= pm.err + 1e-10
+    assert len(pm.z) <= 1024
+    D, bar = _stepper_drift_bar(kappa, eps, p, (lo, 0.0), False)
+    assert abs(pm.D - D) <= pm.err + bar
 
 
-def test_past_the_node_cap_a_meridian_circuit_repeats_its_first_half(monkeypatch):
+def test_next_to_the_inclined_saddle_a_meridian_circuit_matches_the_stepper(monkeypatch):
     # kappa = 0, 1e-9 above the inclined saddle: the level circulates over
-    # both poles, dtheta/dt is even about the half period, and D = 2 z(T/2)
+    # both poles, and the nodes cluster at the saddle in -cos(theta)
     p = BODIES["main"]
     (sad,) = critical_thetas(0.0, p)
     eps = effective_potential(sad, 0.0, p) + 1e-9
     assert component_intervals(0.0, eps, p) == [(0.0, math.pi)]
-    sp = section_period(0.0, eps, p)
-    assert sp.circulating and sp.method == "ode"
-    runs = []
-    clear_caches()
     with monkeypatch.context() as m:
-        _count_stepper_runs(m, runs)
+        m.setattr(rubberroll.integrate, "integrate_raw", _no_stepper)
+        sp = section_period(0.0, eps, p)
         pm = period_map(0.0, eps, p)
-    assert len(runs) == 2
-    assert pm.T == sp.T_theta and pm.dpsi == 0.0
-    assert pm.err > 0.0 and pm.z[0] == 0.0 and pm.z[-1] == pm.D
+    assert sp.circulating and pm.T == sp.T_theta and pm.dpsi == 0.0
     B0 = profile(0.0, p, pole_mode=True).B
     start = (0.0, math.sqrt(2.0 * (eps - effective_potential(0.0, 0.0, p)) / B0))
-    assert abs(pm.D - _stepper_drift(0.0, eps, p, start, True)) <= pm.err + 1e-10
+    D, bar = _stepper_drift_bar(0.0, eps, p, start, True)
+    assert abs(pm.D - D) <= pm.err + bar
 
 
-def test_a_meridian_circuit_that_turns_back_raises():
-    # 1e-12 above the level of the two pole maxima the half period passes
-    # the node cap, and the stepper's circuit turns back 2.7e-5 short of
-    # pi; it used to rock there until its 2 000 000-step budget ran out
+def test_a_meridian_circuit_that_turns_back_raises(monkeypatch):
+    # 1e-12 above the level of the two pole maxima the stepper's circuit
+    # turns back 2.7e-5 short of pi; it used to rock there until its
+    # 2 000 000-step budget ran out.  The quadrature clusters its nodes at
+    # both poles and answers, with the err that the level's rounding leaves
     p = Params(0.0, 0.6, 1.0, 1.0)
     eps = 1.0 + 1e-12
     assert component_intervals(0.0, eps, p) == [(0.0, math.pi)]
-    for run in (section_period, period_map):
-        with pytest.raises(rubberroll.integrate.IntegrationError, match="turned back") as info:
-            run(0.0, eps, p)
-        assert "step budget" not in str(info.value) and f"eps={eps}" in str(info.value)
+    with pytest.raises(rubberroll.integrate.IntegrationError, match="turned back") as info:
+        _ode_half_period(0.0, eps, p, 0.0, math.pi, True, 1e-12, 1e-10, 10 ** 6)
+    assert "step budget" not in str(info.value) and f"eps={eps}" in str(info.value)
+    monkeypatch.setattr(rubberroll.integrate, "integrate_raw", _no_stepper)
+    sp = section_period(0.0, eps, p)
+    assert sp.circulating and 0.0 < sp.err < 1e-2 * sp.T_theta
+    assert period_map(0.0, eps, p).T == sp.T_theta
 
 
 def test_a_drift_short_of_its_target_at_the_node_cap_keeps_the_last_rung(monkeypatch):
-    # at |kappa| = 3e-7 the half period converges just at the cap, but the
-    # precession peaks too narrowly at the near-pole end for D to: the last
-    # rung comes back, with the larger err of its doubling
+    # at |kappa| = 3e-7 the precession peaks narrowly at both near-pole
+    # ends; a half period to 1e-4 stops on a low rung, and with the node cap
+    # there D has that rung and the one below: it comes back with the
+    # larger err of their gap
     p = BODIES["balanced"]
     kappa, eps = 3e-7, 3.0
+    lo, hi = component_intervals(kappa, eps, p)[0]
+    hp = half_period(kappa, eps, p, lo, hi, tol_abs=1e-4, tol_rel=1e-4)
     with monkeypatch.context() as m:
         m.setattr(rubberroll.integrate, "integrate_raw", _no_stepper)
-        pm = period_map(kappa, eps, p)
+        m.setattr(rubberroll.integrate, "_N_CAP", hp.n)
+        pm = _period_map(kappa, eps, p, lo, hi, False, hp, 1e-12, 1e-10)
     length = np.sum(np.abs(np.diff(np.concatenate(([0.0], pm.z, [pm.D])))))
-    assert len(pm.z) == 2 ** 15 and pm.err > 1e-12 + 1e-10 * length
+    assert len(pm.z) == 2 * hp.n and pm.err > 1e-12 + 1e-10 * length
     # near the pole the stepper needs minutes at 1e-15 / 2.3e-14
-    lo = component_intervals(kappa, eps, p)[0][0]
     D = _stepper_drift(kappa, eps, p, (lo, 0.0), False, dict(tol_abs=1e-13, tol_rel=1e-11))
     assert abs(pm.D - D) <= pm.err
 
 
-def test_classify_past_the_node_cap_climbs_the_ladder_once(monkeypatch):
-    # N = 0 above the balanced body's saddle; 1e-8 above it the half period
-    # needs the stepper, and classify reads the period map off it: one
-    # ladder of quadrature nodes and the two stepper half periods
+def test_classify_next_to_a_saddle_climbs_the_ladder_once(monkeypatch):
+    # N = 0 above the balanced body's saddle; 1e-8 above it classify reads
+    # the period map on from the rotation number's half period: one ladder
+    # of quadrature nodes, and no stepper run
     p = BODIES["balanced"]
     kappa = 0.5
     eps = effective_potential(critical_thetas(kappa, p)[1], kappa, p) + 1e-8
@@ -359,17 +367,17 @@ def test_classify_past_the_node_cap_climbs_the_ladder_once(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(rubberroll.integrate, name, counting)
-    assert rotation_number(kappa, eps, p).method == "ode"
+    rotation_number(kappa, eps, p)
     ladder = counts["_half_nodes"]
     counts.clear()
     clear_caches()
     tc = classify(kappa, eps, p)
     assert tc.kind == "UnboundedResonant" and tc.resonance == (0, 1)
-    assert counts == {"_half_nodes": ladder, "integrate_raw": 2}
-    # a warm repeat reads the kept half period and its period map
+    assert "integrate_raw" not in counts and ladder < counts["_half_nodes"] <= ladder + 3
+    # a warm repeat reads the kept half period and its component
     counts.clear()
     assert classify(kappa, eps, p) == tc
-    assert counts == {}
+    assert "integrate_raw" not in counts
 
 
 def test_the_period_map_goes_on_from_the_half_periods_rung(monkeypatch):

@@ -34,7 +34,6 @@ from rubberroll.integrate import (
     _half_nodes,
     _half_period_ends,
     _node_table,
-    half_period,
     period_map,
 )
 from rubberroll.model import Params
@@ -80,6 +79,8 @@ def _potential_grid_roots(kappa, p):
     if kappa == 0.0:
         lo, hi = 1e-9, math.pi - 1e-9
         flo, fhi = f(lo), f(hi)
+        if flo == fhi == 0.0:
+            return []   # G0 vanishes everywhere: the centered sphere
         if flo == 0.0:
             return [lo]
         if fhi == 0.0:
@@ -280,14 +281,13 @@ def test_half_nodes_and_period_map_on_the_tables_equal_a_recomputation(monkeypat
     got, got_pm = {}, {}
     for kappa, eps, lo, hi, circuit in _levels():
         for n in (16, 128, 1024):
-            got[kappa, eps, n] = _node_fields(_half_nodes(kappa, eps, P_MAIN, lo, hi, circuit, n))
+            got[kappa, eps, n] = _node_fields(_half_nodes(kappa, eps, P_MAIN, lo, hi, circuit, None, n))
         got_pm[kappa, eps] = period_map(kappa, eps, P_MAIN)
-        assert half_period(kappa, eps, P_MAIN, lo, hi, circuit=circuit).method == "quadrature"
     clear_caches()
     monkeypatch.setattr(rubberroll.integrate, "_node_table", _fresh_node_table)
     for kappa, eps, lo, hi, circuit in _levels():
         for n in (16, 128, 1024):
-            ref = _node_fields(_half_nodes(kappa, eps, P_MAIN, lo, hi, circuit, n))
+            ref = _node_fields(_half_nodes(kappa, eps, P_MAIN, lo, hi, circuit, None, n))
             for a, b in zip(got[kappa, eps, n], ref):
                 assert (a is None and b is None) or np.array_equal(a, b), (kappa, eps, n)
         pm, ref_pm = got_pm[kappa, eps], period_map(kappa, eps, P_MAIN)
