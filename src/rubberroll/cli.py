@@ -17,10 +17,10 @@ resonance
 classify
     Trajectory class of one (kappa, eps, branch) point; JSON output.
 verify
-    Self-check suite (conservation, reduction oracle, measure invariance,
-    steady-rotation identities, formula arbitration, quadrature and period
-    map against the stepper, the log slope of N above a saddle against its
-    closed form); exit 3 on failure.
+    Self-checks from :mod:`.checks`, in order: conservation, reduction,
+    measure, steady-rotations, energy-form, threshold-form, quadrature (the
+    --quick subset), period-map, slope, log-slope, reconstruction; exit 3 on
+    failure.
 
 Config files given with --config hold ``key = value`` lines whose keys
 mirror the long flag names; they replace the option defaults, and explicit
@@ -44,51 +44,11 @@ import numpy as np
 
 from .model import Params, validate
 from .geometry import B_SIGN_DERIVED, B_SIGN_PAPER, profile
-from .dynamics import (
-    FullState,
-    component_intervals,
-    critical_points,
-    effective_potential,
-    g0,
-    integrals,
-    kinematic_init,
-    lift,
-    measure_density,
-    full_field,
-    reduce_state,
-    reduced_energy,
-    reduced_field,
-    ReducedState,
-    saddles,
-)
-from .integrate import (
-    DEFAULT_TOL_ABS,
-    DEFAULT_TOL_REL,
-    IntegrationError,
-    PoleError,
-    _ode_half_period,
-    _pole_guard_factory,
-    integrate,
-    integrate_raw,
-    period_map,
-)
-from .bifurcation import (
-    diagram,
-    inclined_equilibrium,
-    permanent_rotation,
-    sigma_theta_eps,
-    sigma_theta_kappa_sq,
-)
-from .reconstruct import (
-    _rotation_slope,
-    classify,
-    epsilon_min,
-    path_from_kinematic,
-    reconstruct_from_full,
-    reconstruct_trajectory,
-    resonance_curve,
-    rotation_number,
-)
+from .dynamics import FullState, effective_potential, integrals, kinematic_init, reduced_energy
+from .integrate import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, IntegrationError, PoleError, integrate
+from .bifurcation import diagram
+from .reconstruct import (classify, path_from_kinematic, reconstruct_trajectory, resonance_curve,
+                          rotation_number)
 
 log = logging.getLogger("rubberroll")
 
@@ -168,13 +128,8 @@ def _config_defaults(args: argparse.Namespace, parser: _Parser) -> None:
 
 
 def _params(args: argparse.Namespace, parser: _Parser) -> Params:
-    vals = {}
-    for name in ("alpha", "beta", "nu", "eta"):
-        v = getattr(args, name)
-        if v is None:
-            parser.error(f"--{name} is required")
-        vals[name] = v
-    p = Params(**vals)
+    _require(args, parser, "alpha", "beta", "nu", "eta")
+    p = Params(alpha=args.alpha, beta=args.beta, nu=args.nu, eta=args.eta)
     bad = validate(p)
     if bad:
         parser.error("; ".join(bad))
@@ -567,240 +522,20 @@ def cmd_classify(args: argparse.Namespace, parser: _Parser) -> int:
 # --- verify ---
 
 
-def _check(name: str, ok: bool, detail: str, failures: list[str]) -> None:
-    tag = "PASS" if ok else "FAIL"
-    print(f"{tag} {name}: {detail}")
-    if not ok:
-        failures.append(name)
-
-
-def _random_valid_state(rng: np.random.Generator, p: Params) -> FullState:
-    g = rng.normal(size=3)
-    g /= np.linalg.norm(g)
-    w = rng.normal(size=3)
-    w -= (w @ g) * g
-    return FullState(omega=w, gamma=g)
-
-
-def _threshold_forms(a: float, b: float) -> tuple[float, float]:
-    """U(theta*) for beta^2 > 1 + alpha by the adopted +alpha^2 closed form
-    and by its sign-flipped variant, inf where that has no real value."""
-    arg = (1.0 + a * a - b * b) / (1.0 - b * b)
-    return (b * math.sqrt((b * b - 1.0 + a * a) / (b * b - 1.0)),
-            b * math.sqrt(arg) if arg >= 0.0 else math.inf)
-
-
 def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
+    from .checks import CHECKS, N_QUICK   # not loaded with the other commands
+
     if args.alpha is None and args.beta is None:
         args.alpha, args.beta = 0.5, 3.0
     p = _params(args, parser)
-    quick = args.quick
-    b_sign = args.b_sign
     rng = np.random.default_rng(args.seed)
-    failures: list[str] = []
-    tols = dict(tol_abs=1e-12, tol_rel=1e-12)
-
-    # conservation of F0, F1, kappa, eps along the full flow.  Over the full
-    # check's t = 100, tolerances of 1e-12 let |dF1| reach the 1e-10 bound on
-    # some bodies (1.1e-10 at alpha 0.9, beta 5), so its runs step at 1e-13
-    n_states, t_end, cons_tol = (3, 10.0, 1e-12) if quick else (12, 100.0, 1e-13)
-    worst = np.zeros(4)
-    for _ in range(n_states):
-        s = _random_valid_state(rng, p)
-        c0 = integrals(s, p)
-        traj = integrate("full", s.as_array(), (0.0, t_end), p,
-                         tol_abs=cons_tol, tol_rel=cons_tol)
-        c1 = integrals(FullState.from_array(traj.y[-1]), p)
-        worst = np.maximum(worst, [
-            abs(c1.F0 - c0.F0), abs(c1.F1 - c0.F1),
-            abs(c1.kappa - c0.kappa) / max(abs(c0.kappa), 1e-300),
-            abs(c1.eps - c0.eps) / max(abs(c0.eps), 1e-300)])
-    _check("conservation", bool(np.all(worst <= [1e-10, 1e-10, 1e-8, 1e-8])),
-           f"max |dF0|={worst[0]:.2e} |dF1|={worst[1]:.2e} "
-           f"rel |dkappa|={worst[2]:.2e} rel |deps|={worst[3]:.2e}", failures)
-
-    # reduced chart reproduces the full-system theta(t); the reduced field
-    # takes the selected B cross term
-    n_orb, t_red = (2, 10.0) if quick else (5, 50.0)
-    worst_th = 0.0
-    tries = 0
-    done = 0
-    while done < n_orb and tries < 40:
-        tries += 1
-        s = _random_valid_state(rng, p)
-        g3 = float(s.gamma[2])
-        if abs(g3) > 0.98:
-            continue
-        rc = reduce_state(s, p)
-        t_eval = np.linspace(0.0, t_red, 501)
-        full = integrate("full", s.as_array(), (0.0, t_red), p,
-                         t_eval=t_eval, **tols)
-        th_full = np.arccos(np.clip(full.y_eval[:, 5], -1.0, 1.0))
-        red = integrate_raw(reduced_field(rc.kappa, p, b_sign), (rc.theta, rc.p_theta),
-                            (0.0, t_red), guard=_pole_guard_factory(rc.kappa),
-                            t_eval=t_eval, **tols)
-        worst_th = max(worst_th, float(np.max(np.abs(red.y_eval[:, 0] - th_full))))
-        done += 1
-    _check("reduction", worst_th <= 1e-6,
-           f"max |theta_red - theta_full| = {worst_th:.2e} on {done} orbits", failures)
-
-    # the phase flow preserves the rho-weighted volume
-    n_div = 20 if quick else 100
-    f = full_field(p)
-    h = 1e-5
-    worst_div = 0.0
-    for _ in range(n_div):
-        s = _random_valid_state(rng, p)
-        y = s.as_array()
-        div = 0.0
-        for i in range(6):
-            yp = y.copy(); yp[i] += h
-            ym = y.copy(); ym[i] -= h
-            fp = measure_density(float(yp[5]), p) * f(0.0, yp)[i]
-            fm = measure_density(float(ym[5]), p) * f(0.0, ym)[i]
-            div += (fp - fm) / (2.0 * h)
-        scale = float(np.linalg.norm(measure_density(float(y[5]), p) * f(0.0, y)))
-        worst_div = max(worst_div, abs(div) / scale)
-    _check("measure", worst_div <= 1e-6,
-           f"max relative |div(rho f)| = {worst_div:.2e} over {n_div} states", failures)
-
-    # steady-rotation branch identities and endpoint limits
-    e0 = sigma_theta_eps(1e-8, p)
-    epi = sigma_theta_eps(math.pi - 1e-8, p)
-    k0 = sigma_theta_kappa_sq(1e-8, p)
-    kpi = sigma_theta_kappa_sq(math.pi - 1e-8, p)
-    lim_ok = (abs(e0 - (1.0 + p.alpha)) <= 1e-6 and abs(k0) <= 1e-6
-              and abs(epi - (1.0 - p.alpha)) <= 1e-6 and abs(kpi) <= 1e-6)
-    worst_fp = 0.0
-    for th0 in (0.3, 0.7, 1.0, 2.2, 2.8):
-        try:
-            pr = permanent_rotation(th0, p)
-        except ValueError:
-            continue
-        worst_fp = max(worst_fp, abs(g0(th0, pr.kappa, p)))
-    _check("steady-rotations", lim_ok and worst_fp <= 1e-8,
-           f"endpoint limits ({e0:.6f}, {epi:.6f}); "
-           f"max fixed-point residual = {worst_fp:.2e}", failures)
-
-    # kinetic cross-term sign: reduced energy must reproduce the full energy
-    worst_e = 0.0
-    for _ in range(3 if quick else 8):
-        s = _random_valid_state(rng, p)
-        if abs(float(s.gamma[2])) > 0.99:
-            continue
-        c0 = integrals(s, p)
-        rc = reduce_state(s, p)
-        e_red = reduced_energy(rc.theta, rc.p_theta, rc.kappa, p, b_sign=b_sign)
-        worst_e = max(worst_e, abs(e_red - c0.eps) / max(abs(c0.eps), 1e-300))
-    _check("energy-form", worst_e <= 1e-10,
-           f"max relative |eps_reduced - eps_full| = {worst_e:.2e} "
-           f"(b_sign={b_sign})", failures)
-
-    # circulation threshold: root-found height maximum against the two
-    # closed forms (adopted +alpha^2 form; sign-flipped variant rejected
-    # where it differs, it coincides with the adopted one at alpha = 0)
-    a, b = p.alpha, p.beta
-    if b * b > 1.0 + a:
-        u_star = profile(inclined_equilibrium(p), p, pole_mode=True).U
-        adopted, variant = _threshold_forms(a, b)
-        d_adopted, d_variant = abs(u_star - adopted), abs(u_star - variant)
-        distinct = abs(adopted - variant) > 2e-3
-        ok = d_adopted <= 1e-9 and (d_variant > 1e-3 or not distinct)
-        detail = (f"U(theta*)={u_star:.9f}; adopted form off by {d_adopted:.2e}; "
-                  + (f"sign-flipped variant off by {d_variant:.2e}" if distinct
-                     else "sign-flipped variant coincides with it"))
-    else:
-        ok = abs(epsilon_min(p) - (1.0 + a)) <= 1e-12
-        detail = f"pole regime, eps_min={epsilon_min(p):.9f}"
-    _check("threshold-form", ok, detail, failures)
-
-    # half-period quadrature against the tight stepper: a generic and a
-    # near-separatrix level per kappa
-    worst_dn, worst_bound, n_lv = 0.0, 0.0, 0
-    for kap in (0.5, -0.3) if quick else (0.5, -0.3, 0.8, -1.2):
-        lv = critical_points(kap, p).levels
-        for eps in [min(lv) + 0.3] + ([lv[1] + 1e-3] if len(lv) == 3 else []):
-            rn = rotation_number(kap, eps, p)
-            lo, hi = component_intervals(kap, eps, p)[0]
-            _, psi = _ode_half_period(kap, eps, p, lo, hi, False, 1e-15, 2.3e-14, 10 ** 7)
-            dn, bound = abs(rn.N + psi / math.pi), rn.err + 1e-10
-            if n_lv == 0 or dn - bound > worst_dn - worst_bound:
-                worst_dn, worst_bound = dn, bound
-            n_lv += 1
-    _check("quadrature", worst_dn <= worst_bound,
-           f"worst |N_quad - N_ode| = {worst_dn:.2e} against its bound "
-           f"err + 1e-10 = {worst_bound:.2e} on {n_lv} levels",
-           failures)
-
-    if not quick:
-        # one-period drift by quadrature against the tight stepper's path:
-        # a generic level and, where the slice has one, an N = 0 level
-        kap = 0.5
-        lv = critical_points(kap, p).levels
-        levels = [min(lv) + 0.3] + [pt.eps for pt in resonance_curve(0, p, (kap, kap), 1)[:1]]
-        worst_dd, worst_bound = 0.0, 0.0
-        for i, eps in enumerate(levels):
-            pm = period_map(kap, eps, p)
-            lo = component_intervals(kap, eps, p)[0][0]
-            path = reconstruct_trajectory((lo, 0.0), kap, (0.0, pm.T), p, tol_abs=1e-15,
-                                          tol_rel=2.3e-14, max_steps=10 ** 7,
-                                          t_eval=np.array([0.0, pm.T]))
-            dd = abs(pm.D - complex(path.x_c[-1], path.y_c[-1]))
-            bound = pm.err + 1e-10
-            if i == 0 or dd - bound > worst_dd - worst_bound:
-                worst_dd, worst_bound = dd, bound
-        _check("period-map", worst_dd <= worst_bound,
-               f"worst |D_quad - D_ode| = {worst_dd:.2e} against its bound "
-               f"err + 1e-10 = {worst_bound:.2e} on {len(levels)} levels", failures)
-
-        # the exact eps-derivative of N against a fourth-order centred
-        # difference, on one libration above every critical level; 1e-9
-        # covers the difference's rounding where symmetry makes N = 0
-        kap, h = 0.8, 1e-3
-        eps = max(3.5, max(critical_points(kap, p).levels) + 0.1)
-        slope = _rotation_slope(kap, eps, p)[1]
-        n = [rotation_number(kap, eps + d * h, p, **tols).N for d in (1.0, 0.5, -0.5, -1.0)]
-        gap = abs(slope - (8.0 * (n[1] - n[2]) - n[0] + n[3]) / (6.0 * h))
-        bound = 1e-8 * abs(slope) + 1e-9
-        _check("slope", gap <= bound,
-               f"|dN/deps - fourth-order difference| = {gap:.2e} "
-               f"({gap / max(abs(slope), 1e-300):.2e} relative) against its bound "
-               f"1e-8 |dN/deps| + 1e-9 = {bound:.2e} at (kappa, eps) = ({kap}, {eps})", failures)
-
-        # N 1e-8 and 1e-10 above a saddle against the closed form of its
-        # slope in ln delta, psi_dot_s / (pi lambda_s); 1e-9 covers the
-        # O(delta ln delta) remainder where the closed form vanishes
-        found = [(k, s) for k in (0.5, -0.3, 0.8, -1.2) for s in saddles(k, p)]
-        ok, detail = True, "no saddle on the slices kappa = 0.5, -0.3, 0.8, -1.2"
-        if found:
-            kap, (th, lv, g) = found[0]
-            se = profile(th, p)
-            want = -kap * math.cos(th) / (se.J * math.sin(th) ** 2 * math.pi * math.sqrt(g / se.B))
-            n = [rotation_number(kap, lv + d, p).N for d in (1e-8, 1e-10)]
-            gap, bound = abs((n[0] - n[1]) / math.log(100.0) - want), 1e-5 * abs(want) + 1e-9
-            ok, detail = gap <= bound, (
-                f"|dN/d ln delta - psi_dot_s/(pi lambda_s)| = {gap:.2e} against its bound "
-                f"1e-5 |{want:.8f}| + 1e-9 = {bound:.2e} above the saddle of kappa = {kap}")
-        _check("log-slope", ok, detail, failures)
-
-        # absolute-space reconstruction against direct kinematics
-        th0, pt0, kap = 0.9, 0.3, 0.7
-        state = lift(ReducedState(theta=th0, p_theta=pt0), kap, 0.0, p)
-        t_eval = np.linspace(0.0, 30.0, 601)
-        pa = reconstruct_trajectory((th0, pt0), kap, (0.0, 30.0), p, t_eval=t_eval, **tols)
-        pb = reconstruct_from_full(state, (0.0, 30.0), p, t_eval=t_eval, **tols)
-        worst_p = max(float(np.max(np.abs(pa.x_c - pb.x_c))),
-                      float(np.max(np.abs(pa.y_c - pb.y_c))),
-                      float(np.max(np.abs(pa.psi - pb.psi))))
-        zres = float(np.max(np.abs(
-            pa.z_c - (p.alpha * np.cos(pa.theta)
-                      + np.array([profile(t, p).Z for t in pa.theta])))))
-        _check("reconstruction", worst_p <= 1e-6 and zres <= 1e-9,
-               f"max quadrature-vs-kinematic gap = {worst_p:.2e}, "
-               f"height identity residual = {zres:.2e}", failures)
-
-    if failures:
-        print(f"{len(failures)} check(s) failed: {', '.join(failures)}")
+    records = []
+    for check in CHECKS[:N_QUICK] if args.quick else CHECKS:
+        records.append(rec := check(p, rng, args.quick, args.b_sign))
+        print(f"{'PASS' if rec.ok else 'FAIL'} {rec.name}: {rec.detail}")
+    failed = [rec.name for rec in records if not rec.ok]
+    if failed:
+        print(f"{len(failed)} check(s) failed: {', '.join(failed)}")
         return EXIT_VERIFY
     print("all checks passed")
     return EXIT_OK

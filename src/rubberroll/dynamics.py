@@ -599,7 +599,7 @@ def critical_thetas(kappa: float, p: Params) -> list[float]:
     whose sin^4 underflows raises ValueError), and a pair closer than the
     grid spacing is found from the G0 extremum between them.  A root nearer
     pi than the float spacing there (|kappa| below about 1e-30 for bodies of
-    order one) is not resolved: it comes back as pi itself or is left out.
+    order one) cannot be resolved and raises ValueError too.
     :func:`component_intervals` relies on getting every root.  For kappa = 0
     the only interior root is the inclined equilibrium, when it exists; the
     poles themselves are always equilibria of the meridian chart and are not
@@ -669,7 +669,8 @@ def _g0_roots(kappa: float, p: Params) -> list[float]:
         # node th_e below lies beyond the root.
         C = p.alpha + abs(1.0 - p.beta * p.beta) / min(1.0, p.beta)
         th_e = 0.5 * math.sqrt(abs(kappa) / math.sqrt(C))
-        if th_e ** 4 == 0.0:   # sin^4 underflows there, and G0' with it
+        # sin^4 underflows there, and G0' with it, or a near-pi node rounds onto pi
+        if th_e ** 4 == 0.0 or (vals[-1] > 0.0 and math.pi - th_e == math.pi):
             raise ValueError(f"|kappa|={abs(kappa)} too small to resolve the poles; use kappa = 0")
         n = int(vals[0] < 0.0)   # extra nodes below the grid
         extra = np.array([th_e] * n + [math.pi - th_e] * int(vals[-1] > 0.0))

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, formats, determinism, config merge."""
 
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import rubberroll
-from rubberroll import cli
+from rubberroll import checks, cli
 from rubberroll.bifurcation import diagram
 from rubberroll.cli import main
 from rubberroll.model import Params
@@ -625,6 +626,19 @@ def test_verify_quick_passes(capsys):
     assert "all checks passed" in out
 
 
+CHECK_NAMES = ["conservation", "reduction", "measure", "steady-rotations", "energy-form",
+               "threshold-form", "quadrature", "period-map", "slope", "log-slope",
+               "reconstruction"]
+
+
+def test_verify_runs_every_check_once_in_order(capsys):
+    for flags, names in ((["--quick"], CHECK_NAMES[:7]), ([], CHECK_NAMES)):
+        code, out, _ = run(["verify", *flags], capsys)
+        lines = out.splitlines()
+        assert code == 0 and lines[-1] == "all checks passed", out
+        assert [ln.split(":")[0] for ln in lines[:-1]] == [f"PASS {name}" for name in names]
+
+
 # nu = eta = 1 bodies across regions a-e, alpha = 0 with the sphere, and
 # the region boundaries beta^2 = 1 -/+ alpha
 SWEEP = [(0.5, 0.5), (0.7, 0.5), (0.5, 1.0), (1.0, 1.2), (0.5, 3.0), (0.3, 1.5), (0.9, 5.0),
@@ -633,10 +647,11 @@ SWEEP = [(0.5, 0.5), (0.7, 0.5), (0.5, 1.0), (1.0, 1.2), (0.5, 3.0), (0.3, 1.5),
 
 
 @pytest.mark.parametrize("alpha, beta", SWEEP)
-def test_verify_quick_passes_across_the_regions(alpha, beta, capsys):
-    code, out, _ = run(["verify", "--quick", "--alpha", repr(alpha), "--beta", repr(beta),
-                        "--nu", "1", "--eta", "1"], capsys)
-    assert code == 0, [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+def test_verify_quick_passes_across_the_regions(alpha, beta):
+    p, rng = Params(alpha, beta, 1.0, 1.0), np.random.default_rng(0)
+    records = [check(p, rng, True, "derived") for check in checks.CHECKS[:checks.N_QUICK]]
+    failed = [(r.name, r.values, r.bounds) for r in records if not r.ok]
+    assert not failed, failed
 
 
 @pytest.mark.slow
@@ -709,12 +724,12 @@ def test_verify_threshold_form_compares_the_variant_where_it_differs(body, detai
 
 
 def test_verify_threshold_form_catches_a_flipped_alpha_term(capsys, monkeypatch):
-    forms = cli._threshold_forms
+    forms = checks._threshold_forms
 
     def flipped(a, b):
         return b * math.sqrt((b * b - 1.0 - a * a) / (b * b - 1.0)), forms(a, b)[1]
 
-    monkeypatch.setattr(cli, "_threshold_forms", flipped)
+    monkeypatch.setattr(checks, "_threshold_forms", flipped)
     code, out, _ = run(["verify", "--quick"], capsys)
     assert code == 3
     failed = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
@@ -729,18 +744,60 @@ def test_verify_seed_changes_draws_not_verdict(capsys):
 
 
 def test_verify_quadrature_check_catches_a_wrong_rotation_number(capsys, monkeypatch):
-    import dataclasses
-
-    import rubberroll.cli
-
-    rotation_number = rubberroll.cli.rotation_number
+    rotation_number = checks.rotation_number
 
     def off(*args, **kwargs):
         rn = rotation_number(*args, **kwargs)
         return dataclasses.replace(rn, N=rn.N + 1e-8)
 
-    monkeypatch.setattr(rubberroll.cli, "rotation_number", off)
+    monkeypatch.setattr(checks, "rotation_number", off)
     code, out, _ = run(["verify", "--quick"], capsys)
     assert code == 3
     failed = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
     assert len(failed) == 1 and failed[0].startswith("FAIL quadrature")
+
+
+P_VERIFY = Params(0.5, 3.0, 0.5, 0.5)
+
+
+def _off_by(monkeypatch, name, perturb):
+    """Make checks.<name> return perturb(its result, its arguments)."""
+    fn = getattr(checks, name)
+    monkeypatch.setattr(checks, name, lambda *args, **kwargs: perturb(fn(*args, **kwargs), args))
+
+
+def _fails(check, values_failing):
+    rec = check(P_VERIFY, np.random.default_rng(0), False, "derived")
+    assert [v > b for v, b in zip(rec.values, rec.bounds)] == values_failing, rec
+    assert not rec.ok
+
+
+# the four checks of the full suite alone, each with the program it guards
+# put off by far more than its bound and far less than its own size
+
+def test_period_map_check_catches_a_wrong_drift(monkeypatch):
+    _off_by(monkeypatch, "period_map", lambda pm, args: dataclasses.replace(pm, D=pm.D + 1e-8))
+    _fails(checks.period_map_drift, [True])
+
+
+def test_slope_check_catches_a_wrong_slope(monkeypatch):
+    _off_by(monkeypatch, "_rotation_slope", lambda r, args: (r[0], r[1] * (1.0 + 1e-6), r[2]))
+    _fails(checks.slope, [True])
+
+
+def test_log_slope_check_catches_a_wrong_slope_in_ln_delta(monkeypatch):
+    # N + 1e-6 ln delta moves the measured slope by 1e-6, about 4x the bound
+    def off(rn, args):
+        kappa, eps, p = args[:3]
+        delta = eps - checks.saddles(kappa, p)[0][1]
+        return dataclasses.replace(rn, N=rn.N + 1e-6 * math.log(delta))
+
+    _off_by(monkeypatch, "rotation_number", off)
+    _fails(checks.log_slope, [True])
+
+
+def test_reconstruction_check_catches_a_wrong_path(monkeypatch):
+    # the height identity still holds, so only the path gap fails
+    _off_by(monkeypatch, "reconstruct_trajectory",
+            lambda path, args: dataclasses.replace(path, x_c=path.x_c + 1e-5))
+    _fails(checks.reconstruction, [True, False])

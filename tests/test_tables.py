@@ -179,14 +179,19 @@ def test_a_near_pole_node_whose_sin4_underflows_raises(kappa):
             component_intervals(kappa, 3.5, P_MAIN)
 
 
-def test_a_near_pole_node_inside_the_float_range_keeps_its_root():
-    # sin^4 of the node, about 7e-312, is subnormal but not zero
+def test_a_near_pi_root_within_the_float_spacing_raises():
+    # the node beyond the near-pi root lies about 0.5 sqrt(|kappa|) / C^(1/4)
+    # from pi and rounds onto pi below |kappa| ~ 1e-31, where the root came
+    # back as pi itself (1e-31) or was left out (1e-40, and 1e-155, where
+    # the node next to the pole 0 has a subnormal sin^4)
+    for kappa in (1e-29, 1e-30):
+        crit = critical_thetas(kappa, P_MAIN)
+        assert len(crit) == 3 and max(crit) < math.pi, kappa
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        crit = critical_thetas(1e-155, P_MAIN)
-    b2 = P_MAIN.beta ** 2
-    np.testing.assert_allclose(crit[0], (1e-155 ** 2 / (b2 - 1.0 - P_MAIN.alpha)) ** 0.25,
-                               rtol=1e-6)
+        for kappa in (1e-31, -1e-40, 1e-155):
+            with pytest.raises(ValueError, match="too small.*use kappa = 0"):
+                critical_thetas(kappa, P_MAIN)
 
 
 def test_a_wall_node_that_rounds_to_pi_raises():
