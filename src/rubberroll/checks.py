@@ -14,10 +14,10 @@ import numpy as np
 
 from .model import Params
 from .geometry import profile
-from .dynamics import (FullState, ReducedState, component_intervals, critical_points, full_field,
-                       g0, integrals, lift, measure_density, reduce_state, reduced_energy,
-                       reduced_field, saddles)
-from .integrate import _ode_half_period, _pole_guard_factory, integrate, integrate_raw, period_map
+from .dynamics import (FullState, ReducedState, critical_points, full_field, g0, integrals, lift,
+                       measure_density, reduce_state, reduced_energy, reduced_field, saddles)
+from .integrate import (_component, _ode_half_period, _pole_guard_factory, integrate,
+                        integrate_raw, period_map)
 from .bifurcation import (inclined_equilibrium, permanent_rotation, sigma_theta_eps,
                           sigma_theta_kappa_sq)
 from .reconstruct import (_rotation_slope, epsilon_min, reconstruct_from_full,
@@ -176,8 +176,8 @@ def quadrature(p: Params, rng: np.random.Generator, quick: bool, b_sign: str) ->
         lv = critical_points(kap, p).levels
         for eps in [min(lv) + 0.3] + ([lv[1] + 1e-3] if len(lv) == 3 else []):
             rn = rotation_number(kap, eps, p)
-            lo, hi = component_intervals(kap, eps, p)[0]
-            _, psi = _ode_half_period(kap, eps, p, lo, hi, False, 1e-15, 2.3e-14, 10 ** 7)
+            ends = _component(kap, eps, p, 0)[2]
+            _, psi = _ode_half_period(kap, eps, p, *ends, 1e-15, 2.3e-14, 10 ** 7)
             gaps.append((abs(rn.N + psi / math.pi), rn.err + 1e-10))
     dn, bound = max(gaps, key=lambda g: g[0] - g[1])
     return Check("quadrature", (dn,), (bound,),
@@ -193,7 +193,7 @@ def period_map_drift(p: Params, rng: np.random.Generator, quick: bool, b_sign: s
     gaps = []
     for eps in [min(lv) + 0.3] + [pt.eps for pt in resonance_curve(0, p, (kap, kap), 1)[:1]]:
         pm = period_map(kap, eps, p)
-        lo = component_intervals(kap, eps, p)[0][0]
+        lo = _component(kap, eps, p, 0)[2][0]
         path = reconstruct_trajectory((lo, 0.0), kap, (0.0, pm.T), p, tol_abs=1e-15,
                                       tol_rel=2.3e-14, max_steps=10 ** 7,
                                       t_eval=np.array([0.0, pm.T]))

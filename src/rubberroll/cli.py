@@ -261,8 +261,8 @@ def _emit_json(payload, out: str | None) -> int:
 def _tmax(args: argparse.Namespace, parser: _Parser) -> float:
     _require(args, parser, "tmax")
     tmax = float(args.tmax)
-    if not tmax >= 0.0:
-        parser.error(f"--tmax must be non-negative, got {args.tmax}")
+    if not 0.0 <= tmax < math.inf:
+        parser.error(f"--tmax must be non-negative and finite, got {args.tmax}")
     return tmax
 
 
@@ -555,6 +555,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """Option type of the tolerances: a finite number of at least 0."""
+    try:
+        if 0.0 <= float(text) < math.inf:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
+
+
 def _int_list(text: str) -> list[int]:
     """Option type of the resonance orders: comma-separated integers."""
     try:
@@ -575,9 +585,9 @@ def _add_common(sp: _Parser, *, nu_eta: float | None = None) -> None:
 
 
 def _add_tols(sp: _Parser) -> None:
-    sp.add_argument("--tol-abs", type=float, default=DEFAULT_TOL_ABS,
+    sp.add_argument("--tol-abs", type=_tolerance, default=DEFAULT_TOL_ABS,
                     help="absolute tolerance (default %(default)g)")
-    sp.add_argument("--tol-rel", type=float, default=DEFAULT_TOL_REL,
+    sp.add_argument("--tol-rel", type=_tolerance, default=DEFAULT_TOL_REL,
                     help="relative tolerance (default %(default)g)")
 
 

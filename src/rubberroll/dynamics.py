@@ -39,7 +39,7 @@ these, and a slice takes six array operations.  V is monotone between
 consecutive critical thetas, so :func:`component_intervals` brackets every
 turning point of a level with those thetas and the chart edges alone.  Each
 kappa slice is scanned once: :func:`critical_points` keeps the critical
-thetas of the last slices with their levels and saddle flags, and
+thetas of the last slices with their levels and G0' values, and
 :func:`component_intervals` keeps the components of the last levels, in
 bounded per-process caches.  The caches key on the arguments as floats, so a
 kept result does not depend on which caller computed it.
@@ -567,11 +567,6 @@ class CriticalPoints:
     thetas: tuple[float, ...]
     levels: tuple[float, ...]
     dg0: tuple[float, ...]
-
-    @property
-    def saddle(self) -> tuple[bool, ...]:
-        """Whether each is a saddle."""
-        return tuple(g > 0.0 for g in self.dg0)
 
 
 def _finite(name: str, x: float) -> float:

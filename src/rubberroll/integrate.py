@@ -669,13 +669,15 @@ class PeriodMap:
 class HalfPeriod:
     """Time t and precession psi over half an oscillation, with estimates
     of their absolute errors; n is the node count at which the quadrature
-    converged."""
+    converged, and grid = (lo, hi, circuit, node_map) its ends, turning points
+    polished, and node map, which the period map and d psi / d eps reuse."""
 
     t: float
     psi: float
     t_err: float
     psi_err: float
     n: int
+    grid: tuple
 
 
 def _polish_turning_point(theta: float, kappa: float, eps: float, p: Params) -> float:
@@ -891,11 +893,11 @@ def _midpoint_sums(nodes: _Nodes) -> tuple[float, float, float, float]:
 
 def _doublings(
     kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
-    n: int = _N_START,
+    node_map: tuple | None, n: int = _N_START,
 ) -> Iterator[tuple[_Nodes, tuple[float, float, float, float]]]:
-    """(nodes, midpoint sums) for n, 2n, ... up to the node cap, on the
-    level's node map (:func:`_node_map`); stops early when a node falls off
-    the level.
+    """(nodes, midpoint sums) for n, 2n, ... up to the node cap, between lo
+    and hi on the level's node map node_map (:func:`_node_map`); stops
+    early when a node falls off the level.
 
     On a libration theta = m + h x(y), y = -cos(u), over u in [0, pi]
     cancels the (theta - lo)(hi - theta) factor of eps - V; on half a
@@ -904,10 +906,6 @@ def _doublings(
     way the integrands are smooth, even, 2 pi-periodic functions of u, so
     midpoint rules converge geometrically.
     """
-    if not circuit:
-        lo = _polish_turning_point(lo, kappa, eps, p)
-        hi = _polish_turning_point(hi, kappa, eps, p)
-    node_map = _node_map(kappa, eps, p, lo, hi, circuit)
     while n <= _N_CAP:
         nodes = _half_nodes(kappa, eps, p, lo, hi, circuit, node_map, n)
         if nodes is None:
@@ -984,11 +982,9 @@ def half_period(
                         float(tol_abs), float(tol_rel))
 
 
-def _psi_slope(
-    kappa: float, eps: float, p: Params, lo: float, hi: float, hp: HalfPeriod,
-) -> tuple[float, float]:
-    """d psi / d eps of the half period hp of the libration [lo, hi] at
-    kappa != 0, and an estimate of its absolute error.
+def _psi_slope(kappa: float, eps: float, p: Params, hp: HalfPeriod) -> tuple[float, float]:
+    """d psi / d eps of the half period hp of a libration at kappa != 0,
+    and an estimate of its absolute error, on hp's ends and node map.
 
     The sums of :func:`_half_period` differentiated at fixed u: the turning
     points move as d lo / d eps = -1 / G0(lo) (and so hi), and
@@ -998,9 +994,7 @@ def _psi_slope(
     error.  The node map stays fixed as eps moves: at fixed x,
     d theta/d eps = d lo/d eps + (1 + x) dh/d eps.
     """
-    lo = _polish_turning_point(lo, kappa, eps, p)
-    hi = _polish_turning_point(hi, kappa, eps, p)
-    node_map = _node_map(kappa, eps, p, lo, hi, False)
+    lo, hi, _, node_map = hp.grid
     lo_e, hi_e = -1.0 / g0(lo, kappa, p), -1.0 / g0(hi, kappa, p)
     h, h_e = 0.5 * (hi - lo), 0.5 * (hi_e - lo_e)
     sums = []
@@ -1038,15 +1032,19 @@ def _half_period(
     relative on generic levels and grows as eps - V shrinks: close to a
     critical level it limits err.
     """
+    if not circuit:
+        lo = _polish_turning_point(lo, kappa, eps, p)
+        hi = _polish_turning_point(hi, kappa, eps, p)
+    grid = lo, hi, circuit, _node_map(kappa, eps, p, lo, hi, circuit)
     prev = None
-    for nodes, (t, psi, t_floor, psi_floor) in _doublings(kappa, eps, p, lo, hi, circuit):
+    for nodes, (t, psi, t_floor, psi_floor) in _doublings(kappa, eps, p, *grid):
         if prev is not None:
             t_err = max(abs(t - prev[0]), t_floor)
             psi_err = max(abs(psi - prev[1]), psi_floor)
             if (t_err <= max(tol_abs + tol_rel * abs(t), t_floor)
                     and psi_err <= max(tol_abs + tol_rel * abs(psi), psi_floor)):
                 return HalfPeriod(t=t, psi=psi, t_err=t_err, psi_err=psi_err,
-                                  n=len(nodes.dt))
+                                  n=len(nodes.dt), grid=grid)
         prev = t, psi
     raise IntegrationError(
         f"the half period of the level (kappa={kappa}, eps={eps}) did not converge by "
@@ -1132,11 +1130,10 @@ def _one_period(
 
 
 def _period_map(
-    kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
-    hp: HalfPeriod, tol_abs: float, tol_rel: float,
+    kappa: float, eps: float, p: Params, hp: HalfPeriod, tol_abs: float, tol_rel: float,
 ) -> PeriodMap:
-    """:func:`period_map` between the ends :func:`half_period` takes, given
-    the half period hp it returned there with the same tolerances.
+    """:func:`period_map` of the half period hp, computed with the same
+    tolerances, on hp's ends and node map.
 
     The node doubling goes on from the n/2 nodes below the rung hp
     converged at, until D agrees with the D of half the
@@ -1145,8 +1142,8 @@ def _period_map(
     falls off the level, the last rung is returned with its larger err.
     """
     prev_D = None
-    for nodes, cur in _doublings(kappa, eps, p, lo, hi, circuit, hp.n // 2):
-        D, length, floor, path = _one_period(nodes, circuit, cur[3])
+    for nodes, cur in _doublings(kappa, eps, p, *hp.grid, hp.n // 2):
+        D, length, floor, path = _one_period(nodes, hp.grid[2], cur[3])
         if prev_D is not None:
             err = max(abs(D - prev_D), floor)
             if err <= max(tol_abs + tol_rel * length, floor):
@@ -1155,11 +1152,13 @@ def _period_map(
     return PeriodMap(T=2.0 * hp.t, dpsi=2.0 * hp.psi, D=D, err=err, z=path())
 
 
-def _half_period_ends(
-    kappa: float, eps: float, p: Params, lo: float, hi: float,
-) -> tuple[float, float, bool]:
-    """(theta_min, theta_max, circuit): the ends :func:`half_period` takes
-    for the non-degenerate component [lo, hi].
+def _component(
+    kappa: float, eps: float, p: Params, branch: int,
+) -> tuple[float, float, tuple[float, float, bool] | None]:
+    """(lo, hi, ends): the branch's component [lo, hi] of the level, set up
+    once for every observable of it, with ends = (theta_min, theta_max,
+    circuit), the ends :func:`half_period` takes for it, or None where the
+    component is a relative equilibrium.
 
     A kappa = 0 component reaching both poles circulates: half its circuit
     runs from 0 to pi.  One reaching a single pole crosses it, and its
@@ -1167,18 +1166,17 @@ def _half_period_ends(
     that pole.  Every end that is not a pole is checked to be a turning
     point.
     """
+    lo, hi = turning_points(kappa, eps, p, branch)
+    if hi - lo <= FP_WIDTH:
+        return lo, hi, None
     touches_0 = kappa == 0.0 and lo <= 1e-12
     touches_pi = kappa == 0.0 and hi >= math.pi - 1e-12
     if touches_0 and touches_pi:
-        return 0.0, math.pi, True
+        return lo, hi, (0.0, math.pi, True)
     for end, at_pole in ((lo, touches_0), (hi, touches_pi)):
         if not at_pole:
             check_turning_point(end, kappa, eps, p)
-    if touches_0:
-        return -hi, hi, False
-    if touches_pi:
-        return lo, 2.0 * math.pi - lo, False
-    return lo, hi, False
+    return lo, hi, (-hi if touches_0 else lo, 2.0 * math.pi - lo if touches_pi else hi, False)
 
 
 def period_map(kappa: float, eps: float, p: Params, branch: int = 0) -> PeriodMap:
@@ -1199,16 +1197,14 @@ def period_map(kappa: float, eps: float, p: Params, branch: int = 0) -> PeriodMa
         If the half period does not converge by the node cap (see
         :func:`half_period`).
     """
-    lo, hi = turning_points(kappa, eps, p, branch)
-    if hi - lo <= FP_WIDTH:
+    ends = _component(kappa, eps, p, branch)[2]
+    if ends is None:
         raise ValueError(
             f"branch {branch} of the level ({kappa}, {eps}) is a relative equilibrium; "
             "no nutation period"
         )
-    th0, th1, circuit = _half_period_ends(kappa, eps, p, lo, hi)
-    hp = half_period(kappa, eps, p, th0, th1, circuit=circuit)
-    return _period_map(kappa, eps, p, th0, th1, circuit, hp, DEFAULT_TOL_ABS,
-                       DEFAULT_TOL_REL)
+    hp = half_period(kappa, eps, p, ends[0], ends[1], circuit=ends[2])
+    return _period_map(kappa, eps, p, hp, DEFAULT_TOL_ABS, DEFAULT_TOL_REL)
 
 
 @dataclass(frozen=True)
@@ -1258,12 +1254,11 @@ def section_period(
         If the half period does not converge by the node cap (see
         :func:`half_period`).
     """
-    lo, hi = turning_points(kappa, eps, p, branch)
-
-    if hi - lo <= FP_WIDTH:
+    lo, hi, ends = _component(kappa, eps, p, branch)
+    if ends is None:
         return SectionPeriod(T_theta=None, theta_min=lo, theta_max=hi, fixed_point=True)
 
-    th0, th1, circuit = _half_period_ends(kappa, eps, p, lo, hi)
+    th0, th1, circuit = ends
     hp = half_period(kappa, eps, p, th0, th1, circuit=circuit, tol_abs=tol_abs,
                      tol_rel=tol_rel)
     # a full meridian circuit has no turning points; ends mirrored through a

@@ -47,7 +47,6 @@ from .model import Params
 from .geometry import profile, surface_u, surface_z
 from .dynamics import (
     _LEVEL_FLOOR,
-    FP_WIDTH,
     FullState,
     component_intervals,
     critical_points,
@@ -56,14 +55,13 @@ from .dynamics import (
     potential_grid,
     saddles,
     scan_roots,
-    turning_points,
 )
 from .integrate import (
     DEFAULT_MAX_STEPS,
     DEFAULT_TOL_ABS,
     DEFAULT_TOL_REL,
     HalfPeriod,
-    _half_period_ends,
+    _component,
     _period_map,
     _psi_slope,
     half_period,
@@ -354,21 +352,19 @@ def rotation_number(
     ``branch`` is out of range, and IntegrationError where the half period
     does not converge by the node cap (see :func:`.integrate.half_period`).
     """
-    lo, hi = turning_points(kappa, eps, p, branch)
-    return _rotation_number(kappa, eps, p, lo, hi, tol_abs, tol_rel)[0]
+    return _rotation_number(kappa, eps, p, *_component(kappa, eps, p, branch), tol_abs, tol_rel)[0]
 
 
 def _rotation_number(
-    kappa: float, eps: float, p: Params, lo: float, hi: float,
+    kappa: float, eps: float, p: Params, lo: float, hi: float, ends: tuple | None,
     tol_abs: float, tol_rel: float,
 ) -> tuple[RotationNumber, HalfPeriod | None]:
-    """:func:`rotation_number` of the component [lo, hi], and the half
-    period it comes from (None where there is none)."""
+    """:func:`rotation_number` of the component (lo, hi, ends) of
+    :func:`.integrate._component`, and its half period (None where there is none)."""
     if kappa == 0.0:
-        return RotationNumber(N=0.0, err=0.0, period=None,
-                              fixed_point=hi - lo <= FP_WIDTH), None
+        return RotationNumber(N=0.0, err=0.0, period=None, fixed_point=ends is None), None
 
-    if hi - lo <= FP_WIDTH:
+    if ends is None:
         thc = 0.5 * (lo + hi)
         se = profile(thc, p)
         lam2 = g0_prime(thc, kappa, p) / se.B
@@ -382,8 +378,7 @@ def _rotation_number(
         return RotationNumber(N=-psi_dot / math.sqrt(-lam2), err=0.0, period=None,
                               fixed_point=True), None
 
-    lo, hi, _ = _half_period_ends(kappa, eps, p, lo, hi)
-    hp = half_period(kappa, eps, p, lo, hi, tol_abs=tol_abs, tol_rel=tol_rel)
+    hp = half_period(kappa, eps, p, ends[0], ends[1], tol_abs=tol_abs, tol_rel=tol_rel)
     return RotationNumber(N=-hp.psi / math.pi, err=hp.psi_err / math.pi,
                           period=2.0 * hp.t, fixed_point=False), hp
 
@@ -429,10 +424,10 @@ def classify(
         (see :func:`.integrate.half_period`).  A kappa = 0 level is
         classified without a half period.
     """
-    lo, hi = turning_points(kappa, eps, p, branch)
+    lo, hi, ends = _component(kappa, eps, p, branch)
     alpha0 = p.alpha == 0.0
 
-    if hi - lo <= FP_WIDTH:
+    if ends is None:
         thc = 0.5 * (lo + hi)
         if kappa == 0.0:
             return TrajectoryClass(kind="Point", targets=(thc,))
@@ -462,14 +457,14 @@ def classify(
         return TrajectoryClass(kind="AsymptoticToLines" if lines else "AsymptoticToCircles",
                                targets=(hits[0],))
 
-    rn, hp = _rotation_number(kappa, eps, p, lo, hi, tol_abs, tol_rel)
+    rn, hp = _rotation_number(kappa, eps, p, lo, hi, ends, tol_abs, tol_rel)
     t_int = tol_int if tol_int is not None else 5.0 * rn.err + 1e-9
     t_rat = tol_rat if tol_rat is not None else 5.0 * rn.err + 1e-9
 
     n_near = round(rn.N)
     if abs(rn.N - n_near) <= t_int:
         if _lone_fraction(rn.N, t_int) == n_near:
-            pm = _period_map(kappa, eps, p, lo, hi, False, hp, tol_abs, tol_rel)
+            pm = _period_map(kappa, eps, p, hp, tol_abs, tol_rel)
             z = np.concatenate(([0.0], pm.z, [pm.D]))   # diam: of its bounding box
             diam = math.hypot(float(np.ptp(z.real)), float(np.ptp(z.imag)))
             kind = ("UnboundedResonant" if abs(pm.D) > _DRIFT_TOL * max(diam, 1e-300)
@@ -511,7 +506,6 @@ def resonance_curve(
     kappa_range: tuple[float, float],
     n_kappa: int = 25,
     *,
-    branch: int | None = None,
     eps_max: float | None = None,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
@@ -547,11 +541,7 @@ def resonance_curve(
             a, b = seg_lo + pad, seg_hi - pad
             if not a < b:
                 continue
-            mid_count = len(component_intervals(kap, 0.5 * (a + b), p))
-            for br in range(mid_count):
-                if branch is not None and br != branch:
-                    continue
-
+            for br in range(len(component_intervals(kap, 0.5 * (a + b), p))):
                 def f(e: float) -> float:
                     return rotation_number(kap, e, p, br,
                                            tol_abs=tol_abs, tol_rel=tol_rel).N + n
@@ -588,11 +578,11 @@ def _rotation_slope(kappa: float, eps: float, p: Params,
                     branch: int = 0) -> tuple[float, float, float]:
     """(N, dN/deps, err of dN/deps) of a libration at kappa != 0, from the
     half period :func:`rotation_number` keeps (see :func:`.integrate._psi_slope`)."""
-    lo, hi = turning_points(kappa, eps, p, branch)
-    rn, hp = _rotation_number(kappa, eps, p, lo, hi, DEFAULT_TOL_ABS, DEFAULT_TOL_REL)
+    rn, hp = _rotation_number(kappa, eps, p, *_component(kappa, eps, p, branch),
+                              DEFAULT_TOL_ABS, DEFAULT_TOL_REL)
     if hp is None:
         raise ValueError(f"level ({kappa}, {eps}) has no half period to differentiate")
-    d_psi, err = _psi_slope(kappa, eps, p, lo, hi, hp)
+    d_psi, err = _psi_slope(kappa, eps, p, hp)
     return rn.N, -d_psi / math.pi, err / math.pi
 
 

@@ -18,7 +18,7 @@ from rubberroll.dynamics import (
     critical_thetas,
     effective_potential,
 )
-from rubberroll.integrate import _half_period_ends, half_period, period_map, section_period
+from rubberroll.integrate import _component, half_period, period_map, section_period
 from rubberroll.model import Params
 from rubberroll.reconstruct import classify, rotation_number
 
@@ -58,7 +58,7 @@ def _levels():
 def _fingerprint(kappa, eps, p, branch, cold=False):
     """Every observable of the level, spelled so that a changed bit, a
     signed zero included, shows; with ``cold`` each from empty caches."""
-    lo, hi, circuit = _half_period_ends(kappa, eps, p, *component_intervals(kappa, eps, p)[branch])
+    lo, hi, circuit = _component(kappa, eps, p, branch)[2]
     calls = [lambda: critical_points(kappa, p), lambda: critical_thetas(kappa, p),
              lambda: component_intervals(kappa, eps, p),
              lambda: half_period(kappa, eps, p, lo, hi, circuit=circuit),

@@ -327,6 +327,42 @@ def test_bad_resonance_orders_exit_one(orders, tmp_path, capsys):
     assert not out.exists()
 
 
+_TOL_RUNS = {
+    "simulate": ["--kappa", "0.8", "--theta0", "0.4678", "--tmax", "1", "--samples", "3"],
+    "trajectory": ["--kappa", "0.8", "--theta0", "0.4678", "--tmax", "1", "--samples", "3"],
+    "rotation-number": ["--kappa", "0.8", "--energy", "3.4"],
+    "resonance": ["--kappa-range", "0.5:0.5", "--n-kappa", "1"],
+    "classify": ["--kappa", "1", "--energy", "3.057"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    [command, *rest, flag, value] for command, rest in _TOL_RUNS.items()
+    for flag in ("--tol-abs", "--tol-rel") for value in ("-1", "nan", "inf")
+] + [[command, *_TOL_RUNS[command], "--tmax", "inf"] for command in ("simulate", "trajectory")])
+def test_bad_tolerances_and_an_infinite_horizon_exit_one(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code, _, err = run([argv[0], *ARGS_XY, *argv[1:], "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("usage: rubberroll") and "Traceback" not in err
+    flag, value = argv[-2:]
+    if flag == "--tmax":
+        assert "--tmax must be non-negative and finite, got inf" in err
+    else:
+        assert f"argument {flag}: expected a finite non-negative number, got {value!r}" in err
+    assert not out.exists()
+
+
+def test_a_bad_tolerance_in_the_config_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol_rel = nan\n")
+    out = tmp_path / "out.csv"
+    code, _, err = run(["rotation-number", *ARGS_XY, *_TOL_RUNS["rotation-number"],
+                        "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 1 and "config key tol_rel: cannot parse 'nan'" in err
+    assert not out.exists()
+
+
 def test_zero_tol_abs_is_honoured(tmp_path, capsys, monkeypatch):
     import rubberroll.cli as cli
 

@@ -33,7 +33,8 @@ from rubberroll.integrate import (
     section_period,
 )
 from rubberroll.model import Params
-from rubberroll.reconstruct import classify, reconstruct_trajectory, rotation_number
+from rubberroll.reconstruct import (_rotation_slope, classify, reconstruct_trajectory,
+                                   rotation_number)
 
 from conftest import clear_caches
 
@@ -343,7 +344,7 @@ def test_a_drift_short_of_its_target_at_the_node_cap_keeps_the_last_rung(monkeyp
     with monkeypatch.context() as m:
         m.setattr(rubberroll.integrate, "integrate_raw", _no_stepper)
         m.setattr(rubberroll.integrate, "_N_CAP", hp.n)
-        pm = _period_map(kappa, eps, p, lo, hi, False, hp, 1e-12, 1e-10)
+        pm = _period_map(kappa, eps, p, hp, 1e-12, 1e-10)
     length = np.sum(np.abs(np.diff(np.concatenate(([0.0], pm.z, [pm.D])))))
     assert len(pm.z) == 2 * hp.n and pm.err > 1e-12 + 1e-10 * length
     # near the pole the stepper needs minutes at 1e-15 / 2.3e-14
@@ -413,6 +414,26 @@ def test_the_period_map_goes_on_from_the_half_periods_rung(monkeypatch):
             assert rungs == []
             run()
             assert min(rungs) == n // 2 and rungs.count(n // 2) == 1, rungs
+
+
+def test_every_observable_of_a_level_reads_one_setup(monkeypatch):
+    # the first N = 0 level of the README resonance example: its class, N,
+    # period, period map and dN/deps polish its two turning points and map
+    # its nodes once between them
+    p, kappa, eps = BODIES["main"], 0.3, 3.09393724582727
+    calls = {"_node_map": 0, "_polish_turning_point": 0}
+    for name in calls:
+        def counting(*args, name=name, real=getattr(rubberroll.integrate, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(rubberroll.integrate, name, counting)
+    clear_caches()
+    assert classify(kappa, eps, p).kind == "UnboundedResonant"
+    rotation_number(kappa, eps, p)
+    section_period(kappa, eps, p)
+    period_map(kappa, eps, p)
+    _rotation_slope(kappa, eps, p)
+    assert calls == {"_node_map": 1, "_polish_turning_point": 2}
 
 
 def test_relative_equilibrium_has_no_period_map():

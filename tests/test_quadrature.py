@@ -162,8 +162,8 @@ def test_the_eps_slope_matches_a_fourth_order_difference(level):
     # err covers the gap to the sums on the rung below
     lo, hi = component_intervals(kappa, eps, p)[branch]
     hp = half_period(kappa, eps, p, lo, hi)
-    d_psi, err_psi = _psi_slope(kappa, eps, p, lo, hi, hp)
-    d_half = _psi_slope(kappa, eps, p, lo, hi, dataclasses.replace(hp, n=hp.n // 2))[0]
+    d_psi, err_psi = _psi_slope(kappa, eps, p, hp)
+    d_half = _psi_slope(kappa, eps, p, dataclasses.replace(hp, n=hp.n // 2))[0]
     assert (slope, err) == (-d_psi / math.pi, err_psi / math.pi)
     assert abs(d_psi - d_half) <= err_psi
     rns = [rotation_number(kappa, eps + d * h, p, branch, tol_abs=1e-14, tol_rel=1e-12)
@@ -180,10 +180,10 @@ def test_the_eps_slope_is_stable_across_rungs():
     kappa, eps = 1.1, 3.70
     lo, hi = component_intervals(kappa, eps, P_XY)[0]
     hp = half_period(kappa, eps, P_XY, lo, hi)
-    d_psi, err = _psi_slope(kappa, eps, P_XY, lo, hi, hp)
+    d_psi, err = _psi_slope(kappa, eps, P_XY, hp)
     assert err <= 1e-10 * abs(d_psi)
     for m in (2, 4):
-        d_fine, err_fine = _psi_slope(kappa, eps, P_XY, lo, hi, dataclasses.replace(hp, n=m * hp.n))
+        d_fine, err_fine = _psi_slope(kappa, eps, P_XY, dataclasses.replace(hp, n=m * hp.n))
         assert abs(d_fine - d_psi) <= err + err_fine
         assert abs(d_fine - d_psi) <= 1e-10 * abs(d_psi)
 

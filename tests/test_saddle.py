@@ -29,7 +29,7 @@ import rubberroll.integrate
 from rubberroll.dynamics import component_intervals, critical_points, saddles
 from rubberroll.geometry import profile
 from rubberroll.integrate import (
-    _half_period_ends,
+    _component,
     _ode_half_period,
     period_map,
     section_period,
@@ -139,9 +139,8 @@ def test_the_sinh_map_matches_the_cosine_map_off_the_saddle(body, monkeypatch):
                     pm = period_map(kappa, eps, p, branch)
                     row = [(sp.T_theta, sp.err), (pm.D, pm.err)]
                     if kappa != 0.0:
-                        lo, hi = component_intervals(kappa, eps, p)[branch]
                         if forced is real_map:
-                            ends = _half_period_ends(kappa, eps, p, lo, hi)
+                            ends = _component(kappa, eps, p, branch)[2]
                             assert real_map(kappa, eps, p, *ends) is not None
                         rn = rotation_number(kappa, eps, p, branch)
                         N, slope, slope_err = _rotation_slope(kappa, eps, p, branch)
@@ -194,10 +193,10 @@ def test_err_bounds_the_gap_to_the_tight_stepper():
         delta = eps - saddles(kappa, p)[0][1]
         if 1e-8 < abs(delta) < 1e-6:
             continue
-        for branch, (lo, hi) in enumerate(component_intervals(kappa, eps, p)):
+        for branch in range(len(component_intervals(kappa, eps, p))):
             sp = section_period(kappa, eps, p, branch)
             rn = rotation_number(kappa, eps, p, branch)
-            ends = _half_period_ends(kappa, eps, p, lo, hi)
+            ends = _component(kappa, eps, p, branch)[2]
             T, N, T_bar, N_bar = _stepper(kappa, eps, p, *ends)
             assert abs(sp.T_theta - T) <= sp.err + T_bar, (body, kappa, delta, branch)
             assert abs(rn.N - N) <= rn.err + N_bar, (body, kappa, delta, branch)

@@ -28,11 +28,10 @@ from rubberroll.dynamics import (
     g0_prime,
     potential_grid,
     sign_cells,
-    turning_points,
 )
 from rubberroll.integrate import (
+    _component,
     _half_nodes,
-    _half_period_ends,
     _node_table,
     period_map,
 )
@@ -133,7 +132,7 @@ def test_critical_points_equal_the_per_slice_scan(name):
         cp = critical_points(kappa, p)
         assert cp.thetas == tuple(thetas), (name, kappa)
         assert cp.levels == tuple(effective_potential(th, kappa, p) for th in thetas), (name, kappa)
-        assert cp.saddle == tuple(g0_prime(th, kappa, p) > 0.0 for th in thetas), (name, kappa)
+        assert cp.dg0 == tuple(g0_prime(th, kappa, p) for th in thetas), (name, kappa)
 
 
 def test_slice_arrays_equal_the_per_slice_scan_bit_for_bit(monkeypatch):
@@ -265,7 +264,7 @@ def _levels():
     level of P_MAIN, as (kappa, eps, lo, hi, circuit)."""
     out = []
     for kappa, eps in ((0.5, 3.3), (0.0, 2.0), (0.0, 3.5)):
-        lo, hi, circuit = _half_period_ends(kappa, eps, P_MAIN, *turning_points(kappa, eps, P_MAIN))
+        lo, hi, circuit = _component(kappa, eps, P_MAIN, 0)[2]
         out.append((kappa, eps, lo, hi, circuit))
     return out
 
