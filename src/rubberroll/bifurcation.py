@@ -258,6 +258,7 @@ def inclined_equilibrium(p: Params) -> float | None:
         return math.pi
     if n0 * npi > 0.0:
         return None
+    # brentq: the slope of n needs Z', which no surface function gives
     return brentq(n, 1e-15, math.pi - 1e-15, xtol=1e-12)
 
 
@@ -316,6 +317,7 @@ def cusp(p: Params) -> CuspPoint | None:
                 + surface_g0(s, s2, c, Z, 0.0, p) * (1.0 + 2.0 * c * c) / (c * s))
 
     grid = np.linspace(1e-6, ts - 1e-12, 4001)
+    # brentq (no start given): the slope of fold would need G0'', not at hand
     roots = scan_roots(lambda th: fold(math.sin(th), math.cos(th)), grid,
                        fold(np.sin(grid), np.cos(grid)), 1e-12)
     if not roots:

@@ -142,26 +142,6 @@ def _require(args: argparse.Namespace, parser: _Parser, *names: str) -> None:
             parser.error(f"--{name.replace('_', '-')} is required")
 
 
-def _triple(text: str, parser: _Parser, flag: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        parser.error(f"{flag} expects three comma-separated numbers")
-    try:
-        return np.array([float(v) for v in parts])
-    except ValueError:
-        parser.error(f"{flag}: cannot parse {text!r}")
-
-
-def _span(text: str, parser: _Parser, flag: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        parser.error(f"{flag} expects lo:hi")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        parser.error(f"{flag}: cannot parse {text!r}")
-
-
 def _write_csv(path: str, header: list[str], rows) -> None:
     """Header, then one line per row with every value as in :func:`_g`."""
     fmt = ",".join(["%.17g"] * len(header)) + "\n"
@@ -260,10 +240,9 @@ def _emit_json(payload, out: str | None) -> int:
 
 def _tmax(args: argparse.Namespace, parser: _Parser) -> float:
     _require(args, parser, "tmax")
-    tmax = float(args.tmax)
-    if not 0.0 <= tmax < math.inf:
-        parser.error(f"--tmax must be non-negative and finite, got {args.tmax}")
-    return tmax
+    if args.tmax < 0.0:
+        parser.error(f"--tmax must be non-negative, got {args.tmax}")
+    return args.tmax
 
 
 def _path_rows(path, e_drift, f1_drift) -> list[tuple]:
@@ -310,8 +289,7 @@ def cmd_simulate(args: argparse.Namespace, parser: _Parser) -> int:
             drifts = (max(abs(r[10]) for r in rows), 0.0)
         else:
             _require(args, parser, "omega", "gamma")
-            w = _triple(args.omega, parser, "--omega")
-            g = _triple(args.gamma, parser, "--gamma")
+            w, g = np.array(args.omega), np.array(args.gamma)
             if abs(float(g @ g) - 1.0) > 1e-6:
                 parser.error(f"--gamma must be a unit vector, |gamma|^2 = {g @ g:.6g}")
             if abs(float(w @ g)) > 1e-6:
@@ -449,13 +427,11 @@ def cmd_rotation_number(args: argparse.Namespace, parser: _Parser) -> int:
     if args.kappa is not None:
         kappas = [float(args.kappa)]
     else:
-        lo, hi = _span(args.kappa_range, parser, "--kappa-range")
-        kappas = [float(v) for v in np.linspace(lo, hi, args.n_kappa)]
+        kappas = [float(v) for v in np.linspace(*args.kappa_range, args.n_kappa)]
     if args.energy is not None:
         energies = [float(args.energy)]
     else:
-        lo, hi = _span(args.energy_range, parser, "--energy-range")
-        energies = [float(v) for v in np.linspace(lo, hi, args.n_energy)]
+        energies = [float(v) for v in np.linspace(*args.energy_range, args.n_energy)]
     tasks = [(k, e, args.branch, p, args.tol_abs, args.tol_rel)
              for k in kappas for e in energies]
     results = _map(_rn_point, tasks, args.jobs)
@@ -478,8 +454,7 @@ def cmd_resonance(args: argparse.Namespace, parser: _Parser) -> int:
     p = _params(args, parser)
     _require(args, parser, "kappa_range")
     orders = args.n
-    lo, hi = _span(args.kappa_range, parser, "--kappa-range")
-    kappas = [float(v) for v in np.linspace(lo, hi, args.n_kappa)]
+    kappas = [float(v) for v in np.linspace(*args.kappa_range, args.n_kappa)]
     for order in orders:
         tasks = [(order, k, p, args.eps_max, args.tol_abs, args.tol_rel) for k in kappas]
         chunks = _map(_res_slice, tasks, args.jobs)
@@ -555,14 +530,34 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _tolerance(text: str) -> float:
-    """Option type of the tolerances: a finite number of at least 0."""
-    try:
-        if 0.0 <= float(text) < math.inf:
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
+def _number(low: float = -math.inf):
+    """Option type of a finite float of at least low; every number on the
+    command line parses through one, those of the ranges and vectors too."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value >= low):
+            kind = "non-negative " if low == 0.0 else ""
+            raise argparse.ArgumentTypeError(f"expected a finite {kind}number, got {text!r}")
+        return value
+    return parse
+
+
+_finite, _tolerance = _number(), _number(0.0)   # any number; the tolerances
+
+
+def _numbers(sep: str, n: int):
+    """Option type of n finite numbers joined by sep."""
+    def parse(text: str) -> tuple[float, ...]:
+        if len(parts := text.split(sep)) != n:
+            raise argparse.ArgumentTypeError(f"expected {n} numbers joined by {sep!r}, got {text!r}")
+        return tuple(map(_finite, parts))
+    return parse
+
+
+_span, _triple = _numbers(":", 2), _numbers(",", 3)   # lo:hi ranges, full-style vectors
 
 
 def _int_list(text: str) -> list[int]:
@@ -576,10 +571,10 @@ def _int_list(text: str) -> list[int]:
 
 def _add_common(sp: _Parser, *, nu_eta: float | None = None) -> None:
     """Body ratios and --config; nu_eta is the default of --nu and --eta."""
-    sp.add_argument("--alpha", type=float, help="axis offset ratio a/b3 in [0, 1]")
-    sp.add_argument("--beta", type=float, help="equatorial axis ratio b1/b3 > 0")
-    sp.add_argument("--nu", type=float, default=nu_eta, help="inertia ratio i3/i1 in (0, 2]")
-    sp.add_argument("--eta", type=float, default=nu_eta, help="mass ratio m b3^2/i1 > 0")
+    sp.add_argument("--alpha", type=_finite, help="axis offset ratio a/b3 in [0, 1]")
+    sp.add_argument("--beta", type=_finite, help="equatorial axis ratio b1/b3 > 0")
+    sp.add_argument("--nu", type=_finite, default=nu_eta, help="inertia ratio i3/i1 in (0, 2]")
+    sp.add_argument("--eta", type=_finite, default=nu_eta, help="mass ratio m b3^2/i1 > 0")
     sp.add_argument("--config", type=str, default=None,
                     help="key = value file of option defaults; flags win over file values")
 
@@ -618,14 +613,14 @@ def _build_parser(command: str | None = None) -> _Parser:
         _add_common(sp)
         _add_tols(sp)
         _add_out(sp, "simulate.csv")
-        sp.add_argument("--kappa", type=float, help="area-integral constant (reduced style)")
-        sp.add_argument("--theta0", type=float, help="initial inclination (reduced style)")
-        sp.add_argument("--ptheta0", type=float, default=0.0, help="initial theta rate (default 0)")
-        sp.add_argument("--energy", type=float,
+        sp.add_argument("--kappa", type=_finite, help="area-integral constant (reduced style)")
+        sp.add_argument("--theta0", type=_finite, help="initial inclination (reduced style)")
+        sp.add_argument("--ptheta0", type=_finite, default=0.0, help="initial theta rate (default 0)")
+        sp.add_argument("--energy", type=_finite,
                         help="energy level fixing |ptheta0| (alternative to --ptheta0)")
-        sp.add_argument("--omega", type=str, help="w1,w2,w3 (full style)")
-        sp.add_argument("--gamma", type=str, help="g1,g2,g3 (full style)")
-        sp.add_argument("--tmax", type=float, help="integration horizon")
+        sp.add_argument("--omega", type=_triple, help="w1,w2,w3 (full style)")
+        sp.add_argument("--gamma", type=_triple, help="g1,g2,g3 (full style)")
+        sp.add_argument("--tmax", type=_finite, help="integration horizon")
         sp.add_argument("--samples", type=_positive_int, default=2001,
                         help="output rows (default 2001)")
 
@@ -633,14 +628,14 @@ def _build_parser(command: str | None = None) -> _Parser:
         _add_common(sp)
         _add_tols(sp)
         _add_out(sp, "trajectory.csv")
-        sp.add_argument("--kappa", type=float)
-        sp.add_argument("--theta0", type=float)
-        sp.add_argument("--ptheta0", type=float, default=0.0)
-        sp.add_argument("--psi0", type=float, default=0.0, help="initial proper-rotation angle")
-        sp.add_argument("--phi0", type=float, default=0.0, help="initial precession angle")
-        sp.add_argument("--x0", type=float, default=0.0, help="initial center-of-mass x")
-        sp.add_argument("--y0", type=float, default=0.0, help="initial center-of-mass y")
-        sp.add_argument("--tmax", type=float)
+        sp.add_argument("--kappa", type=_finite)
+        sp.add_argument("--theta0", type=_finite)
+        sp.add_argument("--ptheta0", type=_finite, default=0.0)
+        sp.add_argument("--psi0", type=_finite, default=0.0, help="initial proper-rotation angle")
+        sp.add_argument("--phi0", type=_finite, default=0.0, help="initial precession angle")
+        sp.add_argument("--x0", type=_finite, default=0.0, help="initial center-of-mass x")
+        sp.add_argument("--y0", type=_finite, default=0.0, help="initial center-of-mass y")
+        sp.add_argument("--tmax", type=_finite)
         sp.add_argument("--samples", type=_positive_int, default=2001)
 
     if sp := add("bifurcation", "labeled (kappa, eps) diagram JSON"):
@@ -651,11 +646,11 @@ def _build_parser(command: str | None = None) -> _Parser:
         _add_common(sp)
         _add_tols(sp)
         _add_out(sp, "rotation_number.csv")
-        sp.add_argument("--kappa", type=float)
-        sp.add_argument("--kappa-range", type=str, help="lo:hi")
+        sp.add_argument("--kappa", type=_finite)
+        sp.add_argument("--kappa-range", type=_span, help="lo:hi")
         sp.add_argument("--n-kappa", type=_positive_int, default=11, help="grid size (default 11)")
-        sp.add_argument("--energy", type=float)
-        sp.add_argument("--energy-range", type=str, help="lo:hi")
+        sp.add_argument("--energy", type=_finite)
+        sp.add_argument("--energy-range", type=_span, help="lo:hi")
         sp.add_argument("--n-energy", type=_positive_int, default=11, help="grid size (default 11)")
         sp.add_argument("--branch", type=int, default=0, help="component index (default 0)")
         sp.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers (default 1)")
@@ -666,17 +661,17 @@ def _build_parser(command: str | None = None) -> _Parser:
         _add_out(sp, "resonance.csv")
         sp.add_argument("--n", type=_int_list, default="0",
                         help="resonance orders, comma-separated (default 0)")
-        sp.add_argument("--kappa-range", type=str, help="lo:hi")
+        sp.add_argument("--kappa-range", type=_span, help="lo:hi")
         sp.add_argument("--n-kappa", type=_positive_int, default=25, help="grid size (default 25)")
-        sp.add_argument("--eps-max", type=float, help="upper energy cut per slice")
+        sp.add_argument("--eps-max", type=_finite, help="upper energy cut per slice")
         sp.add_argument("--jobs", type=_positive_int, default=1)
 
     if sp := add("classify", "trajectory class of one (kappa, eps) point"):
         _add_common(sp)
         _add_tols(sp)
         _add_out(sp, None)
-        sp.add_argument("--kappa", type=float)
-        sp.add_argument("--energy", type=float)
+        sp.add_argument("--kappa", type=_finite)
+        sp.add_argument("--energy", type=_finite)
         sp.add_argument("--branch", type=int, default=0)
 
     if sp := add("verify", "self-check suite; exit 3 on failure"):

@@ -27,12 +27,11 @@ negative derivative of the effective potential, so its roots are the relative
 equilibria and the turning-point machinery below is built on it.
 
 The level-set scans here evaluate whole theta grids at once.  The rule is
-"the array selects, the scalar decides": the array only picks grid cells or
-nodes, and every number a scan returns comes from the scalar functions
-(:func:`effective_potential`, :func:`g0`), through brentq, midpoint
-membership tests or a plain re-evaluation at the selected node;
-:func:`scan_roots` turns each sign scan into its roots.  A minimum is a root
-of its slope, so brentq finds the extrema too.  Here only
+"the array selects, the scalar decides": the array only picks grid cells,
+nodes or Newton starts, and every number a scan returns comes from the
+scalar surface functions, through Newton on the exact slopes (V' = -G0,
+G0'), midpoint membership tests or a re-evaluation at the selected node;
+:func:`scan_roots` turns each sign scan into its roots.  Here only
 :func:`critical_thetas` scans a fine grid, of G0 and G0', each a kappa-free
 part plus kappa^2 times a factor of theta: one 45 KB table per body keeps
 these, and a slice takes six array operations.  V is monotone between
@@ -54,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .brent import brentq
+from .brent import brentq, newton_bracketed
 from .geometry import (
     B_SIGN_DERIVED,
     g0_prime_spin,
@@ -540,19 +539,20 @@ def sign_cells(vals: np.ndarray) -> list[int]:
     return np.flatnonzero((head == 0.0) | (head * tail < 0.0)).tolist()
 
 
-def scan_roots(f: Callable[[float], float], grid, vals: np.ndarray, xtol: float,
-               edge: float = 0.0) -> list[float]:
+def scan_roots(f: Callable, grid, vals: np.ndarray, xtol: float, edge: float = 0.0,
+               start: Callable[[int], float | None] | None = None) -> list[float]:
     """The roots of f that its scan, vals on grid, brackets, in order: each
-    node where vals is exactly 0, the last node included, and one brentq root
-    per sign change, to xtol, or to xtol x theta in a cell left of ``edge``,
-    where a root next to the pole 0 needs a tolerance relative to theta."""
+    node where vals is exactly 0, the last node included, and one root per
+    sign change, to xtol, or to xtol x theta in a cell left of ``edge``,
+    where a root next to the pole 0 needs a tolerance relative to theta.
+    Given ``start``, f returns (value, slope) and Newton finds the root of
+    cell i from start(i); else brentq finds it from f's value."""
     roots = []
     for i in sign_cells(vals):
-        a = float(grid[i])
-        if vals[i] == 0.0:
-            roots.append(a)
-        else:
-            roots.append(brentq(f, a, float(grid[i + 1]), xtol=xtol * a if a < edge else xtol))
+        a, b = float(grid[i]), float(grid[i + 1])
+        tol = xtol * a if a < edge else xtol
+        roots.append(a if vals[i] == 0.0 else brentq(f, a, b, xtol=tol) if start is None else
+                     newton_bracketed(f, a, b, vals[i], vals[i + 1], xtol=tol, x0=start(i)))
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     return roots
@@ -642,6 +642,11 @@ def _scan_table(p: Params) -> tuple[np.ndarray, ...]:
 def _g0_roots(kappa: float, p: Params) -> list[float]:
     """The scan of :func:`critical_thetas`."""
     f = lambda th: g0(th, kappa, p)
+
+    def f_df(th):
+        s = math.sin(th); c = math.cos(th); s2 = s * s; Z = surface_z(s2, c, p)
+        return surface_g0(s, s2, c, Z, kappa, p), surface_g0_prime(s2, c, Z, kappa, p)
+
     if kappa == 0.0:
         # G0 = sin * (alpha + (1 - beta^2) cos / Z) and the bracketed factor
         # is monotone, so one sign change brackets the only interior root;
@@ -650,7 +655,7 @@ def _g0_roots(kappa: float, p: Params) -> list[float]:
         g_lo, g_hi = f(lo), f(hi)
         if g_lo * g_hi > 0.0 or g_lo == g_hi == 0.0:
             return []
-        return [brentq(f, lo, hi, xtol=1e-14)]
+        return [newton_bracketed(f_df, lo, hi, g_lo, g_hi, xtol=1e-14)]
 
     grid, g, dg, gn, gd, dn, dd = _scan_table(p)
     vals = g + kappa * kappa * gn / gd
@@ -672,7 +677,13 @@ def _g0_roots(kappa: float, p: Params) -> list[float]:
         _, x_vals, x_slope = potential_grid(extra, kappa, p)
         grid, vals, slope = (np.concatenate((x[:n], a, x[n:])) for x, a in
                              ((extra, grid), (x_vals, vals), (x_slope, slope)))
-    roots = scan_roots(f, grid, vals, 1e-14, _CRIT_EDGE)
+
+    def tangent(j):
+        # the first Newton step from the node j, on the scan's G0 and G0'
+        return float(grid[j] - vals[j] / slope[j]) if slope[j] != 0.0 else None
+
+    roots = scan_roots(f_df, grid, vals, 1e-14, _CRIT_EDGE,
+                       lambda i: tangent(i if abs(vals[i]) < abs(vals[i + 1]) else i + 1))
     # next to a fold a center/saddle pair can share one cell of one sign.
     # The pair straddles an extremum of G0, which G0' brackets.  While G0'
     # is monotone across the cell, G0 at the extremum lies within |G0'| x
@@ -685,9 +696,12 @@ def _g0_roots(kappa: float, p: Params) -> list[float]:
                 or abs(gb) > 2.0 * (b - a) * abs(slope[i + 1])):
             continue
         xtol = 1e-14 * a if a < _CRIT_EDGE else 1e-14
+        # brentq: the extremum is a root of G0', and G0'' is not at hand
         m = brentq(lambda th: g0_prime(th, kappa, p), a, b, xtol=xtol)
-        if f(m) * ga < 0.0:
-            roots += [brentq(f, a, m, xtol=xtol), brentq(f, m, b, xtol=xtol)]
+        gm = f(m)
+        if gm * ga < 0.0:
+            roots += [newton_bracketed(f_df, a, m, ga, gm, xtol=xtol, x0=tangent(i)),
+                      newton_bracketed(f_df, m, b, gm, gb, xtol=xtol, x0=tangent(i + 1))]
     return sorted(roots)
 
 
@@ -710,8 +724,9 @@ def component_intervals(kappa: float, eps: float, p: Params) -> list[tuple[float
 
     V is monotone between consecutive critical thetas, so a sign scan of
     V - eps on the chart edges and the critical thetas brackets every
-    turning point, and one brentq per sign change finds it; V at the
-    critical thetas comes from :func:`critical_points`.
+    turning point, and Newton on V' = -G0 within each sign change finds it,
+    polished to the rounding of V; V and G0' at the critical thetas come
+    from :func:`critical_points`.
     Returns a sorted list of (theta_lo, theta_hi).  Degenerate components
     (stable relative equilibria: a minimum of V within 1e-10 relative of
     eps, a pole minimum included at kappa = 0) come back with
@@ -739,27 +754,36 @@ def _component_intervals(kappa: float, eps: float, p: Params) -> tuple[tuple[flo
     hi_edge = math.pi - lo_edge
 
     node_v = {lo_edge: V(lo_edge), hi_edge: V(hi_edge), **dict(zip(cp.thetas, cp.levels))}
+    # (V, G0') at each critical point, at kappa = 0 the poles included
+    crit = dict(zip(cp.thetas, zip(cp.levels, cp.dg0)))
+    if kappa == 0.0:
+        crit.update((pole, (node_v[pole], g0_prime(pole, 0.0, p))) for pole in (0.0, math.pi))
     grid = sorted(node_v)
     vals = np.array([node_v[th] for th in grid]) - eps
+
+    def wall(u):
+        # the angle next to the pole 0 where kappa^2 / (2 sin^2) = eps - u, or None
+        s = abs(kappa) / math.sqrt(2.0 * (eps - u)) if eps > u else 2.0
+        return math.asin(s) if s <= 1.0 else None
+
     if kappa != 0.0 and min(vals[0], vals[-1]) < 0.0:
         # an admissible clip edge is no turning point: the centrifugal wall
         # lies between it and the pole.  V > eps wherever
         # sin(theta) < |kappa| / sqrt(2 (eps - min U)), and
         # min U >= min(1, beta) - alpha, so half the angle of that bound is
         # a node beyond the wall.
-        th_w = 0.5 * math.asin(abs(kappa) / math.sqrt(2.0 * (eps - min(1.0, p.beta) + p.alpha)))
-        # below 1e-30 brentq stops converging on the wider wall brackets, and
-        # a node nearer pi than half the float spacing there rounds to pi
+        th_w = 0.5 * wall(min(1.0, p.beta) - p.alpha)
+        # walls below 1e-30 are out of the documented range, and a node
+        # nearer pi than half the float spacing there rounds to pi
         if th_w < 1e-30 or (vals[-1] < 0.0 and math.pi - th_w == math.pi):
             raise ValueError(
                 f"|kappa|={abs(kappa)} too small to resolve the centrifugal wall; use kappa = 0"
             )
-        if vals[0] < 0.0:
-            grid.insert(0, th_w)
-            vals = np.insert(vals, 0, V(th_w) - eps)
-        if vals[-1] < 0.0:
-            grid.append(math.pi - th_w)
-            vals = np.append(vals, V(math.pi - th_w) - eps)
+        for th, val in ((th_w, vals[0]), (math.pi - th_w, vals[-1])):
+            if val < 0.0:
+                node_v[th] = V(th)
+        grid = sorted(node_v)
+        vals = np.array([node_v[th] for th in grid]) - eps
 
     scale = max(1.0, abs(eps))
     floor = _LEVEL_FLOOR * scale
@@ -771,18 +795,29 @@ def _component_intervals(kappa: float, eps: float, p: Params) -> tuple[tuple[flo
     # degenerate components first: minima of V sitting on the level.  A
     # saddle within the tolerance above the level is no motion: the wells
     # on either side end short of it
-    degen = [th for th, lv, g in zip(cp.thetas, cp.levels, cp.dg0)
-             if g <= 0.0 and abs(lv - eps) <= _LEVEL_TOL * scale]
-    if kappa == 0.0:
-        for pole in (0.0, math.pi):
-            if g0_prime(pole, 0.0, p) <= 0.0 and abs(V(pole) - eps) <= _LEVEL_TOL * scale:
-                degen.append(pole)
+    degen = [th for th, (lv, g) in crit.items() if g <= 0.0 and abs(lv - eps) <= _LEVEL_TOL * scale]
+
+    def start(i):
+        u, v = grid[i], grid[i + 1]
+        if kappa != 0.0 and i in (0, len(grid) - 2):
+            # V falls from a pole to the first critical point: the wall, with
+            # U the mean of V - kappa^2 / (2 sin^2) at the cell's ends
+            th = wall(0.5 * sum(node_v[t] - _centrifugal(math.sin(t) ** 2, kappa) for t in (u, v)))
+            return th if th is None or i == 0 else math.pi - th
+        # V' = 0 and V'' = -G0' at a critical end: where the parabola of the
+        # end whose level lies nearer eps meets the level
+        tc = min((th for th in (u, v) if th in crit), key=lambda th: abs(crit[th][0] - eps))
+        d2 = 2.0 * (crit[tc][0] - eps) / crit[tc][1] if crit[tc][1] != 0.0 else -1.0
+        return None if d2 <= 0.0 else tc + math.sqrt(d2) if tc == u else tc - math.sqrt(d2)
+
+    def f_df(th):
+        s = math.sin(th); c = math.cos(th); s2 = s * s; Z = surface_z(s2, c, p)
+        return surface_u(c, Z, p) + _centrifugal(s2, kappa) - eps, -surface_g0(s, s2, c, Z, kappa, p)
 
     # breakpoints: refined sign changes plus exact-level grid nodes; segment
     # membership is decided at midpoints, so a node that merely touches the
     # level cannot flip the interval parity
-    breaks = sorted({grid[0], grid[-1],
-                     *scan_roots(lambda th: V(th) - eps, grid, vals, 1e-14, lo_edge)})
+    breaks = sorted({grid[0], grid[-1], *scan_roots(f_df, grid, vals, 1e-14, lo_edge, start)})
 
     for u, v in zip(breaks[:-1], breaks[1:]):
         if V(0.5 * (u + v)) - eps <= floor:

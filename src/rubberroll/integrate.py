@@ -276,7 +276,7 @@ def _step(fun, t, y, f, h_abs, t1, direction, rtol, atol, K, stages):
         h_abs = min_step
     rejected = 0
     while True:
-        if h_abs < min_step:
+        if not h_abs >= min_step:   # a NaN step, from a non-finite slope, fails too
             raise IntegrationError(f"stepper failed at t={t}: {_TOO_SMALL_STEP}")
         h = h_abs * direction
         t_new = t + h
@@ -501,6 +501,7 @@ def integrate_raw(
                         trig = g_left > g_right
                     if trig:
                         a, b = float(nodes[i - 1]), float(nodes[i])
+                        # brentq: an event function comes with no derivative
                         t_hit = brentq(
                             lambda tt: spec.fn(tt, _interpolate(F, t_old, h, y_old, tt)),
                             a, b, xtol=1e-14,
@@ -669,8 +670,8 @@ class PeriodMap:
 class HalfPeriod:
     """Time t and precession psi over half an oscillation, with estimates
     of their absolute errors; n is the node count at which the quadrature
-    converged, and grid = (lo, hi, circuit, node_map) its ends, turning points
-    polished, and node map, which the period map and d psi / d eps reuse."""
+    converged, and grid = (lo, hi, circuit, node_map) its ends and node map,
+    which the period map and d psi / d eps reuse."""
 
     t: float
     psi: float
@@ -678,20 +679,6 @@ class HalfPeriod:
     psi_err: float
     n: int
     grid: tuple
-
-
-def _polish_turning_point(theta: float, kappa: float, eps: float, p: Params) -> float:
-    """One Newton step on V(theta) = eps, with V' = -G0.
-
-    The scans resolve a turning point to about 1e-14 in theta, which leaves
-    |V - eps| ~ 1e-14 |V'| there; next to the ends the gap eps - V the
-    quadrature divides by is not much larger.  The step brings the residual
-    down to the rounding of V.
-    """
-    g = g0(theta, kappa, p)
-    if g == 0.0:
-        return theta
-    return theta + (effective_potential(theta, kappa, p) - eps) / g
 
 
 @functools.lru_cache(maxsize=_NODE_TABLES)
@@ -962,6 +949,8 @@ def half_period(
 ) -> HalfPeriod:
     """Time and precession from the turning point lo to the turning point hi.
 
+    The turning points are taken as given: :func:`.dynamics.
+    component_intervals` polishes them to the rounding of V.
     For a kappa = 0 component crossing a pole, lo and hi are the turning
     points in the extended meridian chart.  With ``circuit`` set, the level
     circulates (kappa = 0) and lo and hi are instead two points the
@@ -1032,9 +1021,6 @@ def _half_period(
     relative on generic levels and grows as eps - V shrinks: close to a
     critical level it limits err.
     """
-    if not circuit:
-        lo = _polish_turning_point(lo, kappa, eps, p)
-        hi = _polish_turning_point(hi, kappa, eps, p)
     grid = lo, hi, circuit, _node_map(kappa, eps, p, lo, hi, circuit)
     prev = None
     for nodes, (t, psi, t_floor, psi_floor) in _doublings(kappa, eps, p, *grid):

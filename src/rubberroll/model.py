@@ -92,14 +92,14 @@ def validate(p: Params) -> list[str]:
     means the group is admissible.
     """
     bad = []
-    if math.isnan(p.alpha) or not 0.0 <= p.alpha <= 1.0:
+    if not 0.0 <= p.alpha <= 1.0:
         bad.append(f"alpha must lie in [0, 1], got {p.alpha}")
-    if math.isnan(p.beta) or not p.beta > 0.0:
-        bad.append(f"beta must be positive, got {p.beta}")
-    if math.isnan(p.nu) or not 0.0 < p.nu <= 2.0:
+    if not 0.0 < p.beta < math.inf:
+        bad.append(f"beta must be positive and finite, got {p.beta}")
+    if not 0.0 < p.nu <= 2.0:
         bad.append(f"nu must lie in (0, 2], got {p.nu}")
-    if math.isnan(p.eta) or not p.eta > 0.0:
-        bad.append(f"eta must be positive, got {p.eta}")
+    if not 0.0 < p.eta < math.inf:
+        bad.append(f"eta must be positive and finite, got {p.eta}")
     return bad
 
 

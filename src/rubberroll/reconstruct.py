@@ -547,6 +547,7 @@ def resonance_curve(
                                            tol_abs=tol_abs, tol_rel=tol_rel).N + n
 
                 grid = np.linspace(a, b, _RES_SCAN)
+                # brentq (no start given): the scan does not read dN/deps yet
                 for root in scan_roots(f, grid, np.array([f(float(e)) for e in grid]), 1e-12):
                     rn = rotation_number(kap, root, p, br, tol_abs=tol_abs, tol_rel=tol_rel)
                     resid = abs(rn.N + n)
@@ -623,6 +624,7 @@ def kappa_max(p: Params) -> float | None:
             a, s_a, step = b, s_b, 2.0 * step
         else:
             raise RuntimeError(f"no peak of N near eps={e_peak} at kappa={kappa}")
+        # brentq: the peak is a root of dN/deps, and d2N/deps2 is not at hand
         e_peak = brentq(slope, min(a, b), max(a, b), xtol=1e-12)
         return rotation_number(kappa, e_peak, p).N
 
@@ -632,6 +634,7 @@ def kappa_max(p: Params) -> float | None:
         if k >= k_top:
             return None
         k_lo, k = k, min(k + 0.01 * k0, k_top)
+    # brentq: the peak height has no slope in kappa at hand
     k_star = brentq(peak_height, k_lo, k, xtol=1e-10)
 
     peak_height(k_star)

@@ -1,6 +1,8 @@
 """Shared fixtures and small numeric helpers for the test suite."""
 
+import contextlib
 import math
+import signal
 import sys
 
 import numpy as np
@@ -18,6 +20,22 @@ def clear_caches() -> None:
             for obj in vars(mod).values():
                 if callable(getattr(obj, "cache_clear", None)):
                     obj.cache_clear()
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the block once it has run for ``seconds``: a
+    hang fails its test instead of stalling the suite (POSIX, main thread)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(autouse=True)

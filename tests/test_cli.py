@@ -21,6 +21,8 @@ from rubberroll.cli import main
 from rubberroll.model import Params
 from rubberroll.reconstruct import rotation_number
 
+from conftest import deadline
+
 ARGS_XY = ["--alpha", "0.5", "--beta", "3", "--nu", "0.5", "--eta", "0.5"]
 
 
@@ -347,7 +349,7 @@ def test_bad_tolerances_and_an_infinite_horizon_exit_one(argv, tmp_path, capsys)
     assert err.startswith("usage: rubberroll") and "Traceback" not in err
     flag, value = argv[-2:]
     if flag == "--tmax":
-        assert "--tmax must be non-negative and finite, got inf" in err
+        assert "argument --tmax: expected a finite number, got 'inf'" in err
     else:
         assert f"argument {flag}: expected a finite non-negative number, got {value!r}" in err
     assert not out.exists()
@@ -730,7 +732,7 @@ def test_a_lone_subcommand_parser_reads_as_the_full_one(command, capsys):
     assert sub(lone).format_help() == sub(full).format_help()
     bad = _parse_error(lone, [command, "--alpha", "x"], capsys)
     assert bad == _parse_error(full, [command, "--alpha", "x"], capsys)
-    assert bad[0] == 1 and "invalid float value: 'x'" in bad[1]
+    assert bad[0] == 1 and "argument --alpha: expected a finite number, got 'x'" in bad[1]
     # the subcommands report their own usage errors through the top-level parser
     for parser in (lone, full):
         with pytest.raises(SystemExit):
@@ -837,3 +839,60 @@ def test_reconstruction_check_catches_a_wrong_path(monkeypatch):
     _off_by(monkeypatch, "reconstruct_trajectory",
             lambda path, args: dataclasses.replace(path, x_c=path.x_c + 1e-5))
     _fails(checks.reconstruction, [True, False])
+
+
+# every option whose value holds numbers, by its type: how a bad number is
+# written into a value of that type
+_NUMBER_TYPES = {
+    cli._finite: lambda x: x,
+    cli._tolerance: lambda x: x,
+    cli._span: lambda x: f"0:{x}",
+    cli._triple: lambda x: f"0,0,{x}",
+}
+
+
+def _subparser_actions(command):
+    parser = cli._build_parser(command)
+    sub = next(a for a in parser._actions if a.dest == "command")
+    return sub.choices[command]._actions
+
+
+def _number_options():
+    return [(command, action.option_strings[0], action.dest, _NUMBER_TYPES[action.type])
+            for command in cli._COMMANDS for action in _subparser_actions(command)
+            if action.type in _NUMBER_TYPES]
+
+
+def test_no_option_parses_a_plain_float():
+    # a plain float option would take nan and inf; each number option has
+    # one of the types the table below checks
+    for command in cli._COMMANDS:
+        for action in _subparser_actions(command):
+            assert action.type is not float, (command, action.option_strings)
+    assert len(_number_options()) > 50
+
+
+@pytest.mark.parametrize("command,flag,dest,spell", _number_options())
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_every_number_option_rejects_a_non_finite_value(command, flag, dest, spell, bad,
+                                                        tmp_path, capsys):
+    # on the command line and in a config file alike: exit 1 with a usage
+    # error, before any output file is written
+    value = spell(bad)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{dest} = {value}\n")
+    out = ["--out", str(tmp_path / "out")] if command != "verify" else []
+    for argv, message in (([command, f"{flag}={value}", *out], f"argument {flag}: expected"),
+                          ([command, "--config", str(cfg), *out], f"config key {dest}: cannot")):
+        with deadline(20):
+            code, _, err = run(argv, capsys)
+        assert code == 1, (argv, err)
+        assert err.startswith("usage: rubberroll") and message in err, err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_validate_rejects_infinite_ratios():
+    from rubberroll.model import validate
+    assert validate(Params(0.5, math.inf, 0.5, 0.5)) == ["beta must be positive and finite, got inf"]
+    assert validate(Params(0.5, 3.0, 0.5, math.inf)) == ["eta must be positive and finite, got inf"]

@@ -38,7 +38,7 @@ from rubberroll.integrate import (
 )
 from rubberroll.model import Params
 
-from conftest import random_valid_state
+from conftest import deadline, random_valid_state
 
 P = Params(alpha=0.5, beta=3.0, nu=1.0, eta=0.5)
 KAPPA, EPS = 0.8, 2.6
@@ -164,6 +164,13 @@ def test_reduced_requires_kappa():
 def test_unknown_system_rejected():
     with pytest.raises(ValueError):
         integrate("nope", (1.0, 0.0), (0.0, 1.0), P, kappa=0.5)
+
+
+def test_a_nan_slope_fails_the_step_instead_of_hanging():
+    # a NaN slope makes the first step size NaN; the rejection loop once
+    # shrank that NaN step for ever
+    with deadline(20), pytest.raises(IntegrationError, match="stepper failed"):
+        integrate_raw(lambda t, y: np.full_like(y, math.nan), (1.0, 0.0), (0.0, 1.0))
 
 
 def test_t_eval_must_be_finite_and_non_decreasing():

@@ -246,7 +246,7 @@ def test_level_scan_evaluates_only_the_critical_nodes(monkeypatch):
     # nodes, and brackets each turning point between two neighbouring ones.
     # It evaluates no array: V at the critical thetas is the slice's
     real_v = rubberroll.dynamics.effective_potential
-    real_brentq = rubberroll.dynamics.brentq
+    real_newton = rubberroll.dynamics.newton_bracketed
     for p in REGION_BODIES.values():
         for kappa in (0.0, 1e-7, -0.3, 1.7):
             crit = critical_thetas(kappa, p)
@@ -259,13 +259,13 @@ def test_level_scan_evaluates_only_the_critical_nodes(monkeypatch):
                     thetas.append(theta)
                     return real_v(theta, k, q)
 
-                def recording_brentq(f, a, b, **kwargs):
+                def recording_newton(f, a, b, *args, **kwargs):
                     brackets.append((a, b))
-                    return real_brentq(f, a, b, **kwargs)
+                    return real_newton(f, a, b, *args, **kwargs)
 
                 with monkeypatch.context() as m:
                     m.setattr(rubberroll.dynamics, "effective_potential", recording_v)
-                    m.setattr(rubberroll.dynamics, "brentq", recording_brentq)
+                    m.setattr(rubberroll.dynamics, "newton_bracketed", recording_newton)
                     m.setattr(rubberroll.dynamics, "potential_grid", None)
                     ivs = component_intervals(kappa, eps, p)
                 assert edges <= set(thetas)

@@ -18,6 +18,7 @@ import rubberroll.integrate
 from rubberroll.brent import brentq
 from rubberroll.dynamics import (
     component_intervals,
+    critical_points,
     critical_thetas,
     effective_potential,
     potential_grid,
@@ -418,22 +419,24 @@ def test_the_period_map_goes_on_from_the_half_periods_rung(monkeypatch):
 
 def test_every_observable_of_a_level_reads_one_setup(monkeypatch):
     # the first N = 0 level of the README resonance example: its class, N,
-    # period, period map and dN/deps polish its two turning points and map
-    # its nodes once between them
+    # period, period map and dN/deps solve for its two turning points once
+    # each and map its nodes once between them
     p, kappa, eps = BODIES["main"], 0.3, 3.09393724582727
-    calls = {"_node_map": 0, "_polish_turning_point": 0}
-    for name in calls:
-        def counting(*args, name=name, real=getattr(rubberroll.integrate, name)):
+    calls = {"_node_map": 0, "newton_bracketed": 0}
+    for name, mod in (("_node_map", rubberroll.integrate), ("newton_bracketed", rubberroll.dynamics)):
+        def counting(*args, name=name, real=getattr(mod, name), **kwargs):
             calls[name] += 1
-            return real(*args)
-        monkeypatch.setattr(rubberroll.integrate, name, counting)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counting)
     clear_caches()
+    critical_points(kappa, p)     # the slice's own roots, the critical angles
+    calls["newton_bracketed"] = 0
     assert classify(kappa, eps, p).kind == "UnboundedResonant"
     rotation_number(kappa, eps, p)
     section_period(kappa, eps, p)
     period_map(kappa, eps, p)
     _rotation_slope(kappa, eps, p)
-    assert calls == {"_node_map": 1, "_polish_turning_point": 2}
+    assert calls == {"_node_map": 1, "newton_bracketed": 2}
 
 
 def test_relative_equilibrium_has_no_period_map():

@@ -16,7 +16,7 @@ import pytest
 
 import rubberroll.integrate
 from rubberroll.bifurcation import cusp
-from rubberroll.brent import brentq
+from rubberroll.brent import brentq, newton_bracketed
 from rubberroll.dynamics import (
     _scan_table,
     check_turning_point,
@@ -72,9 +72,21 @@ def _potential_grid_scan(kappa, p):
     return grid, vals, slope
 
 
-def _potential_grid_roots(kappa, p):
-    """The roots critical_thetas found on that scan."""
+def _newton(f_df, a, b, fa, fb, xtol, x0):
+    return newton_bracketed(f_df, a, b, fa, fb, xtol=xtol, x0=x0)
+
+
+def _brentq_tenth(f_df, a, b, fa, fb, xtol, x0):
+    """brentq on the value alone, to a tenth of the scan's tolerance."""
+    return brentq(lambda th: f_df(th)[0], a, b, xtol=0.1 * xtol)
+
+
+def _potential_grid_roots(kappa, p, polish=_newton):
+    """The roots critical_thetas found on that scan, each sign cell and
+    each half of a close pair polished by Newton on G0 and G0' from the
+    scan's tangent at the cell's end nearer the root (or by ``polish``)."""
     f = lambda th: g0(th, kappa, p)
+    f_df = lambda th: (g0(th, kappa, p), g0_prime(th, kappa, p))
     if kappa == 0.0:
         lo, hi = 1e-9, math.pi - 1e-9
         flo, fhi = f(lo), f(hi)
@@ -86,17 +98,23 @@ def _potential_grid_roots(kappa, p):
             return [hi]
         if flo * fhi > 0.0:
             return []
-        return [brentq(f, lo, hi, xtol=1e-14)]
+        return [polish(f_df, lo, hi, flo, fhi, 1e-14, None)]
 
     eps_edge = 1e-6
     grid, vals, slope = _potential_grid_scan(kappa, p)
+
+    def tangent(j):
+        return float(grid[j] - vals[j] / slope[j]) if slope[j] != 0.0 else None
+
     roots = []
     for i in sign_cells(vals):
         if vals[i] == 0.0:
             roots.append(float(grid[i]))
         else:
             xtol = 1e-14 * grid[i] if grid[i] < eps_edge else 1e-14
-            roots.append(brentq(f, float(grid[i]), float(grid[i + 1]), xtol=xtol))
+            j = i if abs(vals[i]) < abs(vals[i + 1]) else i + 1
+            roots.append(polish(f_df, float(grid[i]), float(grid[i + 1]), vals[i], vals[i + 1],
+                                xtol, tangent(j)))
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     for i in sign_cells(slope):
@@ -107,8 +125,10 @@ def _potential_grid_roots(kappa, p):
             continue
         xtol = 1e-14 * a if a < eps_edge else 1e-14
         m = brentq(lambda th: g0_prime(th, kappa, p), a, b, xtol=xtol)
-        if f(m) * ga < 0.0:
-            roots += [brentq(f, a, m, xtol=xtol), brentq(f, m, b, xtol=xtol)]
+        gm = f(m)
+        if gm * ga < 0.0:
+            roots += [polish(f_df, a, m, ga, gm, xtol, tangent(i)),
+                      polish(f_df, m, b, gm, gb, xtol, tangent(i + 1))]
     return sorted(roots)
 
 
@@ -133,6 +153,25 @@ def test_critical_points_equal_the_per_slice_scan(name):
         assert cp.thetas == tuple(thetas), (name, kappa)
         assert cp.levels == tuple(effective_potential(th, kappa, p) for th in thetas), (name, kappa)
         assert cp.dg0 == tuple(g0_prime(th, kappa, p) for th in thetas), (name, kappa)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_BODIES))
+def test_critical_points_are_brentqs_roots_to_the_tolerance(name):
+    # the same cells polished by brentq to a tenth of the tolerance: the
+    # Newton roots lie within the tolerance and 4 ulp of them.  Next to a
+    # fold G0' is small at the root, and the rounding of G0's largest term
+    # (4 ulp of it) moves the root by that over |G0'| too
+    p = SWEEP_BODIES[name]
+    rng = np.random.default_rng(18)
+    for kappa in _sweep_kappas(p, rng):
+        ref = _potential_grid_roots(kappa, p, _brentq_tenth)
+        got = critical_points(kappa, p).thetas
+        assert len(got) == len(ref), (name, kappa)
+        for th, rth in zip(got, ref):
+            xtol = 1e-14 * rth if rth < 1e-6 else 1e-14
+            term = p.alpha + abs(1.0 - p.beta ** 2) + kappa ** 2 / math.sin(rth) ** 3
+            rounding = 4.0 * math.ulp(term) / abs(g0_prime(rth, kappa, p))
+            assert abs(th - rth) <= xtol + 4 * math.ulp(rth) + rounding, (name, kappa, th, rth)
 
 
 def test_slice_arrays_equal_the_per_slice_scan_bit_for_bit(monkeypatch):
