@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brent import _RTOL, brentq
-from .dynamics import FullState, _centrifugal, component_intervals, g0, g0_prime, scan_roots
+from .dynamics import _centrifugal, g0, g0_prime, scan_roots
 from .geometry import profile, surface_b, surface_g0, surface_g0_prime, surface_u, surface_z
 from .model import Params
 
@@ -37,7 +37,6 @@ __all__ = [
     "BifurcationDiagram",
     "omega0_sq",
     "permanent_rotation",
-    "permanent_rotation_state",
     "sigma_theta_kappa_sq",
     "sigma_theta_eps",
     "branch_ranges",
@@ -50,7 +49,6 @@ __all__ = [
     "rpm_boundary",
     "rpm_floor",
     "diagram",
-    "connected_components",
 ]
 
 CENTER = "center"
@@ -176,15 +174,15 @@ def sigma_theta_eps(theta0: float, p: Params) -> float:
     return _sigma_theta_at(theta0, p)[1]
 
 
-def linear_stability(theta0: float, kappa: float, p: Params, tol: float = 1e-8) -> tuple[float, str]:
+def linear_stability(theta0: float, kappa: float, p: Params) -> tuple[float, str]:
     """Eigenvalue square and type of a reduced fixed point.
 
     lambda^2 = G0'(theta0)/B(theta0); negative is a center, positive a
-    saddle.  The point must satisfy G0(theta0) = 0 at this kappa (the poles
-    with kappa = 0 qualify).
+    saddle.  The point must satisfy G0(theta0) = 0 at this kappa to 1e-8
+    (the poles with kappa = 0 qualify).
     """
     resid = g0(theta0, kappa, p)
-    if abs(resid) > tol:
+    if abs(resid) > 1e-8:
         raise ValueError(f"(theta0={theta0}, kappa={kappa}) is not a fixed point: G0={resid}")
     B = profile(theta0, p, pole_mode=True).B
     lam2 = g0_prime(theta0, kappa, p) / B
@@ -210,24 +208,6 @@ def permanent_rotation(theta0: float, p: Params) -> PermanentRotation:
         theta0=theta0, omega0=omega0, kappa=kappa, eps=eps,
         rho_c=rho_c, rho_p=rho_p, stability=stab, lambda_sq=lam2, z_c=ev.U,
     )
-
-
-def permanent_rotation_state(theta0: float, p: Params, phi: float = 0.0) -> FullState:
-    """Full-system state of the steady rotation, for dynamic cross-checks.
-
-    The angular velocity points along the unit transverse direction
-    gamma x (e3 x gamma)/|...| = (e3 - cos(theta) gamma)/sin(theta), which
-    keeps the no-spin constraint satisfied exactly.
-    """
-    w2 = omega0_sq(theta0, p)
-    if w2 < 0.0:
-        raise ValueError(f"no steady rotation at theta0={theta0}")
-    s = math.sin(theta0)
-    c = math.cos(theta0)
-    gamma = np.array([s * math.sin(phi), s * math.cos(phi), c])
-    e3 = np.array([0.0, 0.0, 1.0])
-    omega = math.sqrt(w2) * (e3 - c * gamma) / s
-    return FullState(omega=omega, gamma=gamma)
 
 
 def inclined_equilibrium(p: Params) -> float | None:
@@ -345,17 +325,16 @@ def equator_kappa_c(p: Params) -> float:
     return math.sqrt((b2 - 1.0) / p.beta)
 
 
-def equator_parabola(
-    p: Params, kappa_max: float = 3.0, n_samples: int = 601
-) -> BifurcationCurve:
-    """Image of equatorial rolling, eps = kappa^2/2 + beta (alpha = 0 only)."""
+def equator_parabola(p: Params, kappa_max: float) -> BifurcationCurve:
+    """Image of equatorial rolling, eps = kappa^2/2 + beta (alpha = 0 only),
+    at 601 kappas from 0 to kappa_max."""
     if p.alpha != 0.0:
         raise ValueError("the equatorial rolling curve exists only for alpha = 0")
     kc = equator_kappa_c(p)
-    k = np.linspace(0.0, kappa_max, n_samples)
+    k = np.linspace(0.0, kappa_max, 601)
     lam2 = _lambda_sq(math.sin(math.pi / 2.0), math.cos(math.pi / 2.0), k, p)
     stability = np.where((k > kc) | (kc <= 0.0), CENTER, SADDLE).tolist()
-    return BifurcationCurve("sigma_pi2", np.full(n_samples, math.pi / 2.0), k,
+    return BifurcationCurve("sigma_pi2", np.full(len(k), math.pi / 2.0), k,
                             k * k / 2.0 + p.beta, stability, lam2)
 
 
@@ -460,15 +439,11 @@ def _sample_arc(
     return t, k, e, np.where(lam2 < 0.0, CENTER, SADDLE).tolist(), lam2
 
 
-def _curves(
-    p: Params,
-    cp: CuspPoint | None,
-    n_samples: int,
-    ds_max: float,
-    eps_max: float,
-    kappa_max: float,
-) -> list[BifurcationCurve]:
-    """:func:`sigma_theta_curve` with the cusp and the window given."""
+def _curves(p: Params, cp: CuspPoint | None) -> tuple[list[BifurcationCurve], float]:
+    """:func:`sigma_theta_curve` with the cusp given, and the kappa_max of
+    the plotting window the curves are sampled in."""
+    eps_max = _default_eps_max(p, cp)
+    kappa_max = _default_kappa_max(p, eps_max)
     arcs = []
     for (lo, hi, lc, hc) in branch_ranges(p):
         if lo >= math.pi / 2.0:
@@ -477,31 +452,20 @@ def _curves(
             arcs += [("sigma_s0", lo, cp.theta, lc, True), ("sigma_u", cp.theta, hi, True, hc)]
         else:
             arcs.append(("sigma_s0", lo, hi, lc, hc))
-    return [BifurcationCurve(label, *_sample_arc(p, *arc, n_samples, ds_max, eps_max, kappa_max))
-            for label, *arc in arcs]
+    return [BifurcationCurve(label, *_sample_arc(p, *arc, 200, 1e-3, eps_max, kappa_max))
+            for label, *arc in arcs], kappa_max
 
 
-def sigma_theta_curve(
-    p: Params,
-    n_samples: int = 200,
-    *,
-    ds_max: float = 1e-3,
-    eps_max: float | None = None,
-    kappa_max: float | None = None,
-) -> list[BifurcationCurve]:
+def sigma_theta_curve(p: Params) -> list[BifurcationCurve]:
     """All steady-rotation curve branches, labeled and stability-tagged.
 
     Labels: "sigma_spi" for the branch at inclinations beyond the equator,
     "sigma_s0"/"sigma_u" for the center/saddle pieces of the small-angle
     branch split at the fold, and "sigma_s0" for the whole small-angle
-    branch in the balanced case.
+    branch in the balanced case.  These are :func:`diagram`'s curves: 200
+    angles per arc, refined to arc length 1e-3 in (kappa, eps) in its window.
     """
-    cp = cusp(p)
-    if eps_max is None:
-        eps_max = _default_eps_max(p, cp)
-    if kappa_max is None:
-        kappa_max = _default_kappa_max(p, eps_max)
-    return _curves(p, cp, n_samples, ds_max, eps_max, kappa_max)
+    return _curves(p, cusp(p))[0]
 
 
 def _rpm_terms(th: np.ndarray, k: np.ndarray, p: Params):
@@ -581,13 +545,13 @@ def rpm_floor(kappa: float, p: Params) -> float:
     return float(_rpm_floors([kappa], p)[1][0])
 
 
-def rpm_boundary(p: Params, kappa_max: float, n_samples: int = 241) -> BifurcationCurve:
+def rpm_boundary(p: Params, kappa_max: float) -> BifurcationCurve:
     """Lower envelope eps_min(kappa) of the region of possible motions, with
     the angle theta0 each floor is taken at and G0'/B there: one
-    :func:`_rpm_floors` pass over n_samples kappas from 0 to kappa_max."""
-    kappas = np.linspace(0.0, kappa_max, n_samples)
+    :func:`_rpm_floors` pass over 241 kappas from 0 to kappa_max."""
+    kappas = np.linspace(0.0, kappa_max, 241)
     theta0, eps, lam2 = _rpm_floors(kappas, p)
-    return BifurcationCurve("rpm_boundary", theta0, kappas, eps, [CENTER] * n_samples, lam2)
+    return BifurcationCurve("rpm_boundary", theta0, kappas, eps, [CENTER] * len(kappas), lam2)
 
 
 def _default_eps_max(p: Params, cp: CuspPoint | None) -> float:
@@ -616,14 +580,7 @@ def _default_kappa_max(p: Params, eps_max: float) -> float:
     return k_best
 
 
-def diagram(
-    p: Params,
-    *,
-    n_samples: int = 200,
-    ds_max: float = 1e-3,
-    eps_max: float | None = None,
-    kappa_max: float | None = None,
-) -> BifurcationDiagram:
+def diagram(p: Params) -> BifurcationDiagram:
     """Assemble the labeled bifurcation diagram and classify its type.
 
     Types by the (alpha, beta^2) region: "a" alpha>0, beta^2 < 1-alpha;
@@ -645,15 +602,10 @@ def diagram(
             dtype = above
 
     cp = cusp(p)
-    if eps_max is None:
-        eps_max = _default_eps_max(p, cp)
-    if kappa_max is None:
-        kappa_max = _default_kappa_max(p, eps_max)
-
     t0 = time.perf_counter()
-    curves = _curves(p, cp, n_samples, ds_max, eps_max, kappa_max)
+    curves, kappa_max = _curves(p, cp)
     if a == 0.0:
-        curves.append(equator_parabola(p, kappa_max=kappa_max))
+        curves.append(equator_parabola(p, kappa_max))
     t1 = time.perf_counter()
     rpm = rpm_boundary(p, kappa_max)
     t2 = time.perf_counter()
@@ -677,14 +629,3 @@ def diagram(
         rpm_boundary=rpm,
     )
 
-
-def connected_components(kappa: float, eps: float, p: Params) -> tuple[int, list[tuple[float, float]]]:
-    """Count of connected components of the admissible inclination set.
-
-    Returns the number of intervals of {theta : V(theta) <= eps} together
-    with the intervals themselves (0 outside the region of possible
-    motions, 1 on a single torus, 2 in the wedge between the saddle branch
-    and the small-angle center branch).
-    """
-    ivs = component_intervals(kappa, eps, p)
-    return len(ivs), ivs

@@ -23,6 +23,8 @@ from .bifurcation import (inclined_equilibrium, permanent_rotation, sigma_theta_
 from .reconstruct import (_rotation_slope, epsilon_min, reconstruct_from_full,
                           reconstruct_trajectory, resonance_curve, rotation_number)
 
+__all__ = ["Check", "CHECKS", "N_QUICK"]   # each check is an entry of CHECKS
+
 _TOLS = dict(tol_abs=1e-12, tol_rel=1e-12)
 
 

@@ -50,6 +50,8 @@ from .bifurcation import diagram
 from .reconstruct import (classify, path_from_kinematic, reconstruct_trajectory, resonance_curve,
                           rotation_number)
 
+__all__ = ["main"]
+
 log = logging.getLogger("rubberroll")
 
 EXIT_OK = 0
@@ -519,15 +521,21 @@ def cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
 # --- parser wiring ---
 
 
-def _positive_int(text: str) -> int:
-    """Option type of the sizes and worker counts: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _integer(low: int):
+    """Option type of an integer of at least low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            kind = "positive" if low == 1 else "non-negative"
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return value
+    return parse
+
+
+_count, _index = _integer(1), _integer(0)   # sizes and worker counts; the branch and the seed
 
 
 def _number(low: float = -math.inf):
@@ -621,7 +629,7 @@ def _build_parser(command: str | None = None) -> _Parser:
         sp.add_argument("--omega", type=_triple, help="w1,w2,w3 (full style)")
         sp.add_argument("--gamma", type=_triple, help="g1,g2,g3 (full style)")
         sp.add_argument("--tmax", type=_finite, help="integration horizon")
-        sp.add_argument("--samples", type=_positive_int, default=2001,
+        sp.add_argument("--samples", type=_count, default=2001,
                         help="output rows (default 2001)")
 
     if sp := add("trajectory", "absolute-space reconstruction CSV"):
@@ -636,7 +644,7 @@ def _build_parser(command: str | None = None) -> _Parser:
         sp.add_argument("--x0", type=_finite, default=0.0, help="initial center-of-mass x")
         sp.add_argument("--y0", type=_finite, default=0.0, help="initial center-of-mass y")
         sp.add_argument("--tmax", type=_finite)
-        sp.add_argument("--samples", type=_positive_int, default=2001)
+        sp.add_argument("--samples", type=_count, default=2001)
 
     if sp := add("bifurcation", "labeled (kappa, eps) diagram JSON"):
         _add_common(sp, nu_eta=1.0)
@@ -648,12 +656,12 @@ def _build_parser(command: str | None = None) -> _Parser:
         _add_out(sp, "rotation_number.csv")
         sp.add_argument("--kappa", type=_finite)
         sp.add_argument("--kappa-range", type=_span, help="lo:hi")
-        sp.add_argument("--n-kappa", type=_positive_int, default=11, help="grid size (default 11)")
+        sp.add_argument("--n-kappa", type=_count, default=11, help="grid size (default 11)")
         sp.add_argument("--energy", type=_finite)
         sp.add_argument("--energy-range", type=_span, help="lo:hi")
-        sp.add_argument("--n-energy", type=_positive_int, default=11, help="grid size (default 11)")
-        sp.add_argument("--branch", type=int, default=0, help="component index (default 0)")
-        sp.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers (default 1)")
+        sp.add_argument("--n-energy", type=_count, default=11, help="grid size (default 11)")
+        sp.add_argument("--branch", type=_index, default=0, help="component index (default 0)")
+        sp.add_argument("--jobs", type=_count, default=1, help="parallel workers (default 1)")
 
     if sp := add("resonance", "N = -n loci over a kappa range"):
         _add_common(sp)
@@ -662,9 +670,9 @@ def _build_parser(command: str | None = None) -> _Parser:
         sp.add_argument("--n", type=_int_list, default="0",
                         help="resonance orders, comma-separated (default 0)")
         sp.add_argument("--kappa-range", type=_span, help="lo:hi")
-        sp.add_argument("--n-kappa", type=_positive_int, default=25, help="grid size (default 25)")
+        sp.add_argument("--n-kappa", type=_count, default=25, help="grid size (default 25)")
         sp.add_argument("--eps-max", type=_finite, help="upper energy cut per slice")
-        sp.add_argument("--jobs", type=_positive_int, default=1)
+        sp.add_argument("--jobs", type=_count, default=1)
 
     if sp := add("classify", "trajectory class of one (kappa, eps) point"):
         _add_common(sp)
@@ -672,14 +680,14 @@ def _build_parser(command: str | None = None) -> _Parser:
         _add_out(sp, None)
         sp.add_argument("--kappa", type=_finite)
         sp.add_argument("--energy", type=_finite)
-        sp.add_argument("--branch", type=int, default=0)
+        sp.add_argument("--branch", type=_index, default=0)
 
     if sp := add("verify", "self-check suite; exit 3 on failure"):
         _add_common(sp, nu_eta=0.5)
         sp.add_argument("--b-sign", choices=[B_SIGN_DERIVED, B_SIGN_PAPER],
                         default=B_SIGN_DERIVED, help="kinetic cross-term variant under test")
         sp.add_argument("--quick", action="store_true", help="quick subset of the checks")
-        sp.add_argument("--seed", type=int, default=0, help="random-state seed (default 0)")
+        sp.add_argument("--seed", type=_index, default=0, help="random-state seed (default 0)")
 
     return parser
 

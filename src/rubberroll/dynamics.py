@@ -122,13 +122,13 @@ class ReducedState:
 
 @dataclass(frozen=True)
 class ReducedCoords:
-    """Reduced chart of a full state: (theta, p_theta), kappa, precession seed."""
+    """Reduced chart of a full state: (theta, p_theta), kappa and the
+    proper-rotation angle phi."""
 
     theta: float
     p_theta: float
     kappa: float
     phi: float
-    psi_rate: float
 
 
 @dataclass(frozen=True)
@@ -481,29 +481,26 @@ def measure_density(gamma3: float, p: Params) -> float:
 # --- Chart maps ---
 
 
-def reduce_state(s: FullState, p: Params, tol: float = 1e-6) -> ReducedCoords:
+def reduce_state(s: FullState, p: Params) -> ReducedCoords:
     """Project a valid full state to the reduced chart.
 
-    Requires F0 = 1 and F1 = 0 within ``tol``.  The returned phi is the
-    proper-rotation angle of the vertical, phi = atan2(gamma_1, gamma_2), and
-    psi_rate seeds the precession quadrature at the state.
+    Requires F0 = 1 and F1 = 0 within 1e-6.  The returned phi is the
+    proper-rotation angle of the vertical, phi = atan2(gamma_1, gamma_2).
     """
     w = np.asarray(s.omega, float)
     g = np.asarray(s.gamma, float)
     F0 = float(g @ g)
     F1 = float(w @ g)
-    if abs(F0 - 1.0) > tol:
+    if abs(F0 - 1.0) > 1e-6:
         raise ValueError(f"state off the unit sphere: |gamma|^2 = {F0}")
-    if abs(F1) > tol:
+    if abs(F1) > 1e-6:
         raise ValueError(f"state violates the no-spin constraint: (w, gamma) = {F1}")
     g3 = min(1.0, max(-1.0, g[2]))
     theta = math.acos(g3)
     phi = math.atan2(g[0], g[1])
     p_theta = w[0] * math.cos(phi) - w[1] * math.sin(phi)
     kappa = _j_gamma3(g3, p) * w[2]
-    s2 = 1.0 - g3 * g3
-    psi_rate = -w[2] * g3 / s2 if s2 > 0.0 else 0.0
-    return ReducedCoords(theta=theta, p_theta=p_theta, kappa=kappa, phi=phi, psi_rate=psi_rate)
+    return ReducedCoords(theta=theta, p_theta=p_theta, kappa=kappa, phi=phi)
 
 
 def lift(r: ReducedState, kappa: float, phi: float, p: Params) -> FullState:
@@ -682,8 +679,24 @@ def _g0_roots(kappa: float, p: Params) -> list[float]:
         # the first Newton step from the node j, on the scan's G0 and G0'
         return float(grid[j] - vals[j] / slope[j]) if slope[j] != 0.0 else None
 
-    roots = scan_roots(f_df, grid, vals, 1e-14, _CRIT_EDGE,
-                       lambda i: tangent(i if abs(vals[i]) < abs(vals[i + 1]) else i + 1))
+    # at a root of G0, sin^4 = -kappa^2 cos / A with A = alpha + (1 - beta^2) cos / Z;
+    # taken at a pole (cos = +-1, Z = 1) it is the closed form of the near-pole
+    # root, off by about |kappa| relative.  It starts the scan's end cells,
+    # where the root is too close to the pole for a node's tangent
+    poles = {}
+    for i, c in ((0, 1.0), (len(grid) - 2, -1.0)):
+        A = p.alpha + (1.0 - p.beta * p.beta) * c
+        s4 = -kappa * kappa * c / A if A != 0.0 else 0.0
+        if 0.0 < s4 <= 1.0:
+            th = math.asin(s4 ** 0.25)
+            poles[i] = th if c > 0.0 else math.pi - th
+
+    def start(i):
+        if grid[i] < poles.get(i, -1.0) < grid[i + 1]:
+            return poles[i]
+        return tangent(i if abs(vals[i]) < abs(vals[i + 1]) else i + 1)
+
+    roots = scan_roots(f_df, grid, vals, 1e-14, _CRIT_EDGE, start)
     # next to a fold a center/saddle pair can share one cell of one sign.
     # The pair straddles an extremum of G0, which G0' brackets.  While G0'
     # is monotone across the cell, G0 at the extremum lies within |G0'| x

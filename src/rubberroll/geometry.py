@@ -25,7 +25,7 @@ c = gamma_3.  All formulas are smooth on the whole real theta line and even
 around the poles theta = 0, pi (B' and G0 odd), which is what makes the
 kappa = 0 meridian chart extension possible.
 
-The cross term inside B carries a sign switch, ``b_sign`` of :func:`profile`
+The cross term inside B carries a sign switch, ``b_sign`` of :func:`surface_b`
 (and of :func:`.dynamics.reduced_field` and :func:`.dynamics.reduced_energy`).
 The value derived from |r|^2 is (cos + alpha Z)^2; ``b_sign="paper"`` selects
 the published variant (alpha Z - cos)^2 instead.  The two differ whenever
@@ -162,13 +162,9 @@ class SurfaceEval:
     dB: float
 
 
-def profile(
-    theta: float,
-    p: Params,
-    b_sign: str = B_SIGN_DERIVED,
-    pole_mode: bool = False,
-) -> SurfaceEval:
-    """Evaluate the surface functions at nutation angle theta.
+def profile(theta: float, p: Params, *, pole_mode: bool = False) -> SurfaceEval:
+    """Evaluate the surface functions at nutation angle theta, with the
+    derived B cross term.
 
     Parameters
     ----------
@@ -177,8 +173,6 @@ def profile(
         ``pole_mode`` is set.
     p : Params
         Dimensionless parameter group.
-    b_sign : str
-        ``"derived"`` (default) or ``"paper"``; selects the B cross-term.
     pole_mode : bool
         Allow any real theta.  Used by the kappa = 0 meridian extension,
         where theta runs over the full real line and the pole values are
@@ -197,7 +191,7 @@ def profile(
     s2 = s * s
     Z = surface_z(s2, c, p)
     U = surface_u(c, Z, p)
-    B, dB = surface_b(s, s2, c, Z, p, b_sign)
+    B, dB = surface_b(s, s2, c, Z, p)
     return SurfaceEval(theta=theta, Z=Z, U=U, B=B, J=surface_j(s2, c, U, p), dB=dB)
 
 

@@ -389,8 +389,6 @@ def classify(
     p: Params,
     branch: int = 0,
     *,
-    tol_int: float | None = None,
-    tol_rat: float | None = None,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
 ) -> TrajectoryClass:
@@ -407,12 +405,10 @@ def classify(
     a critical value classify generically but carry the near_separatrix
     flag.  The level's components are scanned once.
 
-    tol_int and tol_rat default to 5 err + 1e-9 from the computed rotation
-    number; pass wider values to match data of limited precision.  A
-    resonance, integer or rational, is claimed only where the window
-    N +/- tol holds exactly one fraction with denominator at most 64; a
-    window that holds several (any window wider than 1/64 does) cannot tell
-    them apart, and the level is QuasiPeriodicBounded.
+    A resonance, integer or rational, is claimed only where the window
+    N +/- (5 err + 1e-9) holds exactly one fraction with denominator at
+    most 64; a window that holds several (any window wider than 1/64 does)
+    cannot tell them apart, and the level is QuasiPeriodicBounded.
 
     Raises
     ------
@@ -458,25 +454,18 @@ def classify(
                                targets=(hits[0],))
 
     rn, hp = _rotation_number(kappa, eps, p, lo, hi, ends, tol_abs, tol_rel)
-    t_int = tol_int if tol_int is not None else 5.0 * rn.err + 1e-9
-    t_rat = tol_rat if tol_rat is not None else 5.0 * rn.err + 1e-9
-
-    n_near = round(rn.N)
-    if abs(rn.N - n_near) <= t_int:
-        if _lone_fraction(rn.N, t_int) == n_near:
-            pm = _period_map(kappa, eps, p, hp, tol_abs, tol_rel)
-            z = np.concatenate(([0.0], pm.z, [pm.D]))   # diam: of its bounding box
-            diam = math.hypot(float(np.ptp(z.real)), float(np.ptp(z.imag)))
-            kind = ("UnboundedResonant" if abs(pm.D) > _DRIFT_TOL * max(diam, 1e-300)
-                    else "ClosedPeriodic")
-            return TrajectoryClass(kind=kind, N=rn.N, N_err=rn.err,
-                                   resonance=(n_near, 1), near_separatrix=near)
-    else:
-        fr = _lone_fraction(rn.N, t_rat)
-        if fr is not None:
-            return TrajectoryClass(kind="ClosedPeriodic", N=rn.N, N_err=rn.err,
-                                   resonance=(fr.numerator, fr.denominator),
-                                   near_separatrix=near)
+    fr = _lone_fraction(rn.N, 5.0 * rn.err + 1e-9)
+    if fr is not None and fr.denominator == 1:
+        pm = _period_map(kappa, eps, p, hp, tol_abs, tol_rel)
+        z = np.concatenate(([0.0], pm.z, [pm.D]))   # diam: of its bounding box
+        diam = math.hypot(float(np.ptp(z.real)), float(np.ptp(z.imag)))
+        kind = ("UnboundedResonant" if abs(pm.D) > _DRIFT_TOL * max(diam, 1e-300)
+                else "ClosedPeriodic")
+        return TrajectoryClass(kind=kind, N=rn.N, N_err=rn.err,
+                               resonance=(fr.numerator, 1), near_separatrix=near)
+    if fr is not None:
+        return TrajectoryClass(kind="ClosedPeriodic", N=rn.N, N_err=rn.err,
+                               resonance=(fr.numerator, fr.denominator), near_separatrix=near)
     return TrajectoryClass(kind="QuasiPeriodicBounded", N=rn.N, N_err=rn.err,
                            near_separatrix=near)
 

@@ -16,19 +16,20 @@ from rubberroll.bifurcation import (
     equator_kappa_c,
     linear_stability,
     permanent_rotation,
-    permanent_rotation_state,
     sigma_theta_eps,
     sigma_theta_kappa_sq,
 )
 from rubberroll.cli import main
 from rubberroll.dynamics import (
     FullState,
+    ReducedState,
     component_intervals,
     critical_thetas,
     effective_potential,
     full_field,
     integrals,
     kinematic_init,
+    lift,
     measure_density,
     reduce_state,
     reduced_energy,
@@ -95,8 +96,8 @@ def test_c02_reduction_tracks_full():
 
 
 def test_c03_steady_rotation_circles():
-    st = permanent_rotation_state(math.pi / 3.0, P)
     pr = permanent_rotation(math.pi / 3.0, P)
+    st = lift(ReducedState(math.pi / 3.0, 0.0), pr.kappa, 0.0, P)
     tev = np.linspace(0.0, 100.0, 2001)
     tr = integrate("kinematic", kinematic_init(st), (0.0, 100.0), P,
                    t_eval=tev, **TOLS)
@@ -153,7 +154,7 @@ def test_c06_diagram_types():
     got = []
     ok = True
     for (al, be), want in cases:
-        d = diagram(Params(al, be, 1.0, 1.0), n_samples=40, ds_max=2e-2)
+        d = diagram(Params(al, be, 1.0, 1.0))
         got.append(f"({al},{be})->{d.diagram_type}")
         ok = ok and d.diagram_type == want
     _report(6, "diagram types", ok, " ".join(got))

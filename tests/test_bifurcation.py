@@ -7,7 +7,6 @@ import pytest
 
 from rubberroll.bifurcation import (
     branch_ranges,
-    connected_components,
     cusp,
     diagram,
     equator_kappa_c,
@@ -16,13 +15,12 @@ from rubberroll.bifurcation import (
     linear_stability,
     omega0_sq,
     permanent_rotation,
-    permanent_rotation_state,
     rpm_floor,
     sigma_theta_curve,
     sigma_theta_eps,
     sigma_theta_kappa_sq,
 )
-from rubberroll.dynamics import g0, g0_prime, kinematic_init
+from rubberroll.dynamics import ReducedState, component_intervals, g0, g0_prime, kinematic_init, lift
 from rubberroll.geometry import profile
 from rubberroll.integrate import integrate
 from rubberroll.model import Params
@@ -65,7 +63,7 @@ def test_permanent_rotation_radii():
 def test_permanent_rotation_dynamic_oracle():
     # integrate the lifted steady state: theta frozen, CoM on the predicted circle
     pr = permanent_rotation(math.pi / 3.0, P)
-    st = permanent_rotation_state(math.pi / 3.0, P)
+    st = lift(ReducedState(math.pi / 3.0, 0.0), pr.kappa, 0.0, P)
     t_circ = 2.0 * math.pi * math.tan(math.pi / 3.0) / pr.omega0
     tr = integrate("kinematic", kinematic_init(st), (0.0, 1.2 * t_circ), P,
                    t_eval=np.linspace(0.0, 1.2 * t_circ, 400))
@@ -84,7 +82,7 @@ def test_branch_endpoint_limits():
 
 
 def test_curve_samples_are_fixed_points():
-    curves = sigma_theta_curve(P, 100, ds_max=5e-3)
+    curves = sigma_theta_curve(P)
     n_tot = 0
     for c in curves:
         for theta0, kappa, eps in zip(c.theta0.tolist(), c.kappa.tolist(), c.eps.tolist()):
@@ -155,18 +153,18 @@ def test_cusp_location_and_flip():
     ((0.0, 1.5), "e"),
 ])
 def test_diagram_types(ab, want):
-    d = diagram(Params(ab[0], ab[1], 1.0, 1.0), n_samples=40, ds_max=2e-2)
+    d = diagram(Params(ab[0], ab[1], 1.0, 1.0))
     assert d.diagram_type == want
     assert not d.boundary
 
 
 def test_diagram_boundary_flag():
-    d = diagram(Params(0.0, 1.0, 1.0, 1.0), n_samples=40, ds_max=2e-2)
+    d = diagram(Params(0.0, 1.0, 1.0, 1.0))
     assert d.boundary
 
 
 def test_diagram_curve_labels_and_torus_region():
-    d = diagram(P, n_samples=40, ds_max=2e-2)
+    d = diagram(P)
     assert d.two_torus_region
     assert sorted(c.label for c in d.curves) == ["sigma_s0", "sigma_spi", "sigma_u"]
     assert d.kappa_symmetric
@@ -174,12 +172,9 @@ def test_diagram_curve_labels_and_torus_region():
 
 def test_connected_component_counts():
     u_star = profile(inclined_equilibrium(P), P).U
-    n2, _ = connected_components(0.0, 2.0, P)
-    assert n2 == 2
-    n1, _ = connected_components(0.0, u_star + 0.5, P)
-    assert n1 == 1
-    n0, _ = connected_components(0.8, 1.2, P)
-    assert n0 == 0
+    assert len(component_intervals(0.0, 2.0, P)) == 2
+    assert len(component_intervals(0.0, u_star + 0.5, P)) == 1
+    assert component_intervals(0.8, 1.2, P) == []
     assert rpm_floor(0.8, P) > 1.2
 
 

@@ -892,6 +892,58 @@ def test_every_number_option_rejects_a_non_finite_value(command, flag, dest, spe
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
+# every option whose value is an integer, by its type: the least value it takes
+_INTEGER_LOWS = {cli._count: 1, cli._index: 0}
+
+
+def _integer_options():
+    return [(command, action.option_strings[0], action.dest, _INTEGER_LOWS[action.type])
+            for command in cli._COMMANDS for action in _subparser_actions(command)
+            if action.type in _INTEGER_LOWS]
+
+
+def test_no_option_parses_a_plain_int():
+    # a plain int option would take a negative branch, seed or size; each
+    # integer option has one of the bounded types the table below checks
+    for command in cli._COMMANDS:
+        for action in _subparser_actions(command):
+            assert action.type is not int, (command, action.option_strings)
+    assert len(_integer_options()) >= 10
+
+
+@pytest.mark.parametrize("command,flag,dest,low", _integer_options())
+def test_every_integer_option_rejects_a_value_below_its_bound(command, flag, dest, low,
+                                                              tmp_path, capsys):
+    # on the command line and in a config file alike: exit 1 with a usage
+    # error, before any output file is written
+    value = low - 1
+    kind = "positive" if low == 1 else "non-negative"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{dest} = {value}\n")
+    out = ["--out", str(tmp_path / "out")] if command != "verify" else []
+    for argv, message in (([command, f"{flag}={value}", *out],
+                           f"argument {flag}: expected a {kind} integer, got '{value}'"),
+                          ([command, "--config", str(cfg), *out], f"config key {dest}: cannot")):
+        with deadline(20):
+            code, _, err = run(argv, capsys)
+        assert code == 1, (argv, err)
+        assert err.startswith("usage: rubberroll") and message in err, err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_a_branch_past_the_components_depends_on_the_level(tmp_path, capsys):
+    # the level has one component: classify fails numerically, and the
+    # rotation-number grid drops the point
+    code, out, err = run(["classify", *ARGS_XY, "--kappa", "1", "--energy", "3.057",
+                          "--branch", "1"], capsys)
+    assert code == 2 and "branch 1 out of range, 1 component(s)" in err
+    path = tmp_path / "rn.csv"
+    code, _, _ = run(["rotation-number", *ARGS_XY, "--kappa", "1", "--energy", "3.057",
+                      "--branch", "1", "--out", str(path)], capsys)
+    assert code == 0 and path.read_text() == "kappa,eps,N,N_err\n"
+
+
 def test_validate_rejects_infinite_ratios():
     from rubberroll.model import validate
     assert validate(Params(0.5, math.inf, 0.5, 0.5)) == ["beta must be positive and finite, got inf"]

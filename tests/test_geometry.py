@@ -22,6 +22,12 @@ from rubberroll.model import Params
 P = Params(alpha=0.5, beta=3.0, nu=0.5, eta=0.5)
 
 
+def _b(th, p, b_sign):
+    """(B, B') of the b_sign variant at the angle th."""
+    s, c = math.sin(th), math.cos(th)
+    return surface_b(s, s * s, c, surface_z(s * s, c, p), p, b_sign)
+
+
 def test_sphere_values():
     # beta = 1 collapses Z to 1 and U to alpha cos + 1
     p = Params(alpha=0.3, beta=1.0, nu=1.0, eta=2.0)
@@ -48,10 +54,8 @@ def test_derivatives_match_finite_differences():
     h = 1e-6
     for b_sign in (B_SIGN_DERIVED, B_SIGN_PAPER):
         for th in np.linspace(0.2, math.pi - 0.2, 9):
-            lo = profile(float(th) - h, P, b_sign)
-            hi = profile(float(th) + h, P, b_sign)
-            fd = (hi.B - lo.B) / (2.0 * h)
-            np.testing.assert_allclose(profile(float(th), P, b_sign).dB, fd,
+            fd = (_b(float(th) + h, P, b_sign)[0] - _b(float(th) - h, P, b_sign)[0]) / (2.0 * h)
+            np.testing.assert_allclose(_b(float(th), P, b_sign)[1], fd,
                                        rtol=2e-9, atol=2e-9, err_msg=b_sign)
 
 
@@ -102,16 +106,17 @@ def test_b_from_contact_vector():
 
 def test_paper_variant_differs_only_in_cross_term():
     th = 1.1
-    d = profile(th, P, b_sign=B_SIGN_DERIVED)
-    q = profile(th, P, b_sign=B_SIGN_PAPER)
-    assert d.B != q.B
-    np.testing.assert_allclose([d.Z, d.U, d.J], [q.Z, q.U, q.J], rtol=1e-15)
+    d = _b(th, P, B_SIGN_DERIVED)
+    q = _b(th, P, B_SIGN_PAPER)
+    se = profile(th, P)
+    assert d == (se.B, se.dB)     # profile takes the derived variant
+    # (alpha Z - cos)^2 - (cos + alpha Z)^2 = -4 alpha Z cos, over Z^2
+    np.testing.assert_allclose(q[0] - d[0], -4.0 * P.alpha * math.cos(th) / se.Z, rtol=1e-12)
     # the two coincide for a centered body
     p0 = Params(alpha=0.0, beta=3.0, nu=0.5, eta=0.5)
-    np.testing.assert_allclose(profile(th, p0, b_sign=B_SIGN_PAPER).B,
-                               profile(th, p0).B, rtol=1e-15)
+    np.testing.assert_allclose(_b(th, p0, B_SIGN_PAPER)[0], profile(th, p0).B, rtol=1e-15)
     with pytest.raises(ValueError, match="b_sign"):
-        profile(th, P, b_sign="bogus")
+        _b(th, P, "bogus")
 
 
 def test_contact_vector_support_identity():

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from rubberroll.integrate import integrate, section_period
 from rubberroll.model import Params
 from rubberroll.reconstruct import (
     CLASS_KINDS,
+    _lone_fraction,
     classify,
     epsilon_min,
     euler_rotation,
@@ -172,13 +174,13 @@ def test_classify_kinds_cover_the_diagram():
 
 
 def test_classify_widened_rational_tolerance():
-    eps = effective_potential(TH0, KAP, P_XY)
+    # classify's window N +/- (5 err + 1e-9), widened as a level with a
+    # larger err widens it
+    N = classify(KAP, effective_potential(TH0, KAP, P_XY), P_XY).N
     # N + 1/7 = 3.8e-4 here, and -9/64 lies 1.85e-3 on the other side
-    tc = classify(KAP, eps, P_XY, tol_int=1e-9, tol_rat=1e-3)
-    assert tc.kind == "ClosedPeriodic" and tc.resonance == (-1, 7)
+    assert _lone_fraction(N, 1e-3) == Fraction(-1, 7)
     # a window that holds both fractions tells them apart no more
-    tc = classify(KAP, eps, P_XY, tol_int=1e-9, tol_rat=2e-3)
-    assert tc.kind == "QuasiPeriodicBounded" and tc.resonance is None
+    assert _lone_fraction(N, 2e-3) is None
 
 
 def test_classify_claims_no_resonance_from_a_wide_window():
