@@ -587,8 +587,9 @@ def diagram(p: Params) -> BifurcationDiagram:
     "b" alpha>0, 1-alpha < beta^2 < 1+alpha; "c" alpha>0, beta^2 > 1+alpha;
     "d" alpha=0, beta^2 < 1; "e" alpha=0, beta^2 > 1.  Parameters on a
     region boundary resolve to the higher-beta^2 type with the boundary
-    flag set.  The seconds and sample counts of the curves and of the RPM
-    boundary are logged at INFO.
+    flag set.  The seconds and sample counts of the curves, whose seconds
+    include finding the plotting window, and of the RPM boundary are logged
+    at INFO.
     """
     a, b2 = p.alpha, p.beta * p.beta
     # the region boundaries in beta^2, each with the type above it

@@ -193,7 +193,7 @@ def period_map_drift(p: Params, rng: np.random.Generator, quick: bool, b_sign: s
     kap = 0.5
     lv = critical_points(kap, p).levels
     gaps = []
-    for eps in [min(lv) + 0.3] + [pt.eps for pt in resonance_curve(0, p, (kap, kap), 1)[:1]]:
+    for eps in [min(lv) + 0.3] + [pt.eps for pt in resonance_curve(0, p, kap)[:1]]:
         pm = period_map(kap, eps, p)
         lo = _component(kap, eps, p, 0)[2][0]
         path = reconstruct_trajectory((lo, 0.0), kap, (0.0, pm.T), p, tol_abs=1e-15,

@@ -447,8 +447,7 @@ def cmd_rotation_number(args: argparse.Namespace, parser: _Parser) -> int:
 def _res_slice(task):
     """Grid worker: resonance points of one kappa slice."""
     n, kappa, p, eps_max, tol_abs, tol_rel = task
-    pts = resonance_curve(n, p, (kappa, kappa), n_kappa=1, eps_max=eps_max,
-                          tol_abs=tol_abs, tol_rel=tol_rel)
+    pts = resonance_curve(n, p, kappa, eps_max=eps_max, tol_abs=tol_abs, tol_rel=tol_rel)
     return [(q.kappa, q.eps, q.N, q.N_err, q.branch) for q in pts]
 
 

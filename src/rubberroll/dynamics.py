@@ -241,26 +241,20 @@ def full_field(p: Params) -> Callable[[float, np.ndarray], np.ndarray]:
     return rhs
 
 
-def kinematic_init(
-    s: FullState, x0: float = 0.0, y0: float = 0.0, a_hint: np.ndarray | None = None
-) -> np.ndarray:
-    """Initial 14-vector for kinematic_field.
+def kinematic_init(s: FullState) -> np.ndarray:
+    """Initial 14-vector for kinematic_field, with the contact at the origin.
 
     The fixed axes expressed in body coordinates must form an orthonormal
-    right-handed triple (ax, bx, gamma); ax is built by projecting a_hint
-    (default: whichever of e1/e2 is farther from gamma) off gamma, and
-    bx = gamma x ax closes the triple.
+    right-handed triple (ax, bx, gamma); ax is built by projecting whichever
+    of e1/e2 is farther from gamma off gamma, and bx = gamma x ax closes the
+    triple.
     """
     g = np.asarray(s.gamma, float)
-    if a_hint is None:
-        a_hint = np.array([1.0, 0.0, 0.0]) if abs(g[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    ax = a_hint - (a_hint @ g) * g
-    n = np.linalg.norm(ax)
-    if n < 1e-12:
-        raise ValueError("a_hint is parallel to gamma")
-    ax = ax / n
+    e = np.array([1.0, 0.0, 0.0]) if abs(g[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    ax = e - (e @ g) * g
+    ax = ax / np.linalg.norm(ax)
     bx = np.cross(g, ax)
-    return np.concatenate([s.omega, g, ax, bx, [x0, y0]])
+    return np.concatenate([s.omega, g, ax, bx, [0.0, 0.0]])
 
 
 def kinematic_field(p: Params) -> Callable[[float, np.ndarray], np.ndarray]:
@@ -679,24 +673,8 @@ def _g0_roots(kappa: float, p: Params) -> list[float]:
         # the first Newton step from the node j, on the scan's G0 and G0'
         return float(grid[j] - vals[j] / slope[j]) if slope[j] != 0.0 else None
 
-    # at a root of G0, sin^4 = -kappa^2 cos / A with A = alpha + (1 - beta^2) cos / Z;
-    # taken at a pole (cos = +-1, Z = 1) it is the closed form of the near-pole
-    # root, off by about |kappa| relative.  It starts the scan's end cells,
-    # where the root is too close to the pole for a node's tangent
-    poles = {}
-    for i, c in ((0, 1.0), (len(grid) - 2, -1.0)):
-        A = p.alpha + (1.0 - p.beta * p.beta) * c
-        s4 = -kappa * kappa * c / A if A != 0.0 else 0.0
-        if 0.0 < s4 <= 1.0:
-            th = math.asin(s4 ** 0.25)
-            poles[i] = th if c > 0.0 else math.pi - th
-
-    def start(i):
-        if grid[i] < poles.get(i, -1.0) < grid[i + 1]:
-            return poles[i]
-        return tangent(i if abs(vals[i]) < abs(vals[i + 1]) else i + 1)
-
-    roots = scan_roots(f_df, grid, vals, 1e-14, _CRIT_EDGE, start)
+    roots = scan_roots(f_df, grid, vals, 1e-14, _CRIT_EDGE,
+                       lambda i: tangent(i if abs(vals[i]) < abs(vals[i + 1]) else i + 1))
     # next to a fold a center/saddle pair can share one cell of one sign.
     # The pair straddles an extremum of G0, which G0' brackets.  While G0'
     # is monotone across the cell, G0 at the extremum lies within |G0'| x

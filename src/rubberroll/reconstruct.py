@@ -278,15 +278,12 @@ def reconstruct_from_full(
     t_span: tuple[float, float],
     p: Params,
     *,
-    x0: float = 0.0,
-    y0: float = 0.0,
-    a_hint: np.ndarray | None = None,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
-    max_steps: int = DEFAULT_MAX_STEPS,
     t_eval: np.ndarray | None = None,
 ) -> AbsolutePath:
-    """Fixed-frame path by direct kinematic integration of a full state.
+    """Fixed-frame path by direct kinematic integration of a full state,
+    with the contact starting at the origin.
 
     Transports the fixed axes in the body frame alongside (omega, gamma) and
     reads the Euler angles off them afterwards; no quadratures involved.
@@ -294,11 +291,8 @@ def reconstruct_from_full(
     against.  Works on the principal chart theta in [0, pi]; samples where
     gamma passes through a pole have degenerate angle reads.
     """
-    y0v = kinematic_init(state, x0=x0, y0=y0, a_hint=a_hint)
-    traj = integrate(
-        "kinematic", y0v, t_span, p,
-        tol_abs=tol_abs, tol_rel=tol_rel, max_steps=max_steps, t_eval=t_eval,
-    )
+    traj = integrate("kinematic", kinematic_init(state), t_span, p,
+                     tol_abs=tol_abs, tol_rel=tol_rel, t_eval=t_eval)
     t, y = (traj.t_eval, traj.y_eval) if t_eval is not None else (traj.t, traj.y)
     return path_from_kinematic(t, y, p)
 
@@ -492,62 +486,57 @@ def _lone_fraction(N: float, tol: float) -> Fraction | None:
 def resonance_curve(
     n: int,
     p: Params,
-    kappa_range: tuple[float, float],
-    n_kappa: int = 25,
+    kappa: float,
     *,
     eps_max: float | None = None,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
 ) -> list[ResonancePoint]:
-    """Sampled locus of N(kappa, eps) = -n over a kappa grid.
+    """Points of the locus N(kappa, eps) = -n on one kappa slice.
 
-    Each kappa slice is cut at its critical levels, where the component
-    structure changes and N may jump or diverge; within a segment N is
-    continuous per component, so a coarse scan of N + n finds its roots:
-    each node where it is 0, and each sign change, refined by brentq.  Two
-    roots in one cell of the scan are missed.  A root is kept only when its
-    polished residual is at most 1e-6; each slice that drops roots logs at
-    INFO how many and the largest residual.  Slices contribute nothing where
-    no crossing exists; the result may be empty.  kappa = 0 grid nodes are
-    skipped (N vanishes identically there).
+    The slice is cut at its critical levels, where the component structure
+    changes and N may jump or diverge; within a segment N is continuous per
+    component, so a coarse scan of N + n finds its roots: each node where it
+    is 0, and each sign change, refined by brentq.  Two roots in one cell of
+    the scan are missed.  A root is kept only when its polished residual is
+    at most 1e-6; a slice that drops roots logs at INFO how many and the
+    largest residual.  The result is empty where no crossing exists, and at
+    kappa = 0 (N vanishes identically there).
     """
     out: list[ResonancePoint] = []
-    for kap in np.linspace(kappa_range[0], kappa_range[1], n_kappa):
-        kap = float(kap)
-        if abs(kap) < 1e-9:
+    if abs(kappa) < 1e-9:
+        return out
+    levels = critical_points(kappa, p).levels
+    top = eps_max
+    if top is None:
+        if not levels:
+            return out
+        top = max(levels) + 2.0
+    dropped, worst = 0, 0.0
+    # the open eps-intervals of constant component structure
+    cuts = [lv for lv in sorted(set(levels)) if lv < top]
+    for seg_lo, seg_hi in zip(cuts, cuts[1:] + [top]):
+        pad = max(1e-9, 1e-6 * (seg_hi - seg_lo))
+        a, b = seg_lo + pad, seg_hi - pad
+        if not a < b:
             continue
-        levels = critical_points(kap, p).levels
-        top = eps_max
-        if top is None:
-            if not levels:
-                continue
-            top = max(levels) + 2.0
-        dropped, worst = 0, 0.0
-        # the open eps-intervals of constant component structure
-        cuts = [lv for lv in sorted(set(levels)) if lv < top]
-        for seg_lo, seg_hi in zip(cuts, cuts[1:] + [top]):
-            pad = max(1e-9, 1e-6 * (seg_hi - seg_lo))
-            a, b = seg_lo + pad, seg_hi - pad
-            if not a < b:
-                continue
-            for br in range(len(component_intervals(kap, 0.5 * (a + b), p))):
-                def f(e: float) -> float:
-                    return rotation_number(kap, e, p, br,
-                                           tol_abs=tol_abs, tol_rel=tol_rel).N + n
+        for br in range(len(component_intervals(kappa, 0.5 * (a + b), p))):
+            def f(e: float) -> float:
+                return rotation_number(kappa, e, p, br, tol_abs=tol_abs, tol_rel=tol_rel).N + n
 
-                grid = np.linspace(a, b, _RES_SCAN)
-                # brentq (no start given): the scan does not read dN/deps yet
-                for root in scan_roots(f, grid, np.array([f(float(e)) for e in grid]), 1e-12):
-                    rn = rotation_number(kap, root, p, br, tol_abs=tol_abs, tol_rel=tol_rel)
-                    resid = abs(rn.N + n)
-                    if resid <= _RES_TOL:
-                        out.append(ResonancePoint(kappa=kap, eps=root,
-                                                  N=rn.N, N_err=rn.err, branch=br))
-                    else:
-                        dropped, worst = dropped + 1, max(worst, resid)
-        if dropped:
-            log.info("resonance N = %d at kappa = %.17g: dropped %d roots with |N + n| above "
-                     "%g, the largest %.3g", -n, kap, dropped, _RES_TOL, worst)
+            grid = np.linspace(a, b, _RES_SCAN)
+            # brentq (no start given): the scan does not read dN/deps yet
+            for root in scan_roots(f, grid, np.array([f(float(e)) for e in grid]), 1e-12):
+                rn = rotation_number(kappa, root, p, br, tol_abs=tol_abs, tol_rel=tol_rel)
+                resid = abs(rn.N + n)
+                if resid <= _RES_TOL:
+                    out.append(ResonancePoint(kappa=kappa, eps=root,
+                                              N=rn.N, N_err=rn.err, branch=br))
+                else:
+                    dropped, worst = dropped + 1, max(worst, resid)
+    if dropped:
+        log.info("resonance N = %d at kappa = %.17g: dropped %d roots with |N + n| above "
+                 "%g, the largest %.3g", -n, kappa, dropped, _RES_TOL, worst)
     return out
 
 

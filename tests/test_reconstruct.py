@@ -285,7 +285,7 @@ def test_rotation_number_at_fixed_point():
 
 
 def test_resonance_curve_zero_order_point():
-    pts = resonance_curve(0, P_XY, (0.5, 0.5), n_kappa=1)
+    pts = resonance_curve(0, P_XY, 0.5)
     assert len(pts) == 1
     q = pts[0]
     np.testing.assert_allclose(q.eps, 3.1790302156, atol=1e-6)
@@ -296,7 +296,7 @@ def test_resonance_curve_logs_the_roots_it_drops(monkeypatch, caplog):
     import rubberroll.reconstruct as rec
 
     caplog.set_level(logging.INFO, logger="rubberroll.reconstruct")
-    assert len(resonance_curve(0, P_XY, (0.5, 0.5), n_kappa=1)) == 1
+    assert len(resonance_curve(0, P_XY, 0.5)) == 1
     assert not caplog.records
     # N pushed 1e-3 away from zero on either side keeps the sign change
     # that brackets the root, but brentq's root then has a residual of 1e-3
@@ -307,7 +307,7 @@ def test_resonance_curve_logs_the_roots_it_drops(monkeypatch, caplog):
         return dataclasses.replace(rn, N=rn.N + math.copysign(1e-3, rn.N))
 
     monkeypatch.setattr(rec, "rotation_number", jumpy)
-    assert resonance_curve(0, P_XY, (0.5, 0.5), n_kappa=1) == []
+    assert resonance_curve(0, P_XY, 0.5) == []
     assert [r.getMessage() for r in caplog.records] == [
         "resonance N = 0 at kappa = 0.5: dropped 1 roots with |N + n| above 1e-06, "
         "the largest 0.001"]
@@ -322,20 +322,20 @@ def test_resonance_curve_keeps_a_root_on_a_scan_node(monkeypatch):
     seen = []
     monkeypatch.setattr(rec, "rotation_number",
                         lambda k, e, *a, **kw: seen.append(e) or real(k, e, *a, **kw))
-    resonance_curve(0, P_XY, (1.1, 1.1), n_kappa=1, eps_max=3.5)
+    resonance_curve(0, P_XY, 1.1, eps_max=3.5)
     # N exactly 0 on the middle scan node and of either sign beside it: no
     # cell changes sign, the node is the root
     e0 = seen[rec._RES_SCAN // 2]
     monkeypatch.setattr(rec, "rotation_number", lambda k, e, *a, **kw: dataclasses.replace(
         real(k, e, *a, **kw), N=e - e0))
-    pts = resonance_curve(0, P_XY, (1.1, 1.1), n_kappa=1, eps_max=3.5)
+    pts = resonance_curve(0, P_XY, 1.1, eps_max=3.5)
     assert [(q.eps, q.N) for q in pts] == [(e0, 0.0)]
 
 
 @pytest.mark.xfail(strict=True, reason="next to the fold of the N = 0 locus (kappa_max = "
                    "1.10784) the pair of roots shares one cell of the 9-node eps scan")
 def test_resonance_curve_finds_the_pair_next_to_the_fold():
-    pts = resonance_curve(0, P_XY, (1.1, 1.1), n_kappa=1)
+    pts = resonance_curve(0, P_XY, 1.1)
     assert len(pts) == 2
     np.testing.assert_allclose([q.eps for q in pts], [3.7000173, 3.7087006], atol=1e-6)
 

@@ -6,16 +6,12 @@ level engine polishes both by Newton on the exact slope, and brentq only
 splits a close pair of critical angles.  This counts every function
 evaluation those solves make, per level, with the caches emptied before
 each level, over seeded levels of the two benchmark bodies.  Run as a
-script it prints the figure.  A second count covers the relative
-equilibria next to the poles at small |kappa|, which those levels do not
-reach.
+script it prints the figure.
 """
 
 import math
 
 import numpy as np
-import pytest
-from scipy.optimize import brentq
 
 import rubberroll.dynamics
 from rubberroll.dynamics import critical_thetas, effective_potential
@@ -37,11 +33,6 @@ ROUNDS = 4
 # Newton polish; the ceiling is under half of the first
 CEILING = 20.0
 SOLVERS = ("newton_bracketed", "brentq")
-# slices of the main body whose near-pole relative equilibria lie in the end
-# cells of the critical-angle scan; from the tangent of a scan node their
-# Newton solves took 7 to 16 evaluations, from the closed form at most 3
-NEAR_POLE_KAPPAS = (1e-13, 1e-10, 1e-7, 1e-5)
-NEAR_POLE_CEILING = 3
 
 
 def _level(kind, body, rng):
@@ -116,35 +107,6 @@ def test_root_evaluations_per_cold_level_stay_under_the_ceiling():
     first = evaluations_per_level()
     assert first == evaluations_per_level()     # deterministic
     assert first <= CEILING, first
-
-
-@pytest.mark.parametrize("kappa", NEAR_POLE_KAPPAS)
-def test_near_pole_roots_start_from_their_closed_form(kappa, monkeypatch):
-    p = BODIES["main"]
-    real = rubberroll.dynamics.newton_bracketed
-    evaluations = {}
-
-    def counted(f, *args, **kwargs):
-        n = [0]
-
-        def g(x):
-            n[0] += 1
-            return f(x)
-        root = real(g, *args, **kwargs)
-        evaluations[root] = n[0]
-        return root
-
-    clear_caches()
-    monkeypatch.setattr(rubberroll.dynamics, "newton_bracketed", counted)
-    roots = critical_thetas(kappa, p)
-    for root, pole in ((roots[0], 0.0), (roots[-1], math.pi)):
-        assert evaluations[root] <= NEAR_POLE_CEILING, (root, evaluations)
-        # the root to the scan's tolerance, relative to theta next to 0
-        d = abs(root - pole)
-        want = brentq(lambda th: rubberroll.dynamics.g0(th, kappa, p),
-                      *sorted((pole + (root - pole) * 0.999, pole + (root - pole) * 1.001)),
-                      xtol=1e-300)
-        assert abs(root - want) <= 1e-14 * (d if pole == 0.0 else 1.0), (root, want)
 
 
 if __name__ == "__main__":

@@ -226,5 +226,6 @@ def test_the_readme_resonance_slices_run_no_stepper(monkeypatch):
     # critical levels, within reach of a saddle; every slice of the README
     # example's range stays on the quadrature
     monkeypatch.setattr(rubberroll.integrate, "integrate_raw", _no_stepper)
-    pts = resonance_curve(0, BODIES["main"], (0.3, 1.1), n_kappa=5)
+    pts = [pt for k in np.linspace(0.3, 1.1, 5)
+           for pt in resonance_curve(0, BODIES["main"], float(k))]
     assert len(pts) >= 4 and all(abs(pt.N) <= 1e-6 for pt in pts)

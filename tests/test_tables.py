@@ -84,9 +84,7 @@ def _brentq_tenth(f_df, a, b, fa, fb, xtol, x0):
 def _potential_grid_roots(kappa, p, polish=_newton):
     """The roots critical_thetas found on that scan, each sign cell and
     each half of a close pair polished by Newton on G0 and G0' from the
-    scan's tangent at the cell's end nearer the root, or in an end cell of
-    the scan from the near-pole root's closed form where that lies in the
-    cell (or by ``polish``)."""
+    scan's tangent at the cell's end nearer the root (or by ``polish``)."""
     f = lambda th: g0(th, kappa, p)
     f_df = lambda th: (g0(th, kappa, p), g0_prime(th, kappa, p))
     if kappa == 0.0:
@@ -108,25 +106,15 @@ def _potential_grid_roots(kappa, p, polish=_newton):
     def tangent(j):
         return float(grid[j] - vals[j] / slope[j]) if slope[j] != 0.0 else None
 
-    def start(i):
-        # sin^4 = -kappa^2 cos / (alpha + (1 - beta^2) cos) at the cell's pole
-        for end, c in ((0, 1.0), (len(grid) - 2, -1.0)):
-            A = p.alpha + (1.0 - p.beta * p.beta) * c
-            s4 = -kappa * kappa * c / A if A != 0.0 else 0.0
-            if i == end and 0.0 < s4 <= 1.0:
-                th = math.asin(s4 ** 0.25) if c > 0.0 else math.pi - math.asin(s4 ** 0.25)
-                if grid[i] < th < grid[i + 1]:
-                    return th
-        return tangent(i if abs(vals[i]) < abs(vals[i + 1]) else i + 1)
-
     roots = []
     for i in sign_cells(vals):
         if vals[i] == 0.0:
             roots.append(float(grid[i]))
         else:
             xtol = 1e-14 * grid[i] if grid[i] < eps_edge else 1e-14
+            j = i if abs(vals[i]) < abs(vals[i + 1]) else i + 1
             roots.append(polish(f_df, float(grid[i]), float(grid[i + 1]), vals[i], vals[i + 1],
-                                xtol, start(i)))
+                                xtol, tangent(j)))
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     for i in sign_cells(slope):
