@@ -15,7 +15,7 @@ import numpy as np
 from .model import Params
 from .geometry import profile
 from .dynamics import (FullState, ReducedState, critical_points, full_field, g0, integrals, lift,
-                       measure_density, reduce_state, reduced_energy, reduced_field, saddles)
+                       measure_density, reduce_state, reduced_energy, reduced_field)
 from .integrate import (_component, _ode_half_period, _pole_guard_factory, integrate,
                         integrate_raw, period_map)
 from .bifurcation import (inclined_equilibrium, permanent_rotation, sigma_theta_eps,
@@ -226,7 +226,7 @@ def log_slope(p: Params, rng: np.random.Generator, quick: bool, b_sign: str) -> 
     """N 1e-8 and 1e-10 above a saddle against the closed form of its slope
     in ln delta, psi_dot_s / (pi lambda_s); 1e-9 covers the
     O(delta ln delta) remainder where the closed form vanishes."""
-    found = [(k, s) for k in (0.5, -0.3, 0.8, -1.2) for s in saddles(k, p)]
+    found = [(k, s) for k in (0.5, -0.3, 0.8, -1.2) for s in critical_points(k, p).saddles]
     if not found:
         return Check("log-slope", (), (), "no saddle on the slices kappa = 0.5, -0.3, 0.8, -1.2")
     kap, (th, lv, g) = found[0]

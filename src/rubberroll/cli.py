@@ -26,7 +26,7 @@ Config files given with --config hold ``key = value`` lines whose keys
 mirror the long flag names; they replace the option defaults, and explicit
 flags win.  All numeric output uses 17 significant digits.  RUBBERROLL_LOG
 selects the log level.  Exit codes: 0 success, 1 invalid parameters or
-usage, 2 numerical failure, 3 failed verification.
+usage (an unwritable output too), 2 numerical failure, 3 failed verification.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def _config_defaults(args: argparse.Namespace, parser: _Parser) -> None:
     win; each value is cast by its option's own parser action."""
     try:
         cfg = _read_config(args.config)
-    except (OSError, ValueError) as ex:
+    except ValueError as ex:
         parser.error(str(ex))
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     subparser = sub.choices[args.command]
@@ -568,12 +568,15 @@ _span, _triple = _numbers(":", 2), _numbers(",", 3)   # lo:hi ranges, full-style
 
 
 def _int_list(text: str) -> list[int]:
-    """Option type of the resonance orders: comma-separated integers."""
+    """Option type of the resonance orders: comma-separated integers, each once."""
     try:
-        return [int(v) for v in text.split(",")]
+        orders = [int(v) for v in text.split(",")]
     except ValueError:
+        orders = None
+    if orders is None or len(set(orders)) < len(orders):
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
+            f"expected comma-separated integers, each once, got {text!r}")
+    return orders
 
 
 def _add_common(sp: _Parser, *, nu_eta: float | None = None) -> None:
@@ -699,11 +702,16 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            _config_defaults(args, parser)
+        try:
             args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, parser)
+            if args.config:
+                _config_defaults(args, parser)
+                args = parser.parse_args(argv)
+            return _COMMANDS[args.command](args, parser)
+        except OSError as ex:
+            # a config file that cannot be read or an output file that cannot
+            # be written: a usage error whose message names the path
+            parser.error(str(ex))
     except SystemExit as ex:
         return int(ex.code or 0)
 

@@ -38,10 +38,10 @@ these, and a slice takes six array operations.  V is monotone between
 consecutive critical thetas, so :func:`component_intervals` brackets every
 turning point of a level with those thetas and the chart edges alone.  Each
 kappa slice is scanned once: :func:`critical_points` keeps the critical
-thetas of the last slices with their levels and G0' values, and
-:func:`component_intervals` keeps the components of the last levels, in
-bounded per-process caches.  The caches key on the arguments as floats, so a
-kept result does not depend on which caller computed it.
+thetas of the last slices with their levels, G0' values and saddles, and
+:func:`component_intervals` keeps the checked components of the last levels,
+in bounded per-process caches.  The caches key on the arguments as floats, so
+a kept result does not depend on which caller computed it.
 """
 
 from __future__ import annotations
@@ -92,9 +92,7 @@ __all__ = [
     "CriticalPoints",
     "critical_points",
     "critical_thetas",
-    "saddles",
     "component_intervals",
-    "turning_points",
 ]
 
 
@@ -553,11 +551,14 @@ def scan_roots(f: Callable, grid, vals: np.ndarray, xtol: float, edge: float = 0
 class CriticalPoints:
     """The relative equilibria of one kappa slice, sorted by theta: the
     roots of G0 that :func:`critical_thetas` returns, the level V at each,
-    and G0' at each; a saddle, a maximum of V, has G0' > 0."""
+    and G0' at each; the poles as (theta, V, G0') at kappa = 0 only; and
+    the saddles, maxima of V (G0' > 0), as (theta, V, G0'), poles first."""
 
     thetas: tuple[float, ...]
     levels: tuple[float, ...]
     dg0: tuple[float, ...]
+    poles: tuple[tuple[float, float, float], ...]
+    saddles: tuple[tuple[float, float, float], ...]
 
 
 def _finite(name: str, x: float) -> float:
@@ -595,25 +596,14 @@ def critical_thetas(kappa: float, p: Params) -> list[float]:
 
 
 @functools.lru_cache(maxsize=_SLICE_CACHE)
-def saddles(kappa: float, p: Params) -> tuple[tuple[float, float, float], ...]:
-    """(theta, level, G0') of each saddle of the kappa slice, a maximum of
-    V: at kappa = 0 first each pole where V peaks, at its height
-    1 +/- alpha, then the saddles of :func:`critical_points`; kept per
-    slice as those are."""
-    cp = critical_points(kappa, p)
-    poles = [(th, 1.0 + p.alpha * math.cos(th), g0_prime(th, 0.0, p))
-             for th in ((0.0, math.pi) if kappa == 0.0 else ())]
-    return tuple(s for s in poles + list(zip(cp.thetas, cp.levels, cp.dg0)) if s[2] > 0.0)
-
-
-@functools.lru_cache(maxsize=_SLICE_CACHE)
 def _critical_points(kappa: float, p: Params) -> CriticalPoints:
-    thetas = _g0_roots(kappa, p)
-    return CriticalPoints(
-        thetas=tuple(thetas),
-        levels=tuple(effective_potential(th, kappa, p) for th in thetas),
-        dg0=tuple(g0_prime(th, kappa, p) for th in thetas),
-    )
+    thetas = tuple(_g0_roots(kappa, p))
+    levels = tuple(effective_potential(th, kappa, p) for th in thetas)
+    dg0 = tuple(g0_prime(th, kappa, p) for th in thetas)
+    poles = tuple((th, effective_potential(th, 0.0, p), g0_prime(th, 0.0, p))
+                  for th in ((0.0, math.pi) if kappa == 0.0 else ()))
+    saddles = tuple(s for s in poles + tuple(zip(thetas, levels, dg0)) if s[2] > 0.0)
+    return CriticalPoints(thetas, levels, dg0, poles, saddles)
 
 
 @functools.lru_cache(maxsize=_BODY_CACHE)
@@ -696,28 +686,14 @@ def _g0_roots(kappa: float, p: Params) -> list[float]:
     return sorted(roots)
 
 
-def turning_points(kappa: float, eps: float, p: Params, branch: int = 0) -> tuple[float, float]:
-    """Turning points of the branch-th admissible component.
-
-    Thin selector over :func:`component_intervals`; a degenerate component
-    returns coinciding endpoints (the relative equilibrium angle).
-    """
-    ivs = component_intervals(kappa, eps, p)
-    if not ivs:
-        raise ValueError(f"no admissible motion at kappa={kappa}, eps={eps}")
-    if not 0 <= branch < len(ivs):
-        raise ValueError(f"branch {branch} out of range, {len(ivs)} component(s)")
-    return ivs[branch]
-
-
 def component_intervals(kappa: float, eps: float, p: Params) -> list[tuple[float, float]]:
     """Connected theta-intervals of the admissible region {V <= eps}.
 
     V is monotone between consecutive critical thetas, so a sign scan of
     V - eps on the chart edges and the critical thetas brackets every
     turning point, and Newton on V' = -G0 within each sign change finds it,
-    polished to the rounding of V; V and G0' at the critical thetas come
-    from :func:`critical_points`.
+    polished to the rounding of V and checked by :func:`check_turning_point`;
+    V and G0' at the critical thetas (and poles) come from :func:`critical_points`.
     Returns a sorted list of (theta_lo, theta_hi).  Degenerate components
     (stable relative equilibria: a minimum of V within 1e-10 relative of
     eps, a pole minimum included at kappa = 0) come back with
@@ -740,24 +716,21 @@ def component_intervals(kappa: float, eps: float, p: Params) -> list[tuple[float
 def _component_intervals(kappa: float, eps: float, p: Params) -> tuple[tuple[float, float], ...]:
     V = lambda th: effective_potential(th, kappa, p)
     cp = _critical_points(kappa, p)
-
-    lo_edge = 0.0 if kappa == 0.0 else _CRIT_EDGE
-    hi_edge = math.pi - lo_edge
-
-    node_v = {lo_edge: V(lo_edge), hi_edge: V(hi_edge), **dict(zip(cp.thetas, cp.levels))}
     # (V, G0') at each critical point, at kappa = 0 the poles included
-    crit = dict(zip(cp.thetas, zip(cp.levels, cp.dg0)))
-    if kappa == 0.0:
-        crit.update((pole, (node_v[pole], g0_prime(pole, 0.0, p))) for pole in (0.0, math.pi))
-    grid = sorted(node_v)
-    vals = np.array([node_v[th] for th in grid]) - eps
+    crit = {th: (v, g) for th, v, g in cp.poles + tuple(zip(cp.thetas, cp.levels, cp.dg0))}
+    node_v = {th: v for th, (v, _) in crit.items()}
+    # the chart edges: the poles at kappa = 0, else the scan's clip edges
+    lo_edge = 0.0 if kappa == 0.0 else _CRIT_EDGE
+    if kappa != 0.0:
+        node_v.update((th, V(th)) for th in (lo_edge, math.pi - lo_edge))
+    first, last = (node_v[th] - eps for th in (min(node_v), max(node_v)))
 
     def wall(u):
         # the angle next to the pole 0 where kappa^2 / (2 sin^2) = eps - u, or None
         s = abs(kappa) / math.sqrt(2.0 * (eps - u)) if eps > u else 2.0
         return math.asin(s) if s <= 1.0 else None
 
-    if kappa != 0.0 and min(vals[0], vals[-1]) < 0.0:
+    if kappa != 0.0 and min(first, last) < 0.0:
         # an admissible clip edge is no turning point: the centrifugal wall
         # lies between it and the pole.  V > eps wherever
         # sin(theta) < |kappa| / sqrt(2 (eps - min U)), and
@@ -766,15 +739,15 @@ def _component_intervals(kappa: float, eps: float, p: Params) -> tuple[tuple[flo
         th_w = 0.5 * wall(min(1.0, p.beta) - p.alpha)
         # walls below 1e-30 are out of the documented range, and a node
         # nearer pi than half the float spacing there rounds to pi
-        if th_w < 1e-30 or (vals[-1] < 0.0 and math.pi - th_w == math.pi):
+        if th_w < 1e-30 or (last < 0.0 and math.pi - th_w == math.pi):
             raise ValueError(
                 f"|kappa|={abs(kappa)} too small to resolve the centrifugal wall; use kappa = 0"
             )
-        for th, val in ((th_w, vals[0]), (math.pi - th_w, vals[-1])):
+        for th, val in ((th_w, first), (math.pi - th_w, last)):
             if val < 0.0:
                 node_v[th] = V(th)
-        grid = sorted(node_v)
-        vals = np.array([node_v[th] for th in grid]) - eps
+    grid = sorted(node_v)
+    vals = np.array([node_v[th] for th in grid]) - eps
 
     scale = max(1.0, abs(eps))
     floor = _LEVEL_FLOOR * scale
@@ -822,4 +795,9 @@ def _component_intervals(kappa: float, eps: float, p: Params) -> tuple[tuple[flo
             intervals.append((tc, tc))
 
     intervals.sort()
+    # every end but a relative equilibrium's and a kappa = 0 pole is a turning point
+    for lo, hi in intervals:
+        for end in (lo, hi):
+            if hi - lo > FP_WIDTH and end not in (0.0, math.pi):
+                check_turning_point(end, kappa, eps, p)
     return tuple(intervals)

@@ -57,14 +57,13 @@ from .dynamics import (
     FP_WIDTH,
     _centrifugal,
     augmented_field,
-    check_turning_point,
+    component_intervals,
+    critical_points,
     effective_potential,
     full_field,
     g0,
     kinematic_field,
     reduced_field,
-    saddles,
-    turning_points,
 )
 from .geometry import (profile, surface_b, surface_g0, surface_j, surface_j_prime, surface_u,
                        surface_z)
@@ -743,7 +742,7 @@ def _node_map(
     else:
         h = 0.5 * (hi - lo)
         found = [] if kappa == 0.0 else [(-1.0, lo / h), (1.0, (math.pi - hi) / h)]
-    for th_s, v_s, g in saddles(kappa, p):
+    for th_s, v_s, g in critical_points(kappa, p).saddles:
         w = math.sqrt(2.0 * abs(eps - v_s) / g)
         if circuit:
             x_s = -math.cos(th_s)
@@ -950,7 +949,7 @@ def half_period(
     """Time and precession from the turning point lo to the turning point hi.
 
     The turning points are taken as given: :func:`.dynamics.
-    component_intervals` polishes them to the rounding of V.
+    component_intervals` polishes them to the rounding of V and checks them.
     For a kappa = 0 component crossing a pole, lo and hi are the turning
     points in the extended meridian chart.  With ``circuit`` set, the level
     circulates (kappa = 0) and lo and hi are instead two points the
@@ -1149,19 +1148,20 @@ def _component(
     A kappa = 0 component reaching both poles circulates: half its circuit
     runs from 0 to pi.  One reaching a single pole crosses it, and its
     turning points lie in the extended meridian chart, mirrored through
-    that pole.  Every end that is not a pole is checked to be a turning
-    point.
+    that pole.  Raises ValueError where the level has no admissible motion
+    or ``branch`` is out of range.
     """
-    lo, hi = turning_points(kappa, eps, p, branch)
+    ivs = component_intervals(kappa, eps, p)
+    if not ivs:
+        raise ValueError(f"no admissible motion at kappa={kappa}, eps={eps}")
+    if not 0 <= branch < len(ivs):
+        raise ValueError(f"branch {branch} out of range, {len(ivs)} component(s)")
+    lo, hi = ivs[branch]
     if hi - lo <= FP_WIDTH:
         return lo, hi, None
-    touches_0 = kappa == 0.0 and lo <= 1e-12
-    touches_pi = kappa == 0.0 and hi >= math.pi - 1e-12
+    touches_0, touches_pi = lo == 0.0, hi == math.pi   # kappa = 0 alone reaches a pole
     if touches_0 and touches_pi:
         return lo, hi, (0.0, math.pi, True)
-    for end, at_pole in ((lo, touches_0), (hi, touches_pi)):
-        if not at_pole:
-            check_turning_point(end, kappa, eps, p)
     return lo, hi, (-hi if touches_0 else lo, 2.0 * math.pi - lo if touches_pi else hi, False)
 
 

@@ -53,7 +53,6 @@ from .dynamics import (
     g0_prime,
     kinematic_init,
     potential_grid,
-    saddles,
     scan_roots,
 )
 from .integrate import (
@@ -434,7 +433,7 @@ def classify(
             return TrajectoryClass(kind="NeutralRest", N=0.0, N_err=0.0)
 
     # separatrix levels: a saddle of the component within _SEP_TOL of eps
-    sads = saddles(kappa, p)
+    sads = critical_points(kappa, p).saddles
     hits = [th for th, lv, _ in sads if abs(eps - lv) <= _SEP_TOL and lo - 1e-6 <= th <= hi + 1e-6]
     near = any(abs(eps - lv) <= _WARN_TOL for _, lv, _ in sads)
     if kappa == 0.0:
@@ -553,11 +552,10 @@ def epsilon_min(p: Params) -> float:
     return profile(th, p, pole_mode=True).U
 
 
-def _rotation_slope(kappa: float, eps: float, p: Params,
-                    branch: int = 0) -> tuple[float, float, float]:
-    """(N, dN/deps, err of dN/deps) of a libration at kappa != 0, from the
-    half period :func:`rotation_number` keeps (see :func:`.integrate._psi_slope`)."""
-    rn, hp = _rotation_number(kappa, eps, p, *_component(kappa, eps, p, branch),
+def _rotation_slope(kappa: float, eps: float, p: Params) -> tuple[float, float, float]:
+    """(N, dN/deps, err of dN/deps) on branch 0 of a libration at kappa != 0, from
+    the half period :func:`rotation_number` keeps (see :func:`.integrate._psi_slope`)."""
+    rn, hp = _rotation_number(kappa, eps, p, *_component(kappa, eps, p, 0),
                               DEFAULT_TOL_ABS, DEFAULT_TOL_REL)
     if hp is None:
         raise ValueError(f"level ({kappa}, {eps}) has no half period to differentiate")

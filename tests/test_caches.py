@@ -8,11 +8,14 @@ returned object may reach a later call.
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import rubberroll.dynamics
 from rubberroll.dynamics import (
+    FP_WIDTH,
     component_intervals,
     critical_points,
     critical_thetas,
@@ -93,6 +96,33 @@ def test_cached_results_equal_cold_results(level):
         clear_caches()
         _fingerprint(-kappa, eps, p, branch)
         assert _fingerprint(kappa, eps, p, branch) == cold
+
+
+@pytest.mark.parametrize("level", _levels(), ids=lambda lv: f"{lv[0]}-k{lv[2]!r}")
+def test_each_turning_point_is_checked_once_where_it_is_made(level, monkeypatch):
+    # the first observable of a level checks each end of each component,
+    # but a relative equilibrium's and the kappa = 0 poles, once; the
+    # observables after it check nothing
+    kind, p, kappa, eps, branch = level
+    real, calls = rubberroll.dynamics.check_turning_point, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "rubberroll" or name.startswith("rubberroll."):
+            for key, val in list(vars(mod).items()):
+                if val is real:
+                    monkeypatch.setattr(mod, key, counting)
+    rotation_number(kappa, eps, p, branch)
+    first = [args[0] for args in calls]
+    for observable in (rotation_number, section_period, classify, period_map):
+        observable(kappa, eps, p, branch)
+    ends = [end for lo, hi in component_intervals(kappa, eps, p) if hi - lo > FP_WIDTH
+            for end in (lo, hi) if end not in (0.0, math.pi)]
+    assert sorted(first) == sorted(ends) and len(calls) == len(ends)
+    assert len(ends) > 0 or kind == "kappa0_circulating"
 
 
 def test_what_a_caller_changes_does_not_reach_a_later_call():

@@ -319,14 +319,19 @@ def test_zero_sizes_exit_one(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("orders", ["a", "", "1,,2", "0.5"])
+@pytest.mark.parametrize("orders", ["a", "", "1,,2", "0.5", "0,0", "1,0,1"])
 def test_bad_resonance_orders_exit_one(orders, tmp_path, capsys):
+    # a repeated order too; on the command line and in a config file alike
     out = tmp_path / "out.csv"
-    code, _, err = run(["resonance", *ARGS_XY, "--kappa-range", "0.5:0.5",
-                        "--n", orders, "--out", str(out)], capsys)
-    assert code == 1
-    assert f"expected comma-separated integers, got {orders!r}" in err
-    assert not out.exists()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = {orders}\n")
+    for argv, message in (
+            (["--n", orders], f"expected comma-separated integers, each once, got {orders!r}"),
+            (["--config", str(cfg)], f"config key n: cannot parse {orders!r}")):
+        code, _, err = run(["resonance", *ARGS_XY, "--kappa-range", "0.5:0.5", *argv,
+                            "--out", str(out)], capsys)
+        assert code == 1 and message in err, err
+        assert not out.exists()
 
 
 _TOL_RUNS = {
@@ -827,7 +832,7 @@ def test_log_slope_check_catches_a_wrong_slope_in_ln_delta(monkeypatch):
     # N + 1e-6 ln delta moves the measured slope by 1e-6, about 4x the bound
     def off(rn, args):
         kappa, eps, p = args[:3]
-        delta = eps - checks.saddles(kappa, p)[0][1]
+        delta = eps - checks.critical_points(kappa, p).saddles[0][1]
         return dataclasses.replace(rn, N=rn.N + 1e-6 * math.log(delta))
 
     _off_by(monkeypatch, "rotation_number", off)
@@ -948,3 +953,28 @@ def test_validate_rejects_infinite_ratios():
     from rubberroll.model import validate
     assert validate(Params(0.5, math.inf, 0.5, 0.5)) == ["beta must be positive and finite, got inf"]
     assert validate(Params(0.5, 3.0, 0.5, math.inf)) == ["eta must be positive and finite, got inf"]
+
+
+# a short run of each subcommand that writes a file
+_OUT_RUNS = {
+    "simulate": ["--kappa", "0.8", "--theta0", "0.4678", "--tmax", "1", "--samples", "3"],
+    "trajectory": ["--kappa", "0.8", "--theta0", "0.4678", "--tmax", "1", "--samples", "3"],
+    "bifurcation": [],
+    "rotation-number": ["--kappa", "0.8", "--energy", "3.4"],
+    "resonance": ["--kappa-range", "0.5:0.5", "--n-kappa", "1"],
+    "classify": ["--kappa", "1", "--energy", "3.057"],
+}
+
+
+@pytest.mark.parametrize("command", [command for command in cli._COMMANDS
+                                     if any("--out" in action.option_strings
+                                            for action in _subparser_actions(command))])
+def test_an_output_that_cannot_be_written_exits_one(command, tmp_path, capsys):
+    # a path in a missing directory, and a directory: one usage error line
+    # that names the path, no traceback
+    for path in (tmp_path / "missing" / "out", tmp_path):
+        code, _, err = run([command, *ARGS_XY, *_OUT_RUNS[command], "--out", str(path)], capsys)
+        assert code == 1 and "Traceback" not in err, err
+        assert err.startswith("usage: rubberroll") and err.count("rubberroll: error:") == 1, err
+        assert repr(str(path)) in err.splitlines()[-1], err
+    assert [p.name for p in tmp_path.iterdir()] == []

@@ -11,6 +11,7 @@ from rubberroll.dynamics import (
     ReducedState,
     augmented_field,
     component_intervals,
+    critical_points,
     critical_thetas,
     effective_potential,
     full_field,
@@ -22,11 +23,10 @@ from rubberroll.dynamics import (
     reduce_state,
     reduced_energy,
     reduced_field,
-    saddles,
     scan_roots,
-    turning_points,
 )
 from rubberroll.geometry import B_SIGN_PAPER, profile
+from rubberroll.integrate import _component
 from rubberroll.model import Params
 
 from conftest import random_valid_state
@@ -202,10 +202,10 @@ def test_component_intervals_split_and_merge():
         np.testing.assert_allclose(
             [effective_potential(lo, kap, P), effective_potential(hi, kap, P)],
             [v_saddle - 0.1] * 2, rtol=1e-9)
-    lo, hi = turning_points(kap, v_saddle - 0.1, P, branch=1)
+    lo, hi, _ = _component(kap, v_saddle - 0.1, P, 1)
     assert below[1] == (lo, hi)
-    with pytest.raises(ValueError, match="branch"):
-        turning_points(kap, v_saddle - 0.1, P, branch=2)
+    with pytest.raises(ValueError, match="branch 2 out of range, 2 component"):
+        _component(kap, v_saddle - 0.1, P, 2)
 
 
 def test_component_intervals_empty_below_floor():
@@ -276,4 +276,4 @@ def test_the_centered_sphere_has_no_kappa_zero_critical_angle():
     for nu, eta in ((1.0, 1.0), (2.0, 1.0), (0.5, 3.0)):
         p = Params(0.0, 1.0, nu, eta)
         assert critical_thetas(0.0, p) == []
-        assert saddles(0.0, p) == ()
+        assert critical_points(0.0, p).saddles == ()

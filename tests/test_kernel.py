@@ -244,7 +244,8 @@ def test_level_scan_evaluates_only_the_critical_nodes(monkeypatch):
     # V is monotone between critical points, so the level scan needs the two
     # chart edges, the critical thetas and at most two centrifugal-wall
     # nodes, and brackets each turning point between two neighbouring ones.
-    # It evaluates no array: V at the critical thetas is the slice's
+    # It evaluates no array: V at the critical thetas is the slice's, and so
+    # is V at the chart edges of kappa = 0, the poles
     real_v = rubberroll.dynamics.effective_potential
     real_newton = rubberroll.dynamics.newton_bracketed
     for p in REGION_BODIES.values():
@@ -268,7 +269,7 @@ def test_level_scan_evaluates_only_the_critical_nodes(monkeypatch):
                     m.setattr(rubberroll.dynamics, "newton_bracketed", recording_newton)
                     m.setattr(rubberroll.dynamics, "potential_grid", None)
                     ivs = component_intervals(kappa, eps, p)
-                assert edges <= set(thetas)
+                assert kappa == 0.0 or edges <= set(thetas)
                 walls = {x for ab in brackets for x in ab} - edges - set(crit)
                 assert len(walls) <= 2 and all(min(edges) > w or w > max(edges) for w in walls)
                 nodes = np.array(sorted(edges | set(crit) | walls))

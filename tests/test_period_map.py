@@ -242,13 +242,13 @@ def test_classify_runs_no_stepper_on_integer_levels(monkeypatch):
 
 def test_classify_reads_its_level_once(monkeypatch):
     calls = []
-    real = rubberroll.dynamics.component_intervals
+    real = rubberroll.integrate.component_intervals
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(rubberroll.dynamics, "component_intervals", counting)
+    monkeypatch.setattr(rubberroll.integrate, "component_intervals", counting)
     for kind, body, kappa, eps, branch in grid():
         if kind in ("generic", "integer"):
             calls.clear()

@@ -241,17 +241,16 @@ def test_small_kappa_starts_at_the_centrifugal_wall():
 
 
 def test_start_off_the_level_is_rejected(monkeypatch):
-    # a clipped interval edge is no turning point: refuse it instead of
-    # integrating a different level
+    # a clipped interval edge is no turning point: component_intervals
+    # refuses it instead of handing a different level to the observables
     import rubberroll.dynamics
 
-    # both select their component through dynamics.turning_points
-    clipped = lambda kappa, eps, p: [(1e-6, 3.0)]
-    monkeypatch.setattr(rubberroll.dynamics, "component_intervals", clipped)
-    with pytest.raises(ValueError, match="turning point"):
-        rotation_number(1e-7, 3.5, P_XY)
-    with pytest.raises(ValueError, match="turning point"):
-        section_period(1e-7, 3.5, P_XY)
+    real = rubberroll.dynamics.scan_roots
+    clipped = lambda *args, **kwargs: [max(r, 1e-6) for r in real(*args, **kwargs)]
+    monkeypatch.setattr(rubberroll.dynamics, "scan_roots", clipped)
+    for observable in (component_intervals, rotation_number, section_period):
+        with pytest.raises(ValueError, match="is no turning point of the level"):
+            observable(1e-7, 3.5, P_XY)
 
 
 def test_kappa_too_small_for_the_wall_is_an_error():

@@ -26,11 +26,13 @@ import numpy as np
 import pytest
 
 import rubberroll.integrate
-from rubberroll.dynamics import component_intervals, critical_points, saddles
+from rubberroll.dynamics import component_intervals, critical_points
 from rubberroll.geometry import profile
 from rubberroll.integrate import (
     _component,
     _ode_half_period,
+    _psi_slope,
+    half_period,
     period_map,
     section_period,
 )
@@ -54,24 +56,28 @@ def grid():
     for body, p in BODIES.items():
         for sign in (1.0, -1.0):
             kappa = sign * float(rng.uniform(*KAPPA_RANGES[body]))
-            ((_, v_s, _),) = saddles(kappa, p)
+            ((_, v_s, _),) = critical_points(kappa, p).saddles
             for decade in (-12, -10, -8, -6, -5):
                 for side in (1.0, -1.0):
                     out.append((body, kappa, v_s + side * 10.0 ** (decade + rng.uniform())))
-        ((_, v_s, _),) = saddles(0.0, p)
+        ((_, v_s, _),) = critical_points(0.0, p).saddles
         for decade in (-12, -10, -8, -6):
             out.append((body, 0.0, v_s + 10.0 ** (decade + rng.uniform())))
     return out
 
 
+def _delta(body, kappa, eps):
+    """eps above the saddle level of the slice."""
+    return eps - critical_points(kappa, BODIES[body]).saddles[0][1]
+
+
 def _ids():
-    return [f"{body}-{kappa:+.3f}-{eps - saddles(kappa, BODIES[body])[0][1]:+.0e}"
-            for body, kappa, eps in grid()]
+    return [f"{body}-{kappa:+.3f}-{_delta(body, kappa, eps):+.0e}" for body, kappa, eps in grid()]
 
 
 def _slopes(kappa, eps, p):
     """(k_T, k_N, delta): d/d ln|delta| of T and N per component, and delta."""
-    ((th, v_s, g),) = saddles(kappa, p)
+    ((th, v_s, g),) = critical_points(kappa, p).saddles
     se = profile(th, p)
     lam = math.sqrt(g / se.B)
     psi_dot = -(kappa / se.J) * math.cos(th) / math.sin(th) ** 2
@@ -83,6 +89,17 @@ def _slopes(kappa, eps, p):
 
 def _no_stepper(*args, **kwargs):
     raise AssertionError("the stepper ran")
+
+
+def _slope(kappa, eps, p, branch):
+    """(dN/deps, its err) on the branch's half period; on branch 0 they
+    are those of _rotation_slope, with rotation_number's N."""
+    lo, hi, _ = _component(kappa, eps, p, branch)[2]
+    d_psi, err = _psi_slope(kappa, eps, p, half_period(kappa, eps, p, lo, hi))
+    slope = -d_psi / math.pi, err / math.pi
+    if branch == 0:
+        assert _rotation_slope(kappa, eps, p) == (rotation_number(kappa, eps, p).N, *slope)
+    return slope
 
 
 @pytest.mark.parametrize("level", range(len(grid())), ids=_ids())
@@ -108,8 +125,8 @@ def test_the_saddle_grid_runs_on_the_quadrature_alone(level, monkeypatch):
             # within 1e-9 of the saddle classify names the separatrix, without N
             assert rn.period == sp.T_theta and tc.N in (None, rn.N)
             assert 0.0 < rn.err <= 1e3 * abs(k_N) * cond + 1e-7, (rn.err, cond)
-            N, slope, slope_err = _rotation_slope(kappa, eps, p, branch)
-            assert N == rn.N and math.isfinite(slope) and slope_err > 0.0
+            slope, slope_err = _slope(kappa, eps, p, branch)
+            assert math.isfinite(slope) and slope_err > 0.0
 
 
 @pytest.mark.parametrize("body", BODIES)
@@ -118,7 +135,7 @@ def test_the_sinh_map_matches_the_cosine_map_off_the_saddle(body, monkeypatch):
     # (below it the level keeps x = y)
     p = BODIES[body]
     levels = [(kappa, eps) for b, kappa, eps in grid() if b == body
-              and 1e-6 <= eps - saddles(kappa, p)[0][1] <= 1e-4]
+              and 1e-6 <= _delta(body, kappa, eps) <= 1e-4]
     assert len(levels) >= 5
     values = []
     real_map = rubberroll.integrate._node_map
@@ -143,8 +160,7 @@ def test_the_sinh_map_matches_the_cosine_map_off_the_saddle(body, monkeypatch):
                             ends = _component(kappa, eps, p, branch)[2]
                             assert real_map(kappa, eps, p, *ends) is not None
                         rn = rotation_number(kappa, eps, p, branch)
-                        N, slope, slope_err = _rotation_slope(kappa, eps, p, branch)
-                        row += [(rn.N, rn.err), (slope, slope_err)]
+                        row += [(rn.N, rn.err), _slope(kappa, eps, p, branch)]
                     out.append(row)
             values.append(out)
     clear_caches()
@@ -161,7 +177,7 @@ def test_the_log_slope_matches_its_closed_form(body, monkeypatch):
     monkeypatch.setattr(rubberroll.integrate, "integrate_raw", _no_stepper)
     p = BODIES[body]
     for kappa in sorted({kappa for b, kappa, _ in grid() if b == body and kappa != 0.0}):
-        ((_, v_s, _),) = saddles(kappa, p)
+        ((_, v_s, _),) = critical_points(kappa, p).saddles
         for side in (1.0, -1.0):
             near, far = v_s + side * 1e-10, v_s + side * 1e-8
             _, k_N, _ = _slopes(kappa, far, p)
@@ -171,7 +187,7 @@ def test_the_log_slope_matches_its_closed_form(body, monkeypatch):
                 k = (a.N - b.N) / math.log(100.0)
                 assert abs(k - k_N) <= 1e-5 * abs(k_N) + (a.err + b.err) / math.log(100.0) + 1e-9, \
                     (kappa, side, branch, k, k_N)
-                _, slope, slope_err = _rotation_slope(kappa, far, p, branch)
+                slope, slope_err = _slope(kappa, far, p, branch)
                 assert abs(slope * (far - v_s) - k_N) <= 1e-4 * abs(k_N) + 1e-8 * slope_err + 1e-9
 
 
@@ -190,7 +206,7 @@ def test_err_bounds_the_gap_to_the_tight_stepper():
     # from 1e-12 to 1e-8 and from 1e-6 either side of the saddle
     for body, kappa, eps in grid():
         p = BODIES[body]
-        delta = eps - saddles(kappa, p)[0][1]
+        delta = _delta(body, kappa, eps)
         if 1e-8 < abs(delta) < 1e-6:
             continue
         for branch in range(len(component_intervals(kappa, eps, p))):
