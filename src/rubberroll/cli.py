@@ -26,12 +26,14 @@ Config files given with --config hold ``key = value`` lines whose keys
 mirror the long flag names; they replace the option defaults, and explicit
 flags win.  All numeric output uses 17 significant digits.  RUBBERROLL_LOG
 selects the log level.  Exit codes: 0 success, 1 invalid parameters or
-usage (an unwritable output too), 2 numerical failure, 3 failed verification.
+usage (an unwritable output too, found before any computing), 2 numerical
+failure, 3 failed verification.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 from json.encoder import encode_basestring_ascii
 import logging
 import math
@@ -142,6 +144,34 @@ def _require(args: argparse.Namespace, parser: _Parser, *names: str) -> None:
     for name in names:
         if getattr(args, name, None) is None:
             parser.error(f"--{name.replace('_', '-')} is required")
+
+
+def _outputs(args: argparse.Namespace) -> list[str]:
+    """The files the command writes: none to stdout, one per order for a
+    resonance run of several orders, named after it, else --out."""
+    out = getattr(args, "out", None)
+    if out is None:
+        return []
+    if args.command == "resonance" and len(args.n) > 1:
+        stem, ext = os.path.splitext(out)
+        return [f"{stem}_n{order}{ext or '.csv'}" for order in args.n]
+    return [out]
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that opening path for writing would raise where
+    its directory is missing or not writable, or path is a directory: before
+    the computing, and creating no file."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOENT
+    elif not os.access(folder, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -454,17 +484,11 @@ def _res_slice(task):
 def cmd_resonance(args: argparse.Namespace, parser: _Parser) -> int:
     p = _params(args, parser)
     _require(args, parser, "kappa_range")
-    orders = args.n
     kappas = [float(v) for v in np.linspace(*args.kappa_range, args.n_kappa)]
-    for order in orders:
+    for order, out in zip(args.n, _outputs(args)):
         tasks = [(order, k, p, args.eps_max, args.tol_abs, args.tol_rel) for k in kappas]
         chunks = _map(_res_slice, tasks, args.jobs)
         rows = [r for ch in chunks for r in ch]
-        if len(orders) == 1:
-            out = args.out
-        else:
-            stem, ext = os.path.splitext(args.out)
-            out = f"{stem}_n{order}{ext or '.csv'}"
         _write_csv(out, ["kappa", "eps", "N", "N_err", "branch"], rows)
         log.info("wrote %s (%d resonance points)", out, len(rows))
     return EXIT_OK
@@ -707,6 +731,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.config:
                 _config_defaults(args, parser)
                 args = parser.parse_args(argv)
+            for path in _outputs(args):
+                _check_writable(path)
             return _COMMANDS[args.command](args, parser)
         except OSError as ex:
             # a config file that cannot be read or an output file that cannot

@@ -37,8 +37,13 @@ planar path over one period continues the same node ladder:
 :func:`period_map` integrates d(x_c + i y_c)/dt over the whole period by a
 spectral cumulative sum and a Filon-type FFT rule, which gives the drift D
 the center of mass makes per period.  Each rung size keeps its level-free
-arrays, read-only (88 bytes a node).  The stepper runs no level: it stays
-the oracle the tests and ``verify`` hold the quadrature to.
+arrays, read-only (88 bytes a node).  The small rungs of a ladder (16, 32
+and 64 nodes) are evaluated in one array pass on their concatenated nodes,
+and each rung sums its own slice of it: the integrands are elementwise and
+a contiguous slice sums as an array of its own does, so the pass changes no
+bit of any result and saves numpy's fixed cost per call on all rungs but
+one.  The stepper runs no level: it stays the oracle the tests and
+``verify`` hold the quadrature to.
 """
 
 from __future__ import annotations
@@ -641,6 +646,12 @@ _EPS_MACH = 2.0 ** -52
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi
 _HALF_PERIOD_CACHE = 64  # half_period: results kept per process
 _NODE_TABLES = 16  # _node_table: rung sizes kept per process (the ladder has 11)
+# the rungs of one _half_nodes pass sum to at most this many nodes: so from
+# 16 a pass takes 16, 32 and 64, from 32 it takes 32 and 64, and a larger
+# rung goes alone.  A pass costs about 44 us plus 55 ns a node (numpy 2.4,
+# 2-core Xeon VM), so the small rungs share the fixed cost; a larger budget
+# was slower, since a pass wastes its last rungs when the ladder stops first
+_PASS_NODES = 112
 
 
 @dataclass(frozen=True)
@@ -682,16 +693,30 @@ class HalfPeriod:
 
 @functools.lru_cache(maxsize=_NODE_TABLES)
 def _node_table(n: int) -> tuple:
-    """(du, u, cos u, sin u, k, k_div, shift) of n nodes, read-only: the n
-    midpoints u of (0, pi), and on the 2n of the circle the FFT frequencies,
-    with k_div[0] = 1 for :func:`_cumulative`, and shifts exp(-i du k / 2)."""
+    """(du, u, cos u, sin u, k, k_div, shift, rungs) of n nodes, read-only:
+    rungs = (n, 2n, ...) the rungs of the pass from n (see _PASS_NODES), u
+    the midpoints of (0, pi) of each rung in turn, n's own first; on the 2n
+    nodes of the circle the FFT frequencies k, with k_div[0] = 1 for
+    :func:`_cumulative`, and shifts exp(-i du k / 2)."""
     du = math.pi / n
-    u = (np.arange(n) + 0.5) * du
+    rungs = [n]
+    while sum(rungs) + 2 * rungs[-1] <= _PASS_NODES:
+        rungs.append(2 * rungs[-1])
+    u = np.concatenate([(np.arange(m) + 0.5) * (math.pi / m) for m in rungs])
     k = np.fft.fftfreq(2 * n, 1.0 / (2 * n))
     arrays = (u, np.cos(u), np.sin(u), k, np.concatenate(([1.0], k[1:])), np.exp(-0.5j * du * k))
     for a in arrays:
         a.flags.writeable = False
-    return (du,) + arrays
+    return (du,) + arrays + (tuple(rungs),)
+
+
+def _passes(n: int, last: int) -> Iterator[tuple[int, ...]]:
+    """The rungs n, 2n, ... up to last, a pass of :func:`_half_nodes` at a
+    time."""
+    while n <= last:
+        rungs = tuple(m for m in _node_table(n)[7] if m <= last)
+        yield rungs
+        n = 2 * rungs[-1]
 
 
 @dataclass(frozen=True)
@@ -779,13 +804,14 @@ def _node_map(
     return x_s, e, b, q
 
 
-def _mapped(node_map: tuple, n: int) -> tuple[np.ndarray, ...]:
-    """(1 + x, 1 - x, dx/du) at the n nodes of a map of :func:`_node_map`,
+def _mapped(
+    node_map: tuple, u: np.ndarray, cos_u: np.ndarray, sin_u: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """(1 + x, 1 - x, dx/du) at the nodes u of a map of :func:`_node_map`,
     free of cancellation from 1 + y = 2 sin^2(u/2) and 1 - y = 2 cos^2(u/2)
     on: x = x_s + e sinh(a + c y), with x(-1) = -1 and x(1) = 1, and then
     x = tanh(b z) / tanh(b), b = asinh(2/e) / 2, which puts its nodes as
     densely at each end as the sinh map from that end."""
-    _, u, cos_u, sin_u, *_ = _node_table(n)
     opx, omx, dx = 2.0 * np.sin(0.5 * u) ** 2, 2.0 * np.cos(0.5 * u) ** 2, sin_u
     x_s, e, b, _ = node_map
     if x_s is not None:
@@ -804,14 +830,23 @@ def _mapped(node_map: tuple, n: int) -> tuple[np.ndarray, ...]:
 
 def _half_nodes(
     kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
-    node_map: tuple | None, n: int,
-) -> _Nodes | None:
-    """The n-node integrands between lo and hi on the map node_map of
-    :func:`_node_map`; None if a node falls off the level."""
-    du, u, cos_u, sin_u, *_ = _node_table(n)
+    node_map: tuple | None, rungs: tuple[int, ...],
+) -> list[_Nodes]:
+    """The integrands between lo and hi on the map node_map of
+    :func:`_node_map` for each of rungs, the first rungs of the pass from
+    rungs[0] (see :func:`_passes`), in one array pass on their nodes; the
+    rungs before the first with a node off the level.
+
+    Every array of the pass is elementwise in its nodes, and a numpy ufunc
+    gives an element the same bits whatever the array's length and the
+    element's place in it: each rung's slice of the pass is, bit for bit,
+    what a pass of that rung alone gives.
+    """
+    size = sum(rungs)
+    u, cos_u, sin_u = (a[:size] for a in _node_table(rungs[0])[1:4])
     ends = None
     if node_map is not None:
-        opx, omx, dx = _mapped(node_map, n)
+        opx, omx, dx = _mapped(node_map, u, cos_u, sin_u)
         lower = opx <= omx
         if circuit:
             # -cos(theta) = x: 1 + x = 2 sin^2(theta/2), 1 - x = 2 cos^2(theta/2)
@@ -830,7 +865,7 @@ def _half_nodes(
             jac = h * dx
             ends = opx, omx
     elif circuit:
-        jac = np.full(n, (hi - lo) / math.pi)
+        jac = np.full(size, (hi - lo) / math.pi)
         th = lo + jac * u
     else:
         h = 0.5 * (hi - lo)
@@ -845,8 +880,17 @@ def _half_nodes(
     Z = surface_z(s2, c, p)
     U = surface_u(c, Z, p)
     gap = eps - (U + _centrifugal(s2, kappa))
-    if not np.all(gap > 0.0):
-        return None
+    on = gap > 0.0
+    if not on.all():
+        # keep the rungs before the first node off the level, so that no
+        # square root below sees a gap <= 0
+        kept = int(np.searchsorted(np.cumsum(rungs), np.argmin(on), "right"))
+        rungs, size = rungs[:kept], sum(rungs[:kept])
+        if not rungs:
+            return []
+        s, s2, c, Z, U, gap, jac, ang = (a[:size] for a in (s, s2, c, Z, U, gap, jac, ang))
+        if ends is not None:
+            ends = opx[:size], omx[:size]
     G = surface_g0(s, s2, c, Z, kappa, p)
     B, dB = surface_b(s, s2, c, Z, p)
     J = surface_j(s2, c, U, p)
@@ -861,8 +905,16 @@ def _half_nodes(
         js = J * s
         dpsi = (-kappa) * c / (js * s) * dt
         spin = kappa / js * dt
-    return _Nodes(du=du, dth=jac, dt=dt, dpsi=dpsi, spin=spin, U=U, rel=rel,
-                  terms=(s, s2, c, Z, J, B, dB, G, gap), ends=ends)
+    out, stop = [], 0
+    for n in rungs:
+        cut = slice(stop, stop + n)
+        stop += n
+        out.append(_Nodes(
+            du=math.pi / n, dth=jac[cut], dt=dt[cut],
+            dpsi=None if dpsi is None else dpsi[cut], spin=None if spin is None else spin[cut],
+            U=U[cut], rel=rel[cut], terms=tuple(a[cut] for a in (s, s2, c, Z, J, B, dB, G, gap)),
+            ends=None if ends is None else (ends[0][cut], ends[1][cut])))
+    return out
 
 
 def _midpoint_sums(nodes: _Nodes) -> tuple[float, float, float, float]:
@@ -885,6 +937,14 @@ def _doublings(
     and hi on the level's node map node_map (:func:`_node_map`); stops
     early when a node falls off the level.
 
+    The rungs come from :func:`_half_nodes` a pass at a time, the small ones
+    several to a pass (see _PASS_NODES): the nodes of n and 2n midpoints are
+    disjoint, so a pass evaluates the integrands on their concatenation and
+    each rung sums its own slice.  That changes no bit: the integrands are
+    elementwise, and a contiguous slice sums as an array of its own does.
+    The rungs, their order and the rung the caller stops at stay the same;
+    a rung the caller never reaches may be computed in the pass all the same.
+
     On a libration theta = m + h x(y), y = -cos(u), over u in [0, pi]
     cancels the (theta - lo)(hi - theta) factor of eps - V; on half a
     meridian circuit theta runs linearly from lo to hi, where the integrand
@@ -892,12 +952,12 @@ def _doublings(
     way the integrands are smooth, even, 2 pi-periodic functions of u, so
     midpoint rules converge geometrically.
     """
-    while n <= _N_CAP:
-        nodes = _half_nodes(kappa, eps, p, lo, hi, circuit, node_map, n)
-        if nodes is None:
+    for rungs in _passes(n, _N_CAP):
+        batch = _half_nodes(kappa, eps, p, lo, hi, circuit, node_map, rungs)
+        for nodes in batch:
+            yield nodes, _midpoint_sums(nodes)
+        if len(batch) < len(rungs):
             return
-        yield nodes, _midpoint_sums(nodes)
-        n *= 2
 
 
 def _ode_half_period(
@@ -958,9 +1018,11 @@ def half_period(
 
     A midpoint rule on the level's node map doubles its nodes until two
     rungs agree (see :func:`_doublings` and :func:`_half_period`), and the
-    result records the node count it converged at.  The observables of a
-    level share its half period, so the process keeps the last
-    _HALF_PERIOD_CACHE results.
+    result records the node count it converged at.  The rungs of 16, 32
+    and 64 nodes are evaluated in one array pass, bit for bit as one at a
+    time: the integrands are elementwise, and each rung sums its own slice.
+    The observables of a level share its half period, so the process keeps
+    the last _HALF_PERIOD_CACHE results.
 
     Raises IntegrationError if the rungs do not agree by the node cap of
     2^14 nodes, or a node falls off the level first: on a saddle level
@@ -978,31 +1040,32 @@ def _psi_slope(kappa: float, eps: float, p: Params, hp: HalfPeriod) -> tuple[flo
     points move as d lo / d eps = -1 / G0(lo) (and so hi), and
     d(eps - V)/d eps = 1 + G0 d theta/d eps vanishes with eps - V at both
     ends, so the summand stays smooth.  Summed on hp's rung and the n/2
-    nodes below it, whose difference (or the rounding, where larger) is the
-    error.  The node map stays fixed as eps moves: at fixed x,
-    d theta/d eps = d lo/d eps + (1 + x) dh/d eps.
+    nodes below it, in one pass where both are small, whose difference (or
+    the rounding, where larger) is the error.  The node map stays fixed as
+    eps moves: at fixed x, d theta/d eps = d lo/d eps + (1 + x) dh/d eps.
     """
     lo, hi, _, node_map = hp.grid
     lo_e, hi_e = -1.0 / g0(lo, kappa, p), -1.0 / g0(hi, kappa, p)
     h, h_e = 0.5 * (hi - lo), 0.5 * (hi_e - lo_e)
     sums = []
-    for n in (hp.n // 2, hp.n):
-        nodes = _half_nodes(kappa, eps, p, lo, hi, False, node_map, n)
-        if nodes.ends is None:
-            th_e = 0.5 * (lo_e + hi_e) - h_e * _node_table(n)[2]
-        else:
-            opx, omx = nodes.ends
-            th_e = np.where(opx <= omx, lo_e + h_e * opx, hi_e - h_e * omx)
-        s, s2, c, Z, J, B, dB, G, gap = nodes.terms
-        # d(dpsi/dt)/dtheta, with dpsi/dt = dpsi/du / (dt/du)
-        w_th = kappa / (J * s) - nodes.dpsi / nodes.dt * (
-            surface_j_prime(s, s2, c, Z, nodes.U, J, p) / J + 2.0 * c / s)
-        f = (nodes.dpsi * (h_e / h + 0.5 * dB / B * th_e - 0.5 * (1.0 + G * th_e) / gap)
-             + nodes.dt * w_th * th_e)
-        # f divides by eps - V once and a half; 1 + G0 theta_e has its own rounding
-        floor = (2.0 * np.abs(f) * nodes.rel
-                 + np.abs(nodes.dpsi) * (1.0 + np.abs(G * th_e)) * _EPS_MACH / gap)
-        sums.append((float(f.sum()) * nodes.du, float(floor.sum()) * nodes.du))
+    for rungs in _passes(hp.n // 2, hp.n):
+        for nodes in _half_nodes(kappa, eps, p, lo, hi, False, node_map, rungs):
+            if nodes.ends is None:
+                n = len(nodes.dt)
+                th_e = 0.5 * (lo_e + hi_e) - h_e * _node_table(n)[2][:n]
+            else:
+                opx, omx = nodes.ends
+                th_e = np.where(opx <= omx, lo_e + h_e * opx, hi_e - h_e * omx)
+            s, s2, c, Z, J, B, dB, G, gap = nodes.terms
+            # d(dpsi/dt)/dtheta, with dpsi/dt = dpsi/du / (dt/du)
+            w_th = kappa / (J * s) - nodes.dpsi / nodes.dt * (
+                surface_j_prime(s, s2, c, Z, nodes.U, J, p) / J + 2.0 * c / s)
+            f = (nodes.dpsi * (h_e / h + 0.5 * dB / B * th_e - 0.5 * (1.0 + G * th_e) / gap)
+                 + nodes.dt * w_th * th_e)
+            # f divides by eps - V once and a half; 1 + G0 theta_e has its own rounding
+            floor = (2.0 * np.abs(f) * nodes.rel
+                     + np.abs(nodes.dpsi) * (1.0 + np.abs(G * th_e)) * _EPS_MACH / gap)
+            sums.append((float(f.sum()) * nodes.du, float(floor.sum()) * nodes.du))
     return sums[1][0], max(abs(sums[1][0] - sums[0][0]), sums[1][1])
 
 
@@ -1073,7 +1136,7 @@ def _one_period(
     term with the smallest |w_k| is summed on its own, by
     :func:`_phase_integral`.
     """
-    du, _, _, _, k, k_div, shift = _node_table(len(nodes.dt))
+    du, _, _, _, k, k_div, shift, _ = _node_table(len(nodes.dt))
     M = 2 * len(nodes.dt)
 
     def mirror(a: np.ndarray, sign: float = 1.0) -> np.ndarray:

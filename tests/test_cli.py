@@ -966,15 +966,39 @@ _OUT_RUNS = {
 }
 
 
+# the function each command computes its output with
+_COMPUTE = {"simulate": "reconstruct_trajectory", "trajectory": "reconstruct_trajectory",
+            "bifurcation": "diagram", "rotation-number": "rotation_number",
+            "resonance": "resonance_curve", "classify": "classify"}
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("computed before the output was checked")
+
+
 @pytest.mark.parametrize("command", [command for command in cli._COMMANDS
                                      if any("--out" in action.option_strings
                                             for action in _subparser_actions(command))])
-def test_an_output_that_cannot_be_written_exits_one(command, tmp_path, capsys):
+def test_an_output_that_cannot_be_written_exits_one(command, tmp_path, capsys, monkeypatch):
     # a path in a missing directory, and a directory: one usage error line
-    # that names the path, no traceback
+    # that names the path, no traceback, and nothing computed first
+    monkeypatch.setattr(cli, _COMPUTE[command], _never)
     for path in (tmp_path / "missing" / "out", tmp_path):
         code, _, err = run([command, *ARGS_XY, *_OUT_RUNS[command], "--out", str(path)], capsys)
         assert code == 1 and "Traceback" not in err, err
         assert err.startswith("usage: rubberroll") and err.count("rubberroll: error:") == 1, err
         assert repr(str(path)) in err.splitlines()[-1], err
     assert [p.name for p in tmp_path.iterdir()] == []
+
+
+def test_every_output_of_a_resonance_run_is_checked_before_the_first_is_computed(
+        tmp_path, capsys, monkeypatch):
+    # the second order's file is a directory: the run fails before it
+    # computes the first order, and writes neither file
+    monkeypatch.setattr(cli, "resonance_curve", _never)
+    (tmp_path / "res_n1.csv").mkdir()
+    code, _, err = run(["resonance", *ARGS_XY, "--n", "0,1", "--kappa-range", "0.5:0.5",
+                        "--n-kappa", "1", "--out", str(tmp_path / "res.csv")], capsys)
+    assert code == 1 and "Traceback" not in err, err
+    assert repr(str(tmp_path / "res_n1.csv")) in err.splitlines()[-1], err
+    assert [p.name for p in tmp_path.iterdir()] == ["res_n1.csv"]

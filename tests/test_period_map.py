@@ -360,37 +360,43 @@ def test_classify_next_to_a_saddle_climbs_the_ladder_once(monkeypatch):
     p = BODIES["balanced"]
     kappa = 0.5
     eps = effective_potential(critical_thetas(kappa, p)[1], kappa, p) + 1e-8
-    counts = {}
-    for name in ("integrate_raw", "_half_nodes"):
-        real = getattr(rubberroll.integrate, name)
+    steps, passes = [], []
+    real_stepper, real_nodes = rubberroll.integrate.integrate_raw, rubberroll.integrate._half_nodes
 
-        def counting(*args, _real=real, _name=name, **kwargs):
-            counts[_name] = counts.get(_name, 0) + 1
-            return _real(*args, **kwargs)
+    def stepping(*args, **kwargs):
+        steps.append(args)
+        return real_stepper(*args, **kwargs)
 
-        monkeypatch.setattr(rubberroll.integrate, name, counting)
+    def recording(*args):
+        passes.append(args[-1])
+        return real_nodes(*args)
+
+    monkeypatch.setattr(rubberroll.integrate, "integrate_raw", stepping)
+    monkeypatch.setattr(rubberroll.integrate, "_half_nodes", recording)
     rotation_number(kappa, eps, p)
-    ladder = counts["_half_nodes"]
-    counts.clear()
+    ladder, ladder_passes = sum(map(len, passes)), len(passes)
+    passes.clear()
     clear_caches()
     tc = classify(kappa, eps, p)
     assert tc.kind == "UnboundedResonant" and tc.resonance == (0, 1)
-    assert "integrate_raw" not in counts and ladder < counts["_half_nodes"] <= ladder + 3
+    assert not steps and ladder < sum(map(len, passes)) <= ladder + 3
+    # the period map's rungs, from the half period's n/2 on, take two passes
+    assert len(passes) == ladder_passes + 2, passes
     # a warm repeat reads the kept half period and its component
-    counts.clear()
     assert classify(kappa, eps, p) == tc
-    assert "integrate_raw" not in counts
+    assert not steps
 
 
 def test_the_period_map_goes_on_from_the_half_periods_rung(monkeypatch):
     # the half period climbs 16, 32, ..., n nodes; the period map restarts
     # at n/2, the rung its first comparison of D needs, and evaluates no
     # rung below that twice
-    rungs = []
+    rungs, passes = [], []
     real = rubberroll.integrate._half_nodes
 
     def recording(*args):
-        rungs.append(args[-1])
+        passes.append(args[-1])
+        rungs.extend(args[-1])
         return real(*args)
 
     monkeypatch.setattr(rubberroll.integrate, "_half_nodes", recording)
@@ -402,19 +408,26 @@ def test_the_period_map_goes_on_from_the_half_periods_rung(monkeypatch):
         lo, hi = component_intervals(kappa, eps, p)[branch]
         n = half_period(kappa, eps, p, lo, hi).n
         assert n >= 32
+        # the ladder takes one pass for its rungs up to 64 nodes and one for
+        # each rung past that
+        climb = [(16, 32, 64)] + [(m,) for m in (128 * 2 ** i for i in range(7)) if m <= n]
         for run in (lambda: period_map(kappa, eps, p, branch),
                     lambda: classify(kappa, eps, p, branch)):
             clear_caches()
             rungs.clear()
+            passes.clear()
             run()
             assert rungs.count(n // 2) == 2 and rungs.count(n) >= 2, rungs
             assert all(rungs.count(m) == 1 for m in rungs if m < n // 2), rungs
+            assert passes[:len(climb)] == climb and passes[len(climb)][0] == n // 2, passes
             # a warm repeat climbs no rung of the kept half period again
             rungs.clear()
             half_period(kappa, eps, p, lo, hi)
             assert rungs == []
+            passes.clear()
             run()
             assert min(rungs) == n // 2 and rungs.count(n // 2) == 1, rungs
+            assert passes[0][0] == n // 2, passes
 
 
 def test_every_observable_of_a_level_reads_one_setup(monkeypatch):

@@ -191,11 +191,12 @@ def test_the_eps_slope_is_stable_across_rungs():
 
 def test_the_eps_slope_reads_the_kept_rung_and_climbs_no_ladder(monkeypatch):
     kappa, eps = 1.1, 3.70
-    rungs = []
+    rungs, passes = [], []
     real = rubberroll.integrate._half_nodes
 
     def recording(*args):
-        rungs.append(args[-1])
+        passes.append(args[-1])
+        rungs.extend(args[-1])
         return real(*args)
 
     monkeypatch.setattr(rubberroll.integrate, "_half_nodes", recording)
@@ -204,10 +205,14 @@ def test_the_eps_slope_reads_the_kept_rung_and_climbs_no_ladder(monkeypatch):
     lo, hi = component_intervals(kappa, eps, P_XY)[0]
     n = half_period(kappa, eps, P_XY, lo, hi).n
     assert n >= 32 and rungs == [16 * 2 ** i for i in range(rungs.index(n) + 1)] + [n // 2, n]
-    # warm: the two rungs alone
+    # at n = 64 the ladder is one pass of 16, 32 and 64 nodes, the slope one
+    # of 32 and 64
+    assert n == 64 and passes == [(16, 32, 64), (32, 64)]
+    # warm: the two rungs alone, in one pass
     rungs.clear()
+    passes.clear()
     _rotation_slope(kappa, eps, P_XY)
-    assert rungs == [n // 2, n]
+    assert rungs == [n // 2, n] and len(passes) == 1
 
 
 def test_past_the_node_cap_the_eps_slope_raises(monkeypatch):

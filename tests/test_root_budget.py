@@ -1,12 +1,14 @@
-"""The root polish's work per cold level: a deterministic counter.
+"""The level engine's work per cold level: deterministic counters.
 
 Every observable of a level starts from two kinds of roots, the critical
 angles of its kappa slice (G0 = 0) and its turning points (V = eps).  The
 level engine polishes both by Newton on the exact slope, and brentq only
 splits a close pair of critical angles.  This counts every function
 evaluation those solves make, per level, with the caches emptied before
-each level, over seeded levels of the two benchmark bodies.  Run as a
-script it prints the figure.
+each level, over seeded levels of the two benchmark bodies.  It counts too
+the passes of the quadrature ladder on the same levels: the array passes of
+``_half_nodes``, each on the nodes of one rung or of a few small ones, and
+the nodes they evaluate.  Run as a script it prints the figures.
 """
 
 import math
@@ -14,6 +16,7 @@ import math
 import numpy as np
 
 import rubberroll.dynamics
+import rubberroll.integrate
 from rubberroll.dynamics import critical_thetas, effective_potential
 from rubberroll.integrate import section_period
 from rubberroll.model import Params
@@ -33,6 +36,10 @@ ROUNDS = 4
 # Newton polish; the ceiling is under half of the first
 CEILING = 20.0
 SOLVERS = ("newton_bracketed", "brentq")
+# quadrature passes per cold level on these levels: 3.86 at one rung a pass
+# (637 nodes), 2.10 with the rungs of 16, 32 and 64 nodes in one (665
+# nodes); the ceiling is under two thirds of the first
+PASS_CEILING = 2.5
 
 
 def _level(kind, body, rng):
@@ -85,15 +92,39 @@ def evaluations_per_level() -> float:
     try:
         for name in SOLVERS:
             setattr(rubberroll.dynamics, name, counted(real[name]))
-        for p, kappa, eps, branch in todo:
-            clear_caches()
-            rotation_number(kappa, eps, p, branch)
-            section_period(kappa, eps, p, branch)
-            classify(kappa, eps, p, branch)
+        _observe(todo)
     finally:
         for name in SOLVERS:
             setattr(rubberroll.dynamics, name, real[name])
     return count[0] / len(todo)
+
+
+def passes_per_level() -> tuple[float, float]:
+    """Passes of the quadrature ladder per cold level, and the nodes they
+    evaluate per cold level."""
+    todo = levels()
+    sizes = []
+    real = rubberroll.integrate._half_nodes
+
+    def recording(*args):
+        sizes.append(sum(args[-1]))
+        return real(*args)
+
+    rubberroll.integrate._half_nodes = recording
+    try:
+        _observe(todo)
+    finally:
+        rubberroll.integrate._half_nodes = real
+    return len(sizes) / len(todo), sum(sizes) / len(todo)
+
+
+def _observe(todo):
+    """Rotation number, section period and class of each level, cold."""
+    for p, kappa, eps, branch in todo:
+        clear_caches()
+        rotation_number(kappa, eps, p, branch)
+        section_period(kappa, eps, p, branch)
+        classify(kappa, eps, p, branch)
 
 
 def test_levels_cover_every_kind():
@@ -109,6 +140,15 @@ def test_root_evaluations_per_cold_level_stay_under_the_ceiling():
     assert first <= CEILING, first
 
 
+def test_quadrature_passes_per_cold_level_stay_under_the_ceiling():
+    first = passes_per_level()
+    assert first == passes_per_level()     # deterministic
+    assert first[0] <= PASS_CEILING, first
+
+
 if __name__ == "__main__":
     print(f"root evaluations per cold level: {evaluations_per_level():.2f} "
           f"(ceiling {CEILING}, seed {SEED}, {len(levels())} levels)")
+    passes, nodes = passes_per_level()
+    print(f"quadrature passes per cold level: {passes:.2f}, {nodes:.0f} nodes "
+          f"(ceiling {PASS_CEILING}, seed {SEED}, {len(levels())} levels)")

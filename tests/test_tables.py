@@ -288,14 +288,16 @@ def test_two_bodies_read_in_turns_get_their_own_roots():
 
 def _fresh_node_table(n):
     """What the ladder computed on each call before the node tables:
-    writable arrays, spelled as it spelled them."""
+    writable arrays, spelled as it spelled them, with the nodes of the rungs
+    that share a pass with n (16, 32 and 64 nodes, or 32 and 64) after n's."""
     du = math.pi / n
-    u = (np.arange(n) + 0.5) * du
+    rungs = {16: (16, 32, 64), 32: (32, 64)}.get(n, (n,))
+    u = np.concatenate([(np.arange(m) + 0.5) * (math.pi / m) for m in rungs])
     M = 2 * n
     k = np.fft.fftfreq(M, 1.0 / M)
     k_div = np.fft.fftfreq(M, 1.0 / M)
     k_div[0] = 1.0
-    return du, u, np.cos(u), np.sin(u), k, k_div, np.exp(-0.5j * du * k)
+    return du, u, np.cos(u), np.sin(u), k, k_div, np.exp(-0.5j * du * k), rungs
 
 
 def _levels():
@@ -309,10 +311,12 @@ def _levels():
 
 
 def test_node_tables_equal_a_recomputation_bit_for_bit():
-    for n in (16, 64, 2 ** 14):
-        for got, ref in zip(_node_table(n), _fresh_node_table(n)):
-            assert type(got) is type(ref)
-            assert np.array_equal(got, ref) and np.shape(got) == np.shape(ref)
+    for n in (16, 32, 64, 2 ** 14):
+        got, ref = _node_table(n), _fresh_node_table(n)
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert type(a) is type(b)
+            assert np.array_equal(a, b) and np.shape(a) == np.shape(b)
 
 
 def _node_fields(nodes):
@@ -324,13 +328,14 @@ def test_half_nodes_and_period_map_on_the_tables_equal_a_recomputation(monkeypat
     got, got_pm = {}, {}
     for kappa, eps, lo, hi, circuit in _levels():
         for n in (16, 128, 1024):
-            got[kappa, eps, n] = _node_fields(_half_nodes(kappa, eps, P_MAIN, lo, hi, circuit, None, n))
+            (nodes,) = _half_nodes(kappa, eps, P_MAIN, lo, hi, circuit, None, (n,))
+            got[kappa, eps, n] = _node_fields(nodes)
         got_pm[kappa, eps] = period_map(kappa, eps, P_MAIN)
     clear_caches()
     monkeypatch.setattr(rubberroll.integrate, "_node_table", _fresh_node_table)
     for kappa, eps, lo, hi, circuit in _levels():
         for n in (16, 128, 1024):
-            ref = _node_fields(_half_nodes(kappa, eps, P_MAIN, lo, hi, circuit, None, n))
+            ref = _node_fields(_half_nodes(kappa, eps, P_MAIN, lo, hi, circuit, None, (n,))[0])
             for a, b in zip(got[kappa, eps, n], ref):
                 assert (a is None and b is None) or np.array_equal(a, b), (kappa, eps, n)
         pm, ref_pm = got_pm[kappa, eps], period_map(kappa, eps, P_MAIN)
