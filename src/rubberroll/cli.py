@@ -26,8 +26,10 @@ Config files given with --config hold ``key = value`` lines whose keys
 mirror the long flag names; they replace the option defaults, and explicit
 flags win.  All numeric output uses 17 significant digits.  RUBBERROLL_LOG
 selects the log level.  Exit codes: 0 success, 1 invalid parameters or
-usage (an unwritable output too, found before any computing), 2 numerical
-failure, 3 failed verification.
+usage (an unwritable or empty --out too, found before any computing), 2
+numerical failure, 3 failed verification.  A ValueError or RuntimeError out
+of any command is a numerical failure: :func:`main` prints it as one
+"numerical failure:" line on stderr.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 from .model import Params, validate
 from .geometry import B_SIGN_DERIVED, B_SIGN_PAPER, profile
 from .dynamics import FullState, effective_potential, integrals, kinematic_init, reduced_energy
-from .integrate import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, IntegrationError, PoleError, integrate
+from .integrate import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, integrate
 from .bifurcation import diagram
 from .reconstruct import (classify, path_from_kinematic, reconstruct_trajectory, resonance_curve,
                           rotation_number)
@@ -148,11 +150,12 @@ def _require(args: argparse.Namespace, parser: _Parser, *names: str) -> None:
 
 def _outputs(args: argparse.Namespace) -> list[str]:
     """The files the command writes: none to stdout, one per order for a
-    resonance run of several orders, named after it, else --out."""
+    resonance run of several orders, named after it, else --out; an empty
+    --out is kept, for :func:`_check_writable` to refuse."""
     out = getattr(args, "out", None)
     if out is None:
         return []
-    if args.command == "resonance" and len(args.n) > 1:
+    if out and args.command == "resonance" and len(args.n) > 1:
         stem, ext = os.path.splitext(out)
         return [f"{stem}_n{order}{ext or '.csv'}" for order in args.n]
     return [out]
@@ -160,12 +163,12 @@ def _outputs(args: argparse.Namespace) -> list[str]:
 
 def _check_writable(path: str) -> None:
     """Raise the OSError that opening path for writing would raise where
-    its directory is missing or not writable, or path is a directory: before
-    the computing, and creating no file."""
+    path is empty or a directory, or its directory is missing or not
+    writable: before the computing, and creating no file."""
     folder = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code = errno.EISDIR
-    elif not os.path.isdir(folder):
+    elif not path or not os.path.isdir(folder):
         code = errno.ENOENT
     elif not os.access(folder, os.W_OK | os.X_OK):
         code = errno.EACCES
@@ -256,10 +259,10 @@ def _json_text(obj, indent: str = "") -> str:
 
 
 def _emit_json(payload, out: str | None) -> int:
-    """Write payload as JSON with a final newline, to out or stdout; returns
-    the bytes written."""
+    """Write payload as JSON with a final newline, to out, or to stdout
+    where out is None; returns the bytes written."""
     text = _json_text(payload) + "\n"
-    if out:
+    if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -290,6 +293,16 @@ def _reduced_rows(path, kappa: float, p: Params) -> list[tuple]:
     return _path_rows(path, [ei - e[0] for ei in e], [0.0] * len(e))
 
 
+def _reduced_style_rows(args: argparse.Namespace, p: Params, tmax: float, start: tuple,
+                        **seeds) -> list[tuple]:
+    """CSV rows of the reduced orbit from start = (theta0, p_theta0) at
+    --kappa over [0, tmax], with the angle and position seeds given."""
+    path = reconstruct_trajectory(start, args.kappa, (0.0, tmax), p,
+                                  t_eval=np.linspace(0.0, tmax, args.samples),
+                                  tol_abs=args.tol_abs, tol_rel=args.tol_rel, **seeds)
+    return _reduced_rows(path, args.kappa, p)
+
+
 def cmd_simulate(args: argparse.Namespace, parser: _Parser) -> int:
     p = _params(args, parser)
     tmax = _tmax(args, parser)
@@ -297,48 +310,38 @@ def cmd_simulate(args: argparse.Namespace, parser: _Parser) -> int:
     full_style = args.omega is not None or args.gamma is not None
     if reduced_style == full_style:
         parser.error("give either --kappa/--theta0 or --omega/--gamma")
-    t_eval = np.linspace(0.0, tmax, args.samples)
-    tols = dict(tol_abs=args.tol_abs, tol_rel=args.tol_rel)
 
-    try:
-        if reduced_style:
-            _require(args, parser, "kappa", "theta0")
-            kappa = float(args.kappa)
-            theta0 = float(args.theta0)
-            if args.energy is not None:
-                # p_theta0 from the energy level, upward branch
-                se = profile(theta0, p, pole_mode=True)
-                v = effective_potential(theta0, kappa, p)
-                gap = float(args.energy) - v
-                if gap < 0.0:
-                    parser.error(f"--energy {args.energy} below the potential {v:.6g}")
-                p0 = math.sqrt(2.0 * gap / se.B)
-            else:
-                p0 = args.ptheta0
-            path = reconstruct_trajectory((theta0, p0), kappa, (0.0, tmax), p,
-                                          t_eval=t_eval, **tols)
-            rows = _reduced_rows(path, kappa, p)
-            drifts = (max(abs(r[10]) for r in rows), 0.0)
-        else:
-            _require(args, parser, "omega", "gamma")
-            w, g = np.array(args.omega), np.array(args.gamma)
-            if abs(float(g @ g) - 1.0) > 1e-6:
-                parser.error(f"--gamma must be a unit vector, |gamma|^2 = {g @ g:.6g}")
-            if abs(float(w @ g)) > 1e-6:
-                parser.error(f"--omega must have no vertical spin, omega.gamma = {w @ g:.6g}")
-            state = FullState(omega=w, gamma=g)
-            # one kinematic run gives the path and, in its (omega, gamma)
-            # part, the drifts of the integrals along it
-            traj = integrate("kinematic", kinematic_init(state), (0.0, tmax),
-                             p, t_eval=t_eval, **tols)
-            path = path_from_kinematic(traj.t_eval, traj.y_eval, p)
-            c0 = integrals(state, p)
-            ci = integrals(FullState(omega=traj.y_eval[:, :3], gamma=traj.y_eval[:, 3:6]), p)
-            rows = _path_rows(path, (ci.eps - c0.eps).tolist(), (ci.F1 - c0.F1).tolist())
-            drifts = (max(abs(r[10]) for r in rows), max(abs(r[11]) for r in rows))
-    except (PoleError, IntegrationError, ValueError) as ex:
-        print(f"numerical failure: {ex}", file=sys.stderr)
-        return EXIT_NUMERIC
+    if reduced_style:
+        _require(args, parser, "kappa", "theta0")
+        p0 = args.ptheta0
+        if args.energy is not None:
+            # p_theta0 from the energy level, upward branch
+            se = profile(args.theta0, p, pole_mode=True)
+            v = effective_potential(args.theta0, args.kappa, p)
+            gap = float(args.energy) - v
+            if gap < 0.0:
+                parser.error(f"--energy {args.energy} below the potential {v:.6g}")
+            p0 = math.sqrt(2.0 * gap / se.B)
+        rows = _reduced_style_rows(args, p, tmax, (args.theta0, p0))
+        drifts = (max(abs(r[10]) for r in rows), 0.0)
+    else:
+        _require(args, parser, "omega", "gamma")
+        w, g = np.array(args.omega), np.array(args.gamma)
+        if abs(float(g @ g) - 1.0) > 1e-6:
+            parser.error(f"--gamma must be a unit vector, |gamma|^2 = {g @ g:.6g}")
+        if abs(float(w @ g)) > 1e-6:
+            parser.error(f"--omega must have no vertical spin, omega.gamma = {w @ g:.6g}")
+        state = FullState(omega=w, gamma=g)
+        # one kinematic run gives the path and, in its (omega, gamma)
+        # part, the drifts of the integrals along it
+        traj = integrate("kinematic", kinematic_init(state), (0.0, tmax), p,
+                         t_eval=np.linspace(0.0, tmax, args.samples),
+                         tol_abs=args.tol_abs, tol_rel=args.tol_rel)
+        path = path_from_kinematic(traj.t_eval, traj.y_eval, p)
+        c0 = integrals(state, p)
+        ci = integrals(FullState(omega=traj.y_eval[:, :3], gamma=traj.y_eval[:, 3:6]), p)
+        rows = _path_rows(path, (ci.eps - c0.eps).tolist(), (ci.F1 - c0.F1).tolist())
+        drifts = (max(abs(r[10]) for r in rows), max(abs(r[11]) for r in rows))
 
     _write_csv(args.out, _CSV_HEADER, rows)
     print(f"max |E drift| = {_g(drifts[0])}, max |F1 drift| = {_g(drifts[1])}",
@@ -351,16 +354,9 @@ def cmd_trajectory(args: argparse.Namespace, parser: _Parser) -> int:
     p = _params(args, parser)
     tmax = _tmax(args, parser)
     _require(args, parser, "kappa", "theta0")
-    t_eval = np.linspace(0.0, tmax, args.samples)
-    try:
-        path = reconstruct_trajectory(
-            (args.theta0, args.ptheta0), args.kappa, (0.0, tmax), p,
-            psi0=args.psi0, phi0=args.phi0, x0=args.x0, y0=args.y0,
-            tol_abs=args.tol_abs, tol_rel=args.tol_rel, t_eval=t_eval)
-    except (PoleError, IntegrationError, ValueError) as ex:
-        print(f"numerical failure: {ex}", file=sys.stderr)
-        return EXIT_NUMERIC
-    _write_csv(args.out, _CSV_HEADER, _reduced_rows(path, args.kappa, p))
+    rows = _reduced_style_rows(args, p, tmax, (args.theta0, args.ptheta0), psi0=args.psi0,
+                               phi0=args.phi0, x0=args.x0, y0=args.y0)
+    _write_csv(args.out, _CSV_HEADER, rows)
     log.info("wrote %s", args.out)
     return EXIT_OK
 
@@ -397,12 +393,7 @@ def _diagram_payload(d) -> dict:
 
 
 def cmd_bifurcation(args: argparse.Namespace, parser: _Parser) -> int:
-    p = _params(args, parser)
-    try:
-        d = diagram(p)
-    except (ValueError, IntegrationError) as ex:
-        print(f"numerical failure: {ex}", file=sys.stderr)
-        return EXIT_NUMERIC
+    d = diagram(_params(args, parser))
     t0 = time.perf_counter()
     size = _emit_json(_diagram_payload(d), args.out)
     log.info("wrote %s (%d bytes in %.3f s)", args.out or "stdout", size, time.perf_counter() - t0)
@@ -497,12 +488,8 @@ def cmd_resonance(args: argparse.Namespace, parser: _Parser) -> int:
 def cmd_classify(args: argparse.Namespace, parser: _Parser) -> int:
     p = _params(args, parser)
     _require(args, parser, "kappa", "energy")
-    try:
-        tc = classify(args.kappa, args.energy, p, args.branch,
-                      tol_abs=args.tol_abs, tol_rel=args.tol_rel)
-    except (ValueError, RuntimeError) as ex:
-        print(f"numerical failure: {ex}", file=sys.stderr)
-        return EXIT_NUMERIC
+    tc = classify(args.kappa, args.energy, p, args.branch,
+                  tol_abs=args.tol_abs, tol_rel=args.tol_rel)
     payload = {
         "params": {"alpha": p.alpha, "beta": p.beta, "nu": p.nu, "eta": p.eta},
         "kappa": args.kappa,
@@ -733,7 +720,12 @@ def main(argv: list[str] | None = None) -> int:
                 args = parser.parse_args(argv)
             for path in _outputs(args):
                 _check_writable(path)
-            return _COMMANDS[args.command](args, parser)
+            try:
+                return _COMMANDS[args.command](args, parser)
+            except (ValueError, RuntimeError) as ex:
+                # IntegrationError and PoleError are RuntimeErrors
+                print(f"numerical failure: {ex}", file=sys.stderr)
+                return EXIT_NUMERIC
         except OSError as ex:
             # a config file that cannot be read or an output file that cannot
             # be written: a usage error whose message names the path

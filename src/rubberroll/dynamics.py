@@ -146,95 +146,96 @@ def _j_gamma3(gamma3: float, p: Params) -> float:
 # --- Full system ---
 
 
-def full_field(p: Params) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Right-hand side of the full system as f(t, y), y = (w, gamma).
+def _full_rates(w1, w2, w3, g1, g2, g3, a, b2, i1, i3) -> tuple[float, ...]:
+    """dw/dt, dgamma/dt and the contact vector r at (w, gamma), nine floats.
 
-    The closure is the hot path for the adaptive integrator, so the vector
-    algebra is unrolled to scalars: cross products, the symmetric 3x3
-    contact-inertia tensor and its adjugate-based solve.
+    The hot path of the full fields, on Python floats (the same arithmetic
+    as on numpy scalars, faster), so the vector algebra is unrolled to
+    scalars: cross products, the symmetric 3x3 contact-inertia tensor and
+    its adjugate-based solve.  a = alpha, b2 = beta^2, i1 and i3 the
+    principal inertias.
     """
-    a = p.alpha
-    b2 = p.beta * p.beta
-    i1 = 1.0 / p.eta
-    i3 = p.nu / p.eta
+    bg1 = b2 * g1; bg2 = b2 * g2; bg3 = g3
+    s2 = g1 * bg1 + g2 * bg2 + g3 * bg3
+    s = math.sqrt(s2)
+    r1 = -bg1 / s
+    r2 = -bg2 / s
+    r3 = -bg3 / s - a
+
+    # dgamma/dt = gamma x w
+    u1 = g2 * w3 - g3 * w2
+    u2 = g3 * w1 - g1 * w3
+    u3 = g1 * w2 - g2 * w1
+
+    # dr/dt along the flow, differentiating -Bq gamma / |gamma|_Bq
+    d = bg1 * u1 + bg2 * u2 + bg3 * u3
+    s3 = s2 * s
+    rd1 = -b2 * u1 / s + bg1 * d / s3
+    rd2 = -b2 * u2 / s + bg2 * d / s3
+    rd3 = -u3 / s + bg3 * d / s3
+
+    rr = r1 * r1 + r2 * r2 + r3 * r3
+    J11 = i1 + rr - r1 * r1
+    J22 = i1 + rr - r2 * r2
+    J33 = i3 + rr - r3 * r3
+    J12 = -r1 * r2
+    J13 = -r1 * r3
+    J23 = -r2 * r3
+
+    Jw1 = J11 * w1 + J12 * w2 + J13 * w3
+    Jw2 = J12 * w1 + J22 * w2 + J23 * w3
+    Jw3 = J13 * w1 + J23 * w2 + J33 * w3
+
+    # h = w x Jt w + r x (w x dr/dt) + gamma x r
+    h1 = w2 * Jw3 - w3 * Jw2
+    h2 = w3 * Jw1 - w1 * Jw3
+    h3 = w1 * Jw2 - w2 * Jw1
+
+    e1 = w2 * rd3 - w3 * rd2
+    e2 = w3 * rd1 - w1 * rd3
+    e3 = w1 * rd2 - w2 * rd1
+    h1 += r2 * e3 - r3 * e2
+    h2 += r3 * e1 - r1 * e3
+    h3 += r1 * e2 - r2 * e1
+
+    h1 += g2 * r3 - g3 * r2
+    h2 += g3 * r1 - g1 * r3
+    h3 += g1 * r2 - g2 * r1
+
+    # adjugate of the symmetric Jt
+    A11 = J22 * J33 - J23 * J23
+    A12 = J13 * J23 - J12 * J33
+    A13 = J12 * J23 - J13 * J22
+    A22 = J11 * J33 - J13 * J13
+    A23 = J12 * J13 - J11 * J23
+    A33 = J11 * J22 - J12 * J12
+    det = J11 * A11 + J12 * A12 + J13 * A13
+
+    x1 = A11 * g1 + A12 * g2 + A13 * g3
+    x2 = A12 * g1 + A22 * g2 + A23 * g3
+    x3 = A13 * g1 + A23 * g2 + A33 * g3
+    mu = (h1 * x1 + h2 * x2 + h3 * x3) / (g1 * x1 + g2 * x2 + g3 * x3)
+
+    q1 = mu * g1 - h1
+    q2 = mu * g2 - h2
+    q3 = mu * g3 - h3
+    return ((A11 * q1 + A12 * q2 + A13 * q3) / det,
+            (A12 * q1 + A22 * q2 + A23 * q3) / det,
+            (A13 * q1 + A23 * q2 + A33 * q3) / det,
+            u1, u2, u3, r1, r2, r3)
+
+
+def _full_constants(p: Params) -> tuple[float, float, float, float]:
+    """The body constants of :func:`_full_rates`: alpha, beta^2, i1, i3."""
+    return p.alpha, p.beta * p.beta, 1.0 / p.eta, p.nu / p.eta
+
+
+def full_field(p: Params) -> Callable[[float, np.ndarray], np.ndarray]:
+    """Right-hand side of the full system as f(t, y), y = (w, gamma)."""
+    body = _full_constants(p)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        # Python floats: the same arithmetic as on numpy scalars, faster
-        w1, w2, w3, g1, g2, g3 = y.tolist()
-
-        bg1 = b2 * g1; bg2 = b2 * g2; bg3 = g3
-        s2 = g1 * bg1 + g2 * bg2 + g3 * bg3
-        s = math.sqrt(s2)
-        r1 = -bg1 / s
-        r2 = -bg2 / s
-        r3 = -bg3 / s - a
-
-        # dgamma/dt = gamma x w
-        u1 = g2 * w3 - g3 * w2
-        u2 = g3 * w1 - g1 * w3
-        u3 = g1 * w2 - g2 * w1
-
-        # dr/dt along the flow, differentiating -Bq gamma / |gamma|_Bq
-        d = bg1 * u1 + bg2 * u2 + bg3 * u3
-        s3 = s2 * s
-        rd1 = -b2 * u1 / s + bg1 * d / s3
-        rd2 = -b2 * u2 / s + bg2 * d / s3
-        rd3 = -u3 / s + bg3 * d / s3
-
-        rr = r1 * r1 + r2 * r2 + r3 * r3
-        J11 = i1 + rr - r1 * r1
-        J22 = i1 + rr - r2 * r2
-        J33 = i3 + rr - r3 * r3
-        J12 = -r1 * r2
-        J13 = -r1 * r3
-        J23 = -r2 * r3
-
-        Jw1 = J11 * w1 + J12 * w2 + J13 * w3
-        Jw2 = J12 * w1 + J22 * w2 + J23 * w3
-        Jw3 = J13 * w1 + J23 * w2 + J33 * w3
-
-        # h = w x Jt w + r x (w x dr/dt) + gamma x r
-        h1 = w2 * Jw3 - w3 * Jw2
-        h2 = w3 * Jw1 - w1 * Jw3
-        h3 = w1 * Jw2 - w2 * Jw1
-
-        e1 = w2 * rd3 - w3 * rd2
-        e2 = w3 * rd1 - w1 * rd3
-        e3 = w1 * rd2 - w2 * rd1
-        h1 += r2 * e3 - r3 * e2
-        h2 += r3 * e1 - r1 * e3
-        h3 += r1 * e2 - r2 * e1
-
-        h1 += g2 * r3 - g3 * r2
-        h2 += g3 * r1 - g1 * r3
-        h3 += g1 * r2 - g2 * r1
-
-        # adjugate of the symmetric Jt
-        A11 = J22 * J33 - J23 * J23
-        A12 = J13 * J23 - J12 * J33
-        A13 = J12 * J23 - J13 * J22
-        A22 = J11 * J33 - J13 * J13
-        A23 = J12 * J13 - J11 * J23
-        A33 = J11 * J22 - J12 * J12
-        det = J11 * A11 + J12 * A12 + J13 * A13
-
-        x1 = A11 * g1 + A12 * g2 + A13 * g3
-        x2 = A12 * g1 + A22 * g2 + A23 * g3
-        x3 = A13 * g1 + A23 * g2 + A33 * g3
-        mu = (h1 * x1 + h2 * x2 + h3 * x3) / (g1 * x1 + g2 * x2 + g3 * x3)
-
-        q1 = mu * g1 - h1
-        q2 = mu * g2 - h2
-        q3 = mu * g3 - h3
-
-        out = np.empty(6)
-        out[0] = (A11 * q1 + A12 * q2 + A13 * q3) / det
-        out[1] = (A12 * q1 + A22 * q2 + A23 * q3) / det
-        out[2] = (A13 * q1 + A23 * q2 + A33 * q3) / det
-        out[3] = u1
-        out[4] = u2
-        out[5] = u3
-        return out
+        return np.array(_full_rates(*y.tolist(), *body)[:6])
 
     return rhs
 
@@ -265,33 +266,18 @@ def kinematic_field(p: Params) -> Callable[[float, np.ndarray], np.ndarray]:
     v = r x w mapped back to the fixed frame.  This is the oracle against
     which quadrature-based reconstruction is checked.
     """
-    base = full_field(p)
-    a = p.alpha
-    b2 = p.beta * p.beta
+    body = _full_constants(p)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        out = np.empty(14)
-        out[:6] = base(t, y[:6])
         w1, w2, w3, g1, g2, g3, a1, a2, a3, c1, c2, c3, _, _ = y.tolist()
-
-        out[6] = a2 * w3 - a3 * w2
-        out[7] = a3 * w1 - a1 * w3
-        out[8] = a1 * w2 - a2 * w1
-        out[9] = c2 * w3 - c3 * w2
-        out[10] = c3 * w1 - c1 * w3
-        out[11] = c1 * w2 - c2 * w1
-
-        bg1 = b2 * g1; bg2 = b2 * g2; bg3 = g3
-        s = math.sqrt(g1 * bg1 + g2 * bg2 + g3 * bg3)
-        r1 = -bg1 / s
-        r2 = -bg2 / s
-        r3 = -bg3 / s - a
+        d1, d2, d3, u1, u2, u3, r1, r2, r3 = _full_rates(w1, w2, w3, g1, g2, g3, *body)
         v1 = r2 * w3 - r3 * w2
         v2 = r3 * w1 - r1 * w3
         v3 = r1 * w2 - r2 * w1
-        out[12] = a1 * v1 + a2 * v2 + a3 * v3
-        out[13] = c1 * v1 + c2 * v2 + c3 * v3
-        return out
+        return np.array((d1, d2, d3, u1, u2, u3,
+                         a2 * w3 - a3 * w2, a3 * w1 - a1 * w3, a1 * w2 - a2 * w1,
+                         c2 * w3 - c3 * w2, c3 * w1 - c1 * w3, c1 * w2 - c2 * w1,
+                         a1 * v1 + a2 * v2 + a3 * v3, c1 * v1 + c2 * v2 + c3 * v3))
 
     return rhs
 
@@ -741,7 +727,9 @@ def _component_intervals(kappa: float, eps: float, p: Params) -> tuple[tuple[flo
         # nearer pi than half the float spacing there rounds to pi
         if th_w < 1e-30 or (last < 0.0 and math.pi - th_w == math.pi):
             raise ValueError(
-                f"|kappa|={abs(kappa)} too small to resolve the centrifugal wall; use kappa = 0"
+                f"the centrifugal wall of |kappa|={abs(kappa)} at eps={eps} lies too near the "
+                "pole to resolve (|kappa| too small or eps too large); use kappa = 0 or a "
+                "smaller eps"
             )
         for th, val in ((th_w, first), (math.pi - th_w, last)):
             if val < 0.0:

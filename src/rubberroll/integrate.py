@@ -334,28 +334,9 @@ def _dense_coefficients(fun, t_old, h, y_old, y_new, f_new, K_ext, extra):
     return F
 
 
-def _interpolate(F, t_old, h, y_old, t):
-    """DOP853 dense output over one step at a time t or an array of times
-    (one row per time); F None stands for a step of length zero."""
-    if F is None:
-        return y_old.copy() if np.ndim(t) == 0 else np.tile(y_old, (len(t), 1))
-    x = (t - t_old) / h
-    if np.ndim(t) == 0:
-        y = np.zeros_like(y_old)
-    else:
-        x = x[:, None]
-        y = np.zeros((len(x), len(y_old)))
-    xm = 1 - x
-    for i in range(len(F) - 1, -1, -1):
-        y += F[i]
-        y *= x if i % 2 == 0 else xm
-    y += y_old
-    return y
-
-
 def _dense_samples(steps, t, dim):
-    """:func:`_interpolate` at the sorted times t, element for element, in
-    one pass over all steps; each entry (count, F, t_old, h, y_old) of steps
+    """DOP853 dense output at the sorted times t, one row per time, in one
+    pass over all steps; each entry (count, F, t_old, h, y_old) of steps
     covers the next count times; without steps every row is zero."""
     y = np.zeros((len(t), dim))
     if steps:
@@ -490,10 +471,13 @@ def integrate_raw(
             n_rhs += len(extra)
 
         t_stop = None
-        if events:
-            # the step's start node is the last node of the step before
+        if events and not zero_length:
+            # the step's start node is the last node of the step before; on
+            # a run of length zero every node is the start, and nothing crosses
             nodes = np.linspace(t_old, t, _N_EVENT_NODES)
-            node_states = _interpolate(F, t_old, h, y_old, nodes[1:])
+            node_states = _dense_samples(
+                [(_N_EVENT_NODES - 1, F, t_old, h, y_old)], nodes[1:], dim)
+            step = [(1, F, t_old, h, y_old)]
             for k, spec in enumerate(events):
                 g_left = prev_ev[k]
                 for i in range(1, _N_EVENT_NODES):
@@ -507,13 +491,13 @@ def integrate_raw(
                         a, b = float(nodes[i - 1]), float(nodes[i])
                         # brentq: an event function comes with no derivative
                         t_hit = brentq(
-                            lambda tt: spec.fn(tt, _interpolate(F, t_old, h, y_old, tt)),
+                            lambda tt: spec.fn(tt, _dense_samples(step, np.array([tt]), dim)[0]),
                             a, b, xtol=1e-14,
                         )
-                        y_hit = _interpolate(F, t_old, h, y_old, t_hit)
+                        y_hit = _dense_samples(step, np.array([t_hit]), dim)[0]
                         hits.append(EventHit(label=spec.label, t=float(t_hit), y=y_hit))
                         if spec.terminal and (t_stop is None or t_hit < t_stop):
-                            t_stop = float(t_hit)
+                            t_stop, y_stop = float(t_hit), y_hit
                     g_left = g_right
                 prev_ev[k] = g_left
 
@@ -527,7 +511,7 @@ def integrate_raw(
 
         if t_stop is not None:
             ts.append(t_stop)
-            ys.append(_interpolate(F, t_old, h, y_old, t_stop))
+            ys.append(y_stop)
             break
 
         if renorm_slice is not None:

@@ -18,6 +18,7 @@ import rubberroll
 from rubberroll import checks, cli
 from rubberroll.bifurcation import diagram
 from rubberroll.cli import main
+from rubberroll.integrate import IntegrationError, PoleError
 from rubberroll.model import Params
 from rubberroll.reconstruct import rotation_number
 
@@ -980,10 +981,12 @@ def _never(*args, **kwargs):
                                      if any("--out" in action.option_strings
                                             for action in _subparser_actions(command))])
 def test_an_output_that_cannot_be_written_exits_one(command, tmp_path, capsys, monkeypatch):
-    # a path in a missing directory, and a directory: one usage error line
-    # that names the path, no traceback, and nothing computed first
+    # a path in a missing directory, a directory and an empty path: one
+    # usage error line that names the path, no traceback, nothing computed
+    # first and no file, in the working directory neither
     monkeypatch.setattr(cli, _COMPUTE[command], _never)
-    for path in (tmp_path / "missing" / "out", tmp_path):
+    monkeypatch.chdir(tmp_path)
+    for path in (tmp_path / "missing" / "out", tmp_path, ""):
         code, _, err = run([command, *ARGS_XY, *_OUT_RUNS[command], "--out", str(path)], capsys)
         assert code == 1 and "Traceback" not in err, err
         assert err.startswith("usage: rubberroll") and err.count("rubberroll: error:") == 1, err
@@ -1002,3 +1005,52 @@ def test_every_output_of_a_resonance_run_is_checked_before_the_first_is_computed
     assert code == 1 and "Traceback" not in err, err
     assert repr(str(tmp_path / "res_n1.csv")) in err.splitlines()[-1], err
     assert [p.name for p in tmp_path.iterdir()] == ["res_n1.csv"]
+
+
+def test_an_empty_out_of_a_resonance_run_of_several_orders_exits_one(tmp_path, capsys,
+                                                                     monkeypatch):
+    # "" names no file, and no "_n{order}" file is made from it either
+    monkeypatch.setattr(cli, "resonance_curve", _never)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(["resonance", *ARGS_XY, "--n", "0,1", *_OUT_RUNS["resonance"],
+                        "--out", ""], capsys)
+    assert code == 1 and err.splitlines()[-1].endswith("No such file or directory: ''"), err
+    assert list(tmp_path.iterdir()) == []
+
+
+_FAILURES = [ValueError, IntegrationError, PoleError, RuntimeError]
+
+
+@pytest.mark.parametrize("error", _FAILURES, ids=lambda e: e.__name__)
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_every_numerical_failure_exits_two(command, error, tmp_path, capsys, monkeypatch):
+    # one "numerical failure:" line on stderr, no traceback, nothing on
+    # stdout and no file; the rotation-number grid drops the point instead
+    def fail(*args, **kwargs):
+        raise error("no convergence")
+
+    if command == "verify":
+        monkeypatch.setattr(checks, "CHECKS", [fail, *checks.CHECKS[1:]])
+        argv = ["verify", "--quick"]
+    else:
+        monkeypatch.setattr(cli, _COMPUTE[command], fail)
+        jobs = ["--jobs", "1"] if command == "rotation-number" else []
+        argv = [command, *ARGS_XY, *_OUT_RUNS[command], *jobs, "--out", str(tmp_path / "out")]
+    code, out, err = run(argv, capsys)
+    if command == "rotation-number":
+        assert code == 0 and err == "", err
+        assert (tmp_path / "out").read_text() == "kappa,eps,N,N_err\n"
+        return
+    assert code == 2 and out == "", (out, err)
+    assert err.splitlines() == ["numerical failure: no convergence"], err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_resonance_run_whose_wall_is_lost_to_a_huge_eps_exits_two(tmp_path, capsys):
+    path = tmp_path / "res.csv"
+    code, _, err = run(["resonance", *ARGS_XY, *_OUT_RUNS["resonance"], "--eps-max", "1e300",
+                        "--out", str(path)], capsys)
+    assert code == 2, err
+    (line,) = err.splitlines()
+    assert line.startswith("numerical failure: the centrifugal wall of |kappa|=0.5 at eps="), line
+    assert not path.exists()

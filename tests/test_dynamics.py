@@ -18,6 +18,8 @@ from rubberroll.dynamics import (
     g0,
     g0_prime,
     integrals,
+    kinematic_field,
+    kinematic_init,
     lift,
     measure_density,
     reduce_state,
@@ -25,13 +27,47 @@ from rubberroll.dynamics import (
     reduced_field,
     scan_roots,
 )
-from rubberroll.geometry import B_SIGN_PAPER, profile
+from rubberroll.geometry import B_SIGN_PAPER, contact_vector, profile
 from rubberroll.integrate import _component
 from rubberroll.model import Params
 
 from conftest import random_valid_state
 
 P = Params(alpha=0.5, beta=3.0, nu=0.5, eta=0.5)
+
+
+def _kinematic_states(n):
+    """n seeded 14-vectors on the leaf, each with a perturbed copy off it
+    (|gamma| != 1, omega.gamma != 0, ax and bx not orthonormal), as the
+    stages of a step see them."""
+    rng = np.random.default_rng(30)
+    for _ in range(n):
+        y = kinematic_init(random_valid_state(rng))
+        y[12:] = rng.normal(size=2)
+        yield y, True
+        yield y + 1e-2 * rng.normal(size=14), False
+
+
+@pytest.mark.parametrize("p", [P, Params(alpha=0.0, beta=0.7, nu=1.0, eta=1.0)])
+def test_the_kinematic_field_extends_the_full_field_bit_for_bit(p):
+    full, kin = full_field(p), kinematic_field(p)
+    for y, _ in _kinematic_states(200):
+        assert np.array_equal(kin(0.0, y)[:6], full(0.0, y[:6]))
+
+
+@pytest.mark.parametrize("p", [P, Params(alpha=0.0, beta=0.7, nu=1.0, eta=1.0)])
+def test_the_kinematic_rates_match_the_contact_vector(p):
+    # contact_vector sums its dot product in numpy, so the check is to
+    # rounding, not bit for bit
+    kin = kinematic_field(p)
+    for y, on_leaf in _kinematic_states(200):
+        if not on_leaf:
+            continue
+        w, ax, bx = y[:3], y[6:9], y[9:12]
+        v = np.cross(contact_vector(y[3:6], p), w)
+        ref = np.concatenate([np.cross(ax, w), np.cross(bx, w), [ax @ v, bx @ v]])
+        got = kin(0.0, y)[6:]
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), (y, got - ref)
 
 
 def test_first_integrals_conserved():

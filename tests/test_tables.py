@@ -246,6 +246,15 @@ def test_a_wall_node_that_rounds_to_pi_raises():
             rotation_number(kappa, 3.5, P_MAIN)
 
 
+def test_a_wall_lost_to_a_large_eps_names_kappa_and_eps():
+    # at eps = 1e300 the wall lies below 1e-30 with |kappa| = 0.5: the error
+    # names both, and blames neither alone
+    for observable in (component_intervals, rotation_number):
+        with pytest.raises(ValueError, match=r"\|kappa\|=0\.5 at eps=1e\+300 .*too small or "
+                                             r"eps too large\); use kappa = 0 or a smaller eps"):
+            observable(0.5, 1e300, P_MAIN)
+
+
 def _tables():
     return list(_scan_table(P_MAIN)) + [
         a for n in (16, 32, 1024) for a in _node_table(n) if isinstance(a, np.ndarray)]
