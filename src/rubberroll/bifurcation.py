@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brent import _RTOL, brentq
-from .dynamics import _centrifugal, g0, g0_prime, scan_roots
+from .dynamics import _arc_table, _centrifugal, _sincos, _steady_kappa_sq, g0, g0_prime
 from .geometry import profile, surface_b, surface_g0, surface_g0_prime, surface_u, surface_z
 from .model import Params
 
@@ -136,25 +136,17 @@ def omega0_sq(theta: float, p: Params) -> float:
     return -s2 * (c * (1.0 - p.beta * p.beta) + p.alpha * Z) / (c * Z * J2)
 
 
-def _pow4(s):
-    # np.float_power calls the C pow per element, as Python's ** does on a
-    # float; s ** 4 on an array rounds differently in the last bit
-    return s ** 4 if isinstance(s, float) else np.float_power(s, 4)
-
-
 def _sigma_theta(s, c, p: Params):
     """(kappa^2, eps) along the steady-rotation curve at the inclination with
     sine s and cosine c, floats or arrays alike.
 
     For alpha != 0 both diverge at the equator, c = 0.
     """
-    b2 = p.beta * p.beta
     Z = surface_z(s * s, c, p)
     eps = (3.0 * Z * Z - 1.0) / (2.0 * Z)
-    if p.alpha == 0.0:
-        return _pow4(s) * (b2 - 1.0) / Z, eps
-    return (_pow4(s) * ((b2 - 1.0) / Z - p.alpha / c),
-            eps + p.alpha * (3.0 * c * c - 1.0) / (2.0 * c))
+    if p.alpha != 0.0:
+        eps = eps + p.alpha * (3.0 * c * c - 1.0) / (2.0 * c)
+    return _steady_kappa_sq(s, c, Z, p), eps
 
 
 def _sigma_theta_at(theta0: float, p: Params) -> tuple[float, float]:
@@ -273,11 +265,12 @@ def branch_ranges(p: Params) -> list[tuple[float, float, bool, bool]]:
 def cusp(p: Params) -> CuspPoint | None:
     """Fold of the steady-rotation curve, where stability changes.
 
-    Solves G0 = 0 together with dG0/dtheta = 0.  kappa^2 enters both
-    equations linearly, so it is eliminated and the remaining scalar
-    condition is rooted in theta.  Exists only for beta^2 > 1 + alpha; in
-    the balanced case the solution sits at the equator where the curve is
-    tangent to the rolling parabola, reported with kind="tangency".
+    G0 = 0 together with dG0/dtheta = 0, an extremum of kappa^2 along the
+    curve: the first fold of the small-angle half in the body's arc table
+    (:mod:`.dynamics`), found to 1e-12 from 1e-6 up.  Exists only for
+    beta^2 > 1 + alpha; in the balanced case the solution sits at the
+    equator where the curve is tangent to the rolling parabola, reported
+    with kind="tangency".
     """
     a, b2 = p.alpha, p.beta * p.beta
     if b2 <= 1.0 + a:
@@ -285,29 +278,11 @@ def cusp(p: Params) -> CuspPoint | None:
     if a == 0.0:
         kc = equator_kappa_c(p)
         return CuspPoint(theta=math.pi / 2.0, kappa=kc, eps=kc * kc / 2.0 + p.beta, kind="tangency")
-
-    ts = inclined_equilibrium(p)
-
-    def fold(s, c):
-        # eliminate kappa^2 = -s^3 G0 / c from G0 = 0, substitute in G0'
-        # (G0 and G0' taken at kappa = 0); s and c are floats or arrays
-        s2 = s * s
-        Z = surface_z(s2, c, p)
-        return (surface_g0_prime(s2, c, Z, 0.0, p)
-                + surface_g0(s, s2, c, Z, 0.0, p) * (1.0 + 2.0 * c * c) / (c * s))
-
-    grid = np.linspace(1e-6, ts - 1e-12, 4001)
-    # brentq (no start given): the slope of fold would need G0'', not at hand
-    roots = scan_roots(lambda th: fold(math.sin(th), math.cos(th)), grid,
-                       fold(np.sin(grid), np.cos(grid)), 1e-12)
-    if not roots:
+    th_c = next((th for th in _arc_table(p)[3] if th < 0.5 * math.pi), None)
+    if th_c is None or sigma_theta_kappa_sq(th_c, p) < 0.0:
         return None
-    th_c = roots[0]
-    k2 = sigma_theta_kappa_sq(th_c, p)
-    if k2 < 0.0:
-        return None
-    kc = math.sqrt(k2)
-    return CuspPoint(theta=th_c, kappa=kc, eps=sigma_theta_eps(th_c, p), kind="cusp")
+    return CuspPoint(theta=th_c, kappa=math.sqrt(sigma_theta_kappa_sq(th_c, p)),
+                     eps=sigma_theta_eps(th_c, p), kind="cusp")
 
 
 def equator_kappa_c(p: Params) -> float:
@@ -344,14 +319,6 @@ def _lambda_sq(s, c, kappa, p: Params):
     s2 = s * s
     Z = surface_z(s2, c, p)
     return surface_g0_prime(s2, c, Z, kappa, p) / surface_b(s, s2, c, Z, p)[0]
-
-
-def _sincos(th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sin and cos of the angles th from math per element, so that the bits
-    do not depend on numpy's SIMD dispatch."""
-    ths = th.tolist()
-    return (np.fromiter(map(math.sin, ths), float, len(ths)),
-            np.fromiter(map(math.cos, ths), float, len(ths)))
 
 
 def _curve_points(th: np.ndarray, p: Params):

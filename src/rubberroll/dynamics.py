@@ -31,17 +31,18 @@ The level-set scans here evaluate whole theta grids at once.  The rule is
 nodes or Newton starts, and every number a scan returns comes from the
 scalar surface functions, through Newton on the exact slopes (V' = -G0,
 G0'), midpoint membership tests or a re-evaluation at the selected node;
-:func:`scan_roots` turns each sign scan into its roots.  Here only
-:func:`critical_thetas` scans a fine grid, of G0 and G0', each a kappa-free
-part plus kappa^2 times a factor of theta: one 45 KB table per body keeps
-these, and a slice takes six array operations.  V is monotone between
-consecutive critical thetas, so :func:`component_intervals` brackets every
-turning point of a level with those thetas and the chart edges alone.  Each
-kappa slice is scanned once: :func:`critical_points` keeps the critical
-thetas of the last slices with their levels, G0' values and saddles, and
-:func:`component_intervals` keeps the checked components of the last levels,
-in bounded per-process caches.  The caches key on the arguments as floats, so
-a kept result does not depend on which caller computed it.
+:func:`scan_roots` turns each sign scan into its roots.  No slice scans G0:
+G0 = (cos / sin^3)(kappa^2 - K), K the kappa^2 of the steady-rotation
+curve, and one 33 KB table per body holds K on about 2 000 nodes, cut into
+monotone arcs at its folds: a slice takes a Newton solve per arc that
+crosses kappa^2.  V is monotone between consecutive critical thetas, so
+:func:`component_intervals` brackets every turning point of a level with
+those thetas and the chart edges alone.  Each kappa slice is solved once:
+:func:`critical_points` keeps the critical thetas of the last slices with
+their levels, G0' values and saddles, and :func:`component_intervals` keeps
+the checked components of the last levels, in bounded per-process caches.
+The caches key on the arguments as floats, so a kept result does not depend
+on which caller computed it.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ import numpy as np
 from .brent import brentq, newton_bracketed
 from .geometry import (
     B_SIGN_DERIVED,
-    g0_prime_spin,
-    g0_spin,
     surface_b,
     surface_g0,
     surface_g0_prime,
@@ -87,7 +86,6 @@ __all__ = [
     "measure_density",
     "reduce_state",
     "lift",
-    "sign_cells",
     "scan_roots",
     "CriticalPoints",
     "critical_points",
@@ -499,19 +497,13 @@ def lift(r: ReducedState, kappa: float, phi: float, p: Params) -> FullState:
 # --- Effective-potential structure ---
 
 FP_WIDTH = 1e-9   # components narrower than this are relative equilibria
-_CRIT_GRID = 800  # critical_thetas: sign-scan nodes over (0, pi)
-_CRIT_EDGE = 1e-6  # critical_thetas: the scan grid stops this far from each pole
+_ARC_NODES = 1024  # critical_thetas: uniform cells of the arc table per half of (0, pi)
+_CRIT_EDGE = 1e-6  # the arc table's first node, and the level scan's chart edge at kappa != 0
 _LEVEL_TOL = 1e-10  # component_intervals: relative gap that puts a critical point on the level
 _LEVEL_FLOOR = 4 * math.ulp(1.0)  # component_intervals: relative rounding floor of V - eps
 _SLICE_CACHE = 64  # critical_points: kappa slices kept per process
-_BODY_CACHE = 16  # critical_points: bodies whose scan tables are kept per process
+_BODY_CACHE = 16  # critical_points: bodies whose arc tables are kept per process
 _LEVEL_CACHE = 64  # component_intervals: levels kept per process
-
-
-def sign_cells(vals: np.ndarray) -> list[int]:
-    """Grid cells [i, i + 1] that bracket a root: vals[i] == 0 or a sign change."""
-    head, tail = vals[:-1], vals[1:]
-    return np.flatnonzero((head == 0.0) | (head * tail < 0.0)).tolist()
 
 
 def scan_roots(f: Callable, grid, vals: np.ndarray, xtol: float, edge: float = 0.0,
@@ -522,8 +514,8 @@ def scan_roots(f: Callable, grid, vals: np.ndarray, xtol: float, edge: float = 0
     where a root next to the pole 0 needs a tolerance relative to theta.
     Given ``start``, f returns (value, slope) and Newton finds the root of
     cell i from start(i); else brentq finds it from f's value."""
-    roots = []
-    for i in sign_cells(vals):
+    roots, head, tail = [], vals[:-1], vals[1:]
+    for i in np.flatnonzero((head == 0.0) | (head * tail < 0.0)).tolist():
         a, b = float(grid[i]), float(grid[i + 1])
         tol = xtol * a if a < edge else xtol
         roots.append(a if vals[i] == 0.0 else brentq(f, a, b, xtol=tol) if start is None else
@@ -566,13 +558,13 @@ def critical_points(kappa: float, p: Params) -> CriticalPoints:
 def critical_thetas(kappa: float, p: Params) -> list[float]:
     """Interior roots of G0 on (0, pi): relative equilibria of the reduced flow.
 
-    For kappa != 0 the centrifugal term dominates both pole limits, so every
-    root is interior and a sign scan on a uniform grid brackets all of them;
-    roots between a pole and the grid's 1e-6 edge get a node beyond them (one
-    whose sin^4 underflows raises ValueError), and a pair closer than the
-    grid spacing is found from the G0 extremum between them.  A root nearer
-    pi than the float spacing there (|kappa| below about 1e-30 for bodies of
-    order one) cannot be resolved and raises ValueError too.
+    For kappa != 0 every root is interior, where K = kappa^2 on the steady-
+    rotation curve: one Newton solve on G0 and G0' in each monotone arc of
+    the body's table of K that crosses kappa^2, and in each pole cell, up to
+    the table's first node 1e-6 from the pole, where K ~ sin^4 rises past
+    kappa^2; at alpha = 0 the equator too.  A near-pole root too small to
+    bracket (a sin^4 that underflows, or nearer pi than the float spacing:
+    |kappa| below about 1e-30 for bodies of order one) raises ValueError.
     :func:`component_intervals` relies on getting every root.  For kappa = 0
     the only interior root is the inclined equilibrium, when it exists; the
     poles themselves are always equilibria of the meridian chart and are not
@@ -592,83 +584,121 @@ def _critical_points(kappa: float, p: Params) -> CriticalPoints:
     return CriticalPoints(thetas, levels, dg0, poles, saddles)
 
 
+def _pow4(s):
+    # np.float_power calls the C pow per element, as Python's ** does on a
+    # float; s ** 4 on an array rounds differently in the last bit
+    return s ** 4 if isinstance(s, float) else np.float_power(s, 4)
+
+
+def _sincos(th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sin and cos of the angles th from math per element, so that the bits
+    do not depend on numpy's SIMD dispatch."""
+    ths = th.tolist()
+    return (np.fromiter(map(math.sin, ths), float, len(ths)),
+            np.fromiter(map(math.cos, ths), float, len(ths)))
+
+
+def _steady_kappa_sq(s, c, Z, p: Params):
+    """K = -sin^3 G0(kappa = 0) / cos, kappa^2 along the steady-rotation
+    curve, at sine s, cosine c and surface factor Z, floats or arrays."""
+    b2 = p.beta * p.beta
+    if p.alpha == 0.0:
+        return _pow4(s) * (b2 - 1.0) / Z
+    return _pow4(s) * ((b2 - 1.0) / Z - p.alpha / c)
+
+
+def _fold(s, c, p: Params):
+    """G0' at kappa^2 = K, from G0 and G0' at kappa = 0; K' = -(sin^3 / cos)
+    times it, so its roots are the folds of the steady-rotation curve."""
+    s2 = s * s; Z = surface_z(s2, c, p)
+    return (surface_g0_prime(s2, c, Z, 0.0, p)
+            + surface_g0(s, s2, c, Z, 0.0, p) * (1.0 + 2.0 * c * c) / (c * s))
+
+
 @functools.lru_cache(maxsize=_BODY_CACHE)
-def _scan_table(p: Params) -> tuple[np.ndarray, ...]:
-    """The scan grid of :func:`critical_thetas`, and on it G0 and G0' at zero
-    kappa and the factors of their kappa^2 terms, all read-only."""
-    grid = np.linspace(_CRIT_EDGE, math.pi - _CRIT_EDGE, _CRIT_GRID)
-    s = np.sin(grid); c = np.cos(grid); s2 = s * s
-    Z = surface_z(s2, c, p)
-    table = (grid, surface_g0(s, s2, c, Z, 0.0, p), surface_g0_prime(s2, c, Z, 0.0, p),
-             *g0_spin(s, s2, c), *g0_prime_spin(s2, c))
-    for a in table:
-        a.flags.writeable = False
-    return table
+def _arc_table(p: Params) -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
+    """(theta, K, arcs, folds): K on each half, [_CRIT_EDGE, pi/2] and its
+    mirror image from the float after pi/2 (cos keeps its sign on each), at
+    _CRIT_EDGE and _ARC_NODES uniform nodes, read-only; the index ranges
+    (i0, i1) where K is monotone; and the folds that cut the halves into
+    them, each a node, so that a fold next to a pole, beyond _CRIT_EDGE, is
+    bracketed too."""
+    h = 0.5 * math.pi / _ARC_NODES
+    left = np.concatenate(([_CRIT_EDGE], np.linspace(h, 0.5 * math.pi, _ARC_NODES)))
+    theta = np.concatenate((left, math.pi - left[::-1]))
+    m = len(left)   # the first node of the right half
+    theta[m] = math.nextafter(0.5 * math.pi, math.pi)
+    s, c = _sincos(theta)
+    # a fold in each cell of a half where _fold changes sign, by brentq: its
+    # slope would need G0''.  At alpha = 0, K = sin^4 (beta^2 - 1) / Z is
+    # monotone on each half
+    f = _fold(s, c, p) if p.alpha != 0.0 else np.zeros(1)
+    cells = np.flatnonzero((f[:-1] > 0.0) != (f[1:] > 0.0))
+    cells = cells[cells != m - 1]
+    folds = [brentq(lambda th: _fold(math.sin(th), math.cos(th), p), theta[i], theta[i + 1],
+                    xtol=1e-12) for i in cells]
+    theta, s, c = (np.insert(x, cells + 1, y)
+                   for x, y in zip((theta, s, c), (folds, *_sincos(np.array(folds)))))
+    K = _steady_kappa_sq(s, c, surface_z(s * s, c, p), p)
+    m += int(np.count_nonzero(cells < m))
+    ends = sorted({0, m - 1, m, len(theta) - 1, *(cells + 1 + np.arange(len(cells))).tolist()})
+    theta.flags.writeable = K.flags.writeable = False
+    return theta, K, tuple(ab for ab in zip(ends[:-1], ends[1:]) if ab != (m - 1, m)), tuple(folds)
 
 
 def _g0_roots(kappa: float, p: Params) -> list[float]:
-    """The scan of :func:`critical_thetas`."""
-    f = lambda th: g0(th, kappa, p)
+    """The roots of :func:`critical_thetas`."""
+    # at alpha = 0 the equator is a root of every slice, and G0 / cos is
+    # smooth through it: its roots next to the equator are simple
+    over_cos = p.alpha == 0.0 and kappa != 0.0
 
     def f_df(th):
         s = math.sin(th); c = math.cos(th); s2 = s * s; Z = surface_z(s2, c, p)
-        return surface_g0(s, s2, c, Z, kappa, p), surface_g0_prime(s2, c, Z, kappa, p)
+        g, dg = surface_g0(s, s2, c, Z, kappa, p), surface_g0_prime(s2, c, Z, kappa, p)
+        return (g / c, (dg + g / c * s) / c) if over_cos else (g, dg)
 
     if kappa == 0.0:
         # G0 = sin * (alpha + (1 - beta^2) cos / Z) and the bracketed factor
         # is monotone, so one sign change brackets the only interior root;
         # on the centered sphere G0 vanishes everywhere, and no angle is one
         lo, hi = 1e-9, math.pi - 1e-9
-        g_lo, g_hi = f(lo), f(hi)
+        g_lo, g_hi = f_df(lo)[0], f_df(hi)[0]
         if g_lo * g_hi > 0.0 or g_lo == g_hi == 0.0:
             return []
         return [newton_bracketed(f_df, lo, hi, g_lo, g_hi, xtol=1e-14)]
 
-    grid, g, dg, gn, gd, dn, dd = _scan_table(p)
-    vals = g + kappa * kappa * gn / gd
-    slope = dg - kappa * kappa * dn / dd
-    if vals[0] < 0.0 or vals[-1] > 0.0:
-        # G0 -> +inf at the pole 0 and -inf at pi, so the wrong sign at a
-        # clip edge means a root between it and the pole: the near-pole
-        # relative equilibria at sin(theta) ~ sqrt(|kappa|).  The non-
-        # centrifugal part of G0 is at most C sin(theta) in size, so G0
-        # keeps the pole's sign wherever sin^4 < kappa^2 cos / C, and the
-        # node th_e below lies beyond the root.
-        C = p.alpha + abs(1.0 - p.beta * p.beta) / min(1.0, p.beta)
-        th_e = 0.5 * math.sqrt(abs(kappa) / math.sqrt(C))
-        # sin^4 underflows there, and G0' with it, or a near-pi node rounds onto pi
-        if th_e ** 4 == 0.0 or (vals[-1] > 0.0 and math.pi - th_e == math.pi):
-            raise ValueError(f"|kappa|={abs(kappa)} too small to resolve the poles; use kappa = 0")
-        n = int(vals[0] < 0.0)   # extra nodes below the grid
-        extra = np.array([th_e] * n + [math.pi - th_e] * int(vals[-1] > 0.0))
-        _, x_vals, x_slope = potential_grid(extra, kappa, p)
-        grid, vals, slope = (np.concatenate((x[:n], a, x[n:])) for x, a in
-                             ((extra, grid), (x_vals, vals), (x_slope, slope)))
-
-    def tangent(j):
-        # the first Newton step from the node j, on the scan's G0 and G0'
-        return float(grid[j] - vals[j] / slope[j]) if slope[j] != 0.0 else None
-
-    roots = scan_roots(f_df, grid, vals, 1e-14, _CRIT_EDGE,
-                       lambda i: tangent(i if abs(vals[i]) < abs(vals[i + 1]) else i + 1))
-    # next to a fold a center/saddle pair can share one cell of one sign.
-    # The pair straddles an extremum of G0, which G0' brackets.  While G0'
-    # is monotone across the cell, G0 at the extremum lies within |G0'| x
-    # width of either node, so a node farther from zero than twice that
-    # rules the pair out without a solve.
-    for i in sign_cells(slope):
-        a, b = float(grid[i]), float(grid[i + 1])
-        ga, gb = vals[i], vals[i + 1]
-        if (ga * gb <= 0.0 or abs(ga) > 2.0 * (b - a) * abs(slope[i])
-                or abs(gb) > 2.0 * (b - a) * abs(slope[i + 1])):
-            continue
-        xtol = 1e-14 * a if a < _CRIT_EDGE else 1e-14
-        # brentq: the extremum is a root of G0', and G0'' is not at hand
-        m = brentq(lambda th: g0_prime(th, kappa, p), a, b, xtol=xtol)
-        gm = f(m)
-        if gm * ga < 0.0:
-            roots += [newton_bracketed(f_df, a, m, ga, gm, xtol=xtol, x0=tangent(i)),
-                      newton_bracketed(f_df, m, b, gm, gb, xtol=xtol, x0=tangent(i + 1))]
+    # G0 = (cos / sin^3)(kappa^2 - K): a root in each cell of an arc where K
+    # crosses kappa^2, and in a pole cell, from the pole (K = 0) to the table,
+    # where K ~ sin^4 rises past it; each cell as (theta, K) at both ends
+    theta, K, arcs, _ = _arc_table(p)
+    k2 = kappa * kappa
+    node = lambda i: (float(theta[i]), float(K[i]))
+    cells = [(pole, 0.0, *node(i)) for i, pole in ((-1, math.pi), (0, 0.0))
+             if 0.0 < K[i] and k2 <= K[i]]
+    for i0, i1 in arcs:
+        if min(K[i0], K[i1]) < k2 < max(K[i0], K[i1]):
+            j = i0 + np.count_nonzero((K[i0:i1 + 1] <= k2) == (K[i0] < k2)) - 1
+            cells.append((*node(j), *node(j + 1)))
+    q = lambda k: math.copysign(abs(k) ** 0.25, k)
+    roots = [0.5 * math.pi] if over_cos else []
+    for ta, ka, tb, kb in cells:
+        # from the cell's linear interpolant of K^(1/4), ~ sin next to a pole
+        x0 = ta + (tb - ta) * (q(k2) - q(ka)) / (q(kb) - q(ka))
+        if ta in (0.0, math.pi):
+            # G0 - kappa^2 cos / sin^3 is at most C sin in size, so G0 keeps
+            # the pole's sign wherever sin^4 < kappa^2 cos / C, as at th_e.  If
+            # sin^4 underflows there or pi - th_e rounds to pi, the root is lost
+            # (the cell at pi comes first, so this raises before any solve)
+            C = p.alpha + abs(1.0 - p.beta * p.beta) / min(1.0, p.beta)
+            th_e = 0.5 * math.sqrt(abs(kappa) / math.sqrt(C))
+            if th_e ** 4 == 0.0 or math.pi - th_e == math.pi:
+                raise ValueError(f"|kappa|={abs(kappa)} too small to resolve the poles; "
+                                 "use kappa = 0")
+            ta = abs(ta - th_e)
+        sign = 1.0 if over_cos or ta < 0.5 * math.pi else -1.0   # the sign of cos
+        lo = min(ta, tb)
+        roots.append(newton_bracketed(f_df, ta, tb, sign * (k2 - ka), sign * (k2 - kb),
+                                      xtol=1e-14 * lo if lo < _CRIT_EDGE else 1e-14, x0=x0))
     return sorted(roots)
 
 

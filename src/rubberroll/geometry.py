@@ -57,8 +57,6 @@ __all__ = [
     "surface_j_prime",
     "surface_g0",
     "surface_g0_prime",
-    "g0_spin",
-    "g0_prime_spin",
 ]
 
 B_SIGN_DERIVED = "derived"
@@ -120,8 +118,7 @@ def surface_g0(s, s2, c, Z, kappa: float, p: Params):
     """
     val = p.alpha * s + (1.0 - p.beta * p.beta) * s * c / Z
     if isinstance(kappa, np.ndarray) or kappa != 0.0:
-        num, den = g0_spin(s, s2, c)
-        val = val + kappa * kappa * num / den
+        val = val + kappa * kappa * c / (s2 * s)
     return val
 
 
@@ -135,19 +132,8 @@ def surface_g0_prime(s2, c, Z, kappa, p: Params):
     c2 = c * c
     val = p.alpha * c + (1.0 - b2) * ((c2 - s2) / Z - (b2 - 1.0) * s2 * c2 / (Z * Z * Z))
     if isinstance(kappa, np.ndarray) or kappa != 0.0:
-        num, den = g0_prime_spin(s2, c)
-        val = val - kappa * kappa * num / den
+        val = val - kappa * kappa * (1.0 + 2.0 * (c * c)) / (s2 * s2)
     return val
-
-
-def g0_spin(s, s2, c):
-    """(cos, sin^3): G0 = G0(kappa = 0) + kappa^2 cos / sin^3."""
-    return c, s2 * s
-
-
-def g0_prime_spin(s2, c):
-    """(1 + 2 cos^2, sin^4): G0' = G0'(kappa = 0) - kappa^2 (1 + 2 cos^2) / sin^4."""
-    return 1.0 + 2.0 * (c * c), s2 * s2
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,42 @@ def test_cusp_location_and_flip():
                                [math.pi / 2.0, equator_kappa_c(P_EQ)], atol=1e-14)
 
 
+# the cusp angles of alpha = 0.5, nu = eta = 1 at beta^2 = 1.5 + delta, next
+# to the region-c boundary, as the 4001-node scan of the fold condition
+# from 1e-6 to the inclined equilibrium found them
+CUSP_NEXT_TO_REGION_C = {
+    1e-1: 0.39123912754981255, 1e-2: 0.13226105837486477, 1e-3: 0.042129391850405665,
+    1e-4: 0.013332247057097032, 1e-5: 0.0042163358584855395, 1e-6: 0.0013333322469891412,
+    1e-7: 0.00042163698651911014, 1e-8: 0.00013333333232669139, 1e-9: 4.216370045598027e-05,
+    1e-10: 1.3333337834043956e-05, 3e-12: 2.309359501559009e-06,
+}
+
+
+@pytest.mark.parametrize("delta", sorted(CUSP_NEXT_TO_REGION_C))
+def test_the_cusp_next_to_the_region_c_boundary(delta):
+    # the fold closes in on the pole 0 as sqrt(delta), 2.3e-6 from it at
+    # delta = 3e-12
+    p = Params(0.5, math.sqrt(1.5 + delta), 1.0, 1.0)
+    cp = cusp(p)
+    assert cp is not None and cp.kind == "cusp"
+
+    def fold(th):
+        # G0' at kappa^2 = K(theta), from G0 and G0' at kappa = 0
+        c, s = math.cos(th), math.sin(th)
+        return g0_prime(th, 0.0, p) + g0(th, 0.0, p) * (1.0 + 2.0 * c * c) / (c * s)
+
+    # the fold condition's terms cancel to about delta, so 4 ulp of them
+    # move its root by 4 ulp over its slope, 1.5e-11 at delta = 1e-10
+    h = 1e-3 * cp.theta
+    slope = (fold(cp.theta + h) - fold(cp.theta - h)) / (2.0 * h)
+    rounding = 4.0 * math.ulp(p.alpha + abs(1.0 - p.beta ** 2)) / abs(slope)
+    assert abs(cp.theta - CUSP_NEXT_TO_REGION_C[delta]) <= 2e-12 + rounding
+    # a 2e-12 move of theta moves kappa by 5e-5 relative at delta = 3e-12,
+    # so kappa and eps are held to their closed forms at theta
+    assert cp.kappa == math.sqrt(sigma_theta_kappa_sq(cp.theta, p))
+    assert cp.eps == sigma_theta_eps(cp.theta, p)
+
+
 @pytest.mark.parametrize("ab,want", [
     ((0.5, 0.5), "a"),
     ((0.5, 1.1), "b"),

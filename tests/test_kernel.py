@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
 import rubberroll.dynamics
-from rubberroll.bifurcation import cusp, rpm_floor
+from rubberroll.bifurcation import cusp, equator_kappa_c, rpm_floor
 from rubberroll.dynamics import (
     check_turning_point,
     component_intervals,
+    critical_points,
     critical_thetas,
     effective_potential,
     g0,
@@ -303,6 +304,41 @@ def test_fold_pair_inside_one_scan_cell(k):
     wells = component_intervals(kappa, eps, FOLD_BODY)
     assert len(wells) == 2
     assert wells[0][0] < centre < wells[0][1] < saddle < wells[1][0] < crit[2] < wells[1][1]
+
+
+# balanced bodies whose equator rolling changes stability at equator_kappa_c
+TANGENCY_BODIES = [REGION_BODIES["e"], Params(0.0, 2.0, 0.5, 1.5)]
+
+
+@pytest.mark.parametrize("k", [6, 7, 8, 10])
+@pytest.mark.parametrize("body", range(len(TANGENCY_BODIES)))
+def test_tangency_triple_inside_one_scan_cell(body, k):
+    # just below the tangency the equator is a saddle between two centers
+    # 1.08e-3 (k = 6) to 1.08e-5 (k = 10) from it, all three inside one cell
+    # of an 800-node scan, whose odd count of sign changes showed one root
+    p = TANGENCY_BODIES[body]
+    kappa = equator_kappa_c(p) * (1.0 - 10.0 ** -k)
+    grid = np.linspace(1e-6, math.pi - 1e-6, 400_001)
+    vals = potential_grid(grid, kappa, p)[1]
+    ref = [brentq(g0, grid[i], grid[i + 1], args=(kappa, p), xtol=1e-15, rtol=8.9e-16)
+           for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)]
+    crit = critical_thetas(kappa, p)
+    assert len(ref) == len(crit) == 3
+    for th, rth in zip(crit, ref):
+        # G0 = cos * (G0 / cos), whose terms are of order one: next to the
+        # equator its rounding moves a root by 4 ulp over its slope G0' / cos
+        term = abs(1.0 - p.beta ** 2) + kappa ** 2 / math.sin(rth) ** 3
+        rounding = 4.0 * math.ulp(term) * abs(math.cos(rth) / g0_prime(rth, kappa, p))
+        assert abs(th - rth) <= 1e-12 + rounding, (k, th, rth)
+
+    # the equator is the one saddle; a level just below it holds the two
+    # wells, one on each side of it, each a point once it is shallower
+    # than the 1e-13 (k >= 7)
+    (saddle,) = critical_points(kappa, p).saddles
+    assert saddle[0] == crit[1] == math.pi / 2
+    wells = component_intervals(kappa, saddle[1] - 1e-13, p)
+    assert len(wells) == 2
+    assert wells[0][0] <= crit[0] <= wells[0][1] < crit[1] < wells[1][0] <= crit[2] <= wells[1][1]
 
 
 def test_a_pole_maximum_just_above_the_level_is_no_component():

@@ -1,11 +1,13 @@
 """The level-free tables of the level engine, against what they replaced.
 
-``critical_points`` scans a kappa slice on one table per body: the scan
-grid with G0 and G0' at kappa = 0 and the factors of their kappa^2 terms.
-The quadrature ladder reads one table per rung size: du, u, cos u and
-sin u, the FFT frequencies and the half-node shifts.  Every number must
-be the one the per-call arithmetic gave, bit for bit, and no caller may
-write into a shared array.
+``critical_points`` finds the critical angles of a kappa slice on one
+table per body: the steady-rotation curve kappa^2 = K(theta), cut into
+monotone arcs at its folds.  Its roots must be the ones the per-slice scan
+of G0 found, and K the steady-rotation closed form, bit for bit.  The
+quadrature ladder reads one table per rung size: du, u, cos u and sin u,
+the FFT frequencies and the half-node shifts.  Every number must be the
+one the per-call arithmetic gave, bit for bit, and no caller may write
+into a shared array.
 """
 
 import math
@@ -15,10 +17,10 @@ import numpy as np
 import pytest
 
 import rubberroll.integrate
-from rubberroll.bifurcation import cusp
+from rubberroll.bifurcation import _sigma_theta, cusp, sigma_theta_kappa_sq
 from rubberroll.brent import brentq, newton_bracketed
 from rubberroll.dynamics import (
-    _scan_table,
+    _arc_table,
     check_turning_point,
     component_intervals,
     critical_points,
@@ -27,7 +29,6 @@ from rubberroll.dynamics import (
     g0,
     g0_prime,
     potential_grid,
-    sign_cells,
 )
 from rubberroll.integrate import (
     _component,
@@ -56,6 +57,12 @@ SWEEP_BODIES = {
     "minus": Params(0.5, math.sqrt(0.5), 1.0, 1.0),
     "plus": Params(0.5, math.sqrt(1.5), 1.0, 1.0),
 }
+
+
+def sign_cells(vals):
+    """Grid cells [i, i + 1] that bracket a root: vals[i] == 0 or a sign change."""
+    head, tail = vals[:-1], vals[1:]
+    return np.flatnonzero((head == 0.0) | (head * tail < 0.0)).tolist()
 
 
 def _potential_grid_scan(kappa, p):
@@ -143,52 +150,81 @@ def _sweep_kappas(p, rng):
     return [0.0] + [s * m for m in mags for s in (1.0, -1.0)]
 
 
+def _fine_scan_roots(kappa, p, polish):
+    """The roots of G0 on a 400 001-node scan, each sign cell polished."""
+    f_df = lambda th: (g0(th, kappa, p), g0_prime(th, kappa, p))
+    grid = np.linspace(1e-6, math.pi - 1e-6, 400_001)
+    vals = potential_grid(grid, kappa, p)[1]
+    return [polish(f_df, float(grid[i]), float(grid[i + 1]), vals[i], vals[i + 1], 1e-14, None)
+            for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)]
+
+
+def _reference_roots(kappa, p, polish):
+    """The per-slice scan's roots, or at alpha = 0 within 1e-5 of the
+    tangency the fine scan's: the three roots there share one cell of the
+    800-node scan, which sees one."""
+    c = cusp(p)
+    if p.alpha == 0.0 and c is not None and abs(abs(kappa) / c.kappa - 1.0) <= 1e-5:
+        return _fine_scan_roots(kappa, p, polish)
+    return _potential_grid_roots(kappa, p, polish)
+
+
+def _assert_within_the_tolerance(got, ref, kappa, p, where):
+    # the Newton roots lie within the tolerance and 4 ulp of the brentq
+    # roots.  Next to a fold G0' is small at the root, and the rounding of
+    # G0's largest term (4 ulp of it) moves the root by that over |G0'| too
+    assert len(got) == len(ref), where
+    for th, rth in zip(got, ref):
+        xtol = 1e-14 * rth if rth < 1e-6 else 1e-14
+        term = p.alpha + abs(1.0 - p.beta ** 2) + kappa ** 2 / math.sin(rth) ** 3
+        rounding = 4.0 * math.ulp(term) / abs(g0_prime(rth, kappa, p))
+        assert abs(th - rth) <= xtol + 4 * math.ulp(rth) + rounding, (*where, th, rth)
+
+
 @pytest.mark.parametrize("name", sorted(SWEEP_BODIES))
 def test_critical_points_equal_the_per_slice_scan(name):
+    # the same roots as the scan's Newton polish, to the tolerance, with the
+    # level and G0' of each the scalar functions' at the returned angle
     p = SWEEP_BODIES[name]
     rng = np.random.default_rng(18)
     for kappa in _sweep_kappas(p, rng):
-        thetas = _potential_grid_roots(kappa, p)
         cp = critical_points(kappa, p)
-        assert cp.thetas == tuple(thetas), (name, kappa)
-        assert cp.levels == tuple(effective_potential(th, kappa, p) for th in thetas), (name, kappa)
-        assert cp.dg0 == tuple(g0_prime(th, kappa, p) for th in thetas), (name, kappa)
+        _assert_within_the_tolerance(cp.thetas, _reference_roots(kappa, p, _newton), kappa, p,
+                                     (name, kappa))
+        assert cp.levels == tuple(effective_potential(th, kappa, p) for th in cp.thetas), (name, kappa)
+        assert cp.dg0 == tuple(g0_prime(th, kappa, p) for th in cp.thetas), (name, kappa)
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_BODIES))
 def test_critical_points_are_brentqs_roots_to_the_tolerance(name):
-    # the same cells polished by brentq to a tenth of the tolerance: the
-    # Newton roots lie within the tolerance and 4 ulp of them.  Next to a
-    # fold G0' is small at the root, and the rounding of G0's largest term
-    # (4 ulp of it) moves the root by that over |G0'| too
+    # the same cells polished by brentq to a tenth of the tolerance
     p = SWEEP_BODIES[name]
     rng = np.random.default_rng(18)
     for kappa in _sweep_kappas(p, rng):
-        ref = _potential_grid_roots(kappa, p, _brentq_tenth)
-        got = critical_points(kappa, p).thetas
-        assert len(got) == len(ref), (name, kappa)
-        for th, rth in zip(got, ref):
-            xtol = 1e-14 * rth if rth < 1e-6 else 1e-14
-            term = p.alpha + abs(1.0 - p.beta ** 2) + kappa ** 2 / math.sin(rth) ** 3
-            rounding = 4.0 * math.ulp(term) / abs(g0_prime(rth, kappa, p))
-            assert abs(th - rth) <= xtol + 4 * math.ulp(rth) + rounding, (name, kappa, th, rth)
+        _assert_within_the_tolerance(critical_points(kappa, p).thetas,
+                                     _reference_roots(kappa, p, _brentq_tenth), kappa, p,
+                                     (name, kappa))
 
 
-def test_slice_arrays_equal_the_per_slice_scan_bit_for_bit(monkeypatch):
-    # the arrays only select cells, so a changed bit could leave the roots
-    # alone; the scan hands G0 and then G0' to sign_cells
-    seen = []
-    real = rubberroll.dynamics.sign_cells
-    monkeypatch.setattr(rubberroll.dynamics, "sign_cells", lambda v: seen.append(v) or real(v))
-    rng = np.random.default_rng(18)
-    for name, p in SWEEP_BODIES.items():
-        for kappa in _sweep_kappas(p, rng):
-            if kappa == 0.0:
-                continue
-            seen.clear()
-            critical_points(kappa, p)
-            _, vals, slope = _potential_grid_scan(kappa, p)
-            assert np.array_equal(seen[0], vals) and np.array_equal(seen[1], slope), (name, kappa)
+@pytest.mark.parametrize("name", sorted(SWEEP_BODIES))
+def test_the_arc_tables_K_is_the_steady_rotation_curve_bit_for_bit(name):
+    # K at every node, the folds included, is sigma_theta_kappa_sq's, or at
+    # the two nodes next to the equator, where that raises for alpha != 0,
+    # the closed form's; K is monotone on every arc (constant on the
+    # sphere's), and the arcs meet at the folds, each a node
+    p = SWEEP_BODIES[name]
+    theta, K, arcs, folds = _arc_table(p)
+    for th, k in zip(theta.tolist(), K.tolist()):
+        if p.alpha != 0.0 and abs(math.cos(th)) < 1e-15:
+            assert k == _sigma_theta(math.sin(th), math.cos(th), p)[0], (name, th)
+        else:
+            assert k == sigma_theta_kappa_sq(th, p), (name, th)
+    for i0, i1 in arcs:
+        steps = np.diff(K[i0:i1 + 1])
+        assert np.all(steps >= 0.0) or np.all(steps <= 0.0), (name, i0, i1)
+    inner = [theta[i1] for (_, i1), (j0, _) in zip(arcs, arcs[1:]) if i1 == j0]
+    assert inner == list(folds), name
+    assert arcs[0][0] == 0 and arcs[-1][1] == len(theta) - 1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -256,20 +292,20 @@ def test_a_wall_lost_to_a_large_eps_names_kappa_and_eps():
 
 
 def _tables():
-    return list(_scan_table(P_MAIN)) + [
+    return list(_arc_table(P_MAIN)[:2]) + [
         a for n in (16, 32, 1024) for a in _node_table(n) if isinstance(a, np.ndarray)]
 
 
 def test_shared_arrays_are_read_only():
     tables = _tables()
-    assert len(tables) == 7 + 3 * 6
+    assert len(tables) == 2 + 3 * 6
     for a in tables:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
 
 
 def test_both_caches_are_bounded_and_cleared_by_clear_caches():
-    for cached, args in ((_scan_table, [Params(0.5, 3.0, 0.5, 0.5 + 0.1 * i) for i in range(40)]),
+    for cached, args in ((_arc_table, [Params(0.5, 3.0, 0.5, 0.5 + 0.1 * i) for i in range(40)]),
                          (_node_table, [16 * i for i in range(1, 41)])):
         maxsize = cached.cache_info().maxsize
         assert maxsize is not None and maxsize < len(args)
@@ -277,7 +313,7 @@ def test_both_caches_are_bounded_and_cleared_by_clear_caches():
             cached(a)
         assert cached.cache_info().currsize == maxsize
     clear_caches()
-    assert _scan_table.cache_info().currsize == 0
+    assert _arc_table.cache_info().currsize == 0
     assert _node_table.cache_info().currsize == 0
 
 
