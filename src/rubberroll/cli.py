@@ -652,8 +652,8 @@ def _build_parser(command: str | None = None) -> _Parser:
         sp.add_argument("--kappa", type=_finite)
         sp.add_argument("--theta0", type=_finite)
         sp.add_argument("--ptheta0", type=_finite, default=0.0)
-        sp.add_argument("--psi0", type=_finite, default=0.0, help="initial proper-rotation angle")
-        sp.add_argument("--phi0", type=_finite, default=0.0, help="initial precession angle")
+        sp.add_argument("--psi0", type=_finite, default=0.0, help="initial precession angle")
+        sp.add_argument("--phi0", type=_finite, default=0.0, help="initial proper-rotation angle")
         sp.add_argument("--x0", type=_finite, default=0.0, help="initial center-of-mass x")
         sp.add_argument("--y0", type=_finite, default=0.0, help="initial center-of-mass y")
         sp.add_argument("--tmax", type=_finite)

@@ -1,4 +1,4 @@
-"""Adaptive integration driver, event detection, and reduced-period machinery.
+"""Adaptive integration driver and reduced-period machinery.
 
 The stepper is DOP853, the eighth-order embedded Runge-Kutta pair of
 Hairer, Norsett and Wanner (Solving ODEs I, II) with adaptive error control
@@ -13,8 +13,6 @@ array pass after the last step.  It goes one accepted step at a time so that
 
   * the vertical unit vector can be renormalized after every accepted step
     (magnitude logged, delivered in the run statistics),
-  * section crossings are located on the dense interpolant and refined to
-    root tolerance well below 1e-12 in t,
   * the reduced chart can be guarded against pole contact when kappa != 0.
 
 Default tolerances are 1e-12 absolute and 1e-10 relative.  Each run reports
@@ -57,7 +55,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .brent import brentq
 from .dynamics import (
     FP_WIDTH,
     _centrifugal,
@@ -77,8 +74,6 @@ from .model import Params
 __all__ = [
     "IntegrationError",
     "PoleError",
-    "EventSpec",
-    "EventHit",
     "IntegrationStats",
     "Trajectory",
     "integrate_raw",
@@ -107,23 +102,6 @@ class PoleError(IntegrationError):
     """Reduced chart reached a coordinate pole with kappa != 0."""
 
 
-@dataclass(frozen=True)
-class EventSpec:
-    """Scalar event g(t, y) located on sign changes of the dense output."""
-
-    label: str
-    fn: Callable[[float, np.ndarray], float]
-    direction: int = 0       # +1 rising only, -1 falling only, 0 both
-    terminal: bool = False
-
-
-@dataclass(frozen=True)
-class EventHit:
-    label: str
-    t: float
-    y: np.ndarray
-
-
 @dataclass
 class IntegrationStats:
     """Cost of one run: accepted steps, rejected step attempts, right-hand
@@ -137,17 +115,16 @@ class IntegrationStats:
 
 @dataclass
 class Trajectory:
-    """Accepted-step samples plus optional uniform samples and events."""
+    """Accepted-step samples plus optional uniform samples."""
 
     t: np.ndarray
     y: np.ndarray                       # shape (len(t), dim)
-    events: list[EventHit] = field(default_factory=list)
+    # always empty: perfbench's tracer reads it (events_hit); goes with ROADMAP item 1
+    events: list = field(default_factory=list)
     stats: IntegrationStats = field(default_factory=IntegrationStats)
     t_eval: np.ndarray | None = None
     y_eval: np.ndarray | None = None     # shape (len(t_eval), dim)
 
-
-_N_EVENT_NODES = 5    # dense-output subdivisions per step scanned for events
 
 # DOP853 tableau, the coefficients of scipy's dop853_coefficients to the
 # last bit: 12 stages plus the step's end derivative, 3 more stages for the
@@ -361,7 +338,6 @@ def integrate_raw(
     tol_rel: float = DEFAULT_TOL_REL,
     max_steps: int = DEFAULT_MAX_STEPS,
     renorm_slice: slice | None = None,
-    events: Sequence[EventSpec] = (),
     guard: Callable[[float, np.ndarray], None] | None = None,
     t_eval: np.ndarray | None = None,
 ) -> Trajectory:
@@ -374,10 +350,6 @@ def integrate_raw(
     renorm_slice : slice, optional
         Sub-vector renormalized to unit Euclidean length after every accepted
         step; the largest |norm - 1| seen is logged in the statistics.
-    events : sequence of EventSpec
-        Located on the per-step dense interpolant (forward integration only)
-        and refined by bracketed root solving.  A terminal event truncates
-        the run at the crossing.
     guard : callable, optional
         Called after every accepted step; may raise to abort.
     t_eval : array, optional
@@ -385,13 +357,13 @@ def integrate_raw(
         non-decreasing) on the dense interpolant.  The loop keeps 7 rows
         of coefficients per sampled step and evaluates all samples after
         it, at a peak of about 2.5 times the bytes of y_eval.  Times before
-        t_span[0] give the start state; those past t_span[1] or past a
-        terminal event are left out of Trajectory.t_eval.
+        t_span[0] give the start state; those past t_span[1] are left out
+        of Trajectory.t_eval.
 
     Raises
     ------
     ValueError
-        On a non-finite start state, t_eval or events on a backward run, a
+        On a non-finite start state, t_eval on a backward run, a
         t_eval that is not finite and non-decreasing, a negative tol_abs,
         or tol_abs = 0 with a zero start component.
     IntegrationError
@@ -401,8 +373,6 @@ def integrate_raw(
     y = np.array(y0, dtype=float)
     if y.ndim != 1 or not np.isfinite(y).all():
         raise ValueError("the initial state must be a finite 1-D vector")
-    if events and t1 < t0:
-        raise ValueError("event detection supports forward integration only")
     if t_eval is not None and t1 < t0:
         raise ValueError("t_eval sampling supports forward integration only")
     if tol_abs < 0.0:
@@ -425,7 +395,6 @@ def integrate_raw(
     stats = IntegrationStats()
     ts = [t0]
     ys = [y.copy()]
-    hits: list[EventHit] = []
 
     eval_times = None
     sampled: list[tuple] = []   # (count, F, t_old, h, y_old) per step holding samples
@@ -437,8 +406,6 @@ def integrate_raw(
             raise ValueError("t_eval must be a finite, non-decreasing 1-D array")
         n_eval = len(eval_times)
     next_eval = float(eval_times[0]) if n_eval else math.inf
-
-    prev_ev = [spec.fn(t0, y) for spec in events]
 
     t = t0
     f = fun(t, y)
@@ -465,54 +432,14 @@ def integrate_raw(
         t = t_new
         stats.n_steps += 1
 
-        F = None
-        if not zero_length and (events or next_eval <= t):
-            F = _dense_coefficients(fun, t_old, h, y_old, y_new, f_new, K_ext, extra)
-            n_rhs += len(extra)
-
-        t_stop = None
-        if events and not zero_length:
-            # the step's start node is the last node of the step before; on
-            # a run of length zero every node is the start, and nothing crosses
-            nodes = np.linspace(t_old, t, _N_EVENT_NODES)
-            node_states = _dense_samples(
-                [(_N_EVENT_NODES - 1, F, t_old, h, y_old)], nodes[1:], dim)
-            step = [(1, F, t_old, h, y_old)]
-            for k, spec in enumerate(events):
-                g_left = prev_ev[k]
-                for i in range(1, _N_EVENT_NODES):
-                    g_right = spec.fn(float(nodes[i]), node_states[i - 1])
-                    trig = g_left * g_right < 0.0
-                    if trig and spec.direction > 0:
-                        trig = g_left < g_right
-                    if trig and spec.direction < 0:
-                        trig = g_left > g_right
-                    if trig:
-                        a, b = float(nodes[i - 1]), float(nodes[i])
-                        # brentq: an event function comes with no derivative
-                        t_hit = brentq(
-                            lambda tt: spec.fn(tt, _dense_samples(step, np.array([tt]), dim)[0]),
-                            a, b, xtol=1e-14,
-                        )
-                        y_hit = _dense_samples(step, np.array([t_hit]), dim)[0]
-                        hits.append(EventHit(label=spec.label, t=float(t_hit), y=y_hit))
-                        if spec.terminal and (t_stop is None or t_hit < t_stop):
-                            t_stop, y_stop = float(t_hit), y_hit
-                    g_left = g_right
-                prev_ev[k] = g_left
-
-        seg_end = t if t_stop is None else t_stop
-        if next_eval <= seg_end:
-            j = int(eval_times.searchsorted(seg_end, "right"))
-            if F is not None:   # else a run of length zero, sampled below
+        if next_eval <= t:
+            j = int(eval_times.searchsorted(t, "right"))
+            if not zero_length:   # else sampled below
+                F = _dense_coefficients(fun, t_old, h, y_old, y_new, f_new, K_ext, extra)
+                n_rhs += len(extra)
                 sampled.append((j - eval_idx, F, t_old, h, y_old))
             eval_idx = j
             next_eval = float(eval_times[j]) if j < n_eval else math.inf
-
-        if t_stop is not None:
-            ts.append(t_stop)
-            ys.append(y_stop)
-            break
 
         if renorm_slice is not None:
             g = y_new[renorm_slice]
@@ -537,7 +464,7 @@ def integrate_raw(
     stats.n_rhs = n_rhs
     log.debug("integrate_raw: %d steps, %d rejected attempts, %d RHS calls, %d samples, max "
               "renorm %.3g", stats.n_steps, stats.n_rejected, n_rhs, eval_idx, stats.max_renorm)
-    traj = Trajectory(t=np.array(ts), y=np.array(ys), events=hits, stats=stats)
+    traj = Trajectory(t=np.array(ts), y=np.array(ys), stats=stats)
     if eval_times is not None:
         traj.t_eval = eval_times[:eval_idx]
         traj.y_eval = _dense_samples(sampled, traj.t_eval, dim)
@@ -575,7 +502,6 @@ def integrate(
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
     max_steps: int = DEFAULT_MAX_STEPS,
-    events: Sequence[EventSpec] = (),
     t_eval: np.ndarray | None = None,
 ) -> Trajectory:
     """Integrate one of the shipped vector fields.
@@ -617,7 +543,6 @@ def integrate(
         tol_rel=tol_rel,
         max_steps=max_steps,
         renorm_slice=renorm,
-        events=events,
         guard=guard,
         t_eval=t_eval,
     )
@@ -944,39 +869,54 @@ def _doublings(
             return
 
 
+def _return_end(fun: Callable, t: float, y: np.ndarray, k: int,
+                end: float) -> tuple[float, np.ndarray]:
+    """The state y of a run at time t moved to first order, by one call of
+    its field fun, to where y[k] reaches end: (t + dt, y + y' dt)."""
+    dy = fun(t, y)
+    dt = (end - y[k]) / dy[k]
+    return t + dt, y + dy * dt
+
+
 def _ode_half_period(
     kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
     tol_abs: float, tol_rel: float, max_steps: int,
 ) -> tuple[float, float]:
     """(t, psi) of the half oscillation by DOP853 on the augmented system:
-    from the turning point lo to the next p_theta = 0 crossing, or on a
-    circulating level from lo, a pole, at the circulation speed to hi.  The
-    oracle ``verify`` and the tests hold :func:`half_period` to.  Within about
-    1e-12 of a pole-maximum level a circuit run can turn back short of hi,
-    and the half event would never fire: a p_theta = 0 crossing ends it
-    with an IntegrationError."""
-    rate, events = 0.0, (EventSpec("turn", lambda t, y: y[1], direction=0, terminal=True),)
+    from the turning point lo, or on a circulating level from lo, a pole, at
+    the circulation speed, to where it returns.  The oracle ``verify`` and
+    the tests hold :func:`half_period` to.  The run takes the quadrature's
+    T/2 only as the first time to stop at, and :func:`_return_end` moves its
+    end to where the return residual, p_theta on a libration and theta - hi
+    on a circuit, vanishes.  That leaves an error cubic in the move, which
+    1e-12 from a saddle, where T/2 is known to about 1e-3, is 1e-6: so a leg
+    runs on to each moved end and moves it again, and the last move smaller
+    than the one before gives the answer.  Within about 1e-12 of a
+    pole-maximum level a circuit run can turn back short of hi: a p_theta
+    that changes sign on the way ends it with an IntegrationError."""
+    rate = 0.0
     if circuit:
         rate = math.sqrt(2.0 * (eps - effective_potential(lo, kappa, p))
                          / profile(lo, p, pole_mode=True).B)
-        events = (EventSpec("half", lambda t, y: y[0] - hi, direction=+1, terminal=True),) + events
-    traj = integrate(
-        "augmented", (lo, rate, 0.0, 0.0, 0.0, 0.0),
-        (0.0, 1e7), p, kappa=kappa, tol_abs=tol_abs, tol_rel=tol_rel,
-        max_steps=max_steps, events=events,
-    )
-    if not traj.events:
-        raise IntegrationError(
-            f"no half-period return found before the time cap at kappa={kappa}, eps={eps}; "
-            "level too close to a critical value"
-        )
-    hit = traj.events[-1]
-    if circuit and hit.label == "turn":
-        raise IntegrationError(
-            f"the meridian circuit of the level (kappa={kappa}, eps={eps}) turned back at "
-            f"theta={hit.y[0]}, short of {hi}; level too close to a pole-maximum level"
-        )
-    return hit.t, float(hit.y[2])
+    fun = augmented_field(kappa, p)
+    k, end = (0, hi) if circuit else (1, 0.0)
+    t, y = 0.0, (lo, rate, 0.0, 0.0, 0.0, 0.0)
+    t_end = half_period(kappa, eps, p, lo, hi, circuit=circuit).t
+    last, found = math.inf, (math.nan, math.nan)
+    while True:
+        traj = integrate("augmented", y, (t, t_end), p, kappa=kappa, tol_abs=tol_abs,
+                         tol_rel=tol_rel, max_steps=max_steps)
+        if circuit and (traj.y[:, 1] < 0.0).any():
+            raise IntegrationError(
+                f"the meridian circuit of the level (kappa={kappa}, eps={eps}) turned back at "
+                f"theta={traj.y[:, 0].max()}, short of {hi}; level too close to a "
+                "pole-maximum level"
+            )
+        t, y = t_end, traj.y[-1]
+        t_end, y_end = _return_end(fun, t, y, k, end)
+        if not abs(t_end - t) < last:
+            return found
+        last, found = abs(t_end - t), (t_end, float(y_end[2]))
 
 
 def half_period(

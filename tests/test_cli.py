@@ -449,6 +449,15 @@ def test_trajectory_angle_seeds(tmp_path, capsys):
     assert r0[0][3] == "0"
 
 
+def test_trajectory_help_names_psi_the_precession_and_phi_the_proper_rotation(monkeypatch,
+                                                                              capsys):
+    monkeypatch.setenv("COLUMNS", "200")
+    code, out, _ = run(["trajectory", "--help"], capsys)
+    assert code == 0
+    assert re.search(r"--psi0 PSI0\s+initial precession angle\n", out)
+    assert re.search(r"--phi0 PHI0\s+initial proper-rotation angle\n", out)
+
+
 @pytest.mark.parametrize("ab,want", [
     (("0.5", "0.5"), "a"),
     (("0.5", "1.1"), "b"),

@@ -1,5 +1,5 @@
-"""Stepper wrapper: periods against quadrature, events, streaming, pole
-chart, and the DOP853 loop against scipy's stepper."""
+"""Stepper wrapper: periods against quadrature, streaming, pole chart, and
+the DOP853 loop against scipy's stepper."""
 
 import math
 import tracemalloc
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853, quad
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from rubberroll.dynamics import (
     FullState,
@@ -25,13 +25,13 @@ from rubberroll.dynamics import (
 )
 from rubberroll.geometry import profile
 from rubberroll.integrate import (
-    EventHit,
-    EventSpec,
     IntegrationError,
     IntegrationStats,
     PoleError,
     Trajectory,
     _pole_guard_factory,
+    _return_end,
+    half_period,
     integrate,
     integrate_raw,
     section_period,
@@ -108,16 +108,29 @@ def test_meridian_circulation_period():
     assert abs(sp.T_theta - tq) < 1e-8
 
 
-def test_event_refinement():
-    lo, _ = component_intervals(KAPPA, EPS, P)[0]
-    sp = section_period(KAPPA, EPS, P)
-    ev = EventSpec("sec", lambda t, y: y[1], terminal=False)
-    traj = integrate("reduced", (lo, 0.0), (0.0, 3.0 * sp.T_theta), P,
-                     kappa=KAPPA, events=(ev,))
-    assert len(traj.events) >= 5
-    assert max(abs(h.y[1]) for h in traj.events) < 1e-11
-    gaps = np.diff([h.t for h in traj.events])
-    np.testing.assert_allclose(gaps, sp.T_theta / 2.0, atol=1e-9)
+@pytest.mark.parametrize("circuit", [False, True], ids=["libration", "circuit"])
+def test_the_moved_return_end_moves_by_second_order_with_the_stop(circuit):
+    # the half period's oracle stops at the quadrature's T/2 and moves its
+    # end to p_theta = 0, or to theta = pi on a meridian circuit: a stop
+    # 1e-6 early or late moves (t, psi) of the moved end by O(1e-12) only
+    if circuit:
+        kappa, eps, lo, hi = 0.0, 5.0, 0.0, math.pi
+        rate = math.sqrt(2.0 * (eps - effective_potential(lo, 0.0, P))
+                         / profile(lo, P, pole_mode=True).B)
+    else:
+        kappa, eps, rate = KAPPA, EPS, 0.0
+        lo, hi = component_intervals(KAPPA, EPS, P)[0]
+    k, end = (0, hi) if circuit else (1, 0.0)
+    t_half = half_period(kappa, eps, P, lo, hi, circuit=circuit).t
+    ends = []
+    for shift in (-1e-6, 0.0, 1e-6):
+        tr = integrate("augmented", (lo, rate, 0.0, 0.0, 0.0, 0.0), (0.0, t_half + shift), P,
+                       kappa=kappa, tol_abs=1e-15, tol_rel=2.3e-14)
+        t, y = _return_end(augmented_field(kappa, P), t_half + shift, tr.y[-1], k, end)
+        ends.append((t, y[2]))
+    for t, psi in ends[::2]:
+        assert abs(t - ends[1][0]) <= 1e-10
+        assert abs(psi - ends[1][1]) <= 1e-10
 
 
 def test_t_eval_streaming_matches_final_state():
@@ -182,20 +195,12 @@ def test_t_eval_must_be_finite_and_non_decreasing():
                       kappa=0.6, t_eval=bad)
 
 
-def test_t_eval_leaves_out_times_past_the_end_or_a_terminal_event():
-    lo, hi = component_intervals(KAPPA, EPS, P)[0]
+def test_t_eval_leaves_out_times_past_the_end():
+    lo, _ = component_intervals(KAPPA, EPS, P)[0]
     tev = np.linspace(0.0, 20.0, 201)
     tr = integrate("reduced", (lo, 0.0), (0.0, 10.0), P, kappa=KAPPA, t_eval=tev)
     assert np.array_equal(tr.t_eval, tev[tev <= 10.0])
     assert tr.y_eval.shape == (101, 2)
-    turn = EventSpec("turn", lambda t, y: y[1], terminal=True)
-    th0 = 0.5 * (lo + hi)
-    tr = integrate("reduced", (th0, 0.1), (0.0, 10.0), P, kappa=KAPPA, events=(turn,),
-                   t_eval=tev)
-    t_turn = tr.events[0].t
-    assert tr.t[-1] == t_turn < 10.0
-    assert np.array_equal(tr.t_eval, tev[tev <= t_turn])
-    assert len(tr.y_eval) == len(tr.t_eval) > 0
 
 
 def test_t_eval_sampling_peak_memory():
@@ -272,7 +277,7 @@ def test_max_steps_cap():
 
 
 def scipy_integrate_raw(fun, y0, t_span, *, tol_abs=1e-12, tol_rel=1e-10,
-                        renorm_slice=None, events=(), guard=None, t_eval=None):
+                        renorm_slice=None, guard=None, t_eval=None):
     """Reference: the same loop around scipy's DOP853 solver object, one
     solver.step() and one dense_output() object per accepted step."""
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -281,55 +286,23 @@ def scipy_integrate_raw(fun, y0, t_span, *, tol_abs=1e-12, tol_rel=1e-10,
     stats = IntegrationStats()
     ts = [t0]
     ys = [y0.copy()]
-    hits = []
     eval_times = None if t_eval is None else np.asarray(t_eval, dtype=float)
     eval_states = []
     eval_idx = 0
-    prev_ev = [spec.fn(t0, y0) for spec in events]
     while solver.status != "finished":
         msg = solver.step()
         assert solver.status != "failed", msg
         stats.n_steps += 1
-        need_dense = bool(events) or (
-            eval_times is not None and eval_idx < len(eval_times)
-            and eval_times[eval_idx] <= solver.t)
-        dense = solver.dense_output() if need_dense else None
-        t_stop = None
-        if events:
-            nodes = np.linspace(solver.t_old, solver.t, 5)
-            node_states = dense(nodes)
-            for k, spec in enumerate(events):
-                node_vals = [spec.fn(float(tn), node_states[:, i]) for i, tn in enumerate(nodes)]
-                g_left = prev_ev[k]
-                for i in range(1, 5):
-                    g_right = node_vals[i]
-                    trig = g_left * g_right < 0.0
-                    if trig and spec.direction > 0:
-                        trig = g_left < g_right
-                    if trig and spec.direction < 0:
-                        trig = g_left > g_right
-                    if trig:
-                        t_hit = brentq(lambda tt: spec.fn(tt, dense(tt)),
-                                       float(nodes[i - 1]), float(nodes[i]),
-                                       xtol=1e-14, rtol=8.9e-16)
-                        hits.append(EventHit(spec.label, float(t_hit), np.array(dense(t_hit))))
-                        if spec.terminal and (t_stop is None or t_hit < t_stop):
-                            t_stop = float(t_hit)
-                    g_left = g_right
-                prev_ev[k] = node_vals[-1]
-        seg_end = solver.t if t_stop is None else t_stop
-        if eval_times is not None:
-            while eval_idx < len(eval_times) and eval_times[eval_idx] <= seg_end:
+        if (eval_times is not None and eval_idx < len(eval_times)
+                and eval_times[eval_idx] <= solver.t):
+            dense = solver.dense_output()
+            while eval_idx < len(eval_times) and eval_times[eval_idx] <= solver.t:
                 tt = float(eval_times[eval_idx])
                 if tt < solver.t_old:
                     eval_states.append(ys[0].copy())
                 else:
                     eval_states.append(np.array(dense(tt)))
                 eval_idx += 1
-        if t_stop is not None:
-            ts.append(t_stop)
-            ys.append(np.array(dense(t_stop)))
-            break
         y_now = solver.y
         if renorm_slice is not None:
             g = y_now[renorm_slice]
@@ -343,7 +316,7 @@ def scipy_integrate_raw(fun, y0, t_span, *, tol_abs=1e-12, tol_rel=1e-10,
         ts.append(float(solver.t))
         ys.append(y_now.copy())
     stats.n_rhs = int(solver.nfev)
-    traj = Trajectory(t=np.array(ts), y=np.array(ys), events=hits, stats=stats)
+    traj = Trajectory(t=np.array(ts), y=np.array(ys), stats=stats)
     if eval_times is not None:
         traj.t_eval = eval_times[: len(eval_states)]
         traj.y_eval = np.array(eval_states) if eval_states else np.empty((0, len(y0)))
@@ -355,17 +328,12 @@ def _oracle_cases():
     th0 = 0.5 * (lo + hi)
     pt0 = math.sqrt(2.0 * (EPS - effective_potential(th0, KAPPA, P))
                     / profile(th0, P).B)
-    turn = EventSpec("turn", lambda t, y: y[1], terminal=True)
-    cross = EventSpec("cross", lambda t, y: y[0] - th0, direction=-1)
     s0 = random_valid_state(np.random.default_rng(3))
     samples = np.linspace(0.0, 20.0, 301)
     return {
-        "reduced, pole guard, events": dict(
+        "reduced, pole guard": dict(
             fun=reduced_field(KAPPA, P), y0=(lo, 0.0), t_span=(0.0, 30.0),
-            guard=_pole_guard_factory(KAPPA), events=(cross,)),
-        "augmented, terminal turn, t_eval": dict(
-            fun=augmented_field(KAPPA, P), y0=(th0, pt0, 0.0, 0.0, 0.0, 0.0),
-            t_span=(0.0, 50.0), events=(turn,), t_eval=np.linspace(0.0, 50.0, 401)),
+            guard=_pole_guard_factory(KAPPA)),
         "full, renormalized, t_eval": dict(
             fun=full_field(P), y0=s0.as_array(), t_span=(0.0, 20.0),
             renorm_slice=slice(3, 6), t_eval=samples),
@@ -397,9 +365,6 @@ def test_stepper_matches_scipy_dop853_bit_for_bit(case):
     got = integrate_raw(**_oracle_cases()[case])
     assert np.array_equal(got.t, ref.t)
     assert np.array_equal(got.y, ref.y)
-    assert [(h.label, h.t) for h in got.events] == [(h.label, h.t) for h in ref.events]
-    for a, b in zip(got.events, ref.events):
-        assert np.array_equal(a.y, b.y)
     assert (got.t_eval is None) == (ref.t_eval is None)
     if ref.t_eval is not None:
         assert np.array_equal(got.t_eval, ref.t_eval)
@@ -410,7 +375,7 @@ def test_stepper_matches_scipy_dop853_bit_for_bit(case):
 
 
 def test_rejected_attempts_are_counted():
-    # without events, samples or renormalization every attempt costs 12 RHS
+    # without samples or renormalization every attempt costs 12 RHS
     # calls, plus one for the initial slope and one for the first step size
     lo, _ = component_intervals(KAPPA, EPS, P)[0]
     tr = integrate("reduced", (lo, 0.0), (0.0, 30.0), P, kappa=KAPPA)

@@ -3,12 +3,13 @@
 Every observable of a level starts from two kinds of roots, the critical
 angles of its kappa slice (G0 = 0) and its turning points (V = eps).  The
 level engine polishes both by Newton on the exact slope, and brentq only
-splits a close pair of critical angles.  This counts every function
-evaluation those solves make, per level, with the caches emptied before
-each level, over seeded levels of the two benchmark bodies.  It counts too
-the passes of the quadrature ladder on the same levels: the array passes of
-``_half_nodes``, each on the nodes of one rung or of a few small ones, and
-the nodes they evaluate.  Run as a script it prints the figures.
+polishes the folds of the arc table of K, once per body.  This counts every
+function evaluation those solves make, per level, with the caches emptied
+before each level, over seeded levels of the two benchmark bodies.  It
+counts too the passes of the quadrature ladder on the same levels: the
+array passes of ``_half_nodes``, each on the nodes of one rung or of a few
+small ones, and the nodes they evaluate.  Run as a script it prints the
+figures.
 """
 
 import math
