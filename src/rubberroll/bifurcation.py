@@ -126,14 +126,11 @@ def omega0_sq(theta: float, p: Params) -> float:
     and the poles where the family is not defined by this formula.
     """
     s = math.sin(theta)
-    c = math.cos(theta)
-    if abs(s) < 1e-15 or abs(c) < 1e-15:
+    if abs(s) < 1e-15 or abs(math.cos(theta)) < 1e-15:
         raise ValueError(f"steady-rotation rate undefined at theta={theta}")
-    s2 = s * s
-    Z = surface_z(s2, c, p)
-    w = Z + p.alpha * c
-    J2 = (c * c + p.nu * s2) / p.eta + w * w
-    return -s2 * (c * (1.0 - p.beta * p.beta) + p.alpha * Z) / (c * Z * J2)
+    # kappa = J omega0 sin(theta) on the curve kappa^2 = K
+    js = profile(theta, p, pole_mode=True).J * s
+    return sigma_theta_kappa_sq(theta, p) / (js * js)
 
 
 def _sigma_theta(s, c, p: Params):

@@ -14,8 +14,8 @@ import numpy as np
 
 from .model import Params
 from .geometry import profile
-from .dynamics import (FullState, ReducedState, critical_points, full_field, g0, integrals, lift,
-                       measure_density, reduce_state, reduced_energy, reduced_field)
+from .dynamics import (FullState, ReducedState, augmented_field, critical_points, full_field, g0,
+                       integrals, lift, measure_density, reduce_state, reduced_energy)
 from .integrate import (_component, _ode_half_period, _pole_guard_factory, integrate,
                         integrate_raw, period_map)
 from .bifurcation import (inclined_equilibrium, permanent_rotation, sigma_theta_eps,
@@ -90,11 +90,11 @@ def reduction(p: Params, rng: np.random.Generator, quick: bool, b_sign: str) -> 
         rc = reduce_state(s, p)
         t_eval = np.linspace(0.0, t_red, 501)
         full = integrate("full", s.as_array(), (0.0, t_red), p, t_eval=t_eval, **_TOLS)
-        th_full = np.arccos(np.clip(full.y_eval[:, 5], -1.0, 1.0))
-        red = integrate_raw(reduced_field(rc.kappa, p, b_sign), (rc.theta, rc.p_theta),
-                            (0.0, t_red), guard=_pole_guard_factory(rc.kappa),
-                            t_eval=t_eval, **_TOLS)
-        worst = max(worst, float(np.max(np.abs(red.y_eval[:, 0] - th_full))))
+        th_full = np.arccos(np.clip(full.y[:, 5], -1.0, 1.0))
+        red = integrate_raw(augmented_field(rc.kappa, p, b_sign),
+                            (rc.theta, rc.p_theta, 0.0, 0.0, 0.0, 0.0), (0.0, t_red),
+                            guard=_pole_guard_factory(rc.kappa), t_eval=t_eval, **_TOLS)
+        worst = max(worst, float(np.max(np.abs(red.y[:, 0] - th_full))))
         done += 1
     return Check("reduction", (worst,), (1e-6,),
                  f"max |theta_red - theta_full| = {worst:.2e} on {done} orbits")

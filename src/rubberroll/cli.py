@@ -310,10 +310,12 @@ def cmd_simulate(args: argparse.Namespace, parser: _Parser) -> int:
     full_style = args.omega is not None or args.gamma is not None
     if reduced_style == full_style:
         parser.error("give either --kappa/--theta0 or --omega/--gamma")
+    if (args.ptheta0 is not None) + (args.energy is not None) + full_style > 1:
+        parser.error("give at most one of --ptheta0, --energy and --omega/--gamma")
 
     if reduced_style:
         _require(args, parser, "kappa", "theta0")
-        p0 = args.ptheta0
+        p0 = 0.0 if args.ptheta0 is None else args.ptheta0
         if args.energy is not None:
             # p_theta0 from the energy level, upward branch
             se = profile(args.theta0, p, pole_mode=True)
@@ -337,9 +339,9 @@ def cmd_simulate(args: argparse.Namespace, parser: _Parser) -> int:
         traj = integrate("kinematic", kinematic_init(state), (0.0, tmax), p,
                          t_eval=np.linspace(0.0, tmax, args.samples),
                          tol_abs=args.tol_abs, tol_rel=args.tol_rel)
-        path = path_from_kinematic(traj.t_eval, traj.y_eval, p)
+        path = path_from_kinematic(traj.t, traj.y, p)
         c0 = integrals(state, p)
-        ci = integrals(FullState(omega=traj.y_eval[:, :3], gamma=traj.y_eval[:, 3:6]), p)
+        ci = integrals(FullState(omega=traj.y[:, :3], gamma=traj.y[:, 3:6]), p)
         rows = _path_rows(path, (ci.eps - c0.eps).tolist(), (ci.F1 - c0.F1).tolist())
         drifts = (max(abs(r[10]) for r in rows), max(abs(r[11]) for r in rows))
 
@@ -636,7 +638,7 @@ def _build_parser(command: str | None = None) -> _Parser:
         _add_out(sp, "simulate.csv")
         sp.add_argument("--kappa", type=_finite, help="area-integral constant (reduced style)")
         sp.add_argument("--theta0", type=_finite, help="initial inclination (reduced style)")
-        sp.add_argument("--ptheta0", type=_finite, default=0.0, help="initial theta rate (default 0)")
+        sp.add_argument("--ptheta0", type=_finite, help="initial theta rate (default 0)")
         sp.add_argument("--energy", type=_finite,
                         help="energy level fixing |ptheta0| (alternative to --ptheta0)")
         sp.add_argument("--omega", type=_triple, help="w1,w2,w3 (full style)")

@@ -74,7 +74,6 @@ __all__ = [
     "full_field",
     "kinematic_field",
     "kinematic_init",
-    "reduced_field",
     "augmented_field",
     "integrals",
     "reduced_energy",
@@ -283,32 +282,14 @@ def kinematic_field(p: Params) -> Callable[[float, np.ndarray], np.ndarray]:
 # --- Reduced system ---
 
 
-def reduced_field(
+def augmented_field(
     kappa: float, p: Params, b_sign: str = B_SIGN_DERIVED
 ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Right-hand side of the reduced system as f(t, y), y = (theta, p_theta).
-
-    Valid for any real theta when kappa = 0 (smooth meridian extension); the
-    integrator guards the poles when kappa != 0.  ``b_sign`` selects the B
-    cross term, see :mod:`.geometry`.
-    """
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        th, pt = y.tolist()
-        s = math.sin(th); c = math.cos(th); s2 = s * s
-        Z = surface_z(s2, c, p)
-        B, dB = surface_b(s, s2, c, Z, p, b_sign)
-        out = np.empty(2)
-        out[0] = pt
-        out[1] = (surface_g0(s, s2, c, Z, kappa, p) - 0.5 * dB * pt * pt) / B
-        return out
-
-    return rhs
-
-
-def augmented_field(kappa: float, p: Params) -> Callable[[float, np.ndarray], np.ndarray]:
     """Reduced system extended by the precession quadratures and the planar path.
 
-    State layout: (theta, p_theta, psi, phi, xc, yc).  psi and phi are the
+    State layout: (theta, p_theta, psi, phi, xc, yc).  (theta, p_theta) obey
+    the reduced system of the module docstring, whose B cross term
+    ``b_sign`` selects (see :mod:`.geometry`).  psi and phi are the
     accumulated quadrature angles
 
         dpsi/dt = -kappa cos / (J sin^2),   dphi/dt = kappa / (J sin^2)
@@ -318,14 +299,14 @@ def augmented_field(kappa: float, p: Params) -> Callable[[float, np.ndarray], np
         d(xc + i yc)/dt = -U(theta) (kappa/(J sin) + i p_theta) exp(i psi).
 
     At kappa = 0 all precession terms vanish and the field stays regular
-    through the poles in the extended meridian chart.
+    through the poles in the extended meridian chart; the integrator guards
+    the poles when kappa != 0.
     """
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         th, pt, psi, _, _, _ = y.tolist()
         s = math.sin(th); c = math.cos(th); s2 = s * s
         Z = surface_z(s2, c, p)
-        # the reduced field, as in reduced_field
-        B, dB = surface_b(s, s2, c, Z, p)
+        B, dB = surface_b(s, s2, c, Z, p, b_sign)
         out = np.empty(6)
         out[0] = pt
         out[1] = (surface_g0(s, s2, c, Z, kappa, p) - 0.5 * dB * pt * pt) / B
@@ -437,8 +418,7 @@ def integrals(s: FullState, p: Params) -> Integrals:
 
     rg = _dot(r, g)
     g1, g2, g3 = g.T
-    J2 = (g3 * g3 + p.nu * (g1 * g1 + g2 * g2)) / p.eta + rg * rg
-    kappa = np.sqrt(J2) * w[..., 2]
+    kappa = surface_j(g1 * g1 + g2 * g2, g3, rg, p) * w[..., 2]
 
     I = np.array([1.0 / p.eta, 1.0 / p.eta, p.nu / p.eta])
     Jw = I * w + _dot(r, r)[..., None] * w - r * _dot(r, w)[..., None]

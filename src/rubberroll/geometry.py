@@ -26,7 +26,7 @@ around the poles theta = 0, pi (B' and G0 odd), which is what makes the
 kappa = 0 meridian chart extension possible.
 
 The cross term inside B carries a sign switch, ``b_sign`` of :func:`surface_b`
-(and of :func:`.dynamics.reduced_field` and :func:`.dynamics.reduced_energy`).
+(and of :func:`.dynamics.augmented_field` and :func:`.dynamics.reduced_energy`).
 The value derived from |r|^2 is (cos + alpha Z)^2; ``b_sign="paper"`` selects
 the published variant (alpha Z - cos)^2 instead.  The two differ whenever
 alpha > 0, and only the derived one is consistent with energy conservation of

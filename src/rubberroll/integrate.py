@@ -9,7 +9,8 @@ step controller, initial step, interpolant), so its results match scipy's
 bit for bit; the tests keep scipy's solver as the oracle.  The loop calls
 the right-hand side directly, builds the three extra interpolant stages only
 on steps that need them, and evaluates the sample times of all steps in one
-array pass after the last step.  It goes one accepted step at a time so that
+array pass after the last step; a run returns those samples, or without
+sample times its accepted steps.  It goes one accepted step at a time so that
 
   * the vertical unit vector can be renormalized after every accepted step
     (magnitude logged, delivered in the run statistics),
@@ -65,7 +66,6 @@ from .dynamics import (
     full_field,
     g0,
     kinematic_field,
-    reduced_field,
 )
 from .geometry import (profile, surface_b, surface_g0, surface_j, surface_j_prime, surface_u,
                        surface_z)
@@ -115,15 +115,14 @@ class IntegrationStats:
 
 @dataclass
 class Trajectory:
-    """Accepted-step samples plus optional uniform samples."""
+    """The samples of a run: at its sample times if it was given any, else
+    at its accepted steps."""
 
     t: np.ndarray
     y: np.ndarray                       # shape (len(t), dim)
     # always empty: perfbench's tracer reads it (events_hit); goes with ROADMAP item 1
     events: list = field(default_factory=list)
     stats: IntegrationStats = field(default_factory=IntegrationStats)
-    t_eval: np.ndarray | None = None
-    y_eval: np.ndarray | None = None     # shape (len(t_eval), dim)
 
 
 # DOP853 tableau, the coefficients of scipy's dop853_coefficients to the
@@ -353,12 +352,13 @@ def integrate_raw(
     guard : callable, optional
         Called after every accepted step; may raise to abort.
     t_eval : array, optional
-        Extra sample times (forward integration only, finite and
-        non-decreasing) on the dense interpolant.  The loop keeps 7 rows
-        of coefficients per sampled step and evaluates all samples after
-        it, at a peak of about 2.5 times the bytes of y_eval.  Times before
-        t_span[0] give the start state; those past t_span[1] are left out
-        of Trajectory.t_eval.
+        Sample times (forward integration only, finite and non-decreasing)
+        on the dense interpolant, returned in place of the accepted steps.
+        The loop keeps 7 rows of coefficients per sampled step and
+        evaluates all samples after it, at a peak of about 2.5 times the
+        bytes of the returned y.  Times before t_span[0], and every time on
+        a run of length zero, give the start state; those past t_span[1]
+        are left out.
 
     Raises
     ------
@@ -455,8 +455,9 @@ def integrate_raw(
         if guard is not None:
             guard(t, y_new)
 
-        ts.append(float(t))
-        ys.append(y_new.copy())
+        if eval_times is None:
+            ts.append(float(t))
+            ys.append(y_new.copy())
         y, f = y_new, f_new
         if t == t1:
             break
@@ -464,13 +465,13 @@ def integrate_raw(
     stats.n_rhs = n_rhs
     log.debug("integrate_raw: %d steps, %d rejected attempts, %d RHS calls, %d samples, max "
               "renorm %.3g", stats.n_steps, stats.n_rejected, n_rhs, eval_idx, stats.max_renorm)
-    traj = Trajectory(t=np.array(ts), y=np.array(ys), stats=stats)
-    if eval_times is not None:
-        traj.t_eval = eval_times[:eval_idx]
-        traj.y_eval = _dense_samples(sampled, traj.t_eval, dim)
-        # requested before the start, or on a run of length zero: the start state
-        traj.y_eval[: eval_times.searchsorted(t0, "right" if t0 == t1 else "left")] = ys[0]
-    return traj
+    if eval_times is None:
+        return Trajectory(t=np.array(ts), y=np.array(ys), stats=stats)
+    t_out = eval_times[:eval_idx]
+    y_out = _dense_samples(sampled, t_out, dim)
+    # requested before the start, or on a run of length zero: the start state
+    y_out[: eval_times.searchsorted(t0, "right" if t0 == t1 else "left")] = ys[0]
+    return Trajectory(t=t_out, y=y_out, stats=stats)
 
 
 def _pole_guard_factory(kappa: float):
@@ -514,10 +515,9 @@ def integrate(
     system:
       "full"      init = (w1, w2, w3, g1, g2, g3); gamma renormalized per step.
       "kinematic" init = 14-vector (w, gamma, ax, bx, xc, yc); same treatment.
-      "reduced"   init = (theta, p_theta), requires kappa; pole-guarded
-                  unless kappa = 0, where the smooth meridian extension lets
-                  theta run over the whole real line.
-      "augmented" init = (theta, p_theta, psi, phi, xc, yc), requires kappa.
+      "augmented" init = (theta, p_theta, psi, phi, xc, yc), requires kappa;
+                  pole-guarded unless kappa = 0, where the smooth meridian
+                  extension lets theta run over the whole real line.
     """
     if system == "full":
         fun = full_field(p)
@@ -527,10 +527,10 @@ def integrate(
         fun = kinematic_field(p)
         renorm = slice(3, 6)
         guard = None
-    elif system in ("reduced", "augmented"):
+    elif system == "augmented":
         if kappa is None:
-            raise ValueError(f"system={system!r} requires kappa")
-        fun = (reduced_field if system == "reduced" else augmented_field)(kappa, p)
+            raise ValueError("system='augmented' requires kappa")
+        fun = augmented_field(kappa, p)
         renorm = None
         guard = _pole_guard_factory(kappa)
     else:

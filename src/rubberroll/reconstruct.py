@@ -226,18 +226,6 @@ def contact_shift(theta: np.ndarray, psi: np.ndarray, phi: np.ndarray, p: Params
     return dx, dy
 
 
-def _absolute_from_augmented(t: np.ndarray, y: np.ndarray, p: Params) -> AbsolutePath:
-    th = y[:, 0]
-    ct = np.cos(th)
-    z_c = surface_u(ct, _meridian_contact(np.sin(th), ct, p)[0], p)
-    dx, dy = contact_shift(th, y[:, 2], y[:, 3], p)
-    return AbsolutePath(
-        t=t, theta=th, p_theta=y[:, 1], psi=y[:, 2], phi=y[:, 3],
-        x_c=y[:, 4], y_c=y[:, 5], z_c=z_c,
-        x_p=y[:, 4] + dx, y_p=y[:, 5] + dy,
-    )
-
-
 def reconstruct_trajectory(
     init: tuple[float, float],
     kappa: float,
@@ -267,9 +255,16 @@ def reconstruct_trajectory(
         "augmented", y0v, t_span, p, kappa=kappa,
         tol_abs=tol_abs, tol_rel=tol_rel, max_steps=max_steps, t_eval=t_eval,
     )
-    if t_eval is not None:
-        return _absolute_from_augmented(traj.t_eval, traj.y_eval, p)
-    return _absolute_from_augmented(traj.t, traj.y, p)
+    y = traj.y
+    th = y[:, 0]
+    ct = np.cos(th)
+    z_c = surface_u(ct, _meridian_contact(np.sin(th), ct, p)[0], p)
+    dx, dy = contact_shift(th, y[:, 2], y[:, 3], p)
+    return AbsolutePath(
+        t=traj.t, theta=th, p_theta=y[:, 1], psi=y[:, 2], phi=y[:, 3],
+        x_c=y[:, 4], y_c=y[:, 5], z_c=z_c,
+        x_p=y[:, 4] + dx, y_p=y[:, 5] + dy,
+    )
 
 
 def reconstruct_from_full(
@@ -292,8 +287,7 @@ def reconstruct_from_full(
     """
     traj = integrate("kinematic", kinematic_init(state), t_span, p,
                      tol_abs=tol_abs, tol_rel=tol_rel, t_eval=t_eval)
-    t, y = (traj.t_eval, traj.y_eval) if t_eval is not None else (traj.t, traj.y)
-    return path_from_kinematic(t, y, p)
+    return path_from_kinematic(traj.t, traj.y, p)
 
 
 def path_from_kinematic(t: np.ndarray, y: np.ndarray, p: Params) -> AbsolutePath:

@@ -86,10 +86,10 @@ def test_c02_reduction_tracks_full():
         tev = np.linspace(0.0, 50.0, 501)
         full = integrate("full", s0.as_array(), (0.0, 50.0), P,
                          t_eval=tev, **TOLS)
-        red = integrate("reduced", (rc.theta, rc.p_theta), (0.0, 50.0), P,
-                        kappa=rc.kappa, t_eval=tev, **TOLS)
-        th_full = np.arccos(np.clip(full.y_eval[:, 5], -1.0, 1.0))
-        worst = max(worst, float(np.abs(red.y_eval[:, 0] - th_full).max()))
+        red = integrate("augmented", (rc.theta, rc.p_theta, 0.0, 0.0, 0.0, 0.0), (0.0, 50.0),
+                        P, kappa=rc.kappa, t_eval=tev, **TOLS)
+        th_full = np.arccos(np.clip(full.y[:, 5], -1.0, 1.0))
+        worst = max(worst, float(np.abs(red.y[:, 0] - th_full).max()))
         done += 1
     _report(2, "reduction", worst <= 1e-6,
             f"10 orbits, t=50: max|theta_red - theta_full| = {worst:.2e}")
@@ -101,13 +101,13 @@ def test_c03_steady_rotation_circles():
     tev = np.linspace(0.0, 100.0, 2001)
     tr = integrate("kinematic", kinematic_init(st), (0.0, 100.0), P,
                    t_eval=tev, **TOLS)
-    th = np.arccos(np.clip(tr.y_eval[:, 5], -1.0, 1.0))
+    th = np.arccos(np.clip(tr.y[:, 5], -1.0, 1.0))
     th_drift = float(np.abs(th - math.pi / 3.0).max())
-    _, _, r_com = circle_fit(tr.y_eval[:, 12], tr.y_eval[:, 13])
+    _, _, r_com = circle_fit(tr.y[:, 12], tr.y[:, 13])
     # contact circle from the transported axes: p = c + Q r(gamma)
     from rubberroll.geometry import contact_vector
     xp, yp = [], []
-    for row in tr.y_eval[::20]:
+    for row in tr.y[::20]:
         g = row[3:6] / np.linalg.norm(row[3:6])
         r = contact_vector(g, P)
         xp.append(row[12] + float(row[6:9] @ r))

@@ -67,9 +67,9 @@ def test_permanent_rotation_dynamic_oracle():
     t_circ = 2.0 * math.pi * math.tan(math.pi / 3.0) / pr.omega0
     tr = integrate("kinematic", kinematic_init(st), (0.0, 1.2 * t_circ), P,
                    t_eval=np.linspace(0.0, 1.2 * t_circ, 400))
-    th_traj = np.arccos(np.clip(tr.y_eval[:, 5], -1.0, 1.0))
+    th_traj = np.arccos(np.clip(tr.y[:, 5], -1.0, 1.0))
     assert np.abs(th_traj - math.pi / 3.0).max() < 1e-6
-    _, _, r_fit = circle_fit(tr.y_eval[:, 12], tr.y_eval[:, 13])
+    _, _, r_fit = circle_fit(tr.y[:, 12], tr.y[:, 13])
     np.testing.assert_allclose(r_fit, pr.rho_c, atol=1e-6)
 
 

@@ -67,6 +67,42 @@ def test_conflicting_styles_exit_one(capsys):
     assert code == 1
 
 
+_FULL_START = ["--omega", "0.3,-0.18616978176397397,0.2346033803494251",
+               "--gamma", "0,0.78332690962748341,0.62160996827066439"]
+
+
+@pytest.mark.parametrize("start,extra", [
+    (["--kappa", "0.8", "--theta0", "0.4678"], {"ptheta0": "0.3", "energy": "3.8"}),
+    (_FULL_START, {"ptheta0": "0.3"}),
+    (_FULL_START, {"energy": "3.8"}),
+], ids=["both", "ptheta0-full-style", "energy-full-style"])
+def test_ptheta0_and_energy_exclude_each_other_and_the_full_style(start, extra, tmp_path,
+                                                                   capsys):
+    # simulate once read --ptheta0 only without --energy, and neither in
+    # the full style: each dropped value was ignored without a word
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in extra.items()))
+    flags = [f"--{k}={v}" for k, v in extra.items()]
+    out = tmp_path / "run.csv"
+    for more in (flags, ["--config", str(cfg)]):
+        code, _, err = run(["simulate", *ARGS_XY, *start, *more, "--tmax", "1",
+                            "--out", str(out)], capsys)
+        assert code == 1, err
+        assert err.startswith("usage: rubberroll") and "--ptheta0" in err
+        assert not out.exists()
+
+
+def test_ptheta0_or_energy_alone_sets_the_start_rate(tmp_path, capsys):
+    rates = []
+    for more in ([], ["--ptheta0", "0.3"], ["--energy", "3.8"]):
+        out = tmp_path / "run.csv"
+        code, _, err = run(["simulate", *ARGS_XY, "--kappa", "0.8", "--theta0", "0.4678",
+                            *more, "--tmax", "1", "--samples", "3", "--out", str(out)], capsys)
+        assert code == 0, err
+        rates.append(float(read_csv(out)[1][0][2]))
+    assert rates[:2] == [0.0, 0.3] and rates[2] > 0.0
+
+
 def test_off_leaf_full_state_exits_one(capsys):
     code, _, err = run(["simulate", *ARGS_XY, "--omega", "0,0,1",
                         "--gamma", "0,0,0", "--tmax", "1"], capsys)
@@ -196,11 +232,11 @@ def test_simulate_rows_equal_rows_built_one_at_a_time(tmp_path, capsys):
     state = FullState(omega=np.array([float(v) for v in w.split(",")]),
                       gamma=np.array([float(v) for v in g.split(",")]))
     traj = integrate("kinematic", kinematic_init(state), (0.0, 30.0), p, t_eval=tev)
-    path = path_from_kinematic(traj.t_eval, traj.y_eval, p)
+    path = path_from_kinematic(traj.t, traj.y, p)
     c0 = integrals(state, p)
 
     def drifts(i):
-        ci = integrals(FullState.from_array(traj.y_eval[i]), p)
+        ci = integrals(FullState.from_array(traj.y[i]), p)
         return ci.eps - c0.eps, ci.F1 - c0.F1
 
     assert out.read_bytes() == reference(path, drifts)

@@ -24,10 +24,10 @@ from rubberroll.dynamics import (
     measure_density,
     reduce_state,
     reduced_energy,
-    reduced_field,
     scan_roots,
 )
-from rubberroll.geometry import B_SIGN_PAPER, contact_vector, profile
+from rubberroll.geometry import (B_SIGN_DERIVED, B_SIGN_PAPER, contact_vector, profile,
+                                 surface_b, surface_g0, surface_z)
 from rubberroll.integrate import _component
 from rubberroll.model import Params
 
@@ -138,26 +138,34 @@ def test_reduced_energy_matches_full():
             assert abs(e_pap - c.eps) > 1e-4
 
 
-# the ids name the B cross term of both fields, the derived one
-@pytest.mark.parametrize("kappa", [0.0, 0.8, -0.3],
-                         ids=["0.0-derived", "0.8-derived", "-0.3-derived"])
-def test_augmented_field_extends_reduced_field(kappa):
+# the ids name the kappa and the B cross term under test
+@pytest.mark.parametrize("b_sign", [B_SIGN_DERIVED, B_SIGN_PAPER])
+@pytest.mark.parametrize("kappa", [0.0, 0.8, -0.3])
+def test_augmented_field_extends_reduced_field(kappa, b_sign):
     rng = np.random.default_rng(5)
-    red = reduced_field(kappa, P)
-    aug = augmented_field(kappa, P)
+    aug = augmented_field(kappa, P, b_sign)
+    other = augmented_field(kappa, P, B_SIGN_PAPER if b_sign == B_SIGN_DERIVED else B_SIGN_DERIVED)
+    default = augmented_field(kappa, P)
     for _ in range(50):
         th = rng.uniform(0.05, math.pi - 0.05)
         y = np.array([th, rng.normal(), rng.uniform(-7.0, 7.0), 0.0, 0.0, 0.0])
         out = aug(0.0, y)
-        # the (theta, p_theta) part is the reduced field to the last bit
-        assert np.array_equal(out[:2], red(0.0, y[:2]))
+        # (theta, p_theta) follow the reduced equation with the B of b_sign
+        s, c = math.sin(th), math.cos(th)
+        s2 = s * s
+        Z = surface_z(s2, c, P)
+        B, dB = surface_b(s, s2, c, Z, P, b_sign)
+        assert out[0] == y[1]
+        assert out[1] == (surface_g0(s, s2, c, Z, kappa, P) - 0.5 * dB * y[1] * y[1]) / B
+        # the precession and the planar path do not read B
+        assert np.array_equal(out[2:], other(0.0, y)[2:])
+        if b_sign == B_SIGN_DERIVED:
+            assert np.array_equal(out, default(0.0, y))
         pr = profile(th, P)
-        s2 = math.sin(th) ** 2
-        assert out[2] == pytest.approx(-kappa * math.cos(th) / (pr.J * s2), rel=1e-12, abs=1e-300)
+        assert out[2] == pytest.approx(-kappa * c / (pr.J * s2), rel=1e-12, abs=1e-300)
         assert out[3] == pytest.approx(kappa / (pr.J * s2), rel=1e-12, abs=1e-300)
         speed = math.hypot(out[4], out[5])
-        assert speed == pytest.approx(pr.U * math.hypot(kappa / (pr.J * math.sin(th)), y[1]),
-                                      rel=1e-12)
+        assert speed == pytest.approx(pr.U * math.hypot(kappa / (pr.J * s), y[1]), rel=1e-12)
 
 
 def test_reduce_lift_round_trip():
@@ -188,7 +196,7 @@ def test_reduced_tracks_full_theta():
         s0 = lift(ReducedState(th0, pt0), kap, 0.0, P)
         sol_f = solve_ivp(f, (0.0, 10.0), s0.as_array(), method="DOP853",
                           rtol=1e-11, atol=1e-13, dense_output=True)
-        sol_r = solve_ivp(reduced_field(kap, P), (0.0, 10.0), [th0, pt0],
+        sol_r = solve_ivp(augmented_field(kap, P), (0.0, 10.0), [th0, pt0, 0.0, 0.0, 0.0, 0.0],
                           method="DOP853", rtol=1e-11, atol=1e-13,
                           dense_output=True)
         ts = np.linspace(0.0, 10.0, 200)

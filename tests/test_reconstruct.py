@@ -59,9 +59,9 @@ def test_euler_rotation_matches_transported_axes():
                          t_eval=tev)
         for i in range(0, 61, 5):
             q = euler_rotation(path.theta[i], path.psi[i], path.phi[i])
-            gm = traj.y_eval[i, 3:6]
-            np.testing.assert_allclose(q[:, 0], traj.y_eval[i, 6:9], atol=1e-8)
-            np.testing.assert_allclose(q[:, 1], traj.y_eval[i, 9:12], atol=1e-8)
+            gm = traj.y[i, 3:6]
+            np.testing.assert_allclose(q[:, 0], traj.y[i, 6:9], atol=1e-8)
+            np.testing.assert_allclose(q[:, 1], traj.y[i, 9:12], atol=1e-8)
             np.testing.assert_allclose(q[:, 2], gm / np.linalg.norm(gm), atol=1e-8)
 
 
