@@ -20,7 +20,7 @@ from .integrate import (_component, _ode_half_period, _pole_guard_factory, integ
                         integrate_raw, period_map)
 from .bifurcation import (inclined_equilibrium, permanent_rotation, sigma_theta_eps,
                           sigma_theta_kappa_sq)
-from .reconstruct import (_rotation_slope, epsilon_min, reconstruct_from_full,
+from .reconstruct import (_rotation_slope, _stepped_path, epsilon_min, reconstruct_from_full,
                           reconstruct_trajectory, resonance_curve, rotation_number)
 
 __all__ = ["Check", "CHECKS", "N_QUICK"]   # each check is an entry of CHECKS
@@ -188,17 +188,17 @@ def quadrature(p: Params, rng: np.random.Generator, quick: bool, b_sign: str) ->
 
 
 def period_map_drift(p: Params, rng: np.random.Generator, quick: bool, b_sign: str) -> Check:
-    """One-period drift by quadrature against the tight stepper's path, on a
-    generic level and, where the slice has one, an N = 0 level."""
+    """One-period drift by quadrature against the tight stepper's path (not
+    the period route), on a generic level and, where the slice has one, an
+    N = 0 level."""
     kap = 0.5
     lv = critical_points(kap, p).levels
     gaps = []
     for eps in [min(lv) + 0.3] + [pt.eps for pt in resonance_curve(0, p, kap)[:1]]:
         pm = period_map(kap, eps, p)
         lo = _component(kap, eps, p, 0)[2][0]
-        path = reconstruct_trajectory((lo, 0.0), kap, (0.0, pm.T), p, tol_abs=1e-15,
-                                      tol_rel=2.3e-14, max_steps=10 ** 7,
-                                      t_eval=np.array([0.0, pm.T]))
+        path = _stepped_path((lo, 0.0), kap, (0.0, pm.T), p, 1e-15, 2.3e-14,
+                             np.array([0.0, pm.T]), 10 ** 7)
         gaps.append((abs(pm.D - complex(path.x_c[-1], path.y_c[-1])), pm.err + 1e-10))
     dd, bound = max(gaps, key=lambda g: g[0] - g[1])
     return Check("period-map", (dd,), (bound,),

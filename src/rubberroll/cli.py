@@ -49,7 +49,7 @@ import numpy as np
 from .model import Params, validate
 from .geometry import B_SIGN_DERIVED, B_SIGN_PAPER, profile
 from .dynamics import FullState, effective_potential, integrals, kinematic_init, reduced_energy
-from .integrate import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, integrate
+from .integrate import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, _pole_margin, integrate
 from .bifurcation import diagram
 from .reconstruct import (classify, path_from_kinematic, reconstruct_trajectory, resonance_curve,
                           rotation_number)
@@ -280,6 +280,14 @@ def _tmax(args: argparse.Namespace, parser: _Parser) -> float:
     return args.tmax
 
 
+def _require_start(args: argparse.Namespace, parser: _Parser) -> None:
+    _require(args, parser, "kappa", "theta0")
+    edge = _pole_margin(args.kappa)   # a kappa != 0 motion never reaches a pole
+    if args.kappa != 0.0 and not edge < args.theta0 < math.pi - edge:
+        parser.error(f"--theta0 must lie in ({edge:g}, pi - {edge:g}) unless --kappa is 0, "
+                     f"got {args.theta0}")
+
+
 def _path_rows(path, e_drift, f1_drift) -> list[tuple]:
     """CSV rows from an AbsolutePath and the two drift columns."""
     columns = [getattr(path, name).tolist() for name in _CSV_HEADER[:10]]
@@ -314,7 +322,7 @@ def cmd_simulate(args: argparse.Namespace, parser: _Parser) -> int:
         parser.error("give at most one of --ptheta0, --energy and --omega/--gamma")
 
     if reduced_style:
-        _require(args, parser, "kappa", "theta0")
+        _require_start(args, parser)
         p0 = 0.0 if args.ptheta0 is None else args.ptheta0
         if args.energy is not None:
             # p_theta0 from the energy level, upward branch
@@ -355,7 +363,7 @@ def cmd_simulate(args: argparse.Namespace, parser: _Parser) -> int:
 def cmd_trajectory(args: argparse.Namespace, parser: _Parser) -> int:
     p = _params(args, parser)
     tmax = _tmax(args, parser)
-    _require(args, parser, "kappa", "theta0")
+    _require_start(args, parser)
     rows = _reduced_style_rows(args, p, tmax, (args.theta0, args.ptheta0), psi0=args.psi0,
                                phi0=args.phi0, x0=args.x0, y0=args.y0)
     _write_csv(args.out, _CSV_HEADER, rows)

@@ -36,12 +36,10 @@ planar path over one period continues the same node ladder:
 :func:`period_map` integrates d(x_c + i y_c)/dt over the whole period by a
 spectral cumulative sum and a Filon-type FFT rule, which gives the drift D
 the center of mass makes per period.  Each rung size keeps its level-free
-arrays, read-only (88 bytes a node).  The small rungs of a ladder (16, 32
-and 64 nodes) are evaluated in one array pass on their concatenated nodes,
-and each rung sums its own slice of it: the integrands are elementwise and
-a contiguous slice sums as an array of its own does, so the pass changes no
-bit of any result and saves numpy's fixed cost per call on all rungs but
-one.  The stepper runs no level: it stays the oracle the tests and
+arrays, read-only (88 bytes a node), and the small rungs of a ladder share
+one array pass (see :func:`_doublings`).  One period fixes the whole orbit,
+which :func:`_orbit` evaluates at any time.  The stepper runs no level and
+no reduced orbit the period map answers: it stays the oracle the tests and
 ``verify`` hold the quadrature to.
 """
 
@@ -474,14 +472,19 @@ def integrate_raw(
     return Trajectory(t=t_out, y=y_out, stats=stats)
 
 
+def _pole_margin(kappa: float) -> float:
+    """How near a pole theta may come on the reduced chart at kappa != 0.
+    A level eps keeps sin(theta) >= |kappa| / sqrt(2 (eps - min U)), so the
+    margin shrinks with |kappa| to admit the small-|kappa| turning points."""
+    return min(1e-6, 1e-3 * abs(kappa))
+
+
 def _pole_guard_factory(kappa: float):
     """Guard of the reduced chart at kappa != 0; None at kappa = 0, where the
     meridian extension lets theta cross the poles."""
     if kappa == 0.0:
         return None
-    # a level eps keeps sin(theta) >= |kappa| / sqrt(2 (eps - min U)), so the
-    # margin shrinks with |kappa| to admit the small-|kappa| turning points
-    margin = min(1e-6, 1e-3 * abs(kappa))
+    margin = _pole_margin(kappa)
 
     def guard(t: float, y: np.ndarray) -> None:
         th = y[0]
@@ -507,10 +510,10 @@ def integrate(
 ) -> Trajectory:
     """Integrate one of the shipped vector fields.
 
-    The route of orbits over time (``simulate``, ``trajectory``,
-    :func:`.reconstruct.reconstruct_trajectory`) and of the oracles the
+    The route of full-style orbits (``simulate --omega/--gamma``), of the
+    reduced orbits the period map has no answer for, and of the oracles the
     tests and ``verify`` hold the quadratures to; no per-level observable
-    steps.
+    and no other reduced orbit steps.
 
     system:
       "full"      init = (w1, w2, w3, g1, g2, g3); gamma renormalized per step.
@@ -561,6 +564,9 @@ _NODE_TABLES = 16  # _node_table: rung sizes kept per process (the ladder has 11
 # 2-core Xeon VM), so the small rungs share the fixed cost; a larger budget
 # was slower, since a pass wastes its last rungs when the ladder stops first
 _PASS_NODES = 112
+_BLOCK = 2 ** 14     # _series: samples by frequencies in one block, 256 samples of 64
+_PHASE_STEPS = 32    # _newton: most steps to a phase
+_NEWTON_TOL = 1e-10  # _Orbit.phases: a step this small leaves an error of its square
 
 
 @dataclass(frozen=True)
@@ -575,7 +581,8 @@ class PeriodMap:
     estimates the absolute error of D.  z holds the path over one period at
     the quadrature nodes.  For non-integer N the path turns about
     c = D / (1 - e^{i dpsi}) and fills the annulus
-    min |z - c| <= r <= max |z - c|.
+    min |z - c| <= r <= max |z - c|.  The same rung gives the orbit at any
+    time (:func:`_orbit`, :func:`.reconstruct.reconstruct_trajectory`).
     """
 
     T: float
@@ -737,23 +744,13 @@ def _mapped(
     return opx, omx, dx
 
 
-def _half_nodes(
-    kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
-    node_map: tuple | None, rungs: tuple[int, ...],
-) -> list[_Nodes]:
-    """The integrands between lo and hi on the map node_map of
-    :func:`_node_map` for each of rungs, the first rungs of the pass from
-    rungs[0] (see :func:`_passes`), in one array pass on their nodes; the
-    rungs before the first with a node off the level.
-
-    Every array of the pass is elementwise in its nodes, and a numpy ufunc
-    gives an element the same bits whatever the array's length and the
-    element's place in it: each rung's slice of the pass is, bit for bit,
-    what a pass of that rung alone gives.
-    """
-    size = sum(rungs)
-    u, cos_u, sin_u = (a[:size] for a in _node_table(rungs[0])[1:4])
-    ends = None
+def _angles(
+    lo: float, hi: float, circuit: bool, node_map: tuple | None,
+    u: np.ndarray, cos_u: np.ndarray, sin_u: np.ndarray,
+) -> tuple:
+    """(theta, sin, cos, dtheta/du, ang, ends) at u in [0, pi] on the map
+    node_map of :func:`_node_map` between lo and hi: ang is the angle whose
+    rounding theta carries, ends (1 + x, 1 - x) on a libration's map, else None."""
     if node_map is not None:
         opx, omx, dx = _mapped(node_map, u, cos_u, sin_u)
         lower = opx <= omx
@@ -769,22 +766,36 @@ def _half_nodes(
             h = 0.5 * (hi - lo)
             q = node_map[3] + h * omx
             th = np.where(lower, lo + h * opx, math.pi - q)
-            s = np.where(lower, np.sin(th), np.sin(q))
-            c = np.where(lower, np.cos(th), -np.cos(q))
-            jac = h * dx
-            ends = opx, omx
+            return (th, np.where(lower, np.sin(th), np.sin(q)),
+                    np.where(lower, np.cos(th), -np.cos(q)), h * dx, np.where(lower, th, q),
+                    (opx, omx))
     elif circuit:
-        jac = np.full(size, (hi - lo) / math.pi)
+        jac = np.full_like(u, (hi - lo) / math.pi)
         th = lo + jac * u
     else:
         h = 0.5 * (hi - lo)
         th = (lo + h) - h * cos_u
         jac = h * sin_u
-    if ends is None:
-        s = np.sin(th); c = np.cos(th)
-        ang = th
-    else:
-        ang = np.where(lower, th, q)   # the angle whose rounding theta carries
+    return th, np.sin(th), np.cos(th), jac, th, None
+
+
+def _half_nodes(
+    kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
+    node_map: tuple | None, rungs: tuple[int, ...],
+) -> list[_Nodes]:
+    """The integrands between lo and hi on the map node_map of
+    :func:`_node_map` for each of rungs, the first rungs of the pass from
+    rungs[0] (see :func:`_passes`), in one array pass on their nodes; the
+    rungs before the first with a node off the level.
+
+    Every array of the pass is elementwise in its nodes, and a numpy ufunc
+    gives an element the same bits whatever the array's length and the
+    element's place in it: each rung's slice of the pass is, bit for bit,
+    what a pass of that rung alone gives.
+    """
+    size = sum(rungs)
+    s, c, jac, ang, ends = _angles(lo, hi, circuit, node_map,
+                                   *(a[:size] for a in _node_table(rungs[0])[1:4]))[1:]
     s2 = s * s
     Z = surface_z(s2, c, p)
     U = surface_u(c, Z, p)
@@ -799,7 +810,7 @@ def _half_nodes(
             return []
         s, s2, c, Z, U, gap, jac, ang = (a[:size] for a in (s, s2, c, Z, U, gap, jac, ang))
         if ends is not None:
-            ends = opx[:size], omx[:size]
+            ends = tuple(a[:size] for a in ends)
     G = surface_g0(s, s2, c, Z, kappa, p)
     B, dB = surface_b(s, s2, c, Z, p)
     J = surface_j(s2, c, U, p)
@@ -1024,17 +1035,38 @@ def _half_period(
 
 
 def _cumulative(f: np.ndarray, k_div: np.ndarray) -> tuple[float, np.ndarray]:
-    """int_0^u f at the M midpoint nodes u_j = (j + 1/2) 2 pi / M of a full
-    period, for f periodic and even, sampled there; k_div from :func:`_node_table`.
+    """int_0^u f over a full period, for f periodic and even, sampled at the
+    M midpoint nodes u_j = (j + 1/2) 2 pi / M; k_div from :func:`_node_table`.
 
-    Returns (a, r): the integral is a u_j + r_j, with a the mean of f and r
-    the integral of the trigonometric interpolant of f - a (coefficients
-    divided by i k), periodic and odd, so that it starts from 0 at u = 0.
+    Returns (a, X): the integral is a u + r(u), with a the mean of f and r
+    the integral of the trigonometric interpolant of f - a, periodic and
+    odd, so that it starts from 0 at u = 0; X is r's spectrum, f's divided
+    by i k: ifft(X).real is r at the nodes, :func:`_series` at any u.
     """
     X = np.fft.fft(f)
     a = float(X[0].real) / len(f)
     X[0] = 0.0
-    return a, np.fft.ifft(X / (1j * k_div)).real
+    return a, X / (1j * k_div)
+
+
+def _series(X: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """At each u, the trigonometric interpolants whose node spectra (FFTs
+    of their values at the M full-circle nodes) are the columns of X, in
+    blocks of at most _BLOCK samples by frequencies."""
+    m = len(X) // 2
+    X = X * (_node_table(m)[6] / len(X))[:, None]
+    out = np.empty((len(u), X.shape[1]), complex)
+    step = max(1, _BLOCK // len(X))
+    for i in range(0, len(u), step):
+        # e^{iku} for k = 1 ... m by powers; those of -k are their conjugates
+        pw = np.cumprod(np.repeat(np.exp(1j * u[i:i + step])[:, None], m, axis=1), axis=1)
+        out[i:i + step] = X[0] + pw[:, :m - 1] @ X[1:m] + pw.conj() @ X[:m - 1:-1]
+    return out
+
+
+def _mirror(a: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    """a over the full circle: u runs back over the second half."""
+    return np.concatenate((a, sign * a[::-1]))
 
 
 def _phase_integral(w, u):
@@ -1045,10 +1077,11 @@ def _phase_integral(w, u):
 
 def _one_period(
     nodes: _Nodes, circuit: bool, psi_floor: float,
-) -> tuple[complex, float, float, Callable[[], np.ndarray]]:
-    """(D, length, floor, path) on the 2n full-circle nodes: the drift
-    D = z(2 pi), the path length, the rounding error of D, and a function
-    that returns the path z at the nodes.
+) -> tuple[complex, float, float, tuple]:
+    """(D, length, floor, zs) on the 2n full-circle nodes: the drift
+    D = z(2 pi), the path length, the rounding error of D, and
+    zs = (a, R, C, q_near, w_near, P), of which :func:`_path` makes z and
+    P is the spectrum of psi's periodic part r.
 
     The second half of the period retraces the first in theta, so each
     integrand there is the mirror image of the first half's, with dtheta/du
@@ -1062,21 +1095,18 @@ def _one_period(
     """
     du, _, _, _, k, k_div, shift, _ = _node_table(len(nodes.dt))
     M = 2 * len(nodes.dt)
-
-    def mirror(a: np.ndarray, sign: float = 1.0) -> np.ndarray:
-        return np.concatenate((a, sign * a[::-1]))
-
-    dth = mirror(nodes.dth, 1.0 if circuit else -1.0)
-    U = mirror(nodes.U)
+    dth = _mirror(nodes.dth, 1.0 if circuit else -1.0)
+    U = _mirror(nodes.U)
     if nodes.dpsi is None:
-        a, r = 0.0, np.zeros(M)
+        a, P, r = 0.0, np.zeros(M, complex), np.zeros(M)
         v = -1j * U * dth
         spin_floor = 0.0
     else:
-        a, r = _cumulative(mirror(nodes.dpsi), k_div)
-        spin = mirror(nodes.spin)
+        a, P = _cumulative(_mirror(nodes.dpsi), k_div)
+        r = np.fft.ifft(P).real
+        spin = _mirror(nodes.spin)
         v = -U * (spin + 1j * dth)
-        spin_floor = float(np.abs(U * spin * mirror(nodes.rel)).sum()) * du
+        spin_floor = float(np.abs(U * spin * _mirror(nodes.rel)).sum()) * du
     length = float(np.abs(v).sum()) * du
     # the phase carries the rounding of psi, twice that of its half period
     floor = spin_floor + (2.0 * psi_floor + 32.0 * _EPS_MACH) * length
@@ -1093,12 +1123,14 @@ def _one_period(
     turn = 2.0 * math.pi * a
     D = ((complex(math.cos(turn), math.sin(turn)) - 1.0) * C
          + q_near * complex(_phase_integral(w_near, 2.0 * math.pi)))
+    return D, length, floor, (a, R, C, q_near, w_near, P)
 
-    def path() -> np.ndarray:
-        u = (np.arange(M) + 0.5) * du
-        return np.exp(1j * a * u) * np.fft.ifft(R) - C + q_near * _phase_integral(w_near, u)
 
-    return D, length, floor, path
+def _path(zs: tuple, u: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """z at any real u from zs of :func:`_one_period`, F being the
+    interpolant of the spectrum zs[1] at u (mod 2 pi)."""
+    a, _, C, q_near, w_near, _ = zs
+    return np.exp(1j * a * u) * F - C + q_near * _phase_integral(w_near, u)
 
 
 def _period_map(
@@ -1115,13 +1147,135 @@ def _period_map(
     """
     prev_D = None
     for nodes, cur in _doublings(kappa, eps, p, *hp.grid, hp.n // 2):
-        D, length, floor, path = _one_period(nodes, hp.grid[2], cur[3])
+        D, length, floor, zs = _one_period(nodes, hp.grid[2], cur[3])
         if prev_D is not None:
             err = max(abs(D - prev_D), floor)
             if err <= max(tol_abs + tol_rel * length, floor):
                 break
         prev_D = D
-    return PeriodMap(T=2.0 * hp.t, dpsi=2.0 * hp.psi, D=D, err=err, z=path())
+    u = (np.arange(2 * len(nodes.dt)) + 0.5) * nodes.du
+    return PeriodMap(T=2.0 * hp.t, dpsi=2.0 * hp.psi, D=D, err=err,
+                     z=_path(zs, u, np.fft.ifft(zs[1])))
+
+
+def _newton(f_df: Callable, u: np.ndarray, lo, hi, tol: float) -> np.ndarray:
+    """Newton steps on f_df(u) = (f, f') at each u, kept in [lo, hi], until
+    the largest step is at most tol, or _PHASE_STEPS of them."""
+    for _ in range(_PHASE_STEPS):
+        f, df = f_df(u)
+        step = f / df
+        u = np.clip(u - step, lo, hi)
+        if not np.abs(step).max(initial=0.0) > tol:
+            break
+    return u
+
+
+class _Orbit:
+    """A level's orbit from one period, on one rung of its nodes (see
+    :func:`_orbit`): theta from the node map at the phase u, the time
+    t = a u + r(u), p_theta and the periodic parts of psi and phi as
+    trigonometric interpolants on the full-circle nodes, z from
+    :func:`_path`.  It starts where the period map's path does, at u = 0
+    with t, psi, phi and z all 0; each period, u up by 2 pi, adds T to t,
+    the period's advance to psi and phi, 2 pi to theta on a meridian
+    circuit, and the period map's rigid motion to z."""
+
+    def __init__(self, nodes: _Nodes, grid: tuple, kappa: float, pm: PeriodMap) -> None:
+        self.pm, self.grid, self.zs = pm, grid, _one_period(nodes, grid[2], 0.0)[3]
+        k, k_div = _node_table(len(nodes.dt))[4:6]
+        self.u = (np.arange(2 * len(nodes.dt)) + 0.5) * nodes.du
+        dt = _mirror(nodes.dt)
+        self.a, X_t = _cumulative(dt, k_div)
+        self.T = 2.0 * math.pi * self.a
+        self.t = self.a * self.u + np.fft.ifft(X_t).real
+        self.p = _mirror(nodes.dth, 1.0 if grid[2] else -1.0) / dt   # dtheta/dt
+        # p_theta's rounding, from that of eps - V
+        self.p_floor = float(np.max(np.abs(self.p) * _mirror(nodes.rel)))
+        # phi's rate kappa / (J sin^2) dt/du is spin / sin
+        self.a_phi, X_phi = (0.0, 0.0 * dt) if kappa == 0.0 else _cumulative(
+            _mirror(nodes.spin / nodes.terms[0]), k_div)
+        X_p = np.fft.fft(self.p)
+        self.X_t, self.X_p = (np.column_stack((X, 1j * k * X)) for X in (X_t, X_p))
+        self.X = np.column_stack((X_t, X_p, self.zs[5], X_phi, self.zs[1]))
+
+    def confirmed(self, finer: "_Orbit", t_floor: float, tol_abs: float, tol_rel: float) -> bool:
+        """Whether the interpolants of t and p_theta agree with the values
+        at the nodes of the finer rung, to tol_abs + tol_rel times their size
+        or to the rounding of those values."""
+        t, p = _series(np.column_stack((self.X_t[:, 0], self.X_p[:, 0])), finer.u).real.T
+        return (np.abs(self.a * finer.u + t - finer.t).max()
+                <= max(tol_abs + tol_rel * finer.T, 2.0 * t_floor)
+                and np.abs(p - finer.p).max()
+                <= max(tol_abs + tol_rel * np.abs(finer.p).max(), finer.p_floor))
+
+    def theta(self, u: np.ndarray, turns=0.0) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, dtheta/du) at u in [0, 2 pi] after turns periods: past
+        pi, theta runs back over the half period."""
+        back = u > math.pi
+        # a circuit's sinh map divides by sin(theta), 0 at u = 0 alone
+        v = np.maximum(np.where(back, 2.0 * math.pi - u, u), 1e-150)
+        th, _, _, jac, _, _ = _angles(*self.grid, v, np.cos(v), np.sin(v))
+        if self.grid[2]:
+            return np.where(back, 2.0 * math.pi - th, th) + 2.0 * math.pi * turns, jac
+        return th, np.where(back, -jac, jac)
+
+    def phase(self, theta0: float, p0: float) -> tuple[np.ndarray, np.ndarray]:
+        """(u, turns) of the state (theta0, p0): Gauss-Newton on its distance
+        from the orbit in the (theta, p_theta) plane, with p_theta weighted
+        by the ratio of the ranges, from the nearest node.  Near a turning
+        point p_theta fixes the phase, elsewhere theta."""
+        th = self.theta(self.u)[0]
+        w = max(float(np.ptp(th)), 1e-300) / max(float(np.ptp(self.p)), 1e-300)
+
+        def distance(u):
+            th, dth = self.theta(u % (2.0 * math.pi), u // (2.0 * math.pi))
+            pt, dpt = _series(self.X_p, u % (2.0 * math.pi)).real.T
+            return ((th - theta0) * dth + w * w * (pt - p0) * dpt,
+                    dth * dth + w * w * dpt * dpt)
+
+        u = self.u[[np.argmin(np.hypot(th - theta0, w * (self.p - p0)))]]
+        u = _newton(distance, u, -math.inf, math.inf, 4.0 * _EPS_MACH)
+        return u % (2.0 * math.pi), u // (2.0 * math.pi)
+
+    def phases(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(u, turns) of the times tau: the turns, then u in [0, 2 pi] by
+        Newton on t(u) = tau mod T from between the two nodes around it."""
+        turns = np.floor(tau / self.T)
+        tau = tau - turns * self.T
+        u_n, t_n = (np.concatenate(([0.0], a, [end])) for a, end in
+                    ((self.u, 2.0 * math.pi), (self.t, self.T)))
+        j = np.clip(np.searchsorted(t_n, tau), 1, len(t_n) - 1)
+
+        def time(u):
+            r, dr = _series(self.X_t, u).real.T
+            return self.a * u + r - tau, self.a + dr
+
+        return _newton(time, np.interp(tau, t_n, u_n), u_n[j - 1], u_n[j], _NEWTON_TOL), turns
+
+    def at(self, u: np.ndarray, turns: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(t, theta, p_theta, psi, phi, z) at u in [0, 2 pi] after turns periods."""
+        c = _series(self.X, u)
+        v = u + 2.0 * math.pi * turns
+        return (self.a * v + c[:, 0].real, self.theta(u, turns)[0], c[:, 1].real,
+                self.zs[0] * v + c[:, 2].real, self.a_phi * v + c[:, 3].real,
+                _path(self.zs, v, c[:, 4]))
+
+
+def _orbit(
+    kappa: float, eps: float, p: Params, hp: HalfPeriod, tol_abs: float, tol_rel: float,
+) -> _Orbit:
+    """The orbit of the half period hp on the first rung, from the one its
+    period map stops at on, whose interpolants the next rung confirms
+    (:meth:`_Orbit.confirmed`), or on the last rung where none does.  The
+    quadratures converge before the interpolants do: an interpolant on n
+    nodes misses the harmonics from n/2 up, a midpoint sum from 2n."""
+    pm, last = _period_map(kappa, eps, p, hp, tol_abs, tol_rel), None
+    for nodes, sums in _doublings(kappa, eps, p, *hp.grid, len(pm.z) // 2):
+        orbit = _Orbit(nodes, hp.grid, kappa, pm)
+        if last is not None and last.confirmed(orbit, sums[2], tol_abs, tol_rel):
+            break
+        last = orbit
+    return last
 
 
 def _component(

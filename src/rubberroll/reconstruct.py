@@ -35,6 +35,7 @@ N; all classifications are even in kappa.
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -53,6 +54,7 @@ from .dynamics import (
     g0_prime,
     kinematic_init,
     potential_grid,
+    reduced_energy,
     scan_roots,
 )
 from .integrate import (
@@ -60,8 +62,11 @@ from .integrate import (
     DEFAULT_TOL_ABS,
     DEFAULT_TOL_REL,
     HalfPeriod,
+    IntegrationError,
     _component,
+    _orbit,
     _period_map,
+    _pole_margin,
     _psi_slope,
     half_period,
     integrate,
@@ -226,6 +231,17 @@ def contact_shift(theta: np.ndarray, psi: np.ndarray, phi: np.ndarray, p: Params
     return dx, dy
 
 
+def _absolute(t, theta, p_theta, psi, phi, x_c, y_c, p: Params) -> AbsolutePath:
+    """The path of the reduced columns given, with its height and contact point."""
+    ct = np.cos(theta)
+    dx, dy = contact_shift(theta, psi, phi, p)
+    return AbsolutePath(
+        t=t, theta=theta, p_theta=p_theta, psi=psi, phi=phi, x_c=x_c, y_c=y_c,
+        z_c=surface_u(ct, _meridian_contact(np.sin(theta), ct, p)[0], p),
+        x_p=x_c + dx, y_p=y_c + dy,
+    )
+
+
 def reconstruct_trajectory(
     init: tuple[float, float],
     kappa: float,
@@ -238,33 +254,81 @@ def reconstruct_trajectory(
     y0: float = 0.0,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
-    max_steps: int = DEFAULT_MAX_STEPS,
     t_eval: np.ndarray | None = None,
 ) -> AbsolutePath:
     """Fixed-frame path of the reduced orbit through (theta0, p_theta0).
 
-    Integrates the reduced flow together with the angle quadratures and the
-    planar center-of-mass velocity on one adaptive grid, then attaches the
-    contact point through the Euler rotation and the height through the
-    contact constraint.  Samples at t_eval when given, else at the accepted
-    steps.
+    The start fixes the level (:func:`.dynamics.reduced_energy`) and the
+    component, the one that holds theta0, and one nutation period of
+    quadrature, at tol_abs and tol_rel, the whole orbit
+    (:func:`.integrate._orbit`): the start's phase comes from the node
+    map, each sample's from Newton on the time modulo the period.  The
+    seeds psi0, phi0, x0 and y0 rotate, offset and translate the orbit; the
+    contact point follows through the Euler rotation, the height through
+    the contact constraint.  At kappa = 0 theta0 may be any angle of the
+    extended meridian chart, otherwise it must lie inside the chart's pole
+    margin (ValueError).  Samples at t_eval when given (before t_span[0] or
+    past t_span[1] too: the orbit runs both ways), else on t_span at as
+    many times per period as nodes; a sample at t_span[0] is the start.
+
+    Where the period map has no answer, on a relative equilibrium and where
+    the half period does not converge by its node cap (next to a critical
+    level), :func:`_stepped_path` steps the orbit at tol_abs and tol_rel.
+    Each run logs its route at INFO.
     """
     theta0, p_theta0 = init
-    y0v = np.array([theta0, p_theta0, psi0, phi0, x0, y0], dtype=float)
-    traj = integrate(
-        "augmented", y0v, t_span, p, kappa=kappa,
-        tol_abs=tol_abs, tol_rel=tol_rel, max_steps=max_steps, t_eval=t_eval,
-    )
-    y = traj.y
-    th = y[:, 0]
-    ct = np.cos(th)
-    z_c = surface_u(ct, _meridian_contact(np.sin(th), ct, p)[0], p)
-    dx, dy = contact_shift(th, y[:, 2], y[:, 3], p)
-    return AbsolutePath(
-        t=traj.t, theta=th, p_theta=y[:, 1], psi=y[:, 2], phi=y[:, 3],
-        x_c=y[:, 4], y_c=y[:, 5], z_c=z_c,
-        x_p=y[:, 4] + dx, y_p=y[:, 5] + dy,
-    )
+    # kappa = 0: theta = sigma theta_r + 2 pi m, theta_r in [0, pi], as the
+    # flow is even and 2 pi-periodic in theta, and z changes sign with theta
+    sigma, th = 1.0, theta0 % (2.0 * math.pi) if kappa == 0.0 else theta0
+    if kappa != 0.0 and not _pole_margin(kappa) < th < math.pi - _pole_margin(kappa):
+        raise ValueError(f"theta0={theta0} lies past the chart's pole margin at kappa={kappa}")
+    if th > math.pi:
+        sigma, th = -1.0, 2.0 * math.pi - th
+    eps = reduced_energy(theta0, p_theta0, kappa, p)
+    ivs = component_intervals(kappa, eps, p)
+    branch = min(range(len(ivs)), key=lambda i: max(ivs[i][0] - th, th - ivs[i][1]), default=0)
+    ends = _component(kappa, eps, p, branch)[2]
+    try:
+        if ends is None:
+            raise IntegrationError("the start is a relative equilibrium")
+        hp = half_period(kappa, eps, p, *ends[:2], circuit=ends[2], tol_abs=tol_abs,
+                         tol_rel=tol_rel)
+    except IntegrationError as ex:
+        log.info("reconstruct_trajectory: DOP853 stepper, as %s", ex)
+        return _stepped_path((theta0, p_theta0, psi0, phi0, x0, y0), kappa, t_span, p,
+                             tol_abs, tol_rel, t_eval)
+    orbit = _orbit(kappa, eps, p, hp, tol_abs, tol_rel)
+    if ends[2] and sigma * p_theta0 < 0.0:
+        sigma, th = -sigma, 2.0 * math.pi - th   # a circuit run backwards, mirrored
+    m = round((theta0 - sigma * th) / (2.0 * math.pi))
+    t_s, th_s, pt_s, psi_s, phi_s, z_s = orbit.at(*orbit.phase(th, sigma * p_theta0))
+    t0, t1 = t_span
+    t = (np.asarray(t_eval, dtype=float) if t_eval is not None else
+         np.linspace(t0, t1, 1 + math.ceil(len(orbit.u) * abs(t1 - t0) / orbit.T)))
+    _, th_r, pt_r, psi_r, phi_r, z_r = orbit.at(*orbit.phases(t - t0 + t_s))
+    dz = z_r - z_s if kappa != 0.0 else 1j * (z_r - z_s).imag   # a meridian motion keeps x
+    cols = [sigma * th_r + 2.0 * math.pi * m, sigma * pt_r, psi0 + (psi_r - psi_s),
+            phi0 + (phi_r - phi_s), complex(x0, y0) + sigma * cmath.exp(1j * (psi0 - psi_s[0])) * dz]
+    for col, start in zip(cols, (theta0, p_theta0, psi0, phi0, complex(x0, y0))):
+        col[t == t0] = start
+    log.info("reconstruct_trajectory: period map on %d nodes, T = %.17g, err %.3g, "
+             "%.6g periods", len(orbit.u) // 2, orbit.T, orbit.pm.err, abs(t1 - t0) / orbit.T)
+    return _absolute(t, *cols[:4], cols[4].real, cols[4].imag, p)
+
+
+def _stepped_path(
+    start: tuple, kappa: float, t_span: tuple[float, float], p: Params,
+    tol_abs: float = DEFAULT_TOL_ABS, tol_rel: float = DEFAULT_TOL_REL,
+    t_eval: np.ndarray | None = None, max_steps: int = DEFAULT_MAX_STEPS,
+) -> AbsolutePath:
+    """:func:`reconstruct_trajectory` by DOP853 on the augmented system from
+    start = (theta0, p_theta0, psi0, phi0, x0, y0), the seeds left out 0:
+    at t_eval when given, else at the accepted steps.  Its fallback, and the
+    oracle the tests and ``verify`` hold the period route to."""
+    y0v = np.concatenate((start, np.zeros(6 - len(start))))
+    traj = integrate("augmented", y0v, t_span, p, kappa=kappa, tol_abs=tol_abs,
+                     tol_rel=tol_rel, max_steps=max_steps, t_eval=t_eval)
+    return _absolute(traj.t, *traj.y.T, p)
 
 
 def reconstruct_from_full(

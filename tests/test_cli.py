@@ -16,7 +16,7 @@ import pytest
 
 import rubberroll
 from rubberroll import checks, cli
-from rubberroll.bifurcation import diagram
+from rubberroll.bifurcation import diagram, permanent_rotation
 from rubberroll.cli import main
 from rubberroll.integrate import IntegrationError, PoleError
 from rubberroll.model import Params
@@ -103,6 +103,38 @@ def test_ptheta0_or_energy_alone_sets_the_start_rate(tmp_path, capsys):
     assert rates[:2] == [0.0, 0.3] and rates[2] > 0.0
 
 
+@pytest.mark.parametrize("command", ["simulate", "trajectory"])
+@pytest.mark.parametrize("theta0", ["-0.5", "3.14159265358979", "0", "4"])
+def test_a_start_off_the_chart_at_nonzero_kappa_is_a_usage_error(command, theta0, tmp_path,
+                                                                   capsys, monkeypatch):
+    # such a start once ran the stepper into the chart's pole guard and
+    # exited 2, "reached a chart pole", as if the computing had failed
+    monkeypatch.setattr(cli, "reconstruct_trajectory", _never_called)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"kappa = 0.8\ntheta0 = {theta0}\n")
+    out = tmp_path / "run.csv"
+    for start in (["--kappa", "0.8", f"--theta0={theta0}"], ["--config", str(cfg)]):
+        code, _, err = run([command, *ARGS_XY, *start, "--tmax", "5", "--out", str(out)], capsys)
+        assert code == 1, err
+        assert err.startswith("usage: rubberroll") and "--theta0 must lie in" in err
+        assert not out.exists()
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("computed")
+
+
+@pytest.mark.parametrize("command", ["simulate", "trajectory"])
+def test_a_kappa_zero_start_keeps_the_extended_chart(command, tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    for theta0 in ("-0.5", "4", "0"):
+        code, _, err = run([command, *ARGS_XY, "--kappa", "0", f"--theta0={theta0}",
+                            "--ptheta0", "0.3", "--tmax", "5", "--samples", "11",
+                            "--out", str(out)], capsys)
+        assert code == 0, err
+        assert float(read_csv(out)[1][0][1]) == float(theta0)
+
+
 def test_off_leaf_full_state_exits_one(capsys):
     code, _, err = run(["simulate", *ARGS_XY, "--omega", "0,0,1",
                         "--gamma", "0,0,0", "--tmax", "1"], capsys)
@@ -171,6 +203,18 @@ def test_zero_tmax_repeats_the_start_state(command, tmp_path, capsys):
     assert len(rows) == 5
     assert all(r == rows[0] for r in rows)
     assert [float(v) for v in rows[0][:3]] == [0.0, 0.4678, 0.1]
+
+
+@pytest.mark.parametrize("command", ["simulate", "trajectory"])
+def test_one_sample_is_the_start_state(command, tmp_path, capsys):
+    out = tmp_path / "one.csv"
+    code, _, err = run([command, *ARGS_XY, "--kappa", "0.8", "--theta0", "0.4678",
+                        "--ptheta0", "-0.1", "--tmax", "5", "--samples", "1",
+                        "--out", str(out)], capsys)
+    assert code == 0, err
+    _, rows = read_csv(out)
+    assert len(rows) == 1
+    assert [float(v) for v in rows[0][:5]] == [0.0, 0.4678, -0.1, 0.0, 0.0]
 
 
 def test_full_style_simulate_integrates_once(tmp_path, capsys, monkeypatch):
@@ -244,24 +288,34 @@ def test_simulate_rows_equal_rows_built_one_at_a_time(tmp_path, capsys):
 
 
 def test_simulate_debug_log_leaves_the_file_alone(tmp_path):
+    for command in ("simulate", "trajectory"):
+        _log_leaves_the_file_alone(tmp_path, command)
+
+
+def _log_leaves_the_file_alone(tmp_path, command):
     # a logging setup is per process, so each log level gets its own
     src = str(Path(rubberroll.__file__).resolve().parent.parent)
     files, errs = [], []
-    for level in ("WARNING", "DEBUG"):
-        out = tmp_path / f"{level}.csv"
+    for level in ("WARNING", "INFO", "DEBUG"):
+        out = tmp_path / f"{command}-{level}.csv"
         env = dict(os.environ, RUBBERROLL_LOG=level, PYTHONPATH=os.pathsep.join(
             [src] + [q for q in os.environ.get("PYTHONPATH", "").split(os.pathsep) if q]))
-        proc = subprocess.run([sys.executable, "-m", "rubberroll.cli", "simulate", *ARGS_XY,
+        proc = subprocess.run([sys.executable, "-m", "rubberroll.cli", command, *ARGS_XY,
                                "--kappa", "0.6", "--theta0", "1.2", "--ptheta0", "0.3",
                                "--tmax", "20", "--samples", "201", "--out", str(out)],
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         files.append(out.read_bytes())
         errs.append(proc.stderr)
-    assert files[0] == files[1]
-    assert "integrate_raw" not in errs[0]
-    assert re.search(r"DEBUG rubberroll\.integrate: integrate_raw: \d+ steps, \d+ rejected "
-                     r"attempts, \d+ RHS calls, 201 samples, max renorm 0\n", errs[1])
+    assert files[0] == files[1] == files[2]
+    assert "reconstruct_trajectory" not in errs[0]
+    # the period route: one line with its nodes, period, error and period
+    # count, and no stepper run
+    route = (r"INFO rubberroll\.reconstruct: reconstruct_trajectory: period map on \d+ nodes, "
+             r"T = [0-9.]+, err [0-9.e+-]+, [0-9.]+ periods\n")
+    for err in errs[1:]:
+        assert len(re.findall(route, err)) == 1, err
+        assert "integrate_raw" not in err
 
 
 def test_csv_values_print_as_17_significant_digits(tmp_path):
@@ -425,10 +479,18 @@ def test_zero_tol_abs_is_honoured(tmp_path, capsys, monkeypatch):
     code, _, err = run(["trajectory", *base, "--psi0", "0.1", "--phi0", "0.1",
                         "--x0", "0.1", "--y0", "0.1"], capsys)
     assert code == 0, err
+    # the period route's quadrature takes a pure relative tolerance from any start
     code, _, err = run(["simulate", *base], capsys)
+    assert code == 0, err
+    assert seen == [(0.0, 1e-10), (0.0, 1e-10)]
+    # the stepper, the route of a relative equilibrium, needs a start state
+    # with no zero component
+    kappa = permanent_rotation(1.0, Params(0.5, 3.0, 0.5, 0.5)).kappa
+    code, _, err = run(["simulate", *ARGS_XY, "--kappa", repr(kappa), "--theta0", "1.0",
+                        "--tmax", "1", "--samples", "3", "--tol-abs", "0",
+                        "--out", str(tmp_path / "z.csv")], capsys)
     assert code == 2
     assert "no zero component" in err
-    assert seen == [(0.0, 1e-10), (0.0, 1e-10)]
 
 
 def test_classify_passes_its_tolerances_on(capsys, monkeypatch):

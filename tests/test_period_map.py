@@ -35,8 +35,7 @@ from rubberroll.integrate import (
     section_period,
 )
 from rubberroll.model import Params
-from rubberroll.reconstruct import (_rotation_slope, classify, reconstruct_trajectory,
-                                   rotation_number)
+from rubberroll.reconstruct import _rotation_slope, _stepped_path, classify, rotation_number
 
 from conftest import clear_caches
 
@@ -97,7 +96,8 @@ def _ids():
 
 
 def _stepper_path(kappa, p, start, t, **tols):
-    path = reconstruct_trajectory(start, kappa, (0.0, float(t[-1])), p, t_eval=t, **tols)
+    # the stepper itself: reconstruct_trajectory runs the period map
+    path = _stepped_path(start, kappa, (0.0, float(t[-1])), p, t_eval=t, **tols)
     return path.x_c + 1j * path.y_c
 
 
@@ -213,8 +213,8 @@ def _stepper_rule(kappa, eps, p, branch):
     if abs(rn.N - n) > 5.0 * rn.err + 1e-9:
         return None
     lo = component_intervals(kappa, eps, p)[branch][0]
-    path = reconstruct_trajectory((lo, 0.0), kappa, (0.0, rn.period), p,
-                                  t_eval=np.linspace(0.0, rn.period, 257))
+    path = _stepped_path((lo, 0.0), kappa, (0.0, rn.period), p,
+                         t_eval=np.linspace(0.0, rn.period, 257))
     drift = math.hypot(path.x_c[-1] - path.x_c[0], path.y_c[-1] - path.y_c[0])
     diam = math.hypot(np.ptp(path.x_c), np.ptp(path.y_c))
     kind = "UnboundedResonant" if drift > 1e-3 * diam else "ClosedPeriodic"
