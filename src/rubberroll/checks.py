@@ -179,7 +179,7 @@ def quadrature(p: Params, rng: np.random.Generator, quick: bool, b_sign: str) ->
         for eps in [min(lv) + 0.3] + ([lv[1] + 1e-3] if len(lv) == 3 else []):
             rn = rotation_number(kap, eps, p)
             ends = _component(kap, eps, p, 0)[2]
-            _, psi = _ode_half_period(kap, eps, p, *ends, 1e-15, 2.3e-14, 10 ** 7)
+            _, psi = _ode_half_period(kap, eps, p, *ends, 1e-15, 2.3e-14)
             gaps.append((abs(rn.N + psi / math.pi), rn.err + 1e-10))
     dn, bound = max(gaps, key=lambda g: g[0] - g[1])
     return Check("quadrature", (dn,), (bound,),
@@ -198,7 +198,7 @@ def period_map_drift(p: Params, rng: np.random.Generator, quick: bool, b_sign: s
         pm = period_map(kap, eps, p)
         lo = _component(kap, eps, p, 0)[2][0]
         path = _stepped_path((lo, 0.0), kap, (0.0, pm.T), p, 1e-15, 2.3e-14,
-                             np.array([0.0, pm.T]), 10 ** 7)
+                             np.array([0.0, pm.T]))
         gaps.append((abs(pm.D - complex(path.x_c[-1], path.y_c[-1])), pm.err + 1e-10))
     dd, bound = max(gaps, key=lambda g: g[0] - g[1])
     return Check("period-map", (dd,), (bound,),

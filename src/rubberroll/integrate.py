@@ -37,10 +37,10 @@ planar path over one period continues the same node ladder:
 spectral cumulative sum and a Filon-type FFT rule, which gives the drift D
 the center of mass makes per period.  Each rung size keeps its level-free
 arrays, read-only (88 bytes a node), and the small rungs of a ladder share
-one array pass (see :func:`_doublings`).  One period fixes the whole orbit,
-which :func:`_orbit` evaluates at any time.  The stepper runs no level and
-no reduced orbit the period map answers: it stays the oracle the tests and
-``verify`` hold the quadrature to.
+one array pass (see :func:`_doublings`).  One period fixes the whole orbit:
+the ladder of :func:`_ladder` goes on from D's rung to the orbit's.  The
+stepper runs no level and no reduced orbit the period map answers: it
+stays the oracle the tests and ``verify`` hold the quadrature to.
 """
 
 from __future__ import annotations
@@ -333,7 +333,6 @@ def integrate_raw(
     *,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
-    max_steps: int = DEFAULT_MAX_STEPS,
     renorm_slice: slice | None = None,
     guard: Callable[[float, np.ndarray], None] | None = None,
     t_eval: np.ndarray | None = None,
@@ -365,7 +364,8 @@ def integrate_raw(
         t_eval that is not finite and non-decreasing, a negative tol_abs,
         or tol_abs = 0 with a zero start component.
     IntegrationError
-        On stepper failure or step-budget exhaustion.
+        On stepper failure, or past DEFAULT_MAX_STEPS accepted steps (the
+        step budget, read at each call).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = np.array(y0, dtype=float)
@@ -384,6 +384,7 @@ def integrate_raw(
         tol_rel = _MIN_RTOL
 
     dim = len(y)
+    max_steps = DEFAULT_MAX_STEPS
     direction = 1.0 if t1 >= t0 else -1.0
     K_ext = np.empty((_N_STAGES_EXTENDED, dim))
     K = K_ext[: _N_STAGES + 1]
@@ -505,7 +506,6 @@ def integrate(
     kappa: float | None = None,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
-    max_steps: int = DEFAULT_MAX_STEPS,
     t_eval: np.ndarray | None = None,
 ) -> Trajectory:
     """Integrate one of the shipped vector fields.
@@ -544,7 +544,6 @@ def integrate(
         t_span,
         tol_abs=tol_abs,
         tol_rel=tol_rel,
-        max_steps=max_steps,
         renorm_slice=renorm,
         guard=guard,
         t_eval=t_eval,
@@ -566,7 +565,7 @@ _NODE_TABLES = 16  # _node_table: rung sizes kept per process (the ladder has 11
 _PASS_NODES = 112
 _BLOCK = 2 ** 14     # _series: samples by frequencies in one block, 256 samples of 64
 _PHASE_STEPS = 32    # _newton: most steps to a phase
-_NEWTON_TOL = 1e-10  # _Orbit.phases: a step this small leaves an error of its square
+_NEWTON_TOL = 1e-10  # _Rung.phases: a step this small leaves an error of its square
 
 
 @dataclass(frozen=True)
@@ -581,8 +580,8 @@ class PeriodMap:
     estimates the absolute error of D.  z holds the path over one period at
     the quadrature nodes.  For non-integer N the path turns about
     c = D / (1 - e^{i dpsi}) and fills the annulus
-    min |z - c| <= r <= max |z - c|.  The same rung gives the orbit at any
-    time (:func:`_orbit`, :func:`.reconstruct.reconstruct_trajectory`).
+    min |z - c| <= r <= max |z - c|.  Its ladder (:func:`_ladder`) goes on
+    to the orbit at any time (:func:`.reconstruct.reconstruct_trajectory`).
     """
 
     T: float
@@ -891,7 +890,7 @@ def _return_end(fun: Callable, t: float, y: np.ndarray, k: int,
 
 def _ode_half_period(
     kappa: float, eps: float, p: Params, lo: float, hi: float, circuit: bool,
-    tol_abs: float, tol_rel: float, max_steps: int,
+    tol_abs: float, tol_rel: float,
 ) -> tuple[float, float]:
     """(t, psi) of the half oscillation by DOP853 on the augmented system:
     from the turning point lo, or on a circulating level from lo, a pole, at
@@ -916,7 +915,7 @@ def _ode_half_period(
     last, found = math.inf, (math.nan, math.nan)
     while True:
         traj = integrate("augmented", y, (t, t_end), p, kappa=kappa, tol_abs=tol_abs,
-                         tol_rel=tol_rel, max_steps=max_steps)
+                         tol_rel=tol_rel)
         if circuit and (traj.y[:, 1] < 0.0).any():
             raise IntegrationError(
                 f"the meridian circuit of the level (kappa={kappa}, eps={eps}) turned back at "
@@ -1075,89 +1074,6 @@ def _phase_integral(w, u):
     return u * np.exp(0.5j * w * u) * np.sinc(0.5 * w * u / math.pi)
 
 
-def _one_period(
-    nodes: _Nodes, circuit: bool, psi_floor: float,
-) -> tuple[complex, float, float, tuple]:
-    """(D, length, floor, zs) on the 2n full-circle nodes: the drift
-    D = z(2 pi), the path length, the rounding error of D, and
-    zs = (a, R, C, q_near, w_near, P), of which :func:`_path` makes z and
-    P is the spectrum of psi's periodic part r.
-
-    The second half of the period retraces the first in theta, so each
-    integrand there is the mirror image of the first half's, with dtheta/du
-    odd on a libration.  psi = a u + r(u) with r periodic (the spectral
-    cumulative sum), and dz/du = e^{i a u} h(u) with h periodic.  With the
-    Fourier coefficients q_k of h, z(u) = sum_k q_k (e^{i w_k u} - 1)/(i w_k),
-    w_k = a + k, exactly for the interpolant of h and for any a: one FFT
-    gives the q_k, one inverse FFT z at the nodes (a Filon-type rule).  The
-    term with the smallest |w_k| is summed on its own, by
-    :func:`_phase_integral`.
-    """
-    du, _, _, _, k, k_div, shift, _ = _node_table(len(nodes.dt))
-    M = 2 * len(nodes.dt)
-    dth = _mirror(nodes.dth, 1.0 if circuit else -1.0)
-    U = _mirror(nodes.U)
-    if nodes.dpsi is None:
-        a, P, r = 0.0, np.zeros(M, complex), np.zeros(M)
-        v = -1j * U * dth
-        spin_floor = 0.0
-    else:
-        a, P = _cumulative(_mirror(nodes.dpsi), k_div)
-        r = np.fft.ifft(P).real
-        spin = _mirror(nodes.spin)
-        v = -U * (spin + 1j * dth)
-        spin_floor = float(np.abs(U * spin * _mirror(nodes.rel)).sum()) * du
-    length = float(np.abs(v).sum()) * du
-    # the phase carries the rounding of psi, twice that of its half period
-    floor = spin_floor + (2.0 * psi_floor + 32.0 * _EPS_MACH) * length
-
-    X = np.fft.fft(v * np.exp(1j * r))         # q_k = X_k shift_k / M
-    X[M // 2] = 0.0                           # the Nyquist term
-    w = a + k
-    near = int(np.argmin(np.abs(w)))
-    w_near, q_near = float(w[near]), complex(X[near] * shift[near]) / M
-    X[near] = 0.0
-    w[near] = 1.0
-    R = X / (1j * w)
-    C = complex(np.sum(R * shift)) / M        # sum of q_k / (i w_k) but the near one
-    turn = 2.0 * math.pi * a
-    D = ((complex(math.cos(turn), math.sin(turn)) - 1.0) * C
-         + q_near * complex(_phase_integral(w_near, 2.0 * math.pi)))
-    return D, length, floor, (a, R, C, q_near, w_near, P)
-
-
-def _path(zs: tuple, u: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """z at any real u from zs of :func:`_one_period`, F being the
-    interpolant of the spectrum zs[1] at u (mod 2 pi)."""
-    a, _, C, q_near, w_near, _ = zs
-    return np.exp(1j * a * u) * F - C + q_near * _phase_integral(w_near, u)
-
-
-def _period_map(
-    kappa: float, eps: float, p: Params, hp: HalfPeriod, tol_abs: float, tol_rel: float,
-) -> PeriodMap:
-    """:func:`period_map` of the half period hp, computed with the same
-    tolerances, on hp's ends and node map.
-
-    The node doubling goes on from the n/2 nodes below the rung hp
-    converged at, until D agrees with the D of half the
-    nodes to tol_abs + tol_rel times the path length, or to its rounding
-    error.  Where D does not by the node cap, or a node of the next rung
-    falls off the level, the last rung is returned with its larger err.
-    """
-    prev_D = None
-    for nodes, cur in _doublings(kappa, eps, p, *hp.grid, hp.n // 2):
-        D, length, floor, zs = _one_period(nodes, hp.grid[2], cur[3])
-        if prev_D is not None:
-            err = max(abs(D - prev_D), floor)
-            if err <= max(tol_abs + tol_rel * length, floor):
-                break
-        prev_D = D
-    u = (np.arange(2 * len(nodes.dt)) + 0.5) * nodes.du
-    return PeriodMap(T=2.0 * hp.t, dpsi=2.0 * hp.psi, D=D, err=err,
-                     z=_path(zs, u, np.fft.ifft(zs[1])))
-
-
 def _newton(f_df: Callable, u: np.ndarray, lo, hi, tol: float) -> np.ndarray:
     """Newton steps on f_df(u) = (f, f') at each u, kept in [lo, hi], until
     the largest step is at most tol, or _PHASE_STEPS of them."""
@@ -1170,41 +1086,105 @@ def _newton(f_df: Callable, u: np.ndarray, lo, hi, tol: float) -> np.ndarray:
     return u
 
 
-class _Orbit:
-    """A level's orbit from one period, on one rung of its nodes (see
-    :func:`_orbit`): theta from the node map at the phase u, the time
-    t = a u + r(u), p_theta and the periodic parts of psi and phi as
-    trigonometric interpolants on the full-circle nodes, z from
-    :func:`_path`.  It starts where the period map's path does, at u = 0
-    with t, psi, phi and z all 0; each period, u up by 2 pi, adds T to t,
-    the period's advance to psi and phi, 2 pi to theta on a meridian
-    circuit, and the period map's rigid motion to z."""
+class _Rung:
+    """One rung of the period ladder (:func:`_ladder`): the half period's
+    integrands on n nodes, over the 2n nodes of the full circle, and the
+    planar path over one period they give; :meth:`interpolate` adds the
+    orbit at any time on the rungs the orbit route visits.
 
-    def __init__(self, nodes: _Nodes, grid: tuple, kappa: float, pm: PeriodMap) -> None:
-        self.pm, self.grid, self.zs = pm, grid, _one_period(nodes, grid[2], 0.0)[3]
+    D = z(2 pi) is the drift, length the path length, floor the rounding
+    error of D and err, which the ladder sets, the larger of floor and D's
+    change from the rung below.  The second half of the period retraces the
+    first in theta: each integrand there mirrors the first half's, with
+    dtheta/du odd on a libration.  psi = a_psi u + r(u) with r periodic
+    (the spectral cumulative sum; X_psi is r's spectrum), and dz/du =
+    e^{i a_psi u} h(u) with h periodic.  With the Fourier coefficients q_k
+    of h, z(u) = sum_k q_k (e^{i w_k u} - 1)/(i w_k), w_k = a_psi + k,
+    exactly for the interpolant of h and for any a_psi: one FFT gives the
+    q_k, one inverse FFT z at the nodes (a Filon-type rule).  The term with
+    the smallest |w_k|, q_near at w_near, is summed on its own by
+    :func:`_phase_integral`; the rest are X_z and C of :meth:`path`.
+    """
+
+    def __init__(self, nodes: _Nodes, sums: tuple, hp: HalfPeriod) -> None:
+        self.nodes, self.hp, self.t_floor, self.err = nodes, hp, sums[2], math.inf
+        du, _, _, _, k, k_div, shift, _ = _node_table(len(nodes.dt))
+        M = 2 * len(nodes.dt)
+        self.dth = _mirror(nodes.dth, 1.0 if hp.grid[2] else -1.0)
+        U = _mirror(nodes.U)
+        if nodes.dpsi is None:
+            self.a_psi, self.X_psi, r = 0.0, np.zeros(M, complex), np.zeros(M)
+            v = -1j * U * self.dth
+            spin_floor = 0.0
+        else:
+            self.a_psi, self.X_psi = _cumulative(_mirror(nodes.dpsi), k_div)
+            r = np.fft.ifft(self.X_psi).real
+            spin = _mirror(nodes.spin)
+            v = -U * (spin + 1j * self.dth)
+            spin_floor = float(np.abs(U * spin * _mirror(nodes.rel)).sum()) * du
+        self.length = float(np.abs(v).sum()) * du
+        # the phase carries the rounding of psi, twice that of its half period
+        self.floor = spin_floor + (2.0 * sums[3] + 32.0 * _EPS_MACH) * self.length
+
+        X = np.fft.fft(v * np.exp(1j * r))         # q_k = X_k shift_k / M
+        X[M // 2] = 0.0                           # the Nyquist term
+        w = self.a_psi + k
+        near = int(np.argmin(np.abs(w)))
+        self.w_near, self.q_near = float(w[near]), complex(X[near] * shift[near]) / M
+        X[near] = 0.0
+        w[near] = 1.0
+        self.X_z = X / (1j * w)
+        self.C = complex(np.sum(self.X_z * shift)) / M   # sum of q_k / (i w_k) but the near one
+        turn = 2.0 * math.pi * self.a_psi
+        self.D = ((complex(math.cos(turn), math.sin(turn)) - 1.0) * self.C
+                  + self.q_near * complex(_phase_integral(self.w_near, 2.0 * math.pi)))
+
+    @functools.cached_property
+    def u(self) -> np.ndarray:
+        """The 2n full-circle nodes."""
+        return (np.arange(2 * len(self.nodes.dt)) + 0.5) * self.nodes.du
+
+    def path(self, u: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """z at any real u, F being the interpolant of X_z at u (mod 2 pi)."""
+        return (np.exp(1j * self.a_psi * u) * F - self.C
+                + self.q_near * _phase_integral(self.w_near, u))
+
+    def period_map(self) -> PeriodMap:
+        return PeriodMap(T=2.0 * self.hp.t, dpsi=2.0 * self.hp.psi, D=self.D, err=self.err,
+                         z=self.path(self.u, np.fft.ifft(self.X_z)))
+
+    def interpolate(self) -> "_Rung":
+        """Adds the orbit: theta from the node map at the phase u, the time
+        t = a u + r(u), p_theta and the periodic parts of psi and phi as
+        trigonometric interpolants on the full-circle nodes, z from
+        :meth:`path`.  It starts where the period map's path does, at u = 0
+        with t, psi, phi and z all 0; each period, u up by 2 pi, adds T to t,
+        the period's advance to psi and phi, 2 pi to theta on a meridian
+        circuit, and the period map's rigid motion to z."""
+        nodes = self.nodes
         k, k_div = _node_table(len(nodes.dt))[4:6]
-        self.u = (np.arange(2 * len(nodes.dt)) + 0.5) * nodes.du
         dt = _mirror(nodes.dt)
         self.a, X_t = _cumulative(dt, k_div)
         self.T = 2.0 * math.pi * self.a
         self.t = self.a * self.u + np.fft.ifft(X_t).real
-        self.p = _mirror(nodes.dth, 1.0 if grid[2] else -1.0) / dt   # dtheta/dt
+        self.p = self.dth / dt   # dtheta/dt
         # p_theta's rounding, from that of eps - V
         self.p_floor = float(np.max(np.abs(self.p) * _mirror(nodes.rel)))
         # phi's rate kappa / (J sin^2) dt/du is spin / sin
-        self.a_phi, X_phi = (0.0, 0.0 * dt) if kappa == 0.0 else _cumulative(
+        self.a_phi, X_phi = (0.0, 0.0 * dt) if nodes.spin is None else _cumulative(
             _mirror(nodes.spin / nodes.terms[0]), k_div)
         X_p = np.fft.fft(self.p)
         self.X_t, self.X_p = (np.column_stack((X, 1j * k * X)) for X in (X_t, X_p))
-        self.X = np.column_stack((X_t, X_p, self.zs[5], X_phi, self.zs[1]))
+        self.X = np.column_stack((X_t, X_p, self.X_psi, X_phi, self.X_z))
+        return self
 
-    def confirmed(self, finer: "_Orbit", t_floor: float, tol_abs: float, tol_rel: float) -> bool:
+    def confirmed(self, finer: "_Rung", tol_abs: float, tol_rel: float) -> bool:
         """Whether the interpolants of t and p_theta agree with the values
         at the nodes of the finer rung, to tol_abs + tol_rel times their size
         or to the rounding of those values."""
         t, p = _series(np.column_stack((self.X_t[:, 0], self.X_p[:, 0])), finer.u).real.T
         return (np.abs(self.a * finer.u + t - finer.t).max()
-                <= max(tol_abs + tol_rel * finer.T, 2.0 * t_floor)
+                <= max(tol_abs + tol_rel * finer.T, 2.0 * finer.t_floor)
                 and np.abs(p - finer.p).max()
                 <= max(tol_abs + tol_rel * np.abs(finer.p).max(), finer.p_floor))
 
@@ -1214,8 +1194,8 @@ class _Orbit:
         back = u > math.pi
         # a circuit's sinh map divides by sin(theta), 0 at u = 0 alone
         v = np.maximum(np.where(back, 2.0 * math.pi - u, u), 1e-150)
-        th, _, _, jac, _, _ = _angles(*self.grid, v, np.cos(v), np.sin(v))
-        if self.grid[2]:
+        th, _, _, jac, _, _ = _angles(*self.hp.grid, v, np.cos(v), np.sin(v))
+        if self.hp.grid[2]:
             return np.where(back, 2.0 * math.pi - th, th) + 2.0 * math.pi * turns, jac
         return th, np.where(back, -jac, jac)
 
@@ -1257,25 +1237,41 @@ class _Orbit:
         c = _series(self.X, u)
         v = u + 2.0 * math.pi * turns
         return (self.a * v + c[:, 0].real, self.theta(u, turns)[0], c[:, 1].real,
-                self.zs[0] * v + c[:, 2].real, self.a_phi * v + c[:, 3].real,
-                _path(self.zs, v, c[:, 4]))
+                self.a_psi * v + c[:, 2].real, self.a_phi * v + c[:, 3].real,
+                self.path(v, c[:, 4]))
 
 
-def _orbit(
+def _ladder(
     kappa: float, eps: float, p: Params, hp: HalfPeriod, tol_abs: float, tol_rel: float,
-) -> _Orbit:
-    """The orbit of the half period hp on the first rung, from the one its
-    period map stops at on, whose interpolants the next rung confirms
-    (:meth:`_Orbit.confirmed`), or on the last rung where none does.  The
-    quadratures converge before the interpolants do: an interpolant on n
-    nodes misses the harmonics from n/2 up, a midpoint sum from 2n."""
-    pm, last = _period_map(kappa, eps, p, hp, tol_abs, tol_rel), None
-    for nodes, sums in _doublings(kappa, eps, p, *hp.grid, len(pm.z) // 2):
-        orbit = _Orbit(nodes, hp.grid, kappa, pm)
-        if last is not None and last.confirmed(orbit, sums[2], tol_abs, tol_rel):
+) -> Iterator[_Rung]:
+    """The period map's rung, then the orbit's: one node doubling on hp's
+    ends and node map, from the n/2 nodes below the rung hp converged at.
+
+    The first rung yielded is the first whose D agrees with the D of half
+    the nodes to tol_abs + tol_rel times the path length, or to its
+    rounding error; a caller that wants D alone stops there, and no
+    interpolant is built.  The second is the first rung from there whose
+    interpolants the next rung confirms (:meth:`_Rung.confirmed`): an
+    interpolant on n nodes misses the harmonics from n/2 up, a midpoint sum
+    from 2n.  Where none does by the node cap, or a node of the next rung
+    falls off the level, the last rung stands in, D's with its larger err.
+    """
+    rungs = _doublings(kappa, eps, p, *hp.grid, hp.n // 2)
+    rung = None
+    for nodes, sums in rungs:
+        below, rung = rung, _Rung(nodes, sums, hp)
+        if below is not None:
+            rung.err = max(abs(rung.D - below.D), rung.floor)
+            if rung.err <= max(tol_abs + tol_rel * rung.length, rung.floor):
+                break
+    yield rung
+    orbit = rung.interpolate()
+    for nodes, sums in rungs:
+        finer = _Rung(nodes, sums, hp).interpolate()
+        if orbit.confirmed(finer, tol_abs, tol_rel):
             break
-        last = orbit
-    return last
+        orbit = finer
+    yield orbit
 
 
 def _component(
@@ -1310,8 +1306,8 @@ def period_map(kappa: float, eps: float, p: Params, branch: int = 0) -> PeriodMa
     """The planar path over one nutation period of the level (kappa, eps).
 
     Runs on the nodes of :func:`half_period`'s quadrature over the full
-    circle (see :func:`_one_period`), doubled on from the half period's
-    rung until D converges as well (see :func:`_period_map`).  ``branch`` selects the
+    circle (see :class:`_Rung`), doubled on from the half period's rung
+    until D converges as well (see :func:`_ladder`).  ``branch`` selects the
     component as in :func:`section_period`; the path starts at the lower
     turning point, or at the pole 0 on a meridian circuit.
 
@@ -1331,7 +1327,7 @@ def period_map(kappa: float, eps: float, p: Params, branch: int = 0) -> PeriodMa
             "no nutation period"
         )
     hp = half_period(kappa, eps, p, ends[0], ends[1], circuit=ends[2])
-    return _period_map(kappa, eps, p, hp, DEFAULT_TOL_ABS, DEFAULT_TOL_REL)
+    return next(_ladder(kappa, eps, p, hp, DEFAULT_TOL_ABS, DEFAULT_TOL_REL)).period_map()
 
 
 @dataclass(frozen=True)

@@ -58,14 +58,12 @@ from .dynamics import (
     scan_roots,
 )
 from .integrate import (
-    DEFAULT_MAX_STEPS,
     DEFAULT_TOL_ABS,
     DEFAULT_TOL_REL,
     HalfPeriod,
     IntegrationError,
     _component,
-    _orbit,
-    _period_map,
+    _ladder,
     _pole_margin,
     _psi_slope,
     half_period,
@@ -261,7 +259,7 @@ def reconstruct_trajectory(
     The start fixes the level (:func:`.dynamics.reduced_energy`) and the
     component, the one that holds theta0, and one nutation period of
     quadrature, at tol_abs and tol_rel, the whole orbit
-    (:func:`.integrate._orbit`): the start's phase comes from the node
+    (:func:`.integrate._ladder`): the start's phase comes from the node
     map, each sample's from Newton on the time modulo the period.  The
     seeds psi0, phi0, x0 and y0 rotate, offset and translate the orbit; the
     contact point follows through the Euler rotation, the height through
@@ -297,7 +295,7 @@ def reconstruct_trajectory(
         log.info("reconstruct_trajectory: DOP853 stepper, as %s", ex)
         return _stepped_path((theta0, p_theta0, psi0, phi0, x0, y0), kappa, t_span, p,
                              tol_abs, tol_rel, t_eval)
-    orbit = _orbit(kappa, eps, p, hp, tol_abs, tol_rel)
+    pm, orbit = _ladder(kappa, eps, p, hp, tol_abs, tol_rel)
     if ends[2] and sigma * p_theta0 < 0.0:
         sigma, th = -sigma, 2.0 * math.pi - th   # a circuit run backwards, mirrored
     m = round((theta0 - sigma * th) / (2.0 * math.pi))
@@ -311,15 +309,16 @@ def reconstruct_trajectory(
             phi0 + (phi_r - phi_s), complex(x0, y0) + sigma * cmath.exp(1j * (psi0 - psi_s[0])) * dz]
     for col, start in zip(cols, (theta0, p_theta0, psi0, phi0, complex(x0, y0))):
         col[t == t0] = start
-    log.info("reconstruct_trajectory: period map on %d nodes, T = %.17g, err %.3g, "
-             "%.6g periods", len(orbit.u) // 2, orbit.T, orbit.pm.err, abs(t1 - t0) / orbit.T)
+    log.info("reconstruct_trajectory: period map on %d nodes, orbit on %d nodes, T = %.17g, "
+             "err %.3g, %.6g periods", len(pm.u) // 2, len(orbit.u) // 2, orbit.T, pm.err,
+             abs(t1 - t0) / orbit.T)
     return _absolute(t, *cols[:4], cols[4].real, cols[4].imag, p)
 
 
 def _stepped_path(
     start: tuple, kappa: float, t_span: tuple[float, float], p: Params,
     tol_abs: float = DEFAULT_TOL_ABS, tol_rel: float = DEFAULT_TOL_REL,
-    t_eval: np.ndarray | None = None, max_steps: int = DEFAULT_MAX_STEPS,
+    t_eval: np.ndarray | None = None,
 ) -> AbsolutePath:
     """:func:`reconstruct_trajectory` by DOP853 on the augmented system from
     start = (theta0, p_theta0, psi0, phi0, x0, y0), the seeds left out 0:
@@ -327,7 +326,7 @@ def _stepped_path(
     oracle the tests and ``verify`` hold the period route to."""
     y0v = np.concatenate((start, np.zeros(6 - len(start))))
     traj = integrate("augmented", y0v, t_span, p, kappa=kappa, tol_abs=tol_abs,
-                     tol_rel=tol_rel, max_steps=max_steps, t_eval=t_eval)
+                     tol_rel=tol_rel, t_eval=t_eval)
     return _absolute(traj.t, *traj.y.T, p)
 
 
@@ -507,7 +506,7 @@ def classify(
     rn, hp = _rotation_number(kappa, eps, p, lo, hi, ends, tol_abs, tol_rel)
     fr = _lone_fraction(rn.N, 5.0 * rn.err + 1e-9)
     if fr is not None and fr.denominator == 1:
-        pm = _period_map(kappa, eps, p, hp, tol_abs, tol_rel)
+        pm = next(_ladder(kappa, eps, p, hp, tol_abs, tol_rel)).period_map()
         z = np.concatenate(([0.0], pm.z, [pm.D]))   # diam: of its bounding box
         diam = math.hypot(float(np.ptp(z.real)), float(np.ptp(z.imag)))
         kind = ("UnboundedResonant" if abs(pm.D) > _DRIFT_TOL * max(diam, 1e-300)

@@ -309,10 +309,11 @@ def _log_leaves_the_file_alone(tmp_path, command):
         errs.append(proc.stderr)
     assert files[0] == files[1] == files[2]
     assert "reconstruct_trajectory" not in errs[0]
-    # the period route: one line with its nodes, period, error and period
-    # count, and no stepper run
+    # the period route: one line with the nodes of the period map's rung
+    # and of the orbit's, the period, D's error and the period count, and
+    # no stepper run
     route = (r"INFO rubberroll\.reconstruct: reconstruct_trajectory: period map on \d+ nodes, "
-             r"T = [0-9.]+, err [0-9.e+-]+, [0-9.]+ periods\n")
+             r"orbit on \d+ nodes, T = [0-9.]+, err [0-9.e+-]+, [0-9.]+ periods\n")
     for err in errs[1:]:
         assert len(re.findall(route, err)) == 1, err
         assert "integrate_raw" not in err

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import DOP853, quad
 from scipy.optimize import minimize_scalar
 
+import rubberroll.integrate
 from rubberroll.dynamics import (
     FullState,
     augmented_field,
@@ -279,10 +280,11 @@ def test_full_system_conserves_the_four_integrals(body, theta, phi, u, v):
     assert drift[3] <= 1.5e-8
 
 
-def test_max_steps_cap():
-    with pytest.raises(IntegrationError, match="step"):
-        integrate("augmented", (1.0, 0.3, 0.0, 0.0, 0.0, 0.0), (0.0, 1e6), P, kappa=0.5,
-                  max_steps=50)
+def test_max_steps_cap(monkeypatch):
+    # the budget is a constant, read at each call
+    monkeypatch.setattr(rubberroll.integrate, "DEFAULT_MAX_STEPS", 50)
+    with pytest.raises(IntegrationError, match="step budget exhausted after 50 steps"):
+        integrate("augmented", (1.0, 0.3, 0.0, 0.0, 0.0, 0.0), (0.0, 1e6), P, kappa=0.5)
 
 
 def scipy_integrate_raw(fun, y0, t_span, *, tol_abs=1e-12, tol_rel=1e-10,

@@ -1,7 +1,7 @@
 """reconstruct_trajectory's period route against the DOP853 stepper.
 
 The period route builds an orbit from one nutation period of quadrature
-(``integrate._orbit``); ``reconstruct._stepped_path``, the stepper it
+(``integrate._ladder``); ``reconstruct._stepped_path``, the stepper it
 replaced, stays its oracle and its fallback.  The oracle is a tolerance
 ladder of the stepper (tol_rel 1e-12, 1e-13, 2.3e-14, tol_abs 0.05 tol_rel):
 its last run is the reference, and the larger change over its last two
@@ -23,10 +23,11 @@ from rubberroll.bifurcation import permanent_rotation
 from rubberroll.dynamics import (component_intervals, critical_points, critical_thetas,
                                  effective_potential, reduced_energy)
 from rubberroll.geometry import profile
-from rubberroll.integrate import _component, _period_map, half_period
+from rubberroll.integrate import _component, _ladder, half_period
 from rubberroll.model import Params
 from rubberroll.reconstruct import _stepped_path, reconstruct_trajectory
 
+from conftest import clear_caches
 from test_cli import SWEEP
 
 P_MAIN = Params(0.5, 3.0, 0.5, 0.5)
@@ -35,25 +36,31 @@ COLUMNS = ("theta", "p_theta", "psi", "phi", "x_c", "y_c", "z_c", "x_p", "y_p")
 SEEDS = ("psi0", "phi0", "x0", "y0")
 
 
-def _ladder(start, kappa, p, t):
-    runs = [_stepped_path(start, kappa, (0.0, float(t[-1])), p, 0.05 * r, r, t, 10 ** 7)
+def _tolerance_ladder(start, kappa, p, t):
+    runs = [_stepped_path(start, kappa, (0.0, float(t[-1])), p, 0.05 * r, r, t)
             for r in (1e-12, 1e-13, 2.3e-14)]
     bars = {c: max(np.abs(getattr(runs[2], c) - getattr(runs[1], c)).max(),
                    np.abs(getattr(runs[1], c) - getattr(runs[0], c)).max()) for c in COLUMNS}
     return runs[2], bars
 
 
-def _quadrature_err(start, kappa, p):
-    """(err, T): the largest error estimate of the route's half period and
-    period map at the default tolerances, and the period."""
+def _start_half_period(start, kappa, p):
+    """(eps, hp): the level of start and the half period the route takes
+    at the default tolerances."""
     eps = reduced_energy(*start[:2], kappa, p)
     th = start[0] % (2.0 * math.pi) if kappa == 0.0 else start[0]
     th = min(th, 2.0 * math.pi - th)
     ivs = component_intervals(kappa, eps, p)
     branch = min(range(len(ivs)), key=lambda i: max(ivs[i][0] - th, th - ivs[i][1]))
     ends = _component(kappa, eps, p, branch)[2]
-    hp = half_period(kappa, eps, p, ends[0], ends[1], circuit=ends[2])
-    pm = _period_map(kappa, eps, p, hp, 1e-12, 1e-10)
+    return eps, half_period(kappa, eps, p, ends[0], ends[1], circuit=ends[2])
+
+
+def _quadrature_err(start, kappa, p):
+    """(err, T): the largest error estimate of the route's half period and
+    period map at the default tolerances, and the period."""
+    eps, hp = _start_half_period(start, kappa, p)
+    pm = next(_ladder(kappa, eps, p, hp, 1e-12, 1e-10)).period_map()
     return max(2.0 * hp.t_err, 2.0 * hp.psi_err, pm.err), pm.T
 
 
@@ -65,7 +72,7 @@ def _check(start, kappa, p, tmax, n=301, slack=1.0):
     seeds = dict(zip(SEEDS, start[2:]))
     route = reconstruct_trajectory(start[:2], kappa, (0.0, tmax), p, t_eval=t, **seeds)
     stepper = _stepped_path(start, kappa, (0.0, tmax), p, t_eval=t)
-    ref, bars = _ladder(start, kappa, p, t)
+    ref, bars = _tolerance_ladder(start, kappa, p, t)
     err, T = _quadrature_err(start, kappa, p)
     assert np.array_equal(route.t, t)
     for c in COLUMNS:
@@ -174,7 +181,7 @@ def test_a_long_run_repeats_the_period_map():
     eps = reduced_energy(*start, kappa, P_MAIN)
     ends = _component(kappa, eps, P_MAIN, 0)[2]
     hp = half_period(kappa, eps, P_MAIN, ends[0], ends[1])
-    pm = _period_map(kappa, eps, P_MAIN, hp, 1e-12, 1e-10)
+    pm = next(_ladder(kappa, eps, P_MAIN, hp, 1e-12, 1e-10)).period_map()
     t = np.array([0.0, 1e5 - pm.T - 5.0, 1e5 - pm.T, 1e5 - 5.0, 1e5])
     path = reconstruct_trajectory(start, kappa, (0.0, 1e5), P_MAIN, t_eval=t)
     z = path.x_c + 1j * path.y_c
@@ -184,7 +191,7 @@ def test_a_long_run_repeats_the_period_map():
     assert abs(path.psi[4] - path.psi[2] - pm.dpsi) <= 1e-9 * abs(path.psi[4])
     end = _stepped_path((path.theta[3], path.p_theta[3], path.psi[3], path.phi[3],
                          path.x_c[3], path.y_c[3]), kappa, (1e5 - 5.0, 1e5), P_MAIN,
-                        1e-15, 2.3e-14, t[3:], 10 ** 7)
+                        1e-15, 2.3e-14, t[3:])
     for c in COLUMNS:
         assert abs(getattr(path, c)[4] - getattr(end, c)[1]) <= 1e-9, c
     e = [reduced_energy(th, pt, kappa, P_MAIN) for th, pt in zip(path.theta, path.p_theta)]
@@ -221,13 +228,56 @@ def test_a_start_on_a_saddle_falls_back_to_the_stepper(caplog):
 
 
 def test_the_period_route_logs_its_nodes_period_error_and_periods(caplog):
-    with caplog.at_level(logging.INFO, logger="rubberroll.reconstruct"):
-        reconstruct_trajectory((0.4678, 0.0), 0.8, (0.0, 200.0), P_MAIN)
-    lines = [r.getMessage() for r in caplog.records if r.name == "rubberroll.reconstruct"]
-    assert len(lines) == 1 and lines[0].startswith("reconstruct_trajectory: period map on "), lines
-    periods = float(lines[0].split(", ")[-1].split()[0])
-    T = float(lines[0].split("T = ")[1].split(",")[0])
-    assert periods == pytest.approx(200.0 / T, rel=1e-5)
+    # the rungs where D converged and where the next rung confirmed the
+    # interpolants: the same on the README start; 256 and 1 024 nodes on a
+    # kappa = 0 circuit 1e-9 above its top level
+    p_round = Params(0.5, 3.0, 1.0, 1.0)
+    gap = (max(critical_points(0.0, p_round).levels) + 1e-9
+           - effective_potential(math.pi, 0.0, p_round))
+    circuit = (math.pi, math.sqrt(2.0 * gap / profile(math.pi, p_round, pole_mode=True).B))
+    for kappa, start, p, rungs in ((0.8, (0.4678, 0.0), P_MAIN, (128, 128)),
+                                   (0.0, circuit, p_round, (256, 1024))):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="rubberroll.reconstruct"):
+            reconstruct_trajectory(start, kappa, (0.0, 200.0), p)
+        lines = [r.getMessage() for r in caplog.records if r.name == "rubberroll.reconstruct"]
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("reconstruct_trajectory: period map on "), lines
+        assert tuple(int(part.split(" on ")[1].split()[0])
+                     for part in lines[0].split(", ")[:2]) == rungs, lines
+        periods = float(lines[0].split(", ")[-1].split()[0])
+        T = float(lines[0].split("T = ")[1].split(",")[0])
+        assert periods == pytest.approx(200.0 / T, rel=1e-5)
+
+
+@pytest.mark.parametrize("kappa, start", [(0.8, (0.4678, 0.0)), (0.0, (4.0, 0.3))],
+                         ids=["readme-simulate", "kappa0"])
+def test_the_route_builds_each_rung_above_the_half_periods_once(kappa, start, monkeypatch):
+    # the period map and the orbit climb one ladder: past the half period's
+    # rung, each rung's integrands and its record are built once, and the
+    # ladder builds the half period's own rung and the one below again, as
+    # the half period keeps no nodes
+    nodes, records = [], []
+    real_nodes, real_init = rubberroll.integrate._half_nodes, rubberroll.integrate._Rung.__init__
+
+    def counting_nodes(*args):
+        out = real_nodes(*args)
+        nodes.extend(len(n.dt) for n in out)
+        return out
+
+    def counting_init(rung, rung_nodes, *args):
+        records.append(len(rung_nodes.dt))
+        real_init(rung, rung_nodes, *args)
+
+    monkeypatch.setattr(rubberroll.integrate, "_half_nodes", counting_nodes)
+    monkeypatch.setattr(rubberroll.integrate._Rung, "__init__", counting_init)
+    clear_caches()
+    reconstruct_trajectory(start, kappa, (0.0, 200.0), P_MAIN)
+    n = _start_half_period(start, kappa, P_MAIN)[1].n
+    above = sorted(m for m in nodes if m > n)
+    assert above and above == sorted(set(above)), nodes
+    assert max(map(nodes.count, nodes)) == 2, nodes
+    assert sorted(m for m in records if m > n) == above, records
 
 
 def test_a_kappa_start_past_the_pole_margin_is_refused():
@@ -239,14 +289,15 @@ def test_a_kappa_start_past_the_pole_margin_is_refused():
 def test_the_period_map_check_reads_the_stepper_not_the_period_route(monkeypatch):
     # every period map, and the route's orbit with it, drifts 1e-6 too far:
     # a check against the period route would follow it and pass
-    real = rubberroll.integrate._one_period
+    real = rubberroll.integrate._Rung.__init__
 
-    def stretched(*args):
-        D, length, floor, (a, R, C, q, w, P) = real(*args)
+    def stretched(rung, *args):
+        real(rung, *args)
         s = 1.0 + 1e-6
-        return D * s, length, floor, (a, R * s, C * s, q * s, w, P)
+        rung.D, rung.X_z, rung.C, rung.q_near = (x * s for x in
+                                                 (rung.D, rung.X_z, rung.C, rung.q_near))
 
-    monkeypatch.setattr(rubberroll.integrate, "_one_period", stretched)
+    monkeypatch.setattr(rubberroll.integrate._Rung, "__init__", stretched)
     pm = rubberroll.integrate.period_map(0.5, 3.5, P_MAIN)
     lo = _component(0.5, 3.5, P_MAIN, 0)[2][0]
     path = reconstruct_trajectory((lo, 0.0), 0.5, (0.0, pm.T), P_MAIN,

@@ -16,8 +16,8 @@ from rubberroll.integrate import (
     _component,
     _doublings,
     _half_nodes,
+    _ladder,
     _node_map,
-    _period_map,
     _psi_slope,
     half_period,
 )
@@ -73,7 +73,7 @@ def _results(kappa, eps, p, branch):
     clear_caches()
     ends = _component(kappa, eps, p, branch)[2]
     hp = half_period(kappa, eps, p, ends[0], ends[1], circuit=ends[2])
-    pm = _period_map(kappa, eps, p, hp, 1e-12, 1e-10)
+    pm = next(_ladder(kappa, eps, p, hp, 1e-12, 1e-10)).period_map()
     slope = None if kappa == 0.0 or ends[2] else _psi_slope(kappa, eps, p, hp)
     return hp, pm, slope
 

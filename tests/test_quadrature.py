@@ -31,7 +31,7 @@ P_EQ = Params(0.0, 1.5, 1.0, 1.0)
 P_ALPHA1 = Params(1.0, 3.0, 0.5, 0.5)
 P_BETA1 = Params(0.5, 1.0, 0.7, 2.0)
 
-TIGHT = dict(tol_abs=1e-15, tol_rel=2.3e-14, max_steps=10 ** 7)
+TIGHT = dict(tol_abs=1e-15, tol_rel=2.3e-14)
 
 
 def _oracle(kappa, eps, p, lo, hi, circuit=False):
@@ -102,7 +102,7 @@ def _stepper_ladder(kappa, eps, p, lo, hi):
     """(T, N, T bar, N bar): the stepper at the last step of a tolerance
     ladder, and the larger change over its last two steps as the error
     bars, since near its floor its error is not monotone in the tolerance."""
-    runs = [_ode_half_period(kappa, eps, p, lo, hi, False, 0.05 * r, r, 10 ** 7)
+    runs = [_ode_half_period(kappa, eps, p, lo, hi, False, 0.05 * r, r)
             for r in (1e-12, 1e-13, 2.3e-14)]
     t = [2.0 * run[0] for run in runs]
     n = [-run[1] / math.pi for run in runs]

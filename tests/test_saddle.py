@@ -193,7 +193,7 @@ def test_the_log_slope_matches_its_closed_form(body, monkeypatch):
 
 def _stepper(kappa, eps, p, lo, hi, circuit):
     """(T, N, T bar, N bar) of the stepper's tolerance ladder."""
-    runs = [_ode_half_period(kappa, eps, p, lo, hi, circuit, 0.05 * r, r, 10 ** 7)
+    runs = [_ode_half_period(kappa, eps, p, lo, hi, circuit, 0.05 * r, r)
             for r in (1e-12, 1e-13, 2.3e-14)]
     t = [2.0 * run[0] for run in runs]
     n = [-run[1] / math.pi for run in runs]
