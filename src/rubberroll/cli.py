@@ -3,8 +3,8 @@
 Subcommands
 -----------
 simulate
-    Integrate the reduced (theta, p_theta, kappa) or the full (omega, gamma)
-    system and write the absolute-space trajectory CSV.
+    Absolute-space trajectory CSV from reduced (theta, p_theta, kappa) or
+    full (omega, gamma) initial data, both through the reduction.
 trajectory
     Absolute-space reconstruction from reduced initial data, with optional
     angle and position seeds.
@@ -48,10 +48,10 @@ import numpy as np
 
 from .model import Params, validate
 from .geometry import B_SIGN_DERIVED, B_SIGN_PAPER, profile
-from .dynamics import FullState, effective_potential, integrals, kinematic_init, reduced_energy
-from .integrate import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, _pole_margin, integrate
+from .dynamics import FullState, effective_potential, reduced_energy
+from .integrate import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, _pole_margin
 from .bifurcation import diagram
-from .reconstruct import (classify, path_from_kinematic, reconstruct_trajectory, resonance_curve,
+from .reconstruct import (_full_start, classify, reconstruct_trajectory, resonance_curve,
                           rotation_number)
 
 __all__ = ["main"]
@@ -280,35 +280,28 @@ def _tmax(args: argparse.Namespace, parser: _Parser) -> float:
     return args.tmax
 
 
-def _require_start(args: argparse.Namespace, parser: _Parser) -> None:
-    _require(args, parser, "kappa", "theta0")
-    edge = _pole_margin(args.kappa)   # a kappa != 0 motion never reaches a pole
-    if args.kappa != 0.0 and not edge < args.theta0 < math.pi - edge:
-        parser.error(f"--theta0 must lie in ({edge:g}, pi - {edge:g}) unless --kappa is 0, "
-                     f"got {args.theta0}")
+def _require_start(parser: _Parser, kappa: float, theta0: float,
+                   names: tuple[str, str] = ("--theta0", "--kappa")) -> None:
+    """Refuse, as a usage error, a start theta0 past the chart's pole margin
+    at kappa != 0; names say where theta0 and kappa came from."""
+    edge = _pole_margin(kappa)   # a kappa != 0 motion never reaches a pole
+    if kappa != 0.0 and not edge < theta0 < math.pi - edge:
+        parser.error(f"{names[0]} must lie in ({edge:g}, pi - {edge:g}) unless {names[1]} is 0, "
+                     f"got {theta0}")
 
 
-def _path_rows(path, e_drift, f1_drift) -> list[tuple]:
-    """CSV rows from an AbsolutePath and the two drift columns."""
-    columns = [getattr(path, name).tolist() for name in _CSV_HEADER[:10]]
-    return list(zip(*columns, e_drift, f1_drift))
-
-
-def _reduced_rows(path, kappa: float, p: Params) -> list[tuple]:
-    """CSV rows from an AbsolutePath; E_drift from the reduced energy."""
-    e = [reduced_energy(th, pt, kappa, p)
-         for th, pt in zip(path.theta.tolist(), path.p_theta.tolist())]
-    return _path_rows(path, [ei - e[0] for ei in e], [0.0] * len(e))
-
-
-def _reduced_style_rows(args: argparse.Namespace, p: Params, tmax: float, start: tuple,
-                        **seeds) -> list[tuple]:
-    """CSV rows of the reduced orbit from start = (theta0, p_theta0) at
-    --kappa over [0, tmax], with the angle and position seeds given."""
-    path = reconstruct_trajectory(start, args.kappa, (0.0, tmax), p,
+def _orbit_rows(args: argparse.Namespace, p: Params, tmax: float, kappa: float,
+                start: tuple, **seeds) -> list[tuple]:
+    """CSV rows, for either style, of the orbit from the reduced start
+    (theta0, p_theta0) at kappa over [0, tmax] with the seeds given: E_drift
+    from the reduced energy, F1_drift 0 by construction."""
+    path = reconstruct_trajectory(start, kappa, (0.0, tmax), p,
                                   t_eval=np.linspace(0.0, tmax, args.samples),
                                   tol_abs=args.tol_abs, tol_rel=args.tol_rel, **seeds)
-    return _reduced_rows(path, args.kappa, p)
+    e = [reduced_energy(th, pt, kappa, p)
+         for th, pt in zip(path.theta.tolist(), path.p_theta.tolist())]
+    columns = [getattr(path, name).tolist() for name in _CSV_HEADER[:10]]
+    return list(zip(*columns, [ei - e[0] for ei in e], [0.0] * len(e)))
 
 
 def cmd_simulate(args: argparse.Namespace, parser: _Parser) -> int:
@@ -322,18 +315,18 @@ def cmd_simulate(args: argparse.Namespace, parser: _Parser) -> int:
         parser.error("give at most one of --ptheta0, --energy and --omega/--gamma")
 
     if reduced_style:
-        _require_start(args, parser)
+        _require(args, parser, "kappa", "theta0")
+        _require_start(parser, args.kappa, args.theta0)
+        kappa, theta0, seeds = args.kappa, args.theta0, {}
         p0 = 0.0 if args.ptheta0 is None else args.ptheta0
         if args.energy is not None:
             # p_theta0 from the energy level, upward branch
-            se = profile(args.theta0, p, pole_mode=True)
-            v = effective_potential(args.theta0, args.kappa, p)
+            se = profile(theta0, p, pole_mode=True)
+            v = effective_potential(theta0, kappa, p)
             gap = float(args.energy) - v
             if gap < 0.0:
                 parser.error(f"--energy {args.energy} below the potential {v:.6g}")
             p0 = math.sqrt(2.0 * gap / se.B)
-        rows = _reduced_style_rows(args, p, tmax, (args.theta0, p0))
-        drifts = (max(abs(r[10]) for r in rows), 0.0)
     else:
         _require(args, parser, "omega", "gamma")
         w, g = np.array(args.omega), np.array(args.gamma)
@@ -341,20 +334,13 @@ def cmd_simulate(args: argparse.Namespace, parser: _Parser) -> int:
             parser.error(f"--gamma must be a unit vector, |gamma|^2 = {g @ g:.6g}")
         if abs(float(w @ g)) > 1e-6:
             parser.error(f"--omega must have no vertical spin, omega.gamma = {w @ g:.6g}")
-        state = FullState(omega=w, gamma=g)
-        # one kinematic run gives the path and, in its (omega, gamma)
-        # part, the drifts of the integrals along it
-        traj = integrate("kinematic", kinematic_init(state), (0.0, tmax), p,
-                         t_eval=np.linspace(0.0, tmax, args.samples),
-                         tol_abs=args.tol_abs, tol_rel=args.tol_rel)
-        path = path_from_kinematic(traj.t, traj.y, p)
-        c0 = integrals(state, p)
-        ci = integrals(FullState(omega=traj.y[:, :3], gamma=traj.y[:, 3:6]), p)
-        rows = _path_rows(path, (ci.eps - c0.eps).tolist(), (ci.F1 - c0.F1).tolist())
-        drifts = (max(abs(r[10]) for r in rows), max(abs(r[11]) for r in rows))
+        (theta0, p0), kappa, seeds = _full_start(FullState(omega=w, gamma=g), p)
+        _require_start(parser, kappa, theta0, ("the theta0 that --omega/--gamma reduce to",
+                                               f"their kappa {kappa}"))
+    rows = _orbit_rows(args, p, tmax, kappa, (theta0, p0), **seeds)
 
     _write_csv(args.out, _CSV_HEADER, rows)
-    print(f"max |E drift| = {_g(drifts[0])}, max |F1 drift| = {_g(drifts[1])}",
+    print(f"max |E drift| = {_g(max(abs(r[10]) for r in rows))}, max |F1 drift| = {_g(0.0)}",
           file=sys.stderr)
     log.info("wrote %s (%d rows)", args.out, len(rows))
     return EXIT_OK
@@ -363,9 +349,10 @@ def cmd_simulate(args: argparse.Namespace, parser: _Parser) -> int:
 def cmd_trajectory(args: argparse.Namespace, parser: _Parser) -> int:
     p = _params(args, parser)
     tmax = _tmax(args, parser)
-    _require_start(args, parser)
-    rows = _reduced_style_rows(args, p, tmax, (args.theta0, args.ptheta0), psi0=args.psi0,
-                               phi0=args.phi0, x0=args.x0, y0=args.y0)
+    _require(args, parser, "kappa", "theta0")
+    _require_start(parser, args.kappa, args.theta0)
+    rows = _orbit_rows(args, p, tmax, args.kappa, (args.theta0, args.ptheta0),
+                       psi0=args.psi0, phi0=args.phi0, x0=args.x0, y0=args.y0)
     _write_csv(args.out, _CSV_HEADER, rows)
     log.info("wrote %s", args.out)
     return EXIT_OK

@@ -260,8 +260,8 @@ def kinematic_field(p: Params) -> Callable[[float, np.ndarray], np.ndarray]:
     the fixed horizontal unit vectors expressed in the body frame; together
     with gamma they form an orthonormal triple (see kinematic_init).  They
     evolve like gamma, and the center of mass moves with velocity
-    v = r x w mapped back to the fixed frame.  This is the oracle against
-    which quadrature-based reconstruction is checked.
+    v = r x w mapped back to the fixed frame.  The oracle of the period
+    route: :func:`.reconstruct.reconstruct_from_full` steps it.
     """
     body = _full_constants(p)
 
@@ -441,7 +441,8 @@ def reduce_state(s: FullState, p: Params) -> ReducedCoords:
     """Project a valid full state to the reduced chart.
 
     Requires F0 = 1 and F1 = 0 within 1e-6.  The returned phi is the
-    proper-rotation angle of the vertical, phi = atan2(gamma_1, gamma_2).
+    proper-rotation angle of the vertical, phi = atan2(gamma_1, gamma_2), or
+    at a pole atan2(-omega_2, omega_1), the meridian omega tips gamma along.
     """
     w = np.asarray(s.omega, float)
     g = np.asarray(s.gamma, float)
@@ -453,7 +454,7 @@ def reduce_state(s: FullState, p: Params) -> ReducedCoords:
         raise ValueError(f"state violates the no-spin constraint: (w, gamma) = {F1}")
     g3 = min(1.0, max(-1.0, g[2]))
     theta = math.acos(g3)
-    phi = math.atan2(g[0], g[1])
+    phi = math.atan2(g[0], g[1]) if g[0] or g[1] else math.atan2(-w[1], w[0])
     p_theta = w[0] * math.cos(phi) - w[1] * math.sin(phi)
     kappa = _j_gamma3(g3, p) * w[2]
     return ReducedCoords(theta=theta, p_theta=p_theta, kappa=kappa, phi=phi)

@@ -510,10 +510,10 @@ def integrate(
 ) -> Trajectory:
     """Integrate one of the shipped vector fields.
 
-    The route of full-style orbits (``simulate --omega/--gamma``), of the
-    reduced orbits the period map has no answer for, and of the oracles the
-    tests and ``verify`` hold the quadratures to; no per-level observable
-    and no other reduced orbit steps.
+    The route of the reduced orbits the period map has no answer for, and
+    of the oracles the tests and ``verify`` hold the quadratures and the
+    period route to, the kinematic run of a full-style ``simulate`` start
+    among them; no per-level observable and no other orbit steps.
 
     system:
       "full"      init = (w1, w2, w3, g1, g2, g3); gamma renormalized per step.

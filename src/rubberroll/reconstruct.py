@@ -54,6 +54,7 @@ from .dynamics import (
     g0_prime,
     kinematic_init,
     potential_grid,
+    reduce_state,
     reduced_energy,
     scan_roots,
 )
@@ -81,7 +82,6 @@ __all__ = [
     "contact_shift",
     "reconstruct_trajectory",
     "reconstruct_from_full",
-    "path_from_kinematic",
     "rotation_number",
     "classify",
     "resonance_curve",
@@ -343,19 +343,14 @@ def reconstruct_from_full(
     with the contact starting at the origin.
 
     Transports the fixed axes in the body frame alongside (omega, gamma) and
-    reads the Euler angles off them afterwards; no quadratures involved.
-    This is the oracle route the quadrature reconstruction is checked
-    against.  Works on the principal chart theta in [0, pi]; samples where
-    gamma passes through a pole have degenerate angle reads.
+    reads the Euler angles off them afterwards; no quadratures involved:
+    the oracle of the period route from the same start (:func:`_full_start`).
+    Works on the principal chart theta in [0, pi]; samples where gamma
+    passes through a pole have degenerate angle reads.
     """
     traj = integrate("kinematic", kinematic_init(state), t_span, p,
                      tol_abs=tol_abs, tol_rel=tol_rel, t_eval=t_eval)
-    return path_from_kinematic(traj.t, traj.y, p)
-
-
-def path_from_kinematic(t: np.ndarray, y: np.ndarray, p: Params) -> AbsolutePath:
-    """Fixed-frame path read off samples y (one row per time in t) of the
-    kinematic system (see :func:`.dynamics.kinematic_field`)."""
+    y = traj.y
     w = y[:, 0:3]
     g = y[:, 3:6]
     ax = y[:, 6:9]
@@ -374,11 +369,23 @@ def path_from_kinematic(t: np.ndarray, y: np.ndarray, p: Params) -> AbsolutePath
     x_c = y[:, 12]
     y_c = y[:, 13]
     return AbsolutePath(
-        t=t, theta=th, p_theta=p_theta, psi=psi, phi=phi,
+        t=traj.t, theta=th, p_theta=p_theta, psi=psi, phi=phi,
         x_c=x_c, y_c=y_c, z_c=surface_u(g3, Z, p),
         x_p=x_c + np.einsum("ij,ij->i", ax, r),
         y_p=y_c + np.einsum("ij,ij->i", bx, r),
     )
+
+
+def _full_start(state: FullState, p: Params) -> tuple[tuple[float, float], float, dict]:
+    """The start ((theta0, p_theta0), kappa, {psi0, phi0}) of a full state on
+    the period route: :func:`.dynamics.reduce_state`'s, with psi0 the angle
+    that turns the fixed axes of :func:`.dynamics.kinematic_init` to phi0
+    (at a pole these fix only psi0 +/- phi0)."""
+    r = reduce_state(state, p)
+    ax, bx = kinematic_init(state)[6:12].reshape(2, 3)
+    sf, cf = math.sin(r.phi), math.cos(r.phi)
+    psi0 = math.atan2(bx[0] * cf - bx[1] * sf, ax[0] * cf - ax[1] * sf)
+    return (r.theta, r.p_theta), r.kappa, {"psi0": psi0, "phi0": r.phi}
 
 
 def rotation_number(

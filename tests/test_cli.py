@@ -120,6 +120,28 @@ def test_a_start_off_the_chart_at_nonzero_kappa_is_a_usage_error(command, theta0
         assert not out.exists()
 
 
+@pytest.mark.parametrize("how", ["flags", "config"])
+def test_a_full_start_past_the_pole_margin_is_a_usage_error(how, tmp_path, capsys,
+                                                            monkeypatch):
+    # it reduces to theta0 = 1.0e-7 at kappa = -2.06e-3, inside the margin
+    # 1e-6: the kinematic stepper once ran it for seconds into an energy
+    # drift of 146, and the period route refuses it
+    monkeypatch.setattr(cli, "reconstruct_trajectory", _never_called)
+    start = {"omega": "10000.0,0.0,-0.001000000000000005", "gamma": "1e-07,0.0,0.999999999999995"}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in start.items()))
+    flags = ([f"--{k}={v}" for k, v in start.items()] if how == "flags"
+             else ["--config", str(cfg)])
+    out = tmp_path / "run.csv"
+    code, _, err = run(["simulate", *ARGS_XY, *flags, "--tmax", "1", "--out", str(out)], capsys)
+    assert code == 1, err
+    assert err.startswith("usage: rubberroll") and "--theta0" not in err
+    assert re.search(r": the theta0 that --omega/--gamma reduce to must lie in \(1e-06, "
+                     r"pi - 1e-06\) unless their kappa -0\.0020615\d* is 0, got 9\.996\d*e-08\n$",
+                     err), err
+    assert not out.exists()
+
+
 def _never_called(*args, **kwargs):
     raise AssertionError("computed")
 
@@ -172,9 +194,8 @@ def test_simulate_full_style_runs(tmp_path, capsys):
     assert code == 0
     _, rows = read_csv(out)
     assert len(rows) == 41
-    # the F1 drift column is live for full-style runs
-    f1 = [abs(float(r[11])) for r in rows]
-    assert max(f1) < 1e-9
+    # the F1 column is exactly 0
+    assert all(float(r[11]) == 0.0 for r in rows)
 
 
 @pytest.mark.parametrize("style", [
@@ -217,44 +238,55 @@ def test_one_sample_is_the_start_state(command, tmp_path, capsys):
     assert [float(v) for v in rows[0][:5]] == [0.0, 0.4678, -0.1, 0.0, 0.0]
 
 
-def test_full_style_simulate_integrates_once(tmp_path, capsys, monkeypatch):
-    # the path and the drift columns come from one kinematic run
-    import rubberroll.cli as cli
+def test_full_style_simulate_integrates_once(tmp_path, capsys, monkeypatch, caplog):
+    # the full state goes through the reduction: one period-route call from
+    # the reduced start, with phi0 off gamma and psi0 off kinematic_init's
+    # fixed axes, and no stepper run
+    from rubberroll.dynamics import FullState, reduce_state
+    from rubberroll.reconstruct import _full_start
 
-    systems = []
-    real = cli.integrate
+    calls = []
+    real = cli.reconstruct_trajectory
 
-    def counting(system, *args, **kwargs):
-        systems.append(system)
-        return real(system, *args, **kwargs)
+    def recording(*args, **kwargs):
+        calls.append((args[:2], {k: kwargs[k] for k in ("psi0", "phi0")}))
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "integrate", counting)
-    code, _, _ = run(["simulate", *ARGS_XY,
-                      "--omega", "0.3,-0.18616978176397397,0.2346033803494251",
-                      "--gamma", "0,0.78332690962748341,0.62160996827066439",
-                      "--tmax", "5", "--samples", "11",
-                      "--out", str(tmp_path / "full.csv")], capsys)
-    assert code == 0
-    assert systems == ["kinematic"]
+    monkeypatch.setattr(cli, "reconstruct_trajectory", recording)
+    with caplog.at_level(logging.DEBUG, logger="rubberroll"):
+        code, _, err = run(["simulate", *ARGS_XY, *_FULL_START, "--tmax", "5",
+                            "--samples", "11", "--out", str(tmp_path / "full.csv")], capsys)
+    assert code == 0, err
+    lines = [r.getMessage() for r in caplog.records]
+    assert sum(m.startswith("reconstruct_trajectory: period map on ") for m in lines) == 1, lines
+    assert not any("integrate_raw:" in m for m in lines), lines
+    state = FullState(omega=np.array([float(v) for v in _FULL_START[1].split(",")]),
+                      gamma=np.array([float(v) for v in _FULL_START[3].split(",")]))
+    start, kappa, seeds = _full_start(state, Params(0.5, 3.0, 0.5, 0.5))
+    r = reduce_state(state, Params(0.5, 3.0, 0.5, 0.5))
+    assert (start, kappa, seeds["phi0"]) == ((r.theta, r.p_theta), r.kappa, r.phi)
+    assert calls == [((start, kappa), seeds)]
 
 
 def test_simulate_rows_equal_rows_built_one_at_a_time(tmp_path, capsys):
     # reference: each row read from the path as numpy scalars, with its own
-    # reduced_energy or integrals call
-    from rubberroll.dynamics import FullState, integrals, kinematic_init, reduced_energy
-    from rubberroll.integrate import integrate
-    from rubberroll.reconstruct import path_from_kinematic, reconstruct_trajectory
+    # reduced_energy call
+    from rubberroll.dynamics import FullState, reduced_energy
+    from rubberroll.reconstruct import _full_start, reconstruct_trajectory
 
     p = Params(0.5, 3.0, 0.5, 0.5)
     tev = np.linspace(0.0, 30.0, 301)
     sim = [*ARGS_XY, "--tmax", "30", "--samples", "301"]
 
-    def reference(path, drift):
+    def reference(path, kappa):
+        def energy(i):
+            return reduced_energy(float(path.theta[i]), float(path.p_theta[i]), kappa, p)
+
         rows = []
         for i in range(len(path.t)):
             rows.append((path.t[i], path.theta[i], path.p_theta[i], path.psi[i],
                          path.phi[i], path.x_c[i], path.y_c[i], path.z_c[i],
-                         path.x_p[i], path.y_p[i], *drift(i)))
+                         path.x_p[i], path.y_p[i], energy(i) - energy(0), 0.0))
         out = tmp_path / "ref.csv"
         cli._write_csv(str(out), cli._CSV_HEADER, rows)
         return out.read_bytes()
@@ -263,27 +295,15 @@ def test_simulate_rows_equal_rows_built_one_at_a_time(tmp_path, capsys):
     assert main(["simulate", *sim, "--kappa", "-0.6", "--theta0", "1.1", "--ptheta0", "0.4",
                  "--out", str(out)]) == 0
     path = reconstruct_trajectory((1.1, 0.4), -0.6, (0.0, 30.0), p, t_eval=tev)
+    assert out.read_bytes() == reference(path, -0.6)
 
-    def energy(i):
-        return reduced_energy(float(path.theta[i]), float(path.p_theta[i]), -0.6, p)
-
-    assert out.read_bytes() == reference(path, lambda i: (energy(i) - energy(0), 0.0))
-
-    w = "0.3,-0.18616978176397397,0.2346033803494251"
-    g = "0,0.78332690962748341,0.62160996827066439"
     out = tmp_path / "full.csv"
-    assert main(["simulate", *sim, "--omega", w, "--gamma", g, "--out", str(out)]) == 0
-    state = FullState(omega=np.array([float(v) for v in w.split(",")]),
-                      gamma=np.array([float(v) for v in g.split(",")]))
-    traj = integrate("kinematic", kinematic_init(state), (0.0, 30.0), p, t_eval=tev)
-    path = path_from_kinematic(traj.t, traj.y, p)
-    c0 = integrals(state, p)
-
-    def drifts(i):
-        ci = integrals(FullState.from_array(traj.y[i]), p)
-        return ci.eps - c0.eps, ci.F1 - c0.F1
-
-    assert out.read_bytes() == reference(path, drifts)
+    assert main(["simulate", *sim, *_FULL_START, "--out", str(out)]) == 0
+    state = FullState(omega=np.array([float(v) for v in _FULL_START[1].split(",")]),
+                      gamma=np.array([float(v) for v in _FULL_START[3].split(",")]))
+    start, kappa, seeds = _full_start(state, p)
+    path = reconstruct_trajectory(start, kappa, (0.0, 30.0), p, t_eval=tev, **seeds)
+    assert out.read_bytes() == reference(path, kappa)
     capsys.readouterr()
 
 
@@ -473,17 +493,19 @@ def test_zero_tol_abs_is_honoured(tmp_path, capsys, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, "reconstruct_trajectory", recording)
-    base = [*ARGS_XY, "--kappa", "0.8", "--theta0", "0.4678", "--ptheta0", "0.1",
-            "--tmax", "1", "--samples", "3", "--tol-abs", "0",
-            "--out", str(tmp_path / "z.csv")]
+    tail = ["--tmax", "1", "--samples", "3", "--tol-abs", "0", "--out", str(tmp_path / "z.csv")]
+    base = [*ARGS_XY, "--kappa", "0.8", "--theta0", "0.4678", "--ptheta0", "0.1", *tail]
     # a pure relative tolerance needs a start state with no zero component
     code, _, err = run(["trajectory", *base, "--psi0", "0.1", "--phi0", "0.1",
                         "--x0", "0.1", "--y0", "0.1"], capsys)
     assert code == 0, err
-    # the period route's quadrature takes a pure relative tolerance from any start
+    # the period route's quadrature takes a pure relative tolerance from any
+    # start, a full state's reduction too
     code, _, err = run(["simulate", *base], capsys)
     assert code == 0, err
-    assert seen == [(0.0, 1e-10), (0.0, 1e-10)]
+    code, _, err = run(["simulate", *ARGS_XY, *_FULL_START, *tail], capsys)
+    assert code == 0, err
+    assert seen == [(0.0, 1e-10)] * 3
     # the stepper, the route of a relative equilibrium, needs a start state
     # with no zero component
     kappa = permanent_rotation(1.0, Params(0.5, 3.0, 0.5, 0.5)).kappa

@@ -9,10 +9,16 @@ steps, per column, its bar.  Every sample of the route must lie within the
 larger of the bar and the quadrature's err times the periods run, and no
 column may lie farther from the reference than the stepper at the route's
 own tolerances does.
+
+A full-style ``simulate`` start (omega, gamma) takes the same route from the
+state's reduction; its oracle is the kinematic system
+(``reconstruct_from_full``), on the same ladder and with the same bounds.
 """
 
+import importlib.util
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,15 +26,17 @@ import pytest
 import rubberroll.integrate
 from rubberroll import checks
 from rubberroll.bifurcation import permanent_rotation
-from rubberroll.dynamics import (component_intervals, critical_points, critical_thetas,
-                                 effective_potential, reduced_energy)
+from rubberroll.cli import main
+from rubberroll.dynamics import (FullState, ReducedState, component_intervals, critical_points,
+                                 critical_thetas, effective_potential, lift, reduce_state,
+                                 reduced_energy)
 from rubberroll.geometry import profile
 from rubberroll.integrate import _component, _ladder, half_period
 from rubberroll.model import Params
-from rubberroll.reconstruct import _stepped_path, reconstruct_trajectory
+from rubberroll.reconstruct import _stepped_path, reconstruct_from_full, reconstruct_trajectory
 
 from conftest import clear_caches
-from test_cli import SWEEP
+from test_cli import SWEEP, read_csv
 
 P_MAIN = Params(0.5, 3.0, 0.5, 0.5)
 P_ROUND = Params(0.5, 3.0, 1.0, 1.0)
@@ -37,8 +45,12 @@ SEEDS = ("psi0", "phi0", "x0", "y0")
 
 
 def _tolerance_ladder(start, kappa, p, t):
-    runs = [_stepped_path(start, kappa, (0.0, float(t[-1])), p, 0.05 * r, r, t)
-            for r in (1e-12, 1e-13, 2.3e-14)]
+    return _ladder_of(lambda a, r: _stepped_path(start, kappa, (0.0, float(t[-1])), p, a, r, t))
+
+
+def _ladder_of(run):
+    """(reference, bars) of the oracle run(tol_abs, tol_rel) -> AbsolutePath."""
+    runs = [run(0.05 * r, r) for r in (1e-12, 1e-13, 2.3e-14)]
     bars = {c: max(np.abs(getattr(runs[2], c) - getattr(runs[1], c)).max(),
                    np.abs(getattr(runs[1], c) - getattr(runs[0], c)).max()) for c in COLUMNS}
     return runs[2], bars
@@ -305,3 +317,126 @@ def test_the_period_map_check_reads_the_stepper_not_the_period_route(monkeypatch
     assert abs(complex(path.x_c[1], path.y_c[1]) - pm.D) <= 1e-9
     record = checks.period_map_drift(P_MAIN, np.random.default_rng(0), True, "derived")
     assert not record.ok
+
+
+PHYSICAL = ("x_c", "y_c", "z_c", "x_p", "y_p")
+
+
+def _full_rows(state, p, tmax, n, tmp_path):
+    """The simulate CSV of the full state over [0, tmax], n rows, as columns."""
+    out = tmp_path / "full.csv"
+    body = ["--alpha", repr(p.alpha), "--beta", repr(p.beta), "--nu", repr(p.nu),
+            "--eta", repr(p.eta)]
+    assert main(["simulate", *body, "--omega=" + ",".join(map(repr, state.omega.tolist())),
+                 "--gamma=" + ",".join(map(repr, state.gamma.tolist())), "--tmax", repr(tmax),
+                 "--samples", str(n), "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    return dict(zip(header, np.array(rows, dtype=float).T))
+
+
+def _check_full(state, p, tmax, tmp_path, n=301, exact=True):
+    """The simulate rows of a full state against the kinematic ladder; at
+    kappa = 0 the physical columns only, as the route's extended chart
+    reads theta, psi and phi otherwise.  Where exact, the first row is the
+    kinematic read of the start within 1e-15, and no column lies farther
+    from its reference than the kinematic stepper at the default
+    tolerances."""
+    rows = _full_rows(state, p, tmax, n, tmp_path)
+    t = rows["t"]
+    ref, bars = _ladder_of(lambda a, r: reconstruct_from_full(state, (0.0, tmax), p, tol_abs=a,
+                                                              tol_rel=r, t_eval=t))
+    stepper = reconstruct_from_full(state, (0.0, tmax), p, t_eval=t)
+    r = reduce_state(state, p)
+    err, T = _quadrature_err((r.theta, r.p_theta), r.kappa, p)
+    assert (rows["F1_drift"] == 0.0).all()
+    for c in COLUMNS if r.kappa != 0.0 else PHYSICAL:
+        assert not exact or abs(rows[c][0] - getattr(ref, c)[0]) <= 1e-15, c
+        gap = np.abs(rows[c] - getattr(ref, c))
+        assert (gap <= np.maximum(err * np.maximum(1.0, t / T), bars[c])).all(), \
+            (c, gap.max(), err, bars[c])
+        assert not exact or gap.max() <= np.abs(getattr(stepper, c) - getattr(ref, c)).max(), c
+    return rows
+
+
+def _perfbench(name):
+    """The module perfbench/<name>.py of the benchmark, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _orbit_full_starts(batches=3):
+    """The full-style starts of the benchmark's orbits workload at seed 7,
+    from its first batches as the benchmark draws them."""
+    rng = _perfbench("run").streams(7)[0]
+    orbits = _perfbench("workloads").Orbits()
+    ops = [op for i in range(batches) for op in orbits.batch(rng, i, Path("orbit.csv"))]
+    flags = [dict(a[2:].split("=") for a in op["argv"] if a.startswith(("--omega=", "--gamma=")))
+             for op in ops if op["kind"] == "full"]
+    return [FullState(omega=np.array([float(v) for v in f["omega"].split(",")]),
+                      gamma=np.array([float(v) for v in f["gamma"].split(",")])) for f in flags]
+
+
+@pytest.mark.parametrize("state", _orbit_full_starts())
+def test_the_orbits_full_starts_match_the_kinematic_ladder(state, tmp_path):
+    _check_full(state, P_MAIN, 200.0, tmp_path, 2001)
+
+
+@pytest.mark.parametrize("alpha, beta", SWEEP)
+def test_the_sweep_bodies_full_starts_match_the_kinematic_ladder(alpha, beta, tmp_path):
+    p = Params(alpha, beta, 1.0, 1.0)
+    _check_full(lift(ReducedState(1.1, 0.3), 0.7, 0.4, p), p, 30.0, tmp_path)
+
+
+@pytest.mark.parametrize("omega", [(0.2, 0.0, 0.0), (1.5, 0.0, 0.0)],
+                         ids=["crossing", "circuit"])
+def test_kappa_zero_full_starts_match_the_kinematic_ladder(omega, tmp_path):
+    # theta runs on the extended chart through the pole, where the kinematic
+    # read folds it into [0, pi] and turns psi and phi by pi; the route
+    # keeps psi and phi at their start
+    state = FullState(omega=np.array(omega), gamma=np.array([0.0, 0.6, 0.8]))
+    rows = _check_full(state, P_MAIN, 200.0, tmp_path, 2001)
+    assert (rows["psi"] == rows["psi"][0]).all() and (rows["phi"] == 0.0).all()
+    assert rows["theta"].min() < 0.0 if omega[0] < 1.0 else rows["theta"].max() > 2.0 * math.pi
+
+
+@pytest.mark.parametrize("omega", [(0.0, 1.0, 0.0), (0.3, -0.7, 0.0)])
+@pytest.mark.parametrize("gamma3", [1.0, -1.0], ids=["north", "south"])
+def test_a_full_start_at_a_pole_matches_the_kinematic_ladder(omega, gamma3, tmp_path):
+    # gamma fixes no phi at a pole: the start takes the meridian omega tips
+    # gamma along, so that no horizontal component of omega is lost.  Not
+    # exact: the kinematic read keeps exactly 0 what a vertical gamma, or
+    # omega along a body axis, leaves at 0, where the route's angles round
+    # (sin(pi) is 1.2e-16 in floating point)
+    state = FullState(omega=np.array(omega), gamma=np.array([0.0, 0.0, gamma3]))
+    rows = _check_full(state, P_MAIN, 60.0, tmp_path, 601, exact=False)
+    assert rows["p_theta"][0] == math.hypot(*omega)
+
+
+@pytest.mark.parametrize("delta", [1e-6, -1e-6])
+def test_a_full_start_next_to_a_saddle_level_matches_the_kinematic_ladder(delta, tmp_path):
+    kappa = 0.5
+    eps = effective_potential(critical_thetas(kappa, P_MAIN)[1], kappa, P_MAIN) + delta
+    lo, hi = component_intervals(kappa, eps, P_MAIN)[0]
+    th = lo + 0.3 * (hi - lo)
+    pt = math.sqrt(2.0 * (eps - effective_potential(th, kappa, P_MAIN)) / profile(th, P_MAIN).B)
+    _check_full(lift(ReducedState(th, pt), kappa, 0.7, P_MAIN), P_MAIN, 60.0, tmp_path, 601)
+
+
+def test_a_relative_equilibrium_full_start_steps_and_matches_the_kinematic_ladder(
+        tmp_path, caplog):
+    theta0 = math.pi / 3.0
+    state = lift(ReducedState(theta0, 0.0), permanent_rotation(theta0, P_ROUND).kappa, 0.4,
+                 P_ROUND)
+    t = np.linspace(0.0, 30.0, 301)
+    with caplog.at_level(logging.INFO, logger="rubberroll.reconstruct"):
+        rows = _full_rows(state, P_ROUND, 30.0, 301, tmp_path)
+    assert "DOP853 stepper, as the start is a relative equilibrium" in caplog.text
+    ref, bars = _ladder_of(lambda a, r: reconstruct_from_full(state, (0.0, 30.0), P_ROUND,
+                                                              tol_abs=a, tol_rel=r, t_eval=t))
+    stepper = reconstruct_from_full(state, (0.0, 30.0), P_ROUND, t_eval=t)
+    for c in COLUMNS:
+        gap = np.abs(rows[c] - getattr(ref, c))
+        assert gap.max() <= max(bars[c], np.abs(getattr(stepper, c) - getattr(ref, c)).max()), c
